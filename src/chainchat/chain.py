@@ -7,13 +7,16 @@ Every later block is signed by a declared writer and linked to its
 predecessor by a SHA-256 hash of the predecessor's canonical serialization.
 
 Validity of a user's certificate is decided by the *latest* record for that
-user, scanning from the newest block backwards: a revocation marker there
-means revoked, an expired certificate means expired, otherwise valid. There
-is no revocation list to propagate; a revocation is visible to every reader
-the moment its block lands.
+user: a revocation marker there means revoked, an expired certificate means
+expired, otherwise valid. There is no revocation list to propagate; a
+revocation is visible to every reader the moment its block lands.
 
-States are immutable snapshots; ``ChainNode`` wraps a snapshot with a write
-lock and optional file persistence for concurrent use.
+States are immutable snapshots. Each carries a map from user id to that
+user's newest record, so the lookup is one dict read whatever the height;
+an append copies its predecessor's map and overwrites the users in the new
+block. Status is still decided at lookup time from the record's kind and
+expiry. ``ChainNode`` wraps a snapshot with a write lock and optional file
+persistence for concurrent use: each append adds one frame to the chain file.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import BinaryIO, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -37,6 +41,7 @@ from .errors import (
     ChainFormatError,
     RecordValidationError,
     RevocationError,
+    TruncatedDataError,
     WriterNotAuthorizedError,
 )
 
@@ -247,6 +252,14 @@ class Block:
 @dataclass(frozen=True)
 class ChainState:
     blocks: Tuple[Block, ...]
+    # user id -> that user's newest record; built from ``blocks`` when omitted
+    latest: Optional[Mapping[str, CertificateRecord]] = field(
+        default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.latest is None:
+            latest = {rec.user_id: rec for block in self.blocks for rec in block.records}
+            object.__setattr__(self, "latest", MappingProxyType(latest))
 
     @property
     def height(self) -> int:
@@ -334,30 +347,22 @@ def append_block(state: ChainState, credential: WriterCredential,
         writer_id=credential.writer_id,
         writer_signature=ZERO_SIGNATURE,
     )
-    signed = Block(
-        height=block.height,
-        prev_hash=block.prev_hash,
-        records=block.records,
-        timestamp=block.timestamp,
-        writer_id=block.writer_id,
-        writer_signature=credential.sign(block.signature_payload()),
-    )
-    return ChainState(blocks=state.blocks + (signed,))
+    signed = replace(block, writer_signature=credential.sign(block.signature_payload()))
+    latest = state.latest.copy()
+    latest.update((rec.user_id, rec) for rec in signed.records)
+    return ChainState(blocks=state.blocks + (signed,), latest=MappingProxyType(latest))
 
 
 def fetch_latest(state: ChainState, user_id: str, now: Optional[int] = None) -> CertStatus:
     """Latest-wins lookup: the newest record for the user decides the status."""
-    now = _now() if now is None else now
-    for block in reversed(state.blocks):
-        for rec in reversed(block.records):
-            if rec.user_id != user_id:
-                continue
-            if rec.kind == KIND_REVOCATION:
-                return CertStatus(state=REVOKED)
-            if rec.expires_at <= now:
-                return CertStatus(state=EXPIRED, record=rec)
-            return CertStatus(state=VALID, record=rec)
-    return CertStatus(state=NOT_FOUND)
+    rec = state.latest.get(user_id)
+    if rec is None:
+        return CertStatus(state=NOT_FOUND)
+    if rec.kind == KIND_REVOCATION:
+        return CertStatus(state=REVOKED)
+    if rec.expires_at <= (_now() if now is None else now):
+        return CertStatus(state=EXPIRED, record=rec)
+    return CertStatus(state=VALID, record=rec)
 
 
 def verify_chain(state: ChainState) -> VerifyResult:
@@ -450,7 +455,7 @@ def chain_from_bytes(data: bytes) -> ChainState:
 
 
 def save_chain(state: ChainState, path: str) -> None:
-    """Atomic write so concurrent readers never see a torn file."""
+    """Atomic whole-file write (write-temp-then-rename); used for genesis."""
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as f:
         f.write(chain_to_bytes(state))
@@ -464,13 +469,65 @@ def load_chain(path: str) -> ChainState:
         return chain_from_bytes(f.read())
 
 
+def _intact_length(f: BinaryIO) -> int:
+    """Length of the chain file open as ``f`` without a final frame that an
+    interrupted append left shorter than its length prefix.
+
+    What there is of such a frame is the start of a block encoding, so its
+    parse runs out of data. A final frame whose body is a whole block, or a
+    block followed by more bytes, is a corrupted length instead; it is kept,
+    and the strict parse refuses it. Only the frame headers are read.
+    """
+    pos, end = 0, f.seek(0, os.SEEK_END)
+    while end - pos >= 4:
+        f.seek(pos)
+        (length,) = struct.unpack(">I", f.read(4))
+        if pos + 4 + length > end:
+            try:
+                Block.from_bytes(f.read())
+            except TruncatedDataError:
+                return pos
+            except ChainFormatError:
+                pass
+            return end
+        pos += 4 + length
+    return pos
+
+
+def cut_torn_tail(path: str) -> None:
+    """Truncate the chain file's torn final frame, if any, provided the
+    blocks in front of it parse; otherwise leave the file as it is."""
+    with open(path, "r+b") as f:
+        keep = _intact_length(f)
+        if keep < f.seek(0, os.SEEK_END):
+            f.seek(0)
+            chain_from_bytes(f.read(keep))
+            f.truncate(keep)
+            os.fsync(f.fileno())
+
+
+def _append_frame(path: str, block: Block) -> None:
+    """Append one block frame and fsync; on failure cut the file back."""
+    frame = encode_bytes(block.canonical_bytes())
+    with open(path, "ab", buffering=0) as f:
+        size = os.fstat(f.fileno()).st_size
+        try:
+            if f.write(frame) != len(frame):
+                raise OSError(f"short write to {path}")
+            os.fsync(f.fileno())
+        except BaseException:
+            os.ftruncate(f.fileno(), size)
+            raise
+
+
 # ---------------------------------------------------------------------------
 # node: serialized appends over immutable snapshots
 # ---------------------------------------------------------------------------
 
 class ChainNode:
     """Single-writer-gate wrapper: reads are lock-free snapshot reads,
-    mutations are serialized and (optionally) persisted atomically."""
+    mutations are serialized and (optionally) appended to the chain file
+    before the new snapshot is published."""
 
     def __init__(self, state: ChainState, path: Optional[str] = None,
                  *, write_initial: bool = False):
@@ -487,6 +544,7 @@ class ChainNode:
 
     @classmethod
     def open(cls, path: str) -> "ChainNode":
+        cut_torn_tail(path)
         return cls(load_chain(path), path=path)
 
     def snapshot(self) -> ChainState:
@@ -495,18 +553,18 @@ class ChainNode:
     def append(self, credential: WriterCredential,
                records: Sequence[CertificateRecord],
                timestamp: Optional[int] = None) -> ChainState:
-        with self._lock:
-            new_state = append_block(self._state, credential, records, timestamp=timestamp)
-            if self._path is not None:
-                save_chain(new_state, self._path)
-            self._state = new_state
-            return new_state
+        return self._commit(
+            lambda state: append_block(state, credential, records, timestamp=timestamp))
 
     def revoke(self, credential: WriterCredential, user_id: str,
                timestamp: Optional[int] = None) -> ChainState:
+        return self._commit(
+            lambda state: revoke(state, credential, user_id, timestamp=timestamp))
+
+    def _commit(self, extend: Callable[[ChainState], ChainState]) -> ChainState:
         with self._lock:
-            new_state = revoke(self._state, credential, user_id, timestamp=timestamp)
+            new_state = extend(self._state)
             if self._path is not None:
-                save_chain(new_state, self._path)
+                _append_frame(self._path, new_state.blocks[-1])
             self._state = new_state
             return new_state

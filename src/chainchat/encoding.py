@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import struct
 
-from .errors import ChainFormatError
+from .errors import ChainFormatError, TruncatedDataError
 
 
 def encode_bytes(value: bytes) -> bytes:
@@ -39,7 +39,7 @@ class Reader:
 
     def _take(self, n: int) -> bytes:
         if self._pos + n > len(self._data):
-            raise ChainFormatError(f"truncated {self._what} at offset {self._pos}")
+            raise TruncatedDataError(f"truncated {self._what} at offset {self._pos}")
         out = self._data[self._pos:self._pos + n]
         self._pos += n
         return out

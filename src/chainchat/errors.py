@@ -60,6 +60,11 @@ class ChainFormatError(ChainError):
     category = "chain-format"
 
 
+class TruncatedDataError(ChainFormatError):
+    """The data ends inside a field, as every strict prefix of a valid
+    encoding does."""
+
+
 class WriterNotAuthorizedError(ChainError):
     category = "writer-unauthorized"
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import base64
 import json
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -128,10 +127,10 @@ class Relay:
             self.refresh_snapshot()
         return fetch_latest(self._snapshot, user_id, now=now)
 
-    def _status_now(self, user_id: str) -> CertStatus:
-        if self._refresh_policy == REFRESH_ALWAYS:
-            self.refresh_snapshot()
-        return fetch_latest(self._snapshot, user_id, now=int(time.time()))
+    def _require_valid(self, role: str, user_id: str) -> None:
+        status = self.fetch_certificate(user_id)
+        if not status.is_valid:
+            raise RoutingError(f"{role} {user_id!r} certificate is {status.state}")
 
     # -- registration ---------------------------------------------------------
 
@@ -178,11 +177,8 @@ class Relay:
             raise RoutingError(f"sender {envelope.sender_id!r} is not registered")
         if not recipient_known:
             raise RoutingError(f"recipient {envelope.recipient_id!r} is not registered")
-        status = self._status_now(envelope.recipient_id)
-        if not status.is_valid:
-            raise RoutingError(
-                f"recipient {envelope.recipient_id!r} certificate is {status.state}"
-            )
+        self._require_valid("sender", envelope.sender_id)
+        self._require_valid("recipient", envelope.recipient_id)
         return self._route(envelope.recipient_id, envelope)
 
     def _route(self, recipient_id: str, envelope: Envelope) -> str:
@@ -232,6 +228,7 @@ class Relay:
             raise GroupPermissionError(
                 f"sender {envelope.sender_id!r} is not a member of {group_id!r}"
             )
+        self._require_valid("sender", envelope.sender_id)
         acks: List[Tuple[str, str]] = []
         for member in member_ids:
             if member == envelope.sender_id:
@@ -240,9 +237,7 @@ class Relay:
                 with self._state_lock:
                     if member not in self._registry:
                         raise RoutingError(f"member {member!r} is not registered")
-                status = self._status_now(member)
-                if not status.is_valid:
-                    raise RoutingError(f"member {member!r} certificate is {status.state}")
+                self._require_valid("member", member)
                 acks.append((member, self._route(member, envelope)))
             except RoutingError as e:
                 acks.append((member, f"error:{e.category}"))

@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 from typing import Optional
 
-from .chain import ChainNode, WriterCredential, load_chain, verify_chain
+from .chain import ChainNode, WriterCredential, cut_torn_tail, load_chain, verify_chain
 from .config import StackConfig
 from .errors import StackStartupError
 from .mno import MnoCertificateAuthority
@@ -56,6 +56,7 @@ def _open_chain(cfg: StackConfig,
                 credentials: dict[str, WriterCredential]) -> ChainNode:
     chain_path = cfg.resolved_chain_file()
     if Path(chain_path).exists():
+        cut_torn_tail(chain_path)
         state = load_chain(chain_path)
         result = verify_chain(state)
         if not result:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from chainchat.chain import (
     NOT_FOUND,
     REVOKED,
     VALID,
+    Block,
     CertificateRecord,
     ChainNode,
     ChainState,
@@ -318,6 +320,158 @@ class TestPersistence:
         reopened = ChainNode.open(str(path))
         assert reopened.snapshot().height == 1
         assert verify_chain(reopened.snapshot())
+
+
+def _node_with_blocks(mno, im_server, path, n):
+    node = ChainNode.create(
+        [(mno.writer_id, mno.verification_key),
+         (im_server.writer_id, im_server.verification_key)],
+        path=str(path),
+    )
+    for i in range(n):
+        node.append(mno, [cert_for(mno, f"user{i}", key=bytes([i + 1]) * 32)],
+                    timestamp=T0 + i)
+    return node
+
+
+class TestAppendOnlyFile:
+    def test_append_adds_exactly_one_frame(self, mno, im_server, tmp_path):
+        path = tmp_path / "chain.dat"
+        node = _node_with_blocks(mno, im_server, path, 3)
+        before = path.read_bytes()
+        node.revoke(mno, "user1", timestamp=T0 + 10)
+        after = path.read_bytes()
+        assert after[:len(before)] == before
+        assert after == chain_to_bytes(node.snapshot())
+
+    def test_torn_final_frame_cut_at_every_offset(self, mno, im_server, tmp_path):
+        path = tmp_path / "chain.dat"
+        node = _node_with_blocks(mno, im_server, path, 4)
+        intact = path.read_bytes()
+        node.append(mno, [cert_for(mno, "last")], timestamp=T0 + 10)
+        full = path.read_bytes()
+        torn = tmp_path / "torn.dat"
+        for cut in range(len(intact) + 1, len(full)):
+            torn.write_bytes(full[:cut])
+            reopened = ChainNode.open(str(torn))
+            assert reopened.snapshot().height == 4, f"cut at {cut}"
+            assert verify_chain(reopened.snapshot())
+            assert torn.read_bytes() == intact
+            reopened.append(mno, [cert_for(mno, "next")], timestamp=T0 + 11)
+            again = ChainNode.open(str(torn))
+            assert again.snapshot().height == 5
+            assert verify_chain(again.snapshot())
+
+    def test_strict_load_refuses_torn_tail(self, mno, im_server, tmp_path):
+        path = tmp_path / "chain.dat"
+        _node_with_blocks(mno, im_server, path, 2)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ChainFormatError):
+            load_chain(str(path))
+
+    def test_open_never_repairs_a_mutation_into_a_valid_chain(self, mno, im_server,
+                                                              tmp_path):
+        """Flips in every frame's length prefix and in every byte of the last
+        frame, through ChainNode.open: each one is refused, leaving the file
+        as it was, or yields a chain that fails verification."""
+        path = tmp_path / "chain.dat"
+        _node_with_blocks(mno, im_server, path, 10)
+        original = path.read_bytes()
+        frames, pos = [], 0
+        while pos < len(original):
+            frames.append(pos)
+            pos += 4 + int.from_bytes(original[pos:pos + 4], "big")
+        flips = [(offset, mask) for start in frames for offset in range(start, start + 4)
+                 for mask in (0x01, 0x80, 0xFF)]
+        flips += [(offset, 0x01) for offset in range(frames[-1] + 4, len(original))]
+        for offset, mask in flips:
+            mutated = bytearray(original)
+            mutated[offset] ^= mask
+            path.write_bytes(bytes(mutated))
+            try:
+                node = ChainNode.open(str(path))
+            except ChainFormatError:
+                assert path.read_bytes() == mutated, f"refused file changed at {offset}"
+                continue
+            assert not verify_chain(node.snapshot()), f"undetected mutation at byte {offset}"
+
+    def test_failed_fsync_leaves_file_and_snapshot(self, mno, im_server, tmp_path,
+                                                   monkeypatch):
+        path = tmp_path / "chain.dat"
+        node = _node_with_blocks(mno, im_server, path, 3)
+        size, snapshot = path.stat().st_size, node.snapshot()
+
+        def failing_fsync(fd):
+            raise OSError("disk gone")
+
+        with monkeypatch.context() as patched:
+            patched.setattr("os.fsync", failing_fsync)
+            with pytest.raises(OSError):
+                node.append(mno, [cert_for(mno, "doomed")], timestamp=T0 + 10)
+        assert path.stat().st_size == size
+        assert node.snapshot() is snapshot
+        node.append(mno, [cert_for(mno, "after")], timestamp=T0 + 11)
+        assert chain_to_bytes(ChainNode.open(str(path)).snapshot()) == \
+            chain_to_bytes(node.snapshot())
+
+
+class TestLatestMap:
+    def test_older_snapshots_and_branches_match_oracle(self, chain, mno):
+        rng = random.Random(7)
+        users = [f"user{i}" for i in range(12)]
+        history = [(chain, [])]  # (snapshot, append-order records up to it)
+        now = T0
+        for event in range(120):
+            now += rng.randint(1, 40)
+            state, flat = history[-1] if rng.random() < 0.8 else rng.choice(history)
+            user = rng.choice(users)
+            if rng.random() < 0.3 and oracle_status(flat, user, now)[0] != NOT_FOUND:
+                state = revoke(state, mno, user, timestamp=now)
+            else:
+                rec = cert_for(mno, user, issued=now, expires=now + rng.choice([30, 3000]),
+                               key=bytes([event % 256]) * 32)
+                state = append_block(state, mno, [rec], timestamp=now)
+            history.append((state, flat + list(state.blocks[-1].records)))
+        for state, flat in history:
+            assert state.all_records() == flat
+            for probe in users + ["ghost"]:
+                for at in (T0, now // 2 + T0 // 2, now + 5000):
+                    expected_state, expected_rec = oracle_status(flat, probe, at)
+                    got = fetch_latest(state, probe, now=at)
+                    assert got.state == expected_state
+                    if expected_state in (VALID, EXPIRED):
+                        assert got.record == expected_rec
+
+    def test_map_rebuilt_from_blocks(self, chain, mno):
+        state = build_ten_block_chain(chain, mno)
+        state = revoke(state, mno, "user3", timestamp=T0 + 20)
+        rebuilt = ChainState(blocks=state.blocks)
+        assert dict(rebuilt.latest) == dict(state.latest)
+        assert rebuilt == state
+
+    def test_absent_user_lookup_is_flat_in_height(self, mno):
+        """Cost of a miss must not grow with the chain (a scan is ~40x here)."""
+        def chain_of(height):
+            blocks = [genesis([(mno.writer_id, mno.verification_key)],
+                              timestamp=T0).blocks[0]]
+            for h in range(1, height + 1):
+                rec = CertificateRecord(f"user{h}", b"\x11" * 32, mno.writer_id, T0,
+                                        T0 + 10, KIND_CERTIFICATE, b"\x00" * 64)
+                blocks.append(Block(h, b"\x00" * 32, (rec,), T0, mno.writer_id,
+                                    b"\x00" * 64))
+            return ChainState(blocks=tuple(blocks))
+
+        def best_per_call(state):
+            best = float("inf")
+            for _ in range(30):
+                start = time.perf_counter()
+                for _ in range(100):
+                    fetch_latest(state, "ghost", now=T0)
+                best = min(best, (time.perf_counter() - start) / 100)
+            return best
+
+        small, large = chain_of(100), chain_of(4_000)
+        assert best_per_call(large) / best_per_call(small) < 5
 
 
 class TestRecords:

@@ -93,6 +93,24 @@ class TestStackHandle:
         finally:
             second.close()
 
+    def test_rerun_cuts_torn_final_frame(self, tmp_path):
+        cfg = StackConfig(state_dir=str(tmp_path / "state"), relay_port=0)
+        path = Path(cfg.resolved_chain_file())
+        first = run_stack(cfg)
+        with RelayStackClient(first) as rc:
+            Client.install("alice", rc, rc)
+            intact, height = path.read_bytes(), first.chain_node.snapshot().height
+            Client.install("bob", rc, rc)
+        first.close()
+        # an append interrupted halfway through its frame
+        path.write_bytes(path.read_bytes()[:len(intact) + 40])
+        second = run_stack(cfg)
+        try:
+            assert second.chain_node.snapshot().height == height
+            assert path.read_bytes() == intact
+        finally:
+            second.close()
+
 
 class RelayStackClient:
     """tiny helper: wire client bound to a stack handle"""

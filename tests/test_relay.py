@@ -114,6 +114,18 @@ class TestStoreAndForward:
         with pytest.raises(RoutingError):
             relay.submit_envelope(second)
 
+    def test_revoked_sender_refused(self, relay, mno):
+        fay = Client.install("fay", mno, relay)
+        gil = Client.install("gil", mno, relay)
+        fay.start_session("gil")
+        gil.start_session("fay")
+        assert relay.submit_envelope(fay.send_text("gil", "before")) == ACK_QUEUED
+        mno.revoke("fay")
+        with pytest.raises(RoutingError) as refused:
+            relay.submit_envelope(fay.send_text("gil", "after"))
+        assert refused.value.category == "routing-error"
+        assert [env.counter for _, env in relay.fetch_envelopes("gil", 0)] == [0]
+
     def test_revocation_window_closed_by_refresh(self, chain_node, mno, relay,
                                                  connected_pair):
         alice, bob = connected_pair
@@ -215,6 +227,15 @@ class TestGroupFanOut:
         acks = dict(relay.broadcast_group("room", ids, envelope))
         assert acks[ids[1]] == ACK_QUEUED
         assert acks[ids[2]].startswith("error:")
+
+    def test_revoked_sender_broadcast_refused(self, mno, relay):
+        members, ids = self.make_group(mno, relay, 3)
+        mno.revoke(ids[1])
+        envelope = plain_envelope(ids[1], "", group_id="room")
+        with pytest.raises(RoutingError):
+            relay.broadcast_group("room", ids, envelope)
+        for member in (ids[0], ids[2]):
+            assert relay.fetch_envelopes(member, 0) == []
 
     def test_group_registry(self, relay, mno):
         members, ids = self.make_group(mno, relay, 3)
