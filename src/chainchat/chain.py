@@ -30,11 +30,7 @@ from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import BinaryIO, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from .encoding import Reader, encode_bytes, encode_str, encode_u64
 from .errors import (
@@ -44,6 +40,7 @@ from .errors import (
     TruncatedDataError,
     WriterNotAuthorizedError,
 )
+from .identity_sig import verify_edwards
 
 KIND_CERTIFICATE = "certificate"
 KIND_REVOCATION = "revocation"
@@ -120,15 +117,8 @@ def record_fingerprint(record: CertificateRecord) -> bytes:
 
 
 def verify_record(record: CertificateRecord, verification_key: bytes) -> bool:
-    if not record.shape_ok():
-        return False
-    try:
-        Ed25519PublicKey.from_public_bytes(verification_key).verify(
-            record.issuer_signature, record.signed_payload()
-        )
-        return True
-    except (InvalidSignature, ValueError):
-        return False
+    return record.shape_ok() and verify_edwards(
+        verification_key, record.signed_payload(), record.issuer_signature)
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +395,7 @@ def verify_chain(state: ChainState) -> VerifyResult:
             return VerifyResult(
                 ok=False, height=i, reason=f"writer {blk.writer_id!r} not in permissioned set"
             )
-        try:
-            Ed25519PublicKey.from_public_bytes(key).verify(
-                blk.writer_signature, blk.signature_payload()
-            )
-        except (InvalidSignature, ValueError):
+        if not verify_edwards(key, blk.signature_payload(), blk.writer_signature):
             return VerifyResult(ok=False, height=i, reason="bad writer signature")
         for rec in blk.records:
             issuer_key = writers.get(rec.issuer_id)

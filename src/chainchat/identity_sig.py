@@ -3,9 +3,9 @@
 Identity keys are X25519 keys: Montgomery-form points used for key agreement.
 Enrollment, however, needs the subject to *sign* a challenge such that the
 signature verifies against the very same 32-byte public key that goes into
-the certificate. Montgomery points cannot verify Ed25519 signatures directly,
-so this module uses the standard birational map between curve25519 and
-edwards25519:
+the certificate. This module does that with XEdDSA
+(signal.org/docs/specifications/xeddsa): the birational map from curve25519
+to edwards25519 turns the X25519 key into an Ed25519 key.
 
   sign:   map the clamped X25519 scalar k to an Edwards key pair. Compute
           A = k*B; if the compressed A has its sign bit set, negate the
@@ -14,12 +14,18 @@ edwards25519:
           (R, S) under (a, A), with a deterministic domain-separated nonce.
 
   verify: map the Montgomery u-coordinate to the Edwards y = (u-1)/(u+1),
-          force the sign bit to 0, and run standard Ed25519 verification.
+          force the sign bit to 0, and run RFC 8032 Ed25519 verification
+          through ``cryptography``.
 
 Both sides land on the same sign-0 Edwards point, so signatures made with an
 X25519 private key verify against the matching X25519 public key and nothing
-else. Arithmetic is pure Python over extended twisted-Edwards coordinates;
-throughput is a few hundred ops per second, plenty for enrollment traffic.
+else. Keys whose u-coordinate belongs to a point of order 1, 2, 4 or 8 are
+refused: nobody holds a private key for them, and a forged signature under
+such a key passes the cofactorless check with probability up to 1/2.
+
+Signing stays pure Python over extended twisted-Edwards coordinates, because
+it needs the raw X25519 scalar, and ``cryptography`` takes Ed25519 private
+keys only as seeds that it hashes into a scalar.
 """
 
 from __future__ import annotations
@@ -27,10 +33,12 @@ from __future__ import annotations
 import hashlib
 from typing import Optional, Tuple
 
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+
 P = 2**255 - 19
 L = 2**252 + 27742317777372353535851937790883648493
 D = (-121665 * pow(121666, P - 2, P)) % P
-_SQRT_M1 = pow(2, (P - 1) // 4, P)
 
 _BASE = (
     15112221349535400772501151409588531511454012693041857206046113283949847762202,
@@ -40,6 +48,15 @@ _B = (_BASE[0], _BASE[1], 1, _BASE[0] * _BASE[1] % P)
 _IDENTITY = (0, 1, 1, 0)
 
 _NONCE_DOMAIN = b"chainchat/identity-sig/v1"
+
+# Montgomery u-coordinates of the points of order 1, 2, 4 and 8 (reduced mod p)
+_LOW_ORDER_U = frozenset((
+    0,
+    1,
+    P - 1,
+    325606250916557431795983626356110631294008115727848805560023387167927233504,
+    39382357235489614581723060781553021112529911719440698176882885853963445705823,
+))
 
 Point = Tuple[int, int, int, int]  # extended coordinates (X, Y, Z, T)
 
@@ -69,39 +86,11 @@ def _point_mul(scalar: int, p: Point) -> Point:
     return q
 
 
-def _point_equal(p: Point, q: Point) -> bool:
-    x1, y1, z1, _ = p
-    x2, y2, z2, _ = q
-    return (x1 * z2 - x2 * z1) % P == 0 and (y1 * z2 - y2 * z1) % P == 0
-
-
 def _compress(p: Point) -> bytes:
     x, y, z, _ = p
     zinv = pow(z, P - 2, P)
     x, y = x * zinv % P, y * zinv % P
     return (y | ((x & 1) << 255)).to_bytes(32, "little")
-
-
-def _decompress(data: bytes) -> Optional[Point]:
-    if len(data) != 32:
-        return None
-    n = int.from_bytes(data, "little")
-    sign = n >> 255
-    y = n & ((1 << 255) - 1)
-    if y >= P:
-        return None
-    y2 = y * y % P
-    x2 = (y2 - 1) * pow(D * y2 + 1, P - 2, P) % P
-    x = pow(x2, (P + 3) // 8, P)
-    if x * x % P != x2:
-        x = x * _SQRT_M1 % P
-        if x * x % P != x2:
-            return None
-    if x == 0 and sign:
-        return None
-    if x & 1 != sign:
-        x = P - x
-    return (x, y, 1, x * y % P)
 
 
 def _scalar_from_hash(*parts: bytes) -> int:
@@ -132,9 +121,9 @@ def edwards_public_key(x25519_public: bytes) -> Optional[bytes]:
     if len(x25519_public) != 32:
         return None
     u = (int.from_bytes(x25519_public, "little") & ((1 << 255) - 1)) % P
-    if (u + 1) % P == 0:
+    if u in _LOW_ORDER_U:
         return None
-    y = (u - 1) * pow(u + 1, P - 2, P) % P
+    y = (u - 1) * pow(u + 1, -1, P) % P
     return y.to_bytes(32, "little")
 
 
@@ -159,15 +148,11 @@ def verify(x25519_public: bytes, message: bytes, signature: bytes) -> bool:
 
 
 def verify_edwards(edwards_pub: bytes, message: bytes, signature: bytes) -> bool:
-    """Plain Ed25519-style verification against a compressed Edwards key."""
+    """RFC 8032 Ed25519 verification against a compressed Edwards key."""
     if len(signature) != SIGNATURE_LEN:
         return False
-    a_point = _decompress(edwards_pub)
-    r_point = _decompress(signature[:32])
-    if a_point is None or r_point is None:
+    try:
+        Ed25519PublicKey.from_public_bytes(edwards_pub).verify(signature, message)
+        return True
+    except (InvalidSignature, ValueError):
         return False
-    s = int.from_bytes(signature[32:], "little")
-    if s >= L:
-        return False
-    h = _scalar_from_hash(signature[:32], edwards_pub, message)
-    return _point_equal(_point_mul(s, _B), _point_add(r_point, _point_mul(h, a_point)))

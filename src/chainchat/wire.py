@@ -54,6 +54,11 @@ def encode_message(msg_type: str, body: Dict[str, Any]) -> bytes:
     return VERSION_BYTE + payload.encode("utf-8") + b"\n"
 
 
+def _overlong(line: bytes) -> bool:
+    """True when ``readline(_MAX_LINE)`` stopped at the limit, not at a newline."""
+    return len(line) >= _MAX_LINE and not line.endswith(b"\n")
+
+
 def decode_message(line: bytes) -> Tuple[str, Dict[str, Any]]:
     line = line.rstrip(b"\n")
     if not line.startswith(VERSION_BYTE):
@@ -164,9 +169,14 @@ class WireServer:
                     line = self.rfile.readline(_MAX_LINE)
                     if not line:
                         return
-                    if line.strip() == b"":
+                    # the rest of an overlong line would be read as the next
+                    # request, so answer once and drop the connection
+                    overlong = _overlong(line)
+                    if line.strip() == b"" and not overlong:
                         continue
                     try:
+                        if overlong:
+                            raise WireProtocolError(f"line exceeds {_MAX_LINE} bytes")
                         msg_type, body = decode_message(line)
                         reply = dispatch(msg_type, body)
                     except ChainChatError as e:
@@ -177,6 +187,8 @@ class WireServer:
                         self.wfile.write(encode_message(*reply))
                         self.wfile.flush()
                     except OSError:
+                        return
+                    if overlong:
                         return
 
         class Server(socketserver.ThreadingTCPServer):
@@ -302,6 +314,9 @@ class RelayClient:
             line = self._file.readline(_MAX_LINE)
         if not line:
             raise WireProtocolError("connection closed by server")
+        if _overlong(line):
+            self.close()
+            raise WireProtocolError(f"reply exceeds {_MAX_LINE} bytes")
         reply_type, reply = decode_message(line)
         if reply_type == "error":
             raise WireRemoteError(reply.get("category", "error"),

@@ -9,8 +9,9 @@ from chainchat.crypto import generate_identity_keypair
 
 
 class TestEdwardsCore:
-    """RFC 8032 vectors exercise decompression, addition and scalar
-    multiplication through the verification path."""
+    """RFC 8032 vectors exercise the library Ed25519 verifier behind
+    ``verify_edwards``. The sign->verify round-trips in the next class check
+    the pure-Python signing arithmetic against that independent verifier."""
 
     @pytest.mark.parametrize("pub,msg,sig", [
         (v.ED25519_T1_PUB, v.ED25519_T1_MSG, v.ED25519_T1_SIG),
@@ -80,19 +81,69 @@ class TestMontgomeryKeyedSignatures:
             assert mapped == derived
 
     def test_low_order_public_key_rejected(self):
-        # u = p-1 maps to a division by zero in the birational map
-        u = (identity_sig.P - 1).to_bytes(32, "little")
-        assert identity_sig.edwards_public_key(u) is None
-        assert not identity_sig.verify(u, b"m", b"\x00" * 64)
+        # u = p-1 maps to a division by zero in the birational map; the other
+        # low-order points map to Edwards keys under which forgeries verify
+        for u in v.LOW_ORDER_U:
+            key = u.to_bytes(32, "little")
+            assert identity_sig.edwards_public_key(key) is None, u
+            assert not identity_sig.verify(key, b"m", b"\x00" * 64)
 
     def test_bad_signature_length(self):
         pair = generate_identity_keypair()
-        assert not identity_sig.verify(pair.public_key, b"m", b"\x00" * 63)
+        sig = identity_sig.sign(pair.private_key, b"m")
+        for bad in (b"\x00" * 63, sig[:63], sig + b"\x00"):
+            assert not identity_sig.verify(pair.public_key, b"m", bad)
 
     def test_oversized_s_rejected(self):
         pair = generate_identity_keypair()
         sig = identity_sig.sign(pair.private_key, b"m")
-        # bump S above the group order
-        s = int.from_bytes(sig[32:], "little") + identity_sig.L
-        forged = sig[:32] + s.to_bytes(32, "little")
-        assert not identity_sig.verify(pair.public_key, b"m", forged)
+        # S = L, and S bumped above the group order
+        s = int.from_bytes(sig[32:], "little")
+        for big in (identity_sig.L, s + identity_sig.L):
+            forged = sig[:32] + big.to_bytes(32, "little")
+            assert not identity_sig.verify(pair.public_key, b"m", forged)
+
+
+def _zero_nonce_signature(message, r_enc):
+    """Edwards key and (R, S) made with nonce 0, so R is the neutral point,
+    written as ``r_enc``. Verifies iff the verifier accepts that encoding."""
+    a, pub = identity_sig._signing_pair(generate_identity_keypair().private_key)
+    h = identity_sig._scalar_from_hash(r_enc, pub, message)
+    return pub, r_enc + (h * a % identity_sig.L).to_bytes(32, "little")
+
+
+def _off_curve_key():
+    """Smallest y > 1 whose compressed encoding decodes to no Edwards point."""
+    P, D = identity_sig.P, identity_sig.D
+    for y in range(2, 1000):
+        x2 = (y * y - 1) * pow(D * y * y + 1, P - 2, P) % P
+        if pow(x2, (P - 1) // 2, P) == P - 1:
+            return y.to_bytes(32, "little")
+    raise AssertionError("no off-curve y found")
+
+
+class TestVerifierEdgeCases:
+    """Encodings a lenient verifier would accept; each must be rejected."""
+
+    NEUTRAL_Y = 1
+
+    def test_canonical_neutral_r_verifies(self):
+        # control for the two tests below: the same construction with the
+        # canonical encoding of R is a valid signature
+        pub, sig = _zero_nonce_signature(b"m", self.NEUTRAL_Y.to_bytes(32, "little"))
+        assert identity_sig.verify_edwards(pub, b"m", sig)
+
+    def test_non_canonical_r_y_at_least_p(self):
+        r_enc = (identity_sig.P + self.NEUTRAL_Y).to_bytes(32, "little")
+        pub, sig = _zero_nonce_signature(b"m", r_enc)
+        assert not identity_sig.verify_edwards(pub, b"m", sig)
+
+    def test_r_with_x_zero_and_sign_bit_set(self):
+        r_enc = (self.NEUTRAL_Y | 1 << 255).to_bytes(32, "little")
+        pub, sig = _zero_nonce_signature(b"m", r_enc)
+        assert not identity_sig.verify_edwards(pub, b"m", sig)
+
+    def test_key_off_the_curve(self):
+        pair = generate_identity_keypair()
+        sig = identity_sig.sign(pair.private_key, b"m")
+        assert not identity_sig.verify_edwards(_off_curve_key(), b"m", sig)

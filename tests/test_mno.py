@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import vectors as v
 from chainchat import identity_sig
 from chainchat.chain import KIND_REVOCATION, REVOKED, VALID, fetch_latest
 from chainchat.crypto import generate_identity_keypair
@@ -84,6 +85,22 @@ class TestEnrollment:
             pair.private_key, possession_payload("alice", pair.public_key, challenge))
         with pytest.raises(ValueError):
             mno.issue_certificate(EnrollmentRequest("alice", pair.public_key, proof), 0)
+
+    def test_low_order_keys_refused(self, mno, chain_node):
+        """R = s*B, S = s passes the cofactorless check whenever h*A is the
+        neutral point, i.e. for 1 in 2 to 1 in 8 challenges under a low-order
+        key. Every such forgery must be refused."""
+        height = len(chain_node.snapshot().blocks)
+        for u in v.LOW_ORDER_U:
+            key = u.to_bytes(32, "little")
+            for _ in range(64):
+                mno.new_challenge("mallory")
+                s = int.from_bytes(os.urandom(64), "little") % identity_sig.L
+                r_enc = identity_sig._compress(identity_sig._point_mul(s, identity_sig._B))
+                forged = r_enc + s.to_bytes(32, "little")
+                with pytest.raises(EnrollmentError):
+                    mno.issue_certificate(EnrollmentRequest("mallory", key, forged), 60)
+        assert len(chain_node.snapshot().blocks) == height
 
 
 class TestVerifyCertificate:

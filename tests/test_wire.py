@@ -1,7 +1,10 @@
 import json
+import socket
+import threading
 
 import pytest
 
+from chainchat import wire
 from chainchat.client import Client
 from chainchat.errors import StackStartupError, WireProtocolError
 from chainchat.relay import ACK_QUEUED
@@ -141,3 +144,62 @@ class TestServer:
         for t in threads:
             t.join()
         assert results == ["not_found"] * 8
+
+
+class TestLineLimit:
+    """A line cut at ``_MAX_LINE`` must not leave its rest to be read as the
+    next message. The limit is patched small; no test sends 16 MiB."""
+
+    @pytest.mark.parametrize("head", [b"1" + b"x" * 99, b" " * 80 + b"1x"],
+                             ids=["text", "blank-start"])
+    def test_overlong_request_answered_once_then_closed(self, server, monkeypatch, head):
+        monkeypatch.setattr(wire, "_MAX_LINE", 64)
+        fetch = encode_message("fetch", {"recipient_id": "alice", "after_seq": 0})
+        with socket.create_connection((server.host, server.port)) as sock, \
+                sock.makefile("rwb") as stream:
+            stream.write(head + b"\n" + fetch)
+            stream.flush()
+            reply_type, body = decode_message(stream.readline())
+            assert (reply_type, body["category"]) == ("error", "protocol-error")
+            assert "exceeds 64 bytes" in body["message"]
+            try:
+                rest = stream.readline()
+            except ConnectionResetError:
+                rest = b""
+            assert rest == b""
+        with RelayClient(server.host, server.port) as fresh:
+            assert fresh.fetch_certificate("nobody").state == "not_found"
+
+    def test_lines_of_exactly_the_limit_are_served(self, rc, monkeypatch):
+        # pad the user id so request and reply are both limit bytes long,
+        # newline included
+        reply = encode_message("ack", {"record": None, "status": "not_found"})
+        user_id = "n" * (len(reply) - len(encode_message("fetch_cert", {"user_id": ""})))
+        assert len(encode_message("fetch_cert", {"user_id": user_id})) == len(reply)
+        monkeypatch.setattr(wire, "_MAX_LINE", len(reply))
+        for _ in range(2):
+            assert rc.fetch_certificate(user_id).state == "not_found"
+
+    def test_overlong_reply_raises(self, monkeypatch):
+        # the first _MAX_LINE bytes of this reply decode as a valid ack
+        monkeypatch.setattr(wire, "_MAX_LINE", 64)
+        reply = encode_message("ack", {}).rstrip(b"\n") + b" " * 100 + b"\n"
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve_one():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rwb") as stream:
+                stream.readline()
+                stream.write(reply)
+                stream.flush()
+
+        thread = threading.Thread(target=serve_one)
+        thread.start()
+        try:
+            with RelayClient(*listener.getsockname()) as client:
+                with pytest.raises(WireProtocolError, match="exceeds 64 bytes"):
+                    client.request("fetch_cert", {"user_id": "n"})
+        finally:
+            thread.join(timeout=5)
+            listener.close()
+        assert not thread.is_alive()

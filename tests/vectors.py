@@ -96,7 +96,7 @@ NIST_CBC_CT = bytes.fromhex(
     "39f23369a9d9bacfa530e26304231461"
     "b2eb05e2c39be9fcda6c19078c6a9d1b")
 
-# -- RFC 8032 7.1: Ed25519 verification vectors (exercise the Edwards core) -------------
+# -- RFC 8032 7.1: Ed25519 verification vectors -----------------------------------------
 ED25519_T1_PUB = bytes.fromhex(
     "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a")
 ED25519_T1_MSG = b""
@@ -109,6 +109,20 @@ ED25519_T2_MSG = b"\x72"
 ED25519_T2_SIG = bytes.fromhex(
     "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da"
     "085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00")
+
+# -- X25519 public keys nobody holds a private key for ----------------------------------
+# u-coordinates of the points of order 1, 2, 4 and 8 on curve25519, then the
+# non-canonical encodings p and p + 1 of u = 0 and u = 1
+_P = 2**255 - 19
+LOW_ORDER_U = (
+    0,
+    1,
+    _P - 1,
+    325606250916557431795983626356110631294008115727848805560023387167927233504,
+    39382357235489614581723060781553021112529911719440698176882885853963445705823,
+    _P,
+    _P + 1,
+)
 
 # -- derived, frozen from the OpenSSL-backed HKDF oracle --------------------------------
 # init_chains(master=0^32, "alice", "bob")
