@@ -30,7 +30,7 @@ from .crypto import (
     unseal,
 )
 from .errors import ChainChatError
-from .mno import EnrollmentRequest, MnoCertificateAuthority, verify_certificate
+from .mno import EnrollmentRequest, MnoCertificateAuthority
 from .relay import Envelope, LoopbackChannel, Mailbox, Relay
 from .stack import StackHandle, run_stack
 
@@ -73,6 +73,5 @@ __all__ = [
     "run_stack",
     "seal",
     "unseal",
-    "verify_certificate",
     "verify_chain",
 ]

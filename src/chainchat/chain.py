@@ -28,7 +28,7 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import BinaryIO, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import BinaryIO, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
@@ -259,10 +259,6 @@ class ChainState:
     def writers(self) -> Dict[str, bytes]:
         return dict(self.blocks[0].writer_declarations)
 
-    def all_records(self) -> List[CertificateRecord]:
-        """Every record in append order (oldest first)."""
-        return [rec for block in self.blocks for rec in block.records]
-
 
 @dataclass(frozen=True)
 class CertStatus:
@@ -440,14 +436,26 @@ def chain_from_bytes(data: bytes) -> ChainState:
     return ChainState(blocks=tuple(blocks))
 
 
-def save_chain(state: ChainState, path: str) -> None:
-    """Atomic whole-file write (write-temp-then-rename); used for genesis."""
+def write_atomic(path: str | os.PathLike, data: bytes) -> None:
+    """Replace the file at ``path`` with ``data``: write a temporary file,
+    fsync it, rename it over. A crash leaves the old file or the new one,
+    never a mix; a write that fails before the rename leaves the old one."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as f:
-        f.write(chain_to_bytes(state))
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def save_chain(state: ChainState, path: str) -> None:
+    """Atomic whole-file write; used for genesis."""
+    write_atomic(path, chain_to_bytes(state))
 
 
 def load_chain(path: str) -> ChainState:

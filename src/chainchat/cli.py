@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .bench import bench_decrypt, bench_encrypt, render_csv, write_csv
-from .chain import load_chain, verify_chain
+from .chain import load_chain, verify_chain, write_atomic
 from .client import Client, Delivery
 from .config import StackConfig, load_config
 from .errors import ChainChatError, StackStartupError
@@ -42,7 +42,7 @@ def _state_path(cfg: StackConfig, user_id: str) -> Path:
 def _save_client(cfg: StackConfig, client: Client) -> None:
     path = _state_path(cfg, client.user_id)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(client.to_state_bytes())
+    write_atomic(path, client.to_state_bytes())
 
 
 def _load_client(cfg: StackConfig, user_id: str, rc: RelayClient) -> Client:

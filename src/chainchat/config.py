@@ -19,7 +19,6 @@ class StackConfig:
     relay_port: int = 7801
     state_dir: str = "chainchat-state"
     chain_file: str = ""  # empty -> <state_dir>/chain.dat
-    snapshot_refresh: str = "always"
     backup_iterations: int = 210_000
     cert_validity_days: int = 30
     max_skipped: int = 1_000

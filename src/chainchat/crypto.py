@@ -224,29 +224,48 @@ def ratchet_forward(ck: ChainKey) -> Tuple[MessageKey, ChainKey]:
     return mk, nxt
 
 
+def cbc_encrypt(mk: MessageKey, plaintext: bytes) -> bytes:
+    """The cipher step of ``seal``: AES-256-CBC over PKCS#7-padded plaintext."""
+    encryptor = Cipher(algorithms.AES(mk.cipher_key), modes.CBC(mk.iv)).encryptor()
+    return encryptor.update(_pkcs7_pad(plaintext)) + encryptor.finalize()
+
+
+def mac_tag(mk: MessageKey, associated_data: bytes, ciphertext: bytes) -> bytes:
+    """The MAC step of ``seal``: HMAC-SHA256 over AD || ciphertext."""
+    return _hmac256(mk.mac_key, associated_data + ciphertext)
+
+
+def mac_verify(mk: MessageKey, payload: SealedPayload, associated_data: bytes) -> None:
+    """The MAC step of ``unseal``: constant-time check of the tag."""
+    if not hmac.compare_digest(mac_tag(mk, associated_data, payload.ciphertext),
+                               payload.mac):
+        raise AuthenticationError("mac mismatch")
+
+
+def cbc_decrypt(mk: MessageKey, ciphertext: bytes) -> bytes:
+    """The cipher step of ``unseal``: AES-256-CBC decryption and unpadding."""
+    if not ciphertext or len(ciphertext) % 16:
+        raise PayloadCorruptionError("bad ciphertext length")
+    decryptor = Cipher(algorithms.AES(mk.cipher_key), modes.CBC(mk.iv)).decryptor()
+    return _pkcs7_unpad(decryptor.update(ciphertext) + decryptor.finalize())
+
+
 def seal(mk: MessageKey, plaintext: bytes, associated_data: bytes,
          max_plaintext: int = MAX_PLAINTEXT) -> SealedPayload:
-    """Encrypt-then-MAC: AES-256-CBC, then HMAC-SHA256 over AD || ciphertext."""
+    """Encrypt-then-MAC: ``cbc_encrypt``, then ``mac_tag``."""
     if len(plaintext) > max_plaintext:
         raise MessageTooLargeError(
             f"plaintext of {len(plaintext)} bytes exceeds cap of {max_plaintext}"
         )
-    encryptor = Cipher(algorithms.AES(mk.cipher_key), modes.CBC(mk.iv)).encryptor()
-    ciphertext = encryptor.update(_pkcs7_pad(plaintext)) + encryptor.finalize()
-    mac = _hmac256(mk.mac_key, associated_data + ciphertext)
-    return SealedPayload(ciphertext=ciphertext, mac=mac)
+    ciphertext = cbc_encrypt(mk, plaintext)
+    return SealedPayload(ciphertext=ciphertext,
+                         mac=mac_tag(mk, associated_data, ciphertext))
 
 
 def unseal(mk: MessageKey, payload: SealedPayload, associated_data: bytes) -> bytes:
-    """MAC check (constant-time) first; decryption never runs on a bad MAC."""
-    expected = _hmac256(mk.mac_key, associated_data + payload.ciphertext)
-    if not hmac.compare_digest(expected, payload.mac):
-        raise AuthenticationError("mac mismatch")
-    if not payload.ciphertext or len(payload.ciphertext) % 16:
-        raise PayloadCorruptionError("bad ciphertext length")
-    decryptor = Cipher(algorithms.AES(mk.cipher_key), modes.CBC(mk.iv)).decryptor()
-    padded = decryptor.update(payload.ciphertext) + decryptor.finalize()
-    return _pkcs7_unpad(padded)
+    """``mac_verify`` first; ``cbc_decrypt`` never runs on a bad MAC."""
+    mac_verify(mk, payload, associated_data)
+    return cbc_decrypt(mk, payload.ciphertext)
 
 
 def derive_backup_key(secret: str, salt: bytes, iterations: int = DEFAULT_BACKUP_ITERATIONS,
@@ -266,11 +285,11 @@ def derive_backup_key(secret: str, salt: bytes, iterations: int = DEFAULT_BACKUP
     return BackupKey(key=key, salt=salt, iterations=iterations)
 
 
-def derive_message_key_from_secret(secret: bytes, info: bytes, index: int = 0) -> MessageKey:
+def derive_message_key_from_secret(secret: bytes, info: bytes) -> MessageKey:
     """Expand a 32-byte secret straight into sealing material.
 
-    Used where a one-off key (backup archives, group roots) needs the same
-    cipher/mac/iv layout as ratchet-derived message keys.
+    Used where a one-off key (the backup archive) needs the same
+    cipher/mac/iv layout as ratchet-derived message keys; its index is 0.
     """
     okm = hkdf_sha256(secret, ZERO_SALT, info, _MSG_KEY_LEN)
-    return MessageKey(cipher_key=okm[:32], mac_key=okm[32:64], iv=okm[64:80], index=index)
+    return MessageKey(cipher_key=okm[:32], mac_key=okm[32:64], iv=okm[64:80], index=0)

@@ -47,11 +47,6 @@ def possession_payload(user_id: str, subject_public_key: bytes, challenge: bytes
     return user_id.encode("utf-8") + subject_public_key + challenge
 
 
-def verify_certificate(record: CertificateRecord, mno_verification_key: bytes) -> bool:
-    """Signature plus internal consistency; revocation markers verify too."""
-    return verify_record(record, mno_verification_key)
-
-
 class MnoCertificateAuthority:
     """Verifies enrollment requests, signs records, appends them to the chain."""
 
@@ -113,7 +108,8 @@ class MnoCertificateAuthority:
         self.chain_node.revoke(self.credential, user_id, timestamp=now)
 
     def verify_certificate(self, record: CertificateRecord) -> bool:
-        return verify_certificate(record, self.verification_key)
+        """Signature plus internal consistency; revocation markers verify too."""
+        return verify_record(record, self.verification_key)
 
     def dump_state(self) -> bytes:
         """Serialized operational state for inspection; never key material."""

@@ -1,11 +1,13 @@
 """Store-and-forward relay: the IM server that holds zero key material.
 
-The relay registers users whose certificates check out against its chain
-snapshot, queues sealed envelopes for offline recipients, pushes to connected
-ones, and fans out group broadcasts. It never inspects plaintext and never
-holds keys; everything it stores is the exact bytes the sender submitted,
-and the header it routes on is bound into the sender's MAC, so any tampering
-in transit surfaces as an authentication failure at the recipient.
+The relay registers users whose certificates check out against the chain,
+queues sealed envelopes in each recipient's mailbox, and fans group
+broadcasts out into the members' mailboxes. Every status check reads the
+chain node's current snapshot, so a revocation takes effect on the next
+lookup. It never inspects plaintext and never holds keys; everything it
+stores is the exact bytes the sender submitted, and the header it routes on
+is bound into the sender's MAC, so any tampering in transit surfaces as an
+authentication failure at the recipient.
 
 Delivery is pull-based with a sequence cursor: ``fetch_envelopes(user, n)``
 returns everything after ``n`` and acknowledges (drops) everything up to and
@@ -35,9 +37,6 @@ from .errors import (
     RoutingError,
     WireProtocolError,
 )
-
-REFRESH_ALWAYS = "always"
-REFRESH_MANUAL = "manual"
 
 ACK_QUEUED = "queued"
 ACK_DELIVERED = "delivered"
@@ -96,36 +95,23 @@ class Mailbox:
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
 
-DeliveryCallback = Callable[[Envelope], None]
-
-
 # ---------------------------------------------------------------------------
 # relay
 # ---------------------------------------------------------------------------
 
 class Relay:
-    def __init__(self, chain_node: ChainNode, snapshot_refresh: str = REFRESH_ALWAYS):
-        if snapshot_refresh not in (REFRESH_ALWAYS, REFRESH_MANUAL):
-            raise ValueError(f"unknown snapshot refresh policy {snapshot_refresh!r}")
+    def __init__(self, chain_node: ChainNode):
         self._chain_node = chain_node
-        self._snapshot = chain_node.snapshot()
-        self._refresh_policy = snapshot_refresh
         self._registry: Dict[str, bytes] = {}
         self._mailboxes: Dict[str, Mailbox] = {}
         self._groups: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
-        self._inboxes: Dict[str, DeliveryCallback] = {}
         self._state_lock = threading.Lock()
 
-    # -- chain snapshot ------------------------------------------------------
-
-    def refresh_snapshot(self) -> None:
-        self._snapshot = self._chain_node.snapshot()
+    # -- certificate status ---------------------------------------------------
 
     def fetch_certificate(self, user_id: str, now: Optional[int] = None) -> CertStatus:
         """Pure proxy of the chain's latest-wins lookup; adds nothing."""
-        if self._refresh_policy == REFRESH_ALWAYS:
-            self.refresh_snapshot()
-        return fetch_latest(self._snapshot, user_id, now=now)
+        return fetch_latest(self._chain_node.snapshot(), user_id, now=now)
 
     def _require_valid(self, role: str, user_id: str) -> None:
         status = self.fetch_certificate(user_id)
@@ -149,20 +135,6 @@ class Relay:
             self._mailboxes.setdefault(user_id, Mailbox(recipient_id=user_id))
         return "registered"
 
-    def is_registered(self, user_id: str) -> bool:
-        with self._state_lock:
-            return user_id in self._registry
-
-    # -- connected recipients (push path) -------------------------------------
-
-    def attach_inbox(self, user_id: str, callback: DeliveryCallback) -> None:
-        with self._state_lock:
-            self._inboxes[user_id] = callback
-
-    def detach_inbox(self, user_id: str) -> None:
-        with self._state_lock:
-            self._inboxes.pop(user_id, None)
-
     # -- message flow ----------------------------------------------------------
 
     def submit_envelope(self, envelope: Envelope) -> str:
@@ -179,15 +151,11 @@ class Relay:
             raise RoutingError(f"recipient {envelope.recipient_id!r} is not registered")
         self._require_valid("sender", envelope.sender_id)
         self._require_valid("recipient", envelope.recipient_id)
-        return self._route(envelope.recipient_id, envelope)
+        return self._enqueue(envelope.recipient_id, envelope)
 
-    def _route(self, recipient_id: str, envelope: Envelope) -> str:
+    def _enqueue(self, recipient_id: str, envelope: Envelope) -> str:
         with self._state_lock:
-            push = self._inboxes.get(recipient_id)
             mailbox = self._mailboxes[recipient_id]
-        if push is not None:
-            push(envelope)
-            return ACK_DELIVERED
         with mailbox.lock:
             mailbox.queue.append((mailbox.next_seq, envelope))
             mailbox.next_seq += 1
@@ -238,7 +206,7 @@ class Relay:
                     if member not in self._registry:
                         raise RoutingError(f"member {member!r} is not registered")
                 self._require_valid("member", member)
-                acks.append((member, self._route(member, envelope)))
+                acks.append((member, self._enqueue(member, envelope)))
             except RoutingError as e:
                 acks.append((member, f"error:{e.category}"))
         return acks

@@ -13,7 +13,14 @@ import json
 from pathlib import Path
 from typing import Optional
 
-from .chain import ChainNode, WriterCredential, cut_torn_tail, load_chain, verify_chain
+from .chain import (
+    ChainNode,
+    WriterCredential,
+    cut_torn_tail,
+    load_chain,
+    verify_chain,
+    write_atomic,
+)
 from .config import StackConfig
 from .errors import StackStartupError
 from .mno import MnoCertificateAuthority
@@ -43,12 +50,12 @@ def _load_or_create_credentials(cfg: StackConfig) -> dict[str, WriterCredential]
         RELAY_WRITER_ID: WriterCredential.generate(RELAY_WRITER_ID),
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({
+    write_atomic(path, json.dumps({
         "writers": [
             {"id": writer_id, "seed": base64.b64encode(cred.seed).decode()}
             for writer_id, cred in credentials.items()
         ]
-    }, indent=2), encoding="utf-8")
+    }, indent=2).encode("utf-8"))
     return credentials
 
 
@@ -117,6 +124,6 @@ def run_stack(config: Optional[StackConfig] = None) -> StackHandle:
     credentials = _load_or_create_credentials(cfg)
     chain_node = _open_chain(cfg, credentials)
     mno = MnoCertificateAuthority(credentials[MNO_WRITER_ID], chain_node)
-    relay = Relay(chain_node, snapshot_refresh=cfg.snapshot_refresh)
+    relay = Relay(chain_node)
     server = WireServer(relay, mno, host=cfg.relay_host, port=cfg.relay_port)
     return StackHandle(cfg, chain_node, mno, relay, server)

@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Tuple
 from .chain import CertificateRecord, CertStatus
 from .crypto import SealedPayload
 from .errors import ChainChatError, StackStartupError, WireProtocolError
-from .mno import EnrollmentRequest, MnoCertificateAuthority
+from .mno import DEFAULT_VALIDITY_SECONDS, EnrollmentRequest, MnoCertificateAuthority
 from .relay import Envelope, Relay
 
 VERSION_BYTE = b"1"
@@ -46,6 +46,20 @@ def _unb64(text: Any) -> bytes:
         return base64.b64decode(text.encode("ascii"), validate=True)
     except Exception as e:
         raise WireProtocolError(f"bad base64 field: {e}") from e
+
+
+def _str(obj: Dict[str, Any], key: str) -> str:
+    value = obj.get(key)
+    if not isinstance(value, str):
+        raise WireProtocolError(f"field {key!r} must be a string")
+    return value
+
+
+def _int(obj: Dict[str, Any], key: str) -> int:
+    value = obj.get(key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise WireProtocolError(f"field {key!r} must be an integer")
+    return value
 
 
 def encode_message(msg_type: str, body: Dict[str, Any]) -> bytes:
@@ -121,20 +135,21 @@ def envelope_to_obj(envelope: Envelope) -> Dict[str, Any]:
     }
 
 
-def envelope_from_obj(obj: Dict[str, Any]) -> Envelope:
-    try:
-        return Envelope(
-            sender_id=obj["sender_id"],
-            recipient_id=obj["recipient_id"],
-            counter=int(obj["counter"]),
-            sender_cert_fingerprint=_unb64(obj["sender_cert_fingerprint"]),
-            group_id=obj["group_id"],
-            payload=SealedPayload(ciphertext=_unb64(obj["ciphertext"]),
-                                  mac=_unb64(obj["mac"])),
-            sent_at=int(obj["sent_at"]),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise WireProtocolError(f"bad envelope object: {e}") from e
+def envelope_from_obj(obj: Any) -> Envelope:
+    if not isinstance(obj, dict):
+        raise WireProtocolError("bad envelope object: not an object")
+    if "group_id" not in obj or not isinstance(obj["group_id"], (str, type(None))):
+        raise WireProtocolError("field 'group_id' must be a string or null")
+    return Envelope(
+        sender_id=_str(obj, "sender_id"),
+        recipient_id=_str(obj, "recipient_id"),
+        counter=_int(obj, "counter"),
+        sender_cert_fingerprint=_unb64(obj.get("sender_cert_fingerprint")),
+        group_id=obj["group_id"],
+        payload=SealedPayload(ciphertext=_unb64(obj.get("ciphertext")),
+                              mac=_unb64(obj.get("mac"))),
+        sent_at=_int(obj, "sent_at"),
+    )
 
 
 def status_to_obj(status: CertStatus) -> Dict[str, Any]:
@@ -214,36 +229,40 @@ class WireServer:
         if msg_type == "enroll":
             return self._handle_enroll(body)
         if msg_type == "register":
-            result = self.relay.register_user(body["user_id"],
-                                              _unb64(body["cert_fingerprint"]))
+            result = self.relay.register_user(_str(body, "user_id"),
+                                              _unb64(body.get("cert_fingerprint")))
             return "ack", {"result": result}
         if msg_type == "fetch_cert":
-            status = self.relay.fetch_certificate(body["user_id"])
+            user_id = _str(body, "user_id")
+            status = self.relay.fetch_certificate(user_id)
             # the IM server double-checks authenticity before handing records out
             if (status.record is not None
                     and status.record.issuer_id == self.mno.mno_id
                     and not self.mno.verify_certificate(status.record)):
                 raise WireProtocolError(
-                    f"chain record for {body['user_id']!r} fails issuer verification"
+                    f"chain record for {user_id!r} fails issuer verification"
                 )
             return "ack", status_to_obj(status)
         if msg_type == "submit":
-            result = self.relay.submit_envelope(envelope_from_obj(body["envelope"]))
+            result = self.relay.submit_envelope(envelope_from_obj(body.get("envelope")))
             return "ack", {"result": result}
         if msg_type == "fetch":
-            entries = self.relay.fetch_envelopes(body["recipient_id"],
-                                                 int(body["after_seq"]))
+            entries = self.relay.fetch_envelopes(_str(body, "recipient_id"),
+                                                 _int(body, "after_seq"))
             return "ack", {"envelopes": [
                 {"seq": seq, "envelope": envelope_to_obj(env)} for seq, env in entries
             ]}
         if msg_type == "group_create":
-            members = list(body["member_ids"])
-            self.relay.create_group(body["group_id"], body["admin_id"], members)
+            members = body.get("member_ids")
+            if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
+                raise WireProtocolError("field 'member_ids' must be a list of strings")
+            self.relay.create_group(_str(body, "group_id"), _str(body, "admin_id"), members)
             return "ack", {"result": "created"}
         if msg_type == "group_send":
-            members = self.relay.group_members(body["group_id"])
-            acks = self.relay.broadcast_group(body["group_id"], members,
-                                              envelope_from_obj(body["envelope"]))
+            group_id = _str(body, "group_id")
+            members = self.relay.group_members(group_id)
+            acks = self.relay.broadcast_group(group_id, members,
+                                              envelope_from_obj(body.get("envelope")))
             return "ack", {"acks": [
                 {"member_id": member, "result": result} for member, result in acks
             ]}
@@ -252,20 +271,24 @@ class WireServer:
     def _handle_enroll(self, body: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
         phase = body.get("phase")
         if phase == "challenge":
-            challenge = self.mno.new_challenge(body["user_id"])
+            challenge = self.mno.new_challenge(_str(body, "user_id"))
             return "ack", {"challenge": _b64(challenge)}
         if phase == "submit":
+            validity = (_int(body, "validity_seconds") if "validity_seconds" in body
+                        else DEFAULT_VALIDITY_SECONDS)
+            if validity <= 0:
+                raise WireProtocolError("field 'validity_seconds' must be positive")
             record = self.mno.issue_certificate(
                 EnrollmentRequest(
-                    user_id=body["user_id"],
-                    subject_public_key=_unb64(body["subject_public_key"]),
-                    proof_of_possession=_unb64(body["proof_of_possession"]),
+                    user_id=_str(body, "user_id"),
+                    subject_public_key=_unb64(body.get("subject_public_key")),
+                    proof_of_possession=_unb64(body.get("proof_of_possession")),
                 ),
-                int(body.get("validity_seconds", 30 * 24 * 3600)),
+                validity,
             )
             return "ack", {"record": record_to_obj(record)}
         if phase == "revoke":
-            self.mno.revoke(body["user_id"])
+            self.mno.revoke(_str(body, "user_id"))
             return "ack", {"result": "revoked"}
         raise WireProtocolError(f"unknown enroll phase {phase!r}")
 

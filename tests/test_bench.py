@@ -1,5 +1,8 @@
+import collections
+
 import pytest
 
+from chainchat import crypto
 from chainchat.bench import (
     BenchRecord,
     bench_decrypt,
@@ -64,18 +67,41 @@ class TestDecrypt:
             assert r.decrypt_us > 0
             assert r.mac_verify_us > 0
             assert r.total_decrypt_us > 0
-            assert r.failures == 0
 
     def test_single_length_single_rep(self):
         records = bench_decrypt([64], repetitions=1)
         assert len(records) == 1
         assert records[0].repetitions == 1
 
-    def test_tampered_rows_counted_not_timed(self):
-        (record,) = bench_decrypt([128], repetitions=10, tamper_fraction=0.5)
-        assert record.failures == 5
-        # timing medians come only from the clean repetitions
-        assert record.total_decrypt_us > 0
+
+
+class TestTimesSealSteps:
+    """The bench times the very step functions that seal and unseal call:
+    each step runs once timed on its own and once inside the whole call."""
+
+    STEPS = ("cbc_encrypt", "mac_tag", "mac_verify", "cbc_decrypt")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = collections.Counter()
+        for name in self.STEPS:
+            step = getattr(crypto, name)
+
+            def counted(*args, _name=name, _step=step):
+                counts[_name] += 1
+                return _step(*args)
+
+            monkeypatch.setattr(crypto, name, counted)
+        return counts
+
+    def test_encrypt_steps(self, calls):
+        bench_encrypt([100], repetitions=5)
+        assert calls == {"cbc_encrypt": 10, "mac_tag": 10}
+
+    def test_decrypt_steps(self, calls):
+        bench_decrypt([100], repetitions=5)
+        assert calls["mac_verify"] == 10
+        assert calls["cbc_decrypt"] == 10
 
 
 class TestFit:

@@ -54,6 +54,11 @@ def chain(mno, im_server):
                    timestamp=T0)
 
 
+def all_records(state):
+    """Every record of ``state`` in append order (oldest first)."""
+    return [rec for block in state.blocks for rec in block.records]
+
+
 def cert_for(credential, user, issued=T0, expires=T0 + 3600, key=b"\x11" * 32):
     return credential.make_record(user, key, issued, expires, KIND_CERTIFICATE)
 
@@ -433,7 +438,7 @@ class TestLatestMap:
                 state = append_block(state, mno, [rec], timestamp=now)
             history.append((state, flat + list(state.blocks[-1].records)))
         for state, flat in history:
-            assert state.all_records() == flat
+            assert all_records(state) == flat
             for probe in users + ["ghost"]:
                 for at in (T0, now // 2 + T0 // 2, now + 5000):
                     expected_state, expected_rec = oracle_status(flat, probe, at)

@@ -1,4 +1,5 @@
 import functools
+import os
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ from chainchat import chain as chain_mod
 from chainchat import cli
 from chainchat import crypto as crypto_mod
 from chainchat import relay as relay_mod
+from chainchat import stack as stack_mod
 from chainchat.client import Client
 from chainchat.config import StackConfig, load_config, parse_config_text
 from chainchat.mno import MnoCertificateAuthority
@@ -55,16 +57,17 @@ class TestConfig:
 
     def test_file_plus_overrides(self, tmp_path):
         path = tmp_path / "chainchat.conf"
-        path.write_text("relay_port=7000\nsnapshot_refresh=manual\n")
+        path.write_text("relay_port=7000\nmax_skipped=7\n")
         cfg = load_config(str(path), env={}, relay_port=8000)
         assert cfg.relay_port == 8000
-        assert cfg.snapshot_refresh == "manual"
+        assert cfg.max_skipped == 7
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "chainchat.conf"
-        path.write_text("warp_drive=on\n")
-        with pytest.raises(ValueError):
-            load_config(str(path), env={})
+        for line in ("warp_drive=on", "snapshot_refresh=manual"):
+            path.write_text(line + "\n")
+            with pytest.raises(ValueError):
+                load_config(str(path), env={})
 
 
 class TestStackHandle:
@@ -110,6 +113,47 @@ class TestStackHandle:
             assert path.read_bytes() == intact
         finally:
             second.close()
+
+
+class TestCrashSafeWrites:
+    """Client state and writer seeds are replaced by rename after an fsync;
+    a write that fails before the rename leaves the previous file whole and
+    no temporary file behind."""
+
+    @staticmethod
+    def fail_at(monkeypatch, step):
+        def failing(*args):
+            raise OSError(f"simulated {step} failure")
+
+        monkeypatch.setattr(os, step, failing)
+
+    @pytest.mark.parametrize("step", ["fsync", "replace"])
+    def test_failed_client_save_keeps_previous_state(self, tmp_path, monkeypatch,
+                                                     alice, bob, step):
+        cfg = StackConfig(state_dir=str(tmp_path / "state"))
+        path = cli._state_path(cfg, "alice")
+        cli._save_client(cfg, alice)
+        before = path.read_bytes()
+        alice.start_session("bob")
+        alice.send_text("bob", "advances the ratchet")
+        with monkeypatch.context() as m:
+            self.fail_at(m, step)
+            with pytest.raises(OSError, match="simulated"):
+                cli._save_client(cfg, alice)
+        assert path.read_bytes() == before
+        assert Client.from_state_bytes(before).sessions == {}
+        assert list(path.parent.iterdir()) == [path]
+
+    @pytest.mark.parametrize("step", ["fsync", "replace"])
+    def test_failed_seed_write_leaves_no_file(self, tmp_path, monkeypatch, step):
+        cfg = StackConfig(state_dir=str(tmp_path / "state"))
+        with monkeypatch.context() as m:
+            self.fail_at(m, step)
+            with pytest.raises(OSError, match="simulated"):
+                stack_mod._load_or_create_credentials(cfg)
+        assert list(Path(cfg.state_dir).iterdir()) == []
+        seeds = stack_mod._load_or_create_credentials(cfg)
+        assert stack_mod._load_or_create_credentials(cfg).keys() == seeds.keys()
 
 
 class RelayStackClient:

@@ -12,7 +12,6 @@ from chainchat.mno import (
     EnrollmentRequest,
     MnoCertificateAuthority,
     possession_payload,
-    verify_certificate,
 )
 
 
@@ -106,20 +105,19 @@ class TestEnrollment:
 class TestVerifyCertificate:
     def test_fresh_record_verifies(self, mno):
         _, record = enroll(mno, "alice")
-        assert verify_certificate(record, mno.verification_key)
         assert mno.verify_certificate(record)
 
     def test_altered_user_id_fails(self, mno):
         _, record = enroll(mno, "alice")
         altered = dataclasses.replace(record, user_id="bob")
-        assert not verify_certificate(altered, mno.verification_key)
+        assert not mno.verify_certificate(altered)
 
     def test_revocation_records_verify(self, mno, chain_node):
         enroll(mno, "alice")
         mno.revoke("alice")
         marker = chain_node.snapshot().blocks[-1].records[0]
         assert marker.kind == KIND_REVOCATION
-        assert verify_certificate(marker, mno.verification_key)
+        assert mno.verify_certificate(marker)
 
     def test_thousand_random_forgeries_rejected(self, mno):
         """No record constructed without the signing key verifies."""
@@ -127,7 +125,7 @@ class TestVerifyCertificate:
         rng = os.urandom
         for _ in range(1_000):
             forged = dataclasses.replace(record, issuer_signature=rng(64))
-            assert not verify_certificate(forged, mno.verification_key)
+            assert not mno.verify_certificate(forged)
 
     def test_dump_state_excludes_signing_key(self, mno):
         mno.new_challenge("alice")

@@ -14,10 +14,8 @@ from chainchat.errors import (
 from chainchat.relay import (
     ACK_DELIVERED,
     ACK_QUEUED,
-    REFRESH_MANUAL,
     Envelope,
     LoopbackChannel,
-    Relay,
 )
 
 
@@ -65,16 +63,6 @@ class TestFetchCertificate:
         mno.revoke("alice")
         assert relay.fetch_certificate("alice").state == REVOKED
 
-    def test_stale_snapshot_until_refresh(self, chain_node, mno, relay, alice):
-        lazy = Relay(chain_node, snapshot_refresh=REFRESH_MANUAL)
-        lazy.refresh_snapshot()
-        assert lazy.fetch_certificate("alice").state == VALID
-        mno.revoke("alice")
-        # stale snapshot still answers Valid; refresh closes the window
-        assert lazy.fetch_certificate("alice").state == VALID
-        lazy.refresh_snapshot()
-        assert lazy.fetch_certificate("alice").state == REVOKED
-
 
 class TestStoreAndForward:
     def test_offline_queue_byte_identical(self, relay, connected_pair):
@@ -84,15 +72,6 @@ class TestStoreAndForward:
         fetched = relay.fetch_envelopes("bob", 0)
         assert len(fetched) == 1
         assert fetched[0][1].canonical_bytes() == envelope.canonical_bytes()
-
-    def test_connected_recipient_delivered(self, relay, connected_pair):
-        alice, bob = connected_pair
-        seen = []
-        relay.attach_inbox("bob", seen.append)
-        envelope = alice.send_text("bob", "direct")
-        assert relay.submit_envelope(envelope) == ACK_DELIVERED
-        assert seen == [envelope]
-        relay.detach_inbox("bob")
 
     def test_unregistered_parties_rejected(self, relay, alice):
         with pytest.raises(RoutingError):
@@ -125,19 +104,6 @@ class TestStoreAndForward:
             relay.submit_envelope(fay.send_text("gil", "after"))
         assert refused.value.category == "routing-error"
         assert [env.counter for _, env in relay.fetch_envelopes("gil", 0)] == [0]
-
-    def test_revocation_window_closed_by_refresh(self, chain_node, mno, relay,
-                                                 connected_pair):
-        alice, bob = connected_pair
-        lazy = Relay(chain_node, snapshot_refresh=REFRESH_MANUAL)
-        lazy.register_user("alice", alice.cert_fingerprint)
-        lazy.register_user("bob", bob.cert_fingerprint)
-        mno.revoke("bob")
-        # the stale snapshot still routes
-        assert lazy.submit_envelope(plain_envelope("alice", "bob")) == ACK_QUEUED
-        lazy.refresh_snapshot()
-        with pytest.raises(RoutingError):
-            lazy.submit_envelope(plain_envelope("alice", "bob"))
 
 
 class TestFetchSemantics:

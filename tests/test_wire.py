@@ -6,7 +6,7 @@ import pytest
 
 from chainchat import wire
 from chainchat.client import Client
-from chainchat.errors import StackStartupError, WireProtocolError
+from chainchat.errors import RoutingError, StackStartupError, WireProtocolError
 from chainchat.relay import ACK_QUEUED
 from chainchat.wire import (
     RelayClient,
@@ -203,3 +203,61 @@ class TestLineLimit:
             thread.join(timeout=5)
             listener.close()
         assert not thread.is_alive()
+
+
+_KEY = wire._b64(b"\x42" * 32)
+_PROOF = wire._b64(b"\x00" * 64)
+
+
+def _enroll_submit(**fields):
+    body = {"phase": "submit", "user_id": "alice", "subject_public_key": _KEY,
+            "proof_of_possession": _PROOF, "validity_seconds": 60}
+    body.update(fields)
+    return body
+
+
+def _envelope_obj(**fields):
+    obj = {"sender_id": "alice", "recipient_id": "bob", "counter": 0,
+           "sender_cert_fingerprint": _KEY, "group_id": None, "sent_at": 0,
+           "ciphertext": wire._b64(b"\x10" * 16), "mac": _KEY}
+    obj.update(fields)
+    return obj
+
+
+class TestMalformedBodies:
+    """A body with a missing or mistyped field is the client's fault: the
+    reply is ``protocol-error``, never ``internal``, and nothing is done."""
+
+    @pytest.mark.parametrize("msg_type, body", [
+        ("register", {"user_id": "alice"}),
+        ("register", {"user_id": 7, "cert_fingerprint": _KEY}),
+        ("fetch_cert", {}),
+        ("fetch_cert", {"user_id": None}),
+        ("submit", {}),
+        ("submit", {"envelope": _envelope_obj(counter="0")}),
+        ("fetch", {"recipient_id": "alice", "after_seq": "abc"}),
+        ("fetch", {"after_seq": 0}),
+        ("group_create", {"group_id": "g", "admin_id": "a", "member_ids": None}),
+        ("group_create", {"group_id": "g", "admin_id": "a", "member_ids": "abc"}),
+        ("group_create", {"group_id": "g", "admin_id": "a", "member_ids": ["a", 1]}),
+        ("group_send", {"envelope": _envelope_obj()}),
+        ("enroll", {"phase": "challenge"}),
+        ("enroll", {"phase": "revoke"}),
+        ("enroll", {"phase": "submit", "user_id": "alice", "proof_of_possession": _PROOF}),
+        ("enroll", _enroll_submit(validity_seconds="abc")),
+        ("enroll", _enroll_submit(validity_seconds=0)),
+        ("enroll", _enroll_submit(validity_seconds=-5)),
+    ], ids=["register-no-fingerprint", "register-int-user", "fetch_cert-no-user",
+            "fetch_cert-null-user", "submit-no-envelope", "submit-string-counter",
+            "fetch-string-seq", "fetch-no-recipient", "group_create-null-members",
+            "group_create-string-members", "group_create-int-member",
+            "group_send-no-group", "enroll-challenge-no-user", "enroll-revoke-no-user",
+            "enroll-submit-no-key", "enroll-submit-string-validity",
+            "enroll-submit-zero-validity", "enroll-submit-negative-validity"])
+    def test_protocol_error(self, rc, relay, msg_type, body):
+        with pytest.raises(WireRemoteError) as err:
+            rc.request(msg_type, body)
+        assert err.value.category == "protocol-error", str(err.value)
+        with pytest.raises(RoutingError):
+            relay.group_members("g")
+        assert rc.fetch_certificate("alice").state == "not_found"
