@@ -31,7 +31,7 @@ from .crypto import (
 )
 from .errors import ChainChatError
 from .mno import EnrollmentRequest, MnoCertificateAuthority
-from .relay import Envelope, LoopbackChannel, Mailbox, Relay
+from .relay import Envelope, Mailbox, Relay
 from .stack import StackHandle, run_stack
 
 __version__ = "0.1.0"
@@ -50,7 +50,6 @@ __all__ = [
     "Envelope",
     "GroupState",
     "IdentityKeyPair",
-    "LoopbackChannel",
     "Mailbox",
     "MasterSecret",
     "MessageKey",

@@ -52,7 +52,6 @@ def _load_client(cfg: StackConfig, user_id: str, rc: RelayClient) -> Client:
     client = Client.from_state_bytes(path.read_bytes())
     client.directory = rc
     client.transport = rc
-    client.mno = rc
     client.max_skipped = cfg.max_skipped
     client.backup_iterations = cfg.backup_iterations
     return client
@@ -331,7 +330,7 @@ def _cmd_backup_restore(cfg: StackConfig, args: argparse.Namespace) -> int:
     data = Path(getattr(args, "in")).read_bytes()
     with _connect(cfg) as rc:
         client = Client.restore_backup(data, args.secret,
-                                       directory=rc, transport=rc, mno=rc)
+                                       directory=rc, transport=rc)
         if client.user_id != args.user:
             raise ChainChatError(
                 f"archive belongs to {client.user_id!r}, not {args.user!r}"

@@ -8,8 +8,8 @@ two small duck-typed handles:
   directory  - has ``fetch_certificate(user_id) -> CertStatus``
   transport  - has ``register_user``, ``submit_envelope``, ``fetch_envelopes``
 
-The in-process ``Relay``, the wire-protocol ``RelayClient`` and the
-serverless ``LoopbackChannel`` all satisfy the parts they support.
+The in-process ``Relay`` and the wire-protocol ``RelayClient`` both satisfy
+them.
 
 Sessions need no handshake: both parties derive the same master secret from
 their own private key and the peer's certified public key, and the two
@@ -178,7 +178,7 @@ class BackupArchive:
 class Client:
     def __init__(self, user_id: str, identity: IdentityKeyPair,
                  certificate: CertificateRecord,
-                 directory=None, transport=None, mno=None,
+                 directory=None, transport=None,
                  *, max_skipped: int = DEFAULT_MAX_SKIPPED,
                  backup_iterations: int = crypto.DEFAULT_BACKUP_ITERATIONS,
                  rng: Callable[[int], bytes] = os.urandom):
@@ -187,7 +187,6 @@ class Client:
         self.certificate = certificate
         self.directory = directory
         self.transport = transport
-        self.mno = mno
         self.max_skipped = max_skipped
         self.backup_iterations = backup_iterations
         self._rng = rng
@@ -226,7 +225,7 @@ class Client:
         except ChainChatError as e:
             raise InstallError("enrollment", str(e)) from e
         client = cls(user_id, identity, record,
-                     directory=relay, transport=relay, mno=mno,
+                     directory=relay, transport=relay,
                      max_skipped=max_skipped, backup_iterations=backup_iterations,
                      rng=rng)
         try:
@@ -512,7 +511,7 @@ class Client:
 
     @classmethod
     def restore_backup(cls, archive, secret: str, *,
-                       directory=None, transport=None, mno=None) -> "Client":
+                       directory=None, transport=None) -> "Client":
         """Decrypt and rebuild the exact exported state; wrong secret fails
         authentication before any state is constructed."""
         if isinstance(archive, (bytes, bytearray)):
@@ -524,7 +523,6 @@ class Client:
         client = cls.from_state_bytes(state_bytes)
         client.directory = directory
         client.transport = transport
-        client.mno = mno
         return client
 
     # -- canonical state serialization ------------------------------------------------------

@@ -29,11 +29,13 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
 )
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .errors import (
     AuthenticationError,
@@ -108,15 +110,7 @@ class BackupKey:
 
 def hkdf_sha256(ikm: bytes, salt: bytes, info: bytes, length: int) -> bytes:
     """RFC 5869 extract-then-expand with SHA-256."""
-    prk = hmac.new(salt, ikm, hashlib.sha256).digest()
-    okm = b""
-    block = b""
-    counter = 1
-    while len(okm) < length:
-        block = hmac.new(prk, block + info + bytes([counter]), hashlib.sha256).digest()
-        okm += block
-        counter += 1
-    return okm[:length]
+    return HKDF(hashes.SHA256(), length, salt, info).derive(ikm)
 
 
 def _hmac256(key: bytes, data: bytes) -> bytes:

@@ -20,15 +20,9 @@ import base64
 import json
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .chain import (
-    NOT_FOUND,
-    CertStatus,
-    ChainNode,
-    fetch_latest,
-    record_fingerprint,
-)
+from .chain import CertStatus, ChainNode, fetch_latest, record_fingerprint
 from .crypto import SealedPayload
 from .encoding import encode_bytes, encode_str, encode_u64
 from .errors import (
@@ -39,7 +33,6 @@ from .errors import (
 )
 
 ACK_QUEUED = "queued"
-ACK_DELIVERED = "delivered"
 
 
 # ---------------------------------------------------------------------------
@@ -235,41 +228,3 @@ class Relay:
             {"registry": registry, "groups": groups, "mailboxes": mailboxes},
             sort_keys=True,
         ).encode("utf-8")
-
-
-# ---------------------------------------------------------------------------
-# serverless variant
-# ---------------------------------------------------------------------------
-
-class LoopbackChannel:
-    """Direct client-to-client exchange without any relay in between.
-
-    Callers connect client objects; a submitted envelope is handed straight
-    to the recipient's delivery hook. Certificate lookups go to the chain
-    node when one is attached (the sender "fetches from the blockchain
-    associated with the MNO"), otherwise they are unavailable.
-    """
-
-    def __init__(self, chain_node: Optional[ChainNode] = None):
-        self._chain_node = chain_node
-        self._peers: Dict[str, Callable[[Envelope], None]] = {}
-
-    def connect(self, user_id: str, deliver: Callable[[Envelope], None]) -> None:
-        self._peers[user_id] = deliver
-
-    def fetch_certificate(self, user_id: str, now: Optional[int] = None) -> CertStatus:
-        if self._chain_node is None:
-            return CertStatus(state=NOT_FOUND)
-        return fetch_latest(self._chain_node.snapshot(), user_id, now=now)
-
-    def register_user(self, user_id: str, cert_fingerprint: bytes) -> str:
-        return "registered"  # no server, nothing to register with
-
-    def submit_envelope(self, envelope: Envelope) -> str:
-        deliver = self._peers.get(envelope.recipient_id)
-        if deliver is None:
-            raise RoutingError(
-                f"peer {envelope.recipient_id!r} is not connected to the channel"
-            )
-        deliver(envelope)
-        return ACK_DELIVERED

