@@ -30,8 +30,7 @@ from .crypto import ChainKey, MessageKey
 
 _INPUT_SEED = 0x5EED
 _BENCH_AD = b"bench-associated-data-0123456789"
-_BENCH_ROOT = ChainKey(key=hashlib.sha256(b"chainchat-bench-root").digest(),
-                       index=0, direction=crypto.SEND)
+_BENCH_ROOT = ChainKey(key=hashlib.sha256(b"chainchat-bench-root").digest(), index=0)
 
 
 @dataclass

@@ -17,12 +17,13 @@ directional chains follow deterministically from the (sorted) id pair. The
 certificate fingerprint seen at establishment is pinned; envelopes bearing
 any other fingerprint are rejected before a single byte is decrypted.
 
-Receive-side ordering: an envelope's counter against the receive chain index
-decides the path. Equal: ratchet once and advance. Ahead: ratchet through the
-gap, parking the skipped message keys (bounded). Behind: consume the parked
-key, or fail as a replay. Consumed keys are always deleted, which is what
-makes replayed ciphertexts undecryptable. State only advances when the MAC
-checks out.
+Receive-side ordering, the same for one-to-one and group messages: an
+envelope's counter against the receive chain index (the session's receive
+chain, or the group chain) decides the path. Equal: ratchet once and advance.
+Ahead: ratchet through the gap, parking the skipped message keys (bounded).
+Behind: consume the parked key, or fail as a replay. Consumed keys are always
+deleted, which is what makes replayed ciphertexts undecryptable. State only
+advances when the MAC checks out.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import os
 import struct
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import crypto
 from .chain import CertificateRecord, record_fingerprint
@@ -64,7 +65,7 @@ BACKUP_MAGIC = b"BEEB1"
 BACKUP_SEAL_INFO = b"backup"
 BACKUP_MAX_STATE = 1 << 26  # state archives may exceed the message cap
 
-_STATE_TAG = "chainchat-state|1"
+_STATE_TAG = "chainchat-state|2"
 _FRAME_TEXT = b"\x00"
 _FRAME_GROUP_KEY = b"\x01"
 
@@ -93,6 +94,7 @@ class GroupState:
     member_ids: List[str]
     group_key: bytes
     group_chain: ChainKey
+    skipped_keys: Dict[int, MessageKey] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,7 @@ def group_chain_from_key(group_id: str, group_key: bytes) -> ChainKey:
     """Root the shared, sender-agnostic group chain in the group key."""
     info = f"group|{group_id}".encode("utf-8")
     key = crypto.hkdf_sha256(group_key, crypto.ZERO_SALT, info, 32)
-    return ChainKey(key=key, index=0, direction=crypto.SEND)
+    return ChainKey(key=key, index=0)
 
 
 # ---------------------------------------------------------------------------
@@ -319,48 +321,63 @@ class Client:
         Returns the text for messages, None for group-key control payloads.
         """
         if envelope.group_id:
-            return self._receive_group(envelope)
-        session = self._require_session(envelope.sender_id)
-        if envelope.sender_cert_fingerprint != session.peer_cert_fingerprint:
-            raise FingerprintMismatchError(
-                f"envelope from {envelope.sender_id!r} carries an unknown certificate"
-            )
+            group = self.groups.get(envelope.group_id)
+            if group is None:
+                raise UnknownGroupError(f"no group state for {envelope.group_id!r}")
+            if envelope.sender_id not in group.member_ids:
+                raise GroupPermissionError(
+                    f"{envelope.sender_id!r} is not a member of {envelope.group_id!r}"
+                )
+            plaintext, group.group_chain = self._open(group.group_chain,
+                                                      group.skipped_keys, envelope)
+        else:
+            session = self._require_session(envelope.sender_id)
+            if envelope.sender_cert_fingerprint != session.peer_cert_fingerprint:
+                raise FingerprintMismatchError(
+                    f"envelope from {envelope.sender_id!r} carries an unknown certificate"
+                )
+            plaintext, session.recv_chain = self._open(session.recv_chain,
+                                                       session.skipped_keys, envelope)
+        return self._accept(envelope, plaintext)
+
+    def _open(self, chain: ChainKey, parked: Dict[int, MessageKey],
+              envelope: Envelope) -> Tuple[bytes, ChainKey]:
+        """Unseal by counter against ``chain``; return plaintext and the chain
+        to store. Neither ``parked`` nor anything else changes if it raises."""
         ad = envelope.associated_data()
         counter = envelope.counter
-
-        if counter < session.recv_chain.index:
-            mk = session.skipped_keys.get(counter)
+        if counter < chain.index:
+            mk = parked.get(counter)
             if mk is None:
                 raise ReplayError(
                     f"counter {counter} from {envelope.sender_id!r} was already consumed"
                 )
             plaintext = crypto.unseal(mk, envelope.payload, ad)
-            del session.skipped_keys[counter]
-            return self._accept(envelope, plaintext)
+            del parked[counter]
+            return plaintext, chain
 
-        gap = counter - session.recv_chain.index
-        if gap > self.max_skipped or len(session.skipped_keys) + gap > self.max_skipped:
+        gap = counter - chain.index
+        if len(parked) + gap > self.max_skipped:
             raise ResyncError(
                 f"gap of {gap} exceeds the skipped-key bound of {self.max_skipped}"
             )
-        chain = session.recv_chain
-        parked: Dict[int, MessageKey] = {}
+        skipped: Dict[int, MessageKey] = {}
         while chain.index < counter:
             skipped_mk, chain = crypto.ratchet_forward(chain)
-            parked[skipped_mk.index] = skipped_mk
-        mk, next_chain = crypto.ratchet_forward(chain)
+            skipped[skipped_mk.index] = skipped_mk
+        mk, chain = crypto.ratchet_forward(chain)
         plaintext = crypto.unseal(mk, envelope.payload, ad)  # may raise; state untouched
-        session.recv_chain = next_chain
-        session.skipped_keys.update(parked)
-        return self._accept(envelope, plaintext)
+        parked.update(skipped)
+        return plaintext, chain
 
     def _accept(self, envelope: Envelope, plaintext: bytes) -> Optional[str]:
         if plaintext[:1] == _FRAME_TEXT:
             text = plaintext[1:].decode("utf-8")
-            self.history.append(HistoryEntry(RECEIVED, envelope.sender_id, "",
-                                             envelope.counter, text, envelope.sent_at))
+            self.history.append(HistoryEntry(RECEIVED, envelope.sender_id,
+                                             envelope.group_id or "", envelope.counter,
+                                             text, envelope.sent_at))
             return text
-        if plaintext[:1] == _FRAME_GROUP_KEY:
+        if plaintext[:1] == _FRAME_GROUP_KEY and not envelope.group_id:
             self._install_group_key(envelope.sender_id, plaintext[1:])
             return None
         raise WireProtocolError("unknown payload frame")
@@ -472,28 +489,6 @@ class Client:
                                          envelope.sent_at))
         return envelope
 
-    def _receive_group(self, envelope: Envelope) -> str:
-        group = self.groups.get(envelope.group_id)
-        if group is None:
-            raise UnknownGroupError(f"no group state for {envelope.group_id!r}")
-        if envelope.sender_id not in group.member_ids:
-            raise GroupPermissionError(
-                f"{envelope.sender_id!r} is not a member of {envelope.group_id!r}"
-            )
-        # Group messages ride one shared chain and are consumed strictly in
-        # arrival order; a diverged chain (e.g. two members sending with the
-        # same index) shows up here as a MAC failure and nothing advances.
-        mk, next_chain = crypto.ratchet_forward(group.group_chain)
-        plaintext = crypto.unseal(mk, envelope.payload, envelope.associated_data())
-        group.group_chain = next_chain
-        if plaintext[:1] != _FRAME_TEXT:
-            raise WireProtocolError("unexpected frame in group message")
-        text = plaintext[1:].decode("utf-8")
-        self.history.append(HistoryEntry(RECEIVED, envelope.sender_id,
-                                         envelope.group_id, envelope.counter, text,
-                                         envelope.sent_at))
-        return text
-
     # -- backup ---------------------------------------------------------------------------
 
     def export_backup(self, secret: str, *, iterations: Optional[int] = None) -> BackupArchive:
@@ -529,11 +524,31 @@ class Client:
 
     @staticmethod
     def _encode_chain_key(ck: ChainKey) -> bytes:
-        return encode_bytes(ck.key) + encode_u64(ck.index) + encode_str(ck.direction)
+        return encode_bytes(ck.key) + encode_u64(ck.index)
 
     @staticmethod
     def _decode_chain_key(r: Reader) -> ChainKey:
-        return ChainKey(key=r.expect_bytes(32), index=r.read_u64(), direction=r.read_str())
+        return ChainKey(key=r.expect_bytes(32), index=r.read_u64())
+
+    @staticmethod
+    def _encode_parked(parked: Dict[int, MessageKey]) -> bytes:
+        out = encode_u64(len(parked))
+        for counter in sorted(parked):
+            mk = parked[counter]
+            out += encode_u64(counter)
+            out += encode_bytes(mk.cipher_key) + encode_bytes(mk.mac_key)
+            out += encode_bytes(mk.iv) + encode_u64(mk.index)
+        return out
+
+    @staticmethod
+    def _decode_parked(r: Reader) -> Dict[int, MessageKey]:
+        parked: Dict[int, MessageKey] = {}
+        for _ in range(r.read_u64()):
+            counter = r.read_u64()
+            parked[counter] = MessageKey(cipher_key=r.expect_bytes(32),
+                                         mac_key=r.expect_bytes(32),
+                                         iv=r.expect_bytes(16), index=r.read_u64())
+        return parked
 
     def to_state_bytes(self) -> bytes:
         out = encode_str(_STATE_TAG)
@@ -550,12 +565,7 @@ class Client:
             out += encode_bytes(s.master.bytes_)
             out += self._encode_chain_key(s.send_chain)
             out += self._encode_chain_key(s.recv_chain)
-            out += encode_u64(len(s.skipped_keys))
-            for counter in sorted(s.skipped_keys):
-                mk = s.skipped_keys[counter]
-                out += encode_u64(counter)
-                out += encode_bytes(mk.cipher_key) + encode_bytes(mk.mac_key)
-                out += encode_bytes(mk.iv) + encode_u64(mk.index)
+            out += self._encode_parked(s.skipped_keys)
             out += encode_bytes(s.peer_cert_fingerprint)
 
         out += encode_u64(len(self.groups))
@@ -567,6 +577,7 @@ class Client:
                 out += encode_str(member)
             out += encode_bytes(g.group_key)
             out += self._encode_chain_key(g.group_chain)
+            out += self._encode_parked(g.skipped_keys)
 
         out += encode_u64(len(self.history))
         for entry in self.history:
@@ -590,32 +601,24 @@ class Client:
 
             for _ in range(r.read_u64()):
                 peer_id = r.read_str()
-                session = SessionState(
+                client.sessions[peer_id] = SessionState(
                     peer_id=peer_id,
                     master=MasterSecret(bytes_=r.expect_bytes(32)),
                     send_chain=cls._decode_chain_key(r),
                     recv_chain=cls._decode_chain_key(r),
+                    skipped_keys=cls._decode_parked(r),
+                    peer_cert_fingerprint=r.expect_bytes(32),
                 )
-                for _ in range(r.read_u64()):
-                    counter = r.read_u64()
-                    session.skipped_keys[counter] = MessageKey(
-                        cipher_key=r.expect_bytes(32),
-                        mac_key=r.expect_bytes(32),
-                        iv=r.expect_bytes(16),
-                        index=r.read_u64(),
-                    )
-                session.peer_cert_fingerprint = r.expect_bytes(32)
-                client.sessions[peer_id] = session
 
             for _ in range(r.read_u64()):
                 group_id = r.read_str()
                 admin_id = r.read_str()
                 members = [r.read_str() for _ in range(r.read_u64())]
                 group_key = r.expect_bytes(32)
-                chain = cls._decode_chain_key(r)
                 client.groups[group_id] = GroupState(
                     group_id=group_id, admin_id=admin_id, member_ids=members,
-                    group_key=group_key, group_chain=chain,
+                    group_key=group_key, group_chain=cls._decode_chain_key(r),
+                    skipped_keys=cls._decode_parked(r),
                 )
 
             for _ in range(r.read_u64()):

@@ -50,9 +50,6 @@ MAX_PLAINTEXT = 1 << 20  # 1 MiB sealing cap
 MIN_BACKUP_ITERATIONS = 10_000
 DEFAULT_BACKUP_ITERATIONS = 210_000
 
-SEND = "send"
-RECEIVE = "receive"
-
 _MSG_KEY_INFO = b"msg"
 _MSG_KEY_LEN = 80  # 32 cipher + 32 mac + 16 iv
 
@@ -80,7 +77,6 @@ class MasterSecret:
 class ChainKey:
     key: bytes
     index: int
-    direction: str  # SEND or RECEIVE
 
 
 @dataclass(frozen=True)
@@ -194,10 +190,7 @@ def init_chains(master: MasterSecret, own_id: str, peer_id: str) -> Tuple[ChainK
     backward = hkdf_sha256(master.bytes_, ZERO_SALT, backward_info, 32)
     lo = min(own_id, peer_id)
     send_key, recv_key = (forward, backward) if own_id == lo else (backward, forward)
-    return (
-        ChainKey(key=send_key, index=0, direction=SEND),
-        ChainKey(key=recv_key, index=0, direction=RECEIVE),
-    )
+    return ChainKey(key=send_key, index=0), ChainKey(key=recv_key, index=0)
 
 
 def ratchet_forward(ck: ChainKey) -> Tuple[MessageKey, ChainKey]:
@@ -214,7 +207,7 @@ def ratchet_forward(ck: ChainKey) -> Tuple[MessageKey, ChainKey]:
         iv=okm[64:80],
         index=ck.index,
     )
-    nxt = ChainKey(key=_hmac256(ck.key, b"\x02"), index=ck.index + 1, direction=ck.direction)
+    nxt = ChainKey(key=_hmac256(ck.key, b"\x02"), index=ck.index + 1)
     return mk, nxt
 
 

@@ -82,7 +82,6 @@ class Envelope:
 
 @dataclass
 class Mailbox:
-    recipient_id: str
     queue: List[Tuple[int, Envelope]] = field(default_factory=list)
     next_seq: int = 1
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -125,7 +124,7 @@ class Relay:
             )
         with self._state_lock:
             self._registry[user_id] = cert_fingerprint
-            self._mailboxes.setdefault(user_id, Mailbox(recipient_id=user_id))
+            self._mailboxes.setdefault(user_id, Mailbox())
         return "registered"
 
     # -- message flow ----------------------------------------------------------

@@ -1,9 +1,11 @@
 import itertools
 import json
 import struct
+from dataclasses import replace
 
 import pytest
 
+from chainchat import crypto
 from chainchat.chain import record_fingerprint
 from chainchat.client import BACKUP_MAGIC, BackupArchive, Client
 from chainchat.errors import (
@@ -18,10 +20,12 @@ from chainchat.errors import (
     SessionRefusedError,
     UnknownGroupError,
     UnsealError,
+    WireProtocolError,
 )
 from chainchat.mno import MnoCertificateAuthority
 from chainchat.relay import Envelope
 from chainchat.crypto import SealedPayload
+from chainchat.encoding import encode_str
 
 
 def is_registered(relay, user_id):
@@ -474,16 +478,17 @@ class TestGroups:
         with pytest.raises(GroupPermissionError):
             clients[1].receive_envelope(forged)
 
-    def test_concurrent_senders_diverge_as_mac_failure(self, mno, relay):
-        """Two members sending at the same chain position: the first arrival
-        consumes the key, the second fails authentication (single shared
-        chain, documented hazard)."""
+    def test_concurrent_senders_collide_as_replay(self, mno, relay):
+        """Two members sending at the same position of the shared group chain:
+        the first arrival consumes counter 0, and the second, also counter 0,
+        is refused as a replay. Such counter collisions on the one shared
+        chain are an open bug, which per-sender chains (ROADMAP D3) fix."""
         clients, _ = installed_group(mno, relay, 3)
         u0, u1, u2 = clients
         from_u1 = u1.send_group_message("team", "first!")
         from_u2 = u2.send_group_message("team", "no, first!")
         assert u0.receive_envelope(from_u1) == "first!"
-        with pytest.raises(AuthenticationError):
+        with pytest.raises(ReplayError):
             u0.receive_envelope(from_u2)
         # state did not advance on the failure
         assert u0.groups["team"].group_chain.index == 1
@@ -512,3 +517,103 @@ class TestGroups:
         with pytest.raises(GroupPermissionError):
             for envelope in hijack.envelopes:
                 u2.deliver(envelope)
+
+
+def corrupted(envelope):
+    ciphertext = bytearray(envelope.payload.ciphertext)
+    ciphertext[0] ^= 0x01
+    return replace(envelope, payload=SealedPayload(bytes(ciphertext), envelope.payload.mac))
+
+
+class TestGroupReceive:
+    """Group envelopes go through the same counter, skipped-key and replay
+    rules as one-to-one envelopes, on the group chain."""
+
+    def test_reordered_fan_out_decrypts(self, mno, relay):
+        clients, _ = installed_group(mno, relay, 4)
+        u0, u1, u2, u3 = clients
+        from_a = u0.send_group_message("team", "a")
+        assert u1.receive_envelope(from_a) == "a"
+        from_b = u1.send_group_message("team", "b")
+        assert [u2.receive_envelope(e) for e in (from_a, from_b)] == ["a", "b"]
+        from_c = u2.send_group_message("team", "c")
+        assert [e.counter for e in (from_a, from_b, from_c)] == [0, 1, 2]
+        assert [u3.receive_envelope(e) for e in (from_b, from_a, from_c)] == ["b", "a", "c"]
+        assert [(e.peer_id, e.group_id, e.text) for e in u3.history] == [
+            ("u1", "team", "b"), ("u0", "team", "a"), ("u2", "team", "c")]
+
+    def test_corrupted_envelope_does_not_wedge_the_group(self, mno, relay):
+        clients, _ = installed_group(mno, relay, 3)
+        u0, u1, u2 = clients
+        members = [c.user_id for c in clients]
+        relay.broadcast_group("team", members, corrupted(u0.send_group_message("team", "m0")))
+        for i in (1, 2):
+            relay.broadcast_group("team", members, u0.send_group_message("team", f"m{i}"))
+        for member in (u1, u2):
+            assert [(d.text, d.error) for d in member.pull_messages()] == [
+                (None, "auth-failed"), ("m1", None), ("m2", None)]
+
+    def test_redelivered_envelope_is_replay(self, mno, relay):
+        clients, _ = installed_group(mno, relay, 2)
+        u0, u1 = clients
+        envelope = u0.send_group_message("team", "once")
+        for _ in range(2):
+            relay.broadcast_group("team", ["u0", "u1"], envelope)
+        assert [(d.text, d.error) for d in u1.pull_messages()] == [
+            ("once", None), (None, "replay-detected")]
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_every_arrival_order_decrypts_once(self, mno, relay, order):
+        clients, _ = installed_group(mno, relay, 2)
+        u0, u1 = clients
+        envelopes = [u0.send_group_message("team", f"m{i}") for i in range(3)]
+        assert [u1.receive_envelope(envelopes[i]) for i in order] == [f"m{i}" for i in order]
+        for envelope in envelopes:
+            with pytest.raises(ReplayError):
+                u1.receive_envelope(envelope)
+        group = u1.groups["team"]
+        assert (group.group_chain.index, group.skipped_keys) == (3, {})
+
+    def test_gap_beyond_bound_is_resync_error_and_changes_nothing(self, mno, relay):
+        clients, _ = installed_group(mno, relay, 2)
+        u0, u1 = clients
+        u1.max_skipped = 3
+        envelopes = [u0.send_group_message("team", f"m{i}") for i in range(5)]
+        before = u1.to_state_bytes()
+        with pytest.raises(ResyncError):
+            u1.receive_envelope(envelopes[4])  # gap of 4 > bound 3
+        assert u1.to_state_bytes() == before
+        assert u1.receive_envelope(envelopes[3]) == "m3"  # gap of 3 is allowed
+        assert set(u1.groups["team"].skipped_keys) == {0, 1, 2}
+
+    def test_parked_group_keys_survive_state_and_backup(self, mno, relay):
+        clients, _ = installed_group(mno, relay, 2)
+        u0, u1 = clients
+        envelopes = [u0.send_group_message("team", f"m{i}") for i in range(3)]
+        assert u1.receive_envelope(envelopes[2]) == "m2"
+        assert set(u1.groups["team"].skipped_keys) == {0, 1}
+        state = u1.to_state_bytes()
+        restored = [Client.from_state_bytes(state),
+                    Client.restore_backup(u1.export_backup("pw"), "pw")]
+        for copy in restored:
+            assert copy.to_state_bytes() == state
+            assert copy.groups["team"].skipped_keys == u1.groups["team"].skipped_keys
+            assert [copy.receive_envelope(envelopes[i]) for i in (1, 0)] == ["m1", "m0"]
+            with pytest.raises(ReplayError):
+                copy.receive_envelope(envelopes[2])
+
+    def test_version_one_state_refused(self, alice):
+        state = alice.to_state_bytes()
+        tag = encode_str("chainchat-state|2")
+        assert state.startswith(tag)
+        with pytest.raises(BackupFormatError):
+            Client.from_state_bytes(encode_str("chainchat-state|1") + state[len(tag):])
+
+    def test_group_key_frame_in_group_envelope_refused(self, mno, relay):
+        clients, _ = installed_group(mno, relay, 2)
+        u0, u1 = clients
+        mk, _ = crypto.ratchet_forward(u0.groups["team"].group_chain)
+        body = u0._group_key_body("team", ["u0", "u1"], bytes(32))
+        envelope = u0._build_envelope("", "team", mk, b"\x01" + body)
+        with pytest.raises(WireProtocolError):
+            u1.receive_envelope(envelope)

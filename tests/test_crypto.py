@@ -175,21 +175,20 @@ class TestChains:
             init_chains(MasterSecret(Z32), "x", "x")
 
     def test_ratchet_zero_frozen_vector(self):
-        mk, nxt = ratchet_forward(ChainKey(Z32, 0, crypto.SEND))
+        mk, nxt = ratchet_forward(ChainKey(Z32, 0))
         assert mk.cipher_key == v.RATCHET_ZERO_CIPHER
         assert mk.mac_key == v.RATCHET_ZERO_MAC
         assert mk.iv == v.RATCHET_ZERO_IV
         assert nxt.key == v.RATCHET_ZERO_NEXT
 
     def test_index_increments(self):
-        ck = ChainKey(b"\x07" * 32, 41, crypto.SEND)
+        ck = ChainKey(b"\x07" * 32, 41)
         mk, nxt = ratchet_forward(ck)
         assert mk.index == 41
         assert nxt.index == 42
-        assert nxt.direction == ck.direction
 
     def test_ten_thousand_steps_all_distinct(self):
-        ck = ChainKey(b"\x01" * 32, 0, crypto.SEND)
+        ck = ChainKey(b"\x01" * 32, 0)
         seen = set()
         for _ in range(10_000):
             mk, ck = ratchet_forward(ck)
@@ -212,7 +211,7 @@ class TestChains:
 # ---------------------------------------------------------------------------
 
 def make_mk(seed=b"\x33"):
-    mk, _ = ratchet_forward(ChainKey(seed * 32, 0, crypto.SEND))
+    mk, _ = ratchet_forward(ChainKey(seed * 32, 0))
     return mk
 
 
