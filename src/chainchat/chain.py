@@ -27,6 +27,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from types import MappingProxyType
 from typing import BinaryIO, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -86,6 +87,11 @@ class CertificateRecord:
     def canonical_bytes(self) -> bytes:
         return self.signed_payload() + encode_bytes(self.issuer_signature)
 
+    @cached_property
+    def fingerprint(self) -> bytes:
+        # hashed once per record: the relay compares it on every submit
+        return hashlib.sha256(self.canonical_bytes()).digest()
+
     def shape_ok(self) -> bool:
         if self.kind not in (KIND_CERTIFICATE, KIND_REVOCATION):
             return False
@@ -113,7 +119,7 @@ class CertificateRecord:
 
 def record_fingerprint(record: CertificateRecord) -> bytes:
     """SHA-256 of the record's canonical serialization; pinned by sessions."""
-    return hashlib.sha256(record.canonical_bytes()).digest()
+    return record.fingerprint
 
 
 def verify_record(record: CertificateRecord, verification_key: bytes) -> bool:

@@ -8,19 +8,23 @@ benchmarks. Exit code 0 on success; failures print a machine-readable
 
 Client state (keys, sessions, history) lives in per-user files under the
 state directory: that is the "device storage" of this stack. The relay and
-MNO never see it.
+MNO never see it. A command that writes a user's state holds an exclusive
+lock on ``<state_dir>/<user>.lock`` from load to save, so two commands for
+one user run one after the other and never send on the same counter.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import fcntl
 import os
 import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from .bench import bench_decrypt, bench_encrypt, render_csv, write_csv
 from .chain import load_chain, verify_chain, write_atomic
@@ -55,6 +59,25 @@ def _load_client(cfg: StackConfig, user_id: str, rc: RelayClient) -> Client:
     client.max_skipped = cfg.max_skipped
     client.backup_iterations = cfg.backup_iterations
     return client
+
+
+@contextlib.contextmanager
+def _user_lock(cfg: StackConfig, user_id: str) -> Iterator[None]:
+    path = Path(cfg.state_dir) / f"{user_id}.lock"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "ab") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+        yield
+
+
+@contextlib.contextmanager
+def _user_state(cfg: StackConfig, user_id: str, rc: RelayClient) -> Iterator[Client]:
+    """The user's client, loaded and saved under the user's lock. A block
+    that raises saves nothing, so a refused send leaves the counter unspent."""
+    with _user_lock(cfg, user_id):
+        client = _load_client(cfg, user_id, rc)
+        yield client
+        _save_client(cfg, client)
 
 
 def _connect(cfg: StackConfig) -> RelayClient:
@@ -166,7 +189,7 @@ def _cmd_stack_down(cfg: StackConfig) -> int:
 
 def _cmd_enroll(cfg: StackConfig, args: argparse.Namespace) -> int:
     validity_days = args.validity_days or cfg.cert_validity_days
-    with _connect(cfg) as rc:
+    with _connect(cfg) as rc, _user_lock(cfg, args.user):
         client = Client.install(
             args.user, mno=rc, relay=rc,
             validity_seconds=validity_days * 86_400,
@@ -189,24 +212,20 @@ def _cmd_register(cfg: StackConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_send(cfg: StackConfig, args: argparse.Namespace) -> int:
-    with _connect(cfg) as rc:
-        client = _load_client(cfg, args.sender, rc)
+    with _connect(cfg) as rc, _user_state(cfg, args.sender, rc) as client:
         rc.register_user(client.user_id, client.cert_fingerprint)
         if args.recipient not in client.sessions:
             client.start_session(args.recipient)
         envelope = client.send_text(args.recipient, " ".join(args.text))
         ack = rc.submit_envelope(envelope)
-        _save_client(cfg, client)
     print(f"{args.sender} -> {args.recipient}: {ack} (counter {envelope.counter})")
     return 0
 
 
 def _cmd_recv(cfg: StackConfig, args: argparse.Namespace) -> int:
-    with _connect(cfg) as rc:
-        client = _load_client(cfg, args.user, rc)
+    with _connect(cfg) as rc, _user_state(cfg, args.user, rc) as client:
         rc.register_user(client.user_id, client.cert_fingerprint)
         deliveries = client.pull_messages()
-        _save_client(cfg, client)
     for delivery in deliveries:
         _print_delivery(delivery)
     if not deliveries:
@@ -216,10 +235,10 @@ def _cmd_recv(cfg: StackConfig, args: argparse.Namespace) -> int:
 
 def _cmd_chat(cfg: StackConfig, args: argparse.Namespace) -> int:
     """Interactive two-party exchange: lines are '<user>: text'."""
-    with _connect(cfg) as rc:
+    with _connect(cfg) as rc, contextlib.ExitStack() as held:
         clients = {}
-        for user in (args.user_a, args.user_b):
-            client = _load_client(cfg, user, rc)
+        for user in sorted({args.user_a, args.user_b}):  # one lock order
+            client = held.enter_context(_user_state(cfg, user, rc))
             rc.register_user(client.user_id, client.cert_fingerprint)
             clients[user] = client
         print(f"chat between {args.user_a} and {args.user_b}; "
@@ -243,20 +262,16 @@ def _cmd_chat(cfg: StackConfig, args: argparse.Namespace) -> int:
             for client in clients.values():
                 for delivery in client.pull_messages():
                     _print_delivery(delivery)
-        for client in clients.values():
-            _save_client(cfg, client)
     return 0
 
 
 def _cmd_group_create(cfg: StackConfig, args: argparse.Namespace) -> int:
-    with _connect(cfg) as rc:
-        admin = _load_client(cfg, args.admin, rc)
+    with _connect(cfg) as rc, _user_state(cfg, args.admin, rc) as admin:
         rc.register_user(admin.user_id, admin.cert_fingerprint)
         creation = admin.create_group(args.group, [args.admin] + args.members)
         rc.create_group(args.group, args.admin, creation.member_ids)
         for envelope in creation.envelopes:
             rc.submit_envelope(envelope)
-        _save_client(cfg, admin)
     print(f"group {args.group} created with members: "
           f"{', '.join(creation.member_ids)}")
     for member, category in creation.excluded.items():
@@ -265,12 +280,10 @@ def _cmd_group_create(cfg: StackConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_group_send(cfg: StackConfig, args: argparse.Namespace) -> int:
-    with _connect(cfg) as rc:
-        client = _load_client(cfg, args.sender, rc)
+    with _connect(cfg) as rc, _user_state(cfg, args.sender, rc) as client:
         rc.register_user(client.user_id, client.cert_fingerprint)
         envelope = client.send_group_message(args.group, " ".join(args.text))
         acks = rc.broadcast_group(args.group, envelope)
-        _save_client(cfg, client)
     for member, result in acks:
         print(f"{member}: {result}")
     return 0
@@ -328,7 +341,7 @@ def _cmd_backup_export(cfg: StackConfig, args: argparse.Namespace) -> int:
 
 def _cmd_backup_restore(cfg: StackConfig, args: argparse.Namespace) -> int:
     data = Path(getattr(args, "in")).read_bytes()
-    with _connect(cfg) as rc:
+    with _connect(cfg) as rc, _user_lock(cfg, args.user):
         client = Client.restore_backup(data, args.secret,
                                        directory=rc, transport=rc)
         if client.user_id != args.user:

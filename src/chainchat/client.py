@@ -17,6 +17,13 @@ directional chains follow deterministically from the (sorted) id pair. The
 certificate fingerprint seen at establishment is pinned; envelopes bearing
 any other fingerprint are rejected before a single byte is decrypted.
 
+Sending takes no certificate fetch. Each one-to-one envelope carries the
+pinned fingerprint as a note to the relay, and the relay's submit refuses
+it when the peer's latest record is no longer that valid certificate
+(revoked, expired, or re-issued). So a revocation stops the next send at
+``submit_envelope``: ``send_text`` has already advanced the send chain by
+then, and that session is dead anyway.
+
 Receive-side ordering, the same for one-to-one and group messages: an
 envelope's counter against the receive chain index (the session's receive
 chain, or the group chain) decides the path. Equal: ratchet once and advance.
@@ -187,6 +194,7 @@ class Client:
         self.user_id = user_id
         self.identity = identity
         self.certificate = certificate
+        self.cert_fingerprint = record_fingerprint(certificate)
         self.directory = directory
         self.transport = transport
         self.max_skipped = max_skipped
@@ -236,10 +244,6 @@ class Client:
             raise InstallError("registration", str(e)) from e
         return client
 
-    @property
-    def cert_fingerprint(self) -> bytes:
-        return record_fingerprint(self.certificate)
-
     # -- sessions ----------------------------------------------------------------
 
     def start_session(self, peer_id: str) -> SessionState:
@@ -272,7 +276,7 @@ class Client:
         return session
 
     def _check_peer_current(self, session: SessionState) -> None:
-        # revocation gate on every send; skipped when no directory is attached
+        # revocation gate before a group key goes out; sends rely on the relay
         if self.directory is None:
             return
         status = self.directory.fetch_certificate(session.peer_id)
@@ -289,7 +293,8 @@ class Client:
     # -- send ---------------------------------------------------------------------
 
     def _build_envelope(self, recipient_id: str, group_id: Optional[str],
-                        mk: MessageKey, body: bytes) -> Envelope:
+                        mk: MessageKey, body: bytes,
+                        recipient_cert_fingerprint: bytes = b"") -> Envelope:
         header = Envelope(
             sender_id=self.user_id,
             recipient_id=recipient_id,
@@ -298,18 +303,23 @@ class Client:
             group_id=group_id,
             payload=SealedPayload(ciphertext=b"", mac=b""),
             sent_at=int(time.time()),
+            recipient_cert_fingerprint=recipient_cert_fingerprint,
         )
         return replace(header, payload=crypto.seal(mk, body, header.associated_data()))
 
+    def _seal_to(self, session: SessionState, body: bytes) -> Envelope:
+        """One envelope on the session's send chain, noting its pinned peer."""
+        mk, next_chain = crypto.ratchet_forward(session.send_chain)
+        envelope = self._build_envelope(session.peer_id, None, mk, body,
+                                        session.peer_cert_fingerprint)
+        session.send_chain = next_chain
+        return envelope
+
     def send_text(self, peer_id: str, text: str) -> Envelope:
         """Seal one message; the per-message key dies with this call."""
-        session = self._require_session(peer_id)
-        self._check_peer_current(session)
-        mk, next_chain = crypto.ratchet_forward(session.send_chain)
-        envelope = self._build_envelope(peer_id, None, mk,
-                                        _FRAME_TEXT + text.encode("utf-8"))
-        session.send_chain = next_chain
-        self.history.append(HistoryEntry(SENT, peer_id, "", mk.index, text,
+        envelope = self._seal_to(self._require_session(peer_id),
+                                 _FRAME_TEXT + text.encode("utf-8"))
+        self.history.append(HistoryEntry(SENT, peer_id, "", envelope.counter, text,
                                          envelope.sent_at))
         return envelope
 
@@ -425,13 +435,9 @@ class Client:
         body = self._group_key_body(group_id, final_members, group_key)
         envelopes: List[Envelope] = []
         for member in final_members:
-            if member == self.user_id:
-                continue
-            session = self.sessions[member]
-            mk, next_chain = crypto.ratchet_forward(session.send_chain)
-            envelopes.append(self._build_envelope(member, None, mk,
-                                                  _FRAME_GROUP_KEY + body))
-            session.send_chain = next_chain
+            if member != self.user_id:
+                envelopes.append(self._seal_to(self.sessions[member],
+                                               _FRAME_GROUP_KEY + body))
         self.groups[group_id] = GroupState(
             group_id=group_id,
             admin_id=self.user_id,

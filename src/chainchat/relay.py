@@ -9,6 +9,10 @@ stores is the exact bytes the sender submitted, and the header it routes on
 is bound into the sender's MAC, so any tampering in transit surfaces as an
 authentication failure at the recipient.
 
+A one-to-one submit is refused unless the recipient's latest record is the
+valid certificate the sender's session pinned, so a revocation or re-issue
+stops the next send without a certificate fetch.
+
 Delivery is pull-based with a sequence cursor: ``fetch_envelopes(user, n)``
 returns everything after ``n`` and acknowledges (drops) everything up to and
 including ``n``. Repeating the same fetch returns the same envelopes.
@@ -26,9 +30,11 @@ from .chain import CertStatus, ChainNode, fetch_latest, record_fingerprint
 from .crypto import SealedPayload
 from .encoding import encode_bytes, encode_str, encode_u64
 from .errors import (
+    FingerprintMismatchError,
     GroupPermissionError,
     RegistrationRefusedError,
     RoutingError,
+    SessionRefusedError,
     WireProtocolError,
 )
 
@@ -41,7 +47,14 @@ ACK_QUEUED = "queued"
 
 @dataclass(frozen=True)
 class Envelope:
-    """The wire unit. Header fields are exactly the MAC'd associated data."""
+    """The wire unit. Header fields are exactly the MAC'd associated data.
+
+    ``recipient_cert_fingerprint`` is not a header field: it is a note to
+    the relay, the recipient fingerprint the sender's session pinned, which
+    ``submit_envelope`` checks. It stays out of the associated data, the
+    canonical bytes and the envelope wire object, and envelopes fetched
+    over the wire carry it empty.
+    """
 
     sender_id: str
     recipient_id: str
@@ -50,6 +63,7 @@ class Envelope:
     group_id: Optional[str]
     payload: SealedPayload
     sent_at: int
+    recipient_cert_fingerprint: bytes = field(default=b"", compare=False)
 
     def associated_data(self) -> bytes:
         return (
@@ -142,8 +156,17 @@ class Relay:
         if not recipient_known:
             raise RoutingError(f"recipient {envelope.recipient_id!r} is not registered")
         self._require_valid("sender", envelope.sender_id)
-        self._require_valid("recipient", envelope.recipient_id)
+        self._require_pinned(envelope.recipient_id, envelope.recipient_cert_fingerprint)
         return self._enqueue(envelope.recipient_id, envelope)
+
+    def _require_pinned(self, recipient_id: str, pinned: bytes) -> None:
+        status = self.fetch_certificate(recipient_id)
+        if not status.is_valid:
+            raise SessionRefusedError(
+                status.state, f"recipient {recipient_id!r} certificate is {status.state}")
+        if record_fingerprint(status.record) != pinned:
+            raise FingerprintMismatchError(
+                f"recipient {recipient_id!r} re-issued its certificate; restart the session")
 
     def _enqueue(self, recipient_id: str, envelope: Envelope) -> str:
         with self._state_lock:

@@ -147,7 +147,9 @@ def envelope_to_obj(envelope: Envelope) -> Dict[str, Any]:
     }
 
 
-def envelope_from_obj(obj: Any) -> Envelope:
+def envelope_from_obj(obj: Any, recipient_cert_fingerprint: bytes = b"") -> Envelope:
+    """The envelope wire object; the relay's recipient note comes from the
+    submit body, never from the object."""
     obj = _obj(obj, "envelope")
     if "group_id" not in obj or not isinstance(obj["group_id"], (str, type(None))):
         raise WireProtocolError("field 'group_id' must be a string or null")
@@ -160,6 +162,7 @@ def envelope_from_obj(obj: Any) -> Envelope:
         payload=SealedPayload(ciphertext=_unb64(obj.get("ciphertext")),
                               mac=_unb64(obj.get("mac"))),
         sent_at=_int(obj, "sent_at"),
+        recipient_cert_fingerprint=recipient_cert_fingerprint,
     )
 
 
@@ -252,8 +255,10 @@ class WireServer:
             # served as stored: every record was verified when it entered the chain
             return "ack", status_to_obj(self.relay.fetch_certificate(_str(body, "user_id")))
         if msg_type == "submit":
-            result = self.relay.submit_envelope(envelope_from_obj(body.get("envelope")))
-            return "ack", {"result": result}
+            envelope = envelope_from_obj(
+                body.get("envelope"),
+                recipient_cert_fingerprint=_unb64(body.get("recipient_cert_fingerprint")))
+            return "ack", {"result": self.relay.submit_envelope(envelope)}
         if msg_type == "fetch":
             entries = self.relay.fetch_envelopes(_str(body, "recipient_id"),
                                                  _int(body, "after_seq"))
@@ -385,8 +390,10 @@ class RelayClient:
         return status_from_obj(self.request("fetch_cert", {"user_id": user_id}))
 
     def submit_envelope(self, envelope: Envelope) -> str:
-        return _str(self.request("submit", {"envelope": envelope_to_obj(envelope)}),
-                    "result")
+        return _str(self.request("submit", {
+            "envelope": envelope_to_obj(envelope),
+            "recipient_cert_fingerprint": _b64(envelope.recipient_cert_fingerprint),
+        }), "result")
 
     def fetch_envelopes(self, recipient_id: str,
                         after_seq: int) -> List[Tuple[int, Envelope]]:

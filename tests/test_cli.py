@@ -1,6 +1,8 @@
 import dataclasses
+import fcntl
 import functools
 import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -182,6 +184,33 @@ class TestCrashSafeWrites:
         assert stack_mod._load_or_create_credentials(cfg).keys() == seeds.keys()
 
 
+class TestUserLock:
+    def test_send_waits_for_the_users_lock(self, run, stack):
+        """A second send for the same user waits until the first one has
+        saved, and so sends on the next counter."""
+        run("enroll", "alice")
+        run("enroll", "bob")
+        cfg = stack.config
+        codes = []
+        waiting = threading.Thread(
+            target=lambda: codes.append(run("send", "alice", "bob", "second")))
+        with open(Path(cfg.state_dir) / "alice.lock", "ab") as held:
+            fcntl.flock(held, fcntl.LOCK_EX)
+            waiting.start()
+            waiting.join(timeout=0.5)
+            assert waiting.is_alive(), "send did not wait for the lock"
+            with RelayStackClient(stack) as rc:  # the send that holds the lock
+                alice = cli._load_client(cfg, "alice", rc)
+                alice.start_session("bob")
+                rc.submit_envelope(alice.send_text("bob", "first"))
+                cli._save_client(cfg, alice)
+        waiting.join(timeout=30)
+        assert not waiting.is_alive()
+        assert codes == [0]
+        queued = stack.relay.fetch_envelopes("bob", 0)
+        assert [env.counter for _, env in queued] == [0, 1]
+
+
 class RelayStackClient:
     """tiny helper: wire client bound to a stack handle"""
 
@@ -226,6 +255,21 @@ class TestBasicCommands:
         capsys.readouterr()
         assert run("send", "alice", "bob", "post-revocation") == 1
         assert "error[peer-revoked]" in capsys.readouterr().err
+
+    def test_refused_send_saves_nothing(self, run, stack, capsys):
+        """The refused submit spent a counter in memory; the saved state
+        keeps the last acknowledged one."""
+        run("enroll", "alice")
+        run("enroll", "bob")
+        run("send", "alice", "bob", "pre-revocation")
+        state_file = cli._state_path(stack.config, "alice")
+        before = state_file.read_bytes()
+        run("revoke", "bob")
+        capsys.readouterr()
+        assert run("send", "alice", "bob", "post-revocation") == 1
+        assert "error[peer-revoked]" in capsys.readouterr().err
+        assert state_file.read_bytes() == before
+        assert Client.from_state_bytes(before).sessions["bob"].send_chain.index == 1
 
     def test_chain_verify_and_show(self, run, capsys):
         run("enroll", "alice")

@@ -112,19 +112,40 @@ class TestSendReceive:
         with pytest.raises(NoSessionError):
             alice.send_text("bob", "hello")
 
-    def test_send_refused_after_revocation(self, mno, connected_pair):
+    def test_send_refused_after_revocation(self, mno, relay, connected_pair):
         alice, bob = connected_pair
-        alice.send_text("bob", "before")
+        relay.submit_envelope(alice.send_text("bob", "before"))
         mno.revoke("bob")
         with pytest.raises(SessionRefusedError) as err:
-            alice.send_text("bob", "after")
+            relay.submit_envelope(alice.send_text("bob", "after"))
         assert err.value.category == "peer-revoked"
 
     def test_send_detects_reissued_peer(self, mno, relay, connected_pair):
         alice, bob = connected_pair
         Client.install("bob", mno, relay)  # bob re-installs behind alice's back
         with pytest.raises(FingerprintMismatchError):
-            alice.send_text("bob", "stale session")
+            relay.submit_envelope(alice.send_text("bob", "stale session"))
+
+    def test_refused_submit_leaves_the_send_counter_advanced(self, mno, relay,
+                                                             connected_pair):
+        # the session is dead (revoked peer), so the spent counter is never reused
+        alice, bob = connected_pair
+        mno.revoke("bob")
+        with pytest.raises(SessionRefusedError):
+            relay.submit_envelope(alice.send_text("bob", "refused"))
+        assert alice.sessions["bob"].send_chain.index == 1
+
+    def test_own_fingerprint_is_hashed_once(self, connected_pair, monkeypatch):
+        import chainchat.client as client_mod
+
+        alice, bob = connected_pair
+        calls = []
+        monkeypatch.setattr(client_mod, "record_fingerprint", calls.append)
+        envelopes = [alice.send_text("bob", f"m{i}") for i in range(3)]
+        fingerprint = record_fingerprint(alice.certificate)
+        assert {e.sender_cert_fingerprint for e in envelopes} == {fingerprint}
+        assert alice.cert_fingerprint == fingerprint
+        assert calls == []
 
     def test_history_records_both_directions(self, connected_pair):
         alice, bob = connected_pair

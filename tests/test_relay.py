@@ -1,14 +1,18 @@
 import random
+import time
 
 import pytest
 
+from chainchat import chain as chain_mod
 from chainchat.chain import REVOKED, VALID, record_fingerprint
 from chainchat.client import Client
 from chainchat.crypto import SealedPayload
 from chainchat.errors import (
+    FingerprintMismatchError,
     GroupPermissionError,
     RegistrationRefusedError,
     RoutingError,
+    SessionRefusedError,
     WireProtocolError,
 )
 from chainchat.relay import ACK_QUEUED, Envelope
@@ -80,13 +84,38 @@ class TestStoreAndForward:
             relay.submit_envelope(bad)
 
     def test_revoked_recipient_routing_error(self, relay, mno, connected_pair):
+        # the recipient's status is the sender's concern: peer-*, not routing-error
         alice, bob = connected_pair
         envelope = alice.send_text("bob", "one")
         assert relay.submit_envelope(envelope) == ACK_QUEUED
         mno.revoke("bob")
-        second = plain_envelope("alice", "bob")
-        with pytest.raises(RoutingError):
+        second = alice.send_text("bob", "two")
+        with pytest.raises(SessionRefusedError) as refused:
             relay.submit_envelope(second)
+        assert refused.value.category == "peer-revoked"
+        assert [env.counter for _, env in relay.fetch_envelopes("bob", 0)] == [0]
+
+    def test_expired_recipient_refused(self, relay, mno, monkeypatch):
+        fay = Client.install("fay", mno, relay)
+        Client.install("gil", mno, relay, validity_seconds=60)
+        fay.start_session("gil")
+        monkeypatch.setattr(chain_mod, "_now", lambda: int(time.time()) + 120)
+        with pytest.raises(SessionRefusedError) as refused:
+            relay.submit_envelope(fay.send_text("gil", "too late"))
+        assert refused.value.category == "peer-expired"
+
+    def test_stale_recipient_fingerprint_refused(self, relay, mno, connected_pair):
+        alice, bob = connected_pair
+        Client.install("bob", mno, relay)  # re-issued behind alice's session
+        with pytest.raises(FingerprintMismatchError) as refused:
+            relay.submit_envelope(alice.send_text("bob", "stale"))
+        assert refused.value.category == "fingerprint-mismatch"
+        assert relay.fetch_envelopes("bob", 0) == []
+
+    def test_unpinned_envelope_refused(self, relay, connected_pair):
+        with pytest.raises(FingerprintMismatchError):
+            relay.submit_envelope(plain_envelope("alice", "bob"))
+        assert relay.fetch_envelopes("bob", 0) == []
 
     def test_revoked_sender_refused(self, relay, mno):
         fay = Client.install("fay", mno, relay)

@@ -7,9 +7,11 @@ import pytest
 
 from chainchat import wire
 from chainchat.client import Client
+from chainchat.config import StackConfig
 from chainchat.errors import RoutingError, StackStartupError, WireProtocolError
 from chainchat.mno import EnrollmentRequest
 from chainchat.relay import ACK_QUEUED
+from chainchat.stack import run_stack
 from chainchat.wire import (
     RelayClient,
     WireRemoteError,
@@ -127,6 +129,20 @@ class TestServer:
         deliveries = bob.pull_messages()
         assert [d.text for d in deliveries] == ["via socket"]
 
+    def test_submit_checks_the_pinned_recipient(self, rc):
+        alice = Client.install("alice", rc, rc)
+        bob = Client.install("bob", rc, rc)
+        alice.start_session("bob")
+        Client.install("bob", rc, rc)  # re-issued behind alice's session
+        with pytest.raises(WireRemoteError) as err:
+            rc.submit_envelope(alice.send_text("bob", "stale"))
+        assert err.value.category == "fingerprint-mismatch"
+        rc.revoke_user("bob")
+        with pytest.raises(WireRemoteError) as err:
+            rc.submit_envelope(alice.send_text("bob", "revoked"))
+        assert err.value.category == "peer-revoked"
+        assert bob.pull_messages() == []
+
     def test_remote_error_carries_category(self, rc):
         with pytest.raises(WireRemoteError) as err:
             rc.register_user("ghost", b"\x00" * 32)
@@ -234,6 +250,12 @@ def _envelope_obj(**fields):
     return obj
 
 
+def _submit(**fields):
+    body = {"envelope": _envelope_obj(), "recipient_cert_fingerprint": _KEY}
+    body.update(fields)
+    return body
+
+
 class TestMalformedBodies:
     """A body with a missing or mistyped field is the client's fault: the
     reply is ``protocol-error``, never ``internal``, and nothing is done."""
@@ -244,7 +266,10 @@ class TestMalformedBodies:
         ("fetch_cert", {}),
         ("fetch_cert", {"user_id": None}),
         ("submit", {}),
-        ("submit", {"envelope": _envelope_obj(counter="0")}),
+        ("submit", _submit(envelope=_envelope_obj(counter="0"))),
+        ("submit", {"envelope": _envelope_obj()}),
+        ("submit", _submit(recipient_cert_fingerprint="not base64!")),
+        ("submit", _submit(recipient_cert_fingerprint=7)),
         ("fetch", {"recipient_id": "alice", "after_seq": "abc"}),
         ("fetch", {"after_seq": 0}),
         ("group_create", {"group_id": "g", "admin_id": "a", "member_ids": None}),
@@ -259,6 +284,8 @@ class TestMalformedBodies:
         ("enroll", _enroll_submit(validity_seconds=-5)),
     ], ids=["register-no-fingerprint", "register-int-user", "fetch_cert-no-user",
             "fetch_cert-null-user", "submit-no-envelope", "submit-string-counter",
+            "submit-no-recipient-fingerprint", "submit-bad-recipient-fingerprint",
+            "submit-int-recipient-fingerprint",
             "fetch-string-seq", "fetch-no-recipient", "group_create-null-members",
             "group_create-string-members", "group_create-int-member",
             "group_send-no-group", "enroll-challenge-no-user", "enroll-revoke-no-user",
@@ -324,3 +351,30 @@ class TestMalformedReplies:
         with serve_one_reply(encode_message(reply_type, body)) as client:
             with pytest.raises(WireProtocolError):
                 _CALLS[call](client)
+
+
+class TestRoundTrips:
+    def test_chat_step_is_submit_then_fetch(self, tmp_path, monkeypatch):
+        """One chat step costs two round trips: the send takes no
+        certificate fetch, since the relay checks the pinned recipient."""
+        with run_stack(StackConfig(state_dir=str(tmp_path / "state"),
+                                   relay_port=0)) as stack, \
+                RelayClient(stack.host, stack.port) as rc:
+            alice = Client.install("alice", rc, rc)
+            bob = Client.install("bob", rc, rc)
+            alice.start_session("bob")
+            bob.start_session("alice")
+            issued = []
+            request = RelayClient.request
+
+            def counting(self, msg_type, body):
+                issued.append(msg_type)
+                return request(self, msg_type, body)
+
+            monkeypatch.setattr(RelayClient, "request", counting)
+            for text in ("one", "two"):
+                issued.clear()
+                envelope = alice.send_text("bob", text)
+                assert rc.submit_envelope(envelope) == ACK_QUEUED
+                assert [d.text for d in bob.pull_messages()] == [text]
+                assert issued == ["submit", "fetch"]
