@@ -330,6 +330,8 @@ class Client:
 
         Returns the text for messages, None for group-key control payloads.
         """
+        if not envelope.shape_ok():  # e.g. a counter past u64 has no associated data
+            raise WireProtocolError("malformed envelope")
         if envelope.group_id:
             group = self.groups.get(envelope.group_id)
             if group is None:

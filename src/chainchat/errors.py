@@ -93,6 +93,10 @@ class RoutingError(ChainChatError):
     category = "routing-error"
 
 
+class MailboxFullError(ChainChatError):
+    category = "mailbox-full"
+
+
 class GroupPermissionError(ChainChatError):
     category = "not-a-group-member"
 

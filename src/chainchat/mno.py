@@ -28,6 +28,7 @@ from .chain import (
     WriterCredential,
     verify_record,
 )
+from .encoding import U64_MAX
 from .errors import EnrollmentError
 
 DEFAULT_VALIDITY_SECONDS = 30 * 24 * 3600
@@ -78,8 +79,9 @@ class MnoCertificateAuthority:
     def issue_certificate(self, request: EnrollmentRequest,
                           validity_seconds: int = DEFAULT_VALIDITY_SECONDS,
                           now: Optional[int] = None) -> CertificateRecord:
-        if validity_seconds <= 0:
-            raise ValueError("certificate validity must be positive")
+        issued_at = int(time.time()) if now is None else now
+        if not 0 < validity_seconds <= U64_MAX - issued_at:
+            raise ValueError("certificate validity must be positive and end within a u64")
         if len(request.subject_public_key) != 32:
             raise EnrollmentError("subject public key must be 32 bytes")
         with self._lock:
@@ -92,7 +94,6 @@ class MnoCertificateAuthority:
             raise EnrollmentError("proof of possession failed verification")
         if not self._subscriber_check(request.user_id):
             raise EnrollmentError(f"{request.user_id!r} is not a known subscriber")
-        issued_at = int(time.time()) if now is None else now
         record = self.credential.make_record(
             user_id=request.user_id,
             subject_public_key=request.subject_public_key,

@@ -4,10 +4,15 @@ The relay registers users whose certificates check out against the chain,
 queues sealed envelopes in each recipient's mailbox, and fans group
 broadcasts out into the members' mailboxes. Every status check reads the
 chain node's current snapshot, so a revocation takes effect on the next
-lookup. It never inspects plaintext and never holds keys; everything it
-stores is the exact bytes the sender submitted, and the header it routes on
-is bound into the sender's MAC, so any tampering in transit surfaces as an
-authentication failure at the recipient.
+lookup; a group fan-out reads one snapshot for all of its members. It never
+inspects plaintext and never holds keys. It stores each envelope as parsed
+from the request and serves it re-encoded canonically, one JSON text per
+envelope however many mailboxes hold it. Every field it routes on and
+serves is bound into the sender's MAC, so any tampering in transit surfaces
+as an authentication failure at the recipient.
+
+A mailbox holds at most ``MAILBOX_CAP`` unacknowledged envelopes; past that
+a submit is refused and a fan-out skips the member, both ``mailbox-full``.
 
 A one-to-one submit is refused unless the recipient's latest record is the
 valid certificate the sender's session pinned, so a revocation or re-issue
@@ -24,14 +29,16 @@ import base64
 import json
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from . import chain
 from .chain import CertStatus, ChainNode, fetch_latest, record_fingerprint
 from .crypto import SealedPayload
-from .encoding import encode_bytes, encode_str, encode_u64
+from .encoding import CANONICAL_JSON, U64_MAX, b64_text, encode_bytes, encode_str, encode_u64
 from .errors import (
     FingerprintMismatchError,
     GroupPermissionError,
+    MailboxFullError,
     RegistrationRefusedError,
     RoutingError,
     SessionRefusedError,
@@ -39,6 +46,7 @@ from .errors import (
 )
 
 ACK_QUEUED = "queued"
+MAILBOX_CAP = 10_000  # unacknowledged envelopes per mailbox
 
 
 # ---------------------------------------------------------------------------
@@ -85,13 +93,36 @@ class Envelope:
     def shape_ok(self) -> bool:
         return (
             bool(self.sender_id)
-            and self.counter >= 0
-            and self.sent_at >= 0
+            and 0 <= self.counter <= U64_MAX
+            and 0 <= self.sent_at <= U64_MAX
             and len(self.sender_cert_fingerprint) == 32
             and len(self.payload.mac) == 32
             and len(self.payload.ciphertext) > 0
             and len(self.payload.ciphertext) % 16 == 0
         )
+
+    def wire_obj(self) -> Dict[str, Any]:
+        """The envelope wire object of PROTOCOL.md."""
+        return {
+            "sender_id": self.sender_id,
+            "recipient_id": self.recipient_id,
+            "counter": self.counter,
+            "sender_cert_fingerprint": b64_text(self.sender_cert_fingerprint),
+            "group_id": self.group_id,
+            "sent_at": self.sent_at,
+            "ciphertext": b64_text(self.payload.ciphertext),
+            "mac": b64_text(self.payload.mac),
+        }
+
+    def wire_text(self) -> str:
+        """Canonical JSON of ``wire_obj()``, built on first use and kept on
+        the instance: a fanned-out envelope is one text in every mailbox.
+        Two threads may both build it; they store equal texts."""
+        text = self.__dict__.get("_wire_text")
+        if text is None:
+            text = CANONICAL_JSON.encode(self.wire_obj())
+            object.__setattr__(self, "_wire_text", text)  # frozen: fields only
+        return text
 
 
 @dataclass
@@ -99,6 +130,15 @@ class Mailbox:
     queue: List[Tuple[int, Envelope]] = field(default_factory=list)
     next_seq: int = 1
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    def put(self, envelope: Envelope) -> str:
+        with self.lock:
+            if len(self.queue) >= MAILBOX_CAP:
+                raise MailboxFullError(
+                    f"mailbox holds {MAILBOX_CAP} unacknowledged envelopes")
+            self.queue.append((self.next_seq, envelope))
+            self.next_seq += 1
+        return ACK_QUEUED
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +190,15 @@ class Relay:
             raise WireProtocolError("one-to-one envelope without recipient")
         with self._state_lock:
             sender_known = envelope.sender_id in self._registry
-            recipient_known = envelope.recipient_id in self._registry
+            mailbox = (self._mailboxes[envelope.recipient_id]
+                       if envelope.recipient_id in self._registry else None)
         if not sender_known:
             raise RoutingError(f"sender {envelope.sender_id!r} is not registered")
-        if not recipient_known:
+        if mailbox is None:
             raise RoutingError(f"recipient {envelope.recipient_id!r} is not registered")
         self._require_valid("sender", envelope.sender_id)
         self._require_pinned(envelope.recipient_id, envelope.recipient_cert_fingerprint)
-        return self._enqueue(envelope.recipient_id, envelope)
+        return mailbox.put(envelope)
 
     def _require_pinned(self, recipient_id: str, pinned: bytes) -> None:
         status = self.fetch_certificate(recipient_id)
@@ -167,14 +208,6 @@ class Relay:
         if record_fingerprint(status.record) != pinned:
             raise FingerprintMismatchError(
                 f"recipient {recipient_id!r} re-issued its certificate; restart the session")
-
-    def _enqueue(self, recipient_id: str, envelope: Envelope) -> str:
-        with self._state_lock:
-            mailbox = self._mailboxes[recipient_id]
-        with mailbox.lock:
-            mailbox.queue.append((mailbox.next_seq, envelope))
-            mailbox.next_seq += 1
-        return ACK_QUEUED
 
     def fetch_envelopes(self, recipient_id: str, after_seq: int) -> List[Tuple[int, Envelope]]:
         with self._state_lock:
@@ -204,25 +237,35 @@ class Relay:
 
     def broadcast_group(self, group_id: str, member_ids: Sequence[str],
                         envelope: Envelope) -> List[Tuple[str, str]]:
-        """Fan-out: one copy per member except the sender; per-member results."""
+        """Fan-out: one copy per member except the sender; per-member results.
+
+        Every status is read from one chain snapshot at one ``now``, and the
+        registry once, so a revocation lands between two fan-outs, never
+        inside one.
+        """
         if not envelope.shape_ok():
             raise WireProtocolError("malformed envelope")
-        if envelope.sender_id not in member_ids:
-            raise GroupPermissionError(
-                f"sender {envelope.sender_id!r} is not a member of {group_id!r}"
-            )
-        self._require_valid("sender", envelope.sender_id)
+        sender = envelope.sender_id
+        if sender not in member_ids:
+            raise GroupPermissionError(f"sender {sender!r} is not a member of {group_id!r}")
+        state, now = self._chain_node.snapshot(), chain._now()
+        with self._state_lock:
+            sender_known = sender in self._registry
+            targets = [(member, self._mailboxes[member] if member in self._registry else None)
+                       for member in member_ids if member != sender]
+        if not sender_known:
+            raise RoutingError(f"sender {sender!r} is not registered")
+        status = fetch_latest(state, sender, now=now)
+        if not status.is_valid:
+            raise RoutingError(f"sender {sender!r} certificate is {status.state}")
         acks: List[Tuple[str, str]] = []
-        for member in member_ids:
-            if member == envelope.sender_id:
+        for member, mailbox in targets:
+            if mailbox is None or not fetch_latest(state, member, now=now).is_valid:
+                acks.append((member, f"error:{RoutingError.category}"))
                 continue
             try:
-                with self._state_lock:
-                    if member not in self._registry:
-                        raise RoutingError(f"member {member!r} is not registered")
-                self._require_valid("member", member)
-                acks.append((member, self._enqueue(member, envelope)))
-            except RoutingError as e:
+                acks.append((member, mailbox.put(envelope)))
+            except MailboxFullError as e:
                 acks.append((member, f"error:{e.category}"))
         return acks
 

@@ -19,10 +19,13 @@ import json
 import socket
 import socketserver
 import threading
+import time
 from typing import Any, Dict, List, Tuple
 
 from .chain import EXPIRED, NOT_FOUND, REVOKED, VALID, CertificateRecord, CertStatus
 from .crypto import SealedPayload
+from .encoding import CANONICAL_JSON, U64_MAX
+from .encoding import b64_text as _b64
 from .errors import ChainChatError, StackStartupError, WireProtocolError
 from .mno import DEFAULT_VALIDITY_SECONDS, EnrollmentRequest, MnoCertificateAuthority
 from .relay import Envelope, Relay
@@ -34,10 +37,6 @@ REPLY_TYPES = ("ack", "error")
 CERT_STATES = (VALID, REVOKED, EXPIRED, NOT_FOUND)
 
 _MAX_LINE = 1 << 24
-
-
-def _b64(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
 
 
 def _unb64(text: Any) -> bytes:
@@ -77,9 +76,18 @@ def _list(obj: Dict[str, Any], key: str) -> List[Any]:
 
 
 def encode_message(msg_type: str, body: Dict[str, Any]) -> bytes:
-    payload = json.dumps({"type": msg_type, "body": body},
-                         sort_keys=True, separators=(",", ":"))
+    payload = CANONICAL_JSON.encode({"type": msg_type, "body": body})
     return VERSION_BYTE + payload.encode("utf-8") + b"\n"
+
+
+def _fetch_reply(entries: List[Tuple[int, Envelope]]) -> bytes:
+    """``encode_message("ack", {"envelopes": [{"seq": ..., "envelope": ...}]})``
+    byte for byte, spliced from each envelope's kept canonical text, so an
+    envelope held by many mailboxes is encoded once."""
+    items = ",".join([f'{{"envelope":{env.wire_text()},"seq":{seq:d}}}'
+                      for seq, env in entries])
+    return b'%s{"body":{"envelopes":[%s]},"type":"ack"}\n' % (
+        VERSION_BYTE, items.encode("ascii"))
 
 
 def _overlong(line: bytes) -> bool:
@@ -134,22 +142,9 @@ def record_from_obj(obj: Any) -> CertificateRecord:
     )
 
 
-def envelope_to_obj(envelope: Envelope) -> Dict[str, Any]:
-    return {
-        "sender_id": envelope.sender_id,
-        "recipient_id": envelope.recipient_id,
-        "counter": envelope.counter,
-        "sender_cert_fingerprint": _b64(envelope.sender_cert_fingerprint),
-        "group_id": envelope.group_id,
-        "sent_at": envelope.sent_at,
-        "ciphertext": _b64(envelope.payload.ciphertext),
-        "mac": _b64(envelope.payload.mac),
-    }
-
-
 def envelope_from_obj(obj: Any, recipient_cert_fingerprint: bytes = b"") -> Envelope:
-    """The envelope wire object; the relay's recipient note comes from the
-    submit body, never from the object."""
+    """Decode the envelope wire object (``Envelope.wire_obj`` encodes it); the
+    relay's recipient note comes from the submit body, never from the object."""
     obj = _obj(obj, "envelope")
     if "group_id" not in obj or not isinstance(obj["group_id"], (str, type(None))):
         raise WireProtocolError("field 'group_id' must be a string or null")
@@ -211,14 +206,15 @@ class WireServer:
                     try:
                         if overlong:
                             raise WireProtocolError(f"line exceeds {_MAX_LINE} bytes")
-                        msg_type, body = decode_message(line)
-                        reply = dispatch(msg_type, body)
+                        reply = dispatch(*decode_message(line))
                     except ChainChatError as e:
-                        reply = ("error", {"category": e.category, "message": str(e)})
+                        reply = encode_message("error", {"category": e.category,
+                                                         "message": str(e)})
                     except Exception as e:  # never kill the connection loop
-                        reply = ("error", {"category": "internal", "message": str(e)})
+                        reply = encode_message("error", {"category": "internal",
+                                                         "message": str(e)})
                     try:
-                        self.wfile.write(encode_message(*reply))
+                        self.wfile.write(reply)
                         self.wfile.flush()
                     except OSError:
                         return
@@ -244,53 +240,54 @@ class WireServer:
 
     # -- request dispatch -----------------------------------------------------
 
-    def _dispatch(self, msg_type: str, body: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
+    def _dispatch(self, msg_type: str, body: Dict[str, Any]) -> bytes:
+        """Serve one request; returns the encoded reply line."""
         if msg_type == "enroll":
-            return self._handle_enroll(body)
+            return encode_message("ack", self._handle_enroll(body))
         if msg_type == "register":
             result = self.relay.register_user(_str(body, "user_id"),
                                               _unb64(body.get("cert_fingerprint")))
-            return "ack", {"result": result}
+            return encode_message("ack", {"result": result})
         if msg_type == "fetch_cert":
             # served as stored: every record was verified when it entered the chain
-            return "ack", status_to_obj(self.relay.fetch_certificate(_str(body, "user_id")))
+            status = self.relay.fetch_certificate(_str(body, "user_id"))
+            return encode_message("ack", status_to_obj(status))
         if msg_type == "submit":
             envelope = envelope_from_obj(
                 body.get("envelope"),
                 recipient_cert_fingerprint=_unb64(body.get("recipient_cert_fingerprint")))
-            return "ack", {"result": self.relay.submit_envelope(envelope)}
+            return encode_message("ack", {"result": self.relay.submit_envelope(envelope)})
         if msg_type == "fetch":
-            entries = self.relay.fetch_envelopes(_str(body, "recipient_id"),
-                                                 _int(body, "after_seq"))
-            return "ack", {"envelopes": [
-                {"seq": seq, "envelope": envelope_to_obj(env)} for seq, env in entries
-            ]}
+            return _fetch_reply(self.relay.fetch_envelopes(_str(body, "recipient_id"),
+                                                           _int(body, "after_seq")))
         if msg_type == "group_create":
             members = _list(body, "member_ids")
             if not all(isinstance(m, str) for m in members):
                 raise WireProtocolError("field 'member_ids' must be a list of strings")
             self.relay.create_group(_str(body, "group_id"), _str(body, "admin_id"), members)
-            return "ack", {"result": "created"}
+            return encode_message("ack", {"result": "created"})
         if msg_type == "group_send":
             group_id = _str(body, "group_id")
             members = self.relay.group_members(group_id)
             acks = self.relay.broadcast_group(group_id, members,
                                               envelope_from_obj(body.get("envelope")))
-            return "ack", {"acks": [
+            return encode_message("ack", {"acks": [
                 {"member_id": member, "result": result} for member, result in acks
-            ]}
+            ]})
         raise WireProtocolError(f"unhandled request type {msg_type!r}")
 
-    def _handle_enroll(self, body: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
+    def _handle_enroll(self, body: Dict[str, Any]) -> Dict[str, Any]:
         phase = body.get("phase")
         if phase == "challenge":
             challenge = self.mno.new_challenge(_str(body, "user_id"))
-            return "ack", {"challenge": _b64(challenge)}
+            return {"challenge": _b64(challenge)}
         if phase == "submit":
             validity = (_int(body, "validity_seconds") if "validity_seconds" in body
                         else DEFAULT_VALIDITY_SECONDS)
-            if validity <= 0:
-                raise WireProtocolError("field 'validity_seconds' must be positive")
+            issued_at = int(time.time())
+            if not 0 < validity <= U64_MAX - issued_at:
+                raise WireProtocolError(
+                    "field 'validity_seconds' must be positive and end within a u64")
             record = self.mno.issue_certificate(
                 EnrollmentRequest(
                     user_id=_str(body, "user_id"),
@@ -298,11 +295,12 @@ class WireServer:
                     proof_of_possession=_unb64(body.get("proof_of_possession")),
                 ),
                 validity,
+                now=issued_at,
             )
-            return "ack", {"record": record_to_obj(record)}
+            return {"record": record_to_obj(record)}
         if phase == "revoke":
             self.mno.revoke(_str(body, "user_id"))
-            return "ack", {"result": "revoked"}
+            return {"result": "revoked"}
         raise WireProtocolError(f"unknown enroll phase {phase!r}")
 
 
@@ -391,7 +389,7 @@ class RelayClient:
 
     def submit_envelope(self, envelope: Envelope) -> str:
         return _str(self.request("submit", {
-            "envelope": envelope_to_obj(envelope),
+            "envelope": envelope.wire_obj(),
             "recipient_cert_fingerprint": _b64(envelope.recipient_cert_fingerprint),
         }), "result")
 
@@ -409,7 +407,7 @@ class RelayClient:
 
     def broadcast_group(self, group_id: str, envelope: Envelope) -> List[Tuple[str, str]]:
         reply = self.request("group_send", {"group_id": group_id,
-                                            "envelope": envelope_to_obj(envelope)})
+                                            "envelope": envelope.wire_obj()})
         acks = [_obj(a, "fan-out ack") for a in _list(reply, "acks")]
         return [(_str(a, "member_id"), _str(a, "result")) for a in acks]
 

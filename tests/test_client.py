@@ -280,6 +280,25 @@ class TestPullMessages:
         assert len(outcomes) == 1
         assert outcomes[0].error == "replay-detected"
 
+    def test_out_of_range_envelope_does_not_block_the_mailbox(self, connected_pair):
+        """A counter or send time past u64 has no associated data: such an
+        envelope is one protocol-error delivery, and the next one still
+        arrives, so a client's cursor gets past it."""
+        alice, bob = connected_pair
+        good = alice.send_text("bob", "after the bad ones")
+
+        class HostileMailbox:
+            def fetch_envelopes(self, user_id, after_seq):
+                return [(1, replace(good, counter=2**64)),
+                        (2, replace(good, sent_at=2**64)),
+                        (3, good)]
+
+        bob.transport = HostileMailbox()
+        deliveries = bob.pull_messages()
+        assert [d.error for d in deliveries] == ["protocol-error", "protocol-error", None]
+        assert deliveries[-1].text == "after the bad ones"
+        assert bob.inbox_cursor == 3
+
     def test_auto_session_on_first_contact(self, relay, alice, bob):
         alice.start_session("bob")
         relay.submit_envelope(alice.send_text("bob", "hi stranger"))

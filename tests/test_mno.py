@@ -85,6 +85,17 @@ class TestEnrollment:
         with pytest.raises(ValueError):
             mno.issue_certificate(EnrollmentRequest("alice", pair.public_key, proof), 0)
 
+    def test_validity_past_u64_rejected(self, mno, chain_node):
+        pair = generate_identity_keypair()
+        challenge = mno.new_challenge("alice")
+        proof = identity_sig.sign(
+            pair.private_key, possession_payload("alice", pair.public_key, challenge))
+        height = len(chain_node.snapshot().blocks)
+        with pytest.raises(ValueError):
+            mno.issue_certificate(EnrollmentRequest("alice", pair.public_key, proof),
+                                  (1 << 64) - 1)
+        assert len(chain_node.snapshot().blocks) == height
+
     def test_low_order_keys_refused(self, mno, chain_node):
         """R = s*B, S = s passes the cofactorless check whenever h*A is the
         neutral point, i.e. for 1 in 2 to 1 in 8 challenges under a low-order

@@ -1,20 +1,26 @@
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
 from chainchat import chain as chain_mod
+from chainchat import identity_sig
+from chainchat import relay as relay_mod
 from chainchat.chain import REVOKED, VALID, record_fingerprint
 from chainchat.client import Client
 from chainchat.crypto import SealedPayload
 from chainchat.errors import (
     FingerprintMismatchError,
     GroupPermissionError,
+    MailboxFullError,
     RegistrationRefusedError,
     RoutingError,
     SessionRefusedError,
     WireProtocolError,
 )
+from chainchat.crypto import generate_identity_keypair
+from chainchat.mno import EnrollmentRequest, possession_payload
 from chainchat.relay import ACK_QUEUED, Envelope
 
 
@@ -82,6 +88,16 @@ class TestStoreAndForward:
         bad = plain_envelope("alice", "bob", blob=b"\x10" * 15)  # not block-sized
         with pytest.raises(WireProtocolError):
             relay.submit_envelope(bad)
+
+    @pytest.mark.parametrize("field", ["counter", "sent_at"])
+    def test_header_past_u64_refused(self, relay, connected_pair, field):
+        # such an envelope has no associated data, so it could never be read
+        alice, bob = connected_pair
+        envelope = alice.send_text("bob", "edge")
+        with pytest.raises(WireProtocolError):
+            relay.submit_envelope(replace(envelope, **{field: 2**64}))
+        assert relay.fetch_envelopes("bob", 0) == []
+        assert relay.submit_envelope(replace(envelope, **{field: 2**64 - 1})) == ACK_QUEUED
 
     def test_revoked_recipient_routing_error(self, relay, mno, connected_pair):
         # the recipient's status is the sender's concern: peer-*, not routing-error
@@ -227,11 +243,75 @@ class TestGroupFanOut:
         for member in (ids[0], ids[2]):
             assert relay.fetch_envelopes(member, 0) == []
 
+    def test_unregistered_sender_broadcast_refused(self, mno, relay):
+        # "dan" holds a valid certificate but never registered with the relay
+        members, ids = self.make_group(mno, relay, 2)
+        pair = generate_identity_keypair()
+        challenge = mno.new_challenge("dan")
+        proof = identity_sig.sign(
+            pair.private_key, possession_payload("dan", pair.public_key, challenge))
+        mno.issue_certificate(EnrollmentRequest("dan", pair.public_key, proof), 60)
+        envelope = plain_envelope("dan", "", group_id="room")
+        with pytest.raises(RoutingError):
+            relay.broadcast_group("room", ids + ["dan"], envelope)
+        for member in ids:
+            assert relay.fetch_envelopes(member, 0) == []
+
+    def test_counter_past_u64_refused(self, mno, relay):
+        members, ids = self.make_group(mno, relay, 3)
+        envelope = plain_envelope(ids[0], "", counter=2**64, group_id="room")
+        with pytest.raises(WireProtocolError):
+            relay.broadcast_group("room", ids, envelope)
+        for member in ids[1:]:
+            assert relay.fetch_envelopes(member, 0) == []
+
+    def test_fan_out_reads_one_snapshot_at_one_time(self, mno, relay, chain_node,
+                                                    monkeypatch):
+        members, ids = self.make_group(mno, relay, 4)
+        snapshots, clock_reads = [], []
+        snapshot, now = chain_node.snapshot, chain_mod._now
+        monkeypatch.setattr(chain_node, "snapshot",
+                            lambda: snapshots.append(1) or snapshot())
+        monkeypatch.setattr(chain_mod, "_now", lambda: clock_reads.append(1) or now())
+        acks = relay.broadcast_group("room", ids, plain_envelope(ids[0], "", group_id="room"))
+        assert acks == [(member, ACK_QUEUED) for member in ids[1:]]
+        assert (len(snapshots), len(clock_reads)) == (1, 1)
+
     def test_group_registry(self, relay, mno):
         members, ids = self.make_group(mno, relay, 3)
         assert relay.group_members("room") == tuple(ids)
         with pytest.raises(RoutingError):
             relay.group_members("nowhere")
+
+
+class TestMailboxCap:
+    @pytest.fixture(autouse=True)
+    def cap_of_two(self, monkeypatch):
+        monkeypatch.setattr(relay_mod, "MAILBOX_CAP", 2)
+
+    def test_submit_to_full_mailbox_refused(self, relay, connected_pair):
+        alice, bob = connected_pair
+        for text in ("one", "two"):
+            assert relay.submit_envelope(alice.send_text("bob", text)) == ACK_QUEUED
+        with pytest.raises(MailboxFullError) as refused:
+            relay.submit_envelope(alice.send_text("bob", "three"))
+        assert refused.value.category == "mailbox-full"
+        assert [seq for seq, _ in relay.fetch_envelopes("bob", 0)] == [1, 2]
+        # acknowledging makes room again, and sequence numbers carry on
+        assert relay.fetch_envelopes("bob", 2) == []
+        assert relay.submit_envelope(alice.send_text("bob", "four")) == ACK_QUEUED
+        assert [seq for seq, _ in relay.fetch_envelopes("bob", 2)] == [3]
+
+    def test_fan_out_skips_a_full_mailbox(self, mno, relay):
+        ids = [Client.install(f"g{i}", mno, relay).user_id for i in range(3)]
+        relay.create_group("room", ids[0], ids)
+        envelope = plain_envelope(ids[0], "", group_id="room")
+        for _ in range(2):
+            relay.broadcast_group("room", ids, envelope)
+        relay.fetch_envelopes(ids[1], 2)  # g1 acknowledges; g2 does not
+        acks = relay.broadcast_group("room", ids, envelope)
+        assert acks == [(ids[1], ACK_QUEUED), (ids[2], "error:mailbox-full")]
+        assert len(relay.fetch_envelopes(ids[2], 0)) == 2
 
 
 class TestConcurrentMailboxes:

@@ -1,16 +1,20 @@
 import contextlib
 import json
+import random
 import socket
 import threading
 
 import pytest
 
-from chainchat import wire
+from chainchat import identity_sig, wire
+from chainchat import relay as relay_mod
 from chainchat.client import Client
 from chainchat.config import StackConfig
+from chainchat.crypto import SealedPayload, generate_identity_keypair
+from chainchat.encoding import U64_MAX
 from chainchat.errors import RoutingError, StackStartupError, WireProtocolError
-from chainchat.mno import EnrollmentRequest
-from chainchat.relay import ACK_QUEUED
+from chainchat.mno import EnrollmentRequest, possession_payload
+from chainchat.relay import ACK_QUEUED, Envelope
 from chainchat.stack import run_stack
 from chainchat.wire import (
     RelayClient,
@@ -19,7 +23,6 @@ from chainchat.wire import (
     decode_message,
     encode_message,
     envelope_from_obj,
-    envelope_to_obj,
     record_from_obj,
     record_to_obj,
 )
@@ -103,13 +106,64 @@ class TestCodecs:
     def test_envelope_obj_roundtrip(self, connected_pair):
         alice, bob = connected_pair
         envelope = alice.send_text("bob", "over the wire")
-        decoded = envelope_from_obj(envelope_to_obj(envelope))
+        decoded = envelope_from_obj(envelope.wire_obj())
         assert decoded.canonical_bytes() == envelope.canonical_bytes()
         assert bob.receive_envelope(decoded) == "over the wire"
 
     def test_bad_envelope_obj(self):
         with pytest.raises(WireProtocolError):
             envelope_from_obj({"sender_id": "x"})
+
+
+_TRICKY = ["", "a", "bob", "é", "\u00e9t\u00e9", '"', "\\", "\n", "a\"b\\c\nd",
+           "\u2028", "\U0001f600", "\x00", "\x7f", "</script>", "user-0017"]
+_EDGE_INTS = [0, 1, 255, 2**32, 2**63, U64_MAX]
+
+
+def _reference_fetch_reply(entries):
+    """The fetch reply as encode_message has always built it, from an
+    envelope object written out field by field."""
+    body = {"envelopes": [{"seq": seq, "envelope": {
+        "sender_id": env.sender_id,
+        "recipient_id": env.recipient_id,
+        "counter": env.counter,
+        "sender_cert_fingerprint": wire._b64(env.sender_cert_fingerprint),
+        "group_id": env.group_id,
+        "sent_at": env.sent_at,
+        "ciphertext": wire._b64(env.payload.ciphertext),
+        "mac": wire._b64(env.payload.mac),
+    }} for seq, env in entries]}
+    return b"1" + json.dumps({"type": "ack", "body": body}, sort_keys=True,
+                             separators=(",", ":")).encode("utf-8") + b"\n"
+
+
+class TestFetchReply:
+    """The fetch reply is spliced from each envelope's kept JSON text; its
+    bytes must stay what encode_message gives for the whole reply."""
+
+    def test_spliced_reply_is_byte_identical(self):
+        rng = random.Random(20261018)
+
+        def pick_int():
+            return rng.choice(_EDGE_INTS + [rng.randrange(2**64)])
+
+        pool = [Envelope(
+            sender_id=rng.choice(_TRICKY[1:]),
+            recipient_id=rng.choice(_TRICKY),
+            counter=pick_int(),
+            sender_cert_fingerprint=rng.randbytes(32),
+            group_id=rng.choice([None, ""] + _TRICKY),
+            payload=SealedPayload(rng.randbytes(16 * rng.randrange(1, 8)),
+                                  rng.randbytes(32)),
+            sent_at=pick_int(),
+        ) for _ in range(200)]
+        for case in range(3000):
+            entries = [(pick_int(), rng.choice(pool)) for _ in range(case % 6)]
+            expected = _reference_fetch_reply(entries)
+            assert wire._fetch_reply(entries) == expected
+            assert encode_message("ack", {"envelopes": [
+                {"seq": seq, "envelope": env.wire_obj()} for seq, env in entries
+            ]}) == expected
 
 
 class TestServer:
@@ -167,6 +221,27 @@ class TestServer:
         assert sorted(member for member, _ in acks) == ["w1", "w2"]
         for user in users[1:]:
             assert [d.text for d in user.pull_messages()] == ["fan out"]
+
+    def test_enroll_validity_past_u64_refused(self, rc):
+        pair = generate_identity_keypair()
+        challenge = rc.new_challenge("alice")
+        proof = identity_sig.sign(
+            pair.private_key, possession_payload("alice", pair.public_key, challenge))
+        with pytest.raises(WireRemoteError) as err:
+            rc.issue_certificate(EnrollmentRequest("alice", pair.public_key, proof), U64_MAX)
+        assert err.value.category == "protocol-error"
+        assert rc.fetch_certificate("alice").state == "not_found"
+
+    def test_full_mailbox_refused_over_wire(self, rc, monkeypatch):
+        monkeypatch.setattr(relay_mod, "MAILBOX_CAP", 1)
+        alice = Client.install("alice", rc, rc)
+        bob = Client.install("bob", rc, rc)
+        alice.start_session("bob")
+        assert rc.submit_envelope(alice.send_text("bob", "fits")) == ACK_QUEUED
+        with pytest.raises(WireRemoteError) as err:
+            rc.submit_envelope(alice.send_text("bob", "does not"))
+        assert err.value.category == "mailbox-full"
+        assert [d.text for d in bob.pull_messages()] == ["fits"]
 
     def test_pipelined_requests_one_connection(self, rc):
         for _ in range(10):
@@ -270,6 +345,8 @@ class TestMalformedBodies:
         ("submit", {"envelope": _envelope_obj()}),
         ("submit", _submit(recipient_cert_fingerprint="not base64!")),
         ("submit", _submit(recipient_cert_fingerprint=7)),
+        ("submit", _submit(envelope=_envelope_obj(counter=2**64))),
+        ("submit", _submit(envelope=_envelope_obj(sent_at=2**64))),
         ("fetch", {"recipient_id": "alice", "after_seq": "abc"}),
         ("fetch", {"after_seq": 0}),
         ("group_create", {"group_id": "g", "admin_id": "a", "member_ids": None}),
@@ -282,15 +359,18 @@ class TestMalformedBodies:
         ("enroll", _enroll_submit(validity_seconds="abc")),
         ("enroll", _enroll_submit(validity_seconds=0)),
         ("enroll", _enroll_submit(validity_seconds=-5)),
+        ("enroll", _enroll_submit(validity_seconds=2**64)),
     ], ids=["register-no-fingerprint", "register-int-user", "fetch_cert-no-user",
             "fetch_cert-null-user", "submit-no-envelope", "submit-string-counter",
             "submit-no-recipient-fingerprint", "submit-bad-recipient-fingerprint",
-            "submit-int-recipient-fingerprint",
+            "submit-int-recipient-fingerprint", "submit-counter-past-u64",
+            "submit-sent_at-past-u64",
             "fetch-string-seq", "fetch-no-recipient", "group_create-null-members",
             "group_create-string-members", "group_create-int-member",
             "group_send-no-group", "enroll-challenge-no-user", "enroll-revoke-no-user",
             "enroll-submit-no-key", "enroll-submit-string-validity",
-            "enroll-submit-zero-validity", "enroll-submit-negative-validity"])
+            "enroll-submit-zero-validity", "enroll-submit-negative-validity",
+            "enroll-submit-validity-past-u64"])
     def test_protocol_error(self, rc, relay, msg_type, body):
         with pytest.raises(WireRemoteError) as err:
             rc.request(msg_type, body)
@@ -378,3 +458,36 @@ class TestRoundTrips:
                 assert rc.submit_envelope(envelope) == ACK_QUEUED
                 assert [d.text for d in bob.pull_messages()] == [text]
                 assert issued == ["submit", "fetch"]
+
+    def test_group_envelope_is_encoded_once(self, tmp_path, monkeypatch):
+        """A group message in three mailboxes is built into JSON once on the
+        server, however many fetch replies carry it."""
+        with run_stack(StackConfig(state_dir=str(tmp_path / "state"),
+                                   relay_port=0)) as stack, \
+                RelayClient(stack.host, stack.port) as rc:
+            users = [Client.install(f"m{i}", rc, rc) for i in range(4)]
+            admin = users[0]
+            creation = admin.create_group("four", [u.user_id for u in users])
+            rc.create_group("four", admin.user_id, creation.member_ids)
+            for envelope in creation.envelopes:
+                rc.submit_envelope(envelope)
+            for user in users[1:]:
+                user.pull_messages()
+            envelope = admin.send_group_message("four", "to all three")
+            marker = wire._b64(envelope.payload.ciphertext)
+            server_encodes = []
+            encode = json.JSONEncoder.encode
+
+            def counting(self, obj):
+                text = encode(self, obj)
+                # the server answers on its handler thread; this one is the client
+                if marker in text and threading.current_thread() is not threading.main_thread():
+                    server_encodes.append(text)
+                return text
+
+            monkeypatch.setattr(json.JSONEncoder, "encode", counting)
+            acks = rc.broadcast_group("four", envelope)
+            assert [result for _, result in acks] == [ACK_QUEUED] * 3
+            for user in users[1:]:
+                assert [d.text for d in user.pull_messages()] == ["to all three"]
+            assert len(server_encodes) == 1
