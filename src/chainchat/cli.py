@@ -10,7 +10,9 @@ Client state (keys, sessions, history) lives in per-user files under the
 state directory: that is the "device storage" of this stack. The relay and
 MNO never see it. A command that writes a user's state holds an exclusive
 lock on ``<state_dir>/<user>.lock`` from load to save, so two commands for
-one user run one after the other and never send on the same counter.
+one user run one after the other and never send on the same counter. A
+command saves the state before it submits what it sealed, so a counter is
+spent when it is sealed, even if the submit is refused or its reply lost.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ def _user_lock(cfg: StackConfig, user_id: str) -> Iterator[None]:
 @contextlib.contextmanager
 def _user_state(cfg: StackConfig, user_id: str, rc: RelayClient) -> Iterator[Client]:
     """The user's client, loaded and saved under the user's lock. A block
-    that raises saves nothing, so a refused send leaves the counter unspent."""
+    that raises saves nothing more, so a command that seals saves the client
+    itself before it submits."""
     with _user_lock(cfg, user_id):
         client = _load_client(cfg, user_id, rc)
         yield client
@@ -217,6 +220,7 @@ def _cmd_send(cfg: StackConfig, args: argparse.Namespace) -> int:
         if args.recipient not in client.sessions:
             client.start_session(args.recipient)
         envelope = client.send_text(args.recipient, " ".join(args.text))
+        _save_client(cfg, client)
         ack = rc.submit_envelope(envelope)
     print(f"{args.sender} -> {args.recipient}: {ack} (counter {envelope.counter})")
     return 0
@@ -258,7 +262,9 @@ def _cmd_chat(cfg: StackConfig, args: argparse.Namespace) -> int:
             sender = clients[user]
             if peer not in sender.sessions:
                 sender.start_session(peer)
-            rc.submit_envelope(sender.send_text(peer, text.strip()))
+            envelope = sender.send_text(peer, text.strip())
+            _save_client(cfg, sender)
+            rc.submit_envelope(envelope)
             for client in clients.values():
                 for delivery in client.pull_messages():
                     _print_delivery(delivery)
@@ -269,6 +275,7 @@ def _cmd_group_create(cfg: StackConfig, args: argparse.Namespace) -> int:
     with _connect(cfg) as rc, _user_state(cfg, args.admin, rc) as admin:
         rc.register_user(admin.user_id, admin.cert_fingerprint)
         creation = admin.create_group(args.group, [args.admin] + args.members)
+        _save_client(cfg, admin)
         rc.create_group(args.group, args.admin, creation.member_ids)
         for envelope in creation.envelopes:
             rc.submit_envelope(envelope)
@@ -283,6 +290,7 @@ def _cmd_group_send(cfg: StackConfig, args: argparse.Namespace) -> int:
     with _connect(cfg) as rc, _user_state(cfg, args.sender, rc) as client:
         rc.register_user(client.user_id, client.cert_fingerprint)
         envelope = client.send_group_message(args.group, " ".join(args.text))
+        _save_client(cfg, client)
         acks = rc.broadcast_group(args.group, envelope)
     for member, result in acks:
         print(f"{member}: {result}")

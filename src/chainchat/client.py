@@ -9,7 +9,8 @@ two small duck-typed handles:
   transport  - has ``register_user``, ``submit_envelope``, ``fetch_envelopes``
 
 The in-process ``Relay`` and the wire-protocol ``RelayClient`` both satisfy
-them.
+them, with the same relay methods and parameters (group fan-out reaches the
+members the relay stored at ``create_group``).
 
 Sessions need no handshake: both parties derive the same master secret from
 their own private key and the peer's certified public key, and the two
@@ -22,7 +23,9 @@ pinned fingerprint as a note to the relay, and the relay's submit refuses
 it when the peer's latest record is no longer that valid certificate
 (revoked, expired, or re-issued). So a revocation stops the next send at
 ``submit_envelope``: ``send_text`` has already advanced the send chain by
-then, and that session is dead anyway.
+then, and that session is dead anyway. A counter is spent when it is
+sealed, so a caller that persists the client saves it after ``send_text``
+(or ``send_group_message``, or ``create_group``) and before the submit.
 
 Receive-side ordering, the same for one-to-one and group messages: an
 envelope's counter against the receive chain index (the session's receive

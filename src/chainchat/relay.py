@@ -1,13 +1,15 @@
 """Store-and-forward relay: the IM server that holds zero key material.
 
-The relay registers users whose certificates check out against the chain,
-queues sealed envelopes in each recipient's mailbox, and fans group
-broadcasts out into the members' mailboxes. Every status check reads the
+The relay gives each user whose certificate checks out against the chain a
+mailbox (so a user with a mailbox is registered), queues sealed envelopes in
+the recipients' mailboxes, and fans a group broadcast out to the member
+list, without repeats, that ``create_group`` stored. Every request reads the
 chain node's current snapshot, so a revocation takes effect on the next
-lookup; a group fan-out reads one snapshot for all of its members. It never
-inspects plaintext and never holds keys. It stores each envelope as parsed
-from the request and serves it re-encoded canonically, one JSON text per
-envelope however many mailboxes hold it. Every field it routes on and
+lookup; a submit or a fan-out reads one snapshot at one time for all of its
+checks. ``RelayClient`` offers the same methods over the wire. The relay
+never inspects plaintext and never holds keys. It stores each envelope as
+parsed from the request and serves it re-encoded canonically, one JSON text
+per envelope however many mailboxes hold it. Every field it routes on and
 serves is bound into the sender's MAC, so any tampering in transit surfaces
 as an authentication failure at the recipient.
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import chain
-from .chain import CertStatus, ChainNode, fetch_latest, record_fingerprint
+from .chain import CertStatus, ChainNode, ChainState, fetch_latest, record_fingerprint
 from .crypto import SealedPayload
 from .encoding import CANONICAL_JSON, U64_MAX, b64_text, encode_bytes, encode_str, encode_u64
 from .errors import (
@@ -148,21 +150,25 @@ class Mailbox:
 class Relay:
     def __init__(self, chain_node: ChainNode):
         self._chain_node = chain_node
-        self._registry: Dict[str, bytes] = {}
-        self._mailboxes: Dict[str, Mailbox] = {}
+        self._mailboxes: Dict[str, Mailbox] = {}  # one per registered user
         self._groups: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
         self._state_lock = threading.Lock()
 
     # -- certificate status ---------------------------------------------------
 
-    def fetch_certificate(self, user_id: str, now: Optional[int] = None) -> CertStatus:
+    def fetch_certificate(self, user_id: str) -> CertStatus:
         """Pure proxy of the chain's latest-wins lookup; adds nothing."""
-        return fetch_latest(self._chain_node.snapshot(), user_id, now=now)
+        return fetch_latest(self._chain_node.snapshot(), user_id)
 
-    def _require_valid(self, role: str, user_id: str) -> None:
-        status = self.fetch_certificate(user_id)
+    @staticmethod
+    def _require_sender(sender: str, registered: bool, state: ChainState, now: int) -> None:
+        """The sender rule of submit and fan-out: registered, and its latest
+        record a valid certificate."""
+        if not registered:
+            raise RoutingError(f"sender {sender!r} is not registered")
+        status = fetch_latest(state, sender, now=now)
         if not status.is_valid:
-            raise RoutingError(f"{role} {user_id!r} certificate is {status.state}")
+            raise RoutingError(f"sender {sender!r} certificate is {status.state}")
 
     # -- registration ---------------------------------------------------------
 
@@ -177,37 +183,34 @@ class Relay:
                 f"fingerprint does not match the latest certificate for {user_id!r}"
             )
         with self._state_lock:
-            self._registry[user_id] = cert_fingerprint
             self._mailboxes.setdefault(user_id, Mailbox())
         return "registered"
 
     # -- message flow ----------------------------------------------------------
 
     def submit_envelope(self, envelope: Envelope) -> str:
+        """Queue a one-to-one envelope; both statuses come from one snapshot at one ``now``."""
         if not envelope.shape_ok():
             raise WireProtocolError("malformed envelope")
-        if not envelope.recipient_id:
+        sender, recipient = envelope.sender_id, envelope.recipient_id
+        if not recipient:
             raise WireProtocolError("one-to-one envelope without recipient")
+        state, now = self._chain_node.snapshot(), chain._now()
         with self._state_lock:
-            sender_known = envelope.sender_id in self._registry
-            mailbox = (self._mailboxes[envelope.recipient_id]
-                       if envelope.recipient_id in self._registry else None)
-        if not sender_known:
-            raise RoutingError(f"sender {envelope.sender_id!r} is not registered")
-        if mailbox is None:
-            raise RoutingError(f"recipient {envelope.recipient_id!r} is not registered")
-        self._require_valid("sender", envelope.sender_id)
-        self._require_pinned(envelope.recipient_id, envelope.recipient_cert_fingerprint)
-        return mailbox.put(envelope)
-
-    def _require_pinned(self, recipient_id: str, pinned: bytes) -> None:
-        status = self.fetch_certificate(recipient_id)
+            sender_known = sender in self._mailboxes
+            mailbox = self._mailboxes.get(recipient)
+        # PROTOCOL.md order: sender registered, recipient registered, sender valid
+        if sender_known and mailbox is None:
+            raise RoutingError(f"recipient {recipient!r} is not registered")
+        self._require_sender(sender, sender_known, state, now)
+        status = fetch_latest(state, recipient, now=now)
         if not status.is_valid:
             raise SessionRefusedError(
-                status.state, f"recipient {recipient_id!r} certificate is {status.state}")
-        if record_fingerprint(status.record) != pinned:
+                status.state, f"recipient {recipient!r} certificate is {status.state}")
+        if record_fingerprint(status.record) != envelope.recipient_cert_fingerprint:
             raise FingerprintMismatchError(
-                f"recipient {recipient_id!r} re-issued its certificate; restart the session")
+                f"recipient {recipient!r} re-issued its certificate; restart the session")
+        return mailbox.put(envelope)
 
     def fetch_envelopes(self, recipient_id: str, after_seq: int) -> List[Tuple[int, Envelope]]:
         with self._state_lock:
@@ -223,41 +226,35 @@ class Relay:
 
     def create_group(self, group_id: str, admin_id: str,
                      member_ids: Sequence[str]) -> None:
+        if len(set(member_ids)) != len(member_ids):
+            raise WireProtocolError(f"member list of {group_id!r} repeats an id")
         if admin_id not in member_ids:
             raise GroupPermissionError(f"admin {admin_id!r} is not in the member list")
         with self._state_lock:
             self._groups[group_id] = (admin_id, tuple(member_ids))
 
-    def group_members(self, group_id: str) -> Tuple[str, ...]:
-        with self._state_lock:
-            entry = self._groups.get(group_id)
-        if entry is None:
-            raise RoutingError(f"unknown group {group_id!r}")
-        return entry[1]
-
-    def broadcast_group(self, group_id: str, member_ids: Sequence[str],
-                        envelope: Envelope) -> List[Tuple[str, str]]:
-        """Fan-out: one copy per member except the sender; per-member results.
+    def broadcast_group(self, group_id: str, envelope: Envelope) -> List[Tuple[str, str]]:
+        """Fan-out to the group's stored members: one copy per member except
+        the sender; per-member results.
 
         Every status is read from one chain snapshot at one ``now``, and the
-        registry once, so a revocation lands between two fan-outs, never
-        inside one.
+        group and the registry once, so a revocation lands between two
+        fan-outs, never inside one.
         """
-        if not envelope.shape_ok():
-            raise WireProtocolError("malformed envelope")
         sender = envelope.sender_id
-        if sender not in member_ids:
-            raise GroupPermissionError(f"sender {sender!r} is not a member of {group_id!r}")
         state, now = self._chain_node.snapshot(), chain._now()
         with self._state_lock:
-            sender_known = sender in self._registry
-            targets = [(member, self._mailboxes[member] if member in self._registry else None)
-                       for member in member_ids if member != sender]
-        if not sender_known:
-            raise RoutingError(f"sender {sender!r} is not registered")
-        status = fetch_latest(state, sender, now=now)
-        if not status.is_valid:
-            raise RoutingError(f"sender {sender!r} certificate is {status.state}")
+            if group_id not in self._groups:
+                raise RoutingError(f"unknown group {group_id!r}")
+            _, members = self._groups[group_id]
+            sender_known = sender in self._mailboxes
+            targets = [(member, self._mailboxes.get(member))
+                       for member in members if member != sender]
+        if not envelope.shape_ok():
+            raise WireProtocolError("malformed envelope")
+        if sender not in members:
+            raise GroupPermissionError(f"sender {sender!r} is not a member of {group_id!r}")
+        self._require_sender(sender, sender_known, state, now)
         acks: List[Tuple[str, str]] = []
         for member, mailbox in targets:
             if mailbox is None or not fetch_latest(state, member, now=now).is_valid:
@@ -275,7 +272,7 @@ class Relay:
         """Everything the relay knows, serialized. Used to prove it knows
         nothing worth stealing."""
         with self._state_lock:
-            registry = {u: fp.hex() for u, fp in self._registry.items()}
+            registry = sorted(self._mailboxes)
             groups = {g: {"admin": a, "members": list(m)}
                       for g, (a, m) in self._groups.items()}
             mailboxes = {}

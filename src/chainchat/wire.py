@@ -267,9 +267,7 @@ class WireServer:
             self.relay.create_group(_str(body, "group_id"), _str(body, "admin_id"), members)
             return encode_message("ack", {"result": "created"})
         if msg_type == "group_send":
-            group_id = _str(body, "group_id")
-            members = self.relay.group_members(group_id)
-            acks = self.relay.broadcast_group(group_id, members,
+            acks = self.relay.broadcast_group(_str(body, "group_id"),
                                               envelope_from_obj(body.get("envelope")))
             return encode_message("ack", {"acks": [
                 {"member_id": member, "result": result} for member, result in acks
@@ -342,10 +340,13 @@ class RelayClient:
         self.close()
 
     def request(self, msg_type: str, body: Dict[str, Any]) -> Dict[str, Any]:
-        with self._lock:
-            self._file.write(encode_message(msg_type, body))
-            self._file.flush()
-            line = self._file.readline(_MAX_LINE)
+        try:
+            with self._lock:
+                self._file.write(encode_message(msg_type, body))
+                self._file.flush()
+                line = self._file.readline(_MAX_LINE)
+        except OSError as e:  # reset, timeout: the reply is lost either way
+            raise WireProtocolError(f"connection to the server failed: {e}") from e
         if not line:
             raise WireProtocolError("connection closed by server")
         if _overlong(line):

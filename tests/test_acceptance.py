@@ -368,7 +368,7 @@ def test_10_group_fan_out():
             member.pull_messages()
 
         envelope = admin.send_group_message("ops", "all hands")
-        acks = relay.broadcast_group("ops", ids, envelope)
+        acks = relay.broadcast_group("ops", envelope)
         assert len(acks) == 4
         texts = []
         for member in members[1:]:

@@ -2,6 +2,8 @@ import dataclasses
 import fcntl
 import functools
 import os
+import socket
+import struct
 import threading
 from pathlib import Path
 
@@ -14,10 +16,11 @@ from chainchat import relay as relay_mod
 from chainchat import stack as stack_mod
 from chainchat.client import Client
 from chainchat.config import StackConfig, load_config, parse_config_text
-from chainchat.errors import StackStartupError
+from chainchat.errors import StackStartupError, WireProtocolError
 from chainchat.mno import MnoCertificateAuthority
 from chainchat.relay import Relay
 from chainchat.stack import run_stack
+from chainchat.wire import RelayClient
 
 
 @pytest.fixture(autouse=True)
@@ -257,8 +260,8 @@ class TestBasicCommands:
         assert "error[peer-revoked]" in capsys.readouterr().err
 
     def test_refused_send_saves_nothing(self, run, stack, capsys):
-        """The refused submit spent a counter in memory; the saved state
-        keeps the last acknowledged one."""
+        """The refused submit spent a counter, and the saved state keeps it
+        spent: the relay has seen that envelope."""
         run("enroll", "alice")
         run("enroll", "bob")
         run("send", "alice", "bob", "pre-revocation")
@@ -268,7 +271,8 @@ class TestBasicCommands:
         capsys.readouterr()
         assert run("send", "alice", "bob", "post-revocation") == 1
         assert "error[peer-revoked]" in capsys.readouterr().err
-        assert state_file.read_bytes() == before
+        after = Client.from_state_bytes(state_file.read_bytes())
+        assert after.sessions["bob"].send_chain.index == 2
         assert Client.from_state_bytes(before).sessions["bob"].send_chain.index == 1
 
     def test_chain_verify_and_show(self, run, capsys):
@@ -340,6 +344,114 @@ class TestBasicCommands:
         assert run("bench", "dec", "--max-len", "250", "--step", "250",
                    "--reps", "2") == 0
         assert "length,decrypt_us,mac_verify_us,total_us" in capsys.readouterr().out
+
+
+class TestCounterSpentWhenSealed:
+    """Every command saves the sealed state before it submits, so no counter
+    (and so no message key and IV) is sealed twice, whatever the submit does."""
+
+    @staticmethod
+    def record_submits(monkeypatch):
+        counters = []
+        submit = RelayClient.submit_envelope
+
+        def recording(self, envelope):
+            counters.append((envelope.sender_id, envelope.counter))
+            return submit(self, envelope)
+
+        monkeypatch.setattr(RelayClient, "submit_envelope", recording)
+        return counters
+
+    def test_lost_submit_reply_spends_the_counter(self, run, monkeypatch, capsys):
+        run("enroll", "alice")
+        run("enroll", "bob")
+        submit = RelayClient.submit_envelope
+
+        def queued_then_lost(self, envelope):
+            submit(self, envelope)
+            raise WireProtocolError("connection closed by server")
+
+        with monkeypatch.context() as m:
+            m.setattr(RelayClient, "submit_envelope", queued_then_lost)
+            assert run("send", "alice", "bob", "first") == 1
+        capsys.readouterr()
+        assert run("send", "alice", "bob", "second") == 0
+        assert "(counter 1)" in capsys.readouterr().out
+        assert run("recv", "bob") == 0
+        captured = capsys.readouterr()
+        assert "from alice: first" in captured.out
+        assert "from alice: second" in captured.out
+        assert "error[" not in captured.err
+
+    def test_refused_counter_is_never_sealed_again(self, run, monkeypatch, capsys):
+        monkeypatch.setattr(relay_mod, "MAILBOX_CAP", 1)
+        run("enroll", "alice")
+        run("enroll", "bob")
+        counters = self.record_submits(monkeypatch)
+        assert run("send", "alice", "bob", "one") == 0
+        assert run("send", "alice", "bob", "two") == 1
+        assert "error[mailbox-full]" in capsys.readouterr().err
+        assert run("recv", "bob") == 0
+        assert run("recv", "bob") == 0  # acknowledges the first fetch
+        assert run("send", "alice", "bob", "three") == 0
+        assert [counter for _, counter in counters] == [0, 1, 2]
+        capsys.readouterr()
+        assert run("recv", "bob") == 0
+        assert "from alice: three" in capsys.readouterr().out
+
+    def test_interrupted_chat_keeps_its_counters(self, run, monkeypatch):
+        run("enroll", "ann")
+        run("enroll", "ben")
+        counters = self.record_submits(monkeypatch)
+        monkeypatch.setattr("builtins.input",
+                            _scripted_input(["ann: one", "ben: two"], KeyboardInterrupt))
+        assert run("chat", "ann", "ben") == 130
+        monkeypatch.setattr("builtins.input",
+                            _scripted_input(["ann: three", "ben: four"], EOFError))
+        assert run("chat", "ann", "ben") == 0
+        assert len(counters) == 4
+        assert len(set(counters)) == 4, counters
+
+
+def _scripted_input(lines, end):
+    """An ``input`` replacement: the given lines, then raises ``end``."""
+    remaining = iter(lines)
+
+    def read(prompt=""):
+        line = next(remaining, None)
+        if line is None:
+            raise end
+        return line
+
+    return read
+
+
+class TestDroppedConnection:
+    def test_reset_connection_is_an_error_line(self, tmp_path, capsys):
+        """A connection the server resets after reading the request ends the
+        command with an ``error[...]`` line and exit code 1, not a traceback."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def read_then_reset():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as stream:
+                stream.readline()
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                struct.pack("ii", 1, 0))
+
+        thread = threading.Thread(target=read_then_reset)
+        thread.start()
+        try:
+            code = cli.main(["--state-dir", str(tmp_path / "state"),
+                             "--host", "127.0.0.1",
+                             "--port", str(listener.getsockname()[1]),
+                             "revoke", "bob"])
+        finally:
+            thread.join(timeout=5)
+            listener.close()
+        assert not thread.is_alive()
+        assert code == 1
+        assert "error[protocol-error]" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

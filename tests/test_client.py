@@ -437,6 +437,7 @@ def installed_group(mno, relay, n=3):
     clients = [Client.install(f"u{i}", mno, relay) for i in range(n)]
     admin = clients[0]
     creation = admin.create_group("team", [c.user_id for c in clients])
+    relay.create_group("team", admin.user_id, creation.member_ids)
     for envelope in creation.envelopes:
         relay.submit_envelope(envelope)
     for client in clients[1:]:
@@ -585,10 +586,9 @@ class TestGroupReceive:
     def test_corrupted_envelope_does_not_wedge_the_group(self, mno, relay):
         clients, _ = installed_group(mno, relay, 3)
         u0, u1, u2 = clients
-        members = [c.user_id for c in clients]
-        relay.broadcast_group("team", members, corrupted(u0.send_group_message("team", "m0")))
+        relay.broadcast_group("team", corrupted(u0.send_group_message("team", "m0")))
         for i in (1, 2):
-            relay.broadcast_group("team", members, u0.send_group_message("team", f"m{i}"))
+            relay.broadcast_group("team", u0.send_group_message("team", f"m{i}"))
         for member in (u1, u2):
             assert [(d.text, d.error) for d in member.pull_messages()] == [
                 (None, "auth-failed"), ("m1", None), ("m2", None)]
@@ -598,7 +598,7 @@ class TestGroupReceive:
         u0, u1 = clients
         envelope = u0.send_group_message("team", "once")
         for _ in range(2):
-            relay.broadcast_group("team", ["u0", "u1"], envelope)
+            relay.broadcast_group("team", envelope)
         assert [(d.text, d.error) for d in u1.pull_messages()] == [
             ("once", None), (None, "replay-detected")]
 

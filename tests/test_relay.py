@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from dataclasses import replace
@@ -145,6 +146,18 @@ class TestStoreAndForward:
         assert refused.value.category == "routing-error"
         assert [env.counter for _, env in relay.fetch_envelopes("gil", 0)] == [0]
 
+    def test_submit_reads_one_snapshot_at_one_time(self, relay, chain_node,
+                                                   connected_pair, monkeypatch):
+        alice, _ = connected_pair
+        envelope = alice.send_text("bob", "one look")
+        snapshots, clock_reads = [], []
+        snapshot, now = chain_node.snapshot, chain_mod._now
+        monkeypatch.setattr(chain_node, "snapshot",
+                            lambda: snapshots.append(1) or snapshot())
+        monkeypatch.setattr(chain_mod, "_now", lambda: clock_reads.append(1) or now())
+        assert relay.submit_envelope(envelope) == ACK_QUEUED
+        assert (len(snapshots), len(clock_reads)) == (1, 1)
+
 
 class TestFetchSemantics:
     def test_fresh_mailbox_empty(self, relay, alice):
@@ -215,7 +228,7 @@ class TestGroupFanOut:
         for env in creation.envelopes:
             relay.submit_envelope(env)
         envelope = admin.send_group_message("room", "hi all")
-        acks = relay.broadcast_group("room", ids, envelope)
+        acks = relay.broadcast_group("room", envelope)
         assert len(acks) == 2
         assert all(result == ACK_QUEUED for _, result in acks)
 
@@ -224,13 +237,13 @@ class TestGroupFanOut:
         outsider = Client.install("outsider", mno, relay)
         envelope = plain_envelope("outsider", "", group_id="room")
         with pytest.raises(GroupPermissionError):
-            relay.broadcast_group("room", ids, envelope)
+            relay.broadcast_group("room", envelope)
 
     def test_partial_fan_out_on_revocation(self, mno, relay):
         members, ids = self.make_group(mno, relay, 3)
         mno.revoke(ids[2])
         envelope = plain_envelope(ids[0], "", group_id="room")
-        acks = dict(relay.broadcast_group("room", ids, envelope))
+        acks = dict(relay.broadcast_group("room", envelope))
         assert acks[ids[1]] == ACK_QUEUED
         assert acks[ids[2]].startswith("error:")
 
@@ -239,7 +252,7 @@ class TestGroupFanOut:
         mno.revoke(ids[1])
         envelope = plain_envelope(ids[1], "", group_id="room")
         with pytest.raises(RoutingError):
-            relay.broadcast_group("room", ids, envelope)
+            relay.broadcast_group("room", envelope)
         for member in (ids[0], ids[2]):
             assert relay.fetch_envelopes(member, 0) == []
 
@@ -251,9 +264,10 @@ class TestGroupFanOut:
         proof = identity_sig.sign(
             pair.private_key, possession_payload("dan", pair.public_key, challenge))
         mno.issue_certificate(EnrollmentRequest("dan", pair.public_key, proof), 60)
+        relay.create_group("room", ids[0], ids + ["dan"])
         envelope = plain_envelope("dan", "", group_id="room")
         with pytest.raises(RoutingError):
-            relay.broadcast_group("room", ids + ["dan"], envelope)
+            relay.broadcast_group("room", envelope)
         for member in ids:
             assert relay.fetch_envelopes(member, 0) == []
 
@@ -261,7 +275,7 @@ class TestGroupFanOut:
         members, ids = self.make_group(mno, relay, 3)
         envelope = plain_envelope(ids[0], "", counter=2**64, group_id="room")
         with pytest.raises(WireProtocolError):
-            relay.broadcast_group("room", ids, envelope)
+            relay.broadcast_group("room", envelope)
         for member in ids[1:]:
             assert relay.fetch_envelopes(member, 0) == []
 
@@ -273,15 +287,29 @@ class TestGroupFanOut:
         monkeypatch.setattr(chain_node, "snapshot",
                             lambda: snapshots.append(1) or snapshot())
         monkeypatch.setattr(chain_mod, "_now", lambda: clock_reads.append(1) or now())
-        acks = relay.broadcast_group("room", ids, plain_envelope(ids[0], "", group_id="room"))
+        acks = relay.broadcast_group("room", plain_envelope(ids[0], "", group_id="room"))
         assert acks == [(member, ACK_QUEUED) for member in ids[1:]]
         assert (len(snapshots), len(clock_reads)) == (1, 1)
 
+    def test_sender_outside_the_stored_group_refused(self, mno, relay):
+        members, ids = self.make_group(mno, relay, 3)
+        relay.create_group("pair", ids[1], ids[1:])
+        with pytest.raises(GroupPermissionError):
+            relay.broadcast_group("pair", plain_envelope(ids[0], "", group_id="pair"))
+        for member in ids[1:]:
+            assert relay.fetch_envelopes(member, 0) == []
+
+    def test_duplicate_member_ids_refused(self, mno, relay):
+        ids = [Client.install(f"g{i}", mno, relay).user_id for i in range(2)]
+        with pytest.raises(WireProtocolError):
+            relay.create_group("room", ids[0], ids + [ids[1]])
+        assert json.loads(relay.dump_state())["groups"] == {}
+
     def test_group_registry(self, relay, mno):
         members, ids = self.make_group(mno, relay, 3)
-        assert relay.group_members("room") == tuple(ids)
+        assert json.loads(relay.dump_state())["groups"]["room"]["members"] == ids
         with pytest.raises(RoutingError):
-            relay.group_members("nowhere")
+            relay.broadcast_group("nowhere", plain_envelope(ids[0], "", group_id="nowhere"))
 
 
 class TestMailboxCap:
@@ -307,9 +335,9 @@ class TestMailboxCap:
         relay.create_group("room", ids[0], ids)
         envelope = plain_envelope(ids[0], "", group_id="room")
         for _ in range(2):
-            relay.broadcast_group("room", ids, envelope)
+            relay.broadcast_group("room", envelope)
         relay.fetch_envelopes(ids[1], 2)  # g1 acknowledges; g2 does not
-        acks = relay.broadcast_group("room", ids, envelope)
+        acks = relay.broadcast_group("room", envelope)
         assert acks == [(ids[1], ACK_QUEUED), (ids[2], "error:mailbox-full")]
         assert len(relay.fetch_envelopes(ids[2], 0)) == 2
 

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import json
 import random
 import socket
@@ -12,7 +13,7 @@ from chainchat.client import Client
 from chainchat.config import StackConfig
 from chainchat.crypto import SealedPayload, generate_identity_keypair
 from chainchat.encoding import U64_MAX
-from chainchat.errors import RoutingError, StackStartupError, WireProtocolError
+from chainchat.errors import StackStartupError, WireProtocolError
 from chainchat.mno import EnrollmentRequest, possession_payload
 from chainchat.relay import ACK_QUEUED, Envelope
 from chainchat.stack import run_stack
@@ -263,6 +264,17 @@ class TestServer:
         assert results == ["not_found"] * 8
 
 
+def test_relay_and_wire_client_take_the_same_parameters():
+    """A ``Client`` or a caller that works in process works over the wire."""
+    def parameters(klass):
+        return {method: [(p.name, p.kind) for p in
+                         inspect.signature(getattr(klass, method)).parameters.values()]
+                for method in ("register_user", "fetch_certificate", "submit_envelope",
+                               "fetch_envelopes", "create_group", "broadcast_group")}
+
+    assert parameters(relay_mod.Relay) == parameters(RelayClient)
+
+
 class TestLineLimit:
     """A line cut at ``_MAX_LINE`` must not leave its rest to be read as the
     next message. The limit is patched small; no test sends 16 MiB."""
@@ -352,6 +364,7 @@ class TestMalformedBodies:
         ("group_create", {"group_id": "g", "admin_id": "a", "member_ids": None}),
         ("group_create", {"group_id": "g", "admin_id": "a", "member_ids": "abc"}),
         ("group_create", {"group_id": "g", "admin_id": "a", "member_ids": ["a", 1]}),
+        ("group_create", {"group_id": "g", "admin_id": "a", "member_ids": ["a", "b", "b"]}),
         ("group_send", {"envelope": _envelope_obj()}),
         ("enroll", {"phase": "challenge"}),
         ("enroll", {"phase": "revoke"}),
@@ -367,6 +380,7 @@ class TestMalformedBodies:
             "submit-sent_at-past-u64",
             "fetch-string-seq", "fetch-no-recipient", "group_create-null-members",
             "group_create-string-members", "group_create-int-member",
+            "group_create-duplicate-member",
             "group_send-no-group", "enroll-challenge-no-user", "enroll-revoke-no-user",
             "enroll-submit-no-key", "enroll-submit-string-validity",
             "enroll-submit-zero-validity", "enroll-submit-negative-validity",
@@ -375,8 +389,7 @@ class TestMalformedBodies:
         with pytest.raises(WireRemoteError) as err:
             rc.request(msg_type, body)
         assert err.value.category == "protocol-error", str(err.value)
-        with pytest.raises(RoutingError):
-            relay.group_members("g")
+        assert json.loads(relay.dump_state())["groups"] == {}
         assert rc.fetch_certificate("alice").state == "not_found"
 
 
