@@ -25,12 +25,19 @@ such a key passes the cofactorless check with probability up to 1/2.
 
 Signing stays pure Python over extended twisted-Edwards coordinates, because
 it needs the raw X25519 scalar, and ``cryptography`` takes Ed25519 private
-keys only as seeds that it hashes into a scalar.
+keys only as seeds that it hashes into a scalar. A = k*B and the nonce point
+R = r*B both come from ``_base_mul``, ref10's ``ge_scalarmult_base`` with one
+table row per window and no doublings: the scalar mod L is recoded into 64
+signed radix-16 digits in [-8, 8], and row i holds j*16^i*B for j = -8..8 as
+affine (y+x, y-x, 2d*x*y), so a window is one lookup and one mixed addition.
+The first sign builds the table (one batched inversion) and publishes it by a
+single assignment. CPython big integers are not constant-time.
 """
 
 from __future__ import annotations
 
 import hashlib
+from itertools import accumulate
 from typing import Optional, Tuple
 
 from cryptography.exceptions import InvalidSignature
@@ -38,7 +45,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 P = 2**255 - 19
 L = 2**252 + 27742317777372353535851937790883648493
-D = (-121665 * pow(121666, P - 2, P)) % P
+D = (-121665 * pow(121666, -1, P)) % P
 
 _BASE = (
     15112221349535400772501151409588531511454012693041857206046113283949847762202,
@@ -65,7 +72,7 @@ SIGNATURE_LEN = 64
 
 def _point_add(p: Point, q: Point) -> Point:
     # Strongly unified addition for a=-1 twisted Edwards (hwcd-2008); also
-    # valid for doubling, which keeps the ladder simple.
+    # valid for doubling, which keeps the table build simple.
     x1, y1, z1, t1 = p
     x2, y2, z2, t2 = q
     a = (y1 - x1) * (y2 - x2) % P
@@ -76,19 +83,52 @@ def _point_add(p: Point, q: Point) -> Point:
     return (e * f % P, g * h % P, f * g % P, e * h % P)
 
 
-def _point_mul(scalar: int, p: Point) -> Point:
-    q = _IDENTITY
-    while scalar > 0:
-        if scalar & 1:
-            q = _point_add(q, p)
-        p = _point_add(p, p)
-        scalar >>= 1
-    return q
+def _build_base_table() -> Tuple[Tuple[Tuple[int, int, int], ...], ...]:
+    multiples = []  # j*16^i*B for i = 0..63, j = 1..8, in extended coordinates
+    row = _B
+    for _ in range(64):
+        multiples.append(row)
+        for _ in range(7):
+            multiples.append(_point_add(multiples[-1], row))
+        row = _point_add(multiples[-1], multiples[-1])
+    # one inversion for every Z: prefix[n] is the product of Z_0 .. Z_(n-1)
+    prefix = list(accumulate((q[2] for q in multiples), lambda a, b: a * b % P, initial=1))
+    inv = pow(prefix.pop(), -1, P)
+    affine = []
+    for (x, y, z, _), before in zip(reversed(multiples), reversed(prefix)):
+        zinv, inv = inv * before % P, inv * z % P
+        x, y = x * zinv % P, y * zinv % P
+        affine.append(((y + x) % P, (y - x) % P, 2 * D * x * y % P))
+    affine.reverse()
+    return tuple(  # row i, index digit + 8: -8..-1, the identity, 1..8
+        (*[(ym, yp, -t % P) for yp, ym, t in reversed(pos)], (1, 1, 0), *pos)
+        for pos in (affine[i:i + 8] for i in range(0, len(affine), 8)))
+
+
+_BASE_TABLE = None  # built by the first _base_mul
+
+
+def _base_mul(scalar: int) -> Point:
+    """scalar*B: one table entry per signed radix-16 digit of scalar mod L."""
+    global _BASE_TABLE
+    table = _BASE_TABLE
+    if table is None:
+        table = _BASE_TABLE = _build_base_table()
+    k, carry = scalar % L, 0
+    x, y, z, t = _IDENTITY
+    for i, row in enumerate(table):
+        digit = ((k >> 4 * i) & 15) + carry
+        carry = (digit + 8) >> 4
+        yp, ym, xy2d = row[digit - 16 * carry + 8]
+        a, b, c = (y - x) * ym % P, (y + x) * yp % P, t * xy2d % P
+        e, f, g, h = b - a, 2 * z - c, 2 * z + c, b + a
+        x, y, z, t = e * f % P, g * h % P, f * g % P, e * h % P
+    return (x, y, z, t)
 
 
 def _compress(p: Point) -> bytes:
     x, y, z, _ = p
-    zinv = pow(z, P - 2, P)
+    zinv = pow(z, -1, P)
     x, y = x * zinv % P, y * zinv % P
     return (y | ((x & 1) << 255)).to_bytes(32, "little")
 
@@ -109,7 +149,7 @@ def _signing_pair(private_key: bytes) -> Tuple[int, bytes]:
     """Edwards scalar and compressed sign-0 public key for an X25519 scalar."""
     k = _clamped_int(private_key)
     a = k % L
-    pub = _compress(_point_mul(k, _B))
+    pub = _compress(_base_mul(k))
     if pub[31] & 0x80:
         a = L - a
         pub = pub[:31] + bytes([pub[31] & 0x7F])
@@ -133,7 +173,7 @@ def sign(private_key: bytes, message: bytes) -> bytes:
         raise ValueError("identity private key must be 32 bytes")
     a, pub = _signing_pair(private_key)
     r = _scalar_from_hash(_NONCE_DOMAIN, a.to_bytes(32, "little"), message)
-    r_enc = _compress(_point_mul(r, _B))
+    r_enc = _compress(_base_mul(r))
     h = _scalar_from_hash(r_enc, pub, message)
     s = (r + h * a) % L
     return r_enc + s.to_bytes(32, "little")

@@ -1,10 +1,11 @@
 """Independent test-side oracles.
 
 These are deliberately separate implementations from anything under src/:
-a pure-Python X25519 Montgomery ladder (RFC 7748 pseudocode), a direct
-RFC 5869 HKDF, and a hand-rolled PBKDF2 loop. Known-answer tests check both
-these oracles and the production code against published constants, and
-derived expectations are computed here rather than with the code under test.
+a pure-Python X25519 Montgomery ladder (RFC 7748 pseudocode), a generic
+double-and-add Ed25519 base-point multiplication, a direct RFC 5869 HKDF, and
+a hand-rolled PBKDF2 loop. Known-answer tests check both these oracles and
+the production code against published constants, and derived expectations
+are computed here rather than with the code under test.
 """
 
 import hashlib
@@ -63,6 +64,40 @@ def x25519(k_bytes: bytes, u_bytes: bytes) -> bytes:
 
 def x25519_base(k_bytes: bytes) -> bytes:
     return x25519(k_bytes, (9).to_bytes(32, "little"))
+
+
+_ED_D = -121665 * pow(121666, P - 2, P) % P
+_ED_BASE = (
+    15112221349535400772501151409588531511454012693041857206046113283949847762202,
+    46316835694926478169428394003475163141307993866256225615783033603165251855960,
+)
+
+
+def _ed_add(p, q):
+    # unified extended-coordinate addition on -x^2 + y^2 = 1 + d x^2 y^2
+    x1, y1, z1, t1 = p
+    x2, y2, z2, t2 = q
+    a = (y1 - x1) * (y2 - x2) % P
+    b = (y1 + x1) * (y2 + x2) % P
+    c = 2 * t1 * t2 * _ED_D % P
+    d = 2 * z1 * z2 % P
+    e, f, g, h = (b - a) % P, (d - c) % P, (d + c) % P, (b + a) % P
+    return (e * f % P, g * h % P, f * g % P, e * h % P)
+
+
+def ed25519_base_mul(scalar: int) -> bytes:
+    """Compressed scalar*B by plain double-and-add over the bits of scalar."""
+    q = (0, 1, 1, 0)
+    p = (_ED_BASE[0], _ED_BASE[1], 1, _ED_BASE[0] * _ED_BASE[1] % P)
+    while scalar > 0:
+        if scalar & 1:
+            q = _ed_add(q, p)
+        p = _ed_add(p, p)
+        scalar >>= 1
+    x, y, z, _ = q
+    zinv = pow(z, P - 2, P)
+    x, y = x * zinv % P, y * zinv % P
+    return (y | ((x & 1) << 255)).to_bytes(32, "little")
 
 
 def hkdf_sha256(ikm: bytes, salt: bytes, info: bytes, length: int) -> bytes:

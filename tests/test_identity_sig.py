@@ -1,6 +1,11 @@
+import hashlib
 import os
+import random
+import sys
+import threading
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 import oracles
 import vectors as v
@@ -102,6 +107,69 @@ class TestMontgomeryKeyedSignatures:
         for big in (identity_sig.L, s + identity_sig.L):
             forged = sig[:32] + big.to_bytes(32, "little")
             assert not identity_sig.verify(pair.public_key, b"m", forged)
+
+
+class TestFixedBaseTable:
+    """``_base_mul`` against pinned signatures, the library's Ed25519 key
+    derivation and the double-and-add oracle."""
+
+    @pytest.mark.parametrize("index", range(len(v.IDENTITY_SIG_KEYS)))
+    def test_pinned_signatures(self, index):
+        key = v.IDENTITY_SIG_KEYS[index]
+        for message, pinned in zip(v.IDENTITY_SIG_MESSAGES, v.IDENTITY_SIG_SIGS[index]):
+            assert identity_sig.sign(key, message) == pinned, len(message)
+
+    def test_pinned_keys_cover_both_branches(self):
+        negated = tuple(
+            oracles.ed25519_base_mul(oracles._decode_scalar(key))[31] >= 0x80
+            for key in v.IDENTITY_SIG_KEYS)
+        assert negated == v.IDENTITY_SIG_NEGATED
+        assert 2 <= sum(negated) <= len(negated) - 2
+
+    def test_matches_library_public_keys(self):
+        # RFC 8032 5.1.5: A = clamp(SHA-512(seed)[:32]) * B
+        rng = random.Random(1205)
+        for _ in range(64):
+            seed = rng.randbytes(32)
+            scalar = oracles._decode_scalar(hashlib.sha512(seed).digest()[:32])
+            expected = Ed25519PrivateKey.from_private_bytes(seed).public_key().public_bytes_raw()
+            assert identity_sig._compress(identity_sig._base_mul(scalar)) == expected
+
+    @pytest.mark.parametrize("scalar", [
+        0, 1, 7, 8, 9, 15, 16,
+        identity_sig.L - 1, identity_sig.L, identity_sig.L + 1,
+        2**252, 2**255 - 1,
+        sum(8 * 16**i for i in range(63)),  # below L: every window carries
+        sum(8 * 16**i for i in range(64)),
+    ])
+    def test_edge_scalars_match_double_and_add(self, scalar):
+        assert identity_sig._compress(identity_sig._base_mul(scalar)) == \
+            oracles.ed25519_base_mul(scalar)
+
+    def test_concurrent_first_build(self, monkeypatch):
+        monkeypatch.setattr(identity_sig, "_BASE_TABLE", None)
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def sign_all(slot):
+            barrier.wait(timeout=30)
+            results[slot] = tuple(
+                tuple(identity_sig.sign(key, message) for message in v.IDENTITY_SIG_MESSAGES)
+                for key in v.IDENTITY_SIG_KEYS)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=sign_all, args=(n,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [v.IDENTITY_SIG_SIGS] * 4
+        assert identity_sig._BASE_TABLE is not None
 
 
 def _zero_nonce_signature(message, r_enc):

@@ -106,7 +106,7 @@ class TestEnrollment:
             for _ in range(64):
                 mno.new_challenge("mallory")
                 s = int.from_bytes(os.urandom(64), "little") % identity_sig.L
-                r_enc = identity_sig._compress(identity_sig._point_mul(s, identity_sig._B))
+                r_enc = identity_sig._compress(identity_sig._base_mul(s))
                 forged = r_enc + s.to_bytes(32, "little")
                 with pytest.raises(EnrollmentError):
                     mno.issue_certificate(EnrollmentRequest("mallory", key, forged), 60)
