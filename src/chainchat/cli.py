@@ -3,16 +3,20 @@
 Subcommands map one-to-one onto module operations: stack lifecycle, user
 enrollment and registration, scripted send/recv, interactive chat, group
 messaging, revocation, chain inspection, encrypted backup, and the timing
-benchmarks. Exit code 0 on success; failures print a machine-readable
-``error[<category>]: ...`` line on stderr and exit nonzero.
+benchmarks. The parser is the one command table: each leaf subcommand names
+its handler, and every handler takes ``(cfg, args)``. Exit code 0 on
+success; failures print a machine-readable ``error[<category>]: ...`` line
+on stderr and exit nonzero.
 
 Client state (keys, sessions, history) lives in per-user files under the
 state directory: that is the "device storage" of this stack. The relay and
-MNO never see it. A command that writes a user's state holds an exclusive
-lock on ``<state_dir>/<user>.lock`` from load to save, so two commands for
-one user run one after the other and never send on the same counter. A
-command saves the state before it submits what it sealed, so a counter is
-spent when it is sealed, even if the submit is refused or its reply lost.
+MNO never see it, and ``backup export`` and ``backup restore`` read and
+write it without a running stack. A command that writes a user's state holds
+an exclusive lock on ``<state_dir>/<user>.lock`` from load to save, so two
+commands for one user run one after the other and never send on the same
+counter. A command saves the state before it submits what it sealed, so a
+counter is spent when it is sealed, even if the submit is refused or its
+reply lost.
 """
 
 from __future__ import annotations
@@ -51,13 +55,11 @@ def _save_client(cfg: StackConfig, client: Client) -> None:
     write_atomic(path, client.to_state_bytes())
 
 
-def _load_client(cfg: StackConfig, user_id: str, rc: RelayClient) -> Client:
+def _load_client(cfg: StackConfig, user_id: str) -> Client:
     path = _state_path(cfg, user_id)
     if not path.exists():
         raise ChainChatError(f"no client state for {user_id!r}; run enroll first")
     client = Client.from_state_bytes(path.read_bytes())
-    client.directory = rc
-    client.transport = rc
     client.max_skipped = cfg.max_skipped
     client.backup_iterations = cfg.backup_iterations
     return client
@@ -74,11 +76,14 @@ def _user_lock(cfg: StackConfig, user_id: str) -> Iterator[None]:
 
 @contextlib.contextmanager
 def _user_state(cfg: StackConfig, user_id: str, rc: RelayClient) -> Iterator[Client]:
-    """The user's client, loaded and saved under the user's lock. A block
+    """The user's client, loaded and saved under the user's lock, with ``rc``
+    as its directory and transport, and registered with the relay. A block
     that raises saves nothing more, so a command that seals saves the client
     itself before it submits."""
     with _user_lock(cfg, user_id):
-        client = _load_client(cfg, user_id, rc)
+        client = _load_client(cfg, user_id)
+        client.directory = client.transport = rc
+        rc.register_user(client.user_id, client.cert_fingerprint)
         yield client
         _save_client(cfg, client)
 
@@ -110,7 +115,7 @@ def _print_delivery(delivery: Delivery) -> None:
 # stack lifecycle
 # ---------------------------------------------------------------------------
 
-def _cmd_stack_serve(cfg: StackConfig) -> int:
+def _cmd_stack_serve(cfg: StackConfig, args: argparse.Namespace) -> int:
     handle = run_stack(cfg)
     cfg.pid_file.parent.mkdir(parents=True, exist_ok=True)
     cfg.pid_file.write_text(str(os.getpid()), encoding="ascii")
@@ -133,8 +138,6 @@ def _cmd_stack_serve(cfg: StackConfig) -> int:
 
 
 def _cmd_stack_up(cfg: StackConfig, args: argparse.Namespace) -> int:
-    if args.foreground:
-        return _cmd_stack_serve(cfg)
     if cfg.relay_port == 0:
         raise StackStartupError("background mode needs a fixed relay port")
     if cfg.pid_file.exists() and _pid_alive(int(cfg.pid_file.read_text())):
@@ -171,7 +174,7 @@ def _pid_alive(pid: int) -> bool:
         return False
 
 
-def _cmd_stack_down(cfg: StackConfig) -> int:
+def _cmd_stack_down(cfg: StackConfig, args: argparse.Namespace) -> int:
     if not cfg.pid_file.exists():
         print("stack is not running (no pid file)")
         return 0
@@ -208,7 +211,7 @@ def _cmd_enroll(cfg: StackConfig, args: argparse.Namespace) -> int:
 
 def _cmd_register(cfg: StackConfig, args: argparse.Namespace) -> int:
     with _connect(cfg) as rc:
-        client = _load_client(cfg, args.user, rc)
+        client = _load_client(cfg, args.user)
         result = rc.register_user(client.user_id, client.cert_fingerprint)
     print(f"{args.user}: {result}")
     return 0
@@ -216,7 +219,6 @@ def _cmd_register(cfg: StackConfig, args: argparse.Namespace) -> int:
 
 def _cmd_send(cfg: StackConfig, args: argparse.Namespace) -> int:
     with _connect(cfg) as rc, _user_state(cfg, args.sender, rc) as client:
-        rc.register_user(client.user_id, client.cert_fingerprint)
         if args.recipient not in client.sessions:
             client.start_session(args.recipient)
         envelope = client.send_text(args.recipient, " ".join(args.text))
@@ -228,7 +230,6 @@ def _cmd_send(cfg: StackConfig, args: argparse.Namespace) -> int:
 
 def _cmd_recv(cfg: StackConfig, args: argparse.Namespace) -> int:
     with _connect(cfg) as rc, _user_state(cfg, args.user, rc) as client:
-        rc.register_user(client.user_id, client.cert_fingerprint)
         deliveries = client.pull_messages()
     for delivery in deliveries:
         _print_delivery(delivery)
@@ -243,7 +244,6 @@ def _cmd_chat(cfg: StackConfig, args: argparse.Namespace) -> int:
         clients = {}
         for user in sorted({args.user_a, args.user_b}):  # one lock order
             client = held.enter_context(_user_state(cfg, user, rc))
-            rc.register_user(client.user_id, client.cert_fingerprint)
             clients[user] = client
         print(f"chat between {args.user_a} and {args.user_b}; "
               f"type '<user>: message', EOF ends")
@@ -273,7 +273,6 @@ def _cmd_chat(cfg: StackConfig, args: argparse.Namespace) -> int:
 
 def _cmd_group_create(cfg: StackConfig, args: argparse.Namespace) -> int:
     with _connect(cfg) as rc, _user_state(cfg, args.admin, rc) as admin:
-        rc.register_user(admin.user_id, admin.cert_fingerprint)
         creation = admin.create_group(args.group, [args.admin] + args.members)
         _save_client(cfg, admin)
         rc.create_group(args.group, args.admin, creation.member_ids)
@@ -288,7 +287,6 @@ def _cmd_group_create(cfg: StackConfig, args: argparse.Namespace) -> int:
 
 def _cmd_group_send(cfg: StackConfig, args: argparse.Namespace) -> int:
     with _connect(cfg) as rc, _user_state(cfg, args.sender, rc) as client:
-        rc.register_user(client.user_id, client.cert_fingerprint)
         envelope = client.send_group_message(args.group, " ".join(args.text))
         _save_client(cfg, client)
         acks = rc.broadcast_group(args.group, envelope)
@@ -308,7 +306,7 @@ def _cmd_revoke(cfg: StackConfig, args: argparse.Namespace) -> int:
 # chain inspection
 # ---------------------------------------------------------------------------
 
-def _cmd_chain_verify(cfg: StackConfig) -> int:
+def _cmd_chain_verify(cfg: StackConfig, args: argparse.Namespace) -> int:
     state = load_chain(cfg.resolved_chain_file())
     result = verify_chain(state)
     if result:
@@ -319,7 +317,7 @@ def _cmd_chain_verify(cfg: StackConfig) -> int:
     return 1
 
 
-def _cmd_chain_show(cfg: StackConfig) -> int:
+def _cmd_chain_show(cfg: StackConfig, args: argparse.Namespace) -> int:
     state = load_chain(cfg.resolved_chain_file())
     for block in state.blocks:
         if block.height == 0:
@@ -338,9 +336,7 @@ def _cmd_chain_show(cfg: StackConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_backup_export(cfg: StackConfig, args: argparse.Namespace) -> int:
-    with _connect(cfg) as rc:
-        client = _load_client(cfg, args.user, rc)
-    archive = client.export_backup(args.secret)
+    archive = _load_client(cfg, args.user).export_backup(args.secret)
     Path(args.out).write_bytes(archive.to_bytes())
     print(f"backup of {args.user} written to {args.out} "
           f"({archive.iterations} KDF iterations)")
@@ -349,9 +345,8 @@ def _cmd_backup_export(cfg: StackConfig, args: argparse.Namespace) -> int:
 
 def _cmd_backup_restore(cfg: StackConfig, args: argparse.Namespace) -> int:
     data = Path(getattr(args, "in")).read_bytes()
-    with _connect(cfg) as rc, _user_lock(cfg, args.user):
-        client = Client.restore_backup(data, args.secret,
-                                       directory=rc, transport=rc)
+    with _user_lock(cfg, args.user):
+        client = Client.restore_backup(data, args.secret)
         if client.user_id != args.user:
             raise ChainChatError(
                 f"archive belongs to {client.user_id!r}, not {args.user!r}"
@@ -399,6 +394,13 @@ def _global_flags(args: argparse.Namespace) -> List[str]:
     return flags
 
 
+def _command(subparsers, name: str, run, **kwargs) -> argparse.ArgumentParser:
+    """A leaf subcommand; ``main`` calls its handler as ``run(cfg, args)``."""
+    p = subparsers.add_parser(name, **kwargs)
+    p.set_defaults(run=run)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chainchat",
@@ -412,104 +414,69 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stack = sub.add_parser("stack", help="start or stop the local stack")
     stack_sub = p_stack.add_subparsers(dest="stack_command", required=True)
-    p_up = stack_sub.add_parser("up", help="start chain node, MNO and relay")
-    p_up.add_argument("--foreground", action="store_true")
-    stack_sub.add_parser("down", help="stop the running stack")
-    stack_sub.add_parser("serve", help="run the stack in the foreground")
+    _command(stack_sub, "up", _cmd_stack_up, help="start chain node, MNO and relay")
+    _command(stack_sub, "down", _cmd_stack_down, help="stop the running stack")
+    _command(stack_sub, "serve", _cmd_stack_serve, help="run the stack in the foreground")
 
-    p = sub.add_parser("enroll", help="generate keys and obtain a certificate")
+    p = _command(sub, "enroll", _cmd_enroll, help="generate keys and obtain a certificate")
     p.add_argument("user")
     p.add_argument("--validity-days", type=int, default=None,
                    help="certificate lifetime (default from config)")
 
-    p = sub.add_parser("register", help="register an enrolled user with the relay")
+    p = _command(sub, "register", _cmd_register,
+                 help="register an enrolled user with the relay")
     p.add_argument("user")
 
-    p = sub.add_parser("send", help="send one message")
+    p = _command(sub, "send", _cmd_send, help="send one message")
     p.add_argument("sender")
     p.add_argument("recipient")
     p.add_argument("text", nargs="+")
 
-    p = sub.add_parser("recv", help="fetch and decrypt queued messages")
+    p = _command(sub, "recv", _cmd_recv, help="fetch and decrypt queued messages")
     p.add_argument("user")
 
-    p = sub.add_parser("chat", help="interactive exchange between two local users")
+    p = _command(sub, "chat", _cmd_chat,
+                 help="interactive exchange between two local users")
     p.add_argument("user_a")
     p.add_argument("user_b")
 
     p_group = sub.add_parser("group", help="group messaging")
     group_sub = p_group.add_subparsers(dest="group_command", required=True)
-    p = group_sub.add_parser("create")
+    p = _command(group_sub, "create", _cmd_group_create)
     p.add_argument("group")
     p.add_argument("admin")
     p.add_argument("members", nargs="+")
-    p = group_sub.add_parser("send")
+    p = _command(group_sub, "send", _cmd_group_send)
     p.add_argument("group")
     p.add_argument("sender")
     p.add_argument("text", nargs="+")
 
-    p = sub.add_parser("revoke", help="revoke a user's certificate")
+    p = _command(sub, "revoke", _cmd_revoke, help="revoke a user's certificate")
     p.add_argument("user")
 
     p_chain = sub.add_parser("chain", help="inspect the persisted chain")
     chain_sub = p_chain.add_subparsers(dest="chain_command", required=True)
-    chain_sub.add_parser("verify")
-    chain_sub.add_parser("show")
+    _command(chain_sub, "verify", _cmd_chain_verify)
+    _command(chain_sub, "show", _cmd_chain_show)
 
     p_backup = sub.add_parser("backup", help="encrypted state archive")
     backup_sub = p_backup.add_subparsers(dest="backup_command", required=True)
-    p = backup_sub.add_parser("export")
+    p = _command(backup_sub, "export", _cmd_backup_export)
     p.add_argument("user")
     p.add_argument("--secret", required=True)
     p.add_argument("--out", required=True)
-    p = backup_sub.add_parser("restore")
+    p = _command(backup_sub, "restore", _cmd_backup_restore)
     p.add_argument("user")
     p.add_argument("--secret", required=True)
     p.add_argument("--in", required=True)
 
-    p = sub.add_parser("bench", help="seal/unseal timing tables")
+    p = _command(sub, "bench", _cmd_bench, help="seal/unseal timing tables")
     p.add_argument("direction", choices=["enc", "dec"])
     p.add_argument("--max-len", type=int, default=10_000)
     p.add_argument("--step", type=int, default=250)
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--csv", default=None)
     return parser
-
-
-def _dispatch(cfg: StackConfig, args: argparse.Namespace) -> int:
-    if args.command == "stack":
-        if args.stack_command == "up":
-            return _cmd_stack_up(cfg, args)
-        if args.stack_command == "down":
-            return _cmd_stack_down(cfg)
-        return _cmd_stack_serve(cfg)
-    if args.command == "enroll":
-        return _cmd_enroll(cfg, args)
-    if args.command == "register":
-        return _cmd_register(cfg, args)
-    if args.command == "send":
-        return _cmd_send(cfg, args)
-    if args.command == "recv":
-        return _cmd_recv(cfg, args)
-    if args.command == "chat":
-        return _cmd_chat(cfg, args)
-    if args.command == "group":
-        if args.group_command == "create":
-            return _cmd_group_create(cfg, args)
-        return _cmd_group_send(cfg, args)
-    if args.command == "revoke":
-        return _cmd_revoke(cfg, args)
-    if args.command == "chain":
-        if args.chain_command == "verify":
-            return _cmd_chain_verify(cfg)
-        return _cmd_chain_show(cfg)
-    if args.command == "backup":
-        if args.backup_command == "export":
-            return _cmd_backup_export(cfg, args)
-        return _cmd_backup_restore(cfg, args)
-    if args.command == "bench":
-        return _cmd_bench(cfg, args)
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -521,7 +488,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             relay_port=args.port,
             relay_host=args.host,
         )
-        return _dispatch(cfg, args)
+        return args.run(cfg, args)
     except ChainChatError as e:
         print(f"error[{e.category}]: {e}", file=sys.stderr)
         return 1

@@ -10,7 +10,10 @@ two small duck-typed handles:
 
 The in-process ``Relay`` and the wire-protocol ``RelayClient`` both satisfy
 them, with the same relay methods and parameters (group fan-out reaches the
-members the relay stored at ``create_group``).
+members the relay stored at ``create_group``). ``install`` attaches the relay
+it enrolled through as both. A client rebuilt from storage, by
+``from_state_bytes`` or ``restore_backup(archive, secret)``, has neither until
+its caller attaches them, so restoring a backup needs no server.
 
 Sessions need no handshake: both parties derive the same master secret from
 their own private key and the peer's certified public key, and the two
@@ -387,7 +390,10 @@ class Client:
 
     def _accept(self, envelope: Envelope, plaintext: bytes) -> Optional[str]:
         if plaintext[:1] == _FRAME_TEXT:
-            text = plaintext[1:].decode("utf-8")
+            try:
+                text = plaintext[1:].decode("utf-8")
+            except UnicodeDecodeError as e:  # the MAC held, so the key stays spent
+                raise WireProtocolError(f"text frame is not UTF-8: {e}") from e
             self.history.append(HistoryEntry(RECEIVED, envelope.sender_id,
                                              envelope.group_id or "", envelope.counter,
                                              text, envelope.sent_at))
@@ -404,7 +410,8 @@ class Client:
         return self.receive_envelope(envelope)
 
     def pull_messages(self) -> List[Delivery]:
-        """Drain the relay mailbox past the stored cursor."""
+        """Deliver what the relay returns past the stored cursor. A wire
+        fetch returns a bounded prefix, so a deep mailbox takes several pulls."""
         if self.transport is None:
             raise NoSessionError("no transport attached")
         out: List[Delivery] = []
@@ -502,22 +509,21 @@ class Client:
 
     # -- backup ---------------------------------------------------------------------------
 
-    def export_backup(self, secret: str, *, iterations: Optional[int] = None) -> BackupArchive:
+    def export_backup(self, secret: str) -> BackupArchive:
         """Snapshot everything (identity key included) under a password key."""
         if not secret:
             raise ValueError("backup secret must be non-empty")
         salt = self._rng(16)
-        rounds = self.backup_iterations if iterations is None else iterations
-        backup_key = crypto.derive_backup_key(secret, salt, rounds)
+        backup_key = crypto.derive_backup_key(secret, salt, self.backup_iterations)
         mk = crypto.derive_message_key_from_secret(backup_key.key, BACKUP_SEAL_INFO)
-        header = BACKUP_MAGIC + salt + struct.pack(">I", rounds)
-        payload = crypto.seal(mk, self.to_state_bytes(), header,
+        archive = BackupArchive(salt=salt, iterations=self.backup_iterations,
+                                payload=SealedPayload(ciphertext=b"", mac=b""))
+        payload = crypto.seal(mk, self.to_state_bytes(), archive.header(),
                               max_plaintext=BACKUP_MAX_STATE)
-        return BackupArchive(salt=salt, iterations=rounds, payload=payload)
+        return replace(archive, payload=payload)
 
     @classmethod
-    def restore_backup(cls, archive, secret: str, *,
-                       directory=None, transport=None) -> "Client":
+    def restore_backup(cls, archive, secret: str) -> "Client":
         """Decrypt and rebuild the exact exported state; wrong secret fails
         authentication before any state is constructed."""
         if isinstance(archive, (bytes, bytearray)):
@@ -525,11 +531,7 @@ class Client:
         backup_key = crypto.derive_backup_key(secret, archive.salt, archive.iterations,
                                               floor=1)
         mk = crypto.derive_message_key_from_secret(backup_key.key, BACKUP_SEAL_INFO)
-        state_bytes = crypto.unseal(mk, archive.payload, archive.header())
-        client = cls.from_state_bytes(state_bytes)
-        client.directory = directory
-        client.transport = transport
-        return client
+        return cls.from_state_bytes(crypto.unseal(mk, archive.payload, archive.header()))
 
     # -- canonical state serialization ------------------------------------------------------
 

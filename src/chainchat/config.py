@@ -10,8 +10,6 @@ from typing import Mapping, Optional
 ENV_CHAIN_FILE = "CHAINCHAT_CHAIN_FILE"
 DEFAULT_CONFIG_NAME = "chainchat.conf"
 
-_INT_KEYS = {"relay_port", "backup_iterations", "cert_validity_days", "max_skipped"}
-
 
 @dataclass
 class StackConfig:
@@ -57,7 +55,7 @@ def load_config(path: Optional[str] = None,
                 **overrides) -> StackConfig:
     """Precedence: defaults < config file < environment < explicit overrides."""
     cfg = StackConfig()
-    known = {f.name for f in fields(StackConfig)}
+    known = {f.name: type(f.default) for f in fields(StackConfig)}  # str or int
 
     file_path = path
     if file_path is None and Path(DEFAULT_CONFIG_NAME).exists():
@@ -67,7 +65,7 @@ def load_config(path: Optional[str] = None,
         for key, value in values.items():
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
-            setattr(cfg, key, int(value) if key in _INT_KEYS else value)
+            setattr(cfg, key, known[key](value))
 
     if env.get(ENV_CHAIN_FILE):
         cfg.chain_file = env[ENV_CHAIN_FILE]

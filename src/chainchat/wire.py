@@ -83,11 +83,20 @@ def encode_message(msg_type: str, body: Dict[str, Any]) -> bytes:
 def _fetch_reply(entries: List[Tuple[int, Envelope]]) -> bytes:
     """``encode_message("ack", {"envelopes": [{"seq": ..., "envelope": ...}]})``
     byte for byte, spliced from each envelope's kept canonical text, so an
-    envelope held by many mailboxes is encoded once."""
-    items = ",".join([f'{{"envelope":{env.wire_text()},"seq":{seq:d}}}'
-                      for seq, env in entries])
+    envelope held by many mailboxes is encoded once.
+
+    The reply carries the longest prefix of ``entries`` whose texts fit in
+    half a line, and always the first entry, which is about as long as the
+    request that queued it; the rest stays queued for the next fetch."""
+    items, budget = [], _MAX_LINE // 2
+    for seq, env in entries:
+        item = f'{{"envelope":{env.wire_text()},"seq":{seq:d}}}'
+        budget -= len(item) + 1
+        if items and budget < 0:
+            break
+        items.append(item)
     return b'%s{"body":{"envelopes":[%s]},"type":"ack"}\n' % (
-        VERSION_BYTE, items.encode("ascii"))
+        VERSION_BYTE, ",".join(items).encode("ascii"))
 
 
 def _overlong(line: bytes) -> bool:
@@ -195,7 +204,10 @@ class WireServer:
         class Handler(socketserver.StreamRequestHandler):
             def handle(self) -> None:
                 while True:
-                    line = self.rfile.readline(_MAX_LINE)
+                    try:
+                        line = self.rfile.readline(_MAX_LINE)
+                    except OSError:  # e.g. reset by the client: the connection is over
+                        return
                     if not line:
                         return
                     # the rest of an overlong line would be read as the next

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import fcntl
 import functools
@@ -14,7 +15,7 @@ from chainchat import cli
 from chainchat import crypto as crypto_mod
 from chainchat import relay as relay_mod
 from chainchat import stack as stack_mod
-from chainchat.client import Client
+from chainchat.client import _FRAME_TEXT, Client
 from chainchat.config import StackConfig, load_config, parse_config_text
 from chainchat.errors import StackStartupError, WireProtocolError
 from chainchat.mno import MnoCertificateAuthority
@@ -187,6 +188,40 @@ class TestCrashSafeWrites:
         assert stack_mod._load_or_create_credentials(cfg).keys() == seeds.keys()
 
 
+class TestCommandTable:
+    def test_every_leaf_command_names_its_handler(self):
+        """Each leaf subcommand, parsed with minimal arguments, carries the
+        handler ``main`` runs: ``_cmd_`` plus its words."""
+        def leaves(parser, words):
+            subs = [a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+            if not subs:
+                yield words, parser
+            for action in subs:
+                for name, child in action.choices.items():
+                    yield from leaves(child, words + [name])
+
+        def minimal_args(leaf):
+            argv = []
+            for action in leaf._actions:
+                if not action.option_strings:
+                    argv.append(action.choices[0] if action.choices else "x")
+                elif action.required:
+                    argv += [action.option_strings[0], "x"]
+            return argv
+
+        commands = []
+        for words, leaf in leaves(cli.build_parser(), []):
+            args = cli.build_parser().parse_args(words + minimal_args(leaf))
+            assert callable(args.run), words
+            assert args.run.__name__ == "_cmd_" + "_".join(words)
+            commands.append(" ".join(words))
+        assert sorted(commands) == [
+            "backup export", "backup restore", "bench", "chain show", "chain verify",
+            "chat", "enroll", "group create", "group send", "recv", "register",
+            "revoke", "send", "stack down", "stack serve", "stack up"]
+
+
 class TestUserLock:
     def test_send_waits_for_the_users_lock(self, run, stack):
         """A second send for the same user waits until the first one has
@@ -203,7 +238,8 @@ class TestUserLock:
             waiting.join(timeout=0.5)
             assert waiting.is_alive(), "send did not wait for the lock"
             with RelayStackClient(stack) as rc:  # the send that holds the lock
-                alice = cli._load_client(cfg, "alice", rc)
+                alice = cli._load_client(cfg, "alice")
+                alice.directory = rc
                 alice.start_session("bob")
                 rc.submit_envelope(alice.send_text("bob", "first"))
                 cli._save_client(cfg, alice)
@@ -298,6 +334,49 @@ class TestBasicCommands:
         assert run("backup", "restore", "alice", "--secret", "pw",
                    "--in", str(archive)) == 0
         assert state_file.read_bytes() == before
+
+    def test_backup_needs_no_stack(self, run, stack, tmp_path, capsys):
+        """backup export and restore read and write the state files only, so
+        they run against a port where nothing listens."""
+        run("enroll", "alice")
+        run("enroll", "bob")
+        run("send", "alice", "bob", "memory")
+        with socket.create_server(("127.0.0.1", 0)) as probe:
+            dead_port = probe.getsockname()[1]
+        offline = ["--state-dir", stack.config.state_dir, "--port", str(dead_port)]
+        capsys.readouterr()
+        assert cli.main(offline + ["recv", "bob"]) == 1
+        assert "error[stack-startup]" in capsys.readouterr().err
+        archive = tmp_path / "alice.backup"
+        state_file = cli._state_path(stack.config, "alice")
+        before = state_file.read_bytes()
+        assert cli.main(offline + ["backup", "export", "alice", "--secret", "pw",
+                                   "--out", str(archive)]) == 0
+        state_file.unlink()
+        assert cli.main(offline + ["backup", "restore", "alice", "--secret", "pw",
+                                   "--in", str(archive)]) == 0
+        assert state_file.read_bytes() == before
+        assert capsys.readouterr().err == ""
+
+    def test_recv_gets_past_a_non_utf8_text(self, run, stack, capsys):
+        """A text that authenticates but is not UTF-8 is one error line; recv
+        still succeeds, delivers the next text and moves past both."""
+        run("enroll", "alice")
+        run("enroll", "bob")
+        run("send", "alice", "bob", "before")
+        cfg = stack.config
+        with RelayStackClient(stack) as rc, cli._user_state(cfg, "alice", rc) as alice:
+            envelope = alice._seal_to(alice.sessions["bob"], _FRAME_TEXT + b"\xff")
+            cli._save_client(cfg, alice)
+            rc.submit_envelope(envelope)
+        run("send", "alice", "bob", "after")
+        capsys.readouterr()
+        assert run("recv", "bob") == 0
+        captured = capsys.readouterr()
+        assert captured.err == "error[protocol-error] on message from alice\n"
+        assert captured.out.splitlines() == ["from alice: before", "from alice: after"]
+        assert run("recv", "bob") == 0
+        assert capsys.readouterr().out == "no new messages\n"
 
     def test_backup_restore_wrong_secret(self, run, tmp_path, capsys):
         run("enroll", "alice")

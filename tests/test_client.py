@@ -7,7 +7,7 @@ import pytest
 
 from chainchat import crypto
 from chainchat.chain import record_fingerprint
-from chainchat.client import BACKUP_MAGIC, BackupArchive, Client
+from chainchat.client import _FRAME_TEXT, BACKUP_MAGIC, BackupArchive, Client
 from chainchat.errors import (
     AuthenticationError,
     BackupFormatError,
@@ -298,6 +298,19 @@ class TestPullMessages:
         assert [d.error for d in deliveries] == ["protocol-error", "protocol-error", None]
         assert deliveries[-1].text == "after the bad ones"
         assert bob.inbox_cursor == 3
+
+    def test_non_utf8_text_does_not_block_the_mailbox(self, relay, connected_pair):
+        """A text frame whose MAC holds but whose bytes are not UTF-8 is one
+        protocol-error delivery; its key stays spent and the next text arrives."""
+        alice, bob = connected_pair
+        relay.submit_envelope(alice.send_text("bob", "before"))
+        relay.submit_envelope(alice._seal_to(alice.sessions["bob"], _FRAME_TEXT + b"\xff"))
+        relay.submit_envelope(alice.send_text("bob", "after"))
+        assert [(d.text, d.error) for d in bob.pull_messages()] == [
+            ("before", None), (None, "protocol-error"), ("after", None)]
+        assert bob.sessions["alice"].recv_chain.index == 3
+        assert [e.text for e in bob.history] == ["before", "after"]
+        assert bob.pull_messages() == []
 
     def test_auto_session_on_first_contact(self, relay, alice, bob):
         alice.start_session("bob")
@@ -592,6 +605,18 @@ class TestGroupReceive:
         for member in (u1, u2):
             assert [(d.text, d.error) for d in member.pull_messages()] == [
                 (None, "auth-failed"), ("m1", None), ("m2", None)]
+
+    def test_non_utf8_text_does_not_wedge_the_group(self, mno, relay):
+        clients, _ = installed_group(mno, relay, 3)
+        u0, u1, u2 = clients
+        group = u0.groups["team"]
+        mk, group.group_chain = crypto.ratchet_forward(group.group_chain)
+        relay.broadcast_group("team", u0._build_envelope("", "team", mk,
+                                                         _FRAME_TEXT + b"\xff"))
+        relay.broadcast_group("team", u0.send_group_message("team", "m1"))
+        for member in (u1, u2):
+            assert [(d.text, d.error) for d in member.pull_messages()] == [
+                (None, "protocol-error"), ("m1", None)]
 
     def test_redelivered_envelope_is_replay(self, mno, relay):
         clients, _ = installed_group(mno, relay, 2)

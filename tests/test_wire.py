@@ -3,6 +3,7 @@ import inspect
 import json
 import random
 import socket
+import struct
 import threading
 
 import pytest
@@ -166,6 +167,26 @@ class TestFetchReply:
                 {"seq": seq, "envelope": env.wire_obj()} for seq, env in entries
             ]}) == expected
 
+    def test_reply_budget_is_half_a_line(self, monkeypatch):
+        """The reply carries the longest prefix of the entries whose texts,
+        each counted one byte longer for its comma, fit in half a line, and
+        never fewer than one entry."""
+        rng = random.Random(20261019)
+        entries = [(seq, Envelope(
+            sender_id="alice", recipient_id="bob", counter=seq,
+            sender_cert_fingerprint=rng.randbytes(32), group_id=None,
+            payload=SealedPayload(rng.randbytes(16 * rng.randrange(1, 8)),
+                                  rng.randbytes(32)),
+            sent_at=rng.randrange(2**64),
+        )) for seq in range(1, 9)]
+        costs = [len(json.dumps({"envelope": env.wire_obj(), "seq": seq},
+                                sort_keys=True, separators=(",", ":"))) + 1
+                 for seq, env in entries]
+        for k in range(1, len(entries) + 1):
+            for budget, fits in ((sum(costs[:k]), k), (sum(costs[:k]) - 1, max(k - 1, 1))):
+                monkeypatch.setattr(wire, "_MAX_LINE", 2 * budget)
+                assert wire._fetch_reply(entries) == _reference_fetch_reply(entries[:fits])
+
 
 class TestServer:
     def test_port_conflict_is_startup_error(self, relay, mno, server):
@@ -244,6 +265,32 @@ class TestServer:
         assert err.value.category == "mailbox-full"
         assert [d.text for d in bob.pull_messages()] == ["fits"]
 
+    def test_client_reset_ends_the_connection_quietly(self, server, monkeypatch):
+        """A reset while the server waits for a request line ends that
+        connection's handler without an exception (no traceback in the log)."""
+        handler = server._server.RequestHandlerClass
+        real_handle, outcomes, done = handler.handle, [], threading.Event()
+
+        def handle(self):
+            try:
+                real_handle(self)
+                outcomes.append(None)
+            except BaseException as e:
+                outcomes.append(e)
+                raise
+            finally:
+                done.set()
+
+        monkeypatch.setattr(handler, "handle", handle)
+        with socket.create_connection((server.host, server.port)) as sock:
+            sock.sendall(encode_message("fetch_cert", {"user_id": "nobody"}))
+            with sock.makefile("rb") as stream:
+                assert stream.readline()  # the handler is running
+            sock.sendall(b"1{")  # a request cut short
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        assert done.wait(timeout=5)
+        assert outcomes == [None]
+
     def test_pipelined_requests_one_connection(self, rc):
         for _ in range(10):
             assert rc.fetch_certificate("nobody").state == "not_found"
@@ -308,6 +355,23 @@ class TestLineLimit:
         monkeypatch.setattr(wire, "_MAX_LINE", len(reply))
         for _ in range(2):
             assert rc.fetch_certificate(user_id).state == "not_found"
+
+    def test_full_mailbox_drains_over_several_fetches(self, rc, monkeypatch):
+        alice = Client.install("alice", rc, rc)
+        bob = Client.install("bob", rc, rc)
+        alice.start_session("bob")
+        monkeypatch.setattr(wire, "_MAX_LINE", 4096)  # server and client share it
+        texts = [f"queued text {i}" for i in range(20)]
+        for text in texts:
+            assert rc.submit_envelope(alice.send_text("bob", text)) == ACK_QUEUED
+        batches = []
+        while len(batches) < len(texts):
+            batch = [d.text for d in bob.pull_messages()]
+            if not batch:
+                break
+            batches.append(batch)
+        assert [text for batch in batches for text in batch] == texts
+        assert len(batches) > 1
 
     def test_overlong_reply_raises(self, monkeypatch):
         # the first _MAX_LINE bytes of this reply decode as a valid ack
