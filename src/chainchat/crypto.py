@@ -19,6 +19,12 @@ Key schedule, fixed for interoperability:
 The "<lo>|<hi>" pair is the byte-wise ordering of the two user ids, which
 fixes chain directionality without a handshake: whoever's id sorts first owns
 the A→B chain as their send direction.
+
+Every seal and unseal builds a cipher context, so the cipher classes are
+bound by name once, at import. ``cryptography`` serves its ``algorithms`` and
+``modes`` modules through a deprecation proxy, on which each attribute read
+first fails the normal lookup and is then forwarded, a few microseconds per
+read; the SHA-256 descriptor that HKDF takes is likewise built once.
 """
 
 from __future__ import annotations
@@ -34,7 +40,9 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
 )
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.ciphers import Cipher
+from cryptography.hazmat.primitives.ciphers.algorithms import AES
+from cryptography.hazmat.primitives.ciphers.modes import CBC
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .errors import (
@@ -52,6 +60,7 @@ DEFAULT_BACKUP_ITERATIONS = 210_000
 
 _MSG_KEY_INFO = b"msg"
 _MSG_KEY_LEN = 80  # 32 cipher + 32 mac + 16 iv
+_SHA256 = hashes.SHA256()  # stateless descriptor, shared by every HKDF call
 
 Rng = Callable[[int], bytes]
 
@@ -106,7 +115,7 @@ class BackupKey:
 
 def hkdf_sha256(ikm: bytes, salt: bytes, info: bytes, length: int) -> bytes:
     """RFC 5869 extract-then-expand with SHA-256."""
-    return HKDF(hashes.SHA256(), length, salt, info).derive(ikm)
+    return HKDF(_SHA256, length, salt, info).derive(ikm)
 
 
 def _hmac256(key: bytes, data: bytes) -> bytes:
@@ -213,7 +222,7 @@ def ratchet_forward(ck: ChainKey) -> Tuple[MessageKey, ChainKey]:
 
 def cbc_encrypt(mk: MessageKey, plaintext: bytes) -> bytes:
     """The cipher step of ``seal``: AES-256-CBC over PKCS#7-padded plaintext."""
-    encryptor = Cipher(algorithms.AES(mk.cipher_key), modes.CBC(mk.iv)).encryptor()
+    encryptor = Cipher(AES(mk.cipher_key), CBC(mk.iv)).encryptor()
     return encryptor.update(_pkcs7_pad(plaintext)) + encryptor.finalize()
 
 
@@ -233,7 +242,7 @@ def cbc_decrypt(mk: MessageKey, ciphertext: bytes) -> bytes:
     """The cipher step of ``unseal``: AES-256-CBC decryption and unpadding."""
     if not ciphertext or len(ciphertext) % 16:
         raise PayloadCorruptionError("bad ciphertext length")
-    decryptor = Cipher(algorithms.AES(mk.cipher_key), modes.CBC(mk.iv)).decryptor()
+    decryptor = Cipher(AES(mk.cipher_key), CBC(mk.iv)).decryptor()
     return _pkcs7_unpad(decryptor.update(ciphertext) + decryptor.finalize())
 
 

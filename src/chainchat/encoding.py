@@ -22,6 +22,11 @@ from .errors import ChainFormatError, TruncatedDataError
 
 U64_MAX = (1 << 64) - 1
 
+# a field's length prefix, and a whole u64 field (the prefix 8, then the
+# value), compiled once; a hot caller can build many fields in one join
+LENGTH_PREFIX = struct.Struct(">I")
+U64_FIELD = struct.Struct(">IQ")
+
 # sorted keys, no whitespace; built once, since json.dumps with these
 # arguments builds a new encoder on every call
 CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -33,7 +38,7 @@ def b64_text(value: bytes) -> str:
 
 
 def encode_bytes(value: bytes) -> bytes:
-    return struct.pack(">I", len(value)) + value
+    return LENGTH_PREFIX.pack(len(value)) + value
 
 
 def encode_str(value: str) -> bytes:
@@ -43,7 +48,7 @@ def encode_str(value: str) -> bytes:
 def encode_u64(value: int) -> bytes:
     if value < 0:
         raise ValueError(f"cannot encode negative integer {value}")
-    return encode_bytes(struct.pack(">Q", value))
+    return U64_FIELD.pack(8, value)
 
 
 class Reader:

@@ -36,7 +36,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from . import chain
 from .chain import CertStatus, ChainNode, ChainState, fetch_latest, record_fingerprint
 from .crypto import SealedPayload
-from .encoding import CANONICAL_JSON, U64_MAX, b64_text, encode_bytes, encode_str, encode_u64
+from .encoding import (CANONICAL_JSON, LENGTH_PREFIX, U64_FIELD, U64_MAX, b64_text,
+                       encode_bytes)
 from .errors import (
     FingerprintMismatchError,
     GroupPermissionError,
@@ -76,14 +77,23 @@ class Envelope:
     recipient_cert_fingerprint: bytes = field(default=b"", compare=False)
 
     def associated_data(self) -> bytes:
-        return (
-            encode_str(self.sender_id)
-            + encode_str(self.recipient_id)
-            + encode_u64(self.counter)
-            + encode_bytes(self.sender_cert_fingerprint)
-            + encode_str(self.group_id or "")
-            + encode_u64(self.sent_at)
-        )
+        """``encode_str`` / ``encode_u64`` / ``encode_bytes`` of the six header
+        fields, concatenated, built in one join: every seal and unseal
+        calls this."""
+        if self.counter < 0 or self.sent_at < 0:
+            raise ValueError("cannot encode a negative counter or sent_at")
+        sender = self.sender_id.encode("utf-8")
+        recipient = self.recipient_id.encode("utf-8")
+        group = (self.group_id or "").encode("utf-8")
+        fingerprint = self.sender_cert_fingerprint
+        return b"".join((
+            LENGTH_PREFIX.pack(len(sender)), sender,
+            LENGTH_PREFIX.pack(len(recipient)), recipient,
+            U64_FIELD.pack(8, self.counter),
+            LENGTH_PREFIX.pack(len(fingerprint)), fingerprint,
+            LENGTH_PREFIX.pack(len(group)), group,
+            U64_FIELD.pack(8, self.sent_at),
+        ))
 
     def canonical_bytes(self) -> bytes:
         return (
@@ -239,7 +249,8 @@ class Relay:
 
         Every status is read from one chain snapshot at one ``now``, and the
         group and the registry once, so a revocation lands between two
-        fan-outs, never inside one.
+        fan-outs, never inside one. An envelope not tagged with ``group_id``
+        (a one-to-one envelope, or another group's) is refused whole.
         """
         sender = envelope.sender_id
         state, now = self._chain_node.snapshot(), chain._now()
@@ -252,6 +263,9 @@ class Relay:
                        for member in members if member != sender]
         if not envelope.shape_ok():
             raise WireProtocolError("malformed envelope")
+        if envelope.group_id != group_id:  # members open it by its own group_id
+            raise WireProtocolError(
+                f"envelope tagged for group {envelope.group_id!r}, sent to {group_id!r}")
         if sender not in members:
             raise GroupPermissionError(f"sender {sender!r} is not a member of {group_id!r}")
         self._require_sender(sender, sender_known, state, now)

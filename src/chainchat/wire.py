@@ -110,7 +110,7 @@ def decode_message(line: bytes) -> Tuple[str, Dict[str, Any]]:
         raise WireProtocolError("missing protocol version byte")
     try:
         obj = json.loads(line[1:].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # also the int-digit and nesting limits
         raise WireProtocolError(f"undecodable message: {e}") from e
     if not isinstance(obj, dict) or "type" not in obj or "body" not in obj:
         raise WireProtocolError("message must be an object with type and body")

@@ -1,5 +1,7 @@
 import hashlib
 import hmac as hmac_mod
+import importlib
+import sys
 
 import pytest
 
@@ -323,3 +325,34 @@ class TestBackupKey:
         salt = b"\x5a" * 16
         bk = derive_backup_key("pass phrase", salt, 10_000)
         assert bk.key == oracles.pbkdf2_sha256(b"pass phrase", salt, 10_000, 32)
+
+
+# ---------------------------------------------------------------------------
+# library binding
+# ---------------------------------------------------------------------------
+
+class TestLibraryBinding:
+    def test_no_lookup_through_the_deprecation_proxy(self, monkeypatch, alice, bob):
+        """Names from ``cryptography``'s deprecation-proxied modules are bound
+        at import: the per-envelope path never reads through the proxy, whose
+        every read first fails the normal lookup."""
+        proxy = getattr(importlib.import_module("cryptography.utils"),
+                        "_ModuleWithDeprecations", None)
+        if proxy is None:
+            pytest.skip("this cryptography has no deprecation proxy")
+        callers = []
+        forward = proxy.__getattr__
+
+        def recording(module, name):
+            callers.append(sys._getframe(1).f_globals.get("__name__", ""))
+            return forward(module, name)
+
+        monkeypatch.setattr(proxy, "__getattr__", recording)
+        alice.start_session("bob")
+        mk, _ = ratchet_forward(ChainKey(key=b"\x07" * 32, index=0))
+        sealed = seal(mk, b"hello", b"ad")
+        assert unseal(mk, sealed, b"ad") == b"hello"
+        hkdf_sha256(Z32, Z32, b"info", 32)
+        assert [c for c in callers if c.startswith("chainchat")] == []
+        proxy(hashlib).sha256  # the recorder sees a read through the proxy
+        assert callers[-1] == __name__

@@ -1,5 +1,6 @@
 import json
 import random
+import struct
 import time
 from dataclasses import replace
 
@@ -35,6 +36,68 @@ def plain_envelope(sender, recipient, counter=0, group_id=None, blob=b"\x10" * 1
         payload=SealedPayload(ciphertext=blob, mac=b"\xaa" * 32),
         sent_at=1_700_000_000,
     )
+
+
+_U64 = (1 << 64) - 1
+
+# (sender, recipient, counter, fingerprint, group, sent_at, ciphertext, mac),
+# then the associated data and what canonical_bytes appends to it, as hex;
+# pinned from the field-by-field encoding with the encoding module's helpers
+_PINNED_HEADERS = [
+    (("alice", "bob", 0, bytes(range(32)), None, 0, b"\x10" * 16, b"\x20" * 32),
+     "00000005616c69636500000003626f6200000008000000000000000000000020"
+     "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
+     "00000000000000080000000000000000",
+     "0000001010101010101010101010101010101010000000202020202020202020"
+     "202020202020202020202020202020202020202020202020"),
+    (("alice", "bob", 0, bytes(range(32)), "", 0, b"\x10" * 16, b"\x20" * 32),
+     "00000005616c69636500000003626f6200000008000000000000000000000020"
+     "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
+     "00000000000000080000000000000000",
+     "0000001010101010101010101010101010101010000000202020202020202020"
+     "202020202020202020202020202020202020202020202020"),
+    (("\u00e5lice\u00e9", 'b"o\x00b', _U64, b"\xff" * 32, 'r\u00f6"om\x00', _U64,
+      bytes(range(48)), b"\x5a" * 32),
+     "00000008c3a56c696365c3a90000000562226f006200000008ffffffffffffff"
+     "ff00000020ffffffffffffffffffffffffffffffffffffffffffffffffffffff"
+     "ffffffffff0000000772c3b6226f6d0000000008ffffffffffffffff",
+     "00000030000102030405060708090a0b0c0d0e0f101112131415161718191a1b"
+     "1c1d1e1f202122232425262728292a2b2c2d2e2f000000205a5a5a5a5a5a5a5a"
+     "5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a"),
+    (("\u6f22\U0001f600", "", 7, b"\x01" * 32, "room", 1_700_000_000_000,
+      b"\x00" * 16, b"\xee" * 32),
+     "00000007e6bca2f09f9880000000000000000800000000000000070000002001"
+     "0101010101010101010101010101010101010101010101010101010101010100"
+     "000004726f6f6d000000080000018bcfe56800",
+     "000000100000000000000000000000000000000000000020eeeeeeeeeeeeeeee"
+     "eeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeee"),
+]
+
+
+class TestEnvelopeBytes:
+    @pytest.mark.parametrize("fields, ad_hex, tail_hex", _PINNED_HEADERS,
+                             ids=["null-group", "empty-group", "non-ascii-quote-nul-u64-max",
+                                  "astral-no-recipient"])
+    def test_pinned_bytes(self, fields, ad_hex, tail_hex):
+        sender, recipient, counter, fingerprint, group, sent_at, ciphertext, mac = fields
+        envelope = Envelope(sender, recipient, counter, fingerprint, group,
+                            SealedPayload(ciphertext=ciphertext, mac=mac), sent_at)
+        assert envelope.associated_data().hex() == ad_hex
+        assert envelope.canonical_bytes().hex() == ad_hex + tail_hex
+
+    def test_null_and_empty_group_give_the_same_bytes(self):
+        assert (plain_envelope("a", "b", group_id=None).associated_data()
+                == plain_envelope("a", "b", group_id="").associated_data())
+
+    @pytest.mark.parametrize("field", ["counter", "sent_at"])
+    @pytest.mark.parametrize("value, error", [(-1, ValueError), (2**64, struct.error)],
+                             ids=["negative", "past-u64"])
+    def test_out_of_range_header_raises(self, field, value, error):
+        envelope = replace(plain_envelope("a", "b"), **{field: value})
+        with pytest.raises(error):
+            envelope.associated_data()
+        with pytest.raises(error):
+            envelope.canonical_bytes()
 
 
 class TestRegistration:
@@ -304,6 +367,23 @@ class TestGroupFanOut:
         with pytest.raises(WireProtocolError):
             relay.create_group("room", ids[0], ids + [ids[1]])
         assert json.loads(relay.dump_state())["groups"] == {}
+
+    def test_one_to_one_envelope_refused(self, mno, relay):
+        members, ids = self.make_group(mno, relay, 3)
+        members[0].start_session(ids[1])
+        envelope = members[0].send_text(ids[1], "for g1 alone")
+        with pytest.raises(WireProtocolError):
+            relay.broadcast_group("room", envelope)
+        for member in ids[1:]:
+            assert relay.fetch_envelopes(member, 0) == []
+
+    def test_other_groups_envelope_refused(self, mno, relay):
+        members, ids = self.make_group(mno, relay, 3)
+        relay.create_group("other", ids[0], ids)
+        with pytest.raises(WireProtocolError):
+            relay.broadcast_group("room", plain_envelope(ids[0], "", group_id="other"))
+        for member in ids[1:]:
+            assert relay.fetch_envelopes(member, 0) == []
 
     def test_group_registry(self, relay, mno):
         members, ids = self.make_group(mno, relay, 3)

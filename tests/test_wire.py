@@ -244,6 +244,18 @@ class TestServer:
         for user in users[1:]:
             assert [d.text for d in user.pull_messages()] == ["fan out"]
 
+    def test_group_send_of_a_one_to_one_envelope_refused(self, rc):
+        users = [Client.install(f"w{i}", rc, rc) for i in range(3)]
+        ids = [u.user_id for u in users]
+        rc.create_group("wireroom", ids[0], ids)
+        users[0].start_session("w1")
+        envelope = users[0].send_text("w1", "not for the room")
+        with pytest.raises(WireRemoteError) as err:
+            rc.broadcast_group("wireroom", envelope)
+        assert err.value.category == "protocol-error"
+        for user_id in ids[1:]:
+            assert rc.fetch_envelopes(user_id, 0) == []
+
     def test_enroll_validity_past_u64_refused(self, rc):
         pair = generate_identity_keypair()
         challenge = rc.new_challenge("alice")
@@ -508,6 +520,43 @@ class TestMalformedReplies:
         with serve_one_reply(encode_message(reply_type, body)) as client:
             with pytest.raises(WireProtocolError):
                 _CALLS[call](client)
+
+
+# JSON that the decoder's own limits refuse: an integer past CPython's
+# int-string digit limit, and nesting past the recursion limit
+_HUGE_INT = "9" * 4401
+_DEEP_LIST = "[" * 2000 + "]" * 2000
+
+
+class TestHostileJson:
+    """A line that trips a limit of the JSON decoder is the sender's fault:
+    ``protocol-error`` on the server, ``WireProtocolError`` on the client."""
+
+    @pytest.mark.parametrize("line", [
+        '1{"body":{"after_seq":%s,"recipient_id":"alice"},"type":"fetch"}\n' % _HUGE_INT,
+        '1{"body":{"user_id":%s},"type":"fetch_cert"}\n' % _DEEP_LIST,
+    ], ids=["huge-int", "deep-nesting"])
+    def test_server_answers_protocol_error_and_serves_on(self, server, line):
+        assert len(line) < 5000
+        with socket.create_connection((server.host, server.port)) as sock, \
+                sock.makefile("rwb") as stream:
+            stream.write(line.encode("ascii"))
+            stream.write(encode_message("fetch_cert", {"user_id": "nobody"}))
+            stream.flush()
+            reply_type, body = decode_message(stream.readline())
+            assert (reply_type, body["category"]) == ("error", "protocol-error")
+            reply_type, body = decode_message(stream.readline())
+            assert (reply_type, body["status"]) == ("ack", "not_found")
+
+    @pytest.mark.parametrize("reply", [
+        '1{"body":{"record":null,"status":%s},"type":"ack"}\n' % _HUGE_INT,
+        '1{"body":{"record":%s,"status":"valid"},"type":"ack"}\n' % _DEEP_LIST,
+    ], ids=["huge-int", "deep-nesting"])
+    def test_client_raises_wire_protocol_error(self, reply):
+        assert len(reply) < 5000
+        with serve_one_reply(reply.encode("ascii")) as client:
+            with pytest.raises(WireProtocolError):
+                client.fetch_certificate("nobody")
 
 
 class TestRoundTrips:
