@@ -60,69 +60,62 @@ def _key_stream() -> Iterable[MessageKey]:
         yield mk
 
 
-def _us(start_ns: int, end_ns: int) -> float:
-    return (end_ns - start_ns) / 1_000.0
+def _time_seal(mk: MessageKey, data: bytes) -> Tuple[int, int, int]:
+    t0 = time.perf_counter_ns()
+    ciphertext = crypto.cbc_encrypt(mk, data)
+    t1 = time.perf_counter_ns()
+    crypto.mac_tag(mk, _BENCH_AD, ciphertext)
+    t2 = time.perf_counter_ns()
+    crypto.seal(mk, data, _BENCH_AD)
+    t3 = time.perf_counter_ns()
+    return t1 - t0, t2 - t1, t3 - t2
+
+
+def _time_unseal(mk: MessageKey, data: bytes) -> Tuple[int, int, int]:
+    payload = crypto.seal(mk, data, _BENCH_AD)
+    t0 = time.perf_counter_ns()
+    crypto.mac_verify(mk, payload, _BENCH_AD)
+    t1 = time.perf_counter_ns()
+    crypto.cbc_decrypt(mk, payload.ciphertext)
+    t2 = time.perf_counter_ns()
+    crypto.unseal(mk, payload, _BENCH_AD)
+    t3 = time.perf_counter_ns()
+    return t2 - t1, t1 - t0, t3 - t2  # in column order: the MAC is checked first
+
+
+# direction -> one timed repetition, its BenchRecord fields and its CSV header;
+# a repetition returns nanoseconds for the cipher step, the MAC step and the call
+_DIRECTIONS = {
+    "encrypt": (_time_seal, ("encrypt_us", "mac_us", "total_encrypt_us"),
+                "length,encrypt_us,mac_us,total_us"),
+    "decrypt": (_time_unseal, ("decrypt_us", "mac_verify_us", "total_decrypt_us"),
+                "length,decrypt_us,mac_verify_us,total_us"),
+}
+
+
+def _bench(direction: str, lengths: Sequence[int], repetitions: int) -> List[BenchRecord]:
+    if not lengths:
+        raise ValueError("lengths must be non-empty")
+    time_once, fields, _ = _DIRECTIONS[direction]
+    records = []
+    for length in lengths:
+        data = bench_string(length).encode("ascii")
+        keys = _key_stream()
+        columns: Tuple[List[float], ...] = ([], [], [])
+        for _ in range(repetitions):
+            for column, ns in zip(columns, time_once(next(keys), data)):
+                column.append(ns / 1_000.0)
+        records.append(BenchRecord(input_length=length, repetitions=repetitions,
+                                   **{f: median(c) for f, c in zip(fields, columns)}))
+    return records
 
 
 def bench_encrypt(lengths: Sequence[int], repetitions: int = 100) -> List[BenchRecord]:
-    if not lengths:
-        raise ValueError("lengths must be non-empty")
-    records = []
-    for length in lengths:
-        data = bench_string(length).encode("ascii")
-        keys = _key_stream()
-        enc_times, mac_times, total_times = [], [], []
-        for _ in range(repetitions):
-            mk = next(keys)
-            t0 = time.perf_counter_ns()
-            ciphertext = crypto.cbc_encrypt(mk, data)
-            t1 = time.perf_counter_ns()
-            crypto.mac_tag(mk, _BENCH_AD, ciphertext)
-            t2 = time.perf_counter_ns()
-            crypto.seal(mk, data, _BENCH_AD)
-            t3 = time.perf_counter_ns()
-            enc_times.append(_us(t0, t1))
-            mac_times.append(_us(t1, t2))
-            total_times.append(_us(t2, t3))
-        records.append(BenchRecord(
-            input_length=length,
-            repetitions=repetitions,
-            encrypt_us=median(enc_times),
-            mac_us=median(mac_times),
-            total_encrypt_us=median(total_times),
-        ))
-    return records
+    return _bench("encrypt", lengths, repetitions)
 
 
 def bench_decrypt(lengths: Sequence[int], repetitions: int = 100) -> List[BenchRecord]:
-    if not lengths:
-        raise ValueError("lengths must be non-empty")
-    records = []
-    for length in lengths:
-        data = bench_string(length).encode("ascii")
-        keys = _key_stream()
-        dec_times, verify_times, total_times = [], [], []
-        for _ in range(repetitions):
-            mk = next(keys)
-            payload = crypto.seal(mk, data, _BENCH_AD)
-            t0 = time.perf_counter_ns()
-            crypto.mac_verify(mk, payload, _BENCH_AD)
-            t1 = time.perf_counter_ns()
-            crypto.cbc_decrypt(mk, payload.ciphertext)
-            t2 = time.perf_counter_ns()
-            crypto.unseal(mk, payload, _BENCH_AD)
-            t3 = time.perf_counter_ns()
-            verify_times.append(_us(t0, t1))
-            dec_times.append(_us(t1, t2))
-            total_times.append(_us(t2, t3))
-        records.append(BenchRecord(
-            input_length=length,
-            repetitions=repetitions,
-            decrypt_us=median(dec_times),
-            mac_verify_us=median(verify_times),
-            total_decrypt_us=median(total_times),
-        ))
-    return records
+    return _bench("decrypt", lengths, repetitions)
 
 
 def fit_line(points: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
@@ -144,16 +137,12 @@ def fit_line(points: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
     return slope, r_squared
 
 
-def _total_points(records: Sequence[BenchRecord], direction: str) -> List[Tuple[float, float]]:
-    attr = "total_encrypt_us" if direction == "encrypt" else "total_decrypt_us"
-    return [(float(r.input_length), getattr(r, attr))
-            for r in records if getattr(r, attr) is not None]
-
-
 def render_csv(records: Sequence[BenchRecord], direction: str) -> str:
-    if direction not in ("encrypt", "decrypt"):
+    if direction not in _DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
-    slope, r_squared = fit_line(_total_points(records, direction))
+    _, fields, header = _DIRECTIONS[direction]
+    rows = [(r.input_length, *(getattr(r, f) for f in fields)) for r in records]
+    slope, r_squared = fit_line([(float(n), total) for n, _, _, total in rows])
     repetitions = records[0].repetitions if records else 0
     lines = [
         "# chainchat bench v1",
@@ -161,17 +150,9 @@ def render_csv(records: Sequence[BenchRecord], direction: str) -> str:
         f"# repetitions={repetitions}",
         f"# fit_slope_us_per_char={slope:.6f}",
         f"# fit_r_squared={r_squared:.6f}",
+        header,
     ]
-    if direction == "encrypt":
-        lines.append("length,encrypt_us,mac_us,total_us")
-        for r in records:
-            lines.append(f"{r.input_length},{r.encrypt_us:.3f},{r.mac_us:.3f},"
-                         f"{r.total_encrypt_us:.3f}")
-    else:
-        lines.append("length,decrypt_us,mac_verify_us,total_us")
-        for r in records:
-            lines.append(f"{r.input_length},{r.decrypt_us:.3f},{r.mac_verify_us:.3f},"
-                         f"{r.total_decrypt_us:.3f}")
+    lines += [f"{n},{step:.3f},{mac:.3f},{total:.3f}" for n, step, mac, total in rows]
     return "\n".join(lines) + "\n"
 
 

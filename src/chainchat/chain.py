@@ -529,18 +529,18 @@ class ChainNode:
     mutations are serialized and (optionally) appended to the chain file
     before the new snapshot is published."""
 
-    def __init__(self, state: ChainState, path: Optional[str] = None,
-                 *, write_initial: bool = False):
+    def __init__(self, state: ChainState, path: Optional[str] = None):
         self._state = state
         self._path = path
         self._lock = threading.Lock()
-        if path is not None and write_initial:
-            save_chain(state, path)
 
     @classmethod
     def create(cls, writer_set: Sequence[Tuple[str, bytes]],
                path: Optional[str] = None) -> "ChainNode":
-        return cls(genesis(writer_set), path=path, write_initial=True)
+        state = genesis(writer_set)
+        if path is not None:
+            save_chain(state, path)
+        return cls(state, path=path)
 
     @classmethod
     def open(cls, path: str) -> "ChainNode":

@@ -266,7 +266,10 @@ def _cmd_chat(cfg: StackConfig, args: argparse.Namespace) -> int:
             _save_client(cfg, sender)
             rc.submit_envelope(envelope)
             for client in clients.values():
-                for delivery in client.pull_messages():
+                deliveries = client.pull_messages()
+                if deliveries:  # the next fetch acknowledges them to the relay
+                    _save_client(cfg, client)
+                for delivery in deliveries:
                     _print_delivery(delivery)
     return 0
 

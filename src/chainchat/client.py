@@ -47,7 +47,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import crypto
+from . import crypto, identity_sig
 from .chain import CertificateRecord, record_fingerprint
 from .crypto import (
     ChainKey,
@@ -71,6 +71,7 @@ from .errors import (
     UnknownGroupError,
     WireProtocolError,
 )
+from .mno import DEFAULT_VALIDITY_SECONDS, EnrollmentRequest, possession_payload
 from .relay import Envelope
 
 DEFAULT_MAX_SKIPPED = 1_000
@@ -134,11 +135,14 @@ class Delivery:
     error: Optional[str]  # error category when processing failed
 
 
-def group_chain_from_key(group_id: str, group_key: bytes) -> ChainKey:
-    """Root the shared, sender-agnostic group chain in the group key."""
+def _new_group(group_id: str, admin_id: str, member_ids: List[str],
+               group_key: bytes) -> GroupState:
+    """Group state at the root of its shared, sender-agnostic chain:
+    HKDF(group_key, 0^32, "group|<group_id>")."""
     info = f"group|{group_id}".encode("utf-8")
-    key = crypto.hkdf_sha256(group_key, crypto.ZERO_SALT, info, 32)
-    return ChainKey(key=key, index=0)
+    root = crypto.hkdf_sha256(group_key, crypto.ZERO_SALT, info, 32)
+    return GroupState(group_id=group_id, admin_id=admin_id, member_ids=member_ids,
+                      group_key=group_key, group_chain=ChainKey(key=root, index=0))
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +219,11 @@ class Client:
 
     @classmethod
     def install(cls, user_id: str, mno, relay, *,
-                validity_seconds: int = 30 * 24 * 3600,
+                validity_seconds: int = DEFAULT_VALIDITY_SECONDS,
                 rng: Callable[[int], bytes] = os.urandom,
                 max_skipped: int = DEFAULT_MAX_SKIPPED,
                 backup_iterations: int = crypto.DEFAULT_BACKUP_ITERATIONS) -> "Client":
         """Generate keys, enroll with the MNO, register with the relay."""
-        from . import identity_sig
-        from .mno import EnrollmentRequest, possession_payload
-
         identity = crypto.generate_identity_keypair(rng)
         try:
             challenge = mno.new_challenge(user_id)
@@ -255,14 +256,9 @@ class Client:
     def start_session(self, peer_id: str) -> SessionState:
         if peer_id == self.user_id:
             raise ValueError("cannot open a session with oneself")
-        if self.directory is None:
-            raise NoSessionError("no certificate directory attached")
-        status = self.directory.fetch_certificate(peer_id)
-        if not status.is_valid:
-            raise SessionRefusedError(status.state,
-                                      f"certificate for {peer_id!r} is {status.state}")
+        record = self._valid_certificate(peer_id)
         master = crypto.derive_master_secret(
-            self.identity.private_key, status.record.subject_public_key
+            self.identity.private_key, record.subject_public_key
         )
         send_chain, recv_chain = crypto.init_chains(master, self.user_id, peer_id)
         session = SessionState(
@@ -270,10 +266,20 @@ class Client:
             master=master,
             send_chain=send_chain,
             recv_chain=recv_chain,
-            peer_cert_fingerprint=record_fingerprint(status.record),
+            peer_cert_fingerprint=record_fingerprint(record),
         )
         self.sessions[peer_id] = session
         return session
+
+    def _valid_certificate(self, peer_id: str) -> CertificateRecord:
+        """The peer's certificate from the directory, if it is valid."""
+        if self.directory is None:
+            raise NoSessionError("no certificate directory attached")
+        status = self.directory.fetch_certificate(peer_id)
+        if not status.is_valid:
+            raise SessionRefusedError(status.state,
+                                      f"certificate for {peer_id!r} is {status.state}")
+        return status.record
 
     def _require_session(self, peer_id: str) -> SessionState:
         session = self.sessions.get(peer_id)
@@ -283,15 +289,8 @@ class Client:
 
     def _check_peer_current(self, session: SessionState) -> None:
         # revocation gate before a group key goes out; sends rely on the relay
-        if self.directory is None:
-            return
-        status = self.directory.fetch_certificate(session.peer_id)
-        if not status.is_valid:
-            raise SessionRefusedError(
-                status.state,
-                f"peer {session.peer_id!r} certificate is {status.state}",
-            )
-        if record_fingerprint(status.record) != session.peer_cert_fingerprint:
+        record = self._valid_certificate(session.peer_id)
+        if record_fingerprint(record) != session.peer_cert_fingerprint:
             raise FingerprintMismatchError(
                 f"peer {session.peer_id!r} re-issued its certificate; restart the session"
             )
@@ -450,13 +449,7 @@ class Client:
             if member != self.user_id:
                 envelopes.append(self._seal_to(self.sessions[member],
                                                _FRAME_GROUP_KEY + body))
-        self.groups[group_id] = GroupState(
-            group_id=group_id,
-            admin_id=self.user_id,
-            member_ids=final_members,
-            group_key=group_key,
-            group_chain=group_chain_from_key(group_id, group_key),
-        )
+        self.groups[group_id] = _new_group(group_id, self.user_id, final_members, group_key)
         return GroupCreation(envelopes=envelopes, excluded=excluded,
                              member_ids=final_members)
 
@@ -485,13 +478,7 @@ class Client:
             raise GroupPermissionError(
                 f"{sender_id!r} is not the admin of existing group {group_id!r}"
             )
-        self.groups[group_id] = GroupState(
-            group_id=group_id,
-            admin_id=admin_id,
-            member_ids=members,
-            group_key=group_key,
-            group_chain=group_chain_from_key(group_id, group_key),
-        )
+        self.groups[group_id] = _new_group(group_id, admin_id, members, group_key)
 
     def send_group_message(self, group_id: str, text: str) -> Envelope:
         group = self.groups.get(group_id)

@@ -208,16 +208,14 @@ def ratchet_forward(ck: ChainKey) -> Tuple[MessageKey, ChainKey]:
     The step is one-way: the next chain key is an HMAC image of the current
     one, so holding state at index i+1 gives no path back to the keys at i.
     """
-    ikm = _hmac256(ck.key, b"\x01")
-    okm = hkdf_sha256(ikm, ZERO_SALT, _MSG_KEY_INFO, _MSG_KEY_LEN)
-    mk = MessageKey(
-        cipher_key=okm[:32],
-        mac_key=okm[32:64],
-        iv=okm[64:80],
-        index=ck.index,
-    )
-    nxt = ChainKey(key=_hmac256(ck.key, b"\x02"), index=ck.index + 1)
-    return mk, nxt
+    mk = _message_key(_hmac256(ck.key, b"\x01"), _MSG_KEY_INFO, ck.index)
+    return mk, ChainKey(key=_hmac256(ck.key, b"\x02"), index=ck.index + 1)
+
+
+def _message_key(secret: bytes, info: bytes, index: int) -> MessageKey:
+    """Expand a secret into sealing material: cipher(32) | mac(32) | iv(16)."""
+    okm = hkdf_sha256(secret, ZERO_SALT, info, _MSG_KEY_LEN)
+    return MessageKey(cipher_key=okm[:32], mac_key=okm[32:64], iv=okm[64:80], index=index)
 
 
 def cbc_encrypt(mk: MessageKey, plaintext: bytes) -> bytes:
@@ -268,8 +266,11 @@ def derive_backup_key(secret: str, salt: bytes, iterations: int = DEFAULT_BACKUP
                       *, floor: int = MIN_BACKUP_ITERATIONS) -> BackupKey:
     """Password-derived archive key, PBKDF2-HMAC-SHA256 (RFC 8018 semantics).
 
-    ``floor`` exists so known-answer tests can run single-iteration vectors;
-    production callers keep the default.
+    ``floor`` bounds a count the caller picks; known-answer tests lower it to
+    run single-iteration vectors. ``Client.restore_backup`` passes ``floor=1``
+    because its count is no choice: it is read from the archive header, which
+    the archive's MAC covers as associated data, so a changed count fails the
+    MAC and the archive does not open.
     """
     if not secret:
         raise ValueError("backup secret must be non-empty")
@@ -287,5 +288,4 @@ def derive_message_key_from_secret(secret: bytes, info: bytes) -> MessageKey:
     Used where a one-off key (the backup archive) needs the same
     cipher/mac/iv layout as ratchet-derived message keys; its index is 0.
     """
-    okm = hkdf_sha256(secret, ZERO_SALT, info, _MSG_KEY_LEN)
-    return MessageKey(cipher_key=okm[:32], mac_key=okm[32:64], iv=okm[64:80], index=0)
+    return _message_key(secret, info, 0)

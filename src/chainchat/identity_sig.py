@@ -43,6 +43,8 @@ from typing import Optional, Tuple
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
+from .crypto import clamp_scalar
+
 P = 2**255 - 19
 L = 2**252 + 27742317777372353535851937790883648493
 D = (-121665 * pow(121666, -1, P)) % P
@@ -137,17 +139,9 @@ def _scalar_from_hash(*parts: bytes) -> int:
     return int.from_bytes(hashlib.sha512(b"".join(parts)).digest(), "little") % L
 
 
-def _clamped_int(private_key: bytes) -> int:
-    s = bytearray(private_key)
-    s[0] &= 248
-    s[31] &= 127
-    s[31] |= 64
-    return int.from_bytes(bytes(s), "little")
-
-
 def _signing_pair(private_key: bytes) -> Tuple[int, bytes]:
     """Edwards scalar and compressed sign-0 public key for an X25519 scalar."""
-    k = _clamped_int(private_key)
+    k = int.from_bytes(clamp_scalar(private_key), "little")
     a = k % L
     pub = _compress(_base_mul(k))
     if pub[31] & 0x80:

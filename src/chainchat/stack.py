@@ -92,14 +92,8 @@ class StackHandle:
         self.mno = mno
         self.relay = relay
         self.server = server
-
-    @property
-    def host(self) -> str:
-        return self.server.host
-
-    @property
-    def port(self) -> int:
-        return self.server.port
+        self.host = server.host
+        self.port = server.port
 
     def health(self) -> bool:
         try:

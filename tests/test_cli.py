@@ -12,7 +12,9 @@ import pytest
 
 from chainchat import chain as chain_mod
 from chainchat import cli
+from chainchat import client as client_mod
 from chainchat import crypto as crypto_mod
+from chainchat import mno as mno_mod
 from chainchat import relay as relay_mod
 from chainchat import stack as stack_mod
 from chainchat.client import _FRAME_TEXT, Client
@@ -69,6 +71,13 @@ class TestConfig:
         cfg = load_config(str(path), env={}, relay_port=8000)
         assert cfg.relay_port == 8000
         assert cfg.max_skipped == 7
+
+    def test_defaults_are_the_owning_constants(self):
+        cfg = StackConfig()
+        assert cfg.backup_iterations == crypto_mod.DEFAULT_BACKUP_ITERATIONS == 210_000
+        assert cfg.max_skipped == client_mod.DEFAULT_MAX_SKIPPED == 1_000
+        assert cfg.cert_validity_days * 86_400 == mno_mod.DEFAULT_VALIDITY_SECONDS
+        assert cfg.cert_validity_days == 30
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "chainchat.conf"
@@ -490,6 +499,23 @@ class TestCounterSpentWhenSealed:
         assert run("chat", "ann", "ben") == 0
         assert len(counters) == 4
         assert len(set(counters)) == 4, counters
+
+    def test_interrupted_chat_keeps_received_texts(self, run, stack, monkeypatch, capsys):
+        """Each pull that delivers is saved at once: the relay drops what a
+        later pull acknowledges, so an unsaved receiver would lose it."""
+        run("enroll", "ann")
+        run("enroll", "ben")
+        monkeypatch.setattr("builtins.input",
+                            _scripted_input(["ann: one", "ann: two"], KeyboardInterrupt))
+        assert run("chat", "ann", "ben") == 130
+        ben = Client.from_state_bytes(cli._state_path(stack.config, "ben").read_bytes())
+        assert [entry.text for entry in ben.history] == ["one", "two"]
+        assert ben.sessions["ann"].skipped_keys == {}
+        capsys.readouterr()
+        assert run("recv", "ben") == 0
+        captured = capsys.readouterr()
+        assert "no new messages" in captured.out
+        assert "error[" not in captured.err
 
 
 def _scripted_input(lines, end):

@@ -484,6 +484,18 @@ class TestGroups:
         assert creation.excluded == {"u2": "peer-revoked"}
         assert len(creation.envelopes) == 1
 
+    def test_group_key_gate_needs_a_directory(self, mno, alice, bob):
+        """A client with no directory attached cannot check a member's
+        certificate, so the member is excluded and no key is sealed to it."""
+        alice.start_session("bob")
+        mno.revoke("bob")
+        detached = Client.from_state_bytes(alice.to_state_bytes())
+        creation = detached.create_group("team", ["alice", "bob"])
+        assert creation.member_ids == ["alice"]
+        assert creation.excluded == {"bob": "no-session"}
+        assert creation.envelopes == []
+        assert detached.sessions["bob"].send_chain == alice.sessions["bob"].send_chain
+
     def test_rekey_replaces_group_key(self, mno, relay):
         clients, _ = installed_group(mno, relay, 3)
         old_key = clients[1].groups["team"].group_key
