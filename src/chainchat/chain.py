@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import BinaryIO, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import BinaryIO, Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
@@ -357,13 +357,7 @@ def fetch_latest(state: ChainState, user_id: str, now: Optional[int] = None) -> 
     return CertStatus(state=VALID, record=rec)
 
 
-def verify_chain(state: ChainState) -> VerifyResult:
-    """Full re-verification: links, writer membership, all signatures."""
-    blocks = state.blocks
-    if not blocks:
-        return VerifyResult(ok=False, reason="chain has no blocks")
-
-    gen = blocks[0]
+def _check_genesis(gen: Block) -> VerifyResult:
     if gen.height != 0:
         return VerifyResult(ok=False, height=gen.height, reason="genesis height is not 0")
     if gen.prev_hash != ZERO_HASH:
@@ -377,35 +371,64 @@ def verify_chain(state: ChainState) -> VerifyResult:
     ids = [w for w, _ in gen.writer_declarations]
     if len(set(ids)) != len(ids):
         return VerifyResult(ok=False, height=0, reason="duplicate writer declarations")
-    writers = state.writers
+    return VerifyResult(ok=True)
 
+
+def _check_writer_signature(blk: Block, writers: Mapping[str, bytes]) -> VerifyResult:
+    if verify_edwards(writers[blk.writer_id], blk.signature_payload(), blk.writer_signature):
+        return VerifyResult(ok=True)
+    return VerifyResult(ok=False, height=blk.height, reason="bad writer signature")
+
+
+def _check_block(blk: Block, height: int, prev_hash: bytes,
+                 writers: Mapping[str, bytes], writer_signature: bool) -> VerifyResult:
+    if blk.height != height:
+        return VerifyResult(ok=False, height=blk.height, reason="height out of sequence")
+    if blk.writer_declarations:
+        return VerifyResult(ok=False, height=height, reason="writer declarations outside genesis")
+    if blk.prev_hash != prev_hash:
+        return VerifyResult(ok=False, height=height, reason="broken hash link")
+    if blk.writer_id not in writers:
+        return VerifyResult(
+            ok=False, height=height, reason=f"writer {blk.writer_id!r} not in permissioned set"
+        )
+    if writer_signature and not (signed := _check_writer_signature(blk, writers)):
+        return signed
+    for rec in blk.records:
+        issuer_key = writers.get(rec.issuer_id)
+        if issuer_key is None or not verify_record(rec, issuer_key):
+            return VerifyResult(
+                ok=False, height=height, reason=f"bad record signature for {rec.user_id!r}"
+            )
+    return VerifyResult(ok=True)
+
+
+def _check_blocks(hashed: Iterator[Tuple[Block, bytes]],
+                  every_writer_signature: bool) -> Tuple[Tuple[Block, ...], VerifyResult]:
+    """Every block of ``hashed`` (each with its own hash), and the first
+    failed check. Each writer signature is verified, or only the head's."""
+    blocks, result = [], VerifyResult(ok=True)
     # walk block by block so a mutated block is attributed to its own height:
     # its writer signature (covering the records hash) breaks there, before
     # the next block's dangling prev_hash is ever consulted
-    for i in range(1, len(blocks)):
-        blk = blocks[i]
-        if blk.height != i:
-            return VerifyResult(ok=False, height=blk.height, reason="height out of sequence")
-        if blk.writer_declarations:
-            return VerifyResult(
-                ok=False, height=i, reason="writer declarations outside genesis"
-            )
-        if blk.prev_hash != blocks[i - 1].block_hash():
-            return VerifyResult(ok=False, height=i, reason="broken hash link")
-        key = writers.get(blk.writer_id)
-        if key is None:
-            return VerifyResult(
-                ok=False, height=i, reason=f"writer {blk.writer_id!r} not in permissioned set"
-            )
-        if not verify_edwards(key, blk.signature_payload(), blk.writer_signature):
-            return VerifyResult(ok=False, height=i, reason="bad writer signature")
-        for rec in blk.records:
-            issuer_key = writers.get(rec.issuer_id)
-            if issuer_key is None or not verify_record(rec, issuer_key):
-                return VerifyResult(
-                    ok=False, height=i, reason=f"bad record signature for {rec.user_id!r}"
-                )
-    return VerifyResult(ok=True)
+    for blk, block_hash in hashed:
+        if not blocks:
+            result, writers = _check_genesis(blk), dict(blk.writer_declarations)
+        elif result:
+            result = _check_block(blk, len(blocks), prev_hash, writers, every_writer_signature)
+        prev_hash = block_hash
+        blocks.append(blk)
+    if result and len(blocks) > 1 and not every_writer_signature:
+        result = _check_writer_signature(blocks[-1], writers)
+    return tuple(blocks), result
+
+
+def verify_chain(state: ChainState) -> VerifyResult:
+    """Full re-verification: links, writer membership, every signature; what
+    ``chainchat chain verify`` runs. Start-up runs ``load_checked_chain``."""
+    if not state.blocks:
+        return VerifyResult(ok=False, reason="chain has no blocks")
+    return _check_blocks(((blk, blk.block_hash()) for blk in state.blocks), True)[1]
 
 
 def revoke(state: ChainState, credential: WriterCredential, user_id: str,
@@ -432,14 +455,17 @@ def chain_to_bytes(state: ChainState) -> bytes:
     return b"".join(encode_bytes(block.canonical_bytes()) for block in state.blocks)
 
 
-def chain_from_bytes(data: bytes) -> ChainState:
+def _frames(data: bytes) -> Iterator[bytes]:
+    """The block encodings framed in a chain file's bytes, in order."""
     if not data:
         raise ChainFormatError("empty chain data")
     r = Reader(data, what="chain file")
-    blocks = []
     while not r.exhausted:
-        blocks.append(Block.from_bytes(r.read_bytes()))
-    return ChainState(blocks=tuple(blocks))
+        yield r.read_bytes()
+
+
+def chain_from_bytes(data: bytes) -> ChainState:
+    return ChainState(blocks=tuple(Block.from_bytes(frame) for frame in _frames(data)))
 
 
 def write_atomic(path: str | os.PathLike, data: bytes) -> None:
@@ -467,6 +493,22 @@ def save_chain(state: ChainState, path: str) -> None:
 def load_chain(path: str) -> ChainState:
     with open(path, "rb") as f:
         return chain_from_bytes(f.read())
+
+
+def load_checked_chain(path: str) -> Tuple[ChainState, VerifyResult]:
+    """The stack's start-up check: parse the chain file and check it in one
+    pass, with the first failed check. It makes every check of
+    ``verify_chain``, every record signature included since ``fetch_cert``
+    serves records as stored, but verifies only the head's writer signature:
+    that covers the head's ``prev_hash``, the SHA-256 of the previous frame's
+    bytes, which covers every earlier byte. The writer seeds sit in
+    ``stack.json`` beside the chain, so start-up guards against corruption
+    only, and a corrupted byte breaks a link or a signature (FORMATS.md)."""
+    with open(path, "rb") as f:
+        frames = _frames(f.read())
+    blocks, result = _check_blocks(
+        ((Block.from_bytes(frame), hashlib.sha256(frame).digest()) for frame in frames), False)
+    return ChainState(blocks=blocks), result
 
 
 def _intact_length(f: BinaryIO) -> int:

@@ -78,6 +78,8 @@ DEFAULT_MAX_SKIPPED = 1_000
 BACKUP_MAGIC = b"BEEB1"
 BACKUP_SEAL_INFO = b"backup"
 BACKUP_MAX_STATE = 1 << 26  # state archives may exceed the message cap
+# PBKDF2 runs before the MAC can refuse a header, so the header's count is capped
+BACKUP_MAX_ITERATIONS = 10 * crypto.DEFAULT_BACKUP_ITERATIONS
 
 _STATE_TAG = "chainchat-state|2"
 _FRAME_TEXT = b"\x00"
@@ -156,11 +158,19 @@ class BackupArchive:
     Byte layout (fixed; see FORMATS.md):
       magic "BEEB1" | salt (16) | iterations (4 BE) |
       ciphertext length (4 BE) | ciphertext | mac (32)
+
+    An archive is refused (``backup-format``) when built or parsed with a
+    count above ``BACKUP_MAX_ITERATIONS``, so no key is derived from one.
     """
 
     salt: bytes
     iterations: int
     payload: SealedPayload
+
+    def __post_init__(self) -> None:
+        if self.iterations > BACKUP_MAX_ITERATIONS:
+            raise BackupFormatError(f"iteration count {self.iterations} above the "
+                                    f"ceiling {BACKUP_MAX_ITERATIONS}")
 
     def header(self) -> bytes:
         return BACKUP_MAGIC + self.salt + struct.pack(">I", self.iterations)
@@ -500,11 +510,10 @@ class Client:
         """Snapshot everything (identity key included) under a password key."""
         if not secret:
             raise ValueError("backup secret must be non-empty")
-        salt = self._rng(16)
-        backup_key = crypto.derive_backup_key(secret, salt, self.backup_iterations)
-        mk = crypto.derive_message_key_from_secret(backup_key.key, BACKUP_SEAL_INFO)
-        archive = BackupArchive(salt=salt, iterations=self.backup_iterations,
+        archive = BackupArchive(salt=self._rng(16), iterations=self.backup_iterations,
                                 payload=SealedPayload(ciphertext=b"", mac=b""))
+        backup_key = crypto.derive_backup_key(secret, archive.salt, archive.iterations)
+        mk = crypto.derive_message_key_from_secret(backup_key.key, BACKUP_SEAL_INFO)
         payload = crypto.seal(mk, self.to_state_bytes(), archive.header(),
                               max_plaintext=BACKUP_MAX_STATE)
         return replace(archive, payload=payload)

@@ -270,7 +270,9 @@ def derive_backup_key(secret: str, salt: bytes, iterations: int = DEFAULT_BACKUP
     run single-iteration vectors. ``Client.restore_backup`` passes ``floor=1``
     because its count is no choice: it is read from the archive header, which
     the archive's MAC covers as associated data, so a changed count fails the
-    MAC and the archive does not open.
+    MAC and the archive does not open. Since the MAC is checked only after
+    the derivation, ``BackupArchive`` refuses a count above
+    ``BACKUP_MAX_ITERATIONS`` before one runs.
     """
     if not secret:
         raise ValueError("backup secret must be non-empty")

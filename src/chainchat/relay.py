@@ -15,6 +15,7 @@ as an authentication failure at the recipient.
 
 A mailbox holds at most ``MAILBOX_CAP`` unacknowledged envelopes; past that
 a submit is refused and a fan-out skips the member, both ``mailbox-full``.
+A group holds at most ``GROUP_CAP`` members; a longer list is refused.
 
 A one-to-one submit is refused unless the recipient's latest record is the
 valid certificate the sender's session pinned, so a revocation or re-issue
@@ -50,6 +51,7 @@ from .errors import (
 
 ACK_QUEUED = "queued"
 MAILBOX_CAP = 10_000  # unacknowledged envelopes per mailbox
+GROUP_CAP = 1_024  # members per group; each fan-out looks every member up
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +238,9 @@ class Relay:
 
     def create_group(self, group_id: str, admin_id: str,
                      member_ids: Sequence[str]) -> None:
+        if len(member_ids) > GROUP_CAP:
+            raise WireProtocolError(
+                f"member list of {group_id!r} is over the cap of {GROUP_CAP}")
         if len(set(member_ids)) != len(member_ids):
             raise WireProtocolError(f"member list of {group_id!r} repeats an id")
         if admin_id not in member_ids:

@@ -13,14 +13,8 @@ import json
 from pathlib import Path
 from typing import Optional
 
-from .chain import (
-    ChainNode,
-    WriterCredential,
-    cut_torn_tail,
-    load_chain,
-    verify_chain,
-    write_atomic,
-)
+from .chain import ChainNode, WriterCredential, cut_torn_tail, load_checked_chain, write_atomic
+from .chain import load_chain, verify_chain  # noqa: F401  (perfbench/tracing.py wraps them here)
 from .config import StackConfig
 from .errors import StackStartupError
 from .mno import MnoCertificateAuthority
@@ -64,8 +58,7 @@ def _open_chain(cfg: StackConfig,
     chain_path = cfg.resolved_chain_file()
     if Path(chain_path).exists():
         cut_torn_tail(chain_path)
-        state = load_chain(chain_path)
-        result = verify_chain(state)
+        state, result = load_checked_chain(chain_path)
         if not result:
             raise StackStartupError(
                 f"chain file {chain_path} fails verification at height "

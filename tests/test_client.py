@@ -7,7 +7,8 @@ import pytest
 
 from chainchat import crypto
 from chainchat.chain import record_fingerprint
-from chainchat.client import _FRAME_TEXT, BACKUP_MAGIC, BackupArchive, Client
+from chainchat.client import (_FRAME_TEXT, BACKUP_MAGIC, BACKUP_MAX_ITERATIONS, BackupArchive,
+                              Client)
 from chainchat.errors import (
     AuthenticationError,
     BackupFormatError,
@@ -356,6 +357,28 @@ class TestBackup:
     def test_empty_archive_format_error(self):
         with pytest.raises(BackupFormatError):
             Client.restore_backup(b"", "pw")
+
+    def test_iteration_ceiling_refused_before_any_derivation(self, alice, monkeypatch):
+        """PBKDF2 runs before the MAC can refuse a header, so a count above
+        the ceiling is refused first, on restore and on export alike."""
+        blob = bytearray(alice.export_backup("pw").to_bytes())
+        counts = []
+
+        def counted_pbkdf2(hash_name, password, salt, iterations, dklen=None):
+            counts.append(iterations)
+            return b"\x00" * 32
+
+        monkeypatch.setattr("hashlib.pbkdf2_hmac", counted_pbkdf2)
+        for count in (BACKUP_MAX_ITERATIONS + 1, 2**32 - 1):
+            blob[21:25] = struct.pack(">I", count)
+            with pytest.raises(BackupFormatError):
+                Client.restore_backup(bytes(blob), "pw")
+        alice.backup_iterations = BACKUP_MAX_ITERATIONS + 1
+        with pytest.raises(BackupFormatError):
+            alice.export_backup("pw")
+        assert counts == []
+        blob[21:25] = struct.pack(">I", BACKUP_MAX_ITERATIONS)
+        assert BackupArchive.from_bytes(bytes(blob)).iterations == BACKUP_MAX_ITERATIONS
 
     def test_bad_magic_format_error(self, alice):
         blob = bytearray(alice.export_backup("pw").to_bytes())

@@ -368,6 +368,15 @@ class TestGroupFanOut:
             relay.create_group("room", ids[0], ids + [ids[1]])
         assert json.loads(relay.dump_state())["groups"] == {}
 
+    def test_member_list_over_the_cap_refused(self, mno, relay, monkeypatch):
+        monkeypatch.setattr(relay_mod, "GROUP_CAP", 3)
+        ids = [Client.install(f"g{i}", mno, relay).user_id for i in range(4)]
+        relay.create_group("room", ids[0], ids[:3])
+        with pytest.raises(WireProtocolError) as refused:
+            relay.create_group("room", ids[0], ids)
+        assert refused.value.category == "protocol-error"
+        assert json.loads(relay.dump_state())["groups"]["room"]["members"] == ids[:3]
+
     def test_one_to_one_envelope_refused(self, mno, relay):
         members, ids = self.make_group(mno, relay, 3)
         members[0].start_session(ids[1])
