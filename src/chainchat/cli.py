@@ -59,10 +59,7 @@ def _load_client(cfg: StackConfig, user_id: str) -> Client:
     path = _state_path(cfg, user_id)
     if not path.exists():
         raise ChainChatError(f"no client state for {user_id!r}; run enroll first")
-    client = Client.from_state_bytes(path.read_bytes())
-    client.max_skipped = cfg.max_skipped
-    client.backup_iterations = cfg.backup_iterations
-    return client
+    return Client.from_state_bytes(path.read_bytes())
 
 
 @contextlib.contextmanager
@@ -194,14 +191,8 @@ def _cmd_stack_down(cfg: StackConfig, args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_enroll(cfg: StackConfig, args: argparse.Namespace) -> int:
-    validity_days = args.validity_days or cfg.cert_validity_days
     with _connect(cfg) as rc, _user_lock(cfg, args.user):
-        client = Client.install(
-            args.user, mno=rc, relay=rc,
-            validity_seconds=validity_days * 86_400,
-            max_skipped=cfg.max_skipped,
-            backup_iterations=cfg.backup_iterations,
-        )
+        client = Client.install(args.user, mno=rc, relay=rc)
         _save_client(cfg, client)
     record = client.certificate
     print(f"enrolled {args.user} (issuer {record.issuer_id}, "
@@ -423,8 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "enroll", _cmd_enroll, help="generate keys and obtain a certificate")
     p.add_argument("user")
-    p.add_argument("--validity-days", type=int, default=None,
-                   help="certificate lifetime (default from config)")
 
     p = _command(sub, "register", _cmd_register,
                  help="register an enrolled user with the relay")

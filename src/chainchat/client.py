@@ -71,15 +71,15 @@ from .errors import (
     UnknownGroupError,
     WireProtocolError,
 )
-from .mno import DEFAULT_VALIDITY_SECONDS, EnrollmentRequest, possession_payload
+from .mno import EnrollmentRequest, possession_payload
 from .relay import Envelope
 
-DEFAULT_MAX_SKIPPED = 1_000
+MAX_SKIPPED = 1_000  # parked message keys per receive chain, as Signal's MAX_SKIP
 BACKUP_MAGIC = b"BEEB1"
 BACKUP_SEAL_INFO = b"backup"
 BACKUP_MAX_STATE = 1 << 26  # state archives may exceed the message cap
 # PBKDF2 runs before the MAC can refuse a header, so the header's count is capped
-BACKUP_MAX_ITERATIONS = 10 * crypto.DEFAULT_BACKUP_ITERATIONS
+BACKUP_MAX_ITERATIONS = 10 * crypto.BACKUP_ITERATIONS
 
 _STATE_TAG = "chainchat-state|2"
 _FRAME_TEXT = b"\x00"
@@ -147,6 +147,22 @@ def _new_group(group_id: str, admin_id: str, member_ids: List[str],
                       group_key=group_key, group_chain=ChainKey(key=root, index=0))
 
 
+def _encode_group_descriptor(group: GroupState) -> bytes:
+    """Group id, admin, member list and 32-byte key: the body of a group-key
+    frame, and the head of each group in the state bytes."""
+    out = encode_str(group.group_id) + encode_str(group.admin_id)
+    out += encode_u64(len(group.member_ids))
+    for member in group.member_ids:
+        out += encode_str(member)
+    return out + encode_bytes(group.group_key)
+
+
+def _read_group_descriptor(r: Reader) -> Tuple[str, str, List[str], bytes]:
+    """The fields ``_encode_group_descriptor`` writes, in ``GroupState`` order."""
+    group_id, admin_id = r.read_str(), r.read_str()
+    return group_id, admin_id, [r.read_str() for _ in range(r.read_u64())], r.expect_bytes(32)
+
+
 # ---------------------------------------------------------------------------
 # backup archive
 # ---------------------------------------------------------------------------
@@ -208,17 +224,13 @@ class Client:
     def __init__(self, user_id: str, identity: IdentityKeyPair,
                  certificate: CertificateRecord,
                  directory=None, transport=None,
-                 *, max_skipped: int = DEFAULT_MAX_SKIPPED,
-                 backup_iterations: int = crypto.DEFAULT_BACKUP_ITERATIONS,
-                 rng: Callable[[int], bytes] = os.urandom):
+                 *, rng: Callable[[int], bytes] = os.urandom):
         self.user_id = user_id
         self.identity = identity
         self.certificate = certificate
         self.cert_fingerprint = record_fingerprint(certificate)
         self.directory = directory
         self.transport = transport
-        self.max_skipped = max_skipped
-        self.backup_iterations = backup_iterations
         self._rng = rng
         self.sessions: Dict[str, SessionState] = {}
         self.groups: Dict[str, GroupState] = {}
@@ -229,10 +241,7 @@ class Client:
 
     @classmethod
     def install(cls, user_id: str, mno, relay, *,
-                validity_seconds: int = DEFAULT_VALIDITY_SECONDS,
-                rng: Callable[[int], bytes] = os.urandom,
-                max_skipped: int = DEFAULT_MAX_SKIPPED,
-                backup_iterations: int = crypto.DEFAULT_BACKUP_ITERATIONS) -> "Client":
+                rng: Callable[[int], bytes] = os.urandom) -> "Client":
         """Generate keys, enroll with the MNO, register with the relay."""
         identity = crypto.generate_identity_keypair(rng)
         try:
@@ -241,20 +250,14 @@ class Client:
                 identity.private_key,
                 possession_payload(user_id, identity.public_key, challenge),
             )
-            record = mno.issue_certificate(
-                EnrollmentRequest(
-                    user_id=user_id,
-                    subject_public_key=identity.public_key,
-                    proof_of_possession=proof,
-                ),
-                validity_seconds,
-            )
+            record = mno.issue_certificate(EnrollmentRequest(
+                user_id=user_id,
+                subject_public_key=identity.public_key,
+                proof_of_possession=proof,
+            ))
         except ChainChatError as e:
             raise InstallError("enrollment", str(e)) from e
-        client = cls(user_id, identity, record,
-                     directory=relay, transport=relay,
-                     max_skipped=max_skipped, backup_iterations=backup_iterations,
-                     rng=rng)
+        client = cls(user_id, identity, record, directory=relay, transport=relay, rng=rng)
         try:
             relay.register_user(user_id, client.cert_fingerprint)
         except ChainChatError as e:
@@ -289,6 +292,9 @@ class Client:
         if not status.is_valid:
             raise SessionRefusedError(status.state,
                                       f"certificate for {peer_id!r} is {status.state}")
+        if status.record.user_id != peer_id:  # validly signed, but someone else's key
+            raise WireProtocolError(f"directory answered {peer_id!r} with the "
+                                    f"certificate of {status.record.user_id!r}")
         return status.record
 
     def _require_session(self, peer_id: str) -> SessionState:
@@ -384,10 +390,8 @@ class Client:
             return plaintext, chain
 
         gap = counter - chain.index
-        if len(parked) + gap > self.max_skipped:
-            raise ResyncError(
-                f"gap of {gap} exceeds the skipped-key bound of {self.max_skipped}"
-            )
+        if len(parked) + gap > MAX_SKIPPED:
+            raise ResyncError(f"gap of {gap} exceeds the skipped-key bound of {MAX_SKIPPED}")
         skipped: Dict[int, MessageKey] = {}
         while chain.index < counter:
             skipped_mk, chain = crypto.ratchet_forward(chain)
@@ -452,32 +456,17 @@ class Client:
                 excluded[member] = e.category
         final_members = [m for m in members if m not in excluded]
 
-        group_key = self._rng(32)
-        body = self._group_key_body(group_id, final_members, group_key)
-        envelopes: List[Envelope] = []
-        for member in final_members:
-            if member != self.user_id:
-                envelopes.append(self._seal_to(self.sessions[member],
-                                               _FRAME_GROUP_KEY + body))
-        self.groups[group_id] = _new_group(group_id, self.user_id, final_members, group_key)
+        group = _new_group(group_id, self.user_id, final_members, self._rng(32))
+        body = _FRAME_GROUP_KEY + _encode_group_descriptor(group)
+        envelopes = [self._seal_to(self.sessions[member], body)
+                     for member in final_members if member != self.user_id]
+        self.groups[group_id] = group
         return GroupCreation(envelopes=envelopes, excluded=excluded,
                              member_ids=final_members)
 
-    def _group_key_body(self, group_id: str, members: Sequence[str],
-                        group_key: bytes) -> bytes:
-        out = encode_str(group_id) + encode_str(self.user_id)
-        out += encode_u64(len(members))
-        for member in members:
-            out += encode_str(member)
-        out += encode_bytes(group_key)
-        return out
-
     def _install_group_key(self, sender_id: str, body: bytes) -> None:
         r = Reader(body, what="group key distribution")
-        group_id = r.read_str()
-        admin_id = r.read_str()
-        members = [r.read_str() for _ in range(r.read_u64())]
-        group_key = r.expect_bytes(32)
+        group_id, admin_id, members, group_key = _read_group_descriptor(r)
         r.require_exhausted()
         if admin_id != sender_id:
             raise GroupPermissionError(
@@ -510,7 +499,7 @@ class Client:
         """Snapshot everything (identity key included) under a password key."""
         if not secret:
             raise ValueError("backup secret must be non-empty")
-        archive = BackupArchive(salt=self._rng(16), iterations=self.backup_iterations,
+        archive = BackupArchive(salt=self._rng(16), iterations=crypto.BACKUP_ITERATIONS,
                                 payload=SealedPayload(ciphertext=b"", mac=b""))
         backup_key = crypto.derive_backup_key(secret, archive.salt, archive.iterations)
         mk = crypto.derive_message_key_from_secret(backup_key.key, BACKUP_SEAL_INFO)
@@ -580,11 +569,7 @@ class Client:
         out += encode_u64(len(self.groups))
         for group_id in sorted(self.groups):
             g = self.groups[group_id]
-            out += encode_str(g.group_id) + encode_str(g.admin_id)
-            out += encode_u64(len(g.member_ids))
-            for member in g.member_ids:
-                out += encode_str(member)
-            out += encode_bytes(g.group_key)
+            out += _encode_group_descriptor(g)
             out += self._encode_chain_key(g.group_chain)
             out += self._encode_parked(g.skipped_keys)
 
@@ -620,15 +605,10 @@ class Client:
                 )
 
             for _ in range(r.read_u64()):
-                group_id = r.read_str()
-                admin_id = r.read_str()
-                members = [r.read_str() for _ in range(r.read_u64())]
-                group_key = r.expect_bytes(32)
-                client.groups[group_id] = GroupState(
-                    group_id=group_id, admin_id=admin_id, member_ids=members,
-                    group_key=group_key, group_chain=cls._decode_chain_key(r),
-                    skipped_keys=cls._decode_parked(r),
-                )
+                group = GroupState(*_read_group_descriptor(r),
+                                   group_chain=cls._decode_chain_key(r),
+                                   skipped_keys=cls._decode_parked(r))
+                client.groups[group.group_id] = group
 
             for _ in range(r.read_u64()):
                 client.history.append(HistoryEntry(

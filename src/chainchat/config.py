@@ -7,10 +7,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .client import DEFAULT_MAX_SKIPPED
-from .crypto import DEFAULT_BACKUP_ITERATIONS
-from .mno import DEFAULT_VALIDITY_SECONDS
-
 ENV_CHAIN_FILE = "CHAINCHAT_CHAIN_FILE"
 DEFAULT_CONFIG_NAME = "chainchat.conf"
 
@@ -21,9 +17,6 @@ class StackConfig:
     relay_port: int = 7801
     state_dir: str = "chainchat-state"
     chain_file: str = ""  # empty -> <state_dir>/chain.dat
-    backup_iterations: int = DEFAULT_BACKUP_ITERATIONS
-    cert_validity_days: int = DEFAULT_VALIDITY_SECONDS // 86_400
-    max_skipped: int = DEFAULT_MAX_SKIPPED
 
     def resolved_chain_file(self) -> str:
         return self.chain_file or str(Path(self.state_dir) / "chain.dat")

@@ -56,7 +56,7 @@ from .errors import (
 ZERO_SALT = b"\x00" * 32
 MAX_PLAINTEXT = 1 << 20  # 1 MiB sealing cap
 MIN_BACKUP_ITERATIONS = 10_000
-DEFAULT_BACKUP_ITERATIONS = 210_000
+BACKUP_ITERATIONS = 210_000  # the PBKDF2 count of every backup export
 
 _MSG_KEY_INFO = b"msg"
 _MSG_KEY_LEN = 80  # 32 cipher + 32 mac + 16 iv
@@ -262,7 +262,7 @@ def unseal(mk: MessageKey, payload: SealedPayload, associated_data: bytes) -> by
     return cbc_decrypt(mk, payload.ciphertext)
 
 
-def derive_backup_key(secret: str, salt: bytes, iterations: int = DEFAULT_BACKUP_ITERATIONS,
+def derive_backup_key(secret: str, salt: bytes, iterations: int = BACKUP_ITERATIONS,
                       *, floor: int = MIN_BACKUP_ITERATIONS) -> BackupKey:
     """Password-derived archive key, PBKDF2-HMAC-SHA256 (RFC 8018 semantics).
 

@@ -28,10 +28,9 @@ from .chain import (
     WriterCredential,
     verify_record,
 )
-from .encoding import U64_MAX
 from .errors import EnrollmentError
 
-DEFAULT_VALIDITY_SECONDS = 30 * 24 * 3600
+VALIDITY_SECONDS = 30 * 24 * 3600  # the MNO, not the subscriber, sets the lifetime
 
 SubscriberCheck = Callable[[str], bool]
 
@@ -76,12 +75,9 @@ class MnoCertificateAuthority:
             self._challenges[user_id] = challenge
         return challenge
 
-    def issue_certificate(self, request: EnrollmentRequest,
-                          validity_seconds: int = DEFAULT_VALIDITY_SECONDS,
+    def issue_certificate(self, request: EnrollmentRequest, *,
                           now: Optional[int] = None) -> CertificateRecord:
         issued_at = int(time.time()) if now is None else now
-        if not 0 < validity_seconds <= U64_MAX - issued_at:
-            raise ValueError("certificate validity must be positive and end within a u64")
         if len(request.subject_public_key) != 32:
             raise EnrollmentError("subject public key must be 32 bytes")
         with self._lock:
@@ -98,7 +94,7 @@ class MnoCertificateAuthority:
             user_id=request.user_id,
             subject_public_key=request.subject_public_key,
             issued_at=issued_at,
-            expires_at=issued_at + validity_seconds,
+            expires_at=issued_at + VALIDITY_SECONDS,
             kind=KIND_CERTIFICATE,
         )
         self.chain_node.append(self.credential, [record])

@@ -19,15 +19,14 @@ import json
 import socket
 import socketserver
 import threading
-import time
 from typing import Any, Dict, List, Tuple
 
 from .chain import EXPIRED, NOT_FOUND, REVOKED, VALID, CertificateRecord, CertStatus
 from .crypto import SealedPayload
-from .encoding import CANONICAL_JSON, U64_MAX
+from .encoding import CANONICAL_JSON
 from .encoding import b64_text as _b64
 from .errors import ChainChatError, StackStartupError, WireProtocolError
-from .mno import DEFAULT_VALIDITY_SECONDS, EnrollmentRequest, MnoCertificateAuthority
+from .mno import EnrollmentRequest, MnoCertificateAuthority
 from .relay import Envelope, Relay
 
 VERSION_BYTE = b"1"
@@ -292,21 +291,11 @@ class WireServer:
             challenge = self.mno.new_challenge(_str(body, "user_id"))
             return {"challenge": _b64(challenge)}
         if phase == "submit":
-            validity = (_int(body, "validity_seconds") if "validity_seconds" in body
-                        else DEFAULT_VALIDITY_SECONDS)
-            issued_at = int(time.time())
-            if not 0 < validity <= U64_MAX - issued_at:
-                raise WireProtocolError(
-                    "field 'validity_seconds' must be positive and end within a u64")
-            record = self.mno.issue_certificate(
-                EnrollmentRequest(
-                    user_id=_str(body, "user_id"),
-                    subject_public_key=_unb64(body.get("subject_public_key")),
-                    proof_of_possession=_unb64(body.get("proof_of_possession")),
-                ),
-                validity,
-                now=issued_at,
-            )
+            record = self.mno.issue_certificate(EnrollmentRequest(
+                user_id=_str(body, "user_id"),
+                subject_public_key=_unb64(body.get("subject_public_key")),
+                proof_of_possession=_unb64(body.get("proof_of_possession")),
+            ))
             return {"record": record_to_obj(record)}
         if phase == "revoke":
             self.mno.revoke(_str(body, "user_id"))
@@ -367,6 +356,8 @@ class RelayClient:
         reply_type, reply = decode_message(line)
         if reply_type == "error":
             raise WireRemoteError(_str(reply, "category"), _str(reply, "message"))
+        if reply_type != "ack":
+            raise WireProtocolError(f"reply of request type {reply_type!r}")
         return reply
 
     # -- MNO surface ------------------------------------------------------------
@@ -375,14 +366,12 @@ class RelayClient:
         return _unb64(self.request("enroll", {"phase": "challenge",
                                               "user_id": user_id}).get("challenge"))
 
-    def issue_certificate(self, request: EnrollmentRequest,
-                          validity_seconds: int) -> CertificateRecord:
+    def issue_certificate(self, request: EnrollmentRequest) -> CertificateRecord:
         reply = self.request("enroll", {
             "phase": "submit",
             "user_id": request.user_id,
             "subject_public_key": _b64(request.subject_public_key),
             "proof_of_possession": _b64(request.proof_of_possession),
-            "validity_seconds": validity_seconds,
         })
         return record_from_obj(reply.get("record"))
 

@@ -3,6 +3,7 @@ import dataclasses
 import fcntl
 import functools
 import os
+import re
 import socket
 import struct
 import threading
@@ -12,7 +13,6 @@ import pytest
 
 from chainchat import chain as chain_mod
 from chainchat import cli
-from chainchat import client as client_mod
 from chainchat import crypto as crypto_mod
 from chainchat import mno as mno_mod
 from chainchat import relay as relay_mod
@@ -68,24 +68,28 @@ class TestConfig:
 
     def test_file_plus_overrides(self, tmp_path):
         path = tmp_path / "chainchat.conf"
-        path.write_text("relay_port=7000\nmax_skipped=7\n")
+        path.write_text("relay_port=7000\nrelay_host=10.0.0.7\n")
         cfg = load_config(str(path), env={}, relay_port=8000)
         assert cfg.relay_port == 8000
-        assert cfg.max_skipped == 7
-
-    def test_defaults_are_the_owning_constants(self):
-        cfg = StackConfig()
-        assert cfg.backup_iterations == crypto_mod.DEFAULT_BACKUP_ITERATIONS == 210_000
-        assert cfg.max_skipped == client_mod.DEFAULT_MAX_SKIPPED == 1_000
-        assert cfg.cert_validity_days * 86_400 == mno_mod.DEFAULT_VALIDITY_SECONDS
-        assert cfg.cert_validity_days == 30
+        assert cfg.relay_host == "10.0.0.7"
 
     def test_unknown_key_rejected(self, tmp_path):
+        """Protocol parameters are constants of the module that uses them,
+        so the config file cannot set them."""
         path = tmp_path / "chainchat.conf"
-        for line in ("warp_drive=on", "snapshot_refresh=manual"):
+        for line in ("warp_drive=on", "snapshot_refresh=manual", "max_skipped=7",
+                     "backup_iterations=10000", "cert_validity_days=1"):
             path.write_text(line + "\n")
             with pytest.raises(ValueError):
                 load_config(str(path), env={})
+
+    def test_readme_lists_exactly_the_config_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        listed = re.search(r"the keys are the fields of\s+`chainchat\.config\.StackConfig`:"
+                           r"([^)]*)\)", readme)
+        assert listed is not None
+        keys = re.findall(r"`(\w+)`", listed.group(1))
+        assert keys == [f.name for f in dataclasses.fields(StackConfig)]
 
 
 class TestStackHandle:
@@ -367,6 +371,13 @@ class TestBasicCommands:
         assert run("recv", "bob") == 0
         out = capsys.readouterr().out
         assert "from alice: hello bob" in out
+
+    def test_enroll_takes_the_mnos_lifetime(self, run, stack):
+        with pytest.raises(SystemExit):
+            run("enroll", "alice", "--validity-days", "1")
+        assert run("enroll", "alice") == 0
+        record = cli._load_client(stack.config, "alice").certificate
+        assert record.expires_at - record.issued_at == mno_mod.VALIDITY_SECONDS
 
     def test_recv_empty(self, run, capsys):
         run("enroll", "solo")

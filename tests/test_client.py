@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from chainchat import client as client_mod
 from chainchat import crypto
 from chainchat.chain import record_fingerprint
 from chainchat.client import (_FRAME_TEXT, BACKUP_MAGIC, BACKUP_MAX_ITERATIONS, BackupArchive,
@@ -75,6 +76,24 @@ class TestSessions:
         with pytest.raises(SessionRefusedError) as err:
             alice.start_session("bob")
         assert err.value.category == "peer-revoked"
+
+    def test_certificate_of_another_user_refused(self, mno, relay, alice, bob):
+        """A directory that answers one id with another user's validly signed
+        record would have the client pin that user's key: nothing is pinned."""
+        Client.install("mallory", mno, relay)
+
+        class WrongRecordDirectory:
+            def fetch_certificate(self, user_id):
+                return relay.fetch_certificate("mallory")
+
+        alice.directory = WrongRecordDirectory()
+        with pytest.raises(WireProtocolError) as err:
+            alice.start_session("bob")
+        assert err.value.category == "protocol-error"
+        assert alice.sessions == {}
+        creation = alice.create_group("team", ["alice", "bob"])
+        assert creation.excluded == {"bob": "protocol-error"}
+        assert creation.envelopes == []
 
     def test_unknown_peer_refused(self, alice):
         with pytest.raises(SessionRefusedError) as err:
@@ -195,9 +214,10 @@ class TestOutOfOrder:
         with pytest.raises(ReplayError):
             bob.receive_envelope(e0)
 
-    def test_gap_beyond_bound_is_resync_error(self, mno, relay):
+    def test_gap_beyond_bound_is_resync_error(self, mno, relay, monkeypatch):
+        monkeypatch.setattr(client_mod, "MAX_SKIPPED", 5)
         alice = Client.install("au", mno, relay)
-        bob = Client.install("bu", mno, relay, max_skipped=5)
+        bob = Client.install("bu", mno, relay)
         alice.start_session("bu")
         bob.start_session("au")
         for i in range(7):
@@ -360,7 +380,7 @@ class TestBackup:
 
     def test_iteration_ceiling_refused_before_any_derivation(self, alice, monkeypatch):
         """PBKDF2 runs before the MAC can refuse a header, so a count above
-        the ceiling is refused first, on restore and on export alike."""
+        the ceiling is refused first."""
         blob = bytearray(alice.export_backup("pw").to_bytes())
         counts = []
 
@@ -373,9 +393,6 @@ class TestBackup:
             blob[21:25] = struct.pack(">I", count)
             with pytest.raises(BackupFormatError):
                 Client.restore_backup(bytes(blob), "pw")
-        alice.backup_iterations = BACKUP_MAX_ITERATIONS + 1
-        with pytest.raises(BackupFormatError):
-            alice.export_backup("pw")
         assert counts == []
         blob[21:25] = struct.pack(">I", BACKUP_MAX_ITERATIONS)
         assert BackupArchive.from_bytes(bytes(blob)).iterations == BACKUP_MAX_ITERATIONS
@@ -674,10 +691,11 @@ class TestGroupReceive:
         group = u1.groups["team"]
         assert (group.group_chain.index, group.skipped_keys) == (3, {})
 
-    def test_gap_beyond_bound_is_resync_error_and_changes_nothing(self, mno, relay):
+    def test_gap_beyond_bound_is_resync_error_and_changes_nothing(self, mno, relay,
+                                                                  monkeypatch):
         clients, _ = installed_group(mno, relay, 2)
         u0, u1 = clients
-        u1.max_skipped = 3
+        monkeypatch.setattr(client_mod, "MAX_SKIPPED", 3)
         envelopes = [u0.send_group_message("team", f"m{i}") for i in range(5)]
         before = u1.to_state_bytes()
         with pytest.raises(ResyncError):
@@ -713,7 +731,8 @@ class TestGroupReceive:
         clients, _ = installed_group(mno, relay, 2)
         u0, u1 = clients
         mk, _ = crypto.ratchet_forward(u0.groups["team"].group_chain)
-        body = u0._group_key_body("team", ["u0", "u1"], bytes(32))
+        body = client_mod._encode_group_descriptor(
+            client_mod._new_group("team", "u0", ["u0", "u1"], bytes(32)))
         envelope = u0._build_envelope("", "team", mk, b"\x01" + body)
         with pytest.raises(WireProtocolError):
             u1.receive_envelope(envelope)

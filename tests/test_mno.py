@@ -9,19 +9,19 @@ from chainchat.chain import KIND_REVOCATION, REVOKED, VALID, fetch_latest
 from chainchat.crypto import generate_identity_keypair
 from chainchat.errors import EnrollmentError
 from chainchat.mno import (
+    VALIDITY_SECONDS,
     EnrollmentRequest,
     MnoCertificateAuthority,
     possession_payload,
 )
 
 
-def enroll(mno, user_id, pair=None, validity=3600):
+def enroll(mno, user_id, pair=None):
     pair = pair or generate_identity_keypair()
     challenge = mno.new_challenge(user_id)
     proof = identity_sig.sign(
         pair.private_key, possession_payload(user_id, pair.public_key, challenge))
-    record = mno.issue_certificate(
-        EnrollmentRequest(user_id, pair.public_key, proof), validity)
+    record = mno.issue_certificate(EnrollmentRequest(user_id, pair.public_key, proof))
     return pair, record
 
 
@@ -40,14 +40,14 @@ class TestEnrollment:
         proof = identity_sig.sign(
             wrong.private_key, possession_payload("alice", pair.public_key, challenge))
         with pytest.raises(EnrollmentError):
-            mno.issue_certificate(EnrollmentRequest("alice", pair.public_key, proof), 60)
+            mno.issue_certificate(EnrollmentRequest("alice", pair.public_key, proof))
 
     def test_missing_challenge_rejected(self, mno):
         pair = generate_identity_keypair()
         proof = identity_sig.sign(
             pair.private_key, possession_payload("alice", pair.public_key, b"\x00" * 32))
         with pytest.raises(EnrollmentError):
-            mno.issue_certificate(EnrollmentRequest("alice", pair.public_key, proof), 60)
+            mno.issue_certificate(EnrollmentRequest("alice", pair.public_key, proof))
 
     def test_challenge_consumed_no_replay(self, mno):
         pair = generate_identity_keypair()
@@ -55,9 +55,9 @@ class TestEnrollment:
         proof = identity_sig.sign(
             pair.private_key, possession_payload("alice", pair.public_key, challenge))
         request = EnrollmentRequest("alice", pair.public_key, proof)
-        mno.issue_certificate(request, 60)
+        mno.issue_certificate(request)
         with pytest.raises(EnrollmentError):
-            mno.issue_certificate(request, 60)
+            mno.issue_certificate(request)
 
     def test_subscriber_check_enforced(self, mno_credential, chain_node):
         strict = MnoCertificateAuthority(
@@ -77,24 +77,20 @@ class TestEnrollment:
         assert status.record.subject_public_key == new_pair.public_key
         assert status.record == new_record
 
-    def test_nonpositive_validity_rejected(self, mno):
+    def test_the_mno_sets_the_lifetime(self, mno, chain_node):
+        """The request carries no lifetime, and the issue time is keyword-only,
+        so a stray positional argument cannot date a certificate."""
         pair = generate_identity_keypair()
         challenge = mno.new_challenge("alice")
         proof = identity_sig.sign(
             pair.private_key, possession_payload("alice", pair.public_key, challenge))
-        with pytest.raises(ValueError):
-            mno.issue_certificate(EnrollmentRequest("alice", pair.public_key, proof), 0)
-
-    def test_validity_past_u64_rejected(self, mno, chain_node):
-        pair = generate_identity_keypair()
-        challenge = mno.new_challenge("alice")
-        proof = identity_sig.sign(
-            pair.private_key, possession_payload("alice", pair.public_key, challenge))
+        request = EnrollmentRequest("alice", pair.public_key, proof)
         height = len(chain_node.snapshot().blocks)
-        with pytest.raises(ValueError):
-            mno.issue_certificate(EnrollmentRequest("alice", pair.public_key, proof),
-                                  (1 << 64) - 1)
+        with pytest.raises(TypeError):
+            mno.issue_certificate(request, 60)
         assert len(chain_node.snapshot().blocks) == height
+        record = mno.issue_certificate(request, now=1_000)
+        assert (record.issued_at, record.expires_at) == (1_000, 1_000 + VALIDITY_SECONDS)
 
     def test_low_order_keys_refused(self, mno, chain_node):
         """R = s*B, S = s passes the cofactorless check whenever h*A is the
@@ -109,7 +105,7 @@ class TestEnrollment:
                 r_enc = identity_sig._compress(identity_sig._base_mul(s))
                 forged = r_enc + s.to_bytes(32, "little")
                 with pytest.raises(EnrollmentError):
-                    mno.issue_certificate(EnrollmentRequest("mallory", key, forged), 60)
+                    mno.issue_certificate(EnrollmentRequest("mallory", key, forged))
         assert len(chain_node.snapshot().blocks) == height
 
 

@@ -3,11 +3,13 @@ import random
 import struct
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from chainchat import chain as chain_mod
 from chainchat import identity_sig
+from chainchat import mno as mno_mod
 from chainchat import relay as relay_mod
 from chainchat.chain import REVOKED, VALID, record_fingerprint
 from chainchat.client import Client
@@ -176,10 +178,12 @@ class TestStoreAndForward:
         assert [env.counter for _, env in relay.fetch_envelopes("bob", 0)] == [0]
 
     def test_expired_recipient_refused(self, relay, mno, monkeypatch):
-        fay = Client.install("fay", mno, relay)
-        Client.install("gil", mno, relay, validity_seconds=60)
+        t0 = int(time.time())
+        Client.install("gil", mno, relay)
+        monkeypatch.setattr(mno_mod, "time", SimpleNamespace(time=lambda: t0 + 120))
+        fay = Client.install("fay", mno, relay)  # issued after gil, so expires after
         fay.start_session("gil")
-        monkeypatch.setattr(chain_mod, "_now", lambda: int(time.time()) + 120)
+        monkeypatch.setattr(chain_mod, "_now", lambda: t0 + mno_mod.VALIDITY_SECONDS + 60)
         with pytest.raises(SessionRefusedError) as refused:
             relay.submit_envelope(fay.send_text("gil", "too late"))
         assert refused.value.category == "peer-expired"
@@ -326,7 +330,7 @@ class TestGroupFanOut:
         challenge = mno.new_challenge("dan")
         proof = identity_sig.sign(
             pair.private_key, possession_payload("dan", pair.public_key, challenge))
-        mno.issue_certificate(EnrollmentRequest("dan", pair.public_key, proof), 60)
+        mno.issue_certificate(EnrollmentRequest("dan", pair.public_key, proof))
         relay.create_group("room", ids[0], ids + ["dan"])
         envelope = plain_envelope("dan", "", group_id="room")
         with pytest.raises(RoutingError):

@@ -9,6 +9,7 @@ import threading
 import pytest
 
 from chainchat import identity_sig, wire
+from chainchat import mno as mno_mod
 from chainchat import relay as relay_mod
 from chainchat.client import Client
 from chainchat.config import StackConfig
@@ -256,15 +257,18 @@ class TestServer:
         for user_id in ids[1:]:
             assert rc.fetch_envelopes(user_id, 0) == []
 
-    def test_enroll_validity_past_u64_refused(self, rc):
+    def test_enroll_lifetime_is_the_mnos(self, rc):
+        """A submit body that still names a lifetime gets the MNO's."""
         pair = generate_identity_keypair()
         challenge = rc.new_challenge("alice")
         proof = identity_sig.sign(
             pair.private_key, possession_payload("alice", pair.public_key, challenge))
-        with pytest.raises(WireRemoteError) as err:
-            rc.issue_certificate(EnrollmentRequest("alice", pair.public_key, proof), U64_MAX)
-        assert err.value.category == "protocol-error"
-        assert rc.fetch_certificate("alice").state == "not_found"
+        reply = rc.request("enroll", _enroll_submit(
+            subject_public_key=wire._b64(pair.public_key),
+            proof_of_possession=wire._b64(proof)))
+        record = record_from_obj(reply["record"])
+        assert record.expires_at - record.issued_at == mno_mod.VALIDITY_SECONDS
+        assert rc.fetch_certificate("alice").record == record
 
     def test_full_mailbox_refused_over_wire(self, rc, monkeypatch):
         monkeypatch.setattr(relay_mod, "MAILBOX_CAP", 1)
@@ -445,10 +449,6 @@ class TestMalformedBodies:
         ("enroll", {"phase": "challenge"}),
         ("enroll", {"phase": "revoke"}),
         ("enroll", {"phase": "submit", "user_id": "alice", "proof_of_possession": _PROOF}),
-        ("enroll", _enroll_submit(validity_seconds="abc")),
-        ("enroll", _enroll_submit(validity_seconds=0)),
-        ("enroll", _enroll_submit(validity_seconds=-5)),
-        ("enroll", _enroll_submit(validity_seconds=2**64)),
     ], ids=["register-no-fingerprint", "register-int-user", "fetch_cert-no-user",
             "fetch_cert-null-user", "submit-no-envelope", "submit-string-counter",
             "submit-no-recipient-fingerprint", "submit-bad-recipient-fingerprint",
@@ -458,9 +458,7 @@ class TestMalformedBodies:
             "group_create-string-members", "group_create-int-member",
             "group_create-duplicate-member",
             "group_send-no-group", "enroll-challenge-no-user", "enroll-revoke-no-user",
-            "enroll-submit-no-key", "enroll-submit-string-validity",
-            "enroll-submit-zero-validity", "enroll-submit-negative-validity",
-            "enroll-submit-validity-past-u64"])
+            "enroll-submit-no-key"])
     def test_protocol_error(self, rc, relay, msg_type, body):
         with pytest.raises(WireRemoteError) as err:
             rc.request(msg_type, body)
@@ -482,7 +480,7 @@ _CALLS = {
     "fetch_cert": lambda c: c.fetch_certificate("bob"),
     "challenge": lambda c: c.new_challenge("bob"),
     "issue": lambda c: c.issue_certificate(
-        EnrollmentRequest("bob", b"\x42" * 32, b"\x00" * 64), 60),
+        EnrollmentRequest("bob", b"\x42" * 32, b"\x00" * 64)),
     "register": lambda c: c.register_user("bob", b"\x42" * 32),
     "submit": lambda c: c.submit_envelope(_ENVELOPE),
     "fetch": lambda c: c.fetch_envelopes("bob", 0),
@@ -511,11 +509,13 @@ class TestMalformedReplies:
         ("fetch", "ack", {"envelopes": ["x"]}),
         ("group_send", "ack", {"acks": [{"member_id": "bob"}]}),
         ("fetch_cert", "error", {"message": "no category"}),
+        ("register", "submit", {"result": "registered"}),
     ], ids=["status-missing", "status-int", "valid-without-record",
             "expired-without-record", "string-issued_at",
             "float-expires_at", "null-kind", "challenge-missing", "record-missing",
             "register-int-result", "submit-no-result", "envelopes-null",
-            "string-seq", "entry-string", "ack-no-result", "error-no-category"])
+            "string-seq", "entry-string", "ack-no-result", "error-no-category",
+            "request-type-reply"])
     def test_protocol_error(self, call, reply_type, body):
         with serve_one_reply(encode_message(reply_type, body)) as client:
             with pytest.raises(WireProtocolError):
