@@ -29,12 +29,13 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import BinaryIO, Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from .encoding import Reader, encode_bytes, encode_str, encode_u64
 from .errors import (
+    ChainError,
     ChainFormatError,
     RecordValidationError,
     RevocationError,
@@ -425,7 +426,7 @@ def _check_blocks(hashed: Iterator[Tuple[Block, bytes]],
 
 def verify_chain(state: ChainState) -> VerifyResult:
     """Full re-verification: links, writer membership, every signature; what
-    ``chainchat chain verify`` runs. Start-up runs ``load_checked_chain``."""
+    ``chainchat chain verify`` runs. Start-up runs ``ChainNode.open``."""
     if not state.blocks:
         return VerifyResult(ok=False, reason="chain has no blocks")
     return _check_blocks(((blk, blk.block_hash()) for blk in state.blocks), True)[1]
@@ -495,38 +496,21 @@ def load_chain(path: str) -> ChainState:
         return chain_from_bytes(f.read())
 
 
-def load_checked_chain(path: str) -> Tuple[ChainState, VerifyResult]:
-    """The stack's start-up check: parse the chain file and check it in one
-    pass, with the first failed check. It makes every check of
-    ``verify_chain``, every record signature included since ``fetch_cert``
-    serves records as stored, but verifies only the head's writer signature:
-    that covers the head's ``prev_hash``, the SHA-256 of the previous frame's
-    bytes, which covers every earlier byte. The writer seeds sit in
-    ``stack.json`` beside the chain, so start-up guards against corruption
-    only, and a corrupted byte breaks a link or a signature (FORMATS.md)."""
-    with open(path, "rb") as f:
-        frames = _frames(f.read())
-    blocks, result = _check_blocks(
-        ((Block.from_bytes(frame), hashlib.sha256(frame).digest()) for frame in frames), False)
-    return ChainState(blocks=blocks), result
-
-
-def _intact_length(f: BinaryIO) -> int:
-    """Length of the chain file open as ``f`` without a final frame that an
-    interrupted append left shorter than its length prefix.
+def _intact_length(data: bytes) -> int:
+    """Length of the chain file's bytes ``data`` without a final frame that
+    an interrupted append left shorter than its length prefix.
 
     What there is of such a frame is the start of a block encoding, so its
     parse runs out of data. A final frame whose body is a whole block, or a
     block followed by more bytes, is a corrupted length instead; it is kept,
-    and the strict parse refuses it. Only the frame headers are read.
+    and the strict parse refuses it. The walk reads only the frame headers.
     """
-    pos, end = 0, f.seek(0, os.SEEK_END)
+    pos, end = 0, len(data)
     while end - pos >= 4:
-        f.seek(pos)
-        (length,) = struct.unpack(">I", f.read(4))
+        (length,) = struct.unpack_from(">I", data, pos)
         if pos + 4 + length > end:
             try:
-                Block.from_bytes(f.read())
+                Block.from_bytes(data[pos + 4:])
             except TruncatedDataError:
                 return pos
             except ChainFormatError:
@@ -534,18 +518,6 @@ def _intact_length(f: BinaryIO) -> int:
             return end
         pos += 4 + length
     return pos
-
-
-def cut_torn_tail(path: str) -> None:
-    """Truncate the chain file's torn final frame, if any, provided the
-    blocks in front of it parse; otherwise leave the file as it is."""
-    with open(path, "r+b") as f:
-        keep = _intact_length(f)
-        if keep < f.seek(0, os.SEEK_END):
-            f.seek(0)
-            chain_from_bytes(f.read(keep))
-            f.truncate(keep)
-            os.fsync(f.fileno())
 
 
 def _append_frame(path: str, block: Block) -> None:
@@ -586,8 +558,32 @@ class ChainNode:
 
     @classmethod
     def open(cls, path: str) -> "ChainNode":
-        cut_torn_tail(path)
-        return cls(load_chain(path), path=path)
+        """The one opener of a chain file, the stack's start-up check.
+
+        Reads the file once and, in one pass, parses it and makes every
+        check of ``verify_chain``, every record signature included since
+        ``fetch_cert`` serves records as stored, but verifies only the head's
+        writer signature: that covers the head's ``prev_hash``, the SHA-256
+        of the previous frame's bytes, which covers every earlier byte. The
+        writer seeds sit in ``stack.json`` beside the chain, so this guards
+        against corruption only, and a corrupted byte breaks a link or a
+        signature (FORMATS.md). Raises ``ChainFormatError`` if the file does
+        not parse and ``ChainError`` if a check fails, leaving the file as it
+        was; only a file that passes loses its torn final frame, if any.
+        """
+        with open(path, "r+b") as f:
+            data = f.read()
+            keep = _intact_length(data)
+            blocks, result = _check_blocks(
+                ((Block.from_bytes(frame), hashlib.sha256(frame).digest())
+                 for frame in _frames(data[:keep])), False)
+            if not result:
+                raise ChainError(f"verification fails at height {result.height}: "
+                                 f"{result.reason}")
+            if keep < len(data):
+                f.truncate(keep)
+                os.fsync(f.fileno())
+        return cls(ChainState(blocks=blocks), path=path)
 
     def snapshot(self) -> ChainState:
         return self._state

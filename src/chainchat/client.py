@@ -76,7 +76,6 @@ from .relay import Envelope
 
 MAX_SKIPPED = 1_000  # parked message keys per receive chain, as Signal's MAX_SKIP
 BACKUP_MAGIC = b"BEEB1"
-BACKUP_SEAL_INFO = b"backup"
 BACKUP_MAX_STATE = 1 << 26  # state archives may exceed the message cap
 # PBKDF2 runs before the MAC can refuse a header, so the header's count is capped
 BACKUP_MAX_ITERATIONS = 10 * crypto.BACKUP_ITERATIONS
@@ -176,7 +175,7 @@ class BackupArchive:
       ciphertext length (4 BE) | ciphertext | mac (32)
 
     An archive is refused (``backup-format``) when built or parsed with a
-    count above ``BACKUP_MAX_ITERATIONS``, so no key is derived from one.
+    count outside 1 to ``BACKUP_MAX_ITERATIONS``, so no key is derived from one.
     """
 
     salt: bytes
@@ -184,9 +183,9 @@ class BackupArchive:
     payload: SealedPayload
 
     def __post_init__(self) -> None:
-        if self.iterations > BACKUP_MAX_ITERATIONS:
-            raise BackupFormatError(f"iteration count {self.iterations} above the "
-                                    f"ceiling {BACKUP_MAX_ITERATIONS}")
+        if not 1 <= self.iterations <= BACKUP_MAX_ITERATIONS:
+            raise BackupFormatError(f"iteration count {self.iterations} outside "
+                                    f"1 to {BACKUP_MAX_ITERATIONS}")
 
     def header(self) -> bytes:
         return BACKUP_MAGIC + self.salt + struct.pack(">I", self.iterations)
@@ -354,13 +353,7 @@ class Client:
         if not envelope.shape_ok():  # e.g. a counter past u64 has no associated data
             raise WireProtocolError("malformed envelope")
         if envelope.group_id:
-            group = self.groups.get(envelope.group_id)
-            if group is None:
-                raise UnknownGroupError(f"no group state for {envelope.group_id!r}")
-            if envelope.sender_id not in group.member_ids:
-                raise GroupPermissionError(
-                    f"{envelope.sender_id!r} is not a member of {envelope.group_id!r}"
-                )
+            group = self._group_of(envelope.group_id, envelope.sender_id)
             plaintext, group.group_chain = self._open(group.group_chain,
                                                       group.skipped_keys, envelope)
         else:
@@ -479,12 +472,17 @@ class Client:
             )
         self.groups[group_id] = _new_group(group_id, admin_id, members, group_key)
 
-    def send_group_message(self, group_id: str, text: str) -> Envelope:
+    def _group_of(self, group_id: str, member_id: str) -> GroupState:
+        """The known group ``group_id``, which lists ``member_id``."""
         group = self.groups.get(group_id)
         if group is None:
             raise UnknownGroupError(f"no group state for {group_id!r}")
-        if self.user_id not in group.member_ids:
-            raise GroupPermissionError(f"not a member of {group_id!r}")
+        if member_id not in group.member_ids:
+            raise GroupPermissionError(f"{member_id!r} is not a member of {group_id!r}")
+        return group
+
+    def send_group_message(self, group_id: str, text: str) -> Envelope:
+        group = self._group_of(group_id, self.user_id)
         mk, next_chain = crypto.ratchet_forward(group.group_chain)
         envelope = self._build_envelope("", group_id, mk,
                                         _FRAME_TEXT + text.encode("utf-8"))
@@ -501,8 +499,7 @@ class Client:
             raise ValueError("backup secret must be non-empty")
         archive = BackupArchive(salt=self._rng(16), iterations=crypto.BACKUP_ITERATIONS,
                                 payload=SealedPayload(ciphertext=b"", mac=b""))
-        backup_key = crypto.derive_backup_key(secret, archive.salt, archive.iterations)
-        mk = crypto.derive_message_key_from_secret(backup_key.key, BACKUP_SEAL_INFO)
+        mk = crypto.backup_message_key(secret, archive.salt, archive.iterations)
         payload = crypto.seal(mk, self.to_state_bytes(), archive.header(),
                               max_plaintext=BACKUP_MAX_STATE)
         return replace(archive, payload=payload)
@@ -513,9 +510,7 @@ class Client:
         authentication before any state is constructed."""
         if isinstance(archive, (bytes, bytearray)):
             archive = BackupArchive.from_bytes(bytes(archive))
-        backup_key = crypto.derive_backup_key(secret, archive.salt, archive.iterations,
-                                              floor=1)
-        mk = crypto.derive_message_key_from_secret(backup_key.key, BACKUP_SEAL_INFO)
+        mk = crypto.backup_message_key(secret, archive.salt, archive.iterations)
         return cls.from_state_bytes(crypto.unseal(mk, archive.payload, archive.header()))
 
     # -- canonical state serialization ------------------------------------------------------

@@ -1,14 +1,10 @@
-"""Stack configuration: key=value file, environment overrides, CLI overrides."""
+"""Stack configuration: defaults, a key=value file named by ``--config``, CLI flags."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping, Optional
-
-ENV_CHAIN_FILE = "CHAINCHAT_CHAIN_FILE"
-DEFAULT_CONFIG_NAME = "chainchat.conf"
+from typing import Optional
 
 
 @dataclass
@@ -47,25 +43,16 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def load_config(path: Optional[str] = None,
-                env: Mapping[str, str] = os.environ,
-                **overrides) -> StackConfig:
-    """Precedence: defaults < config file < environment < explicit overrides."""
+def load_config(path: Optional[str] = None, **overrides) -> StackConfig:
+    """Precedence: defaults < the config file at ``path`` < explicit overrides."""
     cfg = StackConfig()
     known = {f.name: type(f.default) for f in fields(StackConfig)}  # str or int
-
-    file_path = path
-    if file_path is None and Path(DEFAULT_CONFIG_NAME).exists():
-        file_path = DEFAULT_CONFIG_NAME
-    if file_path is not None:
-        values = parse_config_text(Path(file_path).read_text(encoding="utf-8"))
+    if path is not None:
+        values = parse_config_text(Path(path).read_text(encoding="utf-8"))
         for key, value in values.items():
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
             setattr(cfg, key, known[key](value))
-
-    if env.get(ENV_CHAIN_FILE):
-        cfg.chain_file = env[ENV_CHAIN_FILE]
 
     for key, value in overrides.items():
         if value is None:

@@ -59,6 +59,7 @@ MIN_BACKUP_ITERATIONS = 10_000
 BACKUP_ITERATIONS = 210_000  # the PBKDF2 count of every backup export
 
 _MSG_KEY_INFO = b"msg"
+_BACKUP_KEY_INFO = b"backup"
 _MSG_KEY_LEN = 80  # 32 cipher + 32 mac + 16 iv
 _SHA256 = hashes.SHA256()  # stateless descriptor, shared by every HKDF call
 
@@ -178,14 +179,6 @@ def derive_master_secret(own_private: bytes, peer_public: bytes) -> MasterSecret
     return MasterSecret(bytes_=shared)
 
 
-def chain_info(user_a: str, user_b: str) -> Tuple[bytes, bytes]:
-    """HKDF info strings for the two directional chains, (lo->hi, hi->lo)."""
-    lo, hi = sorted((user_a, user_b))
-    forward = f"chain|{lo}|{hi}|A→B".encode("utf-8")
-    backward = f"chain|{lo}|{hi}|B→A".encode("utf-8")
-    return forward, backward
-
-
 def init_chains(master: MasterSecret, own_id: str, peer_id: str) -> Tuple[ChainKey, ChainKey]:
     """Derive the two root chain keys; returns (send, receive) for own_id.
 
@@ -194,10 +187,9 @@ def init_chains(master: MasterSecret, own_id: str, peer_id: str) -> Tuple[ChainK
     """
     if own_id == peer_id:
         raise ValueError("chain endpoints must be distinct user ids")
-    forward_info, backward_info = chain_info(own_id, peer_id)
-    forward = hkdf_sha256(master.bytes_, ZERO_SALT, forward_info, 32)
-    backward = hkdf_sha256(master.bytes_, ZERO_SALT, backward_info, 32)
-    lo = min(own_id, peer_id)
+    lo, hi = sorted((own_id, peer_id))  # forward is lo->hi, backward hi->lo
+    forward = hkdf_sha256(master.bytes_, ZERO_SALT, f"chain|{lo}|{hi}|A→B".encode("utf-8"), 32)
+    backward = hkdf_sha256(master.bytes_, ZERO_SALT, f"chain|{lo}|{hi}|B→A".encode("utf-8"), 32)
     send_key, recv_key = (forward, backward) if own_id == lo else (backward, forward)
     return ChainKey(key=send_key, index=0), ChainKey(key=recv_key, index=0)
 
@@ -267,11 +259,12 @@ def derive_backup_key(secret: str, salt: bytes, iterations: int = BACKUP_ITERATI
     """Password-derived archive key, PBKDF2-HMAC-SHA256 (RFC 8018 semantics).
 
     ``floor`` bounds a count the caller picks; known-answer tests lower it to
-    run single-iteration vectors. ``Client.restore_backup`` passes ``floor=1``
-    because its count is no choice: it is read from the archive header, which
-    the archive's MAC covers as associated data, so a changed count fails the
-    MAC and the archive does not open. Since the MAC is checked only after
-    the derivation, ``BackupArchive`` refuses a count above
+    run single-iteration vectors. ``backup_message_key`` passes ``floor=1``
+    because its count is no choice: an export uses ``BACKUP_ITERATIONS``, and
+    a restore reads the count from the archive header, which the archive's
+    MAC covers as associated data, so a changed count fails the MAC and the
+    archive does not open. Since the MAC is checked only after the
+    derivation, ``BackupArchive`` refuses a count outside 1 to
     ``BACKUP_MAX_ITERATIONS`` before one runs.
     """
     if not secret:
@@ -284,10 +277,9 @@ def derive_backup_key(secret: str, salt: bytes, iterations: int = BACKUP_ITERATI
     return BackupKey(key=key, salt=salt, iterations=iterations)
 
 
-def derive_message_key_from_secret(secret: bytes, info: bytes) -> MessageKey:
-    """Expand a 32-byte secret straight into sealing material.
-
-    Used where a one-off key (the backup archive) needs the same
-    cipher/mac/iv layout as ratchet-derived message keys; its index is 0.
-    """
-    return _message_key(secret, info, 0)
+def backup_message_key(secret: str, salt: bytes, iterations: int) -> MessageKey:
+    """The sealing material of a backup archive: the password key of
+    ``derive_backup_key``, expanded into the cipher/mac/iv layout of a
+    ratchet message key, at index 0."""
+    key = derive_backup_key(secret, salt, iterations, floor=1)
+    return _message_key(key.key, _BACKUP_KEY_INFO, 0)

@@ -31,6 +31,9 @@ from .chain import (
 from .errors import EnrollmentError
 
 VALIDITY_SECONDS = 30 * 24 * 3600  # the MNO, not the subscriber, sets the lifetime
+# pending enrollment challenges kept; past it the oldest is dropped, since
+# refusing new requests would let any wire client block every enrollment
+CHALLENGE_CAP = 10_000
 
 SubscriberCheck = Callable[[str], bool]
 
@@ -69,10 +72,14 @@ class MnoCertificateAuthority:
         return self.credential.verification_key
 
     def new_challenge(self, user_id: str) -> bytes:
-        """Fresh 32-byte enrollment nonce; replaces any outstanding one."""
+        """Fresh 32-byte enrollment nonce; replaces any outstanding one and
+        becomes the newest of at most ``CHALLENGE_CAP`` pending ones."""
         challenge = self._rng(32)
         with self._lock:
+            self._challenges.pop(user_id, None)
             self._challenges[user_id] = challenge
+            if len(self._challenges) > CHALLENGE_CAP:
+                del self._challenges[next(iter(self._challenges))]
         return challenge
 
     def issue_certificate(self, request: EnrollmentRequest, *,

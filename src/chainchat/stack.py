@@ -11,12 +11,11 @@ from __future__ import annotations
 import base64
 import json
 from pathlib import Path
-from typing import Optional
 
-from .chain import ChainNode, WriterCredential, cut_torn_tail, load_checked_chain, write_atomic
+from .chain import ChainNode, WriterCredential, write_atomic
 from .chain import load_chain, verify_chain  # noqa: F401  (perfbench/tracing.py wraps them here)
 from .config import StackConfig
-from .errors import StackStartupError
+from .errors import ChainError, StackStartupError
 from .mno import MnoCertificateAuthority
 from .relay import Relay
 from .wire import RelayClient, WireServer
@@ -57,20 +56,17 @@ def _open_chain(cfg: StackConfig,
                 credentials: dict[str, WriterCredential]) -> ChainNode:
     chain_path = cfg.resolved_chain_file()
     if Path(chain_path).exists():
-        cut_torn_tail(chain_path)
-        state, result = load_checked_chain(chain_path)
-        if not result:
-            raise StackStartupError(
-                f"chain file {chain_path} fails verification at height "
-                f"{result.height}: {result.reason}"
-            )
-        declared = state.writers
+        try:
+            node = ChainNode.open(chain_path)
+        except ChainError as e:
+            raise StackStartupError(f"chain file {chain_path}: {e}") from e
+        declared = node.snapshot().writers
         for writer_id, cred in credentials.items():
             if declared.get(writer_id) != cred.verification_key:
                 raise StackStartupError(
                     f"writer {writer_id!r} does not match the chain's genesis declaration"
                 )
-        return ChainNode(state, path=chain_path)
+        return node
     Path(chain_path).parent.mkdir(parents=True, exist_ok=True)
     writer_set = [(writer_id, cred.verification_key)
                   for writer_id, cred in credentials.items()]
@@ -105,12 +101,11 @@ class StackHandle:
         self.close()
 
 
-def run_stack(config: Optional[StackConfig] = None) -> StackHandle:
-    cfg = config or StackConfig()
-    Path(cfg.state_dir).mkdir(parents=True, exist_ok=True)
-    credentials = _load_or_create_credentials(cfg)
-    chain_node = _open_chain(cfg, credentials)
+def run_stack(config: StackConfig) -> StackHandle:
+    Path(config.state_dir).mkdir(parents=True, exist_ok=True)
+    credentials = _load_or_create_credentials(config)
+    chain_node = _open_chain(config, credentials)
     mno = MnoCertificateAuthority(credentials[MNO_WRITER_ID], chain_node)
     relay = Relay(chain_node)
-    server = WireServer(relay, mno, host=cfg.relay_host, port=cfg.relay_port)
-    return StackHandle(cfg, chain_node, mno, relay, server)
+    server = WireServer(relay, mno, host=config.relay_host, port=config.relay_port)
+    return StackHandle(config, chain_node, mno, relay, server)

@@ -1,7 +1,12 @@
 import collections
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chainchat
 from chainchat import crypto
 from chainchat.bench import (
     BenchRecord,
@@ -141,3 +146,20 @@ class TestCsv:
     def test_unknown_direction(self):
         with pytest.raises(ValueError):
             render_csv([BenchRecord(0, 1)], "sideways")
+
+
+def test_perfbench_tracer_finds_every_name_it_wraps():
+    """perfbench/tracing.py wraps chainchat functions and methods by name, so
+    removing or renaming one breaks ``perfbench/run.py --trace 1``. The wraps
+    replace module attributes, so they run in a child process."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    package_root = Path(chainchat.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join([str(perfbench), str(package_root)]))
+    script = ("import tracing\n"
+              "tracer = tracing.Tracer()\n"
+              "tracing.instrument_client(tracer)\n"
+              "tracing.instrument_server(tracer)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr

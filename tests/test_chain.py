@@ -28,6 +28,7 @@ from chainchat.chain import (
     verify_record,
 )
 from chainchat.errors import (
+    ChainError,
     ChainFormatError,
     RecordValidationError,
     RevocationError,
@@ -378,7 +379,7 @@ class TestAppendOnlyFile:
                                                               tmp_path):
         """Flips in every frame's length prefix and in every byte of the last
         frame, through ChainNode.open: each one is refused, leaving the file
-        as it was, or yields a chain that fails verification."""
+        as it was."""
         path = tmp_path / "chain.dat"
         _node_with_blocks(mno, im_server, path, 10)
         original = path.read_bytes()
@@ -393,12 +394,9 @@ class TestAppendOnlyFile:
             mutated = bytearray(original)
             mutated[offset] ^= mask
             path.write_bytes(bytes(mutated))
-            try:
-                node = ChainNode.open(str(path))
-            except ChainFormatError:
-                assert path.read_bytes() == mutated, f"refused file changed at {offset}"
-                continue
-            assert not verify_chain(node.snapshot()), f"undetected mutation at byte {offset}"
+            with pytest.raises(ChainError):
+                ChainNode.open(str(path))
+            assert path.read_bytes() == mutated, f"refused file changed at {offset}"
 
     def test_failed_fsync_leaves_file_and_snapshot(self, mno, im_server, tmp_path,
                                                    monkeypatch):

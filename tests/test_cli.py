@@ -29,8 +29,8 @@ from chainchat.wire import RelayClient
 
 @pytest.fixture(autouse=True)
 def _isolated_cwd(tmp_path, monkeypatch):
-    """cli.main and load_config(None) read chainchat.conf from the working
-    directory; run each test where no such file exists."""
+    """Run each test in its own directory, so relative paths such as the
+    default state directory never land in the checkout."""
     monkeypatch.chdir(tmp_path)
 
 
@@ -62,14 +62,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config_text("just words\n")
 
-    def test_env_chain_file_override(self, tmp_path):
-        cfg = load_config(None, env={"CHAINCHAT_CHAIN_FILE": "/elsewhere/c.dat"})
-        assert cfg.resolved_chain_file() == "/elsewhere/c.dat"
+    def test_settings_come_only_from_the_command_line(self, tmp_path, monkeypatch):
+        """Neither the environment nor a chainchat.conf in the working
+        directory sets anything; ``--config FILE`` can set the chain file."""
+        monkeypatch.setenv("CHAINCHAT_CHAIN_FILE", "/elsewhere/c.dat")
+        (tmp_path / "chainchat.conf").write_text("relay_port=7000\nchain_file=/x/c.dat\n")
+        assert load_config() == StackConfig()
+        cfg = load_config(str(tmp_path / "chainchat.conf"))
+        assert (cfg.relay_port, cfg.resolved_chain_file()) == (7000, "/x/c.dat")
 
     def test_file_plus_overrides(self, tmp_path):
         path = tmp_path / "chainchat.conf"
         path.write_text("relay_port=7000\nrelay_host=10.0.0.7\n")
-        cfg = load_config(str(path), env={}, relay_port=8000)
+        cfg = load_config(str(path), relay_port=8000)
         assert cfg.relay_port == 8000
         assert cfg.relay_host == "10.0.0.7"
 
@@ -81,7 +86,7 @@ class TestConfig:
                      "backup_iterations=10000", "cert_validity_days=1"):
             path.write_text(line + "\n")
             with pytest.raises(ValueError):
-                load_config(str(path), env={})
+                load_config(str(path))
 
     def test_readme_lists_exactly_the_config_keys(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
@@ -204,6 +209,22 @@ class TestStartupCheck:
                 continue
             pytest.fail(f"start-up accepted a flip at byte {offset}")
 
+    def test_refused_start_up_leaves_a_torn_file_as_it_was(self, small_chain):
+        """The check runs before a torn final frame is cut, so a file that
+        start-up refuses keeps every byte."""
+        cfg, _ = small_chain
+        path = Path(cfg.resolved_chain_file())
+        data = path.read_bytes()
+        blocks = chain_mod.chain_from_bytes(data).blocks
+        head_frame = data[len(data) - 4 - len(blocks[-1].canonical_bytes()):]
+        mutated = bytearray(data + head_frame[:40])  # an append cut short
+        # a byte of block 2's writer signature, which block 3 links to
+        mutated[data.index(blocks[2].writer_signature)] ^= 0x01
+        path.write_bytes(bytes(mutated))
+        with pytest.raises(StackStartupError, match="height 3: broken hash link"):
+            run_stack(cfg)
+        assert path.read_bytes() == mutated
+
     def test_a_frame_that_parses_is_its_block_encoding(self, small_chain):
         """What lets start-up hash frame bytes instead of re-encoding."""
         cfg, _ = small_chain
@@ -240,7 +261,7 @@ class TestStartupCheck:
         assert f"height {target}: bad writer signature" in capsys.readouterr().err
         # start-up defends against corruption; whoever holds the seeds can
         # re-sign the head, so this file starts
-        assert chain_mod.load_checked_chain(path)[1].ok
+        assert chain_mod.ChainNode.open(path).snapshot().height == len(blocks) - 1
 
 
 class TestCrashSafeWrites:

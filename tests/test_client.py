@@ -379,8 +379,8 @@ class TestBackup:
             Client.restore_backup(b"", "pw")
 
     def test_iteration_ceiling_refused_before_any_derivation(self, alice, monkeypatch):
-        """PBKDF2 runs before the MAC can refuse a header, so a count above
-        the ceiling is refused first."""
+        """PBKDF2 runs before the MAC can refuse a header, so a count outside
+        1 to the ceiling is refused first."""
         blob = bytearray(alice.export_backup("pw").to_bytes())
         counts = []
 
@@ -389,7 +389,7 @@ class TestBackup:
             return b"\x00" * 32
 
         monkeypatch.setattr("hashlib.pbkdf2_hmac", counted_pbkdf2)
-        for count in (BACKUP_MAX_ITERATIONS + 1, 2**32 - 1):
+        for count in (0, BACKUP_MAX_ITERATIONS + 1, 2**32 - 1):
             blob[21:25] = struct.pack(">I", count)
             with pytest.raises(BackupFormatError):
                 Client.restore_backup(bytes(blob), "pw")

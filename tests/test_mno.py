@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 
 import pytest
@@ -91,6 +92,31 @@ class TestEnrollment:
         assert len(chain_node.snapshot().blocks) == height
         record = mno.issue_certificate(request, now=1_000)
         assert (record.issued_at, record.expires_at) == (1_000, 1_000 + VALIDITY_SECONDS)
+
+    def test_pending_challenges_capped_oldest_dropped(self, mno, monkeypatch):
+        """Past CHALLENGE_CAP the oldest pending challenge goes, and a repeated
+        request makes its id the newest; a dropped enrollment asks again."""
+        monkeypatch.setattr("chainchat.mno.CHALLENGE_CAP", 3)
+        users = ["u0", "u1", "u2", "u3", "u4"]
+        pairs = {user: generate_identity_keypair() for user in users}
+        challenges = {}
+        for user in ["u0", "u1", "u2", "u0", "u3", "u4"]:  # u0 asks twice
+            challenges[user] = mno.new_challenge(user)
+        pending = json.loads(mno.dump_state())["pending_challenges"]
+        assert sorted(pending) == ["u0", "u3", "u4"]
+
+        def submit(user):
+            pair = pairs[user]
+            proof = identity_sig.sign(pair.private_key, possession_payload(
+                user, pair.public_key, challenges[user]))
+            return mno.issue_certificate(EnrollmentRequest(user, pair.public_key, proof))
+
+        for user in ("u1", "u2"):
+            with pytest.raises(EnrollmentError, match="no outstanding challenge"):
+                submit(user)
+        for user in ("u0", "u3", "u4"):
+            assert submit(user).user_id == user
+        assert enroll(mno, "u1")[1].user_id == "u1"
 
     def test_low_order_keys_refused(self, mno, chain_node):
         """R = s*B, S = s passes the cofactorless check whenever h*A is the
