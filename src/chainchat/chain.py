@@ -288,17 +288,8 @@ class VerifyResult:
 
 
 def genesis(writer_set: Sequence[Tuple[str, bytes]], timestamp: Optional[int] = None) -> ChainState:
-    """Bootstrap a chain whose only block declares the permissioned writers."""
-    if not writer_set:
-        raise ValueError("writer set must be non-empty")
-    ids = [w for w, _ in writer_set]
-    if len(set(ids)) != len(ids):
-        raise ValueError("writer ids must be unique")
-    for writer_id, key in writer_set:
-        if not writer_id:
-            raise ValueError("writer id must be non-empty")
-        if len(key) != 32:
-            raise ValueError(f"verification key for {writer_id!r} must be 32 bytes")
+    """Bootstrap a chain whose only block declares the permissioned writers;
+    a writer set that ``verify_chain`` would refuse raises ``ValueError``."""
     block = Block(
         height=0,
         prev_hash=ZERO_HASH,
@@ -308,6 +299,8 @@ def genesis(writer_set: Sequence[Tuple[str, bytes]], timestamp: Optional[int] = 
         writer_signature=ZERO_SIGNATURE,
         writer_declarations=tuple((w, bytes(k)) for w, k in writer_set),
     )
+    if not (result := _check_genesis(block)):
+        raise ValueError(result.reason)
     return ChainState(blocks=(block,))
 
 
@@ -372,6 +365,12 @@ def _check_genesis(gen: Block) -> VerifyResult:
     ids = [w for w, _ in gen.writer_declarations]
     if len(set(ids)) != len(ids):
         return VerifyResult(ok=False, height=0, reason="duplicate writer declarations")
+    for writer_id, key in gen.writer_declarations:
+        if not writer_id:
+            return VerifyResult(ok=False, height=0, reason="a declared writer id is empty")
+        if len(key) != 32:
+            return VerifyResult(ok=False, height=0,
+                                reason=f"verification key for {writer_id!r} is not 32 bytes")
     return VerifyResult(ok=True)
 
 

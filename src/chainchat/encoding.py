@@ -59,16 +59,17 @@ class Reader:
         self._pos = 0
         self._what = what
 
-    def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise TruncatedDataError(f"truncated {self._what} at offset {self._pos}")
-        out = self._data[self._pos:self._pos + n]
-        self._pos += n
-        return out
-
     def read_bytes(self) -> bytes:
-        (length,) = struct.unpack(">I", self._take(4))
-        return self._take(length)
+        # the prefix is read in place, not sliced out: every envelope and
+        # record that crosses the wire is decoded through here
+        data, start = self._data, self._pos + 4
+        if start > len(data):
+            raise TruncatedDataError(f"truncated {self._what} at offset {self._pos}")
+        end = start + LENGTH_PREFIX.unpack_from(data, self._pos)[0]
+        if end > len(data):
+            raise TruncatedDataError(f"truncated {self._what} at offset {start}")
+        self._pos = end
+        return data[start:end]
 
     def read_str(self) -> str:
         raw = self.read_bytes()

@@ -107,9 +107,9 @@ class MnoCertificateAuthority:
         self.chain_node.append(self.credential, [record])
         return record
 
-    def revoke(self, user_id: str, now: Optional[int] = None) -> None:
+    def revoke(self, user_id: str) -> None:
         """Operator-side revocation via this MNO's writer credential."""
-        self.chain_node.revoke(self.credential, user_id, timestamp=now)
+        self.chain_node.revoke(self.credential, user_id)
 
     def verify_certificate(self, record: CertificateRecord) -> bool:
         """Signature plus internal consistency; revocation markers verify too."""

@@ -7,9 +7,10 @@ list, without repeats, that ``create_group`` stored. Every request reads the
 chain node's current snapshot, so a revocation takes effect on the next
 lookup; a submit or a fan-out reads one snapshot at one time for all of its
 checks. ``RelayClient`` offers the same methods over the wire. The relay
-never inspects plaintext and never holds keys. It stores each envelope as
-parsed from the request and serves it re-encoded canonically, one JSON text
-per envelope however many mailboxes hold it. Every field it routes on and
+never inspects plaintext and never holds keys. An envelope crosses the wire
+as its canonical bytes (``canonical_bytes``, read back by ``from_bytes``); the
+relay stores it as parsed from the request and serves it re-encoded, one
+text per envelope however many mailboxes hold it. Every field it routes on and
 serves is bound into the sender's MAC, so any tampering in transit surfaces
 as an authentication failure at the recipient.
 
@@ -28,17 +29,15 @@ including ``n``. Repeating the same fetch returns the same envelopes.
 
 from __future__ import annotations
 
-import base64
 import json
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import chain
 from .chain import CertStatus, ChainNode, ChainState, fetch_latest, record_fingerprint
 from .crypto import SealedPayload
-from .encoding import (CANONICAL_JSON, LENGTH_PREFIX, U64_FIELD, U64_MAX, b64_text,
-                       encode_bytes)
+from .encoding import LENGTH_PREFIX, U64_FIELD, U64_MAX, Reader, b64_text, encode_bytes
 from .errors import (
     FingerprintMismatchError,
     GroupPermissionError,
@@ -64,8 +63,8 @@ class Envelope:
 
     ``recipient_cert_fingerprint`` is not a header field: it is a note to
     the relay, the recipient fingerprint the sender's session pinned, which
-    ``submit_envelope`` checks. It stays out of the associated data, the
-    canonical bytes and the envelope wire object, and envelopes fetched
+    ``submit_envelope`` checks. It stays out of the associated data and the
+    canonical bytes, which are also the wire form, and envelopes fetched
     over the wire carry it empty.
     """
 
@@ -104,6 +103,25 @@ class Envelope:
             + encode_bytes(self.payload.mac)
         )
 
+    @classmethod
+    def from_bytes(cls, data: bytes, recipient_cert_fingerprint: bytes = b"") -> "Envelope":
+        """The strict inverse of ``canonical_bytes``; an empty ``group_id``
+        decodes as ``None``, which ``associated_data`` encodes alike. The
+        relay's note is not in the bytes: a submit body carries it beside."""
+        r = Reader(data, what="envelope")
+        envelope = cls(
+            sender_id=r.read_str(),
+            recipient_id=r.read_str(),
+            counter=r.read_u64(),
+            sender_cert_fingerprint=r.read_bytes(),
+            group_id=r.read_str() or None,
+            sent_at=r.read_u64(),
+            payload=SealedPayload(ciphertext=r.read_bytes(), mac=r.read_bytes()),
+            recipient_cert_fingerprint=recipient_cert_fingerprint,
+        )
+        r.require_exhausted()
+        return envelope
+
     def shape_ok(self) -> bool:
         return (
             bool(self.sender_id)
@@ -115,26 +133,14 @@ class Envelope:
             and len(self.payload.ciphertext) % 16 == 0
         )
 
-    def wire_obj(self) -> Dict[str, Any]:
-        """The envelope wire object of PROTOCOL.md."""
-        return {
-            "sender_id": self.sender_id,
-            "recipient_id": self.recipient_id,
-            "counter": self.counter,
-            "sender_cert_fingerprint": b64_text(self.sender_cert_fingerprint),
-            "group_id": self.group_id,
-            "sent_at": self.sent_at,
-            "ciphertext": b64_text(self.payload.ciphertext),
-            "mac": b64_text(self.payload.mac),
-        }
-
     def wire_text(self) -> str:
-        """Canonical JSON of ``wire_obj()``, built on first use and kept on
-        the instance: a fanned-out envelope is one text in every mailbox.
-        Two threads may both build it; they store equal texts."""
+        """Base64 of ``canonical_bytes()``, the envelope's wire form, built on
+        first use and kept on the instance: a fanned-out envelope is one
+        text in every mailbox. Two threads may both build it; they store
+        equal texts."""
         text = self.__dict__.get("_wire_text")
         if text is None:
-            text = CANONICAL_JSON.encode(self.wire_obj())
+            text = b64_text(self.canonical_bytes())
             object.__setattr__(self, "_wire_text", text)  # frozen: fields only
         return text
 
@@ -300,8 +306,7 @@ class Relay:
                     mailboxes[user] = {
                         "next_seq": mailbox.next_seq,
                         "queue": [
-                            {"seq": seq,
-                             "envelope": base64.b64encode(env.canonical_bytes()).decode()}
+                            {"seq": seq, "envelope": env.wire_text()}
                             for seq, env in mailbox.queue
                         ],
                     }

@@ -18,7 +18,7 @@ from .config import StackConfig
 from .errors import ChainError, StackStartupError
 from .mno import MnoCertificateAuthority
 from .relay import Relay
-from .wire import RelayClient, WireServer
+from .wire import WireServer
 
 MNO_WRITER_ID = "mno-1"
 RELAY_WRITER_ID = "relay-1"
@@ -83,13 +83,6 @@ class StackHandle:
         self.server = server
         self.host = server.host
         self.port = server.port
-
-    def health(self) -> bool:
-        try:
-            with RelayClient(self.host, self.port, timeout=5.0) as probe:
-                return probe.health()
-        except OSError:
-            return False
 
     def close(self) -> None:
         self.server.close()

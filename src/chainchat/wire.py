@@ -2,7 +2,8 @@
 
 Every message on the stream is the version byte "1", a canonical JSON object
 {"type": ..., "body": ...} (sorted keys, no extra whitespace, byte fields as
-base64), and a trailing newline. Requests and replies alternate on one
+base64; an envelope or a certificate record is the base64 of its canonical
+bytes), and a trailing newline. Requests and replies alternate on one
 connection; replies are either the ack type or an error carrying a
 machine-readable category. PROTOCOL.md in the repository root fixes the
 exact field names.
@@ -22,10 +23,9 @@ import threading
 from typing import Any, Dict, List, Tuple
 
 from .chain import EXPIRED, NOT_FOUND, REVOKED, VALID, CertificateRecord, CertStatus
-from .crypto import SealedPayload
 from .encoding import CANONICAL_JSON
 from .encoding import b64_text as _b64
-from .errors import ChainChatError, StackStartupError, WireProtocolError
+from .errors import ChainChatError, ChainFormatError, StackStartupError, WireProtocolError
 from .mno import EnrollmentRequest, MnoCertificateAuthority
 from .relay import Envelope, Relay
 
@@ -47,11 +47,20 @@ def _unb64(text: Any) -> bytes:
         raise WireProtocolError(f"bad base64 field: {e}") from e
 
 
+def _text(value: Any, what: str) -> str:
+    """``value`` if it is a string that has a UTF-8 encoding; JSON also
+    spells a lone surrogate, which has none."""
+    if isinstance(value, str):
+        try:
+            value.encode("utf-8")
+            return value
+        except UnicodeEncodeError:
+            pass
+    raise WireProtocolError(f"{what} must be a UTF-8 string")
+
+
 def _str(obj: Dict[str, Any], key: str) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str):
-        raise WireProtocolError(f"field {key!r} must be a string")
-    return value
+    return _text(obj.get(key), f"field {key!r}")
 
 
 def _int(obj: Dict[str, Any], key: str) -> int:
@@ -81,15 +90,15 @@ def encode_message(msg_type: str, body: Dict[str, Any]) -> bytes:
 
 def _fetch_reply(entries: List[Tuple[int, Envelope]]) -> bytes:
     """``encode_message("ack", {"envelopes": [{"seq": ..., "envelope": ...}]})``
-    byte for byte, spliced from each envelope's kept canonical text, so an
-    envelope held by many mailboxes is encoded once.
+    byte for byte, spliced from each envelope's kept base64 text (which JSON
+    carries unescaped), so an envelope held by many mailboxes is encoded once.
 
     The reply carries the longest prefix of ``entries`` whose texts fit in
     half a line, and always the first entry, which is about as long as the
     request that queued it; the rest stays queued for the next fetch."""
     items, budget = [], _MAX_LINE // 2
     for seq, env in entries:
-        item = f'{{"envelope":{env.wire_text()},"seq":{seq:d}}}'
+        item = f'{{"envelope":"{env.wire_text()}","seq":{seq:d}}}'
         budget -= len(item) + 1
         if items and budget < 0:
             break
@@ -122,57 +131,24 @@ def decode_message(line: bytes) -> Tuple[str, Dict[str, Any]]:
 
 
 # ---------------------------------------------------------------------------
-# record / envelope / status codecs
+# object and status codecs
 # ---------------------------------------------------------------------------
 
-def record_to_obj(record: CertificateRecord) -> Dict[str, Any]:
-    return {
-        "user_id": record.user_id,
-        "subject_public_key": _b64(record.subject_public_key),
-        "issuer_id": record.issuer_id,
-        "issued_at": record.issued_at,
-        "expires_at": record.expires_at,
-        "kind": record.kind,
-        "issuer_signature": _b64(record.issuer_signature),
-    }
-
-
-def record_from_obj(obj: Any) -> CertificateRecord:
-    obj = _obj(obj, "certificate record")
-    return CertificateRecord(
-        user_id=_str(obj, "user_id"),
-        subject_public_key=_unb64(obj.get("subject_public_key")),
-        issuer_id=_str(obj, "issuer_id"),
-        issued_at=_int(obj, "issued_at"),
-        expires_at=_int(obj, "expires_at"),
-        kind=_str(obj, "kind"),
-        issuer_signature=_unb64(obj.get("issuer_signature")),
-    )
-
-
-def envelope_from_obj(obj: Any, recipient_cert_fingerprint: bytes = b"") -> Envelope:
-    """Decode the envelope wire object (``Envelope.wire_obj`` encodes it); the
-    relay's recipient note comes from the submit body, never from the object."""
-    obj = _obj(obj, "envelope")
-    if "group_id" not in obj or not isinstance(obj["group_id"], (str, type(None))):
-        raise WireProtocolError("field 'group_id' must be a string or null")
-    return Envelope(
-        sender_id=_str(obj, "sender_id"),
-        recipient_id=_str(obj, "recipient_id"),
-        counter=_int(obj, "counter"),
-        sender_cert_fingerprint=_unb64(obj.get("sender_cert_fingerprint")),
-        group_id=obj["group_id"],
-        payload=SealedPayload(ciphertext=_unb64(obj.get("ciphertext")),
-                              mac=_unb64(obj.get("mac"))),
-        sent_at=_int(obj, "sent_at"),
-        recipient_cert_fingerprint=recipient_cert_fingerprint,
-    )
+def _decoded(cls: Any, text: Any, **note: bytes) -> Any:
+    """``cls.from_bytes`` of a wire field that carries an object's canonical
+    bytes (FORMATS.md) as base64, with ``note`` (a submit's relay note)
+    passed on; bytes that do not parse are the sender's fault, as a
+    mistyped field is."""
+    try:
+        return cls.from_bytes(_unb64(text), **note)
+    except ChainFormatError as e:
+        raise WireProtocolError(f"malformed field: {e}") from e
 
 
 def status_to_obj(status: CertStatus) -> Dict[str, Any]:
     return {
         "status": status.state,
-        "record": record_to_obj(status.record) if status.record else None,
+        "record": _b64(status.record.canonical_bytes()) if status.record else None,
     }
 
 
@@ -184,7 +160,7 @@ def status_from_obj(obj: Dict[str, Any]) -> CertStatus:
     if record is None and state in (VALID, EXPIRED):
         raise WireProtocolError(f"a {state} status must carry its record")
     return CertStatus(state=state,
-                      record=None if record is None else record_from_obj(record))
+                      record=None if record is None else _decoded(CertificateRecord, record))
 
 
 # ---------------------------------------------------------------------------
@@ -264,22 +240,21 @@ class WireServer:
             status = self.relay.fetch_certificate(_str(body, "user_id"))
             return encode_message("ack", status_to_obj(status))
         if msg_type == "submit":
-            envelope = envelope_from_obj(
-                body.get("envelope"),
+            envelope = _decoded(
+                Envelope, body.get("envelope"),
                 recipient_cert_fingerprint=_unb64(body.get("recipient_cert_fingerprint")))
             return encode_message("ack", {"result": self.relay.submit_envelope(envelope)})
         if msg_type == "fetch":
             return _fetch_reply(self.relay.fetch_envelopes(_str(body, "recipient_id"),
                                                            _int(body, "after_seq")))
         if msg_type == "group_create":
-            members = _list(body, "member_ids")
-            if not all(isinstance(m, str) for m in members):
-                raise WireProtocolError("field 'member_ids' must be a list of strings")
+            members = [_text(m, "each entry of 'member_ids'")
+                       for m in _list(body, "member_ids")]
             self.relay.create_group(_str(body, "group_id"), _str(body, "admin_id"), members)
             return encode_message("ack", {"result": "created"})
         if msg_type == "group_send":
             acks = self.relay.broadcast_group(_str(body, "group_id"),
-                                              envelope_from_obj(body.get("envelope")))
+                                              _decoded(Envelope, body.get("envelope")))
             return encode_message("ack", {"acks": [
                 {"member_id": member, "result": result} for member, result in acks
             ]})
@@ -296,7 +271,7 @@ class WireServer:
                 subject_public_key=_unb64(body.get("subject_public_key")),
                 proof_of_possession=_unb64(body.get("proof_of_possession")),
             ))
-            return {"record": record_to_obj(record)}
+            return {"record": _b64(record.canonical_bytes())}
         if phase == "revoke":
             self.mno.revoke(_str(body, "user_id"))
             return {"result": "revoked"}
@@ -373,7 +348,7 @@ class RelayClient:
             "subject_public_key": _b64(request.subject_public_key),
             "proof_of_possession": _b64(request.proof_of_possession),
         })
-        return record_from_obj(reply.get("record"))
+        return _decoded(CertificateRecord, reply.get("record"))
 
     def revoke_user(self, user_id: str) -> None:
         self.request("enroll", {"phase": "revoke", "user_id": user_id})
@@ -391,7 +366,7 @@ class RelayClient:
 
     def submit_envelope(self, envelope: Envelope) -> str:
         return _str(self.request("submit", {
-            "envelope": envelope.wire_obj(),
+            "envelope": _b64(envelope.canonical_bytes()),
             "recipient_cert_fingerprint": _b64(envelope.recipient_cert_fingerprint),
         }), "result")
 
@@ -400,7 +375,7 @@ class RelayClient:
         reply = self.request("fetch", {"recipient_id": recipient_id,
                                        "after_seq": after_seq})
         entries = [_obj(e, "mailbox entry") for e in _list(reply, "envelopes")]
-        return [(_int(e, "seq"), envelope_from_obj(e.get("envelope"))) for e in entries]
+        return [(_int(e, "seq"), _decoded(Envelope, e.get("envelope"))) for e in entries]
 
     def create_group(self, group_id: str, admin_id: str,
                      member_ids: List[str]) -> None:
@@ -409,7 +384,7 @@ class RelayClient:
 
     def broadcast_group(self, group_id: str, envelope: Envelope) -> List[Tuple[str, str]]:
         reply = self.request("group_send", {"group_id": group_id,
-                                            "envelope": envelope.wire_obj()})
+                                            "envelope": _b64(envelope.canonical_bytes())})
         acks = [_obj(a, "fan-out ack") for a in _list(reply, "acks")]
         return [(_str(a, "member_id"), _str(a, "result")) for a in acks]
 

@@ -85,6 +85,23 @@ class TestGenesis:
         with pytest.raises(ValueError):
             genesis([("w", b"\x00" * 31)])
 
+    @pytest.mark.parametrize("declaration", [("", b"\x42" * 32), ("w", b"\x42" * 31)],
+                             ids=["empty-id", "31-byte-key"])
+    def test_saved_genesis_with_a_bad_declaration_is_refused(self, chain, tmp_path,
+                                                              declaration):
+        """``genesis``, ``verify_chain`` and ``ChainNode.open`` keep one rule."""
+        import dataclasses
+        declarations = chain.blocks[0].writer_declarations + (declaration,)
+        with pytest.raises(ValueError):
+            genesis(declarations)
+        path = str(tmp_path / "chain.bin")
+        bad = dataclasses.replace(chain.blocks[0], writer_declarations=declarations)
+        save_chain(ChainState(blocks=(bad,)), path)
+        result = verify_chain(load_chain(path))
+        assert not result and result.height == 0
+        with pytest.raises(ChainError, match="height 0"):
+            ChainNode.open(path)
+
 
 # ---------------------------------------------------------------------------
 # append

@@ -99,7 +99,8 @@ class TestConfig:
 
 class TestStackHandle:
     def test_health_probe_all_roles(self, stack):
-        assert stack.health()
+        with RelayClient(stack.host, stack.port) as rc:
+            assert rc.health()
 
     def test_port_conflict(self, stack, tmp_path):
         cfg = StackConfig(state_dir=str(tmp_path / "other"),

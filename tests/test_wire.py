@@ -1,10 +1,13 @@
+import base64
 import contextlib
 import inspect
 import json
 import random
+import re
 import socket
 import struct
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +15,10 @@ from chainchat import identity_sig, wire
 from chainchat import mno as mno_mod
 from chainchat import relay as relay_mod
 from chainchat.client import Client
+from chainchat.chain import CertificateRecord, CertStatus
 from chainchat.config import StackConfig
 from chainchat.crypto import SealedPayload, generate_identity_keypair
-from chainchat.encoding import U64_MAX
+from chainchat.encoding import U64_MAX, encode_bytes, encode_u64
 from chainchat.errors import StackStartupError, WireProtocolError
 from chainchat.mno import EnrollmentRequest, possession_payload
 from chainchat.relay import ACK_QUEUED, Envelope
@@ -25,9 +29,6 @@ from chainchat.wire import (
     WireServer,
     decode_message,
     encode_message,
-    envelope_from_obj,
-    record_from_obj,
-    record_to_obj,
 )
 
 
@@ -100,22 +101,68 @@ class TestFraming:
             decode_message(b"1not json\n")
 
 
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+def _envelope_bytes(**fields):
+    header = {"sender_id": "alice", "recipient_id": "bob", "counter": 0,
+              "sender_cert_fingerprint": b"\x42" * 32, "group_id": None, "sent_at": 0,
+              "payload": SealedPayload(b"\x10" * 16, b"\x42" * 32)}
+    header.update(fields)
+    return Envelope(**header).canonical_bytes()
+
+
+_RECORD_BYTES = CertificateRecord("bob", b"\x42" * 32, "mno-1", 0, 10, "certificate",
+                                  b"\x00" * 64).canonical_bytes()
+_ZERO_U64 = encode_bytes(b"\x00" * 8)
+
+# canonical bytes broken one way each, as base64. Both objects above start
+# with a short string field, and their first u64 field holds 0.
+_BROKEN = {
+    "truncated": lambda data: _b64(data[:-1]),
+    "trailing-byte": lambda data: _b64(data + b"\x00"),
+    "non-utf8-id": lambda data: _b64(encode_bytes(b"\xff") + data[4 + data[3]:]),
+    "u64-width": lambda data: _b64(data.replace(_ZERO_U64, encode_bytes(b"\x00" * 7), 1)),
+}
+
+
+def _past_u64(field):
+    """The test envelope, base64, with ``field`` (``counter`` or ``sent_at``)
+    holding 2**64 as a 9-byte integer."""
+    data = _envelope_bytes(**{field: 7})
+    return _b64(data.replace(encode_u64(7), encode_bytes((1 << 64).to_bytes(9, "big"))))
+
+
 class TestCodecs:
-    def test_record_obj_roundtrip(self, mno_credential):
+    """Envelopes and records cross the wire as base64 of their canonical
+    bytes, the same bytes the MAC and the fingerprint cover."""
+
+    def test_record_bytes_roundtrip(self, mno_credential):
         record = mno_credential.make_record("alice", b"\x42" * 32, 100, 200,
                                             "certificate")
-        assert record_from_obj(record_to_obj(record)) == record
+        text = wire.status_to_obj(CertStatus("valid", record))["record"]
+        assert text == _b64(record.canonical_bytes())
+        assert wire._decoded(CertificateRecord, text) == record
 
-    def test_envelope_obj_roundtrip(self, connected_pair):
+    def test_envelope_bytes_roundtrip(self, connected_pair):
         alice, bob = connected_pair
         envelope = alice.send_text("bob", "over the wire")
-        decoded = envelope_from_obj(envelope.wire_obj())
-        assert decoded.canonical_bytes() == envelope.canonical_bytes()
+        assert envelope.wire_text() == _b64(envelope.canonical_bytes())
+        decoded = wire._decoded(Envelope, envelope.wire_text())
+        assert decoded == envelope
         assert bob.receive_envelope(decoded) == "over the wire"
 
+    def test_empty_group_id_decodes_as_none(self):
+        tagged = Envelope.from_bytes(_envelope_bytes(group_id=""))
+        assert tagged.group_id is None
+        assert tagged.canonical_bytes() == _envelope_bytes(group_id=None)
+        assert Envelope.from_bytes(_envelope_bytes(group_id="g")).group_id == "g"
+
     def test_bad_envelope_obj(self):
+        """The envelope object of older builds is no envelope now."""
         with pytest.raises(WireProtocolError):
-            envelope_from_obj({"sender_id": "x"})
+            wire._decoded(Envelope, {"sender_id": "x"})
 
 
 _TRICKY = ["", "a", "bob", "é", "\u00e9t\u00e9", '"', "\\", "\n", "a\"b\\c\nd",
@@ -123,25 +170,20 @@ _TRICKY = ["", "a", "bob", "é", "\u00e9t\u00e9", '"', "\\", "\n", "a\"b\\c\nd",
 _EDGE_INTS = [0, 1, 255, 2**32, 2**63, U64_MAX]
 
 
+def _reference_entry(seq, env):
+    return {"envelope": _b64(env.canonical_bytes()), "seq": seq}
+
+
 def _reference_fetch_reply(entries):
-    """The fetch reply as encode_message has always built it, from an
-    envelope object written out field by field."""
-    body = {"envelopes": [{"seq": seq, "envelope": {
-        "sender_id": env.sender_id,
-        "recipient_id": env.recipient_id,
-        "counter": env.counter,
-        "sender_cert_fingerprint": wire._b64(env.sender_cert_fingerprint),
-        "group_id": env.group_id,
-        "sent_at": env.sent_at,
-        "ciphertext": wire._b64(env.payload.ciphertext),
-        "mac": wire._b64(env.payload.mac),
-    }} for seq, env in entries]}
+    """The fetch reply as encode_message builds it, from each envelope's
+    canonical bytes in base64."""
+    body = {"envelopes": [_reference_entry(seq, env) for seq, env in entries]}
     return b"1" + json.dumps({"type": "ack", "body": body}, sort_keys=True,
                              separators=(",", ":")).encode("utf-8") + b"\n"
 
 
 class TestFetchReply:
-    """The fetch reply is spliced from each envelope's kept JSON text; its
+    """The fetch reply is spliced from each envelope's kept base64 text; its
     bytes must stay what encode_message gives for the whole reply."""
 
     def test_spliced_reply_is_byte_identical(self):
@@ -165,7 +207,7 @@ class TestFetchReply:
             expected = _reference_fetch_reply(entries)
             assert wire._fetch_reply(entries) == expected
             assert encode_message("ack", {"envelopes": [
-                {"seq": seq, "envelope": env.wire_obj()} for seq, env in entries
+                {"seq": seq, "envelope": env.wire_text()} for seq, env in entries
             ]}) == expected
 
     def test_reply_budget_is_half_a_line(self, monkeypatch):
@@ -180,7 +222,7 @@ class TestFetchReply:
                                   rng.randbytes(32)),
             sent_at=rng.randrange(2**64),
         )) for seq in range(1, 9)]
-        costs = [len(json.dumps({"envelope": env.wire_obj(), "seq": seq},
+        costs = [len(json.dumps(_reference_entry(seq, env),
                                 sort_keys=True, separators=(",", ":"))) + 1
                  for seq, env in entries]
         for k in range(1, len(entries) + 1):
@@ -266,7 +308,7 @@ class TestServer:
         reply = rc.request("enroll", _enroll_submit(
             subject_public_key=wire._b64(pair.public_key),
             proof_of_possession=wire._b64(proof)))
-        record = record_from_obj(reply["record"])
+        record = CertificateRecord.from_bytes(base64.b64decode(reply["record"]))
         assert record.expires_at - record.issued_at == mno_mod.VALIDITY_SECONDS
         assert rc.fetch_certificate("alice").record == record
 
@@ -336,6 +378,15 @@ def test_relay_and_wire_client_take_the_same_parameters():
                                "fetch_envelopes", "create_group", "broadcast_group")}
 
     assert parameters(relay_mod.Relay) == parameters(RelayClient)
+
+
+def test_protocol_md_lists_exactly_the_message_types():
+    text = (Path(__file__).resolve().parents[1] / "PROTOCOL.md").read_text("utf-8")
+    for label, types in (("Request types", wire.REQUEST_TYPES),
+                         ("Reply types", wire.REPLY_TYPES)):
+        listed = re.search(rf"^{label}:([^.]*)\.", text, re.MULTILINE)
+        assert listed is not None, label
+        assert tuple(re.findall(r"`(\w+)`", listed.group(1))) == types
 
 
 class TestLineLimit:
@@ -409,16 +460,8 @@ def _enroll_submit(**fields):
     return body
 
 
-def _envelope_obj(**fields):
-    obj = {"sender_id": "alice", "recipient_id": "bob", "counter": 0,
-           "sender_cert_fingerprint": _KEY, "group_id": None, "sent_at": 0,
-           "ciphertext": wire._b64(b"\x10" * 16), "mac": _KEY}
-    obj.update(fields)
-    return obj
-
-
 def _submit(**fields):
-    body = {"envelope": _envelope_obj(), "recipient_cert_fingerprint": _KEY}
+    body = {"envelope": _b64(_envelope_bytes()), "recipient_cert_fingerprint": _KEY}
     body.update(fields)
     return body
 
@@ -433,32 +476,42 @@ class TestMalformedBodies:
         ("fetch_cert", {}),
         ("fetch_cert", {"user_id": None}),
         ("submit", {}),
-        ("submit", _submit(envelope=_envelope_obj(counter="0"))),
-        ("submit", {"envelope": _envelope_obj()}),
+        ("submit", _submit(envelope={"sender_id": "alice"})),
+        ("submit", _submit(envelope="")),
+        *[("submit", _submit(envelope=broken(_envelope_bytes())))
+          for broken in _BROKEN.values()],
+        ("submit", _submit(envelope=_past_u64("counter"))),
+        ("submit", _submit(envelope=_past_u64("sent_at"))),
+        ("submit", {"envelope": _b64(_envelope_bytes())}),
         ("submit", _submit(recipient_cert_fingerprint="not base64!")),
         ("submit", _submit(recipient_cert_fingerprint=7)),
-        ("submit", _submit(envelope=_envelope_obj(counter=2**64))),
-        ("submit", _submit(envelope=_envelope_obj(sent_at=2**64))),
         ("fetch", {"recipient_id": "alice", "after_seq": "abc"}),
         ("fetch", {"after_seq": 0}),
         ("group_create", {"group_id": "g", "admin_id": "a", "member_ids": None}),
         ("group_create", {"group_id": "g", "admin_id": "a", "member_ids": "abc"}),
         ("group_create", {"group_id": "g", "admin_id": "a", "member_ids": ["a", 1]}),
         ("group_create", {"group_id": "g", "admin_id": "a", "member_ids": ["a", "b", "b"]}),
-        ("group_send", {"envelope": _envelope_obj()}),
+        ("group_create", {"group_id": "g", "admin_id": "a", "member_ids": ["a", "\ud800"]}),
+        ("group_send", {"envelope": _b64(_envelope_bytes(group_id="g"))}),
+        ("group_send", {"group_id": "g",
+                        "envelope": _BROKEN["truncated"](_envelope_bytes(group_id="g"))}),
         ("enroll", {"phase": "challenge"}),
         ("enroll", {"phase": "revoke"}),
         ("enroll", {"phase": "submit", "user_id": "alice", "proof_of_possession": _PROOF}),
+        ("enroll", {"phase": "challenge", "user_id": "\ud800"}),
     ], ids=["register-no-fingerprint", "register-int-user", "fetch_cert-no-user",
-            "fetch_cert-null-user", "submit-no-envelope", "submit-string-counter",
+            "fetch_cert-null-user", "submit-no-envelope", "submit-envelope-object",
+            "submit-envelope-empty",
+            *[f"submit-envelope-{how}" for how in _BROKEN],
+            "submit-counter-past-u64", "submit-sent_at-past-u64",
             "submit-no-recipient-fingerprint", "submit-bad-recipient-fingerprint",
-            "submit-int-recipient-fingerprint", "submit-counter-past-u64",
-            "submit-sent_at-past-u64",
+            "submit-int-recipient-fingerprint",
             "fetch-string-seq", "fetch-no-recipient", "group_create-null-members",
             "group_create-string-members", "group_create-int-member",
-            "group_create-duplicate-member",
-            "group_send-no-group", "enroll-challenge-no-user", "enroll-revoke-no-user",
-            "enroll-submit-no-key"])
+            "group_create-duplicate-member", "group_create-lone-surrogate-member",
+            "group_send-no-group", "group_send-truncated-envelope",
+            "enroll-challenge-no-user", "enroll-revoke-no-user",
+            "enroll-submit-no-key", "enroll-challenge-lone-surrogate-user"])
     def test_protocol_error(self, rc, relay, msg_type, body):
         with pytest.raises(WireRemoteError) as err:
             rc.request(msg_type, body)
@@ -466,16 +519,17 @@ class TestMalformedBodies:
         assert json.loads(relay.dump_state())["groups"] == {}
         assert rc.fetch_certificate("alice").state == "not_found"
 
+    def test_enroll_submit_of_a_lone_surrogate_id(self, rc, mno):
+        """JSON spells a lone surrogate, which has no UTF-8 encoding. With a
+        challenge pending for such an id, the submit reached the proof
+        check, which encodes the id, and got ``internal``."""
+        mno.new_challenge("\ud800")
+        with pytest.raises(WireRemoteError) as err:
+            rc.request("enroll", _enroll_submit(user_id="\ud800"))
+        assert err.value.category == "protocol-error", str(err.value)
 
-def _record_obj(**fields):
-    obj = {"user_id": "bob", "subject_public_key": _KEY, "issuer_id": "mno-1",
-           "issued_at": 5, "expires_at": 10, "kind": "certificate",
-           "issuer_signature": _PROOF}
-    obj.update(fields)
-    return obj
 
-
-_ENVELOPE = envelope_from_obj(_envelope_obj())
+_ENVELOPE = Envelope.from_bytes(_envelope_bytes())
 _CALLS = {
     "fetch_cert": lambda c: c.fetch_certificate("bob"),
     "challenge": lambda c: c.new_challenge("bob"),
@@ -497,25 +551,29 @@ class TestMalformedReplies:
         ("fetch_cert", "ack", {"status": 7, "record": None}),
         ("fetch_cert", "ack", {"status": "valid", "record": None}),
         ("fetch_cert", "ack", {"status": "expired", "record": None}),
-        ("fetch_cert", "ack", {"status": "valid", "record": _record_obj(issued_at="5")}),
-        ("fetch_cert", "ack", {"status": "valid", "record": _record_obj(expires_at=10.9)}),
-        ("fetch_cert", "ack", {"status": "valid", "record": _record_obj(kind=None)}),
+        ("fetch_cert", "ack", {"status": "valid", "record": {"user_id": "bob"}}),
+        *[("fetch_cert", "ack", {"status": "valid", "record": broken(_RECORD_BYTES)})
+          for broken in _BROKEN.values()],
         ("challenge", "ack", {}),
         ("issue", "ack", {}),
+        ("issue", "ack", {"record": _BROKEN["trailing-byte"](_RECORD_BYTES)}),
         ("register", "ack", {"result": 1}),
         ("submit", "ack", {}),
         ("fetch", "ack", {"envelopes": None}),
-        ("fetch", "ack", {"envelopes": [{"seq": "1", "envelope": _envelope_obj()}]}),
+        ("fetch", "ack", {"envelopes": [{"seq": "1", "envelope": _b64(_envelope_bytes())}]}),
         ("fetch", "ack", {"envelopes": ["x"]}),
+        *[("fetch", "ack", {"envelopes": [{"seq": 1, "envelope": broken(_envelope_bytes())}]})
+          for broken in _BROKEN.values()],
         ("group_send", "ack", {"acks": [{"member_id": "bob"}]}),
         ("fetch_cert", "error", {"message": "no category"}),
         ("register", "submit", {"result": "registered"}),
     ], ids=["status-missing", "status-int", "valid-without-record",
-            "expired-without-record", "string-issued_at",
-            "float-expires_at", "null-kind", "challenge-missing", "record-missing",
+            "expired-without-record", "record-object",
+            *[f"record-{how}" for how in _BROKEN],
+            "challenge-missing", "record-missing", "issued-record-trailing-byte",
             "register-int-result", "submit-no-result", "envelopes-null",
-            "string-seq", "entry-string", "ack-no-result", "error-no-category",
-            "request-type-reply"])
+            "string-seq", "entry-string", *[f"envelope-{how}" for how in _BROKEN],
+            "ack-no-result", "error-no-category", "request-type-reply"])
     def test_protocol_error(self, call, reply_type, body):
         with serve_one_reply(encode_message(reply_type, body)) as client:
             with pytest.raises(WireProtocolError):
@@ -586,8 +644,8 @@ class TestRoundTrips:
                 assert issued == ["submit", "fetch"]
 
     def test_group_envelope_is_encoded_once(self, tmp_path, monkeypatch):
-        """A group message in three mailboxes is built into JSON once on the
-        server, however many fetch replies carry it."""
+        """A group message in three mailboxes is encoded once on the server,
+        however many fetch replies carry it."""
         with run_stack(StackConfig(state_dir=str(tmp_path / "state"),
                                    relay_port=0)) as stack, \
                 RelayClient(stack.host, stack.port) as rc:
@@ -600,18 +658,18 @@ class TestRoundTrips:
             for user in users[1:]:
                 user.pull_messages()
             envelope = admin.send_group_message("four", "to all three")
-            marker = wire._b64(envelope.payload.ciphertext)
             server_encodes = []
-            encode = json.JSONEncoder.encode
+            canonical_bytes = Envelope.canonical_bytes
 
-            def counting(self, obj):
-                text = encode(self, obj)
+            def counting(self):
+                data = canonical_bytes(self)
                 # the server answers on its handler thread; this one is the client
-                if marker in text and threading.current_thread() is not threading.main_thread():
-                    server_encodes.append(text)
-                return text
+                if (self.payload == envelope.payload
+                        and threading.current_thread() is not threading.main_thread()):
+                    server_encodes.append(data)
+                return data
 
-            monkeypatch.setattr(json.JSONEncoder, "encode", counting)
+            monkeypatch.setattr(Envelope, "canonical_bytes", counting)
             acks = rc.broadcast_group("four", envelope)
             assert [result for _, result in acks] == [ACK_QUEUED] * 3
             for user in users[1:]:
