@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
@@ -123,9 +123,24 @@ def record_fingerprint(record: CertificateRecord) -> bytes:
     return record.fingerprint
 
 
-def verify_record(record: CertificateRecord, verification_key: bytes) -> bool:
-    return record.shape_ok() and verify_edwards(
-        verification_key, record.signed_payload(), record.issuer_signature)
+def verify_record(record: CertificateRecord, verification_key: bytes,
+                  held: Optional[WriterCredential] = None) -> bool:
+    return record.shape_ok() and _signed(
+        verification_key, record.signed_payload(), record.issuer_signature, held)
+
+
+def _signed(key: bytes, payload: bytes, signature: bytes,
+            held: Optional[WriterCredential]) -> bool:
+    """Whether ``signature`` is an Ed25519 signature of ``payload`` under
+    ``key``. ``held`` is the credential whose verification key is ``key``,
+    if this process holds it: Ed25519 signing is deterministic (RFC 8032,
+    5.1.6), so a signature equal to its fresh one is valid, and a sign costs
+    about a third of a verify. Any other signature (made with another nonce,
+    or bad) is verified, so the decision is the one ``verify_edwards`` makes.
+    """
+    if held is not None and signature == held.sign(payload):
+        return True
+    return verify_edwards(key, payload, signature)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +335,8 @@ def append_block(state: ChainState, credential: WriterCredential,
             raise RecordValidationError(
                 f"record for {rec.user_id!r} names unknown issuer {rec.issuer_id!r}"
             )
-        if not verify_record(rec, issuer_key):
+        held = credential if rec.issuer_id == credential.writer_id else None
+        if not verify_record(rec, issuer_key, held):
             raise RecordValidationError(
                 f"record for {rec.user_id!r} failed signature verification"
             )
@@ -374,14 +390,27 @@ def _check_genesis(gen: Block) -> VerifyResult:
     return VerifyResult(ok=True)
 
 
-def _check_writer_signature(blk: Block, writers: Mapping[str, bytes]) -> VerifyResult:
-    if verify_edwards(writers[blk.writer_id], blk.signature_payload(), blk.writer_signature):
+def _check_held(writers: Mapping[str, bytes],
+                held: Mapping[str, WriterCredential]) -> VerifyResult:
+    """Each held credential's key must be the one the genesis declares for
+    its writer id before a signature is checked by re-signing under it."""
+    for writer_id, credential in held.items():
+        if writers.get(writer_id) != credential.verification_key:
+            return VerifyResult(ok=False, height=0, reason=(
+                f"writer {writer_id!r} does not match the chain's genesis declaration"))
+    return VerifyResult(ok=True)
+
+
+def _check_writer_signature(blk: Block, writers: Mapping[str, bytes],
+                            held: Mapping[str, WriterCredential]) -> VerifyResult:
+    if _signed(writers[blk.writer_id], blk.signature_payload(), blk.writer_signature,
+               held.get(blk.writer_id)):
         return VerifyResult(ok=True)
     return VerifyResult(ok=False, height=blk.height, reason="bad writer signature")
 
 
-def _check_block(blk: Block, height: int, prev_hash: bytes,
-                 writers: Mapping[str, bytes], writer_signature: bool) -> VerifyResult:
+def _check_block(blk: Block, height: int, prev_hash: bytes, writers: Mapping[str, bytes],
+                 held: Mapping[str, WriterCredential], writer_signature: bool) -> VerifyResult:
     if blk.height != height:
         return VerifyResult(ok=False, height=blk.height, reason="height out of sequence")
     if blk.writer_declarations:
@@ -392,34 +421,38 @@ def _check_block(blk: Block, height: int, prev_hash: bytes,
         return VerifyResult(
             ok=False, height=height, reason=f"writer {blk.writer_id!r} not in permissioned set"
         )
-    if writer_signature and not (signed := _check_writer_signature(blk, writers)):
+    if writer_signature and not (signed := _check_writer_signature(blk, writers, held)):
         return signed
     for rec in blk.records:
         issuer_key = writers.get(rec.issuer_id)
-        if issuer_key is None or not verify_record(rec, issuer_key):
+        if issuer_key is None or not verify_record(rec, issuer_key, held.get(rec.issuer_id)):
             return VerifyResult(
                 ok=False, height=height, reason=f"bad record signature for {rec.user_id!r}"
             )
     return VerifyResult(ok=True)
 
 
-def _check_blocks(hashed: Iterator[Tuple[Block, bytes]],
-                  every_writer_signature: bool) -> Tuple[Tuple[Block, ...], VerifyResult]:
+def _check_blocks(hashed: Iterator[Tuple[Block, bytes]], every_writer_signature: bool,
+                  held: Mapping[str, WriterCredential],
+                  ) -> Tuple[Tuple[Block, ...], VerifyResult]:
     """Every block of ``hashed`` (each with its own hash), and the first
-    failed check. Each writer signature is verified, or only the head's."""
+    failed check. Each writer signature is checked, or only the head's;
+    a signature under a ``held`` credential's key is checked by re-signing."""
     blocks, result = [], VerifyResult(ok=True)
     # walk block by block so a mutated block is attributed to its own height:
     # its writer signature (covering the records hash) breaks there, before
     # the next block's dangling prev_hash is ever consulted
     for blk, block_hash in hashed:
         if not blocks:
-            result, writers = _check_genesis(blk), dict(blk.writer_declarations)
+            writers = dict(blk.writer_declarations)
+            result = _check_genesis(blk) and _check_held(writers, held)
         elif result:
-            result = _check_block(blk, len(blocks), prev_hash, writers, every_writer_signature)
+            result = _check_block(blk, len(blocks), prev_hash, writers, held,
+                                  every_writer_signature)
         prev_hash = block_hash
         blocks.append(blk)
     if result and len(blocks) > 1 and not every_writer_signature:
-        result = _check_writer_signature(blocks[-1], writers)
+        result = _check_writer_signature(blocks[-1], writers, held)
     return tuple(blocks), result
 
 
@@ -428,7 +461,7 @@ def verify_chain(state: ChainState) -> VerifyResult:
     ``chainchat chain verify`` runs. Start-up runs ``ChainNode.open``."""
     if not state.blocks:
         return VerifyResult(ok=False, reason="chain has no blocks")
-    return _check_blocks(((blk, blk.block_hash()) for blk in state.blocks), True)[1]
+    return _check_blocks(((blk, blk.block_hash()) for blk in state.blocks), True, {})[1]
 
 
 def revoke(state: ChainState, credential: WriterCredential, user_id: str,
@@ -556,26 +589,30 @@ class ChainNode:
         return cls(state, path=path)
 
     @classmethod
-    def open(cls, path: str) -> "ChainNode":
+    def open(cls, path: str, credentials: Iterable[WriterCredential] = ()) -> "ChainNode":
         """The one opener of a chain file, the stack's start-up check.
 
         Reads the file once and, in one pass, parses it and makes every
         check of ``verify_chain``, every record signature included since
-        ``fetch_cert`` serves records as stored, but verifies only the head's
+        ``fetch_cert`` serves records as stored, but checks only the head's
         writer signature: that covers the head's ``prev_hash``, the SHA-256
         of the previous frame's bytes, which covers every earlier byte. The
         writer seeds sit in ``stack.json`` beside the chain, so this guards
         against corruption only, and a corrupted byte breaks a link or a
-        signature (FORMATS.md). Raises ``ChainFormatError`` if the file does
-        not parse and ``ChainError`` if a check fails, leaving the file as it
-        was; only a file that passes loses its torn final frame, if any.
+        signature (FORMATS.md). Each of ``credentials`` (the writers this
+        process holds) must match its genesis declaration, and a signature
+        under its key is checked by re-signing. Raises ``ChainFormatError``
+        if the file does not parse and ``ChainError`` if a check fails,
+        leaving the file as it was; only a file that passes loses its torn
+        final frame, if any.
         """
+        held = {credential.writer_id: credential for credential in credentials}
         with open(path, "r+b") as f:
             data = f.read()
             keep = _intact_length(data)
             blocks, result = _check_blocks(
                 ((Block.from_bytes(frame), hashlib.sha256(frame).digest())
-                 for frame in _frames(data[:keep])), False)
+                 for frame in _frames(data[:keep])), False, held)
             if not result:
                 raise ChainError(f"verification fails at height {result.height}: "
                                  f"{result.reason}")

@@ -30,14 +30,18 @@ def _load_or_create_credentials(cfg: StackConfig) -> dict[str, WriterCredential]
     if path.exists():
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
-            return {
-                entry["id"]: WriterCredential.from_seed(
-                    entry["id"], base64.b64decode(entry["seed"])
-                )
-                for entry in data["writers"]
-            }
-        except (KeyError, ValueError, json.JSONDecodeError) as e:
+            credentials = {}
+            for entry in data["writers"]:
+                writer_id = entry["id"]
+                if not isinstance(writer_id, str) or not writer_id:
+                    raise ValueError(f"writer id {writer_id!r} is not a non-empty string")
+                credentials[writer_id] = WriterCredential.from_seed(
+                    writer_id, base64.b64decode(entry["seed"]))
+        except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
             raise StackStartupError(f"unreadable writer credentials: {e}") from e
+        if MNO_WRITER_ID not in credentials:
+            raise StackStartupError(f"unreadable writer credentials: no {MNO_WRITER_ID!r} entry")
+        return credentials
     credentials = {
         MNO_WRITER_ID: WriterCredential.generate(MNO_WRITER_ID),
         RELAY_WRITER_ID: WriterCredential.generate(RELAY_WRITER_ID),
@@ -57,16 +61,9 @@ def _open_chain(cfg: StackConfig,
     chain_path = cfg.resolved_chain_file()
     if Path(chain_path).exists():
         try:
-            node = ChainNode.open(chain_path)
+            return ChainNode.open(chain_path, credentials.values())
         except ChainError as e:
             raise StackStartupError(f"chain file {chain_path}: {e}") from e
-        declared = node.snapshot().writers
-        for writer_id, cred in credentials.items():
-            if declared.get(writer_id) != cred.verification_key:
-                raise StackStartupError(
-                    f"writer {writer_id!r} does not match the chain's genesis declaration"
-                )
-        return node
     Path(chain_path).parent.mkdir(parents=True, exist_ok=True)
     writer_set = [(writer_id, cred.verification_key)
                   for writer_id, cred in credentials.items()]

@@ -1,8 +1,11 @@
+import dataclasses
+import hashlib
 import random
 import time
 
 import pytest
 
+import oracles
 from chainchat.chain import (
     EXPIRED,
     KIND_CERTIFICATE,
@@ -10,6 +13,7 @@ from chainchat.chain import (
     NOT_FOUND,
     REVOKED,
     VALID,
+    ZERO_SIGNATURE,
     Block,
     CertificateRecord,
     ChainNode,
@@ -90,7 +94,6 @@ class TestGenesis:
     def test_saved_genesis_with_a_bad_declaration_is_refused(self, chain, tmp_path,
                                                               declaration):
         """``genesis``, ``verify_chain`` and ``ChainNode.open`` keep one rule."""
-        import dataclasses
         declarations = chain.blocks[0].writer_declarations + (declaration,)
         with pytest.raises(ValueError):
             genesis(declarations)
@@ -129,7 +132,6 @@ class TestAppend:
         rec = cert_for(mno, "alice")
         bad_sig = bytearray(rec.issuer_signature)
         bad_sig[0] ^= 0xFF
-        import dataclasses
         bad = dataclasses.replace(rec, issuer_signature=bytes(bad_sig))
         with pytest.raises(RecordValidationError):
             append_block(chain, mno, [bad])
@@ -275,7 +277,6 @@ class TestVerifyChain:
 
     def test_record_mutation_detected_with_height(self, chain, mno):
         state = build_ten_block_chain(chain, mno)
-        import dataclasses
         target = state.blocks[5]
         bad_rec = dataclasses.replace(target.records[0], user_id="mallory")
         bad_block = dataclasses.replace(target, records=(bad_rec,))
@@ -505,7 +506,6 @@ class TestRecords:
         assert record_fingerprint(a) != record_fingerprint(b)
 
     def test_verify_record_binds_fields(self, mno):
-        import dataclasses
         rec = cert_for(mno, "alice")
         assert verify_record(rec, mno.verification_key)
         altered = dataclasses.replace(rec, user_id="bob")
@@ -517,3 +517,129 @@ class TestRecords:
         assert verify_record(marker, mno.verification_key)
         bad = mno.make_record("alice", b"\x01" * 32, T0, T0, KIND_REVOCATION)
         assert not bad.shape_ok()
+
+
+# ---------------------------------------------------------------------------
+# signatures under a held key, checked by re-signing
+# ---------------------------------------------------------------------------
+
+ED25519_ORDER = 2**252 + 27742317777372353535851937790883648493  # RFC 8032's L
+
+
+def random_nonce_signature(credential, payload, rng):
+    """A valid signature of ``payload`` under ``credential`` made with a
+    random nonce r instead of RFC 8032's deterministic one:
+    R = r*B, S = r + H(R || A || M)*a mod L, by the test-side oracle."""
+    a = oracles._decode_scalar(hashlib.sha512(credential.seed).digest()[:32])
+    public = oracles.ed25519_base_mul(a)
+    assert public == credential.verification_key
+    r = rng.randrange(1, ED25519_ORDER)
+    big_r = oracles.ed25519_base_mul(r)
+    k = int.from_bytes(hashlib.sha512(big_r + public + payload).digest(), "little")
+    return big_r + ((r + k * a) % ED25519_ORDER).to_bytes(32, "little")
+
+
+def flip(data, offset):
+    mutated = bytearray(data)
+    mutated[offset] ^= 0x01
+    return bytes(mutated)
+
+
+RECORD_CASES = {
+    "valid": lambda mno, rec: rec,
+    "flipped-signature-byte": lambda mno, rec: dataclasses.replace(
+        rec, issuer_signature=flip(rec.issuer_signature, 40)),
+    "flipped-payload-byte": lambda mno, rec: dataclasses.replace(
+        rec, subject_public_key=flip(rec.subject_public_key, 3)),
+    "other-key-same-issuer-id": lambda mno, rec: cert_for(
+        WriterCredential.generate(mno.writer_id), rec.user_id),
+    "random-nonce": lambda mno, rec: dataclasses.replace(
+        rec, issuer_signature=random_nonce_signature(
+            mno, rec.signed_payload(), random.Random(20))),
+}
+VALID_CASES = {"valid", "random-nonce"}
+
+
+def signed_block(state, writer, records, timestamp=T0 + 1, sign=None):
+    """The block ``append_block`` would make, without its record checks."""
+    prev = state.blocks[-1]
+    blk = Block(height=prev.height + 1, prev_hash=prev.block_hash(),
+                records=tuple(records), timestamp=timestamp,
+                writer_id=writer.writer_id, writer_signature=ZERO_SIGNATURE)
+    signature = (sign or writer.sign)(blk.signature_payload())
+    return dataclasses.replace(blk, writer_signature=signature)
+
+
+class TestHeldKeyChecks:
+    """A signature under a key this process holds is accepted when it equals
+    the key's fresh signature and is verified otherwise, so every decision is
+    the one plain verification makes."""
+
+    @pytest.mark.parametrize("case", RECORD_CASES)
+    def test_append_decides_as_verify_record(self, chain, mno, case):
+        rec = RECORD_CASES[case](mno, cert_for(mno, "alice"))
+        expected = verify_record(rec, mno.verification_key)
+        assert expected == (case in VALID_CASES)
+        if case == "random-nonce":  # the case that reaches the verify fallback
+            assert rec.issuer_signature != mno.sign(rec.signed_payload())
+        try:
+            append_block(chain, mno, [rec], timestamp=T0 + 1)
+            accepted = True
+        except RecordValidationError:
+            accepted = False
+        assert accepted == expected
+
+    @pytest.mark.parametrize("case", RECORD_CASES)
+    def test_open_decides_as_verify_chain(self, chain, mno, im_server, tmp_path, case):
+        rec = RECORD_CASES[case](mno, cert_for(mno, "alice"))
+        path = str(tmp_path / "chain.dat")
+        save_chain(ChainState(blocks=chain.blocks + (signed_block(chain, mno, [rec]),)),
+                   path)
+        expected = bool(verify_chain(load_chain(path)))
+        assert expected == (case in VALID_CASES)
+        try:
+            ChainNode.open(path, [mno, im_server])
+            accepted = True
+        except ChainError as e:
+            assert "bad record signature" in str(e)
+            accepted = False
+        assert accepted == expected
+
+    @pytest.mark.parametrize("case", ["random-nonce", "flipped-byte"])
+    def test_open_decides_the_head_writer_signature_as_verify_chain(
+            self, chain, mno, im_server, tmp_path, case):
+        def sign(payload):
+            if case == "random-nonce":
+                return random_nonce_signature(mno, payload, random.Random(21))
+            return flip(mno.sign(payload), 2)
+
+        path = str(tmp_path / "chain.dat")
+        head = signed_block(chain, mno, [cert_for(mno, "alice")], sign=sign)
+        save_chain(ChainState(blocks=chain.blocks + (head,)), path)
+        expected = bool(verify_chain(load_chain(path)))
+        assert expected == (case == "random-nonce")
+        try:
+            ChainNode.open(path, [mno, im_server])
+            accepted = True
+        except ChainError as e:
+            assert "bad writer signature" in str(e)
+            accepted = False
+        assert accepted == expected
+
+    def test_a_held_key_the_genesis_does_not_declare_never_re_signs(
+            self, chain, mno, im_server, tmp_path):
+        """An impostor's record, under the issuer id of a writer whose seed
+        was swapped: holding the impostor refuses the file before any record
+        is checked; holding only the other writer verifies and refuses."""
+        impostor = WriterCredential.generate(mno.writer_id)
+        path = str(tmp_path / "chain.dat")
+        forged = cert_for(impostor, "alice")
+        save_chain(ChainState(
+            blocks=chain.blocks + (signed_block(chain, im_server, [forged]),)), path)
+        with pytest.raises(ChainError, match="height 0: writer 'mno-1' does not match "
+                                             "the chain's genesis declaration"):
+            ChainNode.open(path, [impostor])
+        with pytest.raises(ChainError, match="height 1: bad record signature"):
+            ChainNode.open(path, [im_server])
+        with pytest.raises(WriterNotAuthorizedError):
+            append_block(chain, impostor, [forged])

@@ -1,7 +1,9 @@
 import argparse
+import base64
 import dataclasses
 import fcntl
 import functools
+import json
 import os
 import re
 import socket
@@ -263,6 +265,55 @@ class TestStartupCheck:
         # start-up defends against corruption; whoever holds the seeds can
         # re-sign the head, so this file starts
         assert chain_mod.ChainNode.open(path).snapshot().height == len(blocks) - 1
+
+
+class TestWriterCredentialsFile:
+    """A ``stack.json`` the stack cannot use is refused with
+    ``StackStartupError`` before any chain file is written."""
+
+    SEED = base64.b64encode(b"\x01" * 32).decode()
+
+    @staticmethod
+    def write_stack_file(cfg, data):
+        cfg.stack_file.parent.mkdir(parents=True, exist_ok=True)
+        cfg.stack_file.write_text(json.dumps(data), encoding="utf-8")
+
+    @pytest.mark.parametrize("data", [
+        {"writers": "x"},
+        {"writers": [{"id": "mno-1", "seed": 5}]},
+        [],
+        {"writers": [{"id": "mno-1", "seed": SEED}, {"id": 7, "seed": SEED}]},
+        {"writers": [{"id": "mno-1", "seed": SEED}, {"id": "", "seed": SEED}]},
+    ], ids=["writers-a-string", "seed-a-number", "top-level-list", "id-a-number",
+            "id-empty"])
+    def test_malformed_file_is_refused(self, tmp_path, data):
+        cfg = StackConfig(state_dir=str(tmp_path / "state"), relay_port=0)
+        self.write_stack_file(cfg, data)
+        with pytest.raises(StackStartupError, match="unreadable writer credentials"):
+            run_stack(cfg)
+        assert not Path(cfg.resolved_chain_file()).exists()
+
+    def test_file_without_the_mno_is_refused_before_the_chain_is_made(self, tmp_path):
+        cfg = StackConfig(state_dir=str(tmp_path / "state"), relay_port=0)
+        relay = chain_mod.WriterCredential.generate(stack_mod.RELAY_WRITER_ID)
+        self.write_stack_file(cfg, {"writers": [
+            {"id": relay.writer_id, "seed": base64.b64encode(relay.seed).decode()}]})
+        with pytest.raises(StackStartupError, match="no 'mno-1' entry"):
+            run_stack(cfg)
+        assert not Path(cfg.resolved_chain_file()).exists()
+
+    def test_replaced_mno_seed_is_refused(self, small_chain):
+        cfg, _ = small_chain
+        data = json.loads(cfg.stack_file.read_text(encoding="utf-8"))
+        for entry in data["writers"]:
+            if entry["id"] == stack_mod.MNO_WRITER_ID:
+                entry["seed"] = base64.b64encode(os.urandom(32)).decode()
+        self.write_stack_file(cfg, data)
+        chain_bytes = Path(cfg.resolved_chain_file()).read_bytes()
+        with pytest.raises(StackStartupError, match="writer 'mno-1' does not match "
+                                                    "the chain's genesis declaration"):
+            run_stack(cfg)
+        assert Path(cfg.resolved_chain_file()).read_bytes() == chain_bytes
 
 
 class TestCrashSafeWrites:

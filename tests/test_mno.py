@@ -5,8 +5,9 @@ import os
 import pytest
 
 import vectors as v
+from chainchat import chain as chain_mod
 from chainchat import identity_sig
-from chainchat.chain import KIND_REVOCATION, REVOKED, VALID, fetch_latest
+from chainchat.chain import KIND_REVOCATION, REVOKED, VALID, ChainNode, fetch_latest
 from chainchat.crypto import generate_identity_keypair
 from chainchat.errors import EnrollmentError
 from chainchat.mno import (
@@ -165,3 +166,40 @@ class TestVerifyCertificate:
         blob = mno.dump_state()
         assert mno.credential.seed not in blob
         assert b"alice" in blob
+
+
+class TestSignatureChecksUnderHeldKeys:
+    """The chain checks a signature under a key the process holds by signing
+    again, so the MNO's own records cost no Ed25519 verify, at append or
+    at start-up; counted at the name ``chain.py`` calls."""
+
+    @pytest.fixture
+    def verifies(self, monkeypatch):
+        calls = []
+        verify = chain_mod.verify_edwards
+
+        def counted(*args):
+            calls.append(args)
+            return verify(*args)
+
+        monkeypatch.setattr(chain_mod, "verify_edwards", counted)
+        return calls
+
+    def test_issue_revoke_and_open_verify_nothing(self, mno_credential, relay_credential,
+                                                   tmp_path, verifies):
+        path = str(tmp_path / "chain.dat")
+        credentials = [mno_credential, relay_credential]
+        node = ChainNode.create([(c.writer_id, c.verification_key) for c in credentials],
+                                path=path)
+        mno = MnoCertificateAuthority(mno_credential, node)
+        for i in range(4):
+            enroll(mno, f"user{i}")
+            assert len(verifies) == 0
+        mno.revoke("user0")
+        assert len(verifies) == 0
+        records = 5
+        assert ChainNode.open(path, credentials).snapshot() == node.snapshot()
+        assert len(verifies) == 0
+        # holding no key, each record and the head's writer signature is verified
+        ChainNode.open(path)
+        assert len(verifies) == records + 1
