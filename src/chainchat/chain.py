@@ -56,6 +56,8 @@ ZERO_HASH = b"\x00" * 32
 ZERO_KEY = b"\x00" * 32
 ZERO_SIGNATURE = b"\x00" * 64
 
+SignatureCheck = Callable[[bytes, bytes], bool]  # (payload, signature) -> valid
+
 
 def _now() -> int:
     return int(time.time())
@@ -123,24 +125,9 @@ def record_fingerprint(record: CertificateRecord) -> bytes:
     return record.fingerprint
 
 
-def verify_record(record: CertificateRecord, verification_key: bytes,
-                  held: Optional[WriterCredential] = None) -> bool:
-    return record.shape_ok() and _signed(
-        verification_key, record.signed_payload(), record.issuer_signature, held)
-
-
-def _signed(key: bytes, payload: bytes, signature: bytes,
-            held: Optional[WriterCredential]) -> bool:
-    """Whether ``signature`` is an Ed25519 signature of ``payload`` under
-    ``key``. ``held`` is the credential whose verification key is ``key``,
-    if this process holds it: Ed25519 signing is deterministic (RFC 8032,
-    5.1.6), so a signature equal to its fresh one is valid, and a sign costs
-    about a third of a verify. Any other signature (made with another nonce,
-    or bad) is verified, so the decision is the one ``verify_edwards`` makes.
-    """
-    if held is not None and signature == held.sign(payload):
-        return True
-    return verify_edwards(key, payload, signature)
+def verify_record(record: CertificateRecord, verification_key: bytes) -> bool:
+    return record.shape_ok() and verify_edwards(
+        verification_key, record.signed_payload(), record.issuer_signature)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +264,6 @@ class ChainState:
     def height(self) -> int:
         return self.blocks[-1].height
 
-    @property
-    def writers(self) -> Dict[str, bytes]:
-        return dict(self.blocks[0].writer_declarations)
-
 
 @dataclass(frozen=True)
 class CertStatus:
@@ -322,24 +305,9 @@ def genesis(writer_set: Sequence[Tuple[str, bytes]], timestamp: Optional[int] = 
 def append_block(state: ChainState, credential: WriterCredential,
                  records: Sequence[CertificateRecord],
                  timestamp: Optional[int] = None) -> ChainState:
-    """Append one signed block; rejects unauthorized writers and bad records."""
-    writers = state.writers
-    registered = writers.get(credential.writer_id)
-    if registered is None or registered != credential.verification_key:
-        raise WriterNotAuthorizedError(
-            f"writer {credential.writer_id!r} is not in the permissioned set"
-        )
-    for rec in records:
-        issuer_key = writers.get(rec.issuer_id)
-        if issuer_key is None:
-            raise RecordValidationError(
-                f"record for {rec.user_id!r} names unknown issuer {rec.issuer_id!r}"
-            )
-        held = credential if rec.issuer_id == credential.writer_id else None
-        if not verify_record(rec, issuer_key, held):
-            raise RecordValidationError(
-                f"record for {rec.user_id!r} failed signature verification"
-            )
+    """Append one signed block; rejects unauthorized writers and bad records
+    by the block rule that ``verify_chain`` and ``ChainNode.open`` apply."""
+    checks = _writer_checks(state.blocks[0].writer_declarations, (credential,))
     prev = state.blocks[-1]
     block = Block(
         height=prev.height + 1,
@@ -349,6 +317,8 @@ def append_block(state: ChainState, credential: WriterCredential,
         writer_id=credential.writer_id,
         writer_signature=ZERO_SIGNATURE,
     )
+    if not (result := _check_block(block, block.height, block.prev_hash, checks, False)):
+        raise RecordValidationError(result.reason)
     signed = replace(block, writer_signature=credential.sign(block.signature_payload()))
     latest = state.latest.copy()
     latest.update((rec.user_id, rec) for rec in signed.records)
@@ -390,69 +360,86 @@ def _check_genesis(gen: Block) -> VerifyResult:
     return VerifyResult(ok=True)
 
 
-def _check_held(writers: Mapping[str, bytes],
-                held: Mapping[str, WriterCredential]) -> VerifyResult:
-    """Each held credential's key must be the one the genesis declares for
-    its writer id before a signature is checked by re-signing under it."""
-    for writer_id, credential in held.items():
-        if writers.get(writer_id) != credential.verification_key:
-            return VerifyResult(ok=False, height=0, reason=(
-                f"writer {writer_id!r} does not match the chain's genesis declaration"))
-    return VerifyResult(ok=True)
+def _writer_checks(declarations: Iterable[Tuple[str, bytes]],
+                   held: Iterable[WriterCredential]) -> Dict[str, SignatureCheck]:
+    """Declared writer id -> ``check(payload, signature)``, whether
+    ``signature`` is an Ed25519 signature of ``payload`` under that writer's
+    declared key. For a writer whose credential is ``held`` by this process,
+    a signature equal to a fresh one is valid, since Ed25519 signing is
+    deterministic (RFC 8032, 5.1.6) and a sign costs about a third of a
+    verify; any other signature (made with another nonce, or bad) is
+    verified, so the decision is the one ``verify_edwards`` makes. Raises
+    ``WriterNotAuthorizedError`` for a held credential whose key is not the
+    one declared for its id."""
+    declared = dict(declarations)
+    held_by_id = {}
+    for credential in held:
+        if declared.get(credential.writer_id) != credential.verification_key:
+            raise WriterNotAuthorizedError(f"writer {credential.writer_id!r} does not "
+                                           "match the chain's genesis declaration")
+        held_by_id[credential.writer_id] = credential
+
+    def check(key: bytes, credential: Optional[WriterCredential]) -> SignatureCheck:
+        if credential is None:
+            return lambda payload, signature: verify_edwards(key, payload, signature)
+        return lambda payload, signature: (
+            signature == credential.sign(payload) or verify_edwards(key, payload, signature))
+
+    return {writer_id: check(key, held_by_id.get(writer_id))
+            for writer_id, key in declared.items()}
 
 
-def _check_writer_signature(blk: Block, writers: Mapping[str, bytes],
-                            held: Mapping[str, WriterCredential]) -> VerifyResult:
-    if _signed(writers[blk.writer_id], blk.signature_payload(), blk.writer_signature,
-               held.get(blk.writer_id)):
-        return VerifyResult(ok=True)
-    return VerifyResult(ok=False, height=blk.height, reason="bad writer signature")
-
-
-def _check_block(blk: Block, height: int, prev_hash: bytes, writers: Mapping[str, bytes],
-                 held: Mapping[str, WriterCredential], writer_signature: bool) -> VerifyResult:
+def _check_block(blk: Block, height: int, prev_hash: bytes,
+                 checks: Mapping[str, SignatureCheck], writer_signature: bool) -> VerifyResult:
+    """The block rule: whether ``blk`` may follow a block at ``height - 1``
+    whose hash is ``prev_hash``, its writer signature checked or not."""
     if blk.height != height:
         return VerifyResult(ok=False, height=blk.height, reason="height out of sequence")
     if blk.writer_declarations:
         return VerifyResult(ok=False, height=height, reason="writer declarations outside genesis")
     if blk.prev_hash != prev_hash:
         return VerifyResult(ok=False, height=height, reason="broken hash link")
-    if blk.writer_id not in writers:
+    if (check := checks.get(blk.writer_id)) is None:
         return VerifyResult(
             ok=False, height=height, reason=f"writer {blk.writer_id!r} not in permissioned set"
         )
-    if writer_signature and not (signed := _check_writer_signature(blk, writers, held)):
-        return signed
+    if writer_signature and not check(blk.signature_payload(), blk.writer_signature):
+        return VerifyResult(ok=False, height=height, reason="bad writer signature")
     for rec in blk.records:
-        issuer_key = writers.get(rec.issuer_id)
-        if issuer_key is None or not verify_record(rec, issuer_key, held.get(rec.issuer_id)):
+        issuer = checks.get(rec.issuer_id)
+        if issuer is None or not (
+                rec.shape_ok() and issuer(rec.signed_payload(), rec.issuer_signature)):
             return VerifyResult(
                 ok=False, height=height, reason=f"bad record signature for {rec.user_id!r}"
             )
     return VerifyResult(ok=True)
 
 
-def _check_blocks(hashed: Iterator[Tuple[Block, bytes]], every_writer_signature: bool,
-                  held: Mapping[str, WriterCredential],
+def _check_blocks(hashed: Iterable[Tuple[Block, bytes]], every_writer_signature: bool,
+                  held: Iterable[WriterCredential],
                   ) -> Tuple[Tuple[Block, ...], VerifyResult]:
     """Every block of ``hashed`` (each with its own hash), and the first
     failed check. Each writer signature is checked, or only the head's;
     a signature under a ``held`` credential's key is checked by re-signing."""
-    blocks, result = [], VerifyResult(ok=True)
+    hashed = iter(hashed)
+    gen, prev_hash = next(hashed)
+    blocks, result = [gen], _check_genesis(gen)
+    try:
+        checks = _writer_checks(gen.writer_declarations, held)
+    except WriterNotAuthorizedError as e:
+        result = result and VerifyResult(ok=False, height=0, reason=str(e))
     # walk block by block so a mutated block is attributed to its own height:
     # its writer signature (covering the records hash) breaks there, before
     # the next block's dangling prev_hash is ever consulted
     for blk, block_hash in hashed:
-        if not blocks:
-            writers = dict(blk.writer_declarations)
-            result = _check_genesis(blk) and _check_held(writers, held)
-        elif result:
-            result = _check_block(blk, len(blocks), prev_hash, writers, held,
-                                  every_writer_signature)
+        if result:
+            result = _check_block(blk, len(blocks), prev_hash, checks, every_writer_signature)
         prev_hash = block_hash
         blocks.append(blk)
-    if result and len(blocks) > 1 and not every_writer_signature:
-        result = _check_writer_signature(blocks[-1], writers, held)
+    head = blocks[-1]
+    if (result and len(blocks) > 1 and not every_writer_signature
+            and not checks[head.writer_id](head.signature_payload(), head.writer_signature)):
+        result = VerifyResult(ok=False, height=head.height, reason="bad writer signature")
     return tuple(blocks), result
 
 
@@ -461,7 +448,7 @@ def verify_chain(state: ChainState) -> VerifyResult:
     ``chainchat chain verify`` runs. Start-up runs ``ChainNode.open``."""
     if not state.blocks:
         return VerifyResult(ok=False, reason="chain has no blocks")
-    return _check_blocks(((blk, blk.block_hash()) for blk in state.blocks), True, {})[1]
+    return _check_blocks(((blk, blk.block_hash()) for blk in state.blocks), True, ())[1]
 
 
 def revoke(state: ChainState, credential: WriterCredential, user_id: str,
@@ -503,8 +490,10 @@ def chain_from_bytes(data: bytes) -> ChainState:
 
 def write_atomic(path: str | os.PathLike, data: bytes) -> None:
     """Replace the file at ``path`` with ``data``: write a temporary file,
-    fsync it, rename it over. A crash leaves the old file or the new one,
-    never a mix; a write that fails before the rename leaves the old one."""
+    fsync it, rename it over, fsync the directory. A crash leaves the old
+    file or the new one, never a mix; a write that fails before the rename
+    leaves the old one. The rename is durable only once the directory entry
+    is (fsync(2)), so a returned call is not undone by a power loss."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as f:
@@ -516,6 +505,11 @@ def write_atomic(path: str | os.PathLike, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def save_chain(state: ChainState, path: str) -> None:
@@ -606,13 +600,12 @@ class ChainNode:
         leaving the file as it was; only a file that passes loses its torn
         final frame, if any.
         """
-        held = {credential.writer_id: credential for credential in credentials}
         with open(path, "r+b") as f:
             data = f.read()
             keep = _intact_length(data)
             blocks, result = _check_blocks(
                 ((Block.from_bytes(frame), hashlib.sha256(frame).digest())
-                 for frame in _frames(data[:keep])), False, held)
+                 for frame in _frames(data[:keep])), False, credentials)
             if not result:
                 raise ChainError(f"verification fails at height {result.height}: "
                                  f"{result.reason}")

@@ -3,7 +3,8 @@
 ``run_stack`` builds the three roles in-process and exposes them through a
 wire server. Writer credentials and the chain live under the state
 directory, so tearing down and re-running with the same paths reloads the
-same chain (and fails loudly if it no longer verifies).
+same chain (and fails loudly if it no longer verifies, or if either file
+is gone).
 """
 
 from __future__ import annotations
@@ -21,53 +22,55 @@ from .relay import Relay
 from .wire import WireServer
 
 MNO_WRITER_ID = "mno-1"
-RELAY_WRITER_ID = "relay-1"
+RELAY_WRITER_ID = "relay-1"  # no new stack declares it; the benchmark's stack.json lists it
 
 
-def _load_or_create_credentials(cfg: StackConfig) -> dict[str, WriterCredential]:
-    """Writer signing keys persist in stack.json so restarts keep identity."""
-    path = cfg.stack_file
-    if path.exists():
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            credentials = {}
-            for entry in data["writers"]:
-                writer_id = entry["id"]
-                if not isinstance(writer_id, str) or not writer_id:
-                    raise ValueError(f"writer id {writer_id!r} is not a non-empty string")
-                credentials[writer_id] = WriterCredential.from_seed(
-                    writer_id, base64.b64decode(entry["seed"]))
-        except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
-            raise StackStartupError(f"unreadable writer credentials: {e}") from e
-        if MNO_WRITER_ID not in credentials:
-            raise StackStartupError(f"unreadable writer credentials: no {MNO_WRITER_ID!r} entry")
-        return credentials
-    credentials = {
-        MNO_WRITER_ID: WriterCredential.generate(MNO_WRITER_ID),
-        RELAY_WRITER_ID: WriterCredential.generate(RELAY_WRITER_ID),
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(path, json.dumps({
-        "writers": [
-            {"id": writer_id, "seed": base64.b64encode(cred.seed).decode()}
-            for writer_id, cred in credentials.items()
-        ]
-    }, indent=2).encode("utf-8"))
+def _read_credentials(path: Path) -> dict[str, WriterCredential]:
+    """The writer signing keys that stack.json lists."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        credentials = {}
+        for entry in data["writers"]:
+            writer_id = entry["id"]
+            if not isinstance(writer_id, str) or not writer_id:
+                raise ValueError(f"writer id {writer_id!r} is not a non-empty string")
+            credentials[writer_id] = WriterCredential.from_seed(
+                writer_id, base64.b64decode(entry["seed"]))
+    except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
+        raise StackStartupError(f"unreadable writer credentials: {e}") from e
+    if MNO_WRITER_ID not in credentials:
+        raise StackStartupError(f"unreadable writer credentials: no {MNO_WRITER_ID!r} entry")
     return credentials
 
 
-def _open_chain(cfg: StackConfig,
-                credentials: dict[str, WriterCredential]) -> ChainNode:
-    chain_path = cfg.resolved_chain_file()
-    if Path(chain_path).exists():
+def _open_state(cfg: StackConfig) -> tuple[dict[str, WriterCredential], ChainNode]:
+    """The writer credentials in stack.json and the chain they write, read
+    and checked; on a first start-up, with neither file there, both are
+    created, stack.json first. Writer signing keys persist there so restarts
+    keep identity. A state holding only one of the two files is refused
+    before anything is written: a chain is never silently replaced, and
+    fresh seeds never sit beside a chain they did not declare."""
+    chain_path = Path(cfg.resolved_chain_file())
+    if cfg.stack_file.exists():
+        credentials = _read_credentials(cfg.stack_file)
+        if not chain_path.exists():
+            raise StackStartupError(f"chain file {chain_path} is missing; "
+                                    f"{cfg.stack_file} names its writers")
         try:
-            return ChainNode.open(chain_path, credentials.values())
+            return credentials, ChainNode.open(str(chain_path), credentials.values())
         except ChainError as e:
             raise StackStartupError(f"chain file {chain_path}: {e}") from e
-    Path(chain_path).parent.mkdir(parents=True, exist_ok=True)
-    writer_set = [(writer_id, cred.verification_key)
-                  for writer_id, cred in credentials.items()]
-    return ChainNode.create(writer_set, path=chain_path)
+    if chain_path.exists():
+        raise StackStartupError(f"writer credentials {cfg.stack_file} are missing; "
+                                f"chain file {chain_path} exists")
+    mno = WriterCredential.generate(MNO_WRITER_ID)
+    cfg.stack_file.parent.mkdir(parents=True, exist_ok=True)
+    chain_path.parent.mkdir(parents=True, exist_ok=True)
+    write_atomic(cfg.stack_file, json.dumps({
+        "writers": [{"id": MNO_WRITER_ID, "seed": base64.b64encode(mno.seed).decode()}]
+    }, indent=2).encode("utf-8"))
+    return ({MNO_WRITER_ID: mno},
+            ChainNode.create([(MNO_WRITER_ID, mno.verification_key)], path=str(chain_path)))
 
 
 class StackHandle:
@@ -92,9 +95,7 @@ class StackHandle:
 
 
 def run_stack(config: StackConfig) -> StackHandle:
-    Path(config.state_dir).mkdir(parents=True, exist_ok=True)
-    credentials = _load_or_create_credentials(config)
-    chain_node = _open_chain(config, credentials)
+    credentials, chain_node = _open_state(config)
     mno = MnoCertificateAuthority(credentials[MNO_WRITER_ID], chain_node)
     relay = Relay(chain_node)
     server = WireServer(relay, mno, host=config.relay_host, port=config.relay_port)

@@ -556,8 +556,13 @@ RECORD_CASES = {
     "random-nonce": lambda mno, rec: dataclasses.replace(
         rec, issuer_signature=random_nonce_signature(
             mno, rec.signed_payload(), random.Random(20))),
+    "expires-at-issue": lambda mno, rec: mno.make_record(
+        rec.user_id, rec.subject_public_key, rec.issued_at, rec.issued_at, KIND_CERTIFICATE),
+    "revocation-with-a-key": lambda mno, rec: mno.make_record(
+        rec.user_id, rec.subject_public_key, rec.issued_at, rec.issued_at, KIND_REVOCATION),
 }
 VALID_CASES = {"valid", "random-nonce"}
+BAD_SHAPE_CASES = {"expires-at-issue", "revocation-with-a-key"}
 
 
 def signed_block(state, writer, records, timestamp=T0 + 1, sign=None):
@@ -582,6 +587,9 @@ class TestHeldKeyChecks:
         assert expected == (case in VALID_CASES)
         if case == "random-nonce":  # the case that reaches the verify fallback
             assert rec.issuer_signature != mno.sign(rec.signed_payload())
+        if case in BAD_SHAPE_CASES:  # refused by shape_ok alone
+            assert rec.issuer_signature == mno.sign(rec.signed_payload())
+            assert not rec.shape_ok()
         try:
             append_block(chain, mno, [rec], timestamp=T0 + 1)
             accepted = True

@@ -125,6 +125,22 @@ class TestStackHandle:
         finally:
             second.close()
 
+    @pytest.mark.parametrize("lost, refusal", [
+        ("chain.dat", "chain file .*chain.dat is missing"),
+        ("stack.json", "writer credentials .*stack.json are missing"),
+    ])
+    def test_rerun_refuses_a_state_that_lost_one_file(self, tmp_path, lost, refusal):
+        """A chain file is never silently replaced by a fresh one, and fresh
+        seeds are never written beside a chain they did not declare."""
+        cfg = StackConfig(state_dir=str(tmp_path / "state"), relay_port=0)
+        run_stack(cfg).close()
+        state_dir = Path(cfg.state_dir)
+        (state_dir / lost).unlink()
+        kept = {p.name: p.read_bytes() for p in state_dir.iterdir()}
+        with pytest.raises(StackStartupError, match=refusal):
+            run_stack(cfg)
+        assert {p.name: p.read_bytes() for p in state_dir.iterdir()} == kept
+
     def test_rerun_cuts_torn_final_frame(self, tmp_path):
         cfg = StackConfig(state_dir=str(tmp_path / "state"), relay_port=0)
         path = Path(cfg.resolved_chain_file())
@@ -159,7 +175,7 @@ class TestStackHandle:
         signature[0] ^= 0x01
         bad = dataclasses.replace(head.records[0], issuer_signature=bytes(signature))
         head = dataclasses.replace(head, records=(bad,))
-        writer = stack_mod._load_or_create_credentials(cfg)[head.writer_id]
+        writer = stack_mod._read_credentials(cfg.stack_file)[head.writer_id]
         head = dataclasses.replace(head, writer_signature=writer.sign(head.signature_payload()))
         chain_mod.save_chain(chain_mod.ChainState(blocks=state.blocks[:-1] + (head,)), path)
         result = chain_mod.verify_chain(chain_mod.load_chain(path))
@@ -171,13 +187,20 @@ class TestStackHandle:
 
 @pytest.fixture
 def small_chain(tmp_path):
-    """A stack's chain file of genesis plus 4 blocks, written by both stack
-    writers, whose seeds sit in stack.json; no listener."""
+    """A stack's chain file of genesis plus 4 blocks, written by two
+    declared writers, whose seeds sit in stack.json; no listener."""
     cfg = StackConfig(state_dir=str(tmp_path / "state"), relay_port=0)
-    credentials = stack_mod._load_or_create_credentials(cfg)
-    node = stack_mod._open_chain(cfg, credentials)
+    credentials = {w: chain_mod.WriterCredential.generate(w)
+                   for w in (stack_mod.MNO_WRITER_ID, stack_mod.RELAY_WRITER_ID)}
+    Path(cfg.state_dir).mkdir(parents=True)
+    cfg.stack_file.write_text(json.dumps({"writers": [
+        {"id": w, "seed": base64.b64encode(c.seed).decode()} for w, c in credentials.items()
+    ]}), encoding="utf-8")
+    node = chain_mod.ChainNode.create(
+        [(w, c.verification_key) for w, c in credentials.items()],
+        path=cfg.resolved_chain_file())
     mno = credentials[stack_mod.MNO_WRITER_ID]
-    writers = [mno, credentials[stack_mod.RELAY_WRITER_ID]]
+    writers = list(credentials.values())
     for i in range(4):
         record = mno.make_record(f"user{i}", bytes([i + 1]) * 32, 1_700_000_000,
                                  1_700_003_600, chain_mod.KIND_CERTIFICATE)
@@ -199,15 +222,15 @@ class TestStartupCheck:
     signature; ``chain verify`` stays the full check."""
 
     def test_refuses_every_single_byte_mutation(self, small_chain):
-        cfg, credentials = small_chain
+        cfg, _ = small_chain
         path = Path(cfg.resolved_chain_file())
         original = path.read_bytes()
-        opened = stack_mod._open_chain(cfg, credentials)
+        _, opened = stack_mod._open_state(cfg)
         assert opened.snapshot() == chain_mod.load_chain(str(path))
         for offset, mutated in _single_byte_flips(original):
             path.write_bytes(mutated)
             try:
-                stack_mod._open_chain(cfg, credentials)
+                stack_mod._open_state(cfg)
             except ChainChatError:
                 continue
             pytest.fail(f"start-up accepted a flip at byte {offset}")
@@ -246,7 +269,7 @@ class TestStartupCheck:
                                                                   capsys):
         cfg, _ = small_chain
         path = cfg.resolved_chain_file()
-        seeds = stack_mod._load_or_create_credentials(cfg)  # read from stack.json
+        seeds = stack_mod._read_credentials(cfg.stack_file)
         blocks = list(chain_mod.load_chain(path).blocks)
         target = 2
         signature = bytearray(blocks[target].writer_signature)
@@ -351,10 +374,31 @@ class TestCrashSafeWrites:
         with monkeypatch.context() as m:
             self.fail_at(m, step)
             with pytest.raises(OSError, match="simulated"):
-                stack_mod._load_or_create_credentials(cfg)
+                stack_mod._open_state(cfg)
         assert list(Path(cfg.state_dir).iterdir()) == []
-        seeds = stack_mod._load_or_create_credentials(cfg)
-        assert stack_mod._load_or_create_credentials(cfg).keys() == seeds.keys()
+        seeds, _ = stack_mod._open_state(cfg)
+        assert stack_mod._open_state(cfg)[0].keys() == seeds.keys() == {"mno-1"}
+
+    def test_rename_is_made_durable(self, tmp_path, monkeypatch):
+        """The directory is fsynced after the rename: until then a power
+        loss can undo a rename that already returned (fsync(2))."""
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def traced_fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def traced_replace(src, dst):
+            events.append(("replace", Path(dst)))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", traced_fsync)
+        monkeypatch.setattr(os, "replace", traced_replace)
+        path = tmp_path / "state.bin"
+        chain_mod.write_atomic(path, b"state")
+        assert events[-2:] == [("replace", path), ("fsync", tmp_path.stat().st_ino)]
+        assert path.read_bytes() == b"state"
 
 
 class TestCommandTable:

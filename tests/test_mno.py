@@ -171,7 +171,7 @@ class TestVerifyCertificate:
 class TestSignatureChecksUnderHeldKeys:
     """The chain checks a signature under a key the process holds by signing
     again, so the MNO's own records cost no Ed25519 verify, at append or
-    at start-up; counted at the name ``chain.py`` calls."""
+    at start-up; counted at the names ``chain.py`` calls."""
 
     @pytest.fixture
     def verifies(self, monkeypatch):
@@ -185,21 +185,37 @@ class TestSignatureChecksUnderHeldKeys:
         monkeypatch.setattr(chain_mod, "verify_edwards", counted)
         return calls
 
+    @pytest.fixture
+    def signs(self, monkeypatch):
+        calls = []
+        sign = chain_mod.WriterCredential.sign
+
+        def counted(credential, payload):
+            calls.append(payload)
+            return sign(credential, payload)
+
+        monkeypatch.setattr(chain_mod.WriterCredential, "sign", counted)
+        return calls
+
     def test_issue_revoke_and_open_verify_nothing(self, mno_credential, relay_credential,
-                                                   tmp_path, verifies):
+                                                   tmp_path, verifies, signs):
         path = str(tmp_path / "chain.dat")
         credentials = [mno_credential, relay_credential]
         node = ChainNode.create([(c.writer_id, c.verification_key) for c in credentials],
                                 path=path)
         mno = MnoCertificateAuthority(mno_credential, node)
+        # each of issue and revoke: the record, its re-signed check, the block
         for i in range(4):
             enroll(mno, f"user{i}")
-            assert len(verifies) == 0
+            assert (len(signs), len(verifies)) == (3 * (i + 1), 0)
         mno.revoke("user0")
-        assert len(verifies) == 0
+        assert (len(signs), len(verifies)) == (15, 0)
         records = 5
+        signs.clear()
         assert ChainNode.open(path, credentials).snapshot() == node.snapshot()
-        assert len(verifies) == 0
+        # each record and the head's writer signature is re-signed
+        assert (len(signs), len(verifies)) == (records + 1, 0)
+        signs.clear()
         # holding no key, each record and the head's writer signature is verified
         ChainNode.open(path)
-        assert len(verifies) == records + 1
+        assert (len(signs), len(verifies)) == (0, records + 1)
