@@ -35,7 +35,7 @@ from typing import Iterator, List, Optional
 from .bench import bench_decrypt, bench_encrypt, render_csv, write_csv
 from .chain import load_chain, verify_chain, write_atomic
 from .client import Client, Delivery
-from .config import StackConfig, load_config
+from .config import StackConfig
 from .errors import ChainChatError, StackStartupError
 from .stack import run_stack
 from .wire import RelayClient
@@ -331,7 +331,7 @@ def _cmd_chain_show(cfg: StackConfig, args: argparse.Namespace) -> int:
 
 def _cmd_backup_export(cfg: StackConfig, args: argparse.Namespace) -> int:
     archive = _load_client(cfg, args.user).export_backup(args.secret)
-    Path(args.out).write_bytes(archive.to_bytes())
+    write_atomic(args.out, archive.to_bytes())
     print(f"backup of {args.user} written to {args.out} "
           f"({archive.iterations} KDF iterations)")
     return 0
@@ -376,16 +376,7 @@ def _cmd_bench(cfg: StackConfig, args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _global_flags(args: argparse.Namespace) -> List[str]:
-    flags: List[str] = []
-    if args.config:
-        flags += ["--config", args.config]
-    if args.state_dir:
-        flags += ["--state-dir", args.state_dir]
-    if args.port:
-        flags += ["--port", str(args.port)]
-    if args.host:
-        flags += ["--host", args.host]
-    return flags
+    return ["--state-dir", args.state_dir, "--port", str(args.port), "--host", args.host]
 
 
 def _command(subparsers, name: str, run, **kwargs) -> argparse.ArgumentParser:
@@ -400,10 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chainchat",
         description="end-to-end encrypted messaging over a permissioned certificate chain",
     )
-    parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--state-dir", default=None, help="stack state directory")
-    parser.add_argument("--port", type=int, default=None, help="relay port")
-    parser.add_argument("--host", default=None, help="relay host")
+    defaults = StackConfig()
+    parser.add_argument("--state-dir", default=defaults.state_dir, help="stack state directory")
+    parser.add_argument("--port", type=int, default=defaults.relay_port, help="relay port")
+    parser.add_argument("--host", default=defaults.relay_host, help="relay host")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_stack = sub.add_parser("stack", help="start or stop the local stack")
@@ -473,13 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    cfg = StackConfig(relay_host=args.host, relay_port=args.port, state_dir=args.state_dir)
     try:
-        cfg = load_config(
-            args.config,
-            state_dir=args.state_dir,
-            relay_port=args.port,
-            relay_host=args.host,
-        )
         return args.run(cfg, args)
     except ChainChatError as e:
         print(f"error[{e.category}]: {e}", file=sys.stderr)

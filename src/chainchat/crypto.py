@@ -55,7 +55,6 @@ from .errors import (
 
 ZERO_SALT = b"\x00" * 32
 MAX_PLAINTEXT = 1 << 20  # 1 MiB sealing cap
-MIN_BACKUP_ITERATIONS = 10_000
 BACKUP_ITERATIONS = 210_000  # the PBKDF2 count of every backup export
 
 _MSG_KEY_INFO = b"msg"
@@ -254,15 +253,12 @@ def unseal(mk: MessageKey, payload: SealedPayload, associated_data: bytes) -> by
     return cbc_decrypt(mk, payload.ciphertext)
 
 
-def derive_backup_key(secret: str, salt: bytes, iterations: int = BACKUP_ITERATIONS,
-                      *, floor: int = MIN_BACKUP_ITERATIONS) -> BackupKey:
+def derive_backup_key(secret: str, salt: bytes, iterations: int = BACKUP_ITERATIONS) -> BackupKey:
     """Password-derived archive key, PBKDF2-HMAC-SHA256 (RFC 8018 semantics).
 
-    ``floor`` bounds a count the caller picks; known-answer tests lower it to
-    run single-iteration vectors. ``backup_message_key`` passes ``floor=1``
-    because its count is no choice: an export uses ``BACKUP_ITERATIONS``, and
-    a restore reads the count from the archive header, which the archive's
-    MAC covers as associated data, so a changed count fails the MAC and the
+    The count is no choice: an export uses ``BACKUP_ITERATIONS``, and a
+    restore reads the count from the archive header, which the archive's MAC
+    covers as associated data, so a changed count fails the MAC and the
     archive does not open. Since the MAC is checked only after the
     derivation, ``BackupArchive`` refuses a count outside 1 to
     ``BACKUP_MAX_ITERATIONS`` before one runs.
@@ -271,8 +267,6 @@ def derive_backup_key(secret: str, salt: bytes, iterations: int = BACKUP_ITERATI
         raise ValueError("backup secret must be non-empty")
     if len(salt) != 16:
         raise ValueError("backup salt must be 16 bytes")
-    if iterations < floor:
-        raise ValueError(f"iteration count {iterations} below floor {floor}")
     key = hashlib.pbkdf2_hmac("sha256", secret.encode("utf-8"), salt, iterations, 32)
     return BackupKey(key=key, salt=salt, iterations=iterations)
 
@@ -281,5 +275,5 @@ def backup_message_key(secret: str, salt: bytes, iterations: int) -> MessageKey:
     """The sealing material of a backup archive: the password key of
     ``derive_backup_key``, expanded into the cipher/mac/iv layout of a
     ratchet message key, at index 0."""
-    key = derive_backup_key(secret, salt, iterations, floor=1)
+    key = derive_backup_key(secret, salt, iterations)
     return _message_key(key.key, _BACKUP_KEY_INFO, 0)

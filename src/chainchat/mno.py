@@ -54,12 +54,10 @@ class MnoCertificateAuthority:
     """Verifies enrollment requests, signs records, appends them to the chain."""
 
     def __init__(self, credential: WriterCredential, chain_node: ChainNode,
-                 subscriber_check: Optional[SubscriberCheck] = None,
-                 rng: Callable[[int], bytes] = os.urandom):
+                 subscriber_check: Optional[SubscriberCheck] = None):
         self.credential = credential
         self.chain_node = chain_node
         self._subscriber_check = subscriber_check or (lambda user_id: True)
-        self._rng = rng
         self._challenges: dict[str, bytes] = {}
         self._lock = threading.Lock()
 
@@ -74,7 +72,7 @@ class MnoCertificateAuthority:
     def new_challenge(self, user_id: str) -> bytes:
         """Fresh 32-byte enrollment nonce; replaces any outstanding one and
         becomes the newest of at most ``CHALLENGE_CAP`` pending ones."""
-        challenge = self._rng(32)
+        challenge = os.urandom(32)
         with self._lock:
             self._challenges.pop(user_id, None)
             self._challenges[user_id] = challenge

@@ -36,8 +36,8 @@ def _read_credentials(path: Path) -> dict[str, WriterCredential]:
                 raise ValueError(f"writer id {writer_id!r} is not a non-empty string")
             credentials[writer_id] = WriterCredential.from_seed(
                 writer_id, base64.b64decode(entry["seed"]))
-    except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
-        raise StackStartupError(f"unreadable writer credentials: {e}") from e
+    except (OSError, KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
+        raise StackStartupError(f"unreadable writer credentials {path}: {e}") from e
     if MNO_WRITER_ID not in credentials:
         raise StackStartupError(f"unreadable writer credentials: no {MNO_WRITER_ID!r} entry")
     return credentials
@@ -58,14 +58,13 @@ def _open_state(cfg: StackConfig) -> tuple[dict[str, WriterCredential], ChainNod
                                     f"{cfg.stack_file} names its writers")
         try:
             return credentials, ChainNode.open(str(chain_path), credentials.values())
-        except ChainError as e:
+        except (ChainError, OSError) as e:
             raise StackStartupError(f"chain file {chain_path}: {e}") from e
     if chain_path.exists():
         raise StackStartupError(f"writer credentials {cfg.stack_file} are missing; "
                                 f"chain file {chain_path} exists")
     mno = WriterCredential.generate(MNO_WRITER_ID)
     cfg.stack_file.parent.mkdir(parents=True, exist_ok=True)
-    chain_path.parent.mkdir(parents=True, exist_ok=True)
     write_atomic(cfg.stack_file, json.dumps({
         "writers": [{"id": MNO_WRITER_ID, "seed": base64.b64encode(mno.seed).decode()}]
     }, indent=2).encode("utf-8"))

@@ -171,7 +171,7 @@ def test_04_known_answer_crypto():
         # PBKDF2, published SHA-256 vector set
         for password, salt, iters, out in v.PBKDF2_VECTORS:
             assert oracles.pbkdf2_sha256(password, salt, iters, 32) == out
-        bk = derive_backup_key("password", v.PBKDF2_PADDED_SALT, 1, floor=1)
+        bk = derive_backup_key("password", v.PBKDF2_PADDED_SALT, 1)
         assert bk.key == oracles.pbkdf2_sha256(b"password", v.PBKDF2_PADDED_SALT, 1, 32)
 
         # AES-256-CBC, NIST SP 800-38A F.2.5

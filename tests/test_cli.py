@@ -20,7 +20,7 @@ from chainchat import mno as mno_mod
 from chainchat import relay as relay_mod
 from chainchat import stack as stack_mod
 from chainchat.client import _FRAME_TEXT, Client
-from chainchat.config import StackConfig, load_config, parse_config_text
+from chainchat.config import StackConfig
 from chainchat.errors import (ChainChatError, ChainFormatError, StackStartupError,
                              WireProtocolError)
 from chainchat.mno import MnoCertificateAuthority
@@ -56,39 +56,29 @@ def run(stack):
 
 
 class TestConfig:
-    def test_parse_key_value(self):
-        values = parse_config_text("# comment\nrelay_port = 9too\nstate_dir=/tmp/x\n")
-        assert values == {"relay_port": "9too", "state_dir": "/tmp/x"}
-
-    def test_bad_line_rejected(self):
-        with pytest.raises(ValueError):
-            parse_config_text("just words\n")
-
     def test_settings_come_only_from_the_command_line(self, tmp_path, monkeypatch):
         """Neither the environment nor a chainchat.conf in the working
-        directory sets anything; ``--config FILE`` can set the chain file."""
+        directory sets anything: the three flags do, and the chain file
+        always sits in the state directory."""
         monkeypatch.setenv("CHAINCHAT_CHAIN_FILE", "/elsewhere/c.dat")
         (tmp_path / "chainchat.conf").write_text("relay_port=7000\nchain_file=/x/c.dat\n")
-        assert load_config() == StackConfig()
-        cfg = load_config(str(tmp_path / "chainchat.conf"))
-        assert (cfg.relay_port, cfg.resolved_chain_file()) == (7000, "/x/c.dat")
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_stack_down", lambda cfg, args: seen.append(cfg) or 0)
+        assert cli.main(["stack", "down"]) == 0
+        assert cli.main(["--state-dir", "st", "--port", "9", "--host", "h", "stack", "down"]) == 0
+        assert seen == [StackConfig(), StackConfig(relay_host="h", relay_port=9, state_dir="st")]
+        assert [cfg.resolved_chain_file() for cfg in seen] == \
+            [str(Path("chainchat-state", "chain.dat")), str(Path("st", "chain.dat"))]
 
-    def test_file_plus_overrides(self, tmp_path):
-        path = tmp_path / "chainchat.conf"
-        path.write_text("relay_port=7000\nrelay_host=10.0.0.7\n")
-        cfg = load_config(str(path), relay_port=8000)
-        assert cfg.relay_port == 8000
-        assert cfg.relay_host == "10.0.0.7"
-
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, capsys):
         """Protocol parameters are constants of the module that uses them,
-        so the config file cannot set them."""
-        path = tmp_path / "chainchat.conf"
-        for line in ("warp_drive=on", "snapshot_refresh=manual", "max_skipped=7",
-                     "backup_iterations=10000", "cert_validity_days=1"):
-            path.write_text(line + "\n")
-            with pytest.raises(ValueError):
-                load_config(str(path))
+        and no settings file is read, so each of these is a usage error."""
+        for flag in ("--config", "--max-skipped", "--backup-iterations",
+                     "--cert-validity-days"):
+            with pytest.raises(SystemExit) as exited:
+                cli.main([flag, "1", "stack", "up"])
+            assert exited.value.code == 2
+            assert capsys.readouterr().err.startswith("usage: chainchat")
 
     def test_readme_lists_exactly_the_config_keys(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
@@ -97,6 +87,14 @@ class TestConfig:
         assert listed is not None
         keys = re.findall(r"`(\w+)`", listed.group(1))
         assert keys == [f.name for f in dataclasses.fields(StackConfig)]
+
+    def test_readme_lists_exactly_the_global_flags(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        listed = re.search(r"Global flags (.*?) select the stack", readme, re.S)
+        assert listed is not None
+        options = [o for action in cli.build_parser()._actions
+                   for o in action.option_strings if o.startswith("--") and o != "--help"]
+        assert re.findall(r"`(--[\w-]+)`", listed.group(1)) == options
 
 
 class TestStackHandle:
@@ -140,6 +138,21 @@ class TestStackHandle:
         with pytest.raises(StackStartupError, match=refusal):
             run_stack(cfg)
         assert {p.name: p.read_bytes() for p in state_dir.iterdir()} == kept
+
+    @pytest.mark.parametrize("name", ["chain.dat", "stack.json"])
+    def test_rerun_refuses_a_state_file_it_cannot_read(self, tmp_path, capsys, name):
+        """An OSError on either file is a start-up refusal naming the file,
+        in process and on the command line, not a traceback."""
+        cfg = StackConfig(state_dir=str(tmp_path / "state"), relay_port=0)
+        run_stack(cfg).close()
+        path = Path(cfg.state_dir) / name
+        path.unlink()
+        path.mkdir()
+        with pytest.raises(StackStartupError, match=re.escape(str(path))):
+            run_stack(cfg)
+        assert cli.main(["--state-dir", cfg.state_dir, "--port", "0", "stack", "serve"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[stack-startup]: ") and str(path) in err
 
     def test_rerun_cuts_torn_final_frame(self, tmp_path):
         cfg = StackConfig(state_dir=str(tmp_path / "state"), relay_port=0)
@@ -379,9 +392,8 @@ class TestCrashSafeWrites:
         seeds, _ = stack_mod._open_state(cfg)
         assert stack_mod._open_state(cfg)[0].keys() == seeds.keys() == {"mno-1"}
 
-    def test_rename_is_made_durable(self, tmp_path, monkeypatch):
-        """The directory is fsynced after the rename: until then a power
-        loss can undo a rename that already returned (fsync(2))."""
+    @staticmethod
+    def trace_renames_and_fsyncs(monkeypatch):
         events = []
         fsync, replace = os.fsync, os.replace
 
@@ -395,10 +407,31 @@ class TestCrashSafeWrites:
 
         monkeypatch.setattr(os, "fsync", traced_fsync)
         monkeypatch.setattr(os, "replace", traced_replace)
+        return events
+
+    def test_rename_is_made_durable(self, tmp_path, monkeypatch):
+        """The directory is fsynced after the rename: until then a power
+        loss can undo a rename that already returned (fsync(2))."""
+        events = self.trace_renames_and_fsyncs(monkeypatch)
         path = tmp_path / "state.bin"
         chain_mod.write_atomic(path, b"state")
         assert events[-2:] == [("replace", path), ("fsync", tmp_path.stat().st_ino)]
         assert path.read_bytes() == b"state"
+
+    def test_backup_export_replaces_its_archive_durably(self, tmp_path, monkeypatch,
+                                                        alice):
+        """An export that fails midway, or a power loss, leaves the previous
+        archive at ``--out`` whole: the new one is renamed over it and the
+        directory fsynced."""
+        cfg = StackConfig(state_dir=str(tmp_path / "state"))
+        cli._save_client(cfg, alice)
+        out = tmp_path / "alice.backup"
+        out.write_bytes(b"previous archive")
+        events = self.trace_renames_and_fsyncs(monkeypatch)
+        assert cli.main(["--state-dir", cfg.state_dir, "backup", "export", "alice",
+                         "--secret", "pw", "--out", str(out)]) == 0
+        assert events[-2:] == [("replace", out), ("fsync", tmp_path.stat().st_ino)]
+        assert Client.restore_backup(out.read_bytes(), "pw").user_id == "alice"
 
 
 class TestCommandTable:

@@ -97,7 +97,7 @@ class TestKnownAnswers:
         assert hashlib.pbkdf2_hmac("sha256", password, salt, iters, 32) == out
 
     def test_backup_key_padded_salt_vector(self):
-        bk = derive_backup_key("password", v.PBKDF2_PADDED_SALT, 1, floor=1)
+        bk = derive_backup_key("password", v.PBKDF2_PADDED_SALT, 1)
         assert bk.key == v.PBKDF2_PADDED_OUT
         assert bk.key == oracles.pbkdf2_sha256(
             b"password", v.PBKDF2_PADDED_SALT, 1, 32)
@@ -312,10 +312,6 @@ class TestBackupKey:
     def test_empty_secret_rejected(self):
         with pytest.raises(ValueError):
             derive_backup_key("", b"\x00" * 16, 10_000)
-
-    def test_iteration_floor(self):
-        with pytest.raises(ValueError):
-            derive_backup_key("s", b"\x00" * 16, 9_999)
 
     def test_salt_length_enforced(self):
         with pytest.raises(ValueError):
