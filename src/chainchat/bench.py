@@ -22,7 +22,7 @@ import random
 import string
 import time
 from dataclasses import dataclass
-from statistics import median
+from statistics import correlation, linear_regression, median
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import crypto
@@ -119,22 +119,13 @@ def bench_decrypt(lengths: Sequence[int], repetitions: int = 100) -> List[BenchR
 
 
 def fit_line(points: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
-    """Least-squares slope and R^2 of y against x."""
-    n = len(points)
-    if n < 2:
-        return 0.0, 0.0
+    """Least-squares slope and R^2 of y against x; 0.0 where undefined."""
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    syy = sum((y - mean_y) ** 2 for y in ys)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in points)
-    if sxx == 0:
+    if len(points) < 2 or len(set(xs)) == 1:
         return 0.0, 0.0
-    slope = sxy / sxx
-    r_squared = 0.0 if syy == 0 else (sxy * sxy) / (sxx * syy)
-    return slope, r_squared
+    slope = linear_regression(xs, ys).slope
+    return slope, 0.0 if len(set(ys)) == 1 else correlation(xs, ys) ** 2
 
 
 def render_csv(records: Sequence[BenchRecord], direction: str) -> str:

@@ -31,7 +31,11 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+    Ed25519PrivateKey,
+    Ed25519PublicKey,
+)
 
 from .encoding import Reader, encode_bytes, encode_str, encode_u64
 from .errors import (
@@ -42,7 +46,6 @@ from .errors import (
     TruncatedDataError,
     WriterNotAuthorizedError,
 )
-from .identity_sig import verify_edwards
 
 KIND_CERTIFICATE = "certificate"
 KIND_REVOCATION = "revocation"
@@ -123,6 +126,15 @@ class CertificateRecord:
 def record_fingerprint(record: CertificateRecord) -> bytes:
     """SHA-256 of the record's canonical serialization; pinned by sessions."""
     return record.fingerprint
+
+
+def verify_edwards(edwards_pub: bytes, message: bytes, signature: bytes) -> bool:
+    """RFC 8032 Ed25519 verification against a compressed Edwards key."""
+    try:
+        Ed25519PublicKey.from_public_bytes(edwards_pub).verify(signature, message)
+        return True
+    except (InvalidSignature, ValueError):
+        return False
 
 
 def verify_record(record: CertificateRecord, verification_key: bytes) -> bool:

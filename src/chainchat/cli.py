@@ -37,7 +37,7 @@ from .chain import load_chain, verify_chain, write_atomic
 from .client import Client, Delivery
 from .config import StackConfig
 from .errors import ChainChatError, StackStartupError
-from .stack import run_stack
+from .stack import make_state_dir, run_stack
 from .wire import RelayClient
 
 
@@ -139,7 +139,7 @@ def _cmd_stack_up(cfg: StackConfig, args: argparse.Namespace) -> int:
         raise StackStartupError("background mode needs a fixed relay port")
     if cfg.pid_file.exists() and _pid_alive(int(cfg.pid_file.read_text())):
         raise StackStartupError("stack already running (pid file present)")
-    Path(cfg.state_dir).mkdir(parents=True, exist_ok=True)
+    make_state_dir(cfg)
     log_path = Path(cfg.state_dir) / "stack.log"
     cmd = [sys.executable, "-m", "chainchat"] + _global_flags(args) + ["stack", "serve"]
     with open(log_path, "ab") as log:

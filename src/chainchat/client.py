@@ -246,7 +246,7 @@ class Client:
         try:
             challenge = mno.new_challenge(user_id)
             proof = identity_sig.sign(
-                identity.private_key,
+                identity.private_key, challenge,
                 possession_payload(user_id, identity.public_key, challenge),
             )
             record = mno.issue_certificate(EnrollmentRequest(

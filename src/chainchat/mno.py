@@ -1,8 +1,9 @@
 """Mobile network operator: the trusted third party that issues certificates.
 
-Enrollment is a two-step exchange. The MNO hands out a fresh random challenge
-per user; the subject signs (user_id || public_key || challenge) with its
-identity key and submits the signature as proof of possession. Without the
+Enrollment is a two-step exchange. The MNO hands out a fresh X25519 public
+key per user as the challenge and keeps its private half; the subject proves
+possession of its identity key with a MAC over (user_id || public_key ||
+challenge) under their Diffie-Hellman secret (``identity_sig``). Without the
 challenge any party could replay an observed enrollment and register someone
 else's public key under their own id, which would break the trusted-third-
 party role, so the challenge is mandatory.
@@ -14,13 +15,12 @@ accepts everyone, tests and deployments can inject a real check.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import identity_sig
+from . import crypto, identity_sig
 from .chain import (
     KIND_CERTIFICATE,
     CertificateRecord,
@@ -42,11 +42,11 @@ SubscriberCheck = Callable[[str], bool]
 class EnrollmentRequest:
     user_id: str
     subject_public_key: bytes  # 32-byte identity public key
-    proof_of_possession: bytes  # 64-byte identity-key signature
+    proof_of_possession: bytes  # 32-byte identity_sig.sign proof
 
 
 def possession_payload(user_id: str, subject_public_key: bytes, challenge: bytes) -> bytes:
-    """The exact bytes a subject signs to prove it holds the private key."""
+    """The exact bytes the proof of possession covers."""
     return user_id.encode("utf-8") + subject_public_key + challenge
 
 
@@ -58,7 +58,7 @@ class MnoCertificateAuthority:
         self.credential = credential
         self.chain_node = chain_node
         self._subscriber_check = subscriber_check or (lambda user_id: True)
-        self._challenges: dict[str, bytes] = {}
+        self._challenges: dict[str, crypto.IdentityKeyPair] = {}  # ephemeral X25519 pairs
         self._lock = threading.Lock()
 
     @property
@@ -70,28 +70,29 @@ class MnoCertificateAuthority:
         return self.credential.verification_key
 
     def new_challenge(self, user_id: str) -> bytes:
-        """Fresh 32-byte enrollment nonce; replaces any outstanding one and
+        """The public half of a fresh X25519 pair, whose private half is kept
+        until the proof arrives; replaces any outstanding challenge and
         becomes the newest of at most ``CHALLENGE_CAP`` pending ones."""
-        challenge = os.urandom(32)
+        challenge = crypto.generate_identity_keypair()
         with self._lock:
             self._challenges.pop(user_id, None)
             self._challenges[user_id] = challenge
             if len(self._challenges) > CHALLENGE_CAP:
                 del self._challenges[next(iter(self._challenges))]
-        return challenge
+        return challenge.public_key
 
-    def issue_certificate(self, request: EnrollmentRequest, *,
-                          now: Optional[int] = None) -> CertificateRecord:
-        issued_at = int(time.time()) if now is None else now
+    def issue_certificate(self, request: EnrollmentRequest) -> CertificateRecord:
+        issued_at = int(time.time())
         if len(request.subject_public_key) != 32:
             raise EnrollmentError("subject public key must be 32 bytes")
         with self._lock:
             challenge = self._challenges.pop(request.user_id, None)
         if challenge is None:
             raise EnrollmentError(f"no outstanding challenge for {request.user_id!r}")
-        payload = possession_payload(request.user_id, request.subject_public_key, challenge)
-        if not identity_sig.verify(request.subject_public_key, payload,
-                                   request.proof_of_possession):
+        payload = possession_payload(request.user_id, request.subject_public_key,
+                                     challenge.public_key)
+        if not identity_sig.verify(challenge.private_key, request.subject_public_key,
+                                   payload, request.proof_of_possession):
             raise EnrollmentError("proof of possession failed verification")
         if not self._subscriber_check(request.user_id):
             raise EnrollmentError(f"{request.user_id!r} is not a known subscriber")
@@ -116,7 +117,8 @@ class MnoCertificateAuthority:
     def dump_state(self) -> bytes:
         """Serialized operational state for inspection; never key material."""
         with self._lock:
-            pending = {user: challenge.hex() for user, challenge in self._challenges.items()}
+            pending = {user: challenge.public_key.hex()
+                       for user, challenge in self._challenges.items()}
         return json.dumps(
             {"mno_id": self.mno_id, "pending_challenges": pending},
             sort_keys=True,

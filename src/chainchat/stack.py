@@ -43,6 +43,15 @@ def _read_credentials(path: Path) -> dict[str, WriterCredential]:
     return credentials
 
 
+def make_state_dir(cfg: StackConfig) -> None:
+    """Create the state directory; a path that cannot be one, such as a
+    regular file, refuses start-up."""
+    try:
+        Path(cfg.state_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise StackStartupError(f"cannot use {cfg.state_dir} as the state directory: {e}") from e
+
+
 def _open_state(cfg: StackConfig) -> tuple[dict[str, WriterCredential], ChainNode]:
     """The writer credentials in stack.json and the chain they write, read
     and checked; on a first start-up, with neither file there, both are
@@ -64,7 +73,7 @@ def _open_state(cfg: StackConfig) -> tuple[dict[str, WriterCredential], ChainNod
         raise StackStartupError(f"writer credentials {cfg.stack_file} are missing; "
                                 f"chain file {chain_path} exists")
     mno = WriterCredential.generate(MNO_WRITER_ID)
-    cfg.stack_file.parent.mkdir(parents=True, exist_ok=True)
+    make_state_dir(cfg)
     write_atomic(cfg.stack_file, json.dumps({
         "writers": [{"id": MNO_WRITER_ID, "seed": base64.b64encode(mno.seed).decode()}]
     }, indent=2).encode("utf-8"))

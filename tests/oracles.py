@@ -66,6 +66,7 @@ def x25519_base(k_bytes: bytes) -> bytes:
     return x25519(k_bytes, (9).to_bytes(32, "little"))
 
 
+L = 2**252 + 27742317777372353535851937790883648493  # RFC 8032's L, the base point's order
 _ED_D = -121665 * pow(121666, P - 2, P) % P
 _ED_BASE = (
     15112221349535400772501151409588531511454012693041857206046113283949847762202,

@@ -523,9 +523,6 @@ class TestRecords:
 # signatures under a held key, checked by re-signing
 # ---------------------------------------------------------------------------
 
-ED25519_ORDER = 2**252 + 27742317777372353535851937790883648493  # RFC 8032's L
-
-
 def random_nonce_signature(credential, payload, rng):
     """A valid signature of ``payload`` under ``credential`` made with a
     random nonce r instead of RFC 8032's deterministic one:
@@ -533,10 +530,10 @@ def random_nonce_signature(credential, payload, rng):
     a = oracles._decode_scalar(hashlib.sha512(credential.seed).digest()[:32])
     public = oracles.ed25519_base_mul(a)
     assert public == credential.verification_key
-    r = rng.randrange(1, ED25519_ORDER)
+    r = rng.randrange(1, oracles.L)
     big_r = oracles.ed25519_base_mul(r)
     k = int.from_bytes(hashlib.sha512(big_r + public + payload).digest(), "little")
-    return big_r + ((r + k * a) % ED25519_ORDER).to_bytes(32, "little")
+    return big_r + ((r + k * a) % oracles.L).to_bytes(32, "little")
 
 
 def flip(data, offset):

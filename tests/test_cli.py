@@ -154,6 +154,19 @@ class TestStackHandle:
         err = capsys.readouterr().err
         assert err.startswith("error[stack-startup]: ") and str(path) in err
 
+    @pytest.mark.parametrize("command", ["serve", "up"])
+    def test_state_dir_that_is_a_file_is_refused(self, tmp_path, capsys, command):
+        """A --state-dir naming a regular file is one error line naming the
+        path, before anything is written or started, not a traceback."""
+        path = tmp_path / "state"
+        path.write_bytes(b"not a directory")
+        assert cli.main(["--state-dir", str(path), "--port", "7", "stack", command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[stack-startup]: ") and str(path) in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"not a directory"
+
     def test_rerun_cuts_torn_final_frame(self, tmp_path):
         cfg = StackConfig(state_dir=str(tmp_path / "state"), relay_port=0)
         path = Path(cfg.resolved_chain_file())

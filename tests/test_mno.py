@@ -1,12 +1,17 @@
+import base64
 import dataclasses
+import hashlib
+import hmac
 import json
 import os
 
 import pytest
 
+import oracles
 import vectors as v
 from chainchat import chain as chain_mod
 from chainchat import identity_sig
+from chainchat import mno as mno_mod
 from chainchat.chain import KIND_REVOCATION, REVOKED, VALID, ChainNode, fetch_latest
 from chainchat.crypto import generate_identity_keypair
 from chainchat.errors import EnrollmentError
@@ -18,13 +23,26 @@ from chainchat.mno import (
 )
 
 
+def prove(pair, user_id, challenge):
+    return identity_sig.sign(
+        pair.private_key, challenge, possession_payload(user_id, pair.public_key, challenge))
+
+
 def enroll(mno, user_id, pair=None):
     pair = pair or generate_identity_keypair()
-    challenge = mno.new_challenge(user_id)
-    proof = identity_sig.sign(
-        pair.private_key, possession_payload(user_id, pair.public_key, challenge))
+    proof = prove(pair, user_id, mno.new_challenge(user_id))
     record = mno.issue_certificate(EnrollmentRequest(user_id, pair.public_key, proof))
     return pair, record
+
+
+def refused(mno, chain_node, request):
+    """The request is refused as ``enrollment-refused`` and nothing lands."""
+    height = len(chain_node.snapshot().blocks)
+    with pytest.raises(EnrollmentError) as err:
+        mno.issue_certificate(request)
+    assert err.value.category == "enrollment-refused"
+    assert len(chain_node.snapshot().blocks) == height
+    return err.value
 
 
 class TestEnrollment:
@@ -35,31 +53,51 @@ class TestEnrollment:
         assert status.state == VALID
         assert status.record == record
 
-    def test_proof_by_wrong_key_rejected(self, mno):
+    def test_proof_by_wrong_key_rejected(self, mno, chain_node):
         pair = generate_identity_keypair()
         wrong = generate_identity_keypair()
         challenge = mno.new_challenge("alice")
         proof = identity_sig.sign(
-            wrong.private_key, possession_payload("alice", pair.public_key, challenge))
-        with pytest.raises(EnrollmentError):
-            mno.issue_certificate(EnrollmentRequest("alice", pair.public_key, proof))
+            wrong.private_key, challenge, possession_payload("alice", pair.public_key, challenge))
+        refused(mno, chain_node, EnrollmentRequest("alice", pair.public_key, proof))
 
-    def test_missing_challenge_rejected(self, mno):
-        pair = generate_identity_keypair()
-        proof = identity_sig.sign(
-            pair.private_key, possession_payload("alice", pair.public_key, b"\x00" * 32))
-        with pytest.raises(EnrollmentError):
-            mno.issue_certificate(EnrollmentRequest("alice", pair.public_key, proof))
-
-    def test_challenge_consumed_no_replay(self, mno):
+    def test_proof_for_another_user_refused(self, mno, chain_node):
         pair = generate_identity_keypair()
         challenge = mno.new_challenge("alice")
-        proof = identity_sig.sign(
-            pair.private_key, possession_payload("alice", pair.public_key, challenge))
-        request = EnrollmentRequest("alice", pair.public_key, proof)
+        proof = prove(pair, "bob", challenge)
+        refused(mno, chain_node, EnrollmentRequest("alice", pair.public_key, proof))
+
+    def test_missing_challenge_rejected(self, mno, chain_node):
+        pair = generate_identity_keypair()
+        proof = prove(pair, "alice", generate_identity_keypair().public_key)
+        err = refused(mno, chain_node, EnrollmentRequest("alice", pair.public_key, proof))
+        assert "no outstanding challenge" in str(err)
+
+    def test_stale_challenge_refused(self, mno, chain_node):
+        """A new challenge replaces the one before it; a proof for the old one
+        fails and uses up the new one."""
+        pair = generate_identity_keypair()
+        stale = mno.new_challenge("alice")
+        mno.new_challenge("alice")
+        refused(mno, chain_node,
+                EnrollmentRequest("alice", pair.public_key, prove(pair, "alice", stale)))
+        assert json.loads(mno.dump_state())["pending_challenges"] == {}
+
+    def test_challenge_consumed_no_replay(self, mno, chain_node):
+        pair = generate_identity_keypair()
+        challenge = mno.new_challenge("alice")
+        request = EnrollmentRequest("alice", pair.public_key, prove(pair, "alice", challenge))
         mno.issue_certificate(request)
-        with pytest.raises(EnrollmentError):
-            mno.issue_certificate(request)
+        refused(mno, chain_node, request)
+        mno.new_challenge("alice")  # a fresh challenge does not revive the old proof
+        refused(mno, chain_node, request)
+
+    def test_signature_sized_proof_refused(self, mno, chain_node):
+        """A 64-byte proof, the size of the signature that the MAC replaced,
+        is refused, whatever its first 32 bytes."""
+        pair = generate_identity_keypair()
+        proof = prove(pair, "alice", mno.new_challenge("alice"))
+        refused(mno, chain_node, EnrollmentRequest("alice", pair.public_key, proof + proof))
 
     def test_subscriber_check_enforced(self, mno_credential, chain_node):
         strict = MnoCertificateAuthority(
@@ -80,19 +118,19 @@ class TestEnrollment:
         assert status.record == new_record
 
     def test_the_mno_sets_the_lifetime(self, mno, chain_node):
-        """The request carries no lifetime, and the issue time is keyword-only,
-        so a stray positional argument cannot date a certificate."""
+        """Neither the request nor the call carries a time, so no caller can
+        date a certificate."""
         pair = generate_identity_keypair()
-        challenge = mno.new_challenge("alice")
-        proof = identity_sig.sign(
-            pair.private_key, possession_payload("alice", pair.public_key, challenge))
-        request = EnrollmentRequest("alice", pair.public_key, proof)
+        request = EnrollmentRequest("alice", pair.public_key,
+                                    prove(pair, "alice", mno.new_challenge("alice")))
         height = len(chain_node.snapshot().blocks)
         with pytest.raises(TypeError):
             mno.issue_certificate(request, 60)
+        with pytest.raises(TypeError):
+            mno.issue_certificate(request, now=1_000)
         assert len(chain_node.snapshot().blocks) == height
-        record = mno.issue_certificate(request, now=1_000)
-        assert (record.issued_at, record.expires_at) == (1_000, 1_000 + VALIDITY_SECONDS)
+        record = mno.issue_certificate(request)
+        assert record.expires_at - record.issued_at == VALIDITY_SECONDS
 
     def test_pending_challenges_capped_oldest_dropped(self, mno, monkeypatch):
         """Past CHALLENGE_CAP the oldest pending challenge goes, and a repeated
@@ -108,8 +146,7 @@ class TestEnrollment:
 
         def submit(user):
             pair = pairs[user]
-            proof = identity_sig.sign(pair.private_key, possession_payload(
-                user, pair.public_key, challenges[user]))
+            proof = prove(pair, user, challenges[user])
             return mno.issue_certificate(EnrollmentRequest(user, pair.public_key, proof))
 
         for user in ("u1", "u2"):
@@ -120,20 +157,19 @@ class TestEnrollment:
         assert enroll(mno, "u1")[1].user_id == "u1"
 
     def test_low_order_keys_refused(self, mno, chain_node):
-        """R = s*B, S = s passes the cofactorless check whenever h*A is the
-        neutral point, i.e. for 1 in 2 to 1 in 8 challenges under a low-order
-        key. Every such forgery must be refused."""
-        height = len(chain_node.snapshot().blocks)
+        """Nobody holds a private key for a low-order point. X25519 of any
+        challenge key with one is the all-zero secret, so the only tag an
+        attacker could compute is the one keyed from it; the exchange is
+        refused for every encoding, canonical or not, so neither that tag
+        nor a random one passes."""
+        zero_key = oracles.hkdf_sha256(b"\x00" * 32, b"\x00" * 32, b"enroll-pop", 32)
+        forgeries = (lambda payload: hmac.new(zero_key, payload, hashlib.sha256).digest(),
+                     lambda payload: os.urandom(32))
         for u in v.LOW_ORDER_U:
-            key = u.to_bytes(32, "little")
-            for _ in range(64):
-                mno.new_challenge("mallory")
-                s = int.from_bytes(os.urandom(64), "little") % identity_sig.L
-                r_enc = identity_sig._compress(identity_sig._base_mul(s))
-                forged = r_enc + s.to_bytes(32, "little")
-                with pytest.raises(EnrollmentError):
-                    mno.issue_certificate(EnrollmentRequest("mallory", key, forged))
-        assert len(chain_node.snapshot().blocks) == height
+            for key in (u.to_bytes(32, "little"), (u | 1 << 255).to_bytes(32, "little")):
+                for forge in forgeries:
+                    payload = possession_payload("mallory", key, mno.new_challenge("mallory"))
+                    refused(mno, chain_node, EnrollmentRequest("mallory", key, forge(payload)))
 
 
 class TestVerifyCertificate:
@@ -166,6 +202,19 @@ class TestVerifyCertificate:
         blob = mno.dump_state()
         assert mno.credential.seed not in blob
         assert b"alice" in blob
+
+    def test_dump_state_holds_no_challenge_private_half(self, mno, monkeypatch):
+        pairs = []
+        generate = mno_mod.crypto.generate_identity_keypair
+        monkeypatch.setattr(mno_mod.crypto, "generate_identity_keypair",
+                            lambda: pairs.append(generate()) or pairs[-1])
+        mno.new_challenge("alice")
+        blob = mno.dump_state()
+        (pair,) = pairs
+        assert pair.public_key.hex().encode() in blob
+        for form in (pair.private_key, pair.private_key.hex().encode(),
+                     base64.b64encode(pair.private_key)):
+            assert form not in blob
 
 
 class TestSignatureChecksUnderHeldKeys:

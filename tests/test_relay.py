@@ -329,7 +329,7 @@ class TestGroupFanOut:
         pair = generate_identity_keypair()
         challenge = mno.new_challenge("dan")
         proof = identity_sig.sign(
-            pair.private_key, possession_payload("dan", pair.public_key, challenge))
+            pair.private_key, challenge, possession_payload("dan", pair.public_key, challenge))
         mno.issue_certificate(EnrollmentRequest("dan", pair.public_key, proof))
         relay.create_group("room", ids[0], ids + ["dan"])
         envelope = plain_envelope("dan", "", group_id="room")

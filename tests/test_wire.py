@@ -239,6 +239,16 @@ class TestServer:
     def test_health_probe(self, rc):
         assert rc.health()
 
+    def test_health_probe_is_one_read_only_round_trip(self, rc, mno, monkeypatch):
+        """The probe used to ask the MNO for a challenge too, which left one
+        pending and replaced any real enrollment under the probe's id."""
+        sent = []
+        request = rc.request
+        monkeypatch.setattr(rc, "request", lambda t, body: sent.append(t) or request(t, body))
+        assert rc.health()
+        assert sent == ["fetch_cert"]
+        assert json.loads(mno.dump_state())["pending_challenges"] == {}
+
     def test_full_session_over_wire(self, rc):
         alice = Client.install("alice", rc, rc)
         bob = Client.install("bob", rc, rc)
@@ -304,7 +314,7 @@ class TestServer:
         pair = generate_identity_keypair()
         challenge = rc.new_challenge("alice")
         proof = identity_sig.sign(
-            pair.private_key, possession_payload("alice", pair.public_key, challenge))
+            pair.private_key, challenge, possession_payload("alice", pair.public_key, challenge))
         reply = rc.request("enroll", _enroll_submit(
             subject_public_key=wire._b64(pair.public_key),
             proof_of_possession=wire._b64(proof)))
@@ -450,7 +460,7 @@ class TestLineLimit:
 
 
 _KEY = wire._b64(b"\x42" * 32)
-_PROOF = wire._b64(b"\x00" * 64)
+_PROOF = wire._b64(b"\x00" * 32)
 
 
 def _enroll_submit(**fields):
@@ -534,7 +544,7 @@ _CALLS = {
     "fetch_cert": lambda c: c.fetch_certificate("bob"),
     "challenge": lambda c: c.new_challenge("bob"),
     "issue": lambda c: c.issue_certificate(
-        EnrollmentRequest("bob", b"\x42" * 32, b"\x00" * 64)),
+        EnrollmentRequest("bob", b"\x42" * 32, b"\x00" * 32)),
     "register": lambda c: c.register_user("bob", b"\x42" * 32),
     "submit": lambda c: c.submit_envelope(_ENVELOPE),
     "fetch": lambda c: c.fetch_envelopes("bob", 0),

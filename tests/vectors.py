@@ -138,109 +138,3 @@ RATCHET_ZERO_MAC = bytes.fromhex(
 RATCHET_ZERO_IV = bytes.fromhex("38b896dcfa02bfdb67481349c6f96658")
 RATCHET_ZERO_NEXT = bytes.fromhex(
     "4ee7be0c7872360ca67414608081e9bd60fd580a7bbd209701d2a5a0b4316d0d")
-
-# -- derived, frozen from the double-and-add signer: XEdDSA identity signatures --------
-# Made with identity_sig.sign as it stood before the fixed-base table, one
-# signature per key and message: IDENTITY_SIG_SIGS[key][message]. The first
-# four keys (the RFC 7748 6.1 pair, 0^32 and ff^32) give a k*B whose x sign
-# bit is set, so signing negates the scalar; the last four,
-# SHA-256(b"chainchat/identity-sig/vector/%d") for d = 0, 4, 6, 7, do not.
-IDENTITY_SIG_NEGATED = (True, True, True, True, False, False, False, False)
-IDENTITY_SIG_MESSAGES = (
-    b"",
-    b"\x00",
-    bytes(range(80)),
-    bytes(i * 7 % 256 for i in range(1000)),
-)
-IDENTITY_SIG_KEYS = (
-    bytes.fromhex("77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a"),
-    bytes.fromhex("5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb"),
-    bytes.fromhex("0000000000000000000000000000000000000000000000000000000000000000"),
-    bytes.fromhex("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"),
-    bytes.fromhex("b98935db4e51944fc359f9cab504889ef0f67e7d4c8a2352df1e4cf08207a3bd"),
-    bytes.fromhex("d1a92fedb58bf4d49684fae2343b232bdaf5773177deaaa2ae2bccf099fa2edf"),
-    bytes.fromhex("e1a70662843670626f120a9aacea9cf70d56e53230b3a3858f01eb0c79b5aaea"),
-    bytes.fromhex("f9eb67d3d12852f07d0e5975c0de44e9cb44c869b5bc333214a1b31c3e2080dc"),
-)
-IDENTITY_SIG_SIGS = (
-    (
-        bytes.fromhex("902e89d0571832d11a0bba13d3ec0706d2f685420a7a307a9d11eeb044872579"
-                      "9970d303d49d1afe984fedf7703a7ca36356e4618c9b94217d3db6c0ed762d09"),
-        bytes.fromhex("fd98535992da7bef72a7e66ac17c0a931a849a4d328c65844dfb599d4899e288"
-                      "3a03082eefae78203c8b7c50f4ca39eb723c39987f7dbf097784bd24fff1e604"),
-        bytes.fromhex("a22b00dcca116247d9de56be2567929123e91d7c2bfee34db8e307d751f413ca"
-                      "941c2407fe9e43353add386f0511e90a31331f40d96c89d1bc25cc09f270100f"),
-        bytes.fromhex("e5692c4d58295564079ab047b4f17f114a2c3505bf1dea5aacb0f0dfc0bb6d1b"
-                      "3021252598d7d1707471a3674b8ae2b0d646705f02fb402ec78c5e20198c4509"),
-    ),
-    (
-        bytes.fromhex("87f38152dd56c764d725963bbc247ed0a42c9c33385bb1d5629d9f50fef125b0"
-                      "9dab45d6acb845b50153fe3ebf9962d32b37b4eee0ec51ccfe11888062ad2b0f"),
-        bytes.fromhex("c98464ef4600c93f089d07f8191d4689cc152a1051719226575919edd35c8fbf"
-                      "2f229a494cbd0e5a20b4d30ac3dd7d2dc5c6148ea046ead2ff039f0894366d08"),
-        bytes.fromhex("a8c2d65a3eb66d199db52b44754af7a3673b8df75ef9d1e9cd9d7f3c93659d78"
-                      "219085ed0689d0a640bfe093b024808805d041325dfb9da15e7bfdf147a29305"),
-        bytes.fromhex("496b6437e773c7081d614cd6d5bdc174681423ad431ff7e9dc9e21384ad3bd37"
-                      "7cd76e4e29f682e398c0617cd68ec823d1e40ccfb8d84658adc7fd1e2c60aa03"),
-    ),
-    (
-        bytes.fromhex("db2eea00136179ad4daa588413ec7c9bdfa226105fe3ea6054d1d8df439c6f5b"
-                      "523687203f06a01fc471db9beb13f61bdb2dedecfc9c497e48f4053597ece60a"),
-        bytes.fromhex("5c0b7d00e88065d5db325d48e47d573e204a1bcb90ceb2f9920eab05853ecd83"
-                      "e42480b34e7a75047cddb44ff8a586a536d0a71fdae4ead05af76395466ab700"),
-        bytes.fromhex("c56ab69ae1cf50aeee0245d8076d24ce6e48d2412498280e76ff419a8847b94d"
-                      "b41657bac24742a11cc49248771b3e6a526d12b7241b1744a9faf770366fb607"),
-        bytes.fromhex("c3bcb6c6fd82dc8f4a9234609d4e6140a7c40a2474dc2cbb4526a66cf4c060b1"
-                      "f41353c8541aa0a9bffdcacc474e01b01700e7d8fb648035afe5b8a194c49705"),
-    ),
-    (
-        bytes.fromhex("0e0542d48768e55a4d708cbfd9f6260a4ad7415e01c06da2e88b45bb570d5737"
-                      "862ad34a15cf550967a7da7abbad82ee3ebe82882246db77fdb91ac7bb68040e"),
-        bytes.fromhex("6c013c621f5ae12137f5c00a731f457d9b5ebb3c61870d544183d38de12b47f5"
-                      "2617f3704f05f11da48afc035c536dec0cd18679fe8409e1c3e88cfe700b9d00"),
-        bytes.fromhex("cd2f090c5da28576046d0e753e5a7c6055129d88dde5521ca424bbcdf146d9aa"
-                      "7afeb40e94bc5bf50cbcb08fa9dda9727dee268536c06929817f358d440dba08"),
-        bytes.fromhex("ae4f8d118fff30c84f0a9c21e606dcabb4214367d1f6c9a77a3e06439c3ecf94"
-                      "f4fc3366b382ddbba969aa21e9d6d9d4869ccbc32a0784c0ecf9b86952f6cb0a"),
-    ),
-    (
-        bytes.fromhex("92effe685b8e32e7bc4a7e5f0e6fc7cdfd69f0250f994b7d5465af7f5678f240"
-                      "1dbc9a6d53fddc7199f34cc6ac68ba5df9eae4dc7b21d10503d807a26168aa03"),
-        bytes.fromhex("9d7808644cee03c6282dbf0d65c4caf247c18845089262e05fc82e001ce1d7cd"
-                      "8ebfc142b29b2e6c98ad0414c6e974500b18dbb29182e0d715eeec0baf0e2308"),
-        bytes.fromhex("330de55293cea43e523c02e08b6bf7bedd25b2f1b2a92d1e86b94065aefd0b3d"
-                      "5862f2435df36c61d69bea0cce75b7e7613c7cfaa925537be11bf7171dee9a06"),
-        bytes.fromhex("d2dec2f21eba70cef424085dff36baab461cf93f6fb6a672e3be3addec1bb827"
-                      "bd373976db7657596dd9eb877d1fb8f6e1bd2b8f108effb5c25030606eb9060e"),
-    ),
-    (
-        bytes.fromhex("b83c873a13834543893999f451f0a614ea2dac3ee33d090a491ccc90f5bdb8a0"
-                      "fda000eb6c2b45764ef2f25add3273c7e7b541e2654eed78c4d17c197218a103"),
-        bytes.fromhex("b6d405ba995856098f90f2bfba9fb780804836ecb7cb546d6f20c228d5d02faa"
-                      "664c3fd546a38628e7f712a2068dc9d4aee88c0baee9f07fc5a662ca43815d07"),
-        bytes.fromhex("1b9060de3eebdf35c1d6f0c083a831d3e1db96d690786960aeefd6f585c16df1"
-                      "cd3a03774bb33195bf39e1ef67f6a0cf6356dacc30efed5264b0283a68cd1209"),
-        bytes.fromhex("fb450ebf3480c8db04ce554ecbd4d7aa2bb37ac501749ea8f248046f7cecc620"
-                      "4b500266ee630ab6c87f367a3d429391f1b71a4457958475611666ce3f8b1108"),
-    ),
-    (
-        bytes.fromhex("0c8b1543194f721d12fc8523f1c9a5a0a6ffbe0a56e182eccaf09e6c48b305c7"
-                      "040143298b4d1da8bbbec42faf6de589c120db0ecddd890b84c2ff5c67997c04"),
-        bytes.fromhex("2a8e87c9073c3317b3cfc3c22ae9372b7964b20e6fbc5d7814770a4e9e5dfb13"
-                      "035ba4589fac9a3840ec6e63f8fd7f959b7f4e21498e9670cecc5193b0ba0600"),
-        bytes.fromhex("4431f0cd6f2b8b8b0a61333b99ce87bf71a1cf3314cca48964e7d02427d30a98"
-                      "b2c258b48475818d80eeaed90f193df39ee54896bc65e4816a48dad26acde202"),
-        bytes.fromhex("8a645b505c02a9d37904f6cd6ba949cb4d20619c1dbe03cc83f05a9bf4153f9a"
-                      "7c0d48ef79fe6b877f514822883f4c6543759933a718c6d9205398c76521820c"),
-    ),
-    (
-        bytes.fromhex("8de5c1058d612770c5a954398b8d08613610398cb99a5ffc304e23a003c11d2f"
-                      "459bfed2853ddc43b8033d18ac1b29fb9697aef836494ccd093c8e90c989930b"),
-        bytes.fromhex("c726096bb5e95283a76f6c96bc96150c0f61075ba93a9f91758501733d137464"
-                      "9e027ed1183ca6e45259bec24db7f14dd0a53f1f290008ce88ef1ae6d627670c"),
-        bytes.fromhex("d8f2739210eea1d57c9224fd6fe3d23c020e6874799074db261967c63d708df3"
-                      "145ab0484776c8adb175f8a70f1bff12a55970c50ff92ad3218eabd3581d3f0f"),
-        bytes.fromhex("ffb9e3e8a29e63bacf116fcfa2b0fe42ba475aeae13e9ab744521d7a0f07e501"
-                      "8f9f17cf7d41dd02c605f93662c047fa2259a752a5ec21353948b03a7597970b"),
-    ),
-)
