@@ -95,7 +95,8 @@ class CertificateRecord:
 
     @cached_property
     def fingerprint(self) -> bytes:
-        # hashed once per record: the relay compares it on every submit
+        """SHA-256 of ``canonical_bytes()``, which sessions pin; hashed once
+        per record, since the relay compares it on every submit."""
         return hashlib.sha256(self.canonical_bytes()).digest()
 
     def shape_ok(self) -> bool:
@@ -121,11 +122,6 @@ class CertificateRecord:
         )
         r.require_exhausted()
         return rec
-
-
-def record_fingerprint(record: CertificateRecord) -> bytes:
-    """SHA-256 of the record's canonical serialization; pinned by sessions."""
-    return record.fingerprint
 
 
 def verify_edwards(edwards_pub: bytes, message: bytes, signature: bytes) -> bool:

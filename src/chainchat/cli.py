@@ -50,9 +50,8 @@ def _state_path(cfg: StackConfig, user_id: str) -> Path:
 
 
 def _save_client(cfg: StackConfig, client: Client) -> None:
-    path = _state_path(cfg, client.user_id)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(path, client.to_state_bytes())
+    make_state_dir(cfg.clients_dir)
+    write_atomic(_state_path(cfg, client.user_id), client.to_state_bytes())
 
 
 def _load_client(cfg: StackConfig, user_id: str) -> Client:
@@ -64,9 +63,8 @@ def _load_client(cfg: StackConfig, user_id: str) -> Client:
 
 @contextlib.contextmanager
 def _user_lock(cfg: StackConfig, user_id: str) -> Iterator[None]:
-    path = Path(cfg.state_dir) / f"{user_id}.lock"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "ab") as lock:
+    make_state_dir(cfg.state_dir)
+    with open(Path(cfg.state_dir) / f"{user_id}.lock", "ab") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
         yield
 
@@ -114,8 +112,7 @@ def _print_delivery(delivery: Delivery) -> None:
 
 def _cmd_stack_serve(cfg: StackConfig, args: argparse.Namespace) -> int:
     handle = run_stack(cfg)
-    cfg.pid_file.parent.mkdir(parents=True, exist_ok=True)
-    cfg.pid_file.write_text(str(os.getpid()), encoding="ascii")
+    write_atomic(cfg.pid_file, str(os.getpid()).encode("ascii"))
     stop = {"flag": False}
 
     def _term(_sig, _frame):
@@ -137,9 +134,9 @@ def _cmd_stack_serve(cfg: StackConfig, args: argparse.Namespace) -> int:
 def _cmd_stack_up(cfg: StackConfig, args: argparse.Namespace) -> int:
     if cfg.relay_port == 0:
         raise StackStartupError("background mode needs a fixed relay port")
-    if cfg.pid_file.exists() and _pid_alive(int(cfg.pid_file.read_text())):
+    if _running_pid(cfg) is not None:
         raise StackStartupError("stack already running (pid file present)")
-    make_state_dir(cfg)
+    make_state_dir(cfg.state_dir)
     log_path = Path(cfg.state_dir) / "stack.log"
     cmd = [sys.executable, "-m", "chainchat"] + _global_flags(args) + ["stack", "serve"]
     with open(log_path, "ab") as log:
@@ -171,16 +168,27 @@ def _pid_alive(pid: int) -> bool:
         return False
 
 
+def _running_pid(cfg: StackConfig) -> Optional[int]:
+    """The pid in the pid file, if that process is alive. A missing or
+    unreadable file, a pid that is not a positive integer (0 and -1 would
+    signal a whole process group) and a dead pid all mean no running stack."""
+    try:
+        pid = int(cfg.pid_file.read_text(encoding="ascii"))
+    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+        return None
+    return pid if pid > 0 and _pid_alive(pid) else None
+
+
 def _cmd_stack_down(cfg: StackConfig, args: argparse.Namespace) -> int:
-    if not cfg.pid_file.exists():
-        print("stack is not running (no pid file)")
+    pid = _running_pid(cfg)
+    if pid is None:
+        cfg.pid_file.unlink(missing_ok=True)
+        print("stack is not running")
         return 0
-    pid = int(cfg.pid_file.read_text())
-    if _pid_alive(pid):
-        os.kill(pid, signal.SIGTERM)
-        deadline = time.time() + 10
-        while _pid_alive(pid) and time.time() < deadline:
-            time.sleep(0.05)
+    os.kill(pid, signal.SIGTERM)
+    deadline = time.time() + 10
+    while _pid_alive(pid) and time.time() < deadline:
+        time.sleep(0.05)
     cfg.pid_file.unlink(missing_ok=True)
     print("stack down")
     return 0
@@ -475,6 +483,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     except FileNotFoundError as e:
         print(f"error[missing-file]: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:
+        print(f"error[os-error]: {e}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         return 130

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import crypto, identity_sig
-from .chain import CertificateRecord, record_fingerprint
+from .chain import CertificateRecord
 from .crypto import (
     ChainKey,
     IdentityKeyPair,
@@ -227,7 +227,7 @@ class Client:
         self.user_id = user_id
         self.identity = identity
         self.certificate = certificate
-        self.cert_fingerprint = record_fingerprint(certificate)
+        self.cert_fingerprint = certificate.fingerprint
         self.directory = directory
         self.transport = transport
         self._rng = rng
@@ -278,7 +278,7 @@ class Client:
             master=master,
             send_chain=send_chain,
             recv_chain=recv_chain,
-            peer_cert_fingerprint=record_fingerprint(record),
+            peer_cert_fingerprint=record.fingerprint,
         )
         self.sessions[peer_id] = session
         return session
@@ -296,16 +296,10 @@ class Client:
                                     f"certificate of {status.record.user_id!r}")
         return status.record
 
-    def _require_session(self, peer_id: str) -> SessionState:
-        session = self.sessions.get(peer_id)
-        if session is None:
-            raise NoSessionError(f"no session with {peer_id!r}")
-        return session
-
     def _check_peer_current(self, session: SessionState) -> None:
         # revocation gate before a group key goes out; sends rely on the relay
         record = self._valid_certificate(session.peer_id)
-        if record_fingerprint(record) != session.peer_cert_fingerprint:
+        if record.fingerprint != session.peer_cert_fingerprint:
             raise FingerprintMismatchError(
                 f"peer {session.peer_id!r} re-issued its certificate; restart the session"
             )
@@ -337,8 +331,10 @@ class Client:
 
     def send_text(self, peer_id: str, text: str) -> Envelope:
         """Seal one message; the per-message key dies with this call."""
-        envelope = self._seal_to(self._require_session(peer_id),
-                                 _FRAME_TEXT + text.encode("utf-8"))
+        session = self.sessions.get(peer_id)
+        if session is None:
+            raise NoSessionError(f"no session with {peer_id!r}")
+        envelope = self._seal_to(session, _FRAME_TEXT + text.encode("utf-8"))
         self.history.append(HistoryEntry(SENT, peer_id, "", envelope.counter, text,
                                          envelope.sent_at))
         return envelope
@@ -346,7 +342,8 @@ class Client:
     # -- receive ---------------------------------------------------------------------
 
     def receive_envelope(self, envelope: Envelope) -> Optional[str]:
-        """Decrypt one envelope, advancing ratchet state only on success.
+        """Decrypt one envelope, advancing ratchet state only on success; a
+        one-to-one envelope from a new sender opens the session first.
 
         Returns the text for messages, None for group-key control payloads.
         """
@@ -357,7 +354,8 @@ class Client:
             plaintext, group.group_chain = self._open(group.group_chain,
                                                       group.skipped_keys, envelope)
         else:
-            session = self._require_session(envelope.sender_id)
+            session = (self.sessions.get(envelope.sender_id)
+                       or self.start_session(envelope.sender_id))
             if envelope.sender_cert_fingerprint != session.peer_cert_fingerprint:
                 raise FingerprintMismatchError(
                     f"envelope from {envelope.sender_id!r} carries an unknown certificate"
@@ -409,12 +407,6 @@ class Client:
             return None
         raise WireProtocolError("unknown payload frame")
 
-    def deliver(self, envelope: Envelope) -> Optional[str]:
-        """Receive, establishing the session first for new senders."""
-        if not envelope.group_id and envelope.sender_id not in self.sessions:
-            self.start_session(envelope.sender_id)
-        return self.receive_envelope(envelope)
-
     def pull_messages(self) -> List[Delivery]:
         """Deliver what the relay returns past the stored cursor. A wire
         fetch returns a bounded prefix, so a deep mailbox takes several pulls."""
@@ -424,7 +416,7 @@ class Client:
         for seq, envelope in self.transport.fetch_envelopes(self.user_id, self.inbox_cursor):
             self.inbox_cursor = max(self.inbox_cursor, seq)
             try:
-                out.append(Delivery(envelope, self.deliver(envelope), None))
+                out.append(Delivery(envelope, self.receive_envelope(envelope), None))
             except ChainChatError as e:
                 out.append(Delivery(envelope, None, e.category))
         return out

@@ -61,14 +61,6 @@ class MnoCertificateAuthority:
         self._challenges: dict[str, crypto.IdentityKeyPair] = {}  # ephemeral X25519 pairs
         self._lock = threading.Lock()
 
-    @property
-    def mno_id(self) -> str:
-        return self.credential.writer_id
-
-    @property
-    def verification_key(self) -> bytes:
-        return self.credential.verification_key
-
     def new_challenge(self, user_id: str) -> bytes:
         """The public half of a fresh X25519 pair, whose private half is kept
         until the proof arrives; replaces any outstanding challenge and
@@ -112,7 +104,7 @@ class MnoCertificateAuthority:
 
     def verify_certificate(self, record: CertificateRecord) -> bool:
         """Signature plus internal consistency; revocation markers verify too."""
-        return verify_record(record, self.verification_key)
+        return verify_record(record, self.credential.verification_key)
 
     def dump_state(self) -> bytes:
         """Serialized operational state for inspection; never key material."""
@@ -120,6 +112,6 @@ class MnoCertificateAuthority:
             pending = {user: challenge.public_key.hex()
                        for user, challenge in self._challenges.items()}
         return json.dumps(
-            {"mno_id": self.mno_id, "pending_challenges": pending},
+            {"mno_id": self.credential.writer_id, "pending_challenges": pending},
             sort_keys=True,
         ).encode("utf-8")

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import chain
-from .chain import CertStatus, ChainNode, ChainState, fetch_latest, record_fingerprint
+from .chain import CertStatus, ChainNode, ChainState, fetch_latest
 from .crypto import SealedPayload
 from .encoding import LENGTH_PREFIX, U64_FIELD, U64_MAX, Reader, b64_text, encode_bytes
 from .errors import (
@@ -123,8 +123,11 @@ class Envelope:
         return envelope
 
     def shape_ok(self) -> bool:
+        """Field sizes and ranges, and a sender that is not its own
+        recipient: no session can open such an envelope."""
         return (
             bool(self.sender_id)
+            and self.recipient_id != self.sender_id
             and 0 <= self.counter <= U64_MAX
             and 0 <= self.sent_at <= U64_MAX
             and len(self.sender_cert_fingerprint) == 32
@@ -196,7 +199,7 @@ class Relay:
             raise RegistrationRefusedError(
                 f"certificate for {user_id!r} is {status.state}"
             )
-        if record_fingerprint(status.record) != cert_fingerprint:
+        if status.record.fingerprint != cert_fingerprint:
             raise RegistrationRefusedError(
                 f"fingerprint does not match the latest certificate for {user_id!r}"
             )
@@ -225,7 +228,7 @@ class Relay:
         if not status.is_valid:
             raise SessionRefusedError(
                 status.state, f"recipient {recipient!r} certificate is {status.state}")
-        if record_fingerprint(status.record) != envelope.recipient_cert_fingerprint:
+        if status.record.fingerprint != envelope.recipient_cert_fingerprint:
             raise FingerprintMismatchError(
                 f"recipient {recipient!r} re-issued its certificate; restart the session")
         return mailbox.put(envelope)

@@ -43,13 +43,13 @@ def _read_credentials(path: Path) -> dict[str, WriterCredential]:
     return credentials
 
 
-def make_state_dir(cfg: StackConfig) -> None:
-    """Create the state directory; a path that cannot be one, such as a
-    regular file, refuses start-up."""
+def make_state_dir(path: str | Path) -> None:
+    """Create the state directory, or a directory under it; a path that
+    cannot be one, such as a regular file, is refused."""
     try:
-        Path(cfg.state_dir).mkdir(parents=True, exist_ok=True)
+        Path(path).mkdir(parents=True, exist_ok=True)
     except OSError as e:
-        raise StackStartupError(f"cannot use {cfg.state_dir} as the state directory: {e}") from e
+        raise StackStartupError(f"cannot use {path} as a state directory: {e}") from e
 
 
 def _open_state(cfg: StackConfig) -> tuple[dict[str, WriterCredential], ChainNode]:
@@ -73,7 +73,7 @@ def _open_state(cfg: StackConfig) -> tuple[dict[str, WriterCredential], ChainNod
         raise StackStartupError(f"writer credentials {cfg.stack_file} are missing; "
                                 f"chain file {chain_path} exists")
     mno = WriterCredential.generate(MNO_WRITER_ID)
-    make_state_dir(cfg)
+    make_state_dir(cfg.state_dir)
     write_atomic(cfg.stack_file, json.dumps({
         "writers": [{"id": MNO_WRITER_ID, "seed": base64.b64encode(mno.seed).decode()}]
     }, indent=2).encode("utf-8"))

@@ -25,7 +25,6 @@ from chainchat.chain import (
     fetch_latest,
     genesis,
     load_chain,
-    record_fingerprint,
     revoke,
     save_chain,
     verify_chain,
@@ -503,7 +502,8 @@ class TestRecords:
     def test_record_fingerprint_changes_with_content(self, mno):
         a = cert_for(mno, "alice")
         b = cert_for(mno, "alice", key=b"\x77" * 32)
-        assert record_fingerprint(a) != record_fingerprint(b)
+        assert a.fingerprint != b.fingerprint
+        assert a.fingerprint == hashlib.sha256(a.canonical_bytes()).digest()
 
     def test_verify_record_binds_fields(self, mno):
         rec = cert_for(mno, "alice")

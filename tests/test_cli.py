@@ -167,6 +167,44 @@ class TestStackHandle:
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == b"not a directory"
 
+    @pytest.mark.parametrize("content", [b"", b"not a pid", b"\xff", b"0", b"-1",
+                                         b"4194305"])  # above any Linux pid_max
+    def test_unusable_pid_file_is_no_running_stack(self, tmp_path, capsys, monkeypatch,
+                                                   content):
+        """stack up and stack down take a missing, unreadable or dead pid as
+        no running stack; down removes the file, and no pid in it is ever
+        signalled (0 and -1 would reach a whole process group)."""
+        state = tmp_path / "state"
+        state.mkdir()
+        pid_file = state / "relay.pid"
+        kills, started, kill = [], [], os.kill
+
+        def probe_only(pid, sig):
+            kills.append((pid, sig))
+            if pid <= 0 or sig != 0:
+                raise ProcessLookupError(pid)  # this test sends no signal
+            kill(pid, sig)
+
+        class ExitedAtOnce:
+            returncode = 1
+
+            def poll(self):
+                return self.returncode
+
+        monkeypatch.setattr(os, "kill", probe_only)
+        monkeypatch.setattr(cli.subprocess, "Popen",
+                            lambda cmd, **kwargs: started.append(cmd) or ExitedAtOnce())
+        flags = ["--state-dir", str(state), "--port", "7"]
+        pid_file.write_bytes(content)
+        assert cli.main(flags + ["stack", "up"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error[stack-startup]: stack process exited early")
+        assert len(started) == 1
+        assert cli.main(flags + ["stack", "down"]) == 0
+        assert capsys.readouterr().out == "stack is not running\n"
+        assert not pid_file.exists()
+        assert all(pid > 0 and sig == 0 for pid, sig in kills)
+
     def test_rerun_cuts_torn_final_frame(self, tmp_path):
         cfg = StackConfig(state_dir=str(tmp_path / "state"), relay_port=0)
         path = Path(cfg.resolved_chain_file())
@@ -447,6 +485,35 @@ class TestCrashSafeWrites:
         assert Client.restore_backup(out.read_bytes(), "pw").user_id == "alice"
 
 
+class TestLocalFileErrors:
+    @pytest.mark.parametrize("argv", [
+        ["chain", "verify"],
+        ["chain", "show"],
+        ["backup", "restore", "alice", "--secret", "pw", "--in", "{archive}"],
+        ["backup", "export", "alice", "--secret", "pw", "--out", "{directory}"],
+    ], ids=["chain-verify", "chain-show", "backup-restore", "backup-export"])
+    def test_unusable_path_is_one_error_line(self, tmp_path, capsys, alice, argv):
+        """A --state-dir naming a regular file, or an --out naming a
+        directory, is one error line naming it, not a traceback, and
+        nothing is written."""
+        directory, archive = tmp_path / "directory", tmp_path / "alice.backup"
+        directory.mkdir()
+        archive.write_bytes(alice.export_backup("pw").to_bytes())
+        state = tmp_path / "state"
+        if "--out" in argv:
+            cli._save_client(StackConfig(state_dir=str(state)), alice)
+            unusable = directory
+        else:
+            state.write_bytes(b"not a directory")
+            unusable = state
+        before = sorted(tmp_path.rglob("*"))
+        argv = [a.format(archive=archive, directory=directory) for a in argv]
+        assert cli.main(["--state-dir", str(state)] + argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[") and err.count("\n") == 1 and str(unusable) in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestCommandTable:
     def test_every_leaf_command_names_its_handler(self):
         """Each leaf subcommand, parsed with minimal arguments, carries the
@@ -640,6 +707,25 @@ class TestBasicCommands:
         assert run("recv", "bob") == 0
         captured = capsys.readouterr()
         assert captured.err == "error[protocol-error] on message from alice\n"
+        assert captured.out.splitlines() == ["from alice: before", "from alice: after"]
+        assert run("recv", "bob") == 0
+        assert capsys.readouterr().out == "no new messages\n"
+
+    def test_recv_gets_past_a_self_addressed_envelope(self, run, stack, capsys):
+        """An envelope from bob to bob in bob's mailbox is one error line;
+        recv succeeds, shows the texts around it and moves past all three."""
+        run("enroll", "alice")
+        run("enroll", "bob")
+        run("send", "alice", "bob", "before")
+        bob = cli._load_client(stack.config, "bob")
+        (_, sent), = stack.relay.fetch_envelopes("bob", 0)
+        stack.relay._mailboxes["bob"].put(dataclasses.replace(
+            sent, sender_id="bob", sender_cert_fingerprint=bob.cert_fingerprint))
+        run("send", "alice", "bob", "after")
+        capsys.readouterr()
+        assert run("recv", "bob") == 0
+        captured = capsys.readouterr()
+        assert captured.err == "error[protocol-error] on message from bob\n"
         assert captured.out.splitlines() == ["from alice: before", "from alice: after"]
         assert run("recv", "bob") == 0
         assert capsys.readouterr().out == "no new messages\n"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import struct
@@ -7,7 +8,7 @@ import pytest
 
 from chainchat import client as client_mod
 from chainchat import crypto
-from chainchat.chain import record_fingerprint
+from chainchat.chain import CertificateRecord
 from chainchat.client import (_FRAME_TEXT, BACKUP_MAGIC, BACKUP_MAX_ITERATIONS, BackupArchive,
                               Client)
 from chainchat.errors import (
@@ -49,8 +50,8 @@ class TestInstall:
         first = Client.install("carol", mno, relay)
         second = Client.install("carol", mno, relay)
         status = relay.fetch_certificate("carol")
-        assert record_fingerprint(status.record) == second.cert_fingerprint
-        assert record_fingerprint(status.record) != first.cert_fingerprint
+        assert status.record.fingerprint == second.cert_fingerprint
+        assert status.record.fingerprint != first.cert_fingerprint
 
     def test_failed_possession_proof_attributed_to_enrollment(self, mno_credential,
                                                               chain_node, relay):
@@ -156,16 +157,22 @@ class TestSendReceive:
         assert alice.sessions["bob"].send_chain.index == 1
 
     def test_own_fingerprint_is_hashed_once(self, connected_pair, monkeypatch):
-        import chainchat.client as client_mod
-
+        """Sends reuse the fingerprint hashed at construction: no record is
+        serialized, so none is hashed, while they run."""
         alice, bob = connected_pair
+        fingerprint = hashlib.sha256(alice.certificate.canonical_bytes()).digest()
         calls = []
-        monkeypatch.setattr(client_mod, "record_fingerprint", calls.append)
+        canonical_bytes = CertificateRecord.canonical_bytes
+
+        def counted(record):
+            calls.append(record)
+            return canonical_bytes(record)
+
+        monkeypatch.setattr(CertificateRecord, "canonical_bytes", counted)
         envelopes = [alice.send_text("bob", f"m{i}") for i in range(3)]
-        fingerprint = record_fingerprint(alice.certificate)
+        assert calls == []
         assert {e.sender_cert_fingerprint for e in envelopes} == {fingerprint}
         assert alice.cert_fingerprint == fingerprint
-        assert calls == []
 
     def test_history_records_both_directions(self, connected_pair):
         alice, bob = connected_pair
@@ -320,6 +327,21 @@ class TestPullMessages:
         assert deliveries[-1].text == "after the bad ones"
         assert bob.inbox_cursor == 3
 
+    def test_self_addressed_envelope_does_not_block_the_mailbox(self, relay,
+                                                                connected_pair):
+        """An envelope from bob to bob, queued past the relay's shape check,
+        is one protocol-error delivery, and the next text still arrives."""
+        alice, bob = connected_pair
+        relay._mailboxes["bob"].put(replace(alice.send_text("bob", "sealed by alice"),
+                                            sender_id="bob",
+                                            sender_cert_fingerprint=bob.cert_fingerprint))
+        relay.submit_envelope(alice.send_text("bob", "after"))
+        deliveries = bob.pull_messages()
+        assert [(d.text, d.error) for d in deliveries] == [(None, "protocol-error"),
+                                                           ("after", None)]
+        assert "bob" not in bob.sessions
+        assert bob.pull_messages() == []
+
     def test_non_utf8_text_does_not_block_the_mailbox(self, relay, connected_pair):
         """A text frame whose MAC holds but whose bytes are not UTF-8 is one
         protocol-error delivery; its key stays spent and the next text arrives."""
@@ -339,6 +361,15 @@ class TestPullMessages:
         deliveries = bob.pull_messages()  # bob had no session with alice
         assert [d.text for d in deliveries] == ["hi stranger"]
         assert "alice" in bob.sessions
+
+    def test_receive_opens_the_session_for_a_new_sender(self, alice, bob):
+        alice.start_session("bob")
+        assert bob.receive_envelope(alice.send_text("bob", "first contact")) == "first contact"
+        assert bob.sessions["alice"].recv_chain.index == 1
+        detached = Client.from_state_bytes(bob.to_state_bytes())
+        del detached.sessions["alice"]
+        with pytest.raises(NoSessionError):  # no directory to fetch the certificate from
+            detached.receive_envelope(alice.send_text("bob", "second"))
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +653,7 @@ class TestGroups:
         hijack = u1.create_group("team", ["u1", "u2"])
         with pytest.raises(GroupPermissionError):
             for envelope in hijack.envelopes:
-                u2.deliver(envelope)
+                u2.receive_envelope(envelope)
 
 
 def corrupted(envelope):

@@ -48,7 +48,7 @@ def refused(mno, chain_node, request):
 class TestEnrollment:
     def test_issue_and_fetch(self, mno, chain_node):
         _, record = enroll(mno, "alice")
-        assert record.issuer_id == mno.mno_id
+        assert record.issuer_id == mno.credential.writer_id
         status = fetch_latest(chain_node.snapshot(), "alice")
         assert status.state == VALID
         assert status.record == record

@@ -11,7 +11,7 @@ from chainchat import chain as chain_mod
 from chainchat import identity_sig
 from chainchat import mno as mno_mod
 from chainchat import relay as relay_mod
-from chainchat.chain import REVOKED, VALID, record_fingerprint
+from chainchat.chain import REVOKED, VALID
 from chainchat.client import Client
 from chainchat.crypto import SealedPayload
 from chainchat.errors import (
@@ -128,7 +128,7 @@ class TestFetchCertificate:
     def test_valid_peer(self, relay, alice):
         status = relay.fetch_certificate("alice")
         assert status.state == VALID
-        assert record_fingerprint(status.record) == alice.cert_fingerprint
+        assert status.record.fingerprint == alice.cert_fingerprint
 
     def test_revoked_peer(self, relay, mno, alice):
         mno.revoke("alice")
@@ -154,6 +154,19 @@ class TestStoreAndForward:
         bad = plain_envelope("alice", "bob", blob=b"\x10" * 15)  # not block-sized
         with pytest.raises(WireProtocolError):
             relay.submit_envelope(bad)
+
+    def test_self_addressed_envelope_refused(self, relay, alice):
+        """No session opens an envelope whose sender is its recipient, so the
+        relay does not queue one, even with every other check passing."""
+        envelope = replace(plain_envelope("alice", "alice"),
+                           sender_cert_fingerprint=alice.cert_fingerprint,
+                           recipient_cert_fingerprint=alice.cert_fingerprint)
+        with pytest.raises(WireProtocolError) as refused:
+            relay.submit_envelope(envelope)
+        assert refused.value.category == "protocol-error"
+        assert relay.fetch_envelopes("alice", 0) == []
+        assert not envelope.shape_ok()
+        assert plain_envelope("alice", "", group_id="g").shape_ok()
 
     @pytest.mark.parametrize("field", ["counter", "sent_at"])
     def test_header_past_u64_refused(self, relay, connected_pair, field):
