@@ -11,12 +11,14 @@ on stderr and exit nonzero.
 Client state (keys, sessions, history) lives in per-user files under the
 state directory: that is the "device storage" of this stack. The relay and
 MNO never see it, and ``backup export`` and ``backup restore`` read and
-write it without a running stack. A command that writes a user's state holds
-an exclusive lock on ``<state_dir>/<user>.lock`` from load to save, so two
-commands for one user run one after the other and never send on the same
-counter. A command saves the state before it submits what it sealed, so a
-counter is spent when it is sealed, even if the submit is refused or its
-reply lost.
+write it without a running stack. Each user command is one step: under an
+exclusive lock on ``<state_dir>/<user>.lock`` it loads the user's state,
+acts, saves once if it changed the state, and then submits what it sealed,
+still under the lock. So two commands for one user run one after the other
+and never send on the same counter, and a counter is spent when it is
+sealed, even if the submit is refused or its reply lost. ``chat`` runs the
+``send`` and ``recv`` steps for each line, so it holds a lock for one step,
+never while it waits for input.
 """
 
 from __future__ import annotations
@@ -71,16 +73,15 @@ def _user_lock(cfg: StackConfig, user_id: str) -> Iterator[None]:
 
 @contextlib.contextmanager
 def _user_state(cfg: StackConfig, user_id: str, rc: RelayClient) -> Iterator[Client]:
-    """The user's client, loaded and saved under the user's lock, with ``rc``
-    as its directory and transport, and registered with the relay. A block
-    that raises saves nothing more, so a command that seals saves the client
-    itself before it submits."""
+    """The user's client, loaded under the user's lock, with ``rc`` as its
+    directory and transport, and registered with the relay. It saves
+    nothing: a command that changes the client saves it once, before it
+    submits what it sealed."""
     with _user_lock(cfg, user_id):
         client = _load_client(cfg, user_id)
         client.directory = client.transport = rc
         rc.register_user(client.user_id, client.cert_fingerprint)
         yield client
-        _save_client(cfg, client)
 
 
 def _connect(cfg: StackConfig) -> RelayClient:
@@ -111,7 +112,7 @@ def _print_delivery(delivery: Delivery) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_stack_serve(cfg: StackConfig, args: argparse.Namespace) -> int:
-    handle = run_stack(cfg)
+    server = run_stack(cfg)
     write_atomic(cfg.pid_file, str(os.getpid()).encode("ascii"))
     stop = {"flag": False}
 
@@ -120,13 +121,13 @@ def _cmd_stack_serve(cfg: StackConfig, args: argparse.Namespace) -> int:
 
     signal.signal(signal.SIGTERM, _term)
     signal.signal(signal.SIGINT, _term)
-    print(f"stack up on {handle.host}:{handle.port} "
+    print(f"stack up on {server.host}:{server.port} "
           f"(chain: {cfg.resolved_chain_file()})")
     try:
         while not stop["flag"]:
             time.sleep(0.2)
     finally:
-        handle.close()
+        server.close()
         cfg.pid_file.unlink(missing_ok=True)
     return 0
 
@@ -155,7 +156,8 @@ def _cmd_stack_up(cfg: StackConfig, args: argparse.Namespace) -> int:
                     print(f"stack up on {cfg.relay_host}:{cfg.relay_port} (pid {proc.pid})")
                     return 0
         except OSError:
-            time.sleep(0.1)
+            pass
+        time.sleep(0.1)
     proc.terminate()
     raise StackStartupError("stack did not become healthy within 15s")
 
@@ -187,7 +189,11 @@ def _cmd_stack_down(cfg: StackConfig, args: argparse.Namespace) -> int:
         return 0
     os.kill(pid, signal.SIGTERM)
     deadline = time.time() + 10
-    while _pid_alive(pid) and time.time() < deadline:
+    while _pid_alive(pid):
+        if time.time() >= deadline:
+            print(f"error[stack-still-running]: pid {pid} still runs 10s after "
+                  f"SIGTERM; {cfg.pid_file} kept", file=sys.stderr)
+            return 1
         time.sleep(0.05)
     cfg.pid_file.unlink(missing_ok=True)
     print("stack down")
@@ -218,8 +224,6 @@ def _cmd_register(cfg: StackConfig, args: argparse.Namespace) -> int:
 
 def _cmd_send(cfg: StackConfig, args: argparse.Namespace) -> int:
     with _connect(cfg) as rc, _user_state(cfg, args.sender, rc) as client:
-        if args.recipient not in client.sessions:
-            client.start_session(args.recipient)
         envelope = client.send_text(args.recipient, " ".join(args.text))
         _save_client(cfg, client)
         ack = rc.submit_envelope(envelope)
@@ -230,6 +234,8 @@ def _cmd_send(cfg: StackConfig, args: argparse.Namespace) -> int:
 def _cmd_recv(cfg: StackConfig, args: argparse.Namespace) -> int:
     with _connect(cfg) as rc, _user_state(cfg, args.user, rc) as client:
         deliveries = client.pull_messages()
+        if deliveries:  # the next fetch acknowledges them to the relay
+            _save_client(cfg, client)
     for delivery in deliveries:
         _print_delivery(delivery)
     if not deliveries:
@@ -238,39 +244,25 @@ def _cmd_recv(cfg: StackConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_chat(cfg: StackConfig, args: argparse.Namespace) -> int:
-    """Interactive two-party exchange: lines are '<user>: text'."""
-    with _connect(cfg) as rc, contextlib.ExitStack() as held:
-        clients = {}
-        for user in sorted({args.user_a, args.user_b}):  # one lock order
-            client = held.enter_context(_user_state(cfg, user, rc))
-            clients[user] = client
-        print(f"chat between {args.user_a} and {args.user_b}; "
-              f"type '<user>: message', EOF ends")
-        while True:
-            try:
-                line = input()
-            except EOFError:
-                break
-            user, sep, text = line.partition(":")
-            user = user.strip()
-            if not sep or user not in clients:
-                print(f"? expected '<{args.user_a}|{args.user_b}>: message'",
-                      file=sys.stderr)
-                continue
-            peer = args.user_b if user == args.user_a else args.user_a
-            sender = clients[user]
-            if peer not in sender.sessions:
-                sender.start_session(peer)
-            envelope = sender.send_text(peer, text.strip())
-            _save_client(cfg, sender)
-            rc.submit_envelope(envelope)
-            for client in clients.values():
-                deliveries = client.pull_messages()
-                if deliveries:  # the next fetch acknowledges them to the relay
-                    _save_client(cfg, client)
-                for delivery in deliveries:
-                    _print_delivery(delivery)
-    return 0
+    """Interactive two-party exchange: lines are '<user>: text', and each
+    line runs the ``send`` step and then the peer's ``recv`` step."""
+    for user in (args.user_a, args.user_b):
+        _load_client(cfg, user)  # a user with no state fails here, as in send
+    print(f"chat between {args.user_a} and {args.user_b}; "
+          f"type '<user>: message', EOF ends")
+    while True:
+        try:
+            line = input()
+        except EOFError:
+            return 0
+        user, sep, text = line.partition(":")
+        user = user.strip()
+        if not sep or user not in (args.user_a, args.user_b):
+            print(f"? expected '<{args.user_a}|{args.user_b}>: message'", file=sys.stderr)
+            continue
+        peer = args.user_b if user == args.user_a else args.user_a
+        _cmd_send(cfg, argparse.Namespace(sender=user, recipient=peer, text=[text.strip()]))
+        _cmd_recv(cfg, argparse.Namespace(user=peer))
 
 
 def _cmd_group_create(cfg: StackConfig, args: argparse.Namespace) -> int:

@@ -21,14 +21,15 @@ directional chains follow deterministically from the (sorted) id pair. The
 certificate fingerprint seen at establishment is pinned; envelopes bearing
 any other fingerprint are rejected before a single byte is decrypted.
 
-Sending takes no certificate fetch. Each one-to-one envelope carries the
-pinned fingerprint as a note to the relay, and the relay's submit refuses
-it when the peer's latest record is no longer that valid certificate
-(revoked, expired, or re-issued). So a revocation stops the next send at
-``submit_envelope``: ``send_text`` has already advanced the send chain by
-then, and that session is dead anyway. A counter is spent when it is
-sealed, so a caller that persists the client saves it after ``send_text``
-(or ``send_group_message``, or ``create_group``) and before the submit.
+Sending takes no certificate fetch after the first send, which opens the
+session. Each one-to-one envelope carries the pinned fingerprint as a note
+to the relay, and the relay's submit refuses it when the peer's latest
+record is no longer that valid certificate (revoked, expired, or
+re-issued). So a revocation stops the next send at ``submit_envelope``:
+``send_text`` has already advanced the send chain by then, and that session
+is dead anyway. A counter is spent when it is sealed, so a caller that
+persists the client saves it after ``send_text`` (or
+``send_group_message``, or ``create_group``) and before the submit.
 
 Receive-side ordering, the same for one-to-one and group messages: an
 envelope's counter against the receive chain index (the session's receive
@@ -330,10 +331,9 @@ class Client:
         return envelope
 
     def send_text(self, peer_id: str, text: str) -> Envelope:
-        """Seal one message; the per-message key dies with this call."""
-        session = self.sessions.get(peer_id)
-        if session is None:
-            raise NoSessionError(f"no session with {peer_id!r}")
+        """Seal one message, opening the session with a new peer first; the
+        per-message key dies with this call."""
+        session = self.sessions.get(peer_id) or self.start_session(peer_id)
         envelope = self._seal_to(session, _FRAME_TEXT + text.encode("utf-8"))
         self.history.append(HistoryEntry(SENT, peer_id, "", envelope.counter, text,
                                          envelope.sent_at))

@@ -81,30 +81,9 @@ def _open_state(cfg: StackConfig) -> tuple[dict[str, WriterCredential], ChainNod
             ChainNode.create([(MNO_WRITER_ID, mno.verification_key)], path=str(chain_path)))
 
 
-class StackHandle:
-    def __init__(self, config: StackConfig, chain_node: ChainNode,
-                 mno: MnoCertificateAuthority, relay: Relay, server: WireServer):
-        self.config = config
-        self.chain_node = chain_node
-        self.mno = mno
-        self.relay = relay
-        self.server = server
-        self.host = server.host
-        self.port = server.port
-
-    def close(self) -> None:
-        self.server.close()
-
-    def __enter__(self) -> "StackHandle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def run_stack(config: StackConfig) -> StackHandle:
+def run_stack(config: StackConfig) -> WireServer:
+    """The stack on ``config``: its server reaches the relay, the MNO and,
+    through the MNO, the chain node."""
     credentials, chain_node = _open_state(config)
     mno = MnoCertificateAuthority(credentials[MNO_WRITER_ID], chain_node)
-    relay = Relay(chain_node)
-    server = WireServer(relay, mno, host=config.relay_host, port=config.relay_port)
-    return StackHandle(config, chain_node, mno, relay, server)
+    return WireServer(Relay(chain_node), mno, host=config.relay_host, port=config.relay_port)

@@ -225,6 +225,12 @@ class WireServer:
         self._server.shutdown()
         self._server.server_close()
 
+    def __enter__(self) -> "WireServer":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     # -- request dispatch -----------------------------------------------------
 
     def _dispatch(self, msg_type: str, body: Dict[str, Any]) -> bytes:

@@ -6,6 +6,7 @@ import functools
 import json
 import os
 import re
+import signal
 import socket
 import struct
 import threading
@@ -37,17 +38,21 @@ def _isolated_cwd(tmp_path, monkeypatch):
 
 
 @pytest.fixture
-def stack(tmp_path):
-    cfg = StackConfig(state_dir=str(tmp_path / "state"), relay_port=0)
-    handle = run_stack(cfg)
-    yield handle
-    handle.close()
+def cfg(tmp_path):
+    """The ``stack`` fixture's settings; the server listens on ``stack.port``."""
+    return StackConfig(state_dir=str(tmp_path / "state"), relay_port=0)
 
 
 @pytest.fixture
-def run(stack):
+def stack(cfg):
+    with run_stack(cfg) as server:
+        yield server
+
+
+@pytest.fixture
+def run(cfg, stack):
     """Invoke the CLI in-process against the running stack."""
-    prefix = ["--state-dir", stack.config.state_dir, "--port", str(stack.port)]
+    prefix = ["--state-dir", cfg.state_dir, "--port", str(stack.port)]
 
     def _run(*args):
         return cli.main(prefix + list(args))
@@ -113,13 +118,13 @@ class TestStackHandle:
         first = run_stack(cfg)
         with RelayStackClient(first) as rc:
             Client.install("alice", rc, rc)
-        height = first.chain_node.snapshot().height
+        height = first.mno.chain_node.snapshot().height
         first.close()
         second = run_stack(cfg)
         try:
-            assert second.chain_node.snapshot().height == height
+            assert second.mno.chain_node.snapshot().height == height
             from chainchat.chain import verify_chain
-            assert verify_chain(second.chain_node.snapshot())
+            assert verify_chain(second.mno.chain_node.snapshot())
         finally:
             second.close()
 
@@ -205,20 +210,78 @@ class TestStackHandle:
         assert not pid_file.exists()
         assert all(pid > 0 and sig == 0 for pid, sig in kills)
 
+    def test_down_keeps_the_pid_file_of_a_stack_that_outlives_the_wait(
+            self, tmp_path, capsys, monkeypatch):
+        """A pid still alive after the wait is one error line and exit 1, and
+        its pid file stays, so a later stack up does not start a second
+        server on its port."""
+        state = tmp_path / "state"
+        state.mkdir()
+        pid_file = state / "relay.pid"
+        pid_file.write_bytes(b"4242")
+        signals = []
+        monkeypatch.setattr(os, "kill", lambda pid, sig: signals.append((pid, sig)))
+        monkeypatch.setattr(cli, "_pid_alive", lambda pid: True)
+        monkeypatch.setattr(cli, "time", SimulatedClock())
+        assert cli.main(["--state-dir", str(state), "stack", "down"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[") and captured.err.count("\n") == 1
+        assert "4242" in captured.err
+        assert pid_file.read_bytes() == b"4242"
+        assert signals == [(4242, signal.SIGTERM)]
+
+    def test_up_sleeps_between_probes(self, tmp_path, capsys, monkeypatch):
+        """Something that answers on the port but not as a healthy stack is
+        probed every 0.1 s of the 15 s wait, not in a busy loop."""
+        probes, terminated = [], []
+
+        class Unhealthy:
+            def __init__(self, host, port, timeout):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
+            def health(self):
+                probes.append(1)
+                return False
+
+        class StillStarting:
+            pid = 4242
+
+            def poll(self):
+                return None
+
+            def terminate(self):
+                terminated.append(self.pid)
+
+        monkeypatch.setattr(cli, "RelayClient", Unhealthy)
+        monkeypatch.setattr(cli.subprocess, "Popen", lambda cmd, **kwargs: StillStarting())
+        monkeypatch.setattr(cli, "time", SimulatedClock())
+        assert cli.main(["--state-dir", str(tmp_path / "state"), "--port", "7",
+                         "stack", "up"]) == 1
+        assert "did not become healthy within 15s" in capsys.readouterr().err
+        assert terminated == [4242]
+        assert 100 <= len(probes) <= 151
+
     def test_rerun_cuts_torn_final_frame(self, tmp_path):
         cfg = StackConfig(state_dir=str(tmp_path / "state"), relay_port=0)
         path = Path(cfg.resolved_chain_file())
         first = run_stack(cfg)
         with RelayStackClient(first) as rc:
             Client.install("alice", rc, rc)
-            intact, height = path.read_bytes(), first.chain_node.snapshot().height
+            intact, height = path.read_bytes(), first.mno.chain_node.snapshot().height
             Client.install("bob", rc, rc)
         first.close()
         # an append interrupted halfway through its frame
         path.write_bytes(path.read_bytes()[:len(intact) + 40])
         second = run_stack(cfg)
         try:
-            assert second.chain_node.snapshot().height == height
+            assert second.mno.chain_node.snapshot().height == height
             assert path.read_bytes() == intact
         finally:
             second.close()
@@ -247,6 +310,21 @@ class TestStackHandle:
         assert result.reason.startswith("bad record signature")
         with pytest.raises(StackStartupError, match="bad record signature"):
             run_stack(cfg)
+
+
+class SimulatedClock:
+    """Stands in for ``cli.time``: ``sleep`` only moves the clock on, and
+    each reading of it takes 1 ms, so a loop that never sleeps ends too."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def time(self):
+        self.now += 0.001
+        return self.now
+
+    def sleep(self, seconds):
+        self.now += seconds
 
 
 @pytest.fixture
@@ -549,12 +627,11 @@ class TestCommandTable:
 
 
 class TestUserLock:
-    def test_send_waits_for_the_users_lock(self, run, stack):
+    def test_send_waits_for_the_users_lock(self, run, cfg, stack):
         """A second send for the same user waits until the first one has
         saved, and so sends on the next counter."""
         run("enroll", "alice")
         run("enroll", "bob")
-        cfg = stack.config
         codes = []
         waiting = threading.Thread(
             target=lambda: codes.append(run("send", "alice", "bob", "second")))
@@ -575,13 +652,71 @@ class TestUserLock:
         queued = stack.relay.fetch_envelopes("bob", 0)
         assert [env.counter for _, env in queued] == [0, 1]
 
+    def test_chat_holds_no_lock_while_it_waits(self, run, monkeypatch, capsys):
+        """chat takes each user's lock for one send or recv step, so recv for
+        either user returns while chat waits for its next line."""
+        run("enroll", "ann")
+        run("enroll", "ben")
+        lines, waiting, release = iter(["ann: hi ben"]), threading.Event(), threading.Event()
+
+        def read(prompt=""):
+            line = next(lines, None)
+            if line is not None:
+                return line
+            waiting.set()
+            release.wait(timeout=60)
+            raise EOFError
+
+        monkeypatch.setattr("builtins.input", read)
+        codes = []
+        threads = [threading.Thread(target=lambda: codes.append(run("chat", "ann", "ben")))]
+        threads[0].start()
+        try:
+            assert waiting.wait(timeout=30)
+            for user in ("ann", "ben"):
+                threads.append(threading.Thread(
+                    target=lambda user=user: codes.append(run("recv", user))))
+                threads[-1].start()
+                threads[-1].join(timeout=5)
+                assert not threads[-1].is_alive(), f"recv {user} waited for chat"
+        finally:
+            release.set()
+            for thread in threads:
+                thread.join(timeout=30)
+        assert codes == [0, 0, 0]
+        out = capsys.readouterr().out
+        assert "from ann: hi ben" in out and "no new messages" in out
+
+    def test_each_command_saves_its_state_once(self, run, monkeypatch):
+        """One write of the acting user's state per command that changes it
+        (each write fsyncs the file and its directory), and none for a recv
+        that delivers nothing."""
+        for user in ("ann", "ben", "cal"):
+            run("enroll", user)
+        written, write = [], cli.write_atomic
+        monkeypatch.setattr(cli, "write_atomic",
+                            lambda path, data: written.append(Path(path).name) or
+                            write(path, data))
+
+        def writes(*argv):
+            written.clear()
+            assert run(*argv) == 0
+            return written[:]
+
+        assert writes("send", "ann", "ben", "hi") == ["ann.state"]
+        assert writes("recv", "ben") == ["ben.state"]
+        assert writes("recv", "ben") == []
+        assert writes("group", "create", "team", "ann", "ben", "cal") == ["ann.state"]
+        assert writes("recv", "cal") == ["cal.state"]
+        assert writes("group", "send", "team", "ann", "standup") == ["ann.state"]
+        assert writes("recv", "cal") == ["cal.state"]
+
 
 class RelayStackClient:
-    """tiny helper: wire client bound to a stack handle"""
+    """tiny helper: wire client bound to a stack's server"""
 
-    def __init__(self, handle):
-        from chainchat.wire import RelayClient
-        self._rc = RelayClient(handle.host, handle.port)
+    def __init__(self, server):
+        self._rc = RelayClient(server.host, server.port)
 
     def __enter__(self):
         return self._rc
@@ -602,11 +737,11 @@ class TestBasicCommands:
         out = capsys.readouterr().out
         assert "from alice: hello bob" in out
 
-    def test_enroll_takes_the_mnos_lifetime(self, run, stack):
+    def test_enroll_takes_the_mnos_lifetime(self, run, cfg):
         with pytest.raises(SystemExit):
             run("enroll", "alice", "--validity-days", "1")
         assert run("enroll", "alice") == 0
-        record = cli._load_client(stack.config, "alice").certificate
+        record = cli._load_client(cfg, "alice").certificate
         assert record.expires_at - record.issued_at == mno_mod.VALIDITY_SECONDS
 
     def test_recv_empty(self, run, capsys):
@@ -628,13 +763,13 @@ class TestBasicCommands:
         assert run("send", "alice", "bob", "post-revocation") == 1
         assert "error[peer-revoked]" in capsys.readouterr().err
 
-    def test_refused_send_saves_nothing(self, run, stack, capsys):
+    def test_refused_send_saves_nothing(self, run, cfg, capsys):
         """The refused submit spent a counter, and the saved state keeps it
         spent: the relay has seen that envelope."""
         run("enroll", "alice")
         run("enroll", "bob")
         run("send", "alice", "bob", "pre-revocation")
-        state_file = cli._state_path(stack.config, "alice")
+        state_file = cli._state_path(cfg, "alice")
         before = state_file.read_bytes()
         run("revoke", "bob")
         capsys.readouterr()
@@ -654,21 +789,21 @@ class TestBasicCommands:
         assert "genesis" in out
         assert "user=alice" in out
 
-    def test_backup_roundtrip(self, run, stack, tmp_path, capsys):
+    def test_backup_roundtrip(self, run, cfg, tmp_path, capsys):
         run("enroll", "alice")
         run("enroll", "bob")
         run("send", "alice", "bob", "memory")
         archive = tmp_path / "alice.backup"
         assert run("backup", "export", "alice", "--secret", "pw",
                    "--out", str(archive)) == 0
-        state_file = Path(stack.config.state_dir) / "clients" / "alice.state"
+        state_file = Path(cfg.state_dir) / "clients" / "alice.state"
         before = state_file.read_bytes()
         state_file.unlink()
         assert run("backup", "restore", "alice", "--secret", "pw",
                    "--in", str(archive)) == 0
         assert state_file.read_bytes() == before
 
-    def test_backup_needs_no_stack(self, run, stack, tmp_path, capsys):
+    def test_backup_needs_no_stack(self, run, cfg, tmp_path, capsys):
         """backup export and restore read and write the state files only, so
         they run against a port where nothing listens."""
         run("enroll", "alice")
@@ -676,12 +811,12 @@ class TestBasicCommands:
         run("send", "alice", "bob", "memory")
         with socket.create_server(("127.0.0.1", 0)) as probe:
             dead_port = probe.getsockname()[1]
-        offline = ["--state-dir", stack.config.state_dir, "--port", str(dead_port)]
+        offline = ["--state-dir", cfg.state_dir, "--port", str(dead_port)]
         capsys.readouterr()
         assert cli.main(offline + ["recv", "bob"]) == 1
         assert "error[stack-startup]" in capsys.readouterr().err
         archive = tmp_path / "alice.backup"
-        state_file = cli._state_path(stack.config, "alice")
+        state_file = cli._state_path(cfg, "alice")
         before = state_file.read_bytes()
         assert cli.main(offline + ["backup", "export", "alice", "--secret", "pw",
                                    "--out", str(archive)]) == 0
@@ -691,13 +826,12 @@ class TestBasicCommands:
         assert state_file.read_bytes() == before
         assert capsys.readouterr().err == ""
 
-    def test_recv_gets_past_a_non_utf8_text(self, run, stack, capsys):
+    def test_recv_gets_past_a_non_utf8_text(self, run, cfg, stack, capsys):
         """A text that authenticates but is not UTF-8 is one error line; recv
         still succeeds, delivers the next text and moves past both."""
         run("enroll", "alice")
         run("enroll", "bob")
         run("send", "alice", "bob", "before")
-        cfg = stack.config
         with RelayStackClient(stack) as rc, cli._user_state(cfg, "alice", rc) as alice:
             envelope = alice._seal_to(alice.sessions["bob"], _FRAME_TEXT + b"\xff")
             cli._save_client(cfg, alice)
@@ -711,13 +845,13 @@ class TestBasicCommands:
         assert run("recv", "bob") == 0
         assert capsys.readouterr().out == "no new messages\n"
 
-    def test_recv_gets_past_a_self_addressed_envelope(self, run, stack, capsys):
+    def test_recv_gets_past_a_self_addressed_envelope(self, run, cfg, stack, capsys):
         """An envelope from bob to bob in bob's mailbox is one error line;
         recv succeeds, shows the texts around it and moves past all three."""
         run("enroll", "alice")
         run("enroll", "bob")
         run("send", "alice", "bob", "before")
-        bob = cli._load_client(stack.config, "bob")
+        bob = cli._load_client(cfg, "bob")
         (_, sent), = stack.relay.fetch_envelopes("bob", 0)
         stack.relay._mailboxes["bob"].put(dataclasses.replace(
             sent, sender_id="bob", sender_cert_fingerprint=bob.cert_fingerprint))
@@ -764,6 +898,16 @@ class TestBasicCommands:
         assert "from ann: hi ben" in captured.out
         assert "from ben: hey ann" in captured.out
         assert "expected" in captured.err  # the malformed line warns
+
+    def test_chat_without_enrollment_fails_as_send_does(self, run, capsys, monkeypatch):
+        run("enroll", "ben")
+        monkeypatch.setattr("builtins.input", _scripted_input(["nobody: hi"], EOFError))
+        capsys.readouterr()
+        assert run("send", "nobody", "ben", "hi") == 1
+        sent = capsys.readouterr()
+        assert sent.err.startswith("error[")
+        assert run("chat", "nobody", "ben") == 1
+        assert capsys.readouterr() == sent
 
     def test_bench_csv(self, run, tmp_path, capsys):
         csv_path = tmp_path / "enc.csv"
@@ -830,6 +974,51 @@ class TestCounterSpentWhenSealed:
         assert run("recv", "bob") == 0
         assert "from alice: three" in capsys.readouterr().out
 
+    def test_lost_broadcast_reply_spends_the_group_counter(self, run, monkeypatch,
+                                                           capsys):
+        run("enroll", "ann")
+        run("enroll", "ben")
+        assert run("group", "create", "team", "ann", "ben") == 0
+        assert run("recv", "ben") == 0
+        broadcast = RelayClient.broadcast_group
+
+        def fanned_out_then_lost(self, group_id, envelope):
+            broadcast(self, group_id, envelope)
+            raise WireProtocolError("connection closed by server")
+
+        with monkeypatch.context() as m:
+            m.setattr(RelayClient, "broadcast_group", fanned_out_then_lost)
+            assert run("group", "send", "team", "ann", "first") == 1
+        assert run("group", "send", "team", "ann", "second") == 0
+        capsys.readouterr()
+        assert run("recv", "ben") == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["[team] from ann: first",
+                                             "[team] from ann: second"]
+        assert captured.err == ""
+
+    def test_lost_group_key_submit_spends_the_session_counter(self, run, monkeypatch,
+                                                              capsys):
+        run("enroll", "ann")
+        run("enroll", "ben")
+        submit = RelayClient.submit_envelope
+
+        def queued_then_lost(self, envelope):
+            submit(self, envelope)
+            raise WireProtocolError("connection closed by server")
+
+        with monkeypatch.context() as m:
+            m.setattr(RelayClient, "submit_envelope", queued_then_lost)
+            assert run("group", "create", "team", "ann", "ben") == 1
+        capsys.readouterr()
+        assert run("send", "ann", "ben", "after") == 0
+        assert "(counter 1)" in capsys.readouterr().out
+        assert run("recv", "ben") == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["control message from ann accepted",
+                                             "from ann: after"]
+        assert captured.err == ""
+
     def test_interrupted_chat_keeps_its_counters(self, run, monkeypatch):
         run("enroll", "ann")
         run("enroll", "ben")
@@ -843,7 +1032,7 @@ class TestCounterSpentWhenSealed:
         assert len(counters) == 4
         assert len(set(counters)) == 4, counters
 
-    def test_interrupted_chat_keeps_received_texts(self, run, stack, monkeypatch, capsys):
+    def test_interrupted_chat_keeps_received_texts(self, run, cfg, monkeypatch, capsys):
         """Each pull that delivers is saved at once: the relay drops what a
         later pull acknowledges, so an unsaved receiver would lose it."""
         run("enroll", "ann")
@@ -851,7 +1040,7 @@ class TestCounterSpentWhenSealed:
         monkeypatch.setattr("builtins.input",
                             _scripted_input(["ann: one", "ann: two"], KeyboardInterrupt))
         assert run("chat", "ann", "ben") == 130
-        ben = Client.from_state_bytes(cli._state_path(stack.config, "ben").read_bytes())
+        ben = Client.from_state_bytes(cli._state_path(cfg, "ben").read_bytes())
         assert [entry.text for entry in ben.history] == ["one", "two"]
         assert ben.sessions["ann"].skipped_keys == {}
         capsys.readouterr()
@@ -1001,12 +1190,9 @@ class TestWalkthrough:
 
         # the stack comes up after instrumentation so genesis is observed too
         cfg = StackConfig(state_dir=str(tmp_path / "covstate"), relay_port=0)
-        handle = run_stack(cfg)
-        try:
-            prefix = ["--state-dir", cfg.state_dir, "--port", str(handle.port)]
+        with run_stack(cfg) as server:
+            prefix = ["--state-dir", cfg.state_dir, "--port", str(server.port)]
             _run_walkthrough(lambda *args: cli.main(prefix + list(args)), tmp_path)
-        finally:
-            handle.close()
 
         expected = set()
         for names in WALKTHROUGH_OPS.values():

@@ -129,9 +129,25 @@ class TestSendReceive:
         alice, bob = connected_pair
         assert bob.receive_envelope(alice.send_text("bob", "")) == ""
 
-    def test_no_session_usage_error(self, alice):
+    def test_no_session_usage_error(self, alice, bob):
+        """A client rebuilt from storage has no directory to open a session
+        with until its caller attaches one."""
+        stored = Client.from_state_bytes(alice.to_state_bytes())
         with pytest.raises(NoSessionError):
+            stored.send_text("bob", "hello")
+        assert stored.sessions == {} and stored.history == []
+
+    def test_send_to_a_peer_without_certificate_refused(self, alice):
+        """As ``start_session`` refuses it, and nothing is sealed."""
+        with pytest.raises(SessionRefusedError) as err:
             alice.send_text("bob", "hello")
+        assert err.value.category == "peer-not-found"
+        assert alice.sessions == {} and alice.history == []
+
+    def test_send_opens_the_session_for_a_new_peer(self, alice, bob):
+        envelope = alice.send_text("bob", "hello")
+        assert alice.sessions["bob"].peer_cert_fingerprint == bob.cert_fingerprint
+        assert bob.receive_envelope(envelope) == "hello"
 
     def test_send_refused_after_revocation(self, mno, relay, connected_pair):
         alice, bob = connected_pair

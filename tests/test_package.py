@@ -1,10 +1,12 @@
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import chainchat
+from chainchat import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -32,3 +34,17 @@ def test_the_server_loads_no_client_code():
     loaded = set(proc.stdout.split())
     assert {"chainchat.stack", "chainchat.relay", "chainchat.wire"} <= loaded
     assert not loaded & {"chainchat.client", "chainchat.cli", "chainchat.bench"}
+
+
+def test_readme_cli_tour_parses():
+    """Every ``chainchat`` line of the README's *CLI quick tour*, its comment
+    stripped, parses and names the handler ``main`` would run."""
+    section = README.read_text(encoding="utf-8").split("## CLI quick tour", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    lines = [line.split("#", 1)[0] for line in block.splitlines()
+             if line.startswith("chainchat ")]
+    assert len(lines) > 20
+    for line in lines:
+        words = shlex.split(line)
+        args = cli.build_parser().parse_args(words[1:])
+        assert callable(args.run) and args.run.__name__.startswith("_cmd_"), line
