@@ -526,8 +526,11 @@ def save_chain(state: ChainState, path: str) -> None:
 
 
 def load_chain(path: str) -> ChainState:
+    """The chain in the file at ``path``, read as ``ChainNode.open`` reads
+    it: a torn final frame is left out, but not cut from the file."""
     with open(path, "rb") as f:
-        return chain_from_bytes(f.read())
+        data = f.read()
+    return chain_from_bytes(data[:_intact_length(data)])
 
 
 def _intact_length(data: bytes) -> int:

@@ -205,12 +205,21 @@ def _cmd_stack_down(cfg: StackConfig, args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_enroll(cfg: StackConfig, args: argparse.Namespace) -> int:
+    """Enroll a new key. An enrolled user keeps its history, inbox cursor
+    and groups; its sessions, derived from the old key, go."""
     with _connect(cfg) as rc, _user_lock(cfg, args.user):
+        old = _load_client(cfg, args.user) if _state_path(cfg, args.user).exists() else None
         client = Client.install(args.user, mno=rc, relay=rc)
+        if old is not None:
+            client.history, client.inbox_cursor, client.groups = \
+                old.history, old.inbox_cursor, old.groups
         _save_client(cfg, client)
     record = client.certificate
     print(f"enrolled {args.user} (issuer {record.issuer_id}, "
           f"expires_at {record.expires_at})")
+    if old is not None:
+        print(f"kept {len(old.history)} history entries, the inbox cursor and "
+              f"{len(old.groups)} groups; dropped {len(old.sessions)} sessions")
     return 0
 
 

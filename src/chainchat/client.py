@@ -49,14 +49,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import crypto, identity_sig
-from .chain import CertificateRecord
-from .crypto import (
-    ChainKey,
-    IdentityKeyPair,
-    MasterSecret,
-    MessageKey,
-    SealedPayload,
-)
+from .chain import KIND_CERTIFICATE, CertificateRecord
+from .crypto import ChainKey, IdentityKeyPair, MessageKey, SealedPayload
 from .encoding import Reader, encode_bytes, encode_str, encode_u64
 from .errors import (
     BackupFormatError,
@@ -81,7 +75,7 @@ BACKUP_MAX_STATE = 1 << 26  # state archives may exceed the message cap
 # PBKDF2 runs before the MAC can refuse a header, so the header's count is capped
 BACKUP_MAX_ITERATIONS = 10 * crypto.BACKUP_ITERATIONS
 
-_STATE_TAG = "chainchat-state|2"
+_STATE_TAG = "chainchat-state|3"
 _FRAME_TEXT = b"\x00"
 _FRAME_GROUP_KEY = b"\x01"
 
@@ -96,7 +90,6 @@ RECEIVED = "received"
 @dataclass
 class SessionState:
     peer_id: str
-    master: MasterSecret
     send_chain: ChainKey
     recv_chain: ChainKey
     skipped_keys: Dict[int, MessageKey] = field(default_factory=dict)
@@ -270,17 +263,12 @@ class Client:
         if peer_id == self.user_id:
             raise ValueError("cannot open a session with oneself")
         record = self._valid_certificate(peer_id)
-        master = crypto.derive_master_secret(
-            self.identity.private_key, record.subject_public_key
-        )
+        # the pair master seeds the two chains, and the session keeps only them
+        master = crypto.derive_master_secret(self.identity.private_key,
+                                             record.subject_public_key)
         send_chain, recv_chain = crypto.init_chains(master, self.user_id, peer_id)
-        session = SessionState(
-            peer_id=peer_id,
-            master=master,
-            send_chain=send_chain,
-            recv_chain=recv_chain,
-            peer_cert_fingerprint=record.fingerprint,
-        )
+        session = SessionState(peer_id=peer_id, send_chain=send_chain, recv_chain=recv_chain,
+                               peer_cert_fingerprint=record.fingerprint)
         self.sessions[peer_id] = session
         return session
 
@@ -517,12 +505,12 @@ class Client:
 
     @staticmethod
     def _encode_parked(parked: Dict[int, MessageKey]) -> bytes:
+        """Each parked key under its counter, which is its ``index``."""
         out = encode_u64(len(parked))
         for counter in sorted(parked):
             mk = parked[counter]
-            out += encode_u64(counter)
-            out += encode_bytes(mk.cipher_key) + encode_bytes(mk.mac_key)
-            out += encode_bytes(mk.iv) + encode_u64(mk.index)
+            out += encode_u64(counter) + encode_bytes(mk.cipher_key)
+            out += encode_bytes(mk.mac_key) + encode_bytes(mk.iv)
         return out
 
     @staticmethod
@@ -532,14 +520,13 @@ class Client:
             counter = r.read_u64()
             parked[counter] = MessageKey(cipher_key=r.expect_bytes(32),
                                          mac_key=r.expect_bytes(32),
-                                         iv=r.expect_bytes(16), index=r.read_u64())
+                                         iv=r.expect_bytes(16), index=counter)
         return parked
 
     def to_state_bytes(self) -> bytes:
+        """FORMATS.md §Client state; the certificate holds the user id and public key."""
         out = encode_str(_STATE_TAG)
-        out += encode_str(self.user_id)
         out += encode_bytes(self.identity.private_key)
-        out += encode_bytes(self.identity.public_key)
         out += encode_bytes(self.certificate.canonical_bytes())
         out += encode_u64(self.inbox_cursor)
 
@@ -547,7 +534,6 @@ class Client:
         for peer_id in sorted(self.sessions):
             s = self.sessions[peer_id]
             out += encode_str(s.peer_id)
-            out += encode_bytes(s.master.bytes_)
             out += self._encode_chain_key(s.send_chain)
             out += self._encode_chain_key(s.recv_chain)
             out += self._encode_parked(s.skipped_keys)
@@ -573,18 +559,18 @@ class Client:
             r = Reader(data, what="client state")
             if r.read_str() != _STATE_TAG:
                 raise BackupFormatError("unknown client state tag")
-            user_id = r.read_str()
-            identity = IdentityKeyPair(private_key=r.expect_bytes(32),
-                                       public_key=r.expect_bytes(32))
+            private_key = r.expect_bytes(32)
             certificate = CertificateRecord.from_bytes(r.read_bytes())
-            client = cls(user_id, identity, certificate)
+            if certificate.kind != KIND_CERTIFICATE or not certificate.shape_ok():
+                raise BackupFormatError("stored record is not a certificate")
+            identity = IdentityKeyPair(private_key, certificate.subject_public_key)
+            client = cls(certificate.user_id, identity, certificate)
             client.inbox_cursor = r.read_u64()
 
             for _ in range(r.read_u64()):
                 peer_id = r.read_str()
                 client.sessions[peer_id] = SessionState(
                     peer_id=peer_id,
-                    master=MasterSecret(bytes_=r.expect_bytes(32)),
                     send_chain=cls._decode_chain_key(r),
                     recv_chain=cls._decode_chain_key(r),
                     skipped_keys=cls._decode_parked(r),

@@ -2,8 +2,9 @@
 
 These are deliberately separate implementations from anything under src/:
 a pure-Python X25519 Montgomery ladder (RFC 7748 pseudocode), a generic
-double-and-add Ed25519 base-point multiplication, a direct RFC 5869 HKDF, and
-a hand-rolled PBKDF2 loop. Known-answer tests check both these oracles and
+double-and-add Ed25519 base-point multiplication, a direct RFC 5869 HKDF, a
+hand-rolled PBKDF2 loop, and a ``struct`` reader of the client state bytes
+written from FORMATS.md. Known-answer tests check both these oracles and
 the production code against published constants, and derived expectations
 are computed here rather than with the code under test.
 """
@@ -123,3 +124,59 @@ def pbkdf2_sha256(password: bytes, salt: bytes, iterations: int, dklen: int) -> 
         out += bytes(t)
         block += 1
     return out[:dklen]
+
+
+def read_client_state(data: bytes) -> dict:
+    """Client state bytes read field by field as FORMATS.md §Client state
+    lays them out: a field is a 4-byte big-endian length and that many
+    bytes, a u64 a field of 8 bytes. Raises ValueError on a field of the
+    wrong width and unless the last field ends at the last byte."""
+    pos = 0
+
+    def field(width=None):
+        nonlocal pos
+        if pos + 4 > len(data):
+            raise ValueError(f"no length prefix at offset {pos}")
+        (length,) = struct.unpack_from(">I", data, pos)
+        start, pos = pos + 4, pos + 4 + length
+        if pos > len(data) or width not in (None, length):
+            raise ValueError(f"bad field of {length} bytes at offset {start}")
+        return data[start:pos]
+
+    def u64():
+        return struct.unpack(">Q", field(8))[0]
+
+    def text():
+        return field().decode("utf-8")
+
+    def chain_key():
+        return {"key": field(32), "index": u64()}
+
+    def parked_keys():
+        parked = {}
+        for _ in range(u64()):
+            counter = u64()
+            parked[counter] = {"cipher_key": field(32), "mac_key": field(32), "iv": field(16)}
+        return parked
+
+    state = {"tag": text(), "identity_private": field(32), "certificate": field(),
+             "inbox_cursor": u64(), "sessions": [], "groups": [], "history": []}
+    for _ in range(u64()):
+        state["sessions"].append({"peer_id": text(), "send": chain_key(), "recv": chain_key(),
+                                  "parked": parked_keys(), "peer_cert_fingerprint": field(32)})
+    for _ in range(u64()):
+        group = {"group_id": text(), "admin_id": text()}
+        group["member_ids"] = [text() for _ in range(u64())]
+        group.update(group_key=field(32), chain=chain_key(), parked=parked_keys())
+        state["groups"].append(group)
+    for _ in range(u64()):
+        state["history"].append({"direction": text(), "peer_id": text(), "group_id": text(),
+                                 "counter": u64(), "text": text(), "at": u64()})
+    if pos != len(data):
+        raise ValueError(f"{len(data) - pos} bytes past the last field")
+    # the certificate record opens with string user_id | bytes subject_public_key(32)
+    cert = state["certificate"]
+    (id_len,) = struct.unpack_from(">I", cert, 0)
+    state["user_id"] = cert[4:4 + id_len].decode("utf-8")
+    state["identity_public"] = cert[4 + id_len + 4:4 + id_len + 4 + 32]
+    return state

@@ -275,7 +275,8 @@ def test_07_zero_knowledge_relay_and_mno():
 
         # parallel derivation of every key the conversation will consume
         secrets = [alice.identity.private_key, bob.identity.private_key,
-                   alice.sessions["bob"].master.bytes_]
+                   derive_master_secret(alice.identity.private_key,
+                                        bob.identity.public_key).bytes_]
         for owner, peer in (("alice", "bob"), ("bob", "alice")):
             chain_key = {"alice": alice, "bob": bob}[owner].sessions[peer].send_chain
             for _ in range(30):

@@ -357,6 +357,22 @@ def _node_with_blocks(mno, im_server, path, n):
     return node
 
 
+def _mutations(original):
+    """Each offset and the chain file ``original`` with one flip there: in a
+    frame's length prefix (three masks each) or in a byte of the last frame."""
+    frames, pos = [], 0
+    while pos < len(original):
+        frames.append(pos)
+        pos += 4 + int.from_bytes(original[pos:pos + 4], "big")
+    flips = [(offset, mask) for start in frames for offset in range(start, start + 4)
+             for mask in (0x01, 0x80, 0xFF)]
+    flips += [(offset, 0x01) for offset in range(frames[-1] + 4, len(original))]
+    for offset, mask in flips:
+        mutated = bytearray(original)
+        mutated[offset] ^= mask
+        yield offset, bytes(mutated)
+
+
 class TestAppendOnlyFile:
     def test_append_adds_exactly_one_frame(self, mno, im_server, tmp_path):
         path = tmp_path / "chain.dat"
@@ -385,12 +401,25 @@ class TestAppendOnlyFile:
             assert again.snapshot().height == 5
             assert verify_chain(again.snapshot())
 
-    def test_strict_load_refuses_torn_tail(self, mno, im_server, tmp_path):
+    def test_load_leaves_out_a_torn_tail_and_keeps_the_file(self, mno, im_server,
+                                                           tmp_path):
+        """``load_chain`` reads a torn file as ``ChainNode.open`` does, but
+        only reads it; a flip that the cut could hide is still refused."""
         path = tmp_path / "chain.dat"
-        _node_with_blocks(mno, im_server, path, 2)
-        path.write_bytes(path.read_bytes()[:-1])
-        with pytest.raises(ChainFormatError):
-            load_chain(str(path))
+        node = _node_with_blocks(mno, im_server, path, 4)
+        intact = path.read_bytes()
+        node.append(mno, [cert_for(mno, "last")], timestamp=T0 + 10)
+        full = path.read_bytes()
+        for cut in range(len(intact), len(full)):
+            path.write_bytes(full[:cut])
+            assert chain_to_bytes(load_chain(str(path))) == intact, f"cut at {cut}"
+            assert path.read_bytes() == full[:cut]
+        for offset, mutated in _mutations(full):
+            path.write_bytes(mutated)
+            try:
+                assert not verify_chain(load_chain(str(path))), f"flip at {offset}"
+            except ChainFormatError:
+                pass
 
     def test_open_never_repairs_a_mutation_into_a_valid_chain(self, mno, im_server,
                                                               tmp_path):
@@ -399,18 +428,8 @@ class TestAppendOnlyFile:
         as it was."""
         path = tmp_path / "chain.dat"
         _node_with_blocks(mno, im_server, path, 10)
-        original = path.read_bytes()
-        frames, pos = [], 0
-        while pos < len(original):
-            frames.append(pos)
-            pos += 4 + int.from_bytes(original[pos:pos + 4], "big")
-        flips = [(offset, mask) for start in frames for offset in range(start, start + 4)
-                 for mask in (0x01, 0x80, 0xFF)]
-        flips += [(offset, 0x01) for offset in range(frames[-1] + 4, len(original))]
-        for offset, mask in flips:
-            mutated = bytearray(original)
-            mutated[offset] ^= mask
-            path.write_bytes(bytes(mutated))
+        for offset, mutated in _mutations(path.read_bytes()):
+            path.write_bytes(mutated)
             with pytest.raises(ChainError):
                 ChainNode.open(str(path))
             assert path.read_bytes() == mutated, f"refused file changed at {offset}"

@@ -407,6 +407,27 @@ class TestStartupCheck:
             assert chain_mod.chain_to_bytes(state) == mutated, f"byte {offset}"
         assert parsed > len(original)
 
+    def test_chain_verify_and_show_leave_out_a_torn_tail(self, small_chain, capsys):
+        """The CLI's readers follow start-up's rule for a torn final frame but
+        leave the file as it is; a flipped byte before it is still refused."""
+        cfg, _ = small_chain
+        path = Path(cfg.resolved_chain_file())
+        data = path.read_bytes()
+        torn = data[:-10]
+        path.write_bytes(torn)
+        chain = ["--state-dir", cfg.state_dir, "chain"]
+        assert cli.main(chain + ["verify"]) == 0
+        assert "chain ok: 4 blocks, height 3" in capsys.readouterr().out
+        assert cli.main(chain + ["show"]) == 0
+        out = capsys.readouterr().out
+        assert "block 3 " in out and "block 4 " not in out
+        assert path.read_bytes() == torn
+        mutated = bytearray(torn)
+        mutated[data.index(chain_mod.chain_from_bytes(data).blocks[2].writer_signature)] ^= 1
+        path.write_bytes(bytes(mutated))
+        assert cli.main(chain + ["verify"]) == 1
+        assert "height 2: bad writer signature" in capsys.readouterr().err
+
     def test_chain_verify_checks_writer_signatures_below_the_head(self, small_chain,
                                                                   capsys):
         cfg, _ = small_chain
@@ -736,6 +757,41 @@ class TestBasicCommands:
         assert run("recv", "bob") == 0
         out = capsys.readouterr().out
         assert "from alice: hello bob" in out
+
+    def test_second_enroll_keeps_history_inbox_and_groups(self, run, cfg, capsys):
+        """A new key for an enrolled user; what exists nowhere else stays,
+        and the sessions derived from the old key go."""
+        run("enroll", "alice")
+        run("enroll", "bob")
+        run("send", "alice", "bob", "kept text")
+        run("group", "create", "team", "alice", "bob")
+        assert run("recv", "bob") == 0
+        before = cli._load_client(cfg, "bob")
+        capsys.readouterr()
+        assert run("enroll", "bob") == 0
+        assert ("kept 1 history entries, the inbox cursor and 1 groups; "
+                "dropped 1 sessions") in capsys.readouterr().out
+        after = cli._load_client(cfg, "bob")
+        assert after.identity.public_key != before.identity.public_key
+        assert after.history == before.history
+        assert [entry.text for entry in after.history] == ["kept text"]
+        assert after.inbox_cursor == before.inbox_cursor == 2
+        assert after.groups == before.groups
+        assert after.sessions == {}
+        assert run("recv", "bob") == 0
+        assert "no new messages" in capsys.readouterr().out
+
+    def test_enroll_refuses_an_unreadable_state(self, run, cfg, stack, capsys):
+        run("enroll", "alice")
+        fingerprint = cli._load_client(cfg, "alice").cert_fingerprint
+        path = cli._state_path(cfg, "alice")
+        path.write_bytes(b"not a state")
+        capsys.readouterr()
+        assert run("enroll", "alice") == 1
+        assert "error[backup-format]" in capsys.readouterr().err
+        assert path.read_bytes() == b"not a state"
+        with RelayClient(stack.host, stack.port) as rc:
+            assert rc.fetch_certificate("alice").record.fingerprint == fingerprint
 
     def test_enroll_takes_the_mnos_lifetime(self, run, cfg):
         with pytest.raises(SystemExit):

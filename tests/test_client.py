@@ -1,8 +1,10 @@
 import hashlib
 import itertools
 import json
+import re
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +30,9 @@ from chainchat.errors import (
 from chainchat.mno import MnoCertificateAuthority
 from chainchat.relay import Envelope
 from chainchat.crypto import SealedPayload
-from chainchat.encoding import encode_str
+from chainchat.encoding import encode_bytes, encode_str
+
+import oracles
 
 
 def is_registered(relay, user_id):
@@ -769,10 +773,12 @@ class TestGroupReceive:
 
     def test_version_one_state_refused(self, alice):
         state = alice.to_state_bytes()
-        tag = encode_str("chainchat-state|2")
+        tag = encode_str("chainchat-state|3")
         assert state.startswith(tag)
-        with pytest.raises(BackupFormatError):
-            Client.from_state_bytes(encode_str("chainchat-state|1") + state[len(tag):])
+        assert Client.from_state_bytes(state).to_state_bytes() == state
+        for old in ("chainchat-state|2", "chainchat-state|1"):
+            with pytest.raises(BackupFormatError):
+                Client.from_state_bytes(encode_str(old) + state[len(tag):])
 
     def test_group_key_frame_in_group_envelope_refused(self, mno, relay):
         clients, _ = installed_group(mno, relay, 2)
@@ -783,3 +789,89 @@ class TestGroupReceive:
         envelope = u0._build_envelope("", "team", mk, b"\x01" + body)
         with pytest.raises(WireProtocolError):
             u1.receive_envelope(envelope)
+
+
+# ---------------------------------------------------------------------------
+# state bytes
+# ---------------------------------------------------------------------------
+
+def _chain(ck):
+    return {"key": ck.key, "index": ck.index}
+
+
+def _parked(keys):
+    assert all(mk.index == counter for counter, mk in keys.items())
+    return {counter: {"cipher_key": mk.cipher_key, "mac_key": mk.mac_key, "iv": mk.iv}
+            for counter, mk in keys.items()}
+
+
+class TestStateBytes:
+    def test_independent_reader_finds_each_value_once(self, mno, relay, alice, bob):
+        """FORMATS.md read with struct alone, over a state with 2 sessions,
+        parked keys in both sessions and in a group, and history."""
+        carol = Client.install("carol", mno, relay)
+        from_bob = [bob.send_text("alice", f"b{i}") for i in range(4)]
+        from_carol = [carol.send_text("alice", f"c{i}") for i in range(2)]
+        for envelope in (from_bob[3], from_bob[1], from_carol[1]):
+            alice.receive_envelope(envelope)
+        alice.send_text("bob", "hi")
+        alice.receive_envelope(bob.create_group("club", ["alice"]).envelopes[0])
+        alice.receive_envelope([bob.send_group_message("club", f"g{i}") for i in range(3)][2])
+        alice.inbox_cursor = 7
+        state = alice.to_state_bytes()
+
+        read = oracles.read_client_state(state)
+        assert read["tag"] == client_mod._STATE_TAG
+        assert read["identity_private"] == alice.identity.private_key
+        assert read["certificate"] == alice.certificate.canonical_bytes()
+        assert (read["user_id"], read["identity_public"]) == ("alice",
+                                                              alice.identity.public_key)
+        assert read["inbox_cursor"] == 7
+        assert [s["peer_id"] for s in read["sessions"]] == ["bob", "carol"]
+        for stored in read["sessions"]:
+            session = alice.sessions[stored["peer_id"]]
+            assert stored == {"peer_id": session.peer_id, "send": _chain(session.send_chain),
+                              "recv": _chain(session.recv_chain),
+                              "parked": _parked(session.skipped_keys),
+                              "peer_cert_fingerprint": session.peer_cert_fingerprint}
+        assert [sorted(s["parked"]) for s in read["sessions"]] == [[0, 2], [0]]
+        group = alice.groups["club"]
+        assert read["groups"] == [{"group_id": "club", "admin_id": "bob",
+                                   "member_ids": group.member_ids,
+                                   "group_key": group.group_key,
+                                   "chain": _chain(group.group_chain),
+                                   "parked": _parked(group.skipped_keys)}]
+        assert sorted(read["groups"][0]["parked"]) == [0, 1]
+        assert read["history"] == [dict(vars(entry)) for entry in alice.history]
+        assert len(read["history"]) == 5
+
+        # no pair master, and the public key only inside the certificate
+        for peer in (bob, carol):
+            assert oracles.x25519(alice.identity.private_key, peer.identity.public_key) \
+                not in state
+        assert state.count(alice.identity.public_key) == 1
+        assert Client.from_state_bytes(state).to_state_bytes() == state
+
+    def test_reader_refuses_a_cut_or_extended_state(self, alice):
+        state = alice.to_state_bytes()
+        for broken in (state[:-1], state + b"\x00"):
+            with pytest.raises(ValueError):
+                oracles.read_client_state(broken)
+
+    @pytest.mark.parametrize("change", [
+        {"kind": "revocation", "subject_public_key": bytes(32)},
+        {"subject_public_key": bytes(31)},
+    ])
+    def test_stored_record_that_is_no_certificate_refused(self, alice, change):
+        state = alice.to_state_bytes()
+        stored = encode_bytes(alice.certificate.canonical_bytes())
+        other = encode_bytes(replace(alice.certificate, **change).canonical_bytes())
+        assert state.count(stored) == 1
+        with pytest.raises(BackupFormatError, match="not a certificate"):
+            Client.from_state_bytes(state.replace(stored, other))
+
+    def test_formats_md_names_the_state_tag(self):
+        formats = (Path(__file__).resolve().parents[1] / "FORMATS.md").read_text("utf-8")
+        section = formats.split("## Client state", 1)[1].split("\n## ", 1)[0]
+        assert re.findall(r'string "(chainchat-state\|\d+)"', section) == \
+            [client_mod._STATE_TAG]

@@ -23,7 +23,7 @@ from chainchat.errors import (
     SessionRefusedError,
     WireProtocolError,
 )
-from chainchat.crypto import generate_identity_keypair
+from chainchat.crypto import derive_master_secret, generate_identity_keypair
 from chainchat.mno import EnrollmentRequest, possession_payload
 from chainchat.relay import ACK_QUEUED, Envelope
 
@@ -489,7 +489,8 @@ class TestZeroKnowledgeRelay:
         blob = relay.dump_state()
         secrets = [
             alice.identity.private_key, bob.identity.private_key,
-            alice.sessions["bob"].master.bytes_,
+            derive_master_secret(alice.identity.private_key,
+                                 bob.identity.public_key).bytes_,
             alice.sessions["bob"].send_chain.key,
             alice.sessions["bob"].recv_chain.key,
         ]
