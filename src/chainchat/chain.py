@@ -144,10 +144,20 @@ def verify_record(record: CertificateRecord, verification_key: bytes) -> bool:
 
 @dataclass(frozen=True)
 class WriterCredential:
-    """An authorized writer's id plus its Ed25519 signing key."""
+    """An authorized writer's id plus its Ed25519 signing key.
+
+    ``sign`` keeps the last payload it signed with its signature, one tuple
+    written in one step, so no thread reads one call's payload with another
+    call's signature. Ed25519 is deterministic (RFC 8032, 5.1.6), so signing
+    that payload again returns the kept signature, which is what the library
+    would return: the held-writer check of a record that ``make_record`` has
+    just signed costs a bytes comparison. Both values are public.
+    """
 
     writer_id: str
     signing_key: Ed25519PrivateKey = field(repr=False)
+    _last: Optional[Tuple[bytes, bytes]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def generate(cls, writer_id: str) -> "WriterCredential":
@@ -166,7 +176,12 @@ class WriterCredential:
         return self.signing_key.public_key().public_bytes_raw()
 
     def sign(self, payload: bytes) -> bytes:
-        return self.signing_key.sign(payload)
+        last = self._last
+        if last is not None and last[0] == payload:
+            return last[1]
+        signature = self.signing_key.sign(payload)
+        object.__setattr__(self, "_last", (payload, signature))
+        return signature
 
     def make_record(self, user_id: str, subject_public_key: bytes,
                     issued_at: int, expires_at: int, kind: str) -> CertificateRecord:
@@ -375,8 +390,11 @@ def _writer_checks(declarations: Iterable[Tuple[str, bytes]],
     declared key. For a writer whose credential is ``held`` by this process,
     a signature equal to a fresh one is valid, since Ed25519 signing is
     deterministic (RFC 8032, 5.1.6) and a sign costs about a third of a
-    verify; any other signature (made with another nonce, or bad) is
-    verified, so the decision is the one ``verify_edwards`` makes. Raises
+    verify; for the payload the credential signed last, as when
+    ``append_block`` checks the record ``make_record`` just made, the fresh
+    signature is the kept one (``WriterCredential.sign``) and the check is a
+    bytes comparison. Any other signature (made with another nonce, or bad)
+    is verified, so the decision is the one ``verify_edwards`` makes. Raises
     ``WriterNotAuthorizedError`` for a held credential whose key is not the
     one declared for its id."""
     declared = dict(declarations)

@@ -37,7 +37,9 @@ chain, or the group chain) decides the path. Equal: ratchet once and advance.
 Ahead: ratchet through the gap, parking the skipped message keys (bounded).
 Behind: consume the parked key, or fail as a replay. Consumed keys are always
 deleted, which is what makes replayed ciphertexts undecryptable. State only
-advances when the MAC checks out.
+advances when the MAC checks out. The steps derived for an envelope whose MAC
+fails are kept in memory, outside the state, until the chain moves, so more
+forged envelopes in that gap cost one MAC check each.
 """
 
 from __future__ import annotations
@@ -87,6 +89,19 @@ RECEIVED = "received"
 # state types
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Lookahead:
+    """The ratchet steps ``_open`` derived ahead of a receive chain for an
+    envelope it then refused: ``steps[i]`` is the message key at
+    ``start.index + i`` and the chain after it. Held in memory only, never
+    in the state bytes, and valid while the receive chain is still ``start``,
+    so a later envelope in the same gap costs its MAC check and no
+    derivation."""
+
+    start: ChainKey
+    steps: List[Tuple[MessageKey, ChainKey]]
+
+
 @dataclass
 class SessionState:
     peer_id: str
@@ -94,6 +109,7 @@ class SessionState:
     recv_chain: ChainKey
     skipped_keys: Dict[int, MessageKey] = field(default_factory=dict)
     peer_cert_fingerprint: bytes = b""
+    lookahead: Optional[Lookahead] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -104,6 +120,7 @@ class GroupState:
     group_key: bytes
     group_chain: ChainKey
     skipped_keys: Dict[int, MessageKey] = field(default_factory=dict)
+    lookahead: Optional[Lookahead] = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -240,7 +257,7 @@ class Client:
         try:
             challenge = mno.new_challenge(user_id)
             proof = identity_sig.sign(
-                identity.private_key, challenge,
+                identity, challenge,
                 possession_payload(user_id, identity.public_key, challenge),
             )
             record = mno.issue_certificate(EnrollmentRequest(
@@ -264,8 +281,7 @@ class Client:
             raise ValueError("cannot open a session with oneself")
         record = self._valid_certificate(peer_id)
         # the pair master seeds the two chains, and the session keeps only them
-        master = crypto.derive_master_secret(self.identity.private_key,
-                                             record.subject_public_key)
+        master = crypto.derive_master_secret(self.identity, record.subject_public_key)
         send_chain, recv_chain = crypto.init_chains(master, self.user_id, peer_id)
         session = SessionState(peer_id=peer_id, send_chain=send_chain, recv_chain=recv_chain,
                                peer_cert_fingerprint=record.fingerprint)
@@ -339,8 +355,7 @@ class Client:
             raise WireProtocolError("malformed envelope")
         if envelope.group_id:
             group = self._group_of(envelope.group_id, envelope.sender_id)
-            plaintext, group.group_chain = self._open(group.group_chain,
-                                                      group.skipped_keys, envelope)
+            plaintext, group.group_chain = self._open(group, group.group_chain, envelope)
         else:
             session = (self.sessions.get(envelope.sender_id)
                        or self.start_session(envelope.sender_id))
@@ -348,16 +363,20 @@ class Client:
                 raise FingerprintMismatchError(
                     f"envelope from {envelope.sender_id!r} carries an unknown certificate"
                 )
-            plaintext, session.recv_chain = self._open(session.recv_chain,
-                                                       session.skipped_keys, envelope)
+            plaintext, session.recv_chain = self._open(session, session.recv_chain,
+                                                       envelope)
         return self._accept(envelope, plaintext)
 
-    def _open(self, chain: ChainKey, parked: Dict[int, MessageKey],
+    def _open(self, receiver: SessionState | GroupState, chain: ChainKey,
               envelope: Envelope) -> Tuple[bytes, ChainKey]:
-        """Unseal by counter against ``chain``; return plaintext and the chain
-        to store. Neither ``parked`` nor anything else changes if it raises."""
+        """Unseal by counter against ``chain``, the receive chain of
+        ``receiver``; return plaintext and the chain to store. Nothing in the
+        state changes if it raises: only ``receiver.lookahead``, which sits
+        outside the state, keeps the steps derived for a refused envelope
+        ahead of ``chain``."""
         ad = envelope.associated_data()
         counter = envelope.counter
+        parked = receiver.skipped_keys
         if counter < chain.index:
             mk = parked.get(counter)
             if mk is None:
@@ -371,14 +390,20 @@ class Client:
         gap = counter - chain.index
         if len(parked) + gap > MAX_SKIPPED:
             raise ResyncError(f"gap of {gap} exceeds the skipped-key bound of {MAX_SKIPPED}")
-        skipped: Dict[int, MessageKey] = {}
-        while chain.index < counter:
-            skipped_mk, chain = crypto.ratchet_forward(chain)
-            skipped[skipped_mk.index] = skipped_mk
-        mk, chain = crypto.ratchet_forward(chain)
-        plaintext = crypto.unseal(mk, envelope.payload, ad)  # may raise; state untouched
-        parked.update(skipped)
-        return plaintext, chain
+        ahead = receiver.lookahead
+        steps = ahead.steps if ahead is not None and ahead.start == chain else []
+        while len(steps) <= gap:  # at most MAX_SKIPPED + 1 steps, by the bound above
+            steps.append(crypto.ratchet_forward(steps[-1][1] if steps else chain))
+        mk, next_chain = steps[gap]
+        try:
+            plaintext = crypto.unseal(mk, envelope.payload, ad)
+        except ChainChatError:
+            receiver.lookahead = Lookahead(start=chain, steps=steps)
+            raise
+        for skipped, _ in steps[:gap]:
+            parked[skipped.index] = skipped
+        receiver.lookahead = None
+        return plaintext, next_chain
 
     def _accept(self, envelope: Envelope, plaintext: bytes) -> Optional[str]:
         if plaintext[:1] == _FRAME_TEXT:

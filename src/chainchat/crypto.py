@@ -20,6 +20,11 @@ The "<lo>|<hi>" pair is the byte-wise ordering of the two user ids, which
 fixes chain directionality without a handshake: whoever's id sorts first owns
 the A→B chain as their send direction.
 
+An identity pair holds its library private key, built once: each build from
+the 32 private bytes is a full scalar multiplication, as costly as the
+agreement it serves. ``generate_identity_keypair`` keeps the key object it
+makes to get the public key; a pair rebuilt from bytes builds it on first use.
+
 Every seal and unseal builds a cipher context, so the cipher classes are
 bound by name once, at import. ``cryptography`` serves its ``algorithms`` and
 ``modes`` modules through a deprecation proxy, on which each attribute read
@@ -33,6 +38,7 @@ import hashlib
 import hmac
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Tuple
 
 from cryptography.hazmat.primitives import hashes
@@ -75,6 +81,15 @@ class IdentityKeyPair:
 
     private_key: bytes  # 32-byte clamped scalar
     public_key: bytes   # 32-byte curve point
+
+    @cached_property
+    def library_key(self) -> X25519PrivateKey:
+        """The library key object of ``private_key``, built on first use and
+        kept; no field, so equality, ``replace`` and every encoding of the
+        pair see the bytes alone."""
+        if len(self.private_key) != 32:
+            raise KeyAgreementError("private scalar must be 32 bytes")
+        return X25519PrivateKey.from_private_bytes(self.private_key)
 
 
 @dataclass(frozen=True)
@@ -157,20 +172,18 @@ def generate_identity_keypair(rng: Rng = os.urandom) -> IdentityKeyPair:
     if not isinstance(raw, (bytes, bytearray)) or len(raw) < 32:
         raise KeyGenerationError("entropy source yielded fewer than 32 bytes")
     private = clamp_scalar(bytes(raw[:32]))
-    public = X25519PrivateKey.from_private_bytes(private).public_key().public_bytes_raw()
-    return IdentityKeyPair(private_key=private, public_key=public)
+    key = X25519PrivateKey.from_private_bytes(private)
+    pair = IdentityKeyPair(private_key=private, public_key=key.public_key().public_bytes_raw())
+    pair.__dict__["library_key"] = key  # the cached property's slot: no second build
+    return pair
 
 
-def derive_master_secret(own_private: bytes, peer_public: bytes) -> MasterSecret:
+def derive_master_secret(own: IdentityKeyPair, peer_public: bytes) -> MasterSecret:
     """X25519 agreement; rejects low-order peer points (all-zero output)."""
-    if len(own_private) != 32:
-        raise KeyAgreementError("private scalar must be 32 bytes")
     if len(peer_public) != 32:
         raise KeyAgreementError("peer public key must be 32 bytes")
     try:
-        shared = X25519PrivateKey.from_private_bytes(own_private).exchange(
-            X25519PublicKey.from_public_bytes(peer_public)
-        )
+        shared = own.library_key.exchange(X25519PublicKey.from_public_bytes(peer_public))
     except ValueError as e:
         raise KeyAgreementError(f"key agreement rejected: {e}") from e
     if shared == b"\x00" * 32:

@@ -10,13 +10,16 @@ and HMAC-SHA256:
                       info="enroll-pop", len=32)
   proof = HMAC-SHA256(K, message)
 
-The subject makes it with ``sign(identity_private, E, payload)``, and the MNO
-checks it with ``verify(e, subject_public, payload, proof)``: X25519 gives
-both sides the same K. The proof convinces only the MNO, which could have
-made it itself; that suffices, because the MNO signs every certificate and
-nobody else checks a proof of possession. A low-order key or challenge gives
-no agreement (``crypto.derive_master_secret`` refuses it), so nobody can
-answer for a key whose private half nobody holds.
+The subject makes it with ``sign(identity, E, payload)``, and the MNO checks
+it with ``verify(challenge, subject_public, payload, proof)``: X25519 gives
+both sides the same K. Each side passes its ``crypto.IdentityKeyPair`` (the
+subject's identity pair, the MNO's challenge pair), whose library key is
+built once, so a proof costs one agreement and no reload of a private key.
+The proof convinces only the MNO, which could have made it itself; that
+suffices, because the MNO signs every certificate and nobody else checks a
+proof of possession. A low-order key or challenge gives no agreement
+(``crypto.derive_master_secret`` refuses it), so nobody can answer for a key
+whose private half nobody holds.
 """
 
 from __future__ import annotations
@@ -30,24 +33,24 @@ from .errors import KeyAgreementError
 _PROOF_INFO = b"enroll-pop"
 
 
-def _proof(own_private: bytes, peer_public: bytes, message: bytes) -> bytes:
-    master = crypto.derive_master_secret(own_private, peer_public)
+def _proof(own: crypto.IdentityKeyPair, peer_public: bytes, message: bytes) -> bytes:
+    master = crypto.derive_master_secret(own, peer_public)
     key = crypto.hkdf_sha256(master.bytes_, crypto.ZERO_SALT, _PROOF_INFO, 32)
     return hmac.new(key, message, hashlib.sha256).digest()
 
 
-def sign(identity_private: bytes, challenge: bytes, message: bytes) -> bytes:
+def sign(identity: crypto.IdentityKeyPair, challenge: bytes, message: bytes) -> bytes:
     """The subject's 32-byte proof of ``message`` for the challenge key E;
     raises ``KeyAgreementError`` for a challenge no one holds a key for."""
-    return _proof(identity_private, challenge, message)
+    return _proof(identity, challenge, message)
 
 
-def verify(challenge_private: bytes, subject_public: bytes, message: bytes,
+def verify(challenge: crypto.IdentityKeyPair, subject_public: bytes, message: bytes,
            proof: bytes) -> bool:
     """True iff ``proof`` was made by the holder of ``subject_public``'s
-    private key for the challenge whose private half is given."""
+    private key for ``challenge``, the pair the MNO generated."""
     try:
-        expected = _proof(challenge_private, subject_public, message)
+        expected = _proof(challenge, subject_public, message)
     except KeyAgreementError:
         return False
     return hmac.compare_digest(expected, proof)

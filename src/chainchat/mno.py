@@ -6,7 +6,9 @@ possession of its identity key with a MAC over (user_id || public_key ||
 challenge) under their Diffie-Hellman secret (``identity_sig``). Without the
 challenge any party could replay an observed enrollment and register someone
 else's public key under their own id, which would break the trusted-third-
-party role, so the challenge is mandatory.
+party role, so the challenge is mandatory. The pending challenge is kept as
+the generated pair, so checking the proof reuses the library key that
+generating it built.
 
 Subscriber identity verification is a pluggable predicate; the default
 accepts everyone, tests and deployments can inject a real check.
@@ -83,7 +85,7 @@ class MnoCertificateAuthority:
             raise EnrollmentError(f"no outstanding challenge for {request.user_id!r}")
         payload = possession_payload(request.user_id, request.subject_public_key,
                                      challenge.public_key)
-        if not identity_sig.verify(challenge.private_key, request.subject_public_key,
+        if not identity_sig.verify(challenge, request.subject_public_key,
                                    payload, request.proof_of_possession):
             raise EnrollmentError("proof of possession failed verification")
         if not self._subscriber_check(request.user_id):

@@ -43,6 +43,7 @@ from chainchat.chain import (
 )
 from chainchat.client import BACKUP_MAGIC, Client
 from chainchat.crypto import (
+    IdentityKeyPair,
     MasterSecret,
     SealedPayload,
     derive_backup_key,
@@ -155,7 +156,8 @@ def test_04_known_answer_crypto():
         pair = generate_identity_keypair(lambda n: v.X25519_ALICE_PRIV[:n])
         assert pair.public_key == v.X25519_ALICE_PUB
         assert oracles.x25519_base(v.X25519_ALICE_PRIV) == v.X25519_ALICE_PUB
-        shared = derive_master_secret(v.X25519_ALICE_PRIV, v.X25519_BOB_PUB)
+        shared = derive_master_secret(IdentityKeyPair(v.X25519_ALICE_PRIV, v.X25519_ALICE_PUB),
+                                      v.X25519_BOB_PUB)
         assert shared.bytes_ == v.X25519_SHARED
         assert oracles.x25519(v.X25519_BOB_PRIV, v.X25519_ALICE_PUB) == v.X25519_SHARED
 
@@ -275,7 +277,7 @@ def test_07_zero_knowledge_relay_and_mno():
 
         # parallel derivation of every key the conversation will consume
         secrets = [alice.identity.private_key, bob.identity.private_key,
-                   derive_master_secret(alice.identity.private_key,
+                   derive_master_secret(alice.identity,
                                         bob.identity.public_key).bytes_]
         for owner, peer in (("alice", "bob"), ("bob", "alice")):
             chain_key = {"alice": alice, "bob": bob}[owner].sessions[peer].send_chain

@@ -305,6 +305,76 @@ class TestOutOfOrder:
         assert bob.receive_envelope(fresh) == "new identity"
 
 
+class TestForgedEnvelopes:
+    """Envelopes far ahead of the receive chain with a bad MAC, which the
+    relay cannot tell from real ones: the gap in front of the first is
+    derived once, kept in memory, and reused for the rest."""
+
+    @staticmethod
+    def forge(envelope, counter):
+        return replace(envelope, counter=counter,
+                       payload=SealedPayload(bytes(16), bytes(32)))
+
+    @pytest.fixture
+    def ratchet_calls(self, monkeypatch):
+        calls = []
+        ratchet = crypto.ratchet_forward
+        monkeypatch.setattr(crypto, "ratchet_forward",
+                            lambda ck: calls.append(ck.index) or ratchet(ck))
+        return calls
+
+    def test_forged_pull_derives_the_gap_once(self, relay, alice, bob, ratchet_calls):
+        real = alice.send_text("bob", "after the forgeries")
+        forged = self.forge(real, client_mod.MAX_SKIPPED - 1)
+        for _ in range(200):
+            relay.submit_envelope(forged)
+        relay.submit_envelope(real)
+        deliveries = bob.pull_messages()
+        assert [d.error for d in deliveries] == ["auth-failed"] * 200 + [None]
+        assert deliveries[-1].text == "after the forgeries"
+        assert len(ratchet_calls) <= client_mod.MAX_SKIPPED + 200
+        assert bob.sessions["alice"].lookahead is None  # the chain moved
+
+    def test_forged_envelopes_leave_the_state_bytes_alone(self, connected_pair):
+        alice, bob = connected_pair
+        real = [alice.send_text("bob", f"m{i}") for i in range(3)]
+        before = bob.to_state_bytes()
+        for _ in range(20):
+            with pytest.raises(AuthenticationError):
+                bob.receive_envelope(self.forge(real[0], 500))
+        assert bob.sessions["alice"].lookahead is not None
+        assert bob.to_state_bytes() == before
+        assert Client.from_state_bytes(before).sessions["alice"].lookahead is None
+
+    def test_real_envelopes_inside_the_gap_deliver(self, connected_pair, ratchet_calls):
+        """Keys taken from the lookahead open real envelopes in any order."""
+        alice, bob = connected_pair
+        real = [alice.send_text("bob", f"m{i}") for i in range(5)]
+        ratchet_calls.clear()
+        with pytest.raises(AuthenticationError):
+            bob.receive_envelope(self.forge(real[0], 9))
+        assert len(ratchet_calls) == 10
+        assert bob.receive_envelope(real[3]) == "m3"
+        assert sorted(bob.sessions["alice"].skipped_keys) == [0, 1, 2]
+        assert [bob.receive_envelope(real[i]) for i in (0, 4, 2, 1)] == ["m0", "m4", "m2", "m1"]
+        assert len(ratchet_calls) == 11  # m4 followed the moved chain
+        assert bob.sessions["alice"].skipped_keys == {}
+
+    def test_group_chain_lookahead_lapses_when_the_chain_moves(self, mno, relay,
+                                                              ratchet_calls):
+        clients, _ = installed_group(mno, relay, 2)
+        admin, member = clients
+        sent = admin.send_group_message("team", "g0")
+        forged = self.forge(sent, 50)
+        with pytest.raises(AuthenticationError):
+            member.receive_envelope(forged)
+        member.send_group_message("team", "moves the shared chain")
+        ratchet_calls.clear()
+        with pytest.raises(AuthenticationError):
+            member.receive_envelope(forged)
+        assert len(ratchet_calls) == 50  # derived again from the moved chain
+
+
 # ---------------------------------------------------------------------------
 # pull via relay
 # ---------------------------------------------------------------------------
@@ -851,6 +921,25 @@ class TestStateBytes:
                 not in state
         assert state.count(alice.identity.public_key) == 1
         assert Client.from_state_bytes(state).to_state_bytes() == state
+
+    def test_the_library_key_reaches_no_bytes(self, alice, bob):
+        """A client rebuilt from bytes loads its key on first use; the state,
+        the backup, equality and ``replace`` read the pair's bytes alone."""
+        alice.start_session("bob")
+        restored = Client.from_state_bytes(alice.to_state_bytes())
+        restored._rng = lambda n: b"\x07" * n
+        identity = restored.identity
+        assert "library_key" not in vars(identity)
+        state, backup = restored.to_state_bytes(), restored.export_backup("pw").to_bytes()
+        public = identity.library_key.public_key().public_bytes_raw()
+        assert public == identity.public_key
+        assert restored.to_state_bytes() == state
+        assert restored.export_backup("pw").to_bytes() == backup
+        assert identity == alice.identity == crypto.IdentityKeyPair(identity.private_key,
+                                                                    identity.public_key)
+        other = crypto.generate_identity_keypair()
+        swapped = replace(identity, private_key=other.private_key)
+        assert swapped.library_key.public_key().public_bytes_raw() == other.public_key
 
     def test_reader_refuses_a_cut_or_extended_state(self, alice):
         state = alice.to_state_bytes()

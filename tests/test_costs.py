@@ -1,0 +1,37 @@
+"""Exact library-call counts per operation, against BENCH_counts.json.
+
+``count_costs.py`` beside this file runs the scenario and rewrites the file;
+a change that moves a count regenerates it and names each old -> new count.
+"""
+
+import pytest
+
+from chainchat import client as client_mod
+
+import count_costs
+
+
+@pytest.fixture(scope="module")
+def ops():
+    return count_costs.run_scenario()
+
+
+def test_counts_match_the_committed_file(ops):
+    assert count_costs.render(ops) == count_costs.COUNTS_PATH.read_text(encoding="utf-8")
+
+
+def test_the_costliest_steps_run_once_per_value(ops):
+    """Each X25519 key is loaded once, by whoever generated it, and each
+    Ed25519 payload is signed once: an install loads the identity key and the
+    MNO's challenge, and signs the record and its block."""
+    assert (ops["install"]["x25519_loads"], ops["install"]["ed25519_signs"]) == (2, 2)
+    assert ops["revoke"]["ed25519_signs"] == 2
+    assert ops["start_session"]["x25519_loads"] == 0
+    for height in count_costs.OPEN_HEIGHTS:
+        assert (ops[f"open_{height}_held"]["ed25519_signs"],
+                ops[f"open_{height}_held"]["ed25519_verifies"]) == (height + 1, 0)
+        assert (ops[f"open_{height}"]["ed25519_signs"],
+                ops[f"open_{height}"]["ed25519_verifies"]) == (0, height + 1)
+    # the gap ahead of the first forged envelope is derived once
+    assert ops["pull_forged"]["ratchet_forward"] <= \
+        client_mod.MAX_SKIPPED + count_costs.FORGED

@@ -10,6 +10,7 @@ import vectors as v
 from chainchat import crypto
 from chainchat.crypto import (
     ChainKey,
+    IdentityKeyPair,
     MasterSecret,
     derive_backup_key,
     derive_master_secret,
@@ -54,8 +55,10 @@ class TestKnownAnswers:
         assert pair.public_key == v.X25519_BOB_PUB
 
     def test_shared_secret_matches_rfc7748(self):
-        k_ab = derive_master_secret(v.X25519_ALICE_PRIV, v.X25519_BOB_PUB)
-        k_ba = derive_master_secret(v.X25519_BOB_PRIV, v.X25519_ALICE_PUB)
+        k_ab = derive_master_secret(IdentityKeyPair(v.X25519_ALICE_PRIV, v.X25519_ALICE_PUB),
+                                    v.X25519_BOB_PUB)
+        k_ba = derive_master_secret(IdentityKeyPair(v.X25519_BOB_PRIV, v.X25519_BOB_PUB),
+                                    v.X25519_ALICE_PUB)
         assert k_ab.bytes_ == v.X25519_SHARED
         assert k_ba.bytes_ == v.X25519_SHARED
         assert oracles.x25519(v.X25519_ALICE_PRIV, v.X25519_BOB_PUB) == v.X25519_SHARED
@@ -139,19 +142,19 @@ class TestMasterSecret:
     def test_symmetry_on_fresh_pairs(self):
         a = generate_identity_keypair()
         b = generate_identity_keypair()
-        assert (derive_master_secret(a.private_key, b.public_key).bytes_
-                == derive_master_secret(b.private_key, a.public_key).bytes_)
+        assert (derive_master_secret(a, b.public_key).bytes_
+                == derive_master_secret(b, a.public_key).bytes_)
 
     def test_zero_point_rejected(self):
         a = generate_identity_keypair()
         with pytest.raises(KeyAgreementError):
-            derive_master_secret(a.private_key, b"\x00" * 32)
+            derive_master_secret(a, b"\x00" * 32)
 
     def test_bad_lengths_rejected(self):
         with pytest.raises(KeyAgreementError):
-            derive_master_secret(b"\x01" * 31, b"\x02" * 32)
+            derive_master_secret(IdentityKeyPair(b"\x01" * 31, bytes(32)), b"\x02" * 32)
         with pytest.raises(KeyAgreementError):
-            derive_master_secret(b"\x01" * 32, b"\x02" * 33)
+            derive_master_secret(IdentityKeyPair(b"\x01" * 32, bytes(32)), b"\x02" * 33)
 
 
 # ---------------------------------------------------------------------------

@@ -40,14 +40,14 @@ class TestMontgomeryKeyedSignatures:
 
     @staticmethod
     def proof(pair, challenge, message):
-        return identity_sig.sign(pair.private_key, challenge.public_key, message)
+        return identity_sig.sign(pair, challenge.public_key, message)
 
     def test_sign_verify_roundtrip(self):
         pair, challenge = generate_identity_keypair(), generate_identity_keypair()
         msg = b"enrollment challenge payload"
         proof = self.proof(pair, challenge, msg)
         assert len(proof) == 32
-        assert identity_sig.verify(challenge.private_key, pair.public_key, msg, proof)
+        assert identity_sig.verify(challenge, pair.public_key, msg, proof)
 
     def test_matches_independent_oracle(self):
         """HMAC-SHA256 under HKDF(X25519(k, E), 0^32, "enroll-pop"), from the
@@ -60,17 +60,17 @@ class TestMontgomeryKeyedSignatures:
     def test_wrong_message_fails(self):
         pair, challenge = generate_identity_keypair(), generate_identity_keypair()
         proof = self.proof(pair, challenge, b"a")
-        assert not identity_sig.verify(challenge.private_key, pair.public_key, b"b", proof)
+        assert not identity_sig.verify(challenge, pair.public_key, b"b", proof)
 
     def test_wrong_key_fails(self):
         pair, other, challenge = (generate_identity_keypair() for _ in range(3))
         proof = self.proof(pair, challenge, b"msg")
-        assert not identity_sig.verify(challenge.private_key, other.public_key, b"msg", proof)
+        assert not identity_sig.verify(challenge, other.public_key, b"msg", proof)
 
     def test_wrong_challenge_fails(self):
         pair, challenge, other = (generate_identity_keypair() for _ in range(3))
         proof = self.proof(pair, challenge, b"msg")
-        assert not identity_sig.verify(other.private_key, pair.public_key, b"msg", proof)
+        assert not identity_sig.verify(other, pair.public_key, b"msg", proof)
 
     def test_every_signature_bit_matters(self):
         pair, challenge = generate_identity_keypair(), generate_identity_keypair()
@@ -79,14 +79,14 @@ class TestMontgomeryKeyedSignatures:
             bad = bytearray(proof)
             bad[bit // 8] ^= 1 << bit % 8
             assert not identity_sig.verify(
-                challenge.private_key, pair.public_key, b"msg", bytes(bad))
+                challenge, pair.public_key, b"msg", bytes(bad))
 
     def test_many_random_keys(self):
         for _ in range(20):
             pair, challenge = generate_identity_keypair(), generate_identity_keypair()
             msg = os.urandom(48)
             proof = self.proof(pair, challenge, msg)
-            assert identity_sig.verify(challenge.private_key, pair.public_key, msg, proof)
+            assert identity_sig.verify(challenge, pair.public_key, msg, proof)
 
     def test_deterministic_signatures(self):
         pair, challenge = generate_identity_keypair(), generate_identity_keypair()
@@ -103,15 +103,15 @@ class TestMontgomeryKeyedSignatures:
         for u in v.LOW_ORDER_U:
             for key in (u.to_bytes(32, "little"), (u | 1 << 255).to_bytes(32, "little")):
                 forged = hmac.new(zero_key, b"m", hashlib.sha256).digest()
-                assert not identity_sig.verify(challenge.private_key, key, b"m", forged), u
+                assert not identity_sig.verify(challenge, key, b"m", forged), u
                 with pytest.raises(KeyAgreementError):
-                    identity_sig.sign(pair.private_key, key, b"m")
+                    identity_sig.sign(pair, key, b"m")
 
     def test_bad_signature_length(self):
         pair, challenge = generate_identity_keypair(), generate_identity_keypair()
         proof = self.proof(pair, challenge, b"m")
         for bad in (b"", proof[:31], proof + b"\x00", proof + proof):
-            assert not identity_sig.verify(challenge.private_key, pair.public_key, b"m", bad)
+            assert not identity_sig.verify(challenge, pair.public_key, b"m", bad)
 
 
 def _zero_nonce_signature(message, r_enc):

@@ -4,15 +4,27 @@ import hashlib
 import hmac
 import json
 import os
+import sys
+import threading
 
 import pytest
 
 import oracles
 import vectors as v
+from count_costs import counting_credential
 from chainchat import chain as chain_mod
 from chainchat import identity_sig
 from chainchat import mno as mno_mod
-from chainchat.chain import KIND_REVOCATION, REVOKED, VALID, ChainNode, fetch_latest
+from chainchat.chain import (
+    KIND_CERTIFICATE,
+    KIND_REVOCATION,
+    REVOKED,
+    VALID,
+    ChainNode,
+    WriterCredential,
+    fetch_latest,
+    verify_record,
+)
 from chainchat.crypto import generate_identity_keypair
 from chainchat.errors import EnrollmentError
 from chainchat.mno import (
@@ -25,7 +37,7 @@ from chainchat.mno import (
 
 def prove(pair, user_id, challenge):
     return identity_sig.sign(
-        pair.private_key, challenge, possession_payload(user_id, pair.public_key, challenge))
+        pair, challenge, possession_payload(user_id, pair.public_key, challenge))
 
 
 def enroll(mno, user_id, pair=None):
@@ -58,7 +70,7 @@ class TestEnrollment:
         wrong = generate_identity_keypair()
         challenge = mno.new_challenge("alice")
         proof = identity_sig.sign(
-            wrong.private_key, challenge, possession_payload("alice", pair.public_key, challenge))
+            wrong, challenge, possession_payload("alice", pair.public_key, challenge))
         refused(mno, chain_node, EnrollmentRequest("alice", pair.public_key, proof))
 
     def test_proof_for_another_user_refused(self, mno, chain_node):
@@ -219,8 +231,10 @@ class TestVerifyCertificate:
 
 class TestSignatureChecksUnderHeldKeys:
     """The chain checks a signature under a key the process holds by signing
-    again, so the MNO's own records cost no Ed25519 verify, at append or
-    at start-up; counted at the names ``chain.py`` calls."""
+    again, so the MNO's own records cost no Ed25519 verify, at append or at
+    start-up, and the check of a record the credential has just signed reuses
+    its signature; verifies counted at the name ``chain.py`` calls, signs at
+    the library key."""
 
     @pytest.fixture
     def verifies(self, monkeypatch):
@@ -234,37 +248,65 @@ class TestSignatureChecksUnderHeldKeys:
         monkeypatch.setattr(chain_mod, "verify_edwards", counted)
         return calls
 
-    @pytest.fixture
-    def signs(self, monkeypatch):
-        calls = []
-        sign = chain_mod.WriterCredential.sign
-
-        def counted(credential, payload):
-            calls.append(payload)
-            return sign(credential, payload)
-
-        monkeypatch.setattr(chain_mod.WriterCredential, "sign", counted)
-        return calls
-
     def test_issue_revoke_and_open_verify_nothing(self, mno_credential, relay_credential,
-                                                   tmp_path, verifies, signs):
+                                                   tmp_path, verifies):
         path = str(tmp_path / "chain.dat")
-        credentials = [mno_credential, relay_credential]
+        counts = {"ed25519_signs": 0}
+        credentials = [counting_credential(c, counts) for c in (mno_credential, relay_credential)]
         node = ChainNode.create([(c.writer_id, c.verification_key) for c in credentials],
                                 path=path)
-        mno = MnoCertificateAuthority(mno_credential, node)
-        # each of issue and revoke: the record, its re-signed check, the block
+        mno = MnoCertificateAuthority(credentials[0], node)
+        # each of issue and revoke: the record and the block; the record's
+        # check before the block is signed reuses the record's signature
         for i in range(4):
             enroll(mno, f"user{i}")
-            assert (len(signs), len(verifies)) == (3 * (i + 1), 0)
+            assert (counts["ed25519_signs"], len(verifies)) == (2 * (i + 1), 0)
         mno.revoke("user0")
-        assert (len(signs), len(verifies)) == (15, 0)
+        assert (counts["ed25519_signs"], len(verifies)) == (10, 0)
         records = 5
-        signs.clear()
-        assert ChainNode.open(path, credentials).snapshot() == node.snapshot()
+        counts["ed25519_signs"] = 0
+        held = [counting_credential(WriterCredential.from_seed(c.writer_id, c.seed), counts)
+                for c in credentials]
+        assert ChainNode.open(path, held).snapshot() == node.snapshot()
         # each record and the head's writer signature is re-signed
-        assert (len(signs), len(verifies)) == (records + 1, 0)
-        signs.clear()
+        assert (counts["ed25519_signs"], len(verifies)) == (records + 1, 0)
+        counts["ed25519_signs"] = 0
         # holding no key, each record and the head's writer signature is verified
         ChainNode.open(path)
-        assert (len(signs), len(verifies)) == (0, records + 1)
+        assert (counts["ed25519_signs"], len(verifies)) == (0, records + 1)
+
+    def test_concurrent_appends_under_one_credential(self, mno_credential, tmp_path):
+        """Records made and appended by several threads at once under one
+        credential each carry their own payload's signature, and a process
+        holding no key accepts the file."""
+        path = str(tmp_path / "chain.dat")
+        node = ChainNode.create([(mno_credential.writer_id, mno_credential.verification_key)],
+                                path=path)
+        writers = 4
+        start = threading.Barrier(writers)
+        made = {n: [] for n in range(writers)}
+
+        def writer(n):
+            start.wait()
+            for i in range(50):
+                record = mno_credential.make_record(f"t{n}-{i}", bytes(range(1, 33)),
+                                                    1_000, 2_000, KIND_CERTIFICATE)
+                node.append(mno_credential, [record])
+                made[n].append(record)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(n,)) for n in range(writers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        records = [record for n in range(writers) for record in made[n]]
+        assert len(records) == 50 * writers
+        assert all(verify_record(r, mno_credential.verification_key) for r in records)
+        opened = ChainNode.open(path).snapshot()
+        assert sorted(opened.latest) == sorted(r.user_id for r in records)

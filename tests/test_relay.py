@@ -342,7 +342,7 @@ class TestGroupFanOut:
         pair = generate_identity_keypair()
         challenge = mno.new_challenge("dan")
         proof = identity_sig.sign(
-            pair.private_key, challenge, possession_payload("dan", pair.public_key, challenge))
+            pair, challenge, possession_payload("dan", pair.public_key, challenge))
         mno.issue_certificate(EnrollmentRequest("dan", pair.public_key, proof))
         relay.create_group("room", ids[0], ids + ["dan"])
         envelope = plain_envelope("dan", "", group_id="room")
@@ -489,7 +489,7 @@ class TestZeroKnowledgeRelay:
         blob = relay.dump_state()
         secrets = [
             alice.identity.private_key, bob.identity.private_key,
-            derive_master_secret(alice.identity.private_key,
+            derive_master_secret(alice.identity,
                                  bob.identity.public_key).bytes_,
             alice.sessions["bob"].send_chain.key,
             alice.sessions["bob"].recv_chain.key,

@@ -314,7 +314,7 @@ class TestServer:
         pair = generate_identity_keypair()
         challenge = rc.new_challenge("alice")
         proof = identity_sig.sign(
-            pair.private_key, challenge, possession_payload("alice", pair.public_key, challenge))
+            pair, challenge, possession_payload("alice", pair.public_key, challenge))
         reply = rc.request("enroll", _enroll_submit(
             subject_public_key=wire._b64(pair.public_key),
             proof_of_possession=wire._b64(proof)))
