@@ -18,7 +18,8 @@ still under the lock. So two commands for one user run one after the other
 and never send on the same counter, and a counter is spent when it is
 sealed, even if the submit is refused or its reply lost. ``chat`` runs the
 ``send`` and ``recv`` steps for each line, so it holds a lock for one step,
-never while it waits for input.
+never while it waits for input. A user id names these files, so an id that
+is not one plain file name is refused with ``bad-argument``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from .bench import bench_decrypt, bench_encrypt, render_csv, write_csv
 from .chain import load_chain, verify_chain, write_atomic
@@ -47,8 +48,16 @@ from .wire import RelayClient
 # client-state files
 # ---------------------------------------------------------------------------
 
+def _user_file(directory: str | Path, user_id: str, suffix: str) -> Path:
+    """``<directory>/<user_id><suffix>``, the one place a user id becomes a
+    path; each command gets here before it connects or opens a file."""
+    if user_id in ("", ".", "..") or Path(user_id).name != user_id or "\0" in user_id:
+        raise ValueError(f"user id {user_id!r} is not one plain path component")
+    return Path(directory) / f"{user_id}{suffix}"
+
+
 def _state_path(cfg: StackConfig, user_id: str) -> Path:
-    return cfg.clients_dir / f"{user_id}.state"
+    return _user_file(cfg.clients_dir, user_id, ".state")
 
 
 def _save_client(cfg: StackConfig, client: Client) -> None:
@@ -65,23 +74,24 @@ def _load_client(cfg: StackConfig, user_id: str) -> Client:
 
 @contextlib.contextmanager
 def _user_lock(cfg: StackConfig, user_id: str) -> Iterator[None]:
+    path = _user_file(cfg.state_dir, user_id, ".lock")
     make_state_dir(cfg.state_dir)
-    with open(Path(cfg.state_dir) / f"{user_id}.lock", "ab") as lock:
+    with open(path, "ab") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
         yield
 
 
 @contextlib.contextmanager
-def _user_state(cfg: StackConfig, user_id: str, rc: RelayClient) -> Iterator[Client]:
-    """The user's client, loaded under the user's lock, with ``rc`` as its
-    directory and transport, and registered with the relay. It saves
-    nothing: a command that changes the client saves it once, before it
-    submits what it sealed."""
-    with _user_lock(cfg, user_id):
+def _user_state(cfg: StackConfig, user_id: str) -> Iterator[Tuple[Client, RelayClient]]:
+    """The user's client, loaded under the user's lock, and a connection
+    opened after it, which is the client's directory and transport and has
+    registered it. It saves nothing: a command that changes the client
+    saves it once, before it submits what it sealed."""
+    with _user_lock(cfg, user_id), _connect(cfg) as rc:
         client = _load_client(cfg, user_id)
         client.directory = client.transport = rc
         rc.register_user(client.user_id, client.cert_fingerprint)
-        yield client
+        yield client, rc
 
 
 def _connect(cfg: StackConfig) -> RelayClient:
@@ -207,7 +217,7 @@ def _cmd_stack_down(cfg: StackConfig, args: argparse.Namespace) -> int:
 def _cmd_enroll(cfg: StackConfig, args: argparse.Namespace) -> int:
     """Enroll a new key. An enrolled user keeps its history, inbox cursor
     and groups; its sessions, derived from the old key, go."""
-    with _connect(cfg) as rc, _user_lock(cfg, args.user):
+    with _user_lock(cfg, args.user), _connect(cfg) as rc:
         old = _load_client(cfg, args.user) if _state_path(cfg, args.user).exists() else None
         client = Client.install(args.user, mno=rc, relay=rc)
         if old is not None:
@@ -224,15 +234,15 @@ def _cmd_enroll(cfg: StackConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_register(cfg: StackConfig, args: argparse.Namespace) -> int:
+    client = _load_client(cfg, args.user)
     with _connect(cfg) as rc:
-        client = _load_client(cfg, args.user)
         result = rc.register_user(client.user_id, client.cert_fingerprint)
     print(f"{args.user}: {result}")
     return 0
 
 
 def _cmd_send(cfg: StackConfig, args: argparse.Namespace) -> int:
-    with _connect(cfg) as rc, _user_state(cfg, args.sender, rc) as client:
+    with _user_state(cfg, args.sender) as (client, rc):
         envelope = client.send_text(args.recipient, " ".join(args.text))
         _save_client(cfg, client)
         ack = rc.submit_envelope(envelope)
@@ -241,7 +251,7 @@ def _cmd_send(cfg: StackConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_recv(cfg: StackConfig, args: argparse.Namespace) -> int:
-    with _connect(cfg) as rc, _user_state(cfg, args.user, rc) as client:
+    with _user_state(cfg, args.user) as (client, rc):
         deliveries = client.pull_messages()
         if deliveries:  # the next fetch acknowledges them to the relay
             _save_client(cfg, client)
@@ -275,7 +285,7 @@ def _cmd_chat(cfg: StackConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_group_create(cfg: StackConfig, args: argparse.Namespace) -> int:
-    with _connect(cfg) as rc, _user_state(cfg, args.admin, rc) as admin:
+    with _user_state(cfg, args.admin) as (admin, rc):
         creation = admin.create_group(args.group, [args.admin] + args.members)
         _save_client(cfg, admin)
         rc.create_group(args.group, args.admin, creation.member_ids)
@@ -289,7 +299,7 @@ def _cmd_group_create(cfg: StackConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_group_send(cfg: StackConfig, args: argparse.Namespace) -> int:
-    with _connect(cfg) as rc, _user_state(cfg, args.sender, rc) as client:
+    with _user_state(cfg, args.sender) as (client, rc):
         envelope = client.send_group_message(args.group, " ".join(args.text))
         _save_client(cfg, client)
         acks = rc.broadcast_group(args.group, envelope)
@@ -347,8 +357,8 @@ def _cmd_backup_export(cfg: StackConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_backup_restore(cfg: StackConfig, args: argparse.Namespace) -> int:
-    data = Path(getattr(args, "in")).read_bytes()
     with _user_lock(cfg, args.user):
+        data = Path(getattr(args, "in")).read_bytes()
         client = Client.restore_backup(data, args.secret)
         if client.user_id != args.user:
             raise ChainChatError(

@@ -1,21 +1,18 @@
 """Canonical byte encoding: length-prefixed field concatenation.
 
-Everything that is hashed, signed, or persisted goes through these helpers so
-that identity is independent of any in-memory or wire representation. Each
+Everything that is hashed, signed, persisted or sent goes through these
+helpers, so an object's identity is independent of its in-memory form. Each
 field is a 4-byte big-endian length followed by the raw bytes; integers are
 encoded as 8-byte big-endian unsigned values before prefixing. The encoding
 is injective, which is what makes "one flipped byte breaks verification"
 hold everywhere.
 
-Wire messages have one canonical JSON rule as well: sorted keys, no
-whitespace and byte fields as base64 (``b64_text``), through the one
-prebuilt ``CANONICAL_JSON`` encoder.
+Wire messages use the same encoding: a frame is one bytes field holding the
+message type and the type's fields (PROTOCOL.md), read with one ``Reader``.
 """
 
 from __future__ import annotations
 
-import base64
-import json
 import struct
 
 from .errors import ChainFormatError, TruncatedDataError
@@ -26,15 +23,6 @@ U64_MAX = (1 << 64) - 1
 # value), compiled once; a hot caller can build many fields in one join
 LENGTH_PREFIX = struct.Struct(">I")
 U64_FIELD = struct.Struct(">IQ")
-
-# sorted keys, no whitespace; built once, since json.dumps with these
-# arguments builds a new encoder on every call
-CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def b64_text(value: bytes) -> str:
-    """A byte field as wire JSON carries it: standard base64 with padding."""
-    return base64.b64encode(value).decode("ascii")
 
 
 def encode_bytes(value: bytes) -> bytes:

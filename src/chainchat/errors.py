@@ -105,6 +105,14 @@ class WireProtocolError(ChainChatError):
     category = "protocol-error"
 
 
+class WireRemoteError(ChainChatError):
+    """A server's error reply, raised at the client with its category."""
+
+    def __init__(self, category: str, message: str):
+        super().__init__(message)
+        self.category = category
+
+
 # -- client session ----------------------------------------------------------
 
 class InstallError(ChainChatError):

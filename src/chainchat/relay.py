@@ -9,8 +9,8 @@ lookup; a submit or a fan-out reads one snapshot at one time for all of its
 checks. ``RelayClient`` offers the same methods over the wire. The relay
 never inspects plaintext and never holds keys. An envelope crosses the wire
 as its canonical bytes (``canonical_bytes``, read back by ``from_bytes``); the
-relay stores it as parsed from the request and serves it re-encoded, one
-text per envelope however many mailboxes hold it. Every field it routes on and
+relay stores it as parsed from the request and serves it re-encoded, once
+per envelope however many mailboxes hold it. Every field it routes on and
 serves is bound into the sender's MAC, so any tampering in transit surfaces
 as an authentication failure at the recipient.
 
@@ -29,6 +29,7 @@ including ``n``. Repeating the same fetch returns the same envelopes.
 
 from __future__ import annotations
 
+import base64
 import json
 import threading
 from dataclasses import dataclass, field
@@ -37,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import chain
 from .chain import CertStatus, ChainNode, ChainState, fetch_latest
 from .crypto import SealedPayload
-from .encoding import LENGTH_PREFIX, U64_FIELD, U64_MAX, Reader, b64_text, encode_bytes
+from .encoding import LENGTH_PREFIX, U64_FIELD, U64_MAX, Reader, encode_bytes
 from .errors import (
     FingerprintMismatchError,
     GroupPermissionError,
@@ -136,16 +137,16 @@ class Envelope:
             and len(self.payload.ciphertext) % 16 == 0
         )
 
-    def wire_text(self) -> str:
-        """Base64 of ``canonical_bytes()``, the envelope's wire form, built on
-        first use and kept on the instance: a fanned-out envelope is one
-        text in every mailbox. Two threads may both build it; they store
-        equal texts."""
-        text = self.__dict__.get("_wire_text")
-        if text is None:
-            text = b64_text(self.canonical_bytes())
-            object.__setattr__(self, "_wire_text", text)  # frozen: fields only
-        return text
+    def wire_bytes(self) -> bytes:
+        """``canonical_bytes()``, built on first use and kept on the
+        instance: a fanned-out envelope is encoded once for every mailbox
+        and fetch reply that holds it. Two threads may both build it; they
+        store equal bytes."""
+        data = self.__dict__.get("_wire_bytes")
+        if data is None:
+            data = self.canonical_bytes()
+            object.__setattr__(self, "_wire_bytes", data)  # frozen: fields only
+        return data
 
 
 @dataclass
@@ -309,7 +310,8 @@ class Relay:
                     mailboxes[user] = {
                         "next_seq": mailbox.next_seq,
                         "queue": [
-                            {"seq": seq, "envelope": env.wire_text()}
+                            {"seq": seq,
+                             "envelope": base64.b64encode(env.wire_bytes()).decode("ascii")}
                             for seq, env in mailbox.queue
                         ],
                     }

@@ -4,13 +4,16 @@
 wire server. Writer credentials and the chain live under the state
 directory, so tearing down and re-running with the same paths reloads the
 same chain (and fails loudly if it no longer verifies, or if either file
-is gone).
+is gone). A server holds an exclusive ``flock`` on the state directory from
+before it reads it until it closes, so a second one is refused.
 """
 
 from __future__ import annotations
 
 import base64
+import fcntl
 import json
+import os
 from pathlib import Path
 
 from .chain import ChainNode, WriterCredential, write_atomic
@@ -52,6 +55,20 @@ def make_state_dir(path: str | Path) -> None:
         raise StackStartupError(f"cannot use {path} as a state directory: {e}") from e
 
 
+def _lock_state_dir(cfg: StackConfig) -> int:
+    """A descriptor of the state directory holding its exclusive lock; a
+    directory another server holds is refused."""
+    make_state_dir(cfg.state_dir)
+    fd = os.open(cfg.state_dir, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError as e:
+        os.close(fd)
+        raise StackStartupError(
+            f"state directory {cfg.state_dir} is held by another running server") from e
+    return fd
+
+
 def _open_state(cfg: StackConfig) -> tuple[dict[str, WriterCredential], ChainNode]:
     """The writer credentials in stack.json and the chain they write, read
     and checked; on a first start-up, with neither file there, both are
@@ -83,7 +100,14 @@ def _open_state(cfg: StackConfig) -> tuple[dict[str, WriterCredential], ChainNod
 
 def run_stack(config: StackConfig) -> WireServer:
     """The stack on ``config``: its server reaches the relay, the MNO and,
-    through the MNO, the chain node."""
-    credentials, chain_node = _open_state(config)
-    mno = MnoCertificateAuthority(credentials[MNO_WRITER_ID], chain_node)
-    return WireServer(Relay(chain_node), mno, host=config.relay_host, port=config.relay_port)
+    through the MNO, the chain node, and holds the state directory's lock
+    until it closes."""
+    lock = _lock_state_dir(config)
+    try:
+        credentials, chain_node = _open_state(config)
+        mno = MnoCertificateAuthority(credentials[MNO_WRITER_ID], chain_node)
+        return WireServer(Relay(chain_node), mno, host=config.relay_host,
+                          port=config.relay_port, state_lock=lock)
+    except BaseException:
+        os.close(lock)
+        raise

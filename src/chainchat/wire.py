@@ -1,12 +1,12 @@
-"""Wire protocol: newline-delimited canonical messages over a local socket.
+"""Wire protocol: length-prefixed frames of canonical fields over a local socket.
 
-Every message on the stream is the version byte "1", a canonical JSON object
-{"type": ..., "body": ...} (sorted keys, no extra whitespace, byte fields as
-base64; an envelope or a certificate record is the base64 of its canonical
-bytes), and a trailing newline. Requests and replies alternate on one
-connection; replies are either the ack type or an error carrying a
-machine-readable category. PROTOCOL.md in the repository root fixes the
-exact field names.
+Every message is one frame, ``u32 length | string type | fields``, in the
+canonical field encoding of FORMATS.md (``encoding``), the body at most 2^24
+bytes; an envelope or a record is one bytes field of its canonical bytes.
+Requests and replies alternate on one connection; replies are either the ack
+type or an error carrying a machine-readable category. Both ends read a body
+with one ``encoding.Reader`` and require it used up, so any body that does
+not parse is ``protocol-error``. PROTOCOL.md fixes each type's field list.
 
 The server fronts all three desk-scale roles on one listener: the relay
 endpoints directly, the chain via ``fetch_cert``, and the MNO via the
@@ -15,152 +15,127 @@ endpoints directly, the chain via ``fetch_cert``, and the MNO via the
 
 from __future__ import annotations
 
-import base64
-import json
+import os
 import socket
 import socketserver
 import threading
-from typing import Any, Dict, List, Tuple
+from typing import BinaryIO, Callable, List, Optional, Tuple, TypeVar
 
 from .chain import EXPIRED, NOT_FOUND, REVOKED, VALID, CertificateRecord, CertStatus
-from .encoding import CANONICAL_JSON
-from .encoding import b64_text as _b64
-from .errors import ChainChatError, ChainFormatError, StackStartupError, WireProtocolError
+from .encoding import LENGTH_PREFIX, U64_FIELD, Reader, encode_bytes, encode_str, encode_u64
+from .errors import (
+    ChainChatError,
+    ChainFormatError,
+    StackStartupError,
+    WireProtocolError,
+    WireRemoteError,
+)
 from .mno import EnrollmentRequest, MnoCertificateAuthority
 from .relay import Envelope, Relay
 
-VERSION_BYTE = b"1"
 REQUEST_TYPES = ("enroll", "register", "fetch_cert", "submit", "fetch",
                  "group_create", "group_send")
 REPLY_TYPES = ("ack", "error")
 CERT_STATES = (VALID, REVOKED, EXPIRED, NOT_FOUND)
 
-_MAX_LINE = 1 << 24
+_MAX_FRAME = 1 << 24  # bytes of body, after the length prefix
+
+T = TypeVar("T")
 
 
-def _unb64(text: Any) -> bytes:
-    if not isinstance(text, str):
-        raise WireProtocolError("expected base64 string field")
+# ---------------------------------------------------------------------------
+# frames
+# ---------------------------------------------------------------------------
+
+def encode_message(msg_type: str, body: bytes) -> bytes:
+    """The frame of one message; ``body`` is the type's fields, encoded."""
+    type_field = encode_str(msg_type)
+    return LENGTH_PREFIX.pack(len(type_field) + len(body)) + type_field + body
+
+
+def decode_message(frame: bytes) -> Tuple[str, Reader]:
+    """The type of one frame, and a reader over the fields that follow it."""
     try:
-        return base64.b64decode(text.encode("ascii"), validate=True)
-    except Exception as e:
-        raise WireProtocolError(f"bad base64 field: {e}") from e
-
-
-def _text(value: Any, what: str) -> str:
-    """``value`` if it is a string that has a UTF-8 encoding; JSON also
-    spells a lone surrogate, which has none."""
-    if isinstance(value, str):
-        try:
-            value.encode("utf-8")
-            return value
-        except UnicodeEncodeError:
-            pass
-    raise WireProtocolError(f"{what} must be a UTF-8 string")
-
-
-def _str(obj: Dict[str, Any], key: str) -> str:
-    return _text(obj.get(key), f"field {key!r}")
-
-
-def _int(obj: Dict[str, Any], key: str) -> int:
-    value = obj.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise WireProtocolError(f"field {key!r} must be an integer")
-    return value
-
-
-def _obj(value: Any, what: str) -> Dict[str, Any]:
-    if not isinstance(value, dict):
-        raise WireProtocolError(f"{what} must be an object")
-    return value
-
-
-def _list(obj: Dict[str, Any], key: str) -> List[Any]:
-    value = obj.get(key)
-    if not isinstance(value, list):
-        raise WireProtocolError(f"field {key!r} must be a list")
-    return value
-
-
-def encode_message(msg_type: str, body: Dict[str, Any]) -> bytes:
-    payload = CANONICAL_JSON.encode({"type": msg_type, "body": body})
-    return VERSION_BYTE + payload.encode("utf-8") + b"\n"
-
-
-def _fetch_reply(entries: List[Tuple[int, Envelope]]) -> bytes:
-    """``encode_message("ack", {"envelopes": [{"seq": ..., "envelope": ...}]})``
-    byte for byte, spliced from each envelope's kept base64 text (which JSON
-    carries unescaped), so an envelope held by many mailboxes is encoded once.
-
-    The reply carries the longest prefix of ``entries`` whose texts fit in
-    half a line, and always the first entry, which is about as long as the
-    request that queued it; the rest stays queued for the next fetch."""
-    items, budget = [], _MAX_LINE // 2
-    for seq, env in entries:
-        item = f'{{"envelope":"{env.wire_text()}","seq":{seq:d}}}'
-        budget -= len(item) + 1
-        if items and budget < 0:
-            break
-        items.append(item)
-    return b'%s{"body":{"envelopes":[%s]},"type":"ack"}\n' % (
-        VERSION_BYTE, ",".join(items).encode("ascii"))
-
-
-def _overlong(line: bytes) -> bool:
-    """True when ``readline(_MAX_LINE)`` stopped at the limit, not at a newline."""
-    return len(line) >= _MAX_LINE and not line.endswith(b"\n")
-
-
-def decode_message(line: bytes) -> Tuple[str, Dict[str, Any]]:
-    line = line.rstrip(b"\n")
-    if not line.startswith(VERSION_BYTE):
-        raise WireProtocolError("missing protocol version byte")
-    try:
-        obj = json.loads(line[1:].decode("utf-8"))
-    except (ValueError, RecursionError) as e:  # also the int-digit and nesting limits
+        outer = Reader(frame, what="frame")
+        body = Reader(outer.read_bytes(), what="message")
+        outer.require_exhausted()
+        msg_type = body.read_str()
+    except ChainFormatError as e:
         raise WireProtocolError(f"undecodable message: {e}") from e
-    if not isinstance(obj, dict) or "type" not in obj or "body" not in obj:
-        raise WireProtocolError("message must be an object with type and body")
-    msg_type, body = obj["type"], obj["body"]
     if msg_type not in REQUEST_TYPES + REPLY_TYPES:
         raise WireProtocolError(f"unknown message type {msg_type!r}")
-    if not isinstance(body, dict):
-        raise WireProtocolError("message body must be an object")
     return msg_type, body
 
 
-# ---------------------------------------------------------------------------
-# object and status codecs
-# ---------------------------------------------------------------------------
+def _read_frame(stream: BinaryIO) -> bytes:
+    """The next frame on ``stream``, length prefix included, or ``b""`` when
+    the stream ends before a whole frame. A length over the cap raises: the
+    bytes after it cannot be told apart from the next frame."""
+    head = stream.read(4)
+    if len(head) < 4:
+        return b""
+    size = LENGTH_PREFIX.unpack(head)[0]
+    if size > _MAX_FRAME:
+        raise WireProtocolError(f"frame of {size} bytes exceeds {_MAX_FRAME} bytes")
+    body = stream.read(size)
+    return head + body if len(body) == size else b""
 
-def _decoded(cls: Any, text: Any, **note: bytes) -> Any:
-    """``cls.from_bytes`` of a wire field that carries an object's canonical
-    bytes (FORMATS.md) as base64, with ``note`` (a submit's relay note)
-    passed on; bytes that do not parse are the sender's fault, as a
-    mistyped field is."""
+
+def _read(body: Reader, read: Callable[[Reader], T]) -> T:
+    """``read(body)``, with the body used up exactly; fields that do not
+    parse are the sender's fault."""
     try:
-        return cls.from_bytes(_unb64(text), **note)
+        value = read(body)
+        body.require_exhausted()
     except ChainFormatError as e:
-        raise WireProtocolError(f"malformed field: {e}") from e
+        raise WireProtocolError(f"malformed message: {e}") from e
+    return value
 
 
-def status_to_obj(status: CertStatus) -> Dict[str, Any]:
-    return {
-        "status": status.state,
-        "record": _b64(status.record.canonical_bytes()) if status.record else None,
-    }
+def _read_list(body: Reader, read_item: Callable[[Reader], T]) -> List[T]:
+    """``u64 n`` then ``n`` items; a count past the body's end fails at the
+    first item that is not there."""
+    return [read_item(body) for _ in range(body.read_u64())]
 
 
-def status_from_obj(obj: Dict[str, Any]) -> CertStatus:
-    state = obj.get("status")
+def _encode_list(items: List[bytes]) -> bytes:
+    return encode_u64(len(items)) + b"".join(items)
+
+
+def _ack(body: bytes) -> bytes:
+    return encode_message("ack", body)
+
+
+def _error(category: str, message: str) -> bytes:
+    return encode_message("error", encode_str(category) + encode_str(message))
+
+
+def _fetch_reply(entries: List[Tuple[int, Envelope]]) -> bytes:
+    """The ack of a fetch, ``u64 n | (u64 seq | bytes envelope)×n``, from
+    each envelope's kept canonical bytes, so an envelope held by many
+    mailboxes is encoded once.
+
+    The reply carries the longest prefix of ``entries`` whose fields fit in
+    half a frame, and always the first entry, which is about as long as the
+    request that queued it; the rest stays queued for the next fetch."""
+    parts, budget = [], _MAX_FRAME // 2
+    for seq, env in entries:
+        data = env.wire_bytes()
+        budget -= U64_FIELD.size + LENGTH_PREFIX.size + len(data)
+        if parts and budget < 0:
+            break
+        parts.append(U64_FIELD.pack(8, seq) + LENGTH_PREFIX.pack(len(data)) + data)
+    return _ack(_encode_list(parts))
+
+
+def _read_status(body: Reader) -> CertStatus:
+    state, record = body.read_str(), body.read_bytes()
     if state not in CERT_STATES:
-        raise WireProtocolError(f"field 'status' must be one of {', '.join(CERT_STATES)}")
-    record = obj.get("record")
-    if record is None and state in (VALID, EXPIRED):
+        raise WireProtocolError(f"status must be one of {', '.join(CERT_STATES)}")
+    if not record and state in (VALID, EXPIRED):
         raise WireProtocolError(f"a {state} status must carry its record")
     return CertStatus(state=state,
-                      record=None if record is None else _decoded(CertificateRecord, record))
+                      record=CertificateRecord.from_bytes(record) if record else None)
 
 
 # ---------------------------------------------------------------------------
@@ -168,45 +143,43 @@ def status_from_obj(obj: Dict[str, Any]) -> CertStatus:
 # ---------------------------------------------------------------------------
 
 class WireServer:
-    """Threaded line server dispatching wire requests to relay and MNO."""
+    """Threaded frame server dispatching wire requests to relay and MNO."""
 
     def __init__(self, relay: Relay, mno: MnoCertificateAuthority,
-                 host: str = "127.0.0.1", port: int = 0):
+                 host: str = "127.0.0.1", port: int = 0, state_lock: Optional[int] = None):
         self.relay = relay
         self.mno = mno
+        self._state_lock = state_lock  # a descriptor holding a lock; close() closes it
         dispatch = self._dispatch
 
         class Handler(socketserver.StreamRequestHandler):
             def handle(self) -> None:
                 while True:
                     try:
-                        line = self.rfile.readline(_MAX_LINE)
+                        frame = _read_frame(self.rfile)
                     except OSError:  # e.g. reset by the client: the connection is over
                         return
-                    if not line:
+                    except WireProtocolError as e:  # answer once and drop the connection
+                        self.send(_error(e.category, str(e)))
                         return
-                    # the rest of an overlong line would be read as the next
-                    # request, so answer once and drop the connection
-                    overlong = _overlong(line)
-                    if line.strip() == b"" and not overlong:
-                        continue
+                    if not frame:
+                        return
                     try:
-                        if overlong:
-                            raise WireProtocolError(f"line exceeds {_MAX_LINE} bytes")
-                        reply = dispatch(*decode_message(line))
+                        reply = dispatch(*decode_message(frame))
                     except ChainChatError as e:
-                        reply = encode_message("error", {"category": e.category,
-                                                         "message": str(e)})
+                        reply = _error(e.category, str(e))
                     except Exception as e:  # never kill the connection loop
-                        reply = encode_message("error", {"category": "internal",
-                                                         "message": str(e)})
-                    try:
-                        self.wfile.write(reply)
-                        self.wfile.flush()
-                    except OSError:
+                        reply = _error("internal", str(e))
+                    if not self.send(reply):
                         return
-                    if overlong:
-                        return
+
+            def send(self, reply: bytes) -> bool:
+                try:
+                    self.wfile.write(reply)
+                    self.wfile.flush()
+                except OSError:
+                    return False
+                return True
 
         class Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True
@@ -224,6 +197,9 @@ class WireServer:
     def close(self) -> None:
         self._server.shutdown()
         self._server.server_close()
+        if self._state_lock is not None:
+            os.close(self._state_lock)
+            self._state_lock = None
 
     def __enter__(self) -> "WireServer":
         return self
@@ -233,68 +209,60 @@ class WireServer:
 
     # -- request dispatch -----------------------------------------------------
 
-    def _dispatch(self, msg_type: str, body: Dict[str, Any]) -> bytes:
-        """Serve one request; returns the encoded reply line."""
+    def _dispatch(self, msg_type: str, body: Reader) -> bytes:
+        """Serve one request; returns the reply frame. Every field is read,
+        and the body found used up, before the request acts."""
         if msg_type == "enroll":
-            return encode_message("ack", self._handle_enroll(body))
+            return _ack(self._handle_enroll(body))
         if msg_type == "register":
-            result = self.relay.register_user(_str(body, "user_id"),
-                                              _unb64(body.get("cert_fingerprint")))
-            return encode_message("ack", {"result": result})
+            user_id, fingerprint = _read(body, lambda r: (r.read_str(), r.read_bytes()))
+            return _ack(encode_str(self.relay.register_user(user_id, fingerprint)))
         if msg_type == "fetch_cert":
             # served as stored: every record was verified when it entered the chain
-            status = self.relay.fetch_certificate(_str(body, "user_id"))
-            return encode_message("ack", status_to_obj(status))
-        if msg_type == "submit":
-            envelope = _decoded(
-                Envelope, body.get("envelope"),
-                recipient_cert_fingerprint=_unb64(body.get("recipient_cert_fingerprint")))
-            return encode_message("ack", {"result": self.relay.submit_envelope(envelope)})
+            status = self.relay.fetch_certificate(_read(body, Reader.read_str))
+            record = status.record.canonical_bytes() if status.record else b""
+            return _ack(encode_str(status.state) + encode_bytes(record))
+        if msg_type == "submit":  # arguments are read left to right: the envelope first
+            envelope = _read(body, lambda r: Envelope.from_bytes(
+                r.read_bytes(), recipient_cert_fingerprint=r.read_bytes()))
+            return _ack(encode_str(self.relay.submit_envelope(envelope)))
         if msg_type == "fetch":
-            return _fetch_reply(self.relay.fetch_envelopes(_str(body, "recipient_id"),
-                                                           _int(body, "after_seq")))
+            recipient_id, after_seq = _read(body, lambda r: (r.read_str(), r.read_u64()))
+            return _fetch_reply(self.relay.fetch_envelopes(recipient_id, after_seq))
         if msg_type == "group_create":
-            members = [_text(m, "each entry of 'member_ids'")
-                       for m in _list(body, "member_ids")]
-            self.relay.create_group(_str(body, "group_id"), _str(body, "admin_id"), members)
-            return encode_message("ack", {"result": "created"})
+            group_id, admin_id, members = _read(body, lambda r: (
+                r.read_str(), r.read_str(), _read_list(r, Reader.read_str)))
+            self.relay.create_group(group_id, admin_id, members)
+            return _ack(encode_str("created"))
         if msg_type == "group_send":
-            acks = self.relay.broadcast_group(_str(body, "group_id"),
-                                              _decoded(Envelope, body.get("envelope")))
-            return encode_message("ack", {"acks": [
-                {"member_id": member, "result": result} for member, result in acks
-            ]})
+            group_id, envelope = _read(body, lambda r: (
+                r.read_str(), Envelope.from_bytes(r.read_bytes())))
+            acks = self.relay.broadcast_group(group_id, envelope)
+            return _ack(_encode_list([encode_str(member) + encode_str(result)
+                                      for member, result in acks]))
         raise WireProtocolError(f"unhandled request type {msg_type!r}")
 
-    def _handle_enroll(self, body: Dict[str, Any]) -> Dict[str, Any]:
-        phase = body.get("phase")
+    def _handle_enroll(self, body: Reader) -> bytes:
+        try:
+            phase = body.read_str()
+        except ChainFormatError as e:
+            raise WireProtocolError(f"malformed message: {e}") from e
         if phase == "challenge":
-            challenge = self.mno.new_challenge(_str(body, "user_id"))
-            return {"challenge": _b64(challenge)}
+            return encode_bytes(self.mno.new_challenge(_read(body, Reader.read_str)))
         if phase == "submit":
-            record = self.mno.issue_certificate(EnrollmentRequest(
-                user_id=_str(body, "user_id"),
-                subject_public_key=_unb64(body.get("subject_public_key")),
-                proof_of_possession=_unb64(body.get("proof_of_possession")),
-            ))
-            return {"record": _b64(record.canonical_bytes())}
+            request = _read(body, lambda r: EnrollmentRequest(
+                user_id=r.read_str(), subject_public_key=r.read_bytes(),
+                proof_of_possession=r.read_bytes()))
+            return encode_bytes(self.mno.issue_certificate(request).canonical_bytes())
         if phase == "revoke":
-            self.mno.revoke(_str(body, "user_id"))
-            return {"result": "revoked"}
+            self.mno.revoke(_read(body, Reader.read_str))
+            return encode_str("revoked")
         raise WireProtocolError(f"unknown enroll phase {phase!r}")
 
 
 # ---------------------------------------------------------------------------
 # client
 # ---------------------------------------------------------------------------
-
-class WireRemoteError(ChainChatError):
-    """Server-side failure relayed to the caller, category preserved."""
-
-    def __init__(self, category: str, message: str):
-        super().__init__(message)
-        self.category = category
-
 
 class RelayClient:
     """Connects to a wire server; presents the relay/MNO surfaces locally.
@@ -321,22 +289,24 @@ class RelayClient:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def request(self, msg_type: str, body: Dict[str, Any]) -> Dict[str, Any]:
+    def request(self, msg_type: str, body: bytes) -> Reader:
+        """One round trip: ``body`` is the request's fields, encoded; the
+        result reads the ack's fields."""
         try:
             with self._lock:
                 self._file.write(encode_message(msg_type, body))
                 self._file.flush()
-                line = self._file.readline(_MAX_LINE)
+                frame = _read_frame(self._file)
         except OSError as e:  # reset, timeout: the reply is lost either way
             raise WireProtocolError(f"connection to the server failed: {e}") from e
-        if not line:
-            raise WireProtocolError("connection closed by server")
-        if _overlong(line):
+        except WireProtocolError:
             self.close()
-            raise WireProtocolError(f"reply exceeds {_MAX_LINE} bytes")
-        reply_type, reply = decode_message(line)
+            raise
+        if not frame:
+            raise WireProtocolError("connection closed by server")
+        reply_type, reply = decode_message(frame)
         if reply_type == "error":
-            raise WireRemoteError(_str(reply, "category"), _str(reply, "message"))
+            raise WireRemoteError(*_read(reply, lambda r: (r.read_str(), r.read_str())))
         if reply_type != "ack":
             raise WireProtocolError(f"reply of request type {reply_type!r}")
         return reply
@@ -344,55 +314,49 @@ class RelayClient:
     # -- MNO surface ------------------------------------------------------------
 
     def new_challenge(self, user_id: str) -> bytes:
-        return _unb64(self.request("enroll", {"phase": "challenge",
-                                              "user_id": user_id}).get("challenge"))
+        return _read(self.request("enroll", encode_str("challenge") + encode_str(user_id)),
+                     Reader.read_bytes)
 
     def issue_certificate(self, request: EnrollmentRequest) -> CertificateRecord:
-        reply = self.request("enroll", {
-            "phase": "submit",
-            "user_id": request.user_id,
-            "subject_public_key": _b64(request.subject_public_key),
-            "proof_of_possession": _b64(request.proof_of_possession),
-        })
-        return _decoded(CertificateRecord, reply.get("record"))
+        reply = self.request("enroll", encode_str("submit") + encode_str(request.user_id)
+                             + encode_bytes(request.subject_public_key)
+                             + encode_bytes(request.proof_of_possession))
+        return _read(reply, lambda r: CertificateRecord.from_bytes(r.read_bytes()))
 
     def revoke_user(self, user_id: str) -> None:
-        self.request("enroll", {"phase": "revoke", "user_id": user_id})
+        _read(self.request("enroll", encode_str("revoke") + encode_str(user_id)),
+              Reader.read_str)
 
     # -- relay surface -------------------------------------------------------------
 
     def register_user(self, user_id: str, cert_fingerprint: bytes) -> str:
-        return _str(self.request("register", {
-            "user_id": user_id,
-            "cert_fingerprint": _b64(cert_fingerprint),
-        }), "result")
+        return _read(self.request("register", encode_str(user_id)
+                                  + encode_bytes(cert_fingerprint)), Reader.read_str)
 
     def fetch_certificate(self, user_id: str) -> CertStatus:
-        return status_from_obj(self.request("fetch_cert", {"user_id": user_id}))
+        return _read(self.request("fetch_cert", encode_str(user_id)), _read_status)
 
     def submit_envelope(self, envelope: Envelope) -> str:
-        return _str(self.request("submit", {
-            "envelope": _b64(envelope.canonical_bytes()),
-            "recipient_cert_fingerprint": _b64(envelope.recipient_cert_fingerprint),
-        }), "result")
+        return _read(self.request("submit", encode_bytes(envelope.canonical_bytes())
+                                  + encode_bytes(envelope.recipient_cert_fingerprint)),
+                     Reader.read_str)
 
     def fetch_envelopes(self, recipient_id: str,
                         after_seq: int) -> List[Tuple[int, Envelope]]:
-        reply = self.request("fetch", {"recipient_id": recipient_id,
-                                       "after_seq": after_seq})
-        entries = [_obj(e, "mailbox entry") for e in _list(reply, "envelopes")]
-        return [(_int(e, "seq"), _decoded(Envelope, e.get("envelope"))) for e in entries]
+        reply = self.request("fetch", encode_str(recipient_id) + encode_u64(after_seq))
+        return _read(reply, lambda r: _read_list(
+            r, lambda e: (e.read_u64(), Envelope.from_bytes(e.read_bytes()))))
 
     def create_group(self, group_id: str, admin_id: str,
                      member_ids: List[str]) -> None:
-        self.request("group_create", {"group_id": group_id, "admin_id": admin_id,
-                                      "member_ids": member_ids})
+        reply = self.request("group_create", encode_str(group_id) + encode_str(admin_id)
+                             + _encode_list([encode_str(m) for m in member_ids]))
+        _read(reply, Reader.read_str)
 
     def broadcast_group(self, group_id: str, envelope: Envelope) -> List[Tuple[str, str]]:
-        reply = self.request("group_send", {"group_id": group_id,
-                                            "envelope": _b64(envelope.canonical_bytes())})
-        acks = [_obj(a, "fan-out ack") for a in _list(reply, "acks")]
-        return [(_str(a, "member_id"), _str(a, "result")) for a in acks]
+        reply = self.request("group_send", encode_str(group_id)
+                             + encode_bytes(envelope.canonical_bytes()))
+        return _read(reply, lambda r: _read_list(r, lambda a: (a.read_str(), a.read_str())))
 
     # -- health -----------------------------------------------------------------------
 

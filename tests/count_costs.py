@@ -14,6 +14,16 @@ Each count is taken where chainchat calls its libraries:
 
 The scenario runs in one process, with no threads and no wire, so the counts
 depend on neither timing nor the host, and two runs give identical files.
+
+A second pass runs the one-to-one and group steps through a ``WireServer``
+on port 0 and a ``RelayClient``, and counts per operation:
+
+  round_trips        RelayClient.request calls
+  request_bytes      bytes of the frames the client encodes
+  reply_bytes        bytes of the frames the client decodes
+
+Both byte counts are taken on the client's (main) thread, so the server's
+own encodes on its handler thread are not counted twice.
 ``tests/test_costs.py`` compares a run with ``BENCH_counts.json``. A change
 that moves a count rewrites the file with this script, run from the
 repository root:
@@ -27,6 +37,7 @@ import hmac
 import json
 import os
 import tempfile
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import replace
@@ -36,7 +47,7 @@ from typing import Callable, Dict, Iterator, TypeVar
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
-from chainchat import chain, crypto
+from chainchat import chain, crypto, wire
 from chainchat.chain import KIND_CERTIFICATE, ChainNode, WriterCredential
 from chainchat.client import Client
 from chainchat.crypto import SealedPayload
@@ -46,6 +57,7 @@ from chainchat.relay import Relay
 COUNTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_counts.json"
 COUNTERS = ("x25519_loads", "x25519_agreements", "ed25519_signs", "ed25519_verifies",
             "ratchet_forward", "hkdf", "hmac", "cipher_contexts", "fsync")
+WIRE_COUNTERS = ("round_trips", "request_bytes", "reply_bytes")
 GROUP_SIZE = 8          # the admin and 7 members
 FORGED = 200            # forged envelopes in front of one real one
 FORGED_COUNTER = 999
@@ -190,14 +202,89 @@ def run_scenario() -> Dict[str, Dict[str, int]]:
     return out
 
 
-def render(operations: Dict[str, Dict[str, int]]) -> str:
+@contextmanager
+def counting_wire(counts: Dict[str, int]) -> Iterator[None]:
+    """Count ``WIRE_COUNTERS`` into ``counts``; undone on exit."""
+    main = threading.main_thread()
+    request, encode, decode = (wire.RelayClient.request, wire.encode_message,
+                               wire.decode_message)
+
+    def counted_request(self, *args):
+        counts["round_trips"] += 1
+        return request(self, *args)
+
+    def counted_encode(*args):
+        frame = encode(*args)
+        if threading.current_thread() is main:
+            counts["request_bytes"] += len(frame)
+        return frame
+
+    def counted_decode(frame):
+        if threading.current_thread() is main:
+            counts["reply_bytes"] += len(frame)
+        return decode(frame)
+
+    wire.RelayClient.request = counted_request
+    wire.encode_message, wire.decode_message = counted_encode, counted_decode
+    try:
+        yield
+    finally:
+        wire.RelayClient.request = request
+        wire.encode_message, wire.decode_message = encode, decode
+
+
+def run_wire_scenario() -> Dict[str, Dict[str, int]]:
+    """Operation name -> its ``WIRE_COUNTERS``, with every client talking to
+    the stack over one connection."""
+    counts = dict.fromkeys(WIRE_COUNTERS, 0)
+    out: Dict[str, Dict[str, int]] = {}
+
+    def measure(op: str, step: Callable[[], T]) -> T:
+        before = dict(counts)
+        result = step()
+        out[op] = {counter: counts[counter] - before[counter] for counter in WIRE_COUNTERS}
+        return result
+
+    with tempfile.TemporaryDirectory() as tmp:
+        credential = WriterCredential.generate("mno-1")
+        node = ChainNode.create([(credential.writer_id, credential.verification_key)],
+                                path=os.path.join(tmp, "chain.dat"))
+        server = wire.WireServer(Relay(node), MnoCertificateAuthority(credential, node))
+        with server, wire.RelayClient(server.host, server.port) as rc, counting_wire(counts):
+            alice = measure("install", lambda: Client.install("alice", rc, rc))
+            bob = Client.install("bob", rc, rc)
+            measure("start_session", lambda: alice.start_session("bob"))
+            envelope = alice.send_text("bob", "hello")
+            measure("submit_envelope", lambda: rc.submit_envelope(envelope))
+            measure("pull_messages", bob.pull_messages)
+
+            members = [bob] + [Client.install(f"member{i}", rc, rc)
+                               for i in range(GROUP_SIZE - 2)]
+            creation = alice.create_group("club", [m.user_id for m in members])
+
+            def create_group() -> None:
+                rc.create_group("club", alice.user_id, creation.member_ids)
+                for key_envelope in creation.envelopes:
+                    rc.submit_envelope(key_envelope)
+
+            measure("create_group", create_group)
+            measure("group_key_pulls", lambda: [m.pull_messages() for m in members])
+            group_envelope = alice.send_group_message("club", "hello all")
+            measure("broadcast_group", lambda: rc.broadcast_group("club", group_envelope))
+            measure("group_pulls", lambda: [m.pull_messages() for m in members])
+            measure("revoke", lambda: rc.revoke_user("bob"))
+    return out
+
+
+def render(operations: Dict[str, Dict[str, int]], wire_ops: Dict[str, Dict[str, int]]) -> str:
     """The text of ``BENCH_counts.json``."""
     return json.dumps({
         "regenerate": "PYTHONPATH=src python3 tests/count_costs.py",
         "operations": operations,
+        "wire": wire_ops,
     }, indent=2) + "\n"
 
 
 if __name__ == "__main__":
-    COUNTS_PATH.write_text(render(run_scenario()), encoding="utf-8")
+    COUNTS_PATH.write_text(render(run_scenario(), run_wire_scenario()), encoding="utf-8")
     print(f"wrote {COUNTS_PATH}")

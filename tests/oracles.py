@@ -3,8 +3,9 @@
 These are deliberately separate implementations from anything under src/:
 a pure-Python X25519 Montgomery ladder (RFC 7748 pseudocode), a generic
 double-and-add Ed25519 base-point multiplication, a direct RFC 5869 HKDF, a
-hand-rolled PBKDF2 loop, and a ``struct`` reader of the client state bytes
-written from FORMATS.md. Known-answer tests check both these oracles and
+hand-rolled PBKDF2 loop, a ``struct`` reader of the client state bytes
+written from FORMATS.md, and a ``struct`` reader of wire frames written from
+PROTOCOL.md. Known-answer tests check both these oracles and
 the production code against published constants, and derived expectations
 are computed here rather than with the code under test.
 """
@@ -180,3 +181,105 @@ def read_client_state(data: bytes) -> dict:
     state["user_id"] = cert[4:4 + id_len].decode("utf-8")
     state["identity_public"] = cert[4 + id_len + 4:4 + id_len + 4 + 32]
     return state
+
+
+# ---------------------------------------------------------------------------
+# wire frames, as PROTOCOL.md §Framing and §Requests lay them out
+# ---------------------------------------------------------------------------
+
+MAX_FRAME = 1 << 24
+
+# the fields after the type (and after an enroll's phase), by request; a
+# tuple is a list: u64 n, then n items of the tuple's fields
+REQUEST_FIELDS = {
+    "enroll/challenge": ("string",),
+    "enroll/submit": ("string", "bytes", "bytes"),
+    "enroll/revoke": ("string",),
+    "register": ("string", "bytes"),
+    "fetch_cert": ("string",),
+    "submit": ("bytes", "bytes"),
+    "fetch": ("string", "u64"),
+    "group_create": ("string", "string", ("string",)),
+    "group_send": ("string", "bytes"),
+}
+ACK_FIELDS = {
+    "enroll/challenge": ("bytes",),
+    "enroll/submit": ("bytes",),
+    "enroll/revoke": ("string",),
+    "register": ("string",),
+    "fetch_cert": ("string", "bytes"),
+    "submit": ("string",),
+    "fetch": (("u64", "bytes"),),
+    "group_create": ("string",),
+    "group_send": (("string", "string"),),
+}
+ERROR_FIELDS = ("string", "string")
+
+
+def _wire_field(data: bytes, pos: int, kind: str):
+    if pos + 4 > len(data):
+        raise ValueError(f"no length prefix at offset {pos}")
+    (length,) = struct.unpack_from(">I", data, pos)
+    start, end = pos + 4, pos + 4 + length
+    if end > len(data):
+        raise ValueError(f"field of {length} bytes at offset {start} runs past the end")
+    raw = data[start:end]
+    if kind == "string":
+        return raw.decode("utf-8"), end
+    if kind == "u64":
+        if length != 8:
+            raise ValueError(f"u64 field of {length} bytes at offset {start}")
+        return struct.unpack(">Q", raw)[0], end
+    return raw, end
+
+
+def _wire_fields(data: bytes, pos: int, kinds: tuple):
+    values = []
+    for kind in kinds:
+        if isinstance(kind, tuple):
+            count, pos = _wire_field(data, pos, "u64")
+            items = []
+            for _ in range(count):
+                item, pos = _wire_fields(data, pos, kind)
+                items.append(item[0] if len(kind) == 1 else tuple(item))
+            values.append(items)
+        else:
+            value, pos = _wire_field(data, pos, kind)
+            values.append(value)
+    return values, pos
+
+
+def split_frames(stream: bytes) -> list:
+    """The frame bodies of a byte stream: each a u32 length and that many
+    bytes, at most ``MAX_FRAME``. Raises ValueError unless the last frame
+    ends at the last byte."""
+    bodies, pos = [], 0
+    while pos < len(stream):
+        body, pos = _wire_field(stream, pos, "bytes")
+        if len(body) > MAX_FRAME:
+            raise ValueError(f"frame of {len(body)} bytes")
+        bodies.append(body)
+    return bodies
+
+
+def read_request(body: bytes):
+    """``(request, fields)`` of a request frame body, ``request`` a key of
+    ``REQUEST_FIELDS``; raises ValueError unless the fields end the body."""
+    msg_type, pos = _wire_field(body, 0, "string")
+    if msg_type == "enroll":
+        phase, pos = _wire_field(body, pos, "string")
+        msg_type = f"enroll/{phase}"
+    fields, pos = _wire_fields(body, pos, REQUEST_FIELDS[msg_type])
+    if pos != len(body):
+        raise ValueError(f"{len(body) - pos} bytes past the last field")
+    return msg_type, fields
+
+
+def read_reply(body: bytes, request: str):
+    """``(type, fields)`` of the reply frame body to ``request``."""
+    msg_type, pos = _wire_field(body, 0, "string")
+    kinds = {"ack": ACK_FIELDS[request], "error": ERROR_FIELDS}[msg_type]
+    fields, pos = _wire_fields(body, pos, kinds)
+    if pos != len(body):
+        raise ValueError(f"{len(body) - pos} bytes past the last field")
+    return msg_type, fields

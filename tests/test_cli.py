@@ -128,6 +128,34 @@ class TestStackHandle:
         finally:
             second.close()
 
+    def test_second_server_on_one_state_dir_is_refused(self, tmp_path, capsys):
+        """Two servers on one state directory each append from their own
+        snapshot and fork the chain for good. The second is refused before it
+        reads the chain, and a refused start-up and ``close`` release the
+        lock."""
+        cfg = StackConfig(state_dir=str(tmp_path / "state"), relay_port=0)
+        first = run_stack(cfg)
+        try:
+            with pytest.raises(StackStartupError, match="held by another running server"):
+                run_stack(cfg)
+            assert cli.main(["--state-dir", cfg.state_dir, "--port", "0",
+                             "stack", "serve"]) == 1
+            assert capsys.readouterr().err.startswith("error[stack-startup]: ")
+            assert not cfg.pid_file.exists()
+            with RelayStackClient(first) as rc:
+                Client.install("alice", rc, rc)
+        finally:
+            first.close()
+        credentials = cfg.stack_file.read_bytes()
+        cfg.stack_file.write_bytes(b"{")
+        with pytest.raises(StackStartupError, match="unreadable writer credentials"):
+            run_stack(cfg)
+        cfg.stack_file.write_bytes(credentials)
+        with run_stack(cfg) as second, RelayStackClient(second) as rc:
+            Client.install("bob", rc, rc)
+        with run_stack(cfg) as third:  # the chain holds both, and verifies
+            assert third.mno.chain_node.snapshot().height == 2
+
     @pytest.mark.parametrize("lost, refusal", [
         ("chain.dat", "chain file .*chain.dat is missing"),
         ("stack.json", "writer credentials .*stack.json are missing"),
@@ -747,6 +775,27 @@ class RelayStackClient:
 
 
 class TestBasicCommands:
+    @pytest.mark.parametrize("command", [
+        ("enroll", "{}"), ("register", "{}"), ("send", "{}", "bob", "hi"), ("recv", "{}"),
+        ("chat", "{}", "bob"), ("group", "create", "g", "{}", "bob"),
+        ("group", "send", "g", "{}", "hi"),
+        ("backup", "export", "{}", "--secret", "s", "--out", "archive"),
+        ("backup", "restore", "{}", "--secret", "s", "--in", "archive"),
+    ], ids=lambda c: "-".join(c[:2]) if c[0] in ("group", "backup") else c[0])
+    def test_user_id_that_is_not_one_path_component_is_refused(
+            self, run, cfg, stack, tmp_path, capsys, command):
+        """A user id names the user's lock and state files, so ``enroll
+        ../x`` once enrolled ``../x`` on the chain and wrote outside the
+        state directory. It is refused before any connection or file."""
+        before = sorted(tmp_path.rglob("*"))
+        for user_id in ("../x", "a/b", "/tmp/x", "..", ".", "", "x\0"):
+            assert run(*[arg.format(user_id) for arg in command]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error[bad-argument]: ") and err.count("\n") == 1
+            assert sorted(tmp_path.rglob("*")) == before
+            with RelayClient(stack.host, stack.port) as rc:
+                assert rc.fetch_certificate(user_id).state == "not_found"
+
     def test_enroll_register_send_recv(self, run, capsys):
         assert run("enroll", "alice") == 0
         assert run("enroll", "bob") == 0
@@ -888,7 +937,8 @@ class TestBasicCommands:
         run("enroll", "alice")
         run("enroll", "bob")
         run("send", "alice", "bob", "before")
-        with RelayStackClient(stack) as rc, cli._user_state(cfg, "alice", rc) as alice:
+        with cli._user_state(dataclasses.replace(cfg, relay_port=stack.port),
+                             "alice") as (alice, rc):
             envelope = alice._seal_to(alice.sessions["bob"], _FRAME_TEXT + b"\xff")
             cli._save_client(cfg, alice)
             rc.submit_envelope(envelope)
@@ -1128,7 +1178,7 @@ class TestDroppedConnection:
         def read_then_reset():
             conn, _ = listener.accept()
             with conn, conn.makefile("rb") as stream:
-                stream.readline()
+                stream.read(struct.unpack(">I", stream.read(4))[0])  # one request frame
                 conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
                                 struct.pack("ii", 1, 0))
 

@@ -16,8 +16,23 @@ def ops():
     return count_costs.run_scenario()
 
 
-def test_counts_match_the_committed_file(ops):
-    assert count_costs.render(ops) == count_costs.COUNTS_PATH.read_text(encoding="utf-8")
+@pytest.fixture(scope="module")
+def wire_ops():
+    return count_costs.run_wire_scenario()
+
+
+def test_counts_match_the_committed_file(ops, wire_ops):
+    assert count_costs.render(ops, wire_ops) == \
+        count_costs.COUNTS_PATH.read_text(encoding="utf-8")
+
+
+def test_a_message_is_one_round_trip_each_side(wire_ops):
+    """A send is one ``submit``, since the pinned fingerprint spares a
+    certificate fetch, and a member with an open session takes the group
+    message in one ``fetch``."""
+    assert wire_ops["submit_envelope"]["round_trips"] == 1
+    assert wire_ops["broadcast_group"]["round_trips"] == 1
+    assert wire_ops["group_pulls"]["round_trips"] == count_costs.GROUP_SIZE - 1
 
 
 def test_the_costliest_steps_run_once_per_value(ops):

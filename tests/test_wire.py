@@ -1,4 +1,3 @@
-import base64
 import contextlib
 import inspect
 import json
@@ -11,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from chainchat import identity_sig, wire
 from chainchat import mno as mno_mod
 from chainchat import relay as relay_mod
@@ -18,30 +18,35 @@ from chainchat.client import Client
 from chainchat.chain import CertificateRecord, CertStatus
 from chainchat.config import StackConfig
 from chainchat.crypto import SealedPayload, generate_identity_keypair
-from chainchat.encoding import U64_MAX, encode_bytes, encode_u64
-from chainchat.errors import StackStartupError, WireProtocolError
+from chainchat.encoding import U64_MAX, Reader, encode_bytes, encode_str, encode_u64
+from chainchat.errors import StackStartupError, WireProtocolError, WireRemoteError
 from chainchat.mno import EnrollmentRequest, possession_payload
 from chainchat.relay import ACK_QUEUED, Envelope
 from chainchat.stack import run_stack
 from chainchat.wire import (
     RelayClient,
-    WireRemoteError,
     WireServer,
     decode_message,
     encode_message,
 )
 
 
+def _read_frame(stream) -> bytes:
+    """One frame off ``stream``, length prefix included."""
+    head = stream.read(4)
+    return head + stream.read(struct.unpack(">I", head)[0])
+
+
 @contextlib.contextmanager
 def serve_one_reply(reply: bytes):
-    """A client connected to a fake server that reads one request line and
+    """A client connected to a fake server that reads one request frame and
     answers it with ``reply``."""
     listener = socket.create_server(("127.0.0.1", 0))
 
     def serve_one():
         conn, _ = listener.accept()
         with conn, conn.makefile("rwb") as stream:
-            stream.readline()
+            _read_frame(stream)
             stream.write(reply)
             stream.flush()
 
@@ -71,38 +76,39 @@ def rc(server):
 
 
 class TestFraming:
-    def test_version_byte_leads(self):
-        raw = encode_message("fetch", {"recipient_id": "a", "after_seq": 0})
-        assert raw[:1] == b"1"
-        assert raw.endswith(b"\n")
-
-    def test_canonical_json_sorted_compact(self):
-        raw = encode_message("register", {"user_id": "u", "cert_fingerprint": "AA=="})
-        body = raw[1:-1].decode()
-        assert body == json.dumps(json.loads(body), sort_keys=True,
-                                  separators=(",", ":"))
+    def test_frame_is_length_then_fields(self):
+        """``u32 length | string type | fields``, the length counting every
+        byte after it."""
+        raw = encode_message("register", encode_str("u") + encode_bytes(b"\x00\x01"))
+        body = b"\x00\x00\x00\x08register" + b"\x00\x00\x00\x01u" + b"\x00\x00\x00\x02\x00\x01"
+        assert raw == struct.pack(">I", len(body)) + body
 
     def test_roundtrip(self):
-        raw = encode_message("fetch_cert", {"user_id": "bob"})
+        raw = encode_message("fetch_cert", encode_str("bob"))
         msg_type, body = decode_message(raw)
         assert msg_type == "fetch_cert"
-        assert body == {"user_id": "bob"}
+        assert body.read_str() == "bob"
+        assert body.exhausted
 
     def test_missing_version_byte(self):
+        """An old client's JSON line is no frame, with its version byte or
+        without."""
         with pytest.raises(WireProtocolError):
             decode_message(b'{"type":"fetch_cert","body":{}}\n')
+        with pytest.raises(WireProtocolError):
+            decode_message(b'1{"body":{},"type":"fetch_cert"}\n')
 
     def test_unknown_type(self):
         with pytest.raises(WireProtocolError):
-            decode_message(b'1{"body":{},"type":"teleport"}\n')
+            decode_message(encode_message("teleport", b""))
 
     def test_garbage(self):
-        with pytest.raises(WireProtocolError):
-            decode_message(b"1not json\n")
-
-
-def _b64(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
+        fetch_cert = encode_message("fetch_cert", encode_str("bob"))
+        for frame in (b"", b"\x00\x00", b"1not json\n", fetch_cert[:-1], fetch_cert + b"\x00",
+                      encode_bytes(encode_bytes(b"\xff")),
+                      encode_bytes(b"\x00\x00\x00\x09fetch")):
+            with pytest.raises(WireProtocolError):
+                decode_message(frame)
 
 
 def _envelope_bytes(**fields):
@@ -117,39 +123,38 @@ _RECORD_BYTES = CertificateRecord("bob", b"\x42" * 32, "mno-1", 0, 10, "certific
                                   b"\x00" * 64).canonical_bytes()
 _ZERO_U64 = encode_bytes(b"\x00" * 8)
 
-# canonical bytes broken one way each, as base64. Both objects above start
-# with a short string field, and their first u64 field holds 0.
+# canonical bytes broken one way each. Both objects above start with a short
+# string field, and their first u64 field holds 0.
 _BROKEN = {
-    "truncated": lambda data: _b64(data[:-1]),
-    "trailing-byte": lambda data: _b64(data + b"\x00"),
-    "non-utf8-id": lambda data: _b64(encode_bytes(b"\xff") + data[4 + data[3]:]),
-    "u64-width": lambda data: _b64(data.replace(_ZERO_U64, encode_bytes(b"\x00" * 7), 1)),
+    "truncated": lambda data: data[:-1],
+    "trailing-byte": lambda data: data + b"\x00",
+    "non-utf8-id": lambda data: encode_bytes(b"\xff") + data[4 + data[3]:],
+    "u64-width": lambda data: data.replace(_ZERO_U64, encode_bytes(b"\x00" * 7), 1),
 }
 
 
 def _past_u64(field):
-    """The test envelope, base64, with ``field`` (``counter`` or ``sent_at``)
-    holding 2**64 as a 9-byte integer."""
+    """The test envelope with ``field`` (``counter`` or ``sent_at``) holding
+    2**64 as a 9-byte integer."""
     data = _envelope_bytes(**{field: 7})
-    return _b64(data.replace(encode_u64(7), encode_bytes((1 << 64).to_bytes(9, "big"))))
+    return data.replace(encode_u64(7), encode_bytes((1 << 64).to_bytes(9, "big")))
 
 
 class TestCodecs:
-    """Envelopes and records cross the wire as base64 of their canonical
-    bytes, the same bytes the MAC and the fingerprint cover."""
+    """Envelopes and records cross the wire as one bytes field holding their
+    canonical bytes, the same bytes the MAC and the fingerprint cover."""
 
     def test_record_bytes_roundtrip(self, mno_credential):
         record = mno_credential.make_record("alice", b"\x42" * 32, 100, 200,
                                             "certificate")
-        text = wire.status_to_obj(CertStatus("valid", record))["record"]
-        assert text == _b64(record.canonical_bytes())
-        assert wire._decoded(CertificateRecord, text) == record
+        body = encode_str("valid") + encode_bytes(record.canonical_bytes())
+        assert wire._read(Reader(body), wire._read_status) == CertStatus("valid", record)
 
     def test_envelope_bytes_roundtrip(self, connected_pair):
         alice, bob = connected_pair
         envelope = alice.send_text("bob", "over the wire")
-        assert envelope.wire_text() == _b64(envelope.canonical_bytes())
-        decoded = wire._decoded(Envelope, envelope.wire_text())
+        assert envelope.wire_bytes() == envelope.canonical_bytes()
+        decoded = Envelope.from_bytes(envelope.wire_bytes())
         assert decoded == envelope
         assert bob.receive_envelope(decoded) == "over the wire"
 
@@ -161,30 +166,31 @@ class TestCodecs:
 
     def test_bad_envelope_obj(self):
         """The envelope object of older builds is no envelope now."""
+        body = encode_bytes(json.dumps({"sender_id": "x"}).encode("utf-8"))
         with pytest.raises(WireProtocolError):
-            wire._decoded(Envelope, {"sender_id": "x"})
+            wire._read(Reader(body), lambda r: Envelope.from_bytes(r.read_bytes()))
 
 
-_TRICKY = ["", "a", "bob", "é", "\u00e9t\u00e9", '"', "\\", "\n", "a\"b\\c\nd",
-           "\u2028", "\U0001f600", "\x00", "\x7f", "</script>", "user-0017"]
+_TRICKY = ["", "a", "bob", "é", "été", '"', "\\", "\n", "a\"b\\c\nd",
+           " ", "\U0001f600", "\x00", "\x7f", "</script>", "user-0017"]
 _EDGE_INTS = [0, 1, 255, 2**32, 2**63, U64_MAX]
 
 
-def _reference_entry(seq, env):
-    return {"envelope": _b64(env.canonical_bytes()), "seq": seq}
-
-
 def _reference_fetch_reply(entries):
-    """The fetch reply as encode_message builds it, from each envelope's
-    canonical bytes in base64."""
-    body = {"envelopes": [_reference_entry(seq, env) for seq, env in entries]}
-    return b"1" + json.dumps({"type": "ack", "body": body}, sort_keys=True,
-                             separators=(",", ":")).encode("utf-8") + b"\n"
+    """The fetch ack built field by field with ``struct``, from each
+    envelope's canonical bytes."""
+    def field(data):
+        return struct.pack(">I", len(data)) + data
+
+    fields = field(b"ack") + field(struct.pack(">Q", len(entries)))
+    for seq, env in entries:
+        fields += field(struct.pack(">Q", seq)) + field(env.canonical_bytes())
+    return struct.pack(">I", len(fields)) + fields
 
 
 class TestFetchReply:
-    """The fetch reply is spliced from each envelope's kept base64 text; its
-    bytes must stay what encode_message gives for the whole reply."""
+    """The fetch reply is assembled from each envelope's kept canonical
+    bytes; its bytes must stay the fields of PROTOCOL.md §fetch."""
 
     def test_spliced_reply_is_byte_identical(self):
         rng = random.Random(20261018)
@@ -202,18 +208,18 @@ class TestFetchReply:
                                   rng.randbytes(32)),
             sent_at=pick_int(),
         ) for _ in range(200)]
-        for case in range(3000):
+        for case in range(1000):
             entries = [(pick_int(), rng.choice(pool)) for _ in range(case % 6)]
-            expected = _reference_fetch_reply(entries)
-            assert wire._fetch_reply(entries) == expected
-            assert encode_message("ack", {"envelopes": [
-                {"seq": seq, "envelope": env.wire_text()} for seq, env in entries
-            ]}) == expected
+            reply = wire._fetch_reply(entries)
+            assert reply == _reference_fetch_reply(entries)
+            [body] = oracles.split_frames(reply)
+            assert oracles.read_reply(body, "fetch") == (
+                "ack", [[(seq, env.canonical_bytes()) for seq, env in entries]])
 
     def test_reply_budget_is_half_a_line(self, monkeypatch):
-        """The reply carries the longest prefix of the entries whose texts,
-        each counted one byte longer for its comma, fit in half a line, and
-        never fewer than one entry."""
+        """The reply carries the longest prefix of the entries whose fields
+        (16 bytes and the envelope each) fit in half the frame cap, and never
+        fewer than one entry."""
         rng = random.Random(20261019)
         entries = [(seq, Envelope(
             sender_id="alice", recipient_id="bob", counter=seq,
@@ -222,12 +228,10 @@ class TestFetchReply:
                                   rng.randbytes(32)),
             sent_at=rng.randrange(2**64),
         )) for seq in range(1, 9)]
-        costs = [len(json.dumps(_reference_entry(seq, env),
-                                sort_keys=True, separators=(",", ":"))) + 1
-                 for seq, env in entries]
+        costs = [16 + len(env.canonical_bytes()) for _, env in entries]
         for k in range(1, len(entries) + 1):
             for budget, fits in ((sum(costs[:k]), k), (sum(costs[:k]) - 1, max(k - 1, 1))):
-                monkeypatch.setattr(wire, "_MAX_LINE", 2 * budget)
+                monkeypatch.setattr(wire, "_MAX_FRAME", 2 * budget)
                 assert wire._fetch_reply(entries) == _reference_fetch_reply(entries[:fits])
 
 
@@ -310,15 +314,17 @@ class TestServer:
             assert rc.fetch_envelopes(user_id, 0) == []
 
     def test_enroll_lifetime_is_the_mnos(self, rc):
-        """A submit body that still names a lifetime gets the MNO's."""
+        """A submit carries no lifetime: the record gets the MNO's, and a
+        submit that still names one after the proof is refused."""
         pair = generate_identity_keypair()
         challenge = rc.new_challenge("alice")
         proof = identity_sig.sign(
             pair, challenge, possession_payload("alice", pair.public_key, challenge))
-        reply = rc.request("enroll", _enroll_submit(
-            subject_public_key=wire._b64(pair.public_key),
-            proof_of_possession=wire._b64(proof)))
-        record = CertificateRecord.from_bytes(base64.b64decode(reply["record"]))
+        submit = encode_str("submit") + _enroll_submit(key=pair.public_key, proof=proof)
+        with pytest.raises(WireRemoteError) as err:
+            rc.request("enroll", submit + encode_u64(60))
+        assert err.value.category == "protocol-error"
+        record = CertificateRecord.from_bytes(rc.request("enroll", submit).read_bytes())
         assert record.expires_at - record.issued_at == mno_mod.VALIDITY_SECONDS
         assert rc.fetch_certificate("alice").record == record
 
@@ -334,7 +340,7 @@ class TestServer:
         assert [d.text for d in bob.pull_messages()] == ["fits"]
 
     def test_client_reset_ends_the_connection_quietly(self, server, monkeypatch):
-        """A reset while the server waits for a request line ends that
+        """A reset while the server waits for a request frame ends that
         connection's handler without an exception (no traceback in the log)."""
         handler = server._server.RequestHandlerClass
         real_handle, outcomes, done = handler.handle, [], threading.Event()
@@ -351,10 +357,10 @@ class TestServer:
 
         monkeypatch.setattr(handler, "handle", handle)
         with socket.create_connection((server.host, server.port)) as sock:
-            sock.sendall(encode_message("fetch_cert", {"user_id": "nobody"}))
+            sock.sendall(encode_message("fetch_cert", encode_str("nobody")))
             with sock.makefile("rb") as stream:
-                assert stream.readline()  # the handler is running
-            sock.sendall(b"1{")  # a request cut short
+                assert _read_frame(stream)  # the handler is running
+            sock.sendall(b"\x00\x00\x01\x00fetch")  # a request cut short
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
         assert done.wait(timeout=5)
         assert outcomes == [None]
@@ -364,7 +370,6 @@ class TestServer:
             assert rc.fetch_certificate("nobody").state == "not_found"
 
     def test_concurrent_connections(self, server):
-        import threading
         results = []
 
         def probe():
@@ -399,37 +404,53 @@ def test_protocol_md_lists_exactly_the_message_types():
         assert tuple(re.findall(r"`(\w+)`", listed.group(1))) == types
 
 
-class TestLineLimit:
-    """A line cut at ``_MAX_LINE`` must not leave its rest to be read as the
-    next message. The limit is patched small; no test sends 16 MiB."""
+def _assert_refused_then_closed(sock, stream, limit):
+    reply_type, body = decode_message(_read_frame(stream))
+    assert (reply_type, body.read_str()) == ("error", "protocol-error")
+    assert f"exceeds {limit} bytes" in body.read_str()
+    try:
+        rest = stream.read()
+    except ConnectionResetError:
+        rest = b""
+    assert rest == b""
 
-    @pytest.mark.parametrize("head", [b"1" + b"x" * 99, b" " * 80 + b"1x"],
+
+class TestLineLimit:
+    """The frame limit: a length over the cap must not leave the bytes after
+    it to be read as the next frame. The cap is patched small; no test sends
+    16 MiB."""
+
+    @pytest.mark.parametrize("head", [b"1" + b"x" * 99, b"\x00\x00\x00\x41" + b"x" * 65],
                              ids=["text", "blank-start"])
     def test_overlong_request_answered_once_then_closed(self, server, monkeypatch, head):
-        monkeypatch.setattr(wire, "_MAX_LINE", 64)
-        fetch = encode_message("fetch", {"recipient_id": "alice", "after_seq": 0})
+        """``text``: bytes whose first four read as a huge length; and a length
+        of zero high bytes just over the cap."""
+        monkeypatch.setattr(wire, "_MAX_FRAME", 64)
+        fetch = encode_message("fetch", encode_str("alice") + encode_u64(0))
         with socket.create_connection((server.host, server.port)) as sock, \
                 sock.makefile("rwb") as stream:
-            stream.write(head + b"\n" + fetch)
+            stream.write(head + fetch)
             stream.flush()
-            reply_type, body = decode_message(stream.readline())
-            assert (reply_type, body["category"]) == ("error", "protocol-error")
-            assert "exceeds 64 bytes" in body["message"]
-            try:
-                rest = stream.readline()
-            except ConnectionResetError:
-                rest = b""
-            assert rest == b""
+            _assert_refused_then_closed(sock, stream, 64)
         with RelayClient(server.host, server.port) as fresh:
             assert fresh.fetch_certificate("nobody").state == "not_found"
 
+    def test_old_json_client_is_refused_and_closed(self, server):
+        """A line of the JSON protocol this framing replaced: its first four
+        bytes read as a length over the cap."""
+        line = b'1{"body":{"user_id":"nobody"},"type":"fetch_cert"}\n'
+        with socket.create_connection((server.host, server.port)) as sock, \
+                sock.makefile("rwb") as stream:
+            stream.write(line + line)
+            stream.flush()
+            _assert_refused_then_closed(sock, stream, wire._MAX_FRAME)
+
     def test_lines_of_exactly_the_limit_are_served(self, rc, monkeypatch):
-        # pad the user id so request and reply are both limit bytes long,
-        # newline included
-        reply = encode_message("ack", {"record": None, "status": "not_found"})
-        user_id = "n" * (len(reply) - len(encode_message("fetch_cert", {"user_id": ""})))
-        assert len(encode_message("fetch_cert", {"user_id": user_id})) == len(reply)
-        monkeypatch.setattr(wire, "_MAX_LINE", len(reply))
+        # pad the user id so request and reply bodies are both limit bytes long
+        reply = encode_message("ack", encode_str("not_found") + encode_bytes(b""))
+        user_id = "n" * (len(reply) - len(encode_message("fetch_cert", encode_str(""))))
+        assert len(encode_message("fetch_cert", encode_str(user_id))) == len(reply)
+        monkeypatch.setattr(wire, "_MAX_FRAME", len(reply) - 4)
         for _ in range(2):
             assert rc.fetch_certificate(user_id).state == "not_found"
 
@@ -437,7 +458,7 @@ class TestLineLimit:
         alice = Client.install("alice", rc, rc)
         bob = Client.install("bob", rc, rc)
         alice.start_session("bob")
-        monkeypatch.setattr(wire, "_MAX_LINE", 4096)  # server and client share it
+        monkeypatch.setattr(wire, "_MAX_FRAME", 4096)  # server and client share it
         texts = [f"queued text {i}" for i in range(20)]
         for text in texts:
             assert rc.submit_envelope(alice.send_text("bob", text)) == ACK_QUEUED
@@ -451,77 +472,109 @@ class TestLineLimit:
         assert len(batches) > 1
 
     def test_overlong_reply_raises(self, monkeypatch):
-        # the first _MAX_LINE bytes of this reply decode as a valid ack
-        monkeypatch.setattr(wire, "_MAX_LINE", 64)
-        reply = encode_message("ack", {}).rstrip(b"\n") + b" " * 100 + b"\n"
+        # the first 64 bytes of this reply's body decode as a valid ack
+        monkeypatch.setattr(wire, "_MAX_FRAME", 64)
+        fields = encode_str("ack") + encode_str("registered")
+        reply = struct.pack(">I", 100) + fields + b"\x00" * (100 - len(fields))
         with serve_one_reply(reply) as client:
             with pytest.raises(WireProtocolError, match="exceeds 64 bytes"):
-                client.request("fetch_cert", {"user_id": "n"})
+                client.request("register", encode_str("n") + encode_bytes(b""))
 
 
-_KEY = wire._b64(b"\x42" * 32)
-_PROOF = wire._b64(b"\x00" * 32)
+_KEY = b"\x42" * 32
+_PROOF = b"\x00" * 32
+_NOT_UTF8 = encode_u64(U64_MAX)  # an integer field where a string goes: no UTF-8
+_SURROGATE = encode_bytes(b"\xed\xa0\x80")  # the UTF-8 pattern of U+D800, which has none
 
 
-def _enroll_submit(**fields):
-    body = {"phase": "submit", "user_id": "alice", "subject_public_key": _KEY,
-            "proof_of_possession": _PROOF, "validity_seconds": 60}
-    body.update(fields)
-    return body
+def _enroll_submit(user=encode_str("alice"), key=_KEY, proof=_PROOF):
+    return user + encode_bytes(key) + encode_bytes(proof)
 
 
-def _submit(**fields):
-    body = {"envelope": _b64(_envelope_bytes()), "recipient_cert_fingerprint": _KEY}
-    body.update(fields)
-    return body
+def _submit(envelope=None, fingerprint=encode_bytes(_KEY)):
+    return encode_bytes(_envelope_bytes() if envelope is None else envelope) + fingerprint
+
+
+def _group_create(*members):
+    return encode_str("g") + encode_str("a") + encode_u64(len(members)) + b"".join(members)
+
+
+# Request bodies, each valid but for one fault. The ids name the faults of
+# the JSON protocol this framing replaced; each body is the frame fault that
+# stands for it.
+_MALFORMED_BODIES = {
+    "register-no-fingerprint": ("register", encode_str("alice")),
+    "register-int-user": ("register", _NOT_UTF8 + encode_bytes(_KEY)),
+    "fetch_cert-no-user": ("fetch_cert", b""),
+    "fetch_cert-null-user": ("fetch_cert", b"\x00\x00"),
+    "submit-no-envelope": ("submit", b""),
+    "submit-envelope-object": ("submit", _submit(json.dumps({"sender_id": "alice"}).encode())),
+    "submit-envelope-empty": ("submit", _submit(b"")),
+    **{f"submit-envelope-{how}": ("submit", _submit(broken(_envelope_bytes())))
+       for how, broken in _BROKEN.items()},
+    "submit-counter-past-u64": ("submit", _submit(_past_u64("counter"))),
+    "submit-sent_at-past-u64": ("submit", _submit(_past_u64("sent_at"))),
+    "submit-no-recipient-fingerprint": ("submit", _submit(fingerprint=b"")),
+    "submit-bad-recipient-fingerprint": ("submit", _submit(fingerprint=b"\x00\x00\x00\x20")),
+    "submit-int-recipient-fingerprint": ("submit", _submit() + encode_u64(7)),
+    "fetch-string-seq": ("fetch", encode_str("alice") + encode_str("abc")),
+    "fetch-no-recipient": ("fetch", encode_u64(0)),
+    "group_create-null-members": ("group_create", encode_str("g") + encode_str("a")),
+    "group_create-string-members": ("group_create",
+                                    encode_str("g") + encode_str("a") + encode_str("abc")),
+    "group_create-int-member": ("group_create", _group_create(encode_str("a"), _NOT_UTF8)),
+    "group_create-duplicate-member": ("group_create", _group_create(
+        encode_str("a"), encode_str("b"), encode_str("b"))),
+    "group_create-lone-surrogate-member": ("group_create",
+                                           _group_create(encode_str("a"), _SURROGATE)),
+    "group_send-no-group": ("group_send", encode_bytes(_envelope_bytes(group_id="g"))),
+    "group_send-truncated-envelope": ("group_send", encode_str("g") + encode_bytes(
+        _BROKEN["truncated"](_envelope_bytes(group_id="g")))),
+    "enroll-challenge-no-user": ("enroll", encode_str("challenge")),
+    "enroll-revoke-no-user": ("enroll", encode_str("revoke")),
+    "enroll-submit-no-key": ("enroll", encode_str("submit") + encode_str("alice")
+                             + encode_bytes(_PROOF)),
+    "enroll-challenge-lone-surrogate-user": ("enroll", encode_str("challenge") + _SURROGATE),
+}
+
+# one valid body per request and enroll phase, each naming only ids that
+# hold nothing, with the offset of a string field's length and of a u64
+# field's length (None where the request has no u64 field of its own)
+_VALID_BODIES = {
+    "enroll/challenge": ("enroll", encode_str("challenge") + encode_str("alice"), 13, None),
+    "enroll/submit": ("enroll", encode_str("submit") + _enroll_submit(), 10, None),
+    "enroll/revoke": ("enroll", encode_str("revoke") + encode_str("alice"), 10, None),
+    "register": ("register", encode_str("alice") + encode_bytes(_KEY), 0, None),
+    "fetch_cert": ("fetch_cert", encode_str("alice"), 0, None),
+    "submit": ("submit", _submit(), 4, 4 + 9 + 7),
+    "fetch": ("fetch", encode_str("alice") + encode_u64(0), 0, 9),
+    "group_create": ("group_create", _group_create(encode_str("a"), encode_str("b")), 0, 10),
+    "group_send": ("group_send", encode_str("g") + encode_bytes(_envelope_bytes(group_id="g")),
+                   0, 5 + 4 + 9 + 7),
+}
+
+
+def _break(body, how, string_at, u64_at):
+    if how == "truncated":
+        return body[:-1]
+    if how == "trailing-bytes":
+        return body + b"\x00"
+    if how == "bad-utf8":  # the string field's first byte
+        return body[:string_at + 4] + b"\xff" + body[string_at + 5:]
+    # bad-u64-width: the u64 field's length says 7, and every later offset holds
+    return body[:u64_at] + b"\x00\x00\x00\x07" + body[u64_at + 4:]
+
+
+_BREAKS = ("truncated", "trailing-bytes", "bad-utf8", "bad-u64-width")
 
 
 class TestMalformedBodies:
-    """A body with a missing or mistyped field is the client's fault: the
-    reply is ``protocol-error``, never ``internal``, and nothing is done."""
+    """A body that does not parse is the client's fault: the reply is
+    ``protocol-error``, never ``internal``, nothing is done, and the
+    connection serves the next request."""
 
-    @pytest.mark.parametrize("msg_type, body", [
-        ("register", {"user_id": "alice"}),
-        ("register", {"user_id": 7, "cert_fingerprint": _KEY}),
-        ("fetch_cert", {}),
-        ("fetch_cert", {"user_id": None}),
-        ("submit", {}),
-        ("submit", _submit(envelope={"sender_id": "alice"})),
-        ("submit", _submit(envelope="")),
-        *[("submit", _submit(envelope=broken(_envelope_bytes())))
-          for broken in _BROKEN.values()],
-        ("submit", _submit(envelope=_past_u64("counter"))),
-        ("submit", _submit(envelope=_past_u64("sent_at"))),
-        ("submit", {"envelope": _b64(_envelope_bytes())}),
-        ("submit", _submit(recipient_cert_fingerprint="not base64!")),
-        ("submit", _submit(recipient_cert_fingerprint=7)),
-        ("fetch", {"recipient_id": "alice", "after_seq": "abc"}),
-        ("fetch", {"after_seq": 0}),
-        ("group_create", {"group_id": "g", "admin_id": "a", "member_ids": None}),
-        ("group_create", {"group_id": "g", "admin_id": "a", "member_ids": "abc"}),
-        ("group_create", {"group_id": "g", "admin_id": "a", "member_ids": ["a", 1]}),
-        ("group_create", {"group_id": "g", "admin_id": "a", "member_ids": ["a", "b", "b"]}),
-        ("group_create", {"group_id": "g", "admin_id": "a", "member_ids": ["a", "\ud800"]}),
-        ("group_send", {"envelope": _b64(_envelope_bytes(group_id="g"))}),
-        ("group_send", {"group_id": "g",
-                        "envelope": _BROKEN["truncated"](_envelope_bytes(group_id="g"))}),
-        ("enroll", {"phase": "challenge"}),
-        ("enroll", {"phase": "revoke"}),
-        ("enroll", {"phase": "submit", "user_id": "alice", "proof_of_possession": _PROOF}),
-        ("enroll", {"phase": "challenge", "user_id": "\ud800"}),
-    ], ids=["register-no-fingerprint", "register-int-user", "fetch_cert-no-user",
-            "fetch_cert-null-user", "submit-no-envelope", "submit-envelope-object",
-            "submit-envelope-empty",
-            *[f"submit-envelope-{how}" for how in _BROKEN],
-            "submit-counter-past-u64", "submit-sent_at-past-u64",
-            "submit-no-recipient-fingerprint", "submit-bad-recipient-fingerprint",
-            "submit-int-recipient-fingerprint",
-            "fetch-string-seq", "fetch-no-recipient", "group_create-null-members",
-            "group_create-string-members", "group_create-int-member",
-            "group_create-duplicate-member", "group_create-lone-surrogate-member",
-            "group_send-no-group", "group_send-truncated-envelope",
-            "enroll-challenge-no-user", "enroll-revoke-no-user",
-            "enroll-submit-no-key", "enroll-challenge-lone-surrogate-user"])
+    @pytest.mark.parametrize("msg_type, body", list(_MALFORMED_BODIES.values()),
+                             ids=list(_MALFORMED_BODIES))
     def test_protocol_error(self, rc, relay, msg_type, body):
         with pytest.raises(WireRemoteError) as err:
             rc.request(msg_type, body)
@@ -529,13 +582,26 @@ class TestMalformedBodies:
         assert json.loads(relay.dump_state())["groups"] == {}
         assert rc.fetch_certificate("alice").state == "not_found"
 
+    @pytest.mark.parametrize("request_name", list(_VALID_BODIES))
+    def test_each_request_refuses_a_broken_body(self, rc, relay, mno, request_name):
+        """Truncated, with trailing bytes, with a string that is not UTF-8,
+        and with a u64 field whose length is not 8, where the request has one."""
+        msg_type, body, string_at, u64_at = _VALID_BODIES[request_name]
+        for how in _BREAKS[:3] if u64_at is None else _BREAKS:
+            with pytest.raises(WireRemoteError) as err:
+                rc.request(msg_type, _break(body, how, string_at, u64_at))
+            assert err.value.category == "protocol-error", (how, str(err.value))
+            assert json.loads(relay.dump_state())["groups"] == {}
+            assert json.loads(mno.dump_state())["pending_challenges"] == {}
+            assert rc.fetch_certificate("alice").state == "not_found"
+
     def test_enroll_submit_of_a_lone_surrogate_id(self, rc, mno):
-        """JSON spells a lone surrogate, which has no UTF-8 encoding. With a
-        challenge pending for such an id, the submit reached the proof
-        check, which encodes the id, and got ``internal``."""
+        """An id whose bytes are the UTF-8 pattern of a lone surrogate is not
+        UTF-8. With a challenge pending for such an id, a submit once reached
+        the proof check, which encodes the id, and got ``internal``."""
         mno.new_challenge("\ud800")
         with pytest.raises(WireRemoteError) as err:
-            rc.request("enroll", _enroll_submit(user_id="\ud800"))
+            rc.request("enroll", encode_str("submit") + _enroll_submit(user=_SURROGATE))
         assert err.value.category == "protocol-error", str(err.value)
 
 
@@ -545,86 +611,181 @@ _CALLS = {
     "challenge": lambda c: c.new_challenge("bob"),
     "issue": lambda c: c.issue_certificate(
         EnrollmentRequest("bob", b"\x42" * 32, b"\x00" * 32)),
+    "revoke": lambda c: c.revoke_user("bob"),
     "register": lambda c: c.register_user("bob", b"\x42" * 32),
     "submit": lambda c: c.submit_envelope(_ENVELOPE),
     "fetch": lambda c: c.fetch_envelopes("bob", 0),
+    "group_create": lambda c: c.create_group("g", "bob", ["bob"]),
     "group_send": lambda c: c.broadcast_group("g", _ENVELOPE),
 }
 
 
-class TestMalformedReplies:
-    """A reply with a missing or mistyped field is the server's fault: the
-    client raises ``WireProtocolError``, never a ``KeyError`` or a wrong value."""
+def _entry(seq=encode_u64(1), envelope=_envelope_bytes()):
+    return encode_u64(1) + seq + encode_bytes(envelope)
 
-    @pytest.mark.parametrize("call, reply_type, body", [
-        ("fetch_cert", "ack", {}),
-        ("fetch_cert", "ack", {"status": 7, "record": None}),
-        ("fetch_cert", "ack", {"status": "valid", "record": None}),
-        ("fetch_cert", "ack", {"status": "expired", "record": None}),
-        ("fetch_cert", "ack", {"status": "valid", "record": {"user_id": "bob"}}),
-        *[("fetch_cert", "ack", {"status": "valid", "record": broken(_RECORD_BYTES)})
-          for broken in _BROKEN.values()],
-        ("challenge", "ack", {}),
-        ("issue", "ack", {}),
-        ("issue", "ack", {"record": _BROKEN["trailing-byte"](_RECORD_BYTES)}),
-        ("register", "ack", {"result": 1}),
-        ("submit", "ack", {}),
-        ("fetch", "ack", {"envelopes": None}),
-        ("fetch", "ack", {"envelopes": [{"seq": "1", "envelope": _b64(_envelope_bytes())}]}),
-        ("fetch", "ack", {"envelopes": ["x"]}),
-        *[("fetch", "ack", {"envelopes": [{"seq": 1, "envelope": broken(_envelope_bytes())}]})
-          for broken in _BROKEN.values()],
-        ("group_send", "ack", {"acks": [{"member_id": "bob"}]}),
-        ("fetch_cert", "error", {"message": "no category"}),
-        ("register", "submit", {"result": "registered"}),
-    ], ids=["status-missing", "status-int", "valid-without-record",
-            "expired-without-record", "record-object",
-            *[f"record-{how}" for how in _BROKEN],
-            "challenge-missing", "record-missing", "issued-record-trailing-byte",
-            "register-int-result", "submit-no-result", "envelopes-null",
-            "string-seq", "entry-string", *[f"envelope-{how}" for how in _BROKEN],
-            "ack-no-result", "error-no-category", "request-type-reply"])
+
+# Reply bodies, each valid but for one fault; the ids name the faults of the
+# JSON protocol this framing replaced, as for the request bodies.
+_MALFORMED_REPLIES = {
+    "status-missing": ("fetch_cert", "ack", b""),
+    "status-int": ("fetch_cert", "ack", encode_u64(7) + encode_bytes(b"")),
+    "valid-without-record": ("fetch_cert", "ack", encode_str("valid") + encode_bytes(b"")),
+    "expired-without-record": ("fetch_cert", "ack", encode_str("expired") + encode_bytes(b"")),
+    "record-object": ("fetch_cert", "ack", encode_str("valid") + encode_bytes(
+        json.dumps({"user_id": "bob"}).encode())),
+    **{f"record-{how}": ("fetch_cert", "ack",
+                         encode_str("valid") + encode_bytes(broken(_RECORD_BYTES)))
+       for how, broken in _BROKEN.items()},
+    "challenge-missing": ("challenge", "ack", b""),
+    "record-missing": ("issue", "ack", b""),
+    "issued-record-trailing-byte": ("issue", "ack",
+                                    encode_bytes(_BROKEN["trailing-byte"](_RECORD_BYTES))),
+    "register-int-result": ("register", "ack", _NOT_UTF8),
+    "submit-no-result": ("submit", "ack", b""),
+    "envelopes-null": ("fetch", "ack", b""),
+    "string-seq": ("fetch", "ack", _entry(seq=encode_str("1"))),
+    "entry-string": ("fetch", "ack", encode_u64(1) + encode_str("x")),
+    **{f"envelope-{how}": ("fetch", "ack", _entry(envelope=broken(_envelope_bytes())))
+       for how, broken in _BROKEN.items()},
+    "ack-no-result": ("group_send", "ack", encode_u64(1) + encode_str("bob")),
+    "error-no-category": ("fetch_cert", "error", encode_str("no category")),
+    "request-type-reply": ("register", "submit", encode_str("registered")),
+}
+
+# one valid ack body per client call, with the offset of a string field's
+# length and of a u64 field's length (None where the reply has none)
+_VALID_REPLIES = {
+    "fetch_cert": (encode_str("valid") + encode_bytes(_RECORD_BYTES), 0, 9 + 4 + 7 + 36 + 9),
+    "challenge": (encode_bytes(_KEY), None, None),
+    "issue": (encode_bytes(_RECORD_BYTES), 4, 4 + 7 + 36 + 9),
+    "revoke": (encode_str("revoked"), 0, None),
+    "register": (encode_str("registered"), 0, None),
+    "submit": (encode_str("queued"), 0, None),
+    "fetch": (_entry(), 12 + 12 + 4, 0),
+    "group_create": (encode_str("created"), 0, None),
+    "group_send": (encode_u64(1) + encode_str("bob") + encode_str("queued"), 12, 0),
+}
+_BROKEN_REPLIES = [(call, how) for call, (_, string_at, u64_at) in _VALID_REPLIES.items()
+                   for how in _BREAKS
+                   if (how != "bad-utf8" or string_at is not None)
+                   and (how != "bad-u64-width" or u64_at is not None)]
+
+
+class TestMalformedReplies:
+    """A reply that does not parse is the server's fault: the client raises
+    ``WireProtocolError``, never a ``KeyError`` or a wrong value."""
+
+    @pytest.mark.parametrize("call, reply_type, body", list(_MALFORMED_REPLIES.values()),
+                             ids=list(_MALFORMED_REPLIES))
     def test_protocol_error(self, call, reply_type, body):
         with serve_one_reply(encode_message(reply_type, body)) as client:
             with pytest.raises(WireProtocolError):
                 _CALLS[call](client)
 
+    @pytest.mark.parametrize("call", list(_VALID_REPLIES))
+    def test_each_valid_reply_is_read(self, call):
+        with serve_one_reply(encode_message("ack", _VALID_REPLIES[call][0])) as client:
+            _CALLS[call](client)
 
-# JSON that the decoder's own limits refuse: an integer past CPython's
-# int-string digit limit, and nesting past the recursion limit
-_HUGE_INT = "9" * 4401
-_DEEP_LIST = "[" * 2000 + "]" * 2000
-
-
-class TestHostileJson:
-    """A line that trips a limit of the JSON decoder is the sender's fault:
-    ``protocol-error`` on the server, ``WireProtocolError`` on the client."""
-
-    @pytest.mark.parametrize("line", [
-        '1{"body":{"after_seq":%s,"recipient_id":"alice"},"type":"fetch"}\n' % _HUGE_INT,
-        '1{"body":{"user_id":%s},"type":"fetch_cert"}\n' % _DEEP_LIST,
-    ], ids=["huge-int", "deep-nesting"])
-    def test_server_answers_protocol_error_and_serves_on(self, server, line):
-        assert len(line) < 5000
-        with socket.create_connection((server.host, server.port)) as sock, \
-                sock.makefile("rwb") as stream:
-            stream.write(line.encode("ascii"))
-            stream.write(encode_message("fetch_cert", {"user_id": "nobody"}))
-            stream.flush()
-            reply_type, body = decode_message(stream.readline())
-            assert (reply_type, body["category"]) == ("error", "protocol-error")
-            reply_type, body = decode_message(stream.readline())
-            assert (reply_type, body["status"]) == ("ack", "not_found")
-
-    @pytest.mark.parametrize("reply", [
-        '1{"body":{"record":null,"status":%s},"type":"ack"}\n' % _HUGE_INT,
-        '1{"body":{"record":%s,"status":"valid"},"type":"ack"}\n' % _DEEP_LIST,
-    ], ids=["huge-int", "deep-nesting"])
-    def test_client_raises_wire_protocol_error(self, reply):
-        assert len(reply) < 5000
-        with serve_one_reply(reply.encode("ascii")) as client:
+    @pytest.mark.parametrize("call, how", _BROKEN_REPLIES,
+                             ids=[f"{c}-{h}" for c, h in _BROKEN_REPLIES])
+    def test_each_reply_refuses_a_broken_body(self, call, how):
+        body, string_at, u64_at = _VALID_REPLIES[call]
+        with serve_one_reply(encode_message("ack", _break(body, how, string_at, u64_at))) \
+                as client:
             with pytest.raises(WireProtocolError):
-                client.fetch_certificate("nobody")
+                _CALLS[call](client)
+
+
+class _Tap:
+    """A TCP relay between a client and a server that keeps every byte each
+    way; one connection."""
+
+    def __init__(self, server):
+        self.sent, self.received = bytearray(), bytearray()
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.host, self.port = self._listener.getsockname()
+        self._upstream = (server.host, server.port)
+        self._threads = [threading.Thread(target=self._accept)]
+        self._threads[0].start()
+
+    def _accept(self):
+        down, _ = self._listener.accept()
+        up = socket.create_connection(self._upstream)
+        pumps = [threading.Thread(target=self._pump, args=(down, up, self.sent)),
+                 threading.Thread(target=self._pump, args=(up, down, self.received))]
+        for pump in pumps:
+            pump.start()
+        for pump in pumps:
+            pump.join()
+        down.close()
+        up.close()
+
+    @staticmethod
+    def _pump(src, dst, record):
+        while True:
+            data = src.recv(65536)
+            if not data:
+                dst.shutdown(socket.SHUT_WR)
+                return
+            record += data
+            dst.sendall(data)
+
+    def close(self):
+        self._threads[0].join(timeout=10)
+        self._listener.close()
+        assert not self._threads[0].is_alive()
+
+
+class TestIndependentReader:
+    def test_tapped_session_parses_exactly(self, server):
+        """Every frame of a session, read with ``oracles``' reader written
+        from PROTOCOL.md alone, parses exactly: every request type and
+        enroll phase, an error reply, a fetch of several entries and a
+        fan-out."""
+        tap = _Tap(server)
+        with RelayClient(tap.host, tap.port) as rc:
+            users = [Client.install(f"t{i}", rc, rc) for i in range(3)]
+            alice, bob, carol = users
+            alice.start_session("t1")
+            texts = ["one", "two", "three"]
+            envelopes = [alice.send_text("t1", text) for text in texts]
+            for envelope in envelopes:
+                rc.submit_envelope(envelope)
+            assert [d.text for d in bob.pull_messages()] == texts
+            creation = alice.create_group("room", [u.user_id for u in users])
+            rc.create_group("room", "t0", creation.member_ids)
+            for envelope in creation.envelopes:
+                rc.submit_envelope(envelope)
+            bob.pull_messages()
+            carol.pull_messages()
+            group_envelope = alice.send_group_message("room", "to the room")
+            rc.broadcast_group("room", group_envelope)
+            with pytest.raises(WireRemoteError):
+                rc.register_user("ghost", b"\x00" * 32)
+            rc.revoke_user("t2")
+        tap.close()
+
+        requests = [oracles.read_request(b) for b in oracles.split_frames(bytes(tap.sent))]
+        replies = oracles.split_frames(bytes(tap.received))
+        assert len(replies) == len(requests)
+        exchanges = [(name, fields, oracles.read_reply(body, name))
+                     for (name, fields), body in zip(requests, replies)]
+        assert {name for name, _, _ in exchanges} == set(oracles.REQUEST_FIELDS)
+
+        assert ("register", ["ghost", b"\x00" * 32],
+                ("error", ["registration-refused", "certificate for 'ghost' is not_found"])) \
+            in exchanges
+        fetched = [reply[1][0] for name, _, reply in exchanges
+                   if name == "fetch" and len(reply[1][0]) > 1]
+        assert [[data for _, data in entries] for entries in fetched] == \
+            [[e.canonical_bytes() for e in envelopes]]
+        [(_, send_fields, fan_out)] = [x for x in exchanges if x[0] == "group_send"]
+        assert send_fields == ["room", group_envelope.canonical_bytes()]
+        assert fan_out == ("ack", [[("t1", ACK_QUEUED), ("t2", ACK_QUEUED)]])
+        submits = [fields for name, fields, _ in exchanges if name == "submit"]
+        assert submits[0] == [envelopes[0].canonical_bytes(),
+                              envelopes[0].recipient_cert_fingerprint]
 
 
 class TestRoundTrips:
