@@ -19,7 +19,12 @@ from chainchat.chain import CertificateRecord, CertStatus
 from chainchat.config import StackConfig
 from chainchat.crypto import SealedPayload, generate_identity_keypair
 from chainchat.encoding import U64_MAX, Reader, encode_bytes, encode_str, encode_u64
-from chainchat.errors import StackStartupError, WireProtocolError, WireRemoteError
+from chainchat.errors import (
+    ChainFormatError,
+    StackStartupError,
+    WireProtocolError,
+    WireRemoteError,
+)
 from chainchat.mno import EnrollmentRequest, possession_payload
 from chainchat.relay import ACK_QUEUED, Envelope
 from chainchat.stack import run_stack
@@ -82,6 +87,33 @@ class TestFraming:
         raw = encode_message("register", encode_str("u") + encode_bytes(b"\x00\x01"))
         body = b"\x00\x00\x00\x08register" + b"\x00\x00\x00\x01u" + b"\x00\x00\x00\x02\x00\x01"
         assert raw == struct.pack(">I", len(body)) + body
+
+    def test_version_byte_leads(self):
+        """A frame leads with its length, whose first byte is 0x00 or 0x01
+        under the cap: never the version byte ``1`` that led the JSON lines
+        this framing replaced, so the leading byte still tells the two
+        protocols apart."""
+        for raw in (encode_message("fetch_cert", encode_str("bob")),
+                    encode_message("fetch", encode_str("a") + encode_u64(0))):
+            assert raw[:1] == b"\x00"
+        assert struct.pack(">I", wire._MAX_FRAME)[:1] < b"1"
+        assert struct.unpack(">I", b'1{"b')[0] > wire._MAX_FRAME
+
+    def test_canonical_json_sorted_compact(self):
+        """A message has exactly one byte encoding, as canonical JSON gave the
+        old lines: a decoded frame re-encodes to the same bytes, and the same
+        value written in a wider field is refused."""
+        raw = encode_message("fetch", encode_str("alice") + encode_u64(7))
+        msg_type, body = decode_message(raw)
+        fields = encode_str(body.read_str()) + encode_u64(body.read_u64())
+        assert body.exhausted
+        assert encode_message(msg_type, fields) == raw
+        wide = encode_message("fetch", encode_str("alice")
+                              + encode_bytes((7).to_bytes(9, "big")))
+        _, body = decode_message(wide)
+        body.read_str()
+        with pytest.raises(ChainFormatError):
+            body.read_u64()
 
     def test_roundtrip(self):
         raw = encode_message("fetch_cert", encode_str("bob"))
