@@ -40,7 +40,7 @@ from .chain import load_chain, verify_chain, write_atomic
 from .client import Client, Delivery
 from .config import StackConfig
 from .errors import ChainChatError, StackStartupError
-from .stack import make_state_dir, run_stack
+from .stack import lock_state_dir, make_state_dir, run_stack
 from .wire import RelayClient
 
 
@@ -172,23 +172,23 @@ def _cmd_stack_up(cfg: StackConfig, args: argparse.Namespace) -> int:
     raise StackStartupError("stack did not become healthy within 15s")
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-        return True
-    except (ProcessLookupError, PermissionError):
-        return False
-
-
 def _running_pid(cfg: StackConfig) -> Optional[int]:
-    """The pid in the pid file, if that process is alive. A missing or
-    unreadable file, a pid that is not a positive integer (0 and -1 would
-    signal a whole process group) and a dead pid all mean no running stack."""
+    """The pid in the pid file while a server holds the state directory's
+    lock: a free lock, whatever the file names, a missing or unreadable
+    file, and a pid that is not a positive integer (0 and -1 would signal a
+    whole process group) all mean no running stack."""
+    try:
+        os.close(lock_state_dir(cfg.state_dir))
+        return None  # the lock is free: no server runs on the directory
+    except OSError:  # no state directory
+        return None
+    except StackStartupError:  # a server holds the lock
+        pass
     try:
         pid = int(cfg.pid_file.read_text(encoding="ascii"))
     except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
         return None
-    return pid if pid > 0 and _pid_alive(pid) else None
+    return pid if pid > 0 else None
 
 
 def _cmd_stack_down(cfg: StackConfig, args: argparse.Namespace) -> int:
@@ -199,10 +199,10 @@ def _cmd_stack_down(cfg: StackConfig, args: argparse.Namespace) -> int:
         return 0
     os.kill(pid, signal.SIGTERM)
     deadline = time.time() + 10
-    while _pid_alive(pid):
+    while _running_pid(cfg) == pid:  # until the server lets go of the lock
         if time.time() >= deadline:
-            print(f"error[stack-still-running]: pid {pid} still runs 10s after "
-                  f"SIGTERM; {cfg.pid_file} kept", file=sys.stderr)
+            print(f"error[stack-still-running]: pid {pid} still holds {cfg.state_dir} 10s "
+                  f"after SIGTERM; {cfg.pid_file} kept", file=sys.stderr)
             return 1
         time.sleep(0.05)
     cfg.pid_file.unlink(missing_ok=True)

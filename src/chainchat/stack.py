@@ -5,7 +5,8 @@ wire server. Writer credentials and the chain live under the state
 directory, so tearing down and re-running with the same paths reloads the
 same chain (and fails loudly if it no longer verifies, or if either file
 is gone). A server holds an exclusive ``flock`` on the state directory from
-before it reads it until it closes, so a second one is refused.
+before it reads it until it closes, so a second one is refused; it lets go
+only after its last connection has ended (``WireServer.close``).
 """
 
 from __future__ import annotations
@@ -55,17 +56,16 @@ def make_state_dir(path: str | Path) -> None:
         raise StackStartupError(f"cannot use {path} as a state directory: {e}") from e
 
 
-def _lock_state_dir(cfg: StackConfig) -> int:
-    """A descriptor of the state directory holding its exclusive lock; a
-    directory another server holds is refused."""
-    make_state_dir(cfg.state_dir)
-    fd = os.open(cfg.state_dir, os.O_RDONLY | os.O_DIRECTORY)
+def lock_state_dir(state_dir: str) -> int:
+    """A descriptor of the directory ``state_dir`` holding its exclusive
+    lock; a directory another server holds is refused."""
+    fd = os.open(state_dir, os.O_RDONLY | os.O_DIRECTORY)
     try:
         fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
     except BlockingIOError as e:
         os.close(fd)
         raise StackStartupError(
-            f"state directory {cfg.state_dir} is held by another running server") from e
+            f"state directory {state_dir} is held by another running server") from e
     return fd
 
 
@@ -102,7 +102,8 @@ def run_stack(config: StackConfig) -> WireServer:
     """The stack on ``config``: its server reaches the relay, the MNO and,
     through the MNO, the chain node, and holds the state directory's lock
     until it closes."""
-    lock = _lock_state_dir(config)
+    make_state_dir(config.state_dir)
+    lock = lock_state_dir(config.state_dir)
     try:
         credentials, chain_node = _open_state(config)
         mno = MnoCertificateAuthority(credentials[MNO_WRITER_ID], chain_node)

@@ -10,22 +10,25 @@ not parse is ``protocol-error``. PROTOCOL.md fixes each type's field list.
 
 The server fronts all three desk-scale roles on one listener: the relay
 endpoints directly, the chain via ``fetch_cert``, and the MNO via the
-``enroll`` family (challenge / submit / revoke phases).
+``enroll`` family (challenge / submit / revoke phases). An accept thread
+starts a thread per connection, kept in a registry until it ends; ``close``
+ends them all before it lets go of the state-directory lock.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import socket
-import socketserver
 import threading
-from typing import BinaryIO, Callable, List, Optional, Tuple, TypeVar
+from typing import BinaryIO, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from .chain import EXPIRED, NOT_FOUND, REVOKED, VALID, CertificateRecord, CertStatus
 from .encoding import LENGTH_PREFIX, U64_FIELD, Reader, encode_bytes, encode_str, encode_u64
 from .errors import (
     ChainChatError,
     ChainFormatError,
+    MessageTooLargeError,
     StackStartupError,
     WireProtocolError,
     WireRemoteError,
@@ -39,6 +42,7 @@ REPLY_TYPES = ("ack", "error")
 CERT_STATES = (VALID, REVOKED, EXPIRED, NOT_FOUND)
 
 _MAX_FRAME = 1 << 24  # bytes of body, after the length prefix
+_MAX_ENVELOPE = _MAX_FRAME - 35  # what a fetch reply's one entry can carry (PROTOCOL.md)
 
 T = TypeVar("T")
 
@@ -116,8 +120,8 @@ def _fetch_reply(entries: List[Tuple[int, Envelope]]) -> bytes:
     mailboxes is encoded once.
 
     The reply carries the longest prefix of ``entries`` whose fields fit in
-    half a frame, and always the first entry, which is about as long as the
-    request that queued it; the rest stays queued for the next fetch."""
+    half a frame, and always the first entry, which ``_MAX_ENVELOPE`` keeps
+    within a frame; the rest stays queued for the next fetch."""
     parts, budget = [], _MAX_FRAME // 2
     for seq, env in entries:
         data = env.wire_bytes()
@@ -126,6 +130,13 @@ def _fetch_reply(entries: List[Tuple[int, Envelope]]) -> bytes:
             break
         parts.append(U64_FIELD.pack(8, seq) + LENGTH_PREFIX.pack(len(data)) + data)
     return _ack(_encode_list(parts))
+
+
+def _envelope(data: bytes, recipient_cert_fingerprint: bytes = b"") -> Envelope:
+    """The envelope of a request; one no fetch reply could carry is refused."""
+    if len(data) > _MAX_ENVELOPE:
+        raise MessageTooLargeError(f"envelope of {len(data)} bytes exceeds {_MAX_ENVELOPE}")
+    return Envelope.from_bytes(data, recipient_cert_fingerprint)
 
 
 def _read_status(body: Reader) -> CertStatus:
@@ -143,69 +154,79 @@ def _read_status(body: Reader) -> CertStatus:
 # ---------------------------------------------------------------------------
 
 class WireServer:
-    """Threaded frame server dispatching wire requests to relay and MNO."""
+    """Frame server dispatching wire requests to relay and MNO."""
 
     def __init__(self, relay: Relay, mno: MnoCertificateAuthority,
                  host: str = "127.0.0.1", port: int = 0, state_lock: Optional[int] = None):
         self.relay = relay
         self.mno = mno
         self._state_lock = state_lock  # a descriptor holding a lock; close() closes it
-        dispatch = self._dispatch
-
-        class Handler(socketserver.StreamRequestHandler):
-            def handle(self) -> None:
-                while True:
-                    try:
-                        frame = _read_frame(self.rfile)
-                    except OSError:  # e.g. reset by the client: the connection is over
-                        return
-                    except WireProtocolError as e:  # answer once and drop the connection
-                        self.send(_error(e.category, str(e)))
-                        return
-                    if not frame:
-                        return
-                    try:
-                        reply = dispatch(*decode_message(frame))
-                    except ChainChatError as e:
-                        reply = _error(e.category, str(e))
-                    except Exception as e:  # never kill the connection loop
-                        reply = _error("internal", str(e))
-                    if not self.send(reply):
-                        return
-
-            def send(self, reply: bytes) -> bool:
-                try:
-                    self.wfile.write(reply)
-                    self.wfile.flush()
-                except OSError:
-                    return False
-                return True
-
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
         try:
-            self._server = Server((host, port), Handler)
+            self._listener = socket.create_server((host, port))
         except OSError as e:
             raise StackStartupError(f"cannot bind relay listener on {host}:{port}: {e}") from e
-        self.host, self.port = self._server.server_address
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        name="chainchat-wire", daemon=True)
-        self._thread.start()
+        self.host, self.port = self._listener.getsockname()[:2]
+        self._connections: Dict[socket.socket, threading.Thread] = {}  # under _lock
+        self._lock, self._closed = threading.Lock(), False
+        self._accept_thread = threading.Thread(target=self._accept, name="chainchat-wire",
+                                               daemon=True)
+        self._accept_thread.start()
 
     def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        """End the accept loop, then every connection, and only then let go
+        of the state-directory lock; a second call does nothing."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+        self._listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
+        self._accept_thread.join()
+        self._listener.close()
+        with self._lock:  # a registered socket is open: its thread closes it on leaving
+            threads = list(self._connections.values())
+            for conn in self._connections:
+                with contextlib.suppress(OSError):  # already reset by the client
+                    conn.shutdown(socket.SHUT_RDWR)  # wakes its thread's read
+        for thread in threads:
+            thread.join()
         if self._state_lock is not None:
             os.close(self._state_lock)
-            self._state_lock = None
 
     def __enter__(self) -> "WireServer":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    def _accept(self) -> None:
+        while not self._closed:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:  # shut down by close(), or a connection lost before it was accepted
+                continue
+            with self._lock:
+                thread = self._connections[conn] = threading.Thread(
+                    target=self._serve, args=(conn,), name="chainchat-wire-conn", daemon=True)
+            thread.start()
+
+    def _serve(self, conn: socket.socket) -> None:
+        try:  # an OSError (reset by the client, shut down by close()) ends the connection
+            with contextlib.suppress(OSError), conn.makefile("rb") as stream:
+                try:
+                    while frame := _read_frame(stream):
+                        try:
+                            reply = self._dispatch(*decode_message(frame))
+                        except ChainChatError as e:
+                            reply = _error(e.category, str(e))
+                        except Exception as e:  # never kill the connection loop
+                            reply = _error("internal", str(e))
+                        conn.sendall(reply)
+                except WireProtocolError as e:  # a frame over the cap: answer once, then drop
+                    conn.sendall(_error(e.category, str(e)))
+        finally:
+            with self._lock:
+                del self._connections[conn]
+                conn.close()
 
     # -- request dispatch -----------------------------------------------------
 
@@ -223,8 +244,7 @@ class WireServer:
             record = status.record.canonical_bytes() if status.record else b""
             return _ack(encode_str(status.state) + encode_bytes(record))
         if msg_type == "submit":  # arguments are read left to right: the envelope first
-            envelope = _read(body, lambda r: Envelope.from_bytes(
-                r.read_bytes(), recipient_cert_fingerprint=r.read_bytes()))
+            envelope = _read(body, lambda r: _envelope(r.read_bytes(), r.read_bytes()))
             return _ack(encode_str(self.relay.submit_envelope(envelope)))
         if msg_type == "fetch":
             recipient_id, after_seq = _read(body, lambda r: (r.read_str(), r.read_u64()))
@@ -236,7 +256,7 @@ class WireServer:
             return _ack(encode_str("created"))
         if msg_type == "group_send":
             group_id, envelope = _read(body, lambda r: (
-                r.read_str(), Envelope.from_bytes(r.read_bytes())))
+                r.read_str(), _envelope(r.read_bytes())))
             acks = self.relay.broadcast_group(group_id, envelope)
             return _ack(_encode_list([encode_str(member) + encode_str(result)
                                       for member, result in acks]))
@@ -274,14 +294,12 @@ class RelayClient:
 
     def __init__(self, host: str, port: int, timeout: float = 10.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._file = self._sock.makefile("rwb")
+        self._file = self._sock.makefile("rb")
         self._lock = threading.Lock()
 
     def close(self) -> None:
-        try:
-            self._file.close()
-        finally:
-            self._sock.close()
+        self._file.close()  # read-only: closing it flushes nothing, so it cannot fail
+        self._sock.close()
 
     def __enter__(self) -> "RelayClient":
         return self
@@ -294,8 +312,7 @@ class RelayClient:
         result reads the ack's fields."""
         try:
             with self._lock:
-                self._file.write(encode_message(msg_type, body))
-                self._file.flush()
+                self._sock.sendall(encode_message(msg_type, body))
                 frame = _read_frame(self._file)
         except OSError as e:  # reset, timeout: the reply is lost either way
             raise WireProtocolError(f"connection to the server failed: {e}") from e

@@ -1,4 +1,5 @@
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,18 @@ from chainchat.chain import ChainNode, WriterCredential
 from chainchat.client import Client
 from chainchat.mno import MnoCertificateAuthority
 from chainchat.relay import Relay
+
+
+@pytest.fixture(autouse=True)
+def no_wire_thread_outlives_its_test():
+    """A test closes every wire server it starts: ``WireServer.close``
+    joins the accept thread and each connection's thread before it returns,
+    so none is left once the test's fixtures are torn down."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate()
+            if t not in before and t.name.startswith("chainchat-wire")]
+    assert not left, f"wire server threads still running after the test: {left}"
 
 
 @pytest.fixture

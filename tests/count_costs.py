@@ -23,7 +23,7 @@ on port 0 and a ``RelayClient``, and counts per operation:
   reply_bytes        bytes of the frames the client decodes
 
 Both byte counts are taken on the client's (main) thread, so the server's
-own encodes on its handler thread are not counted twice.
+own encodes on a connection's thread are not counted twice.
 ``tests/test_costs.py`` compares a run with ``BENCH_counts.json``. A change
 that moves a count rewrites the file with this script, run from the
 repository root:

@@ -9,6 +9,7 @@ import re
 import signal
 import socket
 import struct
+import subprocess
 import threading
 from pathlib import Path
 
@@ -240,24 +241,56 @@ class TestStackHandle:
 
     def test_down_keeps_the_pid_file_of_a_stack_that_outlives_the_wait(
             self, tmp_path, capsys, monkeypatch):
-        """A pid still alive after the wait is one error line and exit 1, and
-        its pid file stays, so a later stack up does not start a second
-        server on its port."""
+        """A server still holding the state directory after the wait is one
+        error line and exit 1, and its pid file stays, so a later stack up
+        does not start a second server on its port."""
         state = tmp_path / "state"
         state.mkdir()
         pid_file = state / "relay.pid"
         pid_file.write_bytes(b"4242")
         signals = []
         monkeypatch.setattr(os, "kill", lambda pid, sig: signals.append((pid, sig)))
-        monkeypatch.setattr(cli, "_pid_alive", lambda pid: True)
         monkeypatch.setattr(cli, "time", SimulatedClock())
-        assert cli.main(["--state-dir", str(state), "stack", "down"]) == 1
+        held = stack_mod.lock_state_dir(str(state))  # as the server 4242 would
+        try:
+            assert cli.main(["--state-dir", str(state), "stack", "down"]) == 1
+        finally:
+            os.close(held)
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error[") and captured.err.count("\n") == 1
         assert "4242" in captured.err
         assert pid_file.read_bytes() == b"4242"
         assert signals == [(4242, signal.SIGTERM)]
+
+    def test_stale_pid_file_signals_no_one(self, tmp_path, capsys, monkeypatch):
+        """A server runs on a state directory exactly while it holds the
+        directory's lock. With the lock free, a pid file naming a live,
+        unrelated process is stale: down removes it and signals no one, and
+        up does not take it for a running stack."""
+        state = tmp_path / "state"
+        state.mkdir()
+        pid_file = state / "relay.pid"
+        bystander = subprocess.Popen(["sleep", "30"])
+        try:
+            pid_file.write_text(str(bystander.pid))
+            assert cli.main(["--state-dir", str(state), "stack", "down"]) == 0
+            assert capsys.readouterr().out == "stack is not running\n"
+            assert not pid_file.exists()
+            pid_file.write_text(str(bystander.pid))
+            started = []
+            with monkeypatch.context() as m:
+                m.setattr(cli.subprocess, "Popen",
+                          lambda cmd, **kwargs: started.append(cmd) or bystander)
+                m.setattr(bystander, "poll", lambda: 1)  # the started server exits at once
+                assert cli.main(["--state-dir", str(state), "--port", "7",
+                                 "stack", "up"]) == 1
+            assert "stack process exited early" in capsys.readouterr().err
+            assert len(started) == 1
+            assert bystander.poll() is None  # never signalled
+        finally:
+            bystander.kill()
+            bystander.wait()
 
     def test_up_sleeps_between_probes(self, tmp_path, capsys, monkeypatch):
         """Something that answers on the port but not as a healthy stack is

@@ -5,7 +5,9 @@ import random
 import re
 import socket
 import struct
+import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -15,12 +17,13 @@ from chainchat import identity_sig, wire
 from chainchat import mno as mno_mod
 from chainchat import relay as relay_mod
 from chainchat.client import Client
-from chainchat.chain import CertificateRecord, CertStatus
+from chainchat.chain import CertificateRecord, CertStatus, load_chain, verify_chain
 from chainchat.config import StackConfig
 from chainchat.crypto import SealedPayload, generate_identity_keypair
 from chainchat.encoding import U64_MAX, Reader, encode_bytes, encode_str, encode_u64
 from chainchat.errors import (
     ChainFormatError,
+    InstallError,
     StackStartupError,
     WireProtocolError,
     WireRemoteError,
@@ -373,13 +376,12 @@ class TestServer:
 
     def test_client_reset_ends_the_connection_quietly(self, server, monkeypatch):
         """A reset while the server waits for a request frame ends that
-        connection's handler without an exception (no traceback in the log)."""
-        handler = server._server.RequestHandlerClass
-        real_handle, outcomes, done = handler.handle, [], threading.Event()
+        connection's thread without an exception (no traceback in the log)."""
+        real_serve, outcomes, done = WireServer._serve, [], threading.Event()
 
-        def handle(self):
+        def serve(self, conn):
             try:
-                real_handle(self)
+                real_serve(self, conn)
                 outcomes.append(None)
             except BaseException as e:
                 outcomes.append(e)
@@ -387,11 +389,11 @@ class TestServer:
             finally:
                 done.set()
 
-        monkeypatch.setattr(handler, "handle", handle)
+        monkeypatch.setattr(WireServer, "_serve", serve)
         with socket.create_connection((server.host, server.port)) as sock:
             sock.sendall(encode_message("fetch_cert", encode_str("nobody")))
             with sock.makefile("rb") as stream:
-                assert _read_frame(stream)  # the handler is running
+                assert _read_frame(stream)  # the connection's thread is running
             sock.sendall(b"\x00\x00\x01\x00fetch")  # a request cut short
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
         assert done.wait(timeout=5)
@@ -414,6 +416,123 @@ class TestServer:
         for t in threads:
             t.join()
         assert results == ["not_found"] * 8
+
+
+    def test_an_envelope_no_fetch_reply_can_carry_is_refused(self, rc):
+        """A fetch reply carries its first envelope whatever its size, in a
+        frame 35 bytes longer. A group_send with a one-letter group id fits
+        an envelope 12 bytes longer than that in its frame; queued, it would
+        fail every fetch of every member's mailbox for good. Such an
+        envelope is refused whole, at submit too, and the longest one that
+        fits is delivered."""
+        def envelope(size):
+            """A group envelope of exactly ``size`` canonical bytes from a
+            new member, whose id takes what the ciphertext's 16-byte steps
+            leave over."""
+            fields = dict(recipient_id="", counter=0, group_id="g", sent_at=0)
+            bare = len(Envelope(sender_id="", sender_cert_fingerprint=b"\x42" * 32,
+                                payload=SealedPayload(b"", b"\x42" * 32),
+                                **fields).canonical_bytes())
+            ciphertext = (size - bare - 1) // 16 * 16
+            sender = Client.install("s" * (size - bare - ciphertext), rc, rc)
+            result = Envelope(sender_id=sender.user_id,
+                              sender_cert_fingerprint=sender.cert_fingerprint,
+                              payload=SealedPayload(b"\x10" * ciphertext, b"\x42" * 32),
+                              **fields)
+            assert len(result.canonical_bytes()) == size
+            return result
+
+        Client.install("bob", rc, rc)
+        largest = wire._MAX_FRAME - 35
+        too_long, fits = envelope(largest + 1), envelope(largest)
+        rc.create_group("g", "bob", ["bob", too_long.sender_id, fits.sender_id])
+        for send in (lambda: rc.broadcast_group("g", too_long),
+                     lambda: rc.request("submit", encode_bytes(too_long.canonical_bytes())
+                                        + encode_bytes(b""))):
+            with pytest.raises(WireRemoteError) as err:
+                send()
+            assert err.value.category == "message-too-large"
+        assert rc.fetch_envelopes("bob", 0) == []
+        assert dict(rc.broadcast_group("g", fits))["bob"] == ACK_QUEUED
+        [(seq, delivered)] = rc.fetch_envelopes("bob", 0)
+        assert delivered == fits
+        assert rc.fetch_envelopes("bob", seq) == []
+
+
+class TestClose:
+    def test_no_request_reaches_the_chain_after_close(self, tmp_path):
+        """``close`` ends every connection before it lets go of the state
+        directory: an enroll sent afterwards on a connection opened before
+        it gets no reply and writes nothing, so the next server on the
+        directory appends to the chain the first one left, and it verifies."""
+        cfg = StackConfig(state_dir=str(tmp_path / "state"), relay_port=0)
+        path = cfg.resolved_chain_file()
+        first = run_stack(cfg)
+        with RelayClient(first.host, first.port) as early:
+            Client.install("alice", early, early)
+            first.close()
+            height = load_chain(path).height
+            with pytest.raises(InstallError) as err:
+                Client.install("bob", early, early)
+            assert isinstance(err.value.__cause__, WireProtocolError)
+        assert load_chain(path).height == height
+        with run_stack(cfg) as second, RelayClient(second.host, second.port) as rc:
+            Client.install("carol", rc, rc)
+        state = load_chain(path)
+        assert verify_chain(state).ok and state.height == height + 1
+        with run_stack(cfg) as third:
+            assert third.mno.chain_node.snapshot().height == height + 1
+
+    def test_close_ends_idle_connections_and_a_second_close_does_nothing(self, server):
+        clients = [RelayClient(server.host, server.port) for _ in range(3)]
+        try:
+            assert clients[0].health()  # one has been served; two never sent a request
+            closer = threading.Thread(target=server.close)
+            closer.start()
+            closer.join(timeout=5)
+            assert not closer.is_alive()
+            assert not [t for t in threading.enumerate() if t.name.startswith("chainchat-wire")]
+            server.close()
+            for client in clients:
+                with pytest.raises(WireProtocolError):
+                    client.fetch_certificate("nobody")
+        finally:
+            for client in clients:
+                client.close()
+
+
+    def test_close_while_connections_come_and_go(self, server):
+        """Connections that open, are served and end while ``close`` runs
+        all leave the registry, and ``close`` returns with no wire thread
+        left, with threads switching as often as they can."""
+        interval, stop = sys.getswitchinterval(), threading.Event()
+
+        def churn():
+            while not stop.is_set():
+                try:
+                    with RelayClient(server.host, server.port, timeout=2) as client:
+                        client.fetch_certificate("nobody")
+                except (OSError, WireProtocolError):
+                    pass  # refused or ended by close()
+
+        workers = [threading.Thread(target=churn) for _ in range(8)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            time.sleep(0.2)
+            closer = threading.Thread(target=server.close)
+            closer.start()
+            closer.join(timeout=10)
+            assert not closer.is_alive()
+            assert server._connections == {}
+            assert not [t for t in threading.enumerate() if t.name.startswith("chainchat-wire")]
+        finally:
+            stop.set()
+            for worker in workers:
+                worker.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
 
 
 def test_relay_and_wire_client_take_the_same_parameters():
@@ -866,7 +985,7 @@ class TestRoundTrips:
 
             def counting(self):
                 data = canonical_bytes(self)
-                # the server answers on its handler thread; this one is the client
+                # the server answers on a connection's thread; this one is the client
                 if (self.payload == envelope.payload
                         and threading.current_thread() is not threading.main_thread()):
                     server_encodes.append(data)
