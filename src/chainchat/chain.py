@@ -348,16 +348,25 @@ def append_block(state: ChainState, credential: WriterCredential,
     return ChainState(blocks=state.blocks + (signed,), latest=MappingProxyType(latest))
 
 
-def fetch_latest(state: ChainState, user_id: str, now: Optional[int] = None) -> CertStatus:
-    """Latest-wins lookup: the newest record for the user decides the status."""
-    rec = state.latest.get(user_id)
+def status_of(rec: Optional[CertificateRecord], now: int) -> str:
+    """The latest-wins rule: the state at ``now`` of a user whose newest
+    record is ``rec`` (None for a user with no record). A hot caller asks
+    it of ``ChainState.latest`` directly and builds no ``CertStatus``."""
     if rec is None:
-        return CertStatus(state=NOT_FOUND)
+        return NOT_FOUND
     if rec.kind == KIND_REVOCATION:
-        return CertStatus(state=REVOKED)
-    if rec.expires_at <= (_now() if now is None else now):
-        return CertStatus(state=EXPIRED, record=rec)
-    return CertStatus(state=VALID, record=rec)
+        return REVOKED
+    if rec.expires_at <= now:
+        return EXPIRED
+    return VALID
+
+
+def fetch_latest(state: ChainState, user_id: str, now: Optional[int] = None) -> CertStatus:
+    """Latest-wins lookup: the newest record for the user decides the status
+    (``status_of``); the record rides along unless it is a revocation."""
+    rec = state.latest.get(user_id)
+    status = status_of(rec, _now() if now is None else now)
+    return CertStatus(state=status, record=None if status == REVOKED else rec)
 
 
 def _check_genesis(gen: Block) -> VerifyResult:

@@ -122,23 +122,22 @@ def _print_delivery(delivery: Delivery) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_stack_serve(cfg: StackConfig, args: argparse.Namespace) -> int:
-    server = run_stack(cfg)
-    write_atomic(cfg.pid_file, str(os.getpid()).encode("ascii"))
-    stop = {"flag": False}
-
-    def _term(_sig, _frame):
-        stop["flag"] = True
-
-    signal.signal(signal.SIGTERM, _term)
-    signal.signal(signal.SIGINT, _term)
-    print(f"stack up on {server.host}:{server.port} "
-          f"(chain: {cfg.resolved_chain_file()})")
+    # blocked before run_stack starts its threads, which inherit the mask, so
+    # only sigwait takes a stop signal, the moment it arrives
+    stop_signals = {signal.SIGTERM, signal.SIGINT}
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, stop_signals)
     try:
-        while not stop["flag"]:
-            time.sleep(0.2)
+        server = run_stack(cfg)
+        try:
+            write_atomic(cfg.pid_file, str(os.getpid()).encode("ascii"))
+            print(f"stack up on {server.host}:{server.port} "
+                  f"(chain: {cfg.resolved_chain_file()})", flush=True)
+            signal.sigwait(stop_signals)
+        finally:
+            server.close()
+            cfg.pid_file.unlink(missing_ok=True)
     finally:
-        server.close()
-        cfg.pid_file.unlink(missing_ok=True)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     return 0
 
 

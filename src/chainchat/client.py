@@ -354,6 +354,9 @@ class Client:
         if not envelope.shape_ok():  # e.g. a counter past u64 has no associated data
             raise WireProtocolError("malformed envelope")
         if envelope.group_id:
+            if envelope.recipient_id:
+                raise WireProtocolError(
+                    f"group envelope names recipient {envelope.recipient_id!r}")
             group = self._group_of(envelope.group_id, envelope.sender_id)
             plaintext, group.group_chain = self._open(group, group.group_chain, envelope)
         else:

@@ -67,10 +67,16 @@ class Reader:
             raise ChainFormatError(f"invalid utf-8 in {self._what}") from e
 
     def read_u64(self) -> int:
-        raw = self.read_bytes()
-        if len(raw) != 8:
-            raise ChainFormatError(f"bad integer width in {self._what}")
-        return struct.unpack(">Q", raw)[0]
+        # prefix and value in one unpack; anything else is read as a bytes
+        # field, which raises if it is truncated, and then refused
+        data, pos = self._data, self._pos
+        if pos + U64_FIELD.size <= len(data):
+            width, value = U64_FIELD.unpack_from(data, pos)
+            if width == 8:
+                self._pos = pos + U64_FIELD.size
+                return value
+        self.read_bytes()
+        raise ChainFormatError(f"bad integer width in {self._what}")
 
     def expect_bytes(self, n: int) -> bytes:
         raw = self.read_bytes()

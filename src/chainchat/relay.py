@@ -8,9 +8,10 @@ chain node's current snapshot, so a revocation takes effect on the next
 lookup; a submit or a fan-out reads one snapshot at one time for all of its
 checks. ``RelayClient`` offers the same methods over the wire. The relay
 never inspects plaintext and never holds keys. An envelope crosses the wire
-as its canonical bytes (``canonical_bytes``, read back by ``from_bytes``); the
-relay stores it as parsed from the request and serves it re-encoded, once
-per envelope however many mailboxes hold it. Every field it routes on and
+as its canonical bytes (``canonical_bytes``, read back by ``from_bytes``); a
+parsed envelope keeps the bytes it was parsed from, so the relay serves
+each envelope as the bytes it received, however many mailboxes hold it, and
+a recipient's associated data is their prefix. Every field it routes on and
 serves is bound into the sender's MAC, so any tampering in transit surfaces
 as an authentication failure at the recipient.
 
@@ -20,7 +21,9 @@ A group holds at most ``GROUP_CAP`` members; a longer list is refused.
 
 A one-to-one submit is refused unless the recipient's latest record is the
 valid certificate the sender's session pinned, so a revocation or re-issue
-stops the next send without a certificate fetch.
+stops the next send without a certificate fetch. Submit and fan-out ask the
+chain's latest-wins rule (``chain.status_of``) of the snapshot's newest
+records directly, so a fan-out builds no status object per member.
 
 Delivery is pull-based with a sequence cursor: ``fetch_envelopes(user, n)``
 returns everything after ``n`` and acknowledges (drops) everything up to and
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import chain
-from .chain import CertStatus, ChainNode, ChainState, fetch_latest
+from .chain import VALID, CertStatus, ChainNode, ChainState, fetch_latest, status_of
 from .crypto import SealedPayload
 from .encoding import LENGTH_PREFIX, U64_FIELD, U64_MAX, Reader, encode_bytes
 from .errors import (
@@ -81,7 +84,12 @@ class Envelope:
     def associated_data(self) -> bytes:
         """``encode_str`` / ``encode_u64`` / ``encode_bytes`` of the six header
         fields, concatenated, built in one join: every seal and unseal
-        calls this."""
+        calls this. For an envelope with kept canonical bytes (``wire_bytes``)
+        it is their prefix, less the ciphertext and mac fields."""
+        data = self.__dict__.get("_wire_bytes")
+        if data is not None:
+            payload = self.payload
+            return data[:len(data) - 8 - len(payload.ciphertext) - len(payload.mac)]
         if self.counter < 0 or self.sent_at < 0:
             raise ValueError("cannot encode a negative counter or sent_at")
         sender = self.sender_id.encode("utf-8")
@@ -108,7 +116,9 @@ class Envelope:
     def from_bytes(cls, data: bytes, recipient_cert_fingerprint: bytes = b"") -> "Envelope":
         """The strict inverse of ``canonical_bytes``; an empty ``group_id``
         decodes as ``None``, which ``associated_data`` encodes alike. The
-        relay's note is not in the bytes: a submit body carries it beside."""
+        envelope keeps ``data``, which the strict parse makes its canonical
+        bytes, as its ``wire_bytes``. The relay's note is not in the bytes:
+        a submit body carries it beside."""
         r = Reader(data, what="envelope")
         envelope = cls(
             sender_id=r.read_str(),
@@ -121,6 +131,7 @@ class Envelope:
             recipient_cert_fingerprint=recipient_cert_fingerprint,
         )
         r.require_exhausted()
+        envelope.__dict__["_wire_bytes"] = data  # frozen: fields only
         return envelope
 
     def shape_ok(self) -> bool:
@@ -138,14 +149,15 @@ class Envelope:
         )
 
     def wire_bytes(self) -> bytes:
-        """``canonical_bytes()``, built on first use and kept on the
-        instance: a fanned-out envelope is encoded once for every mailbox
-        and fetch reply that holds it. Two threads may both build it; they
-        store equal bytes."""
+        """``canonical_bytes()``: the bytes a parsed envelope was parsed
+        from, or built on first use and kept on the instance, so a
+        fanned-out envelope is encoded at most once for every mailbox and
+        fetch reply that holds it. Two threads may both build it; they
+        store equal bytes. ``dataclasses.replace`` makes a new instance,
+        which keeps nothing."""
         data = self.__dict__.get("_wire_bytes")
         if data is None:
-            data = self.canonical_bytes()
-            object.__setattr__(self, "_wire_bytes", data)  # frozen: fields only
+            data = self.__dict__["_wire_bytes"] = self.canonical_bytes()
         return data
 
 
@@ -188,9 +200,9 @@ class Relay:
         record a valid certificate."""
         if not registered:
             raise RoutingError(f"sender {sender!r} is not registered")
-        status = fetch_latest(state, sender, now=now)
-        if not status.is_valid:
-            raise RoutingError(f"sender {sender!r} certificate is {status.state}")
+        status = status_of(state.latest.get(sender), now)
+        if status != VALID:
+            raise RoutingError(f"sender {sender!r} certificate is {status}")
 
     # -- registration ---------------------------------------------------------
 
@@ -225,11 +237,11 @@ class Relay:
         if sender_known and mailbox is None:
             raise RoutingError(f"recipient {recipient!r} is not registered")
         self._require_sender(sender, sender_known, state, now)
-        status = fetch_latest(state, recipient, now=now)
-        if not status.is_valid:
-            raise SessionRefusedError(
-                status.state, f"recipient {recipient!r} certificate is {status.state}")
-        if status.record.fingerprint != envelope.recipient_cert_fingerprint:
+        record = state.latest.get(recipient)
+        status = status_of(record, now)
+        if status != VALID:
+            raise SessionRefusedError(status, f"recipient {recipient!r} certificate is {status}")
+        if record.fingerprint != envelope.recipient_cert_fingerprint:
             raise FingerprintMismatchError(
                 f"recipient {recipient!r} re-issued its certificate; restart the session")
         return mailbox.put(envelope)
@@ -265,7 +277,8 @@ class Relay:
         Every status is read from one chain snapshot at one ``now``, and the
         group and the registry once, so a revocation lands between two
         fan-outs, never inside one. An envelope not tagged with ``group_id``
-        (a one-to-one envelope, or another group's) is refused whole.
+        (a one-to-one envelope, or another group's), or one that names a
+        recipient, is refused whole.
         """
         sender = envelope.sender_id
         state, now = self._chain_node.snapshot(), chain._now()
@@ -281,12 +294,15 @@ class Relay:
         if envelope.group_id != group_id:  # members open it by its own group_id
             raise WireProtocolError(
                 f"envelope tagged for group {envelope.group_id!r}, sent to {group_id!r}")
+        if envelope.recipient_id:
+            raise WireProtocolError(f"group envelope names recipient {envelope.recipient_id!r}")
         if sender not in members:
             raise GroupPermissionError(f"sender {sender!r} is not a member of {group_id!r}")
         self._require_sender(sender, sender_known, state, now)
+        latest = state.latest
         acks: List[Tuple[str, str]] = []
         for member, mailbox in targets:
-            if mailbox is None or not fetch_latest(state, member, now=now).is_valid:
+            if mailbox is None or status_of(latest.get(member), now) != VALID:
                 acks.append((member, f"error:{RoutingError.category}"))
                 continue
             try:

@@ -20,11 +20,12 @@ from __future__ import annotations
 import contextlib
 import os
 import socket
+import struct
 import threading
 from typing import BinaryIO, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from .chain import EXPIRED, NOT_FOUND, REVOKED, VALID, CertificateRecord, CertStatus
-from .encoding import LENGTH_PREFIX, U64_FIELD, Reader, encode_bytes, encode_str, encode_u64
+from .encoding import LENGTH_PREFIX, Reader, encode_bytes, encode_str, encode_u64
 from .errors import (
     ChainChatError,
     ChainFormatError,
@@ -39,10 +40,15 @@ from .relay import Envelope, Relay
 REQUEST_TYPES = ("enroll", "register", "fetch_cert", "submit", "fetch",
                  "group_create", "group_send")
 REPLY_TYPES = ("ack", "error")
+_MESSAGE_TYPES = frozenset(REQUEST_TYPES + REPLY_TYPES)
 CERT_STATES = (VALID, REVOKED, EXPIRED, NOT_FOUND)
 
 _MAX_FRAME = 1 << 24  # bytes of body, after the length prefix
 _MAX_ENVELOPE = _MAX_FRAME - 35  # what a fetch reply's one entry can carry (PROTOCOL.md)
+# an ack holding a list: the frame's length, string "ack" and u64 n
+_LIST_ACK_HEAD = struct.Struct(">II3sIQ")
+# a fetch entry's u64 seq and its envelope's length prefix
+_FETCH_ENTRY_HEAD = struct.Struct(">IQI")
 
 T = TypeVar("T")
 
@@ -66,7 +72,7 @@ def decode_message(frame: bytes) -> Tuple[str, Reader]:
         msg_type = body.read_str()
     except ChainFormatError as e:
         raise WireProtocolError(f"undecodable message: {e}") from e
-    if msg_type not in REQUEST_TYPES + REPLY_TYPES:
+    if msg_type not in _MESSAGE_TYPES:
         raise WireProtocolError(f"unknown message type {msg_type!r}")
     return msg_type, body
 
@@ -114,22 +120,43 @@ def _error(category: str, message: str) -> bytes:
     return encode_message("error", encode_str(category) + encode_str(message))
 
 
+def _list_ack(n: int, parts: List[bytes]) -> bytes:
+    """The ack frame ``u64 n`` then ``parts[1:]``, the fields of its ``n``
+    items, in one join; ``parts[0]`` is ``b""``, the place of the frame's head."""
+    size = _LIST_ACK_HEAD.size - LENGTH_PREFIX.size + sum(map(len, parts))
+    parts[0] = _LIST_ACK_HEAD.pack(size, 3, b"ack", 8, n)
+    return b"".join(parts)
+
+
 def _fetch_reply(entries: List[Tuple[int, Envelope]]) -> bytes:
     """The ack of a fetch, ``u64 n | (u64 seq | bytes envelope)×n``, from
-    each envelope's kept canonical bytes, so an envelope held by many
-    mailboxes is encoded once.
+    each envelope's kept canonical bytes: a parsed envelope's are the bytes
+    the server received, so no envelope is encoded to be served.
 
     The reply carries the longest prefix of ``entries`` whose fields fit in
     half a frame, and always the first entry, which ``_MAX_ENVELOPE`` keeps
     within a frame; the rest stays queued for the next fetch."""
-    parts, budget = [], _MAX_FRAME // 2
+    parts, budget = [b""], _MAX_FRAME // 2
     for seq, env in entries:
         data = env.wire_bytes()
-        budget -= U64_FIELD.size + LENGTH_PREFIX.size + len(data)
-        if parts and budget < 0:
+        budget -= _FETCH_ENTRY_HEAD.size + len(data)
+        if budget < 0 and len(parts) > 1:
             break
-        parts.append(U64_FIELD.pack(8, seq) + LENGTH_PREFIX.pack(len(data)) + data)
-    return _ack(_encode_list(parts))
+        parts += (_FETCH_ENTRY_HEAD.pack(8, seq, len(data)), data)
+    return _list_ack(len(parts) // 2, parts)
+
+
+def _group_send_reply(acks: List[Tuple[str, str]]) -> bytes:
+    """The ack of a group_send, ``u64 n | (string member | string result)×n``;
+    each distinct result is encoded once."""
+    results: Dict[str, bytes] = {}
+    parts = [b""]
+    for member, result in acks:
+        field = results.get(result)
+        if field is None:
+            field = results[result] = encode_str(result)
+        parts += (encode_str(member), field)
+    return _list_ack(len(acks), parts)
 
 
 def _envelope(data: bytes, recipient_cert_fingerprint: bytes = b"") -> Envelope:
@@ -257,9 +284,7 @@ class WireServer:
         if msg_type == "group_send":
             group_id, envelope = _read(body, lambda r: (
                 r.read_str(), _envelope(r.read_bytes())))
-            acks = self.relay.broadcast_group(group_id, envelope)
-            return _ack(_encode_list([encode_str(member) + encode_str(result)
-                                      for member, result in acks]))
+            return _group_send_reply(self.relay.broadcast_group(group_id, envelope))
         raise WireProtocolError(f"unhandled request type {msg_type!r}")
 
     def _handle_enroll(self, body: Reader) -> bytes:

@@ -21,9 +21,13 @@ on port 0 and a ``RelayClient``, and counts per operation:
   round_trips        RelayClient.request calls
   request_bytes      bytes of the frames the client encodes
   reply_bytes        bytes of the frames the client decodes
+  status_objects     CertStatus instances built
+  fetch_latest       calls of fetch_latest, the name the relay looks up
+  envelope_encodes   Envelope.canonical_bytes calls
 
 Both byte counts are taken on the client's (main) thread, so the server's
-own encodes on a connection's thread are not counted twice.
+own encodes on a connection's thread are not counted twice; the last three
+are counted on every thread, the server's connection threads included.
 ``tests/test_costs.py`` compares a run with ``BENCH_counts.json``. A change
 that moves a count rewrites the file with this script, run from the
 repository root:
@@ -47,17 +51,18 @@ from typing import Callable, Dict, Iterator, TypeVar
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
-from chainchat import chain, crypto, wire
-from chainchat.chain import KIND_CERTIFICATE, ChainNode, WriterCredential
+from chainchat import chain, crypto, relay, wire
+from chainchat.chain import KIND_CERTIFICATE, CertStatus, ChainNode, WriterCredential
 from chainchat.client import Client
 from chainchat.crypto import SealedPayload
 from chainchat.mno import MnoCertificateAuthority
-from chainchat.relay import Relay
+from chainchat.relay import Envelope, Relay
 
 COUNTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_counts.json"
 COUNTERS = ("x25519_loads", "x25519_agreements", "ed25519_signs", "ed25519_verifies",
             "ratchet_forward", "hkdf", "hmac", "cipher_contexts", "fsync")
-WIRE_COUNTERS = ("round_trips", "request_bytes", "reply_bytes")
+WIRE_COUNTERS = ("round_trips", "request_bytes", "reply_bytes", "status_objects",
+                 "fetch_latest", "envelope_encodes")
 GROUP_SIZE = 8          # the admin and 7 members
 FORGED = 200            # forged envelopes in front of one real one
 FORGED_COUNTER = 999
@@ -208,6 +213,16 @@ def counting_wire(counts: Dict[str, int]) -> Iterator[None]:
     main = threading.main_thread()
     request, encode, decode = (wire.RelayClient.request, wire.encode_message,
                                wire.decode_message)
+    counted_calls = [(CertStatus, "__init__", "status_objects"),
+                     (relay, "fetch_latest", "fetch_latest"),
+                     (Envelope, "canonical_bytes", "envelope_encodes")]
+    saved = [(owner, name, vars(owner)[name]) for owner, name, _ in counted_calls]
+
+    def counted(counter: str, fn: Callable) -> Callable:
+        def call(*args, **kwargs):
+            counts[counter] += 1
+            return fn(*args, **kwargs)
+        return call
 
     def counted_request(self, *args):
         counts["round_trips"] += 1
@@ -226,11 +241,15 @@ def counting_wire(counts: Dict[str, int]) -> Iterator[None]:
 
     wire.RelayClient.request = counted_request
     wire.encode_message, wire.decode_message = counted_encode, counted_decode
+    for owner, name, counter in counted_calls:
+        setattr(owner, name, counted(counter, vars(owner)[name]))
     try:
         yield
     finally:
         wire.RelayClient.request = request
         wire.encode_message, wire.decode_message = encode, decode
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)
 
 
 def run_wire_scenario() -> Dict[str, Dict[str, int]]:

@@ -27,6 +27,7 @@ from chainchat.chain import (
     load_chain,
     revoke,
     save_chain,
+    status_of,
     verify_chain,
     verify_record,
 )
@@ -192,6 +193,26 @@ class TestFetchLatest:
         status = fetch_latest(state, "alice", now=T0 + 3)
         assert status.state == VALID
         assert status.record.subject_public_key == b"\x33" * 32
+
+
+class TestStatusOf:
+    def test_fetch_latest_wraps_status_of(self, chain, mno):
+        """One latest-wins rule: for a valid, a revoked, an expired and a
+        missing user, at, before and after the expiry instant, fetch_latest
+        states what status_of says of the newest record, and carries that
+        record unless it is a revocation."""
+        state = append_block(chain, mno, [cert_for(mno, "ann", expires=T0 + 100),
+                                          cert_for(mno, "rev")], timestamp=T0)
+        state = revoke(state, mno, "rev", timestamp=T0 + 1)
+        for user in ("ann", "rev", "ghost"):
+            for now in (T0 + 99, T0 + 100, T0 + 101):
+                status, rec = fetch_latest(state, user, now=now), state.latest.get(user)
+                assert status.state == status_of(rec, now)
+                assert status.record is (None if status.state == REVOKED else rec)
+        ann = state.latest["ann"]
+        assert [status_of(ann, now) for now in (T0 + 99, T0 + 100, T0 + 101)] == \
+            [VALID, EXPIRED, EXPIRED]
+        assert (status_of(state.latest["rev"], T0), status_of(None, T0)) == (REVOKED, NOT_FOUND)
 
 
 # ---------------------------------------------------------------------------

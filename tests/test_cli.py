@@ -10,6 +10,7 @@ import signal
 import socket
 import struct
 import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -156,6 +157,42 @@ class TestStackHandle:
             Client.install("bob", rc, rc)
         with run_stack(cfg) as third:  # the chain holds both, and verifies
             assert third.mno.chain_node.snapshot().height == 2
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["term", "int"])
+    def test_serve_stops_on_a_signal_without_polling(self, tmp_path, signum):
+        """stack serve waits in sigwait, not in a sleep loop: in a child whose
+        time.sleep raises, the stop signal still closes the server, with exit
+        0, no pid file left and the state directory's lock free. The child
+        says when it waits, so the signal never lands before the wait."""
+        state = tmp_path / "state"
+        script = ("import signal, sys, time\n"
+                  "def no_sleep(seconds):\n"
+                  "    raise AssertionError('stack serve slept')\n"
+                  "def announced(signals, sigwait=signal.sigwait):\n"
+                  "    print('waiting', flush=True)\n"
+                  "    return sigwait(signals)\n"
+                  "time.sleep, signal.sigwait = no_sleep, announced\n"
+                  "from chainchat import cli\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.Popen(
+            [sys.executable, "-c", script, "--state-dir", str(state), "--port", "0",
+             "stack", "serve"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert child.stdout.readline().startswith(b"stack up on ")
+            assert child.stdout.readline() == b"waiting\n"
+            assert (state / "relay.pid").read_text() == str(child.pid)
+            child.send_signal(signum)
+            _, err = child.communicate(timeout=30)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.communicate()
+        assert child.returncode == 0, err.decode(errors="replace")
+        assert not (state / "relay.pid").exists()
+        os.close(stack_mod.lock_state_dir(str(state)))  # refused while a server holds it
 
     @pytest.mark.parametrize("lost, refusal", [
         ("chain.dat", "chain file .*chain.dat is missing"),

@@ -669,6 +669,22 @@ class TestGroups:
         assert len(new_keys) == 1
         assert old_key not in new_keys
 
+    def test_group_envelope_naming_a_recipient_refused(self, mno, relay):
+        """A group envelope with a recipient id is protocol-error, even one
+        sealed with the group's key, and spends nothing: the admin's next
+        group message, on the same counter, opens."""
+        clients, _ = installed_group(mno, relay, 3)
+        admin, member = clients[0], clients[1]
+        mk, _ = crypto.ratchet_forward(admin.groups["team"].group_chain)
+        addressed = admin._build_envelope(member.user_id, "team", mk,
+                                          _FRAME_TEXT + b"for u1 alone")
+        with pytest.raises(WireProtocolError) as refused:
+            member.receive_envelope(addressed)
+        assert refused.value.category == "protocol-error"
+        envelope = admin.send_group_message("team", "for all")
+        assert envelope.counter == addressed.counter
+        assert member.receive_envelope(envelope) == "for all"
+
     def test_non_member_send_is_usage_error(self, mno, relay):
         clients, _ = installed_group(mno, relay, 2)
         outsider = Client.install("outsider", mno, relay)

@@ -50,3 +50,14 @@ def test_the_costliest_steps_run_once_per_value(ops):
     # the gap ahead of the first forged envelope is derived once
     assert ops["pull_forged"]["ratchet_forward"] <= \
         client_mod.MAX_SKIPPED + count_costs.FORGED
+
+
+def test_a_fan_out_builds_no_status_object_and_no_fetch_encodes(wire_ops):
+    """The relay asks the latest-wins rule directly, and serves each envelope
+    as the bytes it received: the only envelope encodes are the client's,
+    one per envelope it sends."""
+    assert (wire_ops["broadcast_group"]["status_objects"],
+            wire_ops["broadcast_group"]["fetch_latest"]) == (0, 0)
+    for op in ("pull_messages", "group_key_pulls", "group_pulls"):
+        assert wire_ops[op]["envelope_encodes"] == 0
+    assert wire_ops["broadcast_group"]["envelope_encodes"] == 1

@@ -87,6 +87,31 @@ class TestEnvelopeBytes:
         assert envelope.associated_data().hex() == ad_hex
         assert envelope.canonical_bytes().hex() == ad_hex + tail_hex
 
+    @pytest.mark.parametrize("fields, ad_hex, tail_hex", _PINNED_HEADERS,
+                             ids=["null-group", "empty-group", "non-ascii-quote-nul-u64-max",
+                                  "astral-no-recipient"])
+    def test_parsed_envelope_keeps_the_bytes_it_was_parsed_from(self, fields, ad_hex,
+                                                                 tail_hex):
+        """A parsed envelope serves the bytes it was parsed from, and its
+        associated data is their prefix; both equal what a new instance of
+        the same fields builds."""
+        data = bytes.fromhex(ad_hex + tail_hex)
+        parsed = Envelope.from_bytes(data)
+        rebuilt = replace(parsed)
+        assert parsed.wire_bytes() == rebuilt.canonical_bytes() == data
+        assert parsed.associated_data() == rebuilt.associated_data() == bytes.fromhex(ad_hex)
+
+    @pytest.mark.parametrize("change", [
+        {"counter": 6}, {"recipient_id": "c"}, {"group_id": None},
+        {"payload": SealedPayload(ciphertext=b"\x20" * 32, mac=b"\xbb" * 32)},
+    ], ids=["counter", "recipient", "group", "payload"])
+    def test_replace_of_a_parsed_envelope_keeps_no_stale_bytes(self, change):
+        original = plain_envelope("a", "b", counter=5, group_id="g")
+        parsed = Envelope.from_bytes(original.canonical_bytes())
+        changed, expected = replace(parsed, **change), replace(original, **change)
+        assert changed.associated_data() == expected.associated_data()
+        assert changed.wire_bytes() == expected.canonical_bytes() != parsed.wire_bytes()
+
     def test_null_and_empty_group_give_the_same_bytes(self):
         assert (plain_envelope("a", "b", group_id=None).associated_data()
                 == plain_envelope("a", "b", group_id="").associated_data())
@@ -370,6 +395,24 @@ class TestGroupFanOut:
         acks = relay.broadcast_group("room", plain_envelope(ids[0], "", group_id="room"))
         assert acks == [(member, ACK_QUEUED) for member in ids[1:]]
         assert (len(snapshots), len(clock_reads)) == (1, 1)
+
+    def test_expired_member_gets_routing_error(self, mno, relay, monkeypatch):
+        t0 = int(time.time())
+        Client.install("g0", mno, relay)
+        monkeypatch.setattr(mno_mod, "time", SimpleNamespace(time=lambda: t0 + 120))
+        ids = ["g0"] + [Client.install(f"g{i}", mno, relay).user_id for i in (1, 2)]
+        relay.create_group("room", "g1", ids)
+        monkeypatch.setattr(chain_mod, "_now", lambda: t0 + mno_mod.VALIDITY_SECONDS + 60)
+        acks = relay.broadcast_group("room", plain_envelope("g1", "", group_id="room"))
+        assert acks == [("g0", "error:routing-error"), ("g2", ACK_QUEUED)]
+
+    def test_group_envelope_naming_a_recipient_refused(self, mno, relay):
+        members, ids = self.make_group(mno, relay, 3)
+        with pytest.raises(WireProtocolError) as refused:
+            relay.broadcast_group("room", plain_envelope(ids[0], ids[1], group_id="room"))
+        assert refused.value.category == "protocol-error"
+        for member in ids[1:]:
+            assert relay.fetch_envelopes(member, 0) == []
 
     def test_sender_outside_the_stored_group_refused(self, mno, relay):
         members, ids = self.make_group(mno, relay, 3)

@@ -966,8 +966,9 @@ class TestRoundTrips:
                 assert issued == ["submit", "fetch"]
 
     def test_group_envelope_is_encoded_once(self, tmp_path, monkeypatch):
-        """A group message in three mailboxes is encoded once on the server,
-        however many fetch replies carry it."""
+        """A group message in three mailboxes is encoded once, by its sender:
+        the server encodes it for no fetch reply, and each reply carries the
+        exact bytes the group_send carried."""
         with run_stack(StackConfig(state_dir=str(tmp_path / "state"),
                                    relay_port=0)) as stack, \
                 RelayClient(stack.host, stack.port) as rc:
@@ -991,9 +992,24 @@ class TestRoundTrips:
                     server_encodes.append(data)
                 return data
 
+            replies, decode = [], wire.decode_message
+
+            def recording(frame):
+                if threading.current_thread() is threading.main_thread():
+                    replies.append(frame)
+                return decode(frame)
+
             monkeypatch.setattr(Envelope, "canonical_bytes", counting)
+            monkeypatch.setattr(wire, "decode_message", recording)
+            sent = envelope.canonical_bytes()
             acks = rc.broadcast_group("four", envelope)
             assert [result for _, result in acks] == [ACK_QUEUED] * 3
             for user in users[1:]:
+                replies.clear()
                 assert [d.text for d in user.pull_messages()] == ["to all three"]
-            assert len(server_encodes) == 1
+                (reply,) = replies
+                _, body = decode(reply)
+                assert (body.read_u64(), body.read_u64() > 0, body.read_bytes()) == \
+                    (1, True, sent)
+                body.require_exhausted()
+            assert server_encodes == []
