@@ -17,7 +17,6 @@ fixed column schema:
 
 from __future__ import annotations
 
-import hashlib
 import random
 import string
 import time
@@ -30,7 +29,7 @@ from .crypto import ChainKey, MessageKey
 
 _INPUT_SEED = 0x5EED
 _BENCH_AD = b"bench-associated-data-0123456789"
-_BENCH_ROOT = ChainKey(key=hashlib.sha256(b"chainchat-bench-root").digest(), index=0)
+_BENCH_ROOT = ChainKey(key=crypto.sha256(b"chainchat-bench-root"), index=0)
 
 
 @dataclass

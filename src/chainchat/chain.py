@@ -21,7 +21,6 @@ persistence for concurrent use: each append adds one frame to the chain file.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import struct
 import threading
@@ -37,6 +36,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
+from .crypto import sha256
 from .encoding import Reader, encode_bytes, encode_str, encode_u64
 from .errors import (
     ChainError,
@@ -97,7 +97,7 @@ class CertificateRecord:
     def fingerprint(self) -> bytes:
         """SHA-256 of ``canonical_bytes()``, which sessions pin; hashed once
         per record, since the relay compares it on every submit."""
-        return hashlib.sha256(self.canonical_bytes()).digest()
+        return sha256(self.canonical_bytes())
 
     def shape_ok(self) -> bool:
         if self.kind not in (KIND_CERTIFICATE, KIND_REVOCATION):
@@ -213,9 +213,7 @@ class Block:
     writer_declarations: Tuple[Tuple[str, bytes], ...] = ()
 
     def records_hash(self) -> bytes:
-        return hashlib.sha256(
-            b"".join(encode_bytes(rec.canonical_bytes()) for rec in self.records)
-        ).digest()
+        return sha256(b"".join(encode_bytes(rec.canonical_bytes()) for rec in self.records))
 
     def signature_payload(self) -> bytes:
         return (
@@ -239,7 +237,7 @@ class Block:
         return out
 
     def block_hash(self) -> bytes:
-        return hashlib.sha256(self.canonical_bytes()).digest()
+        return sha256(self.canonical_bytes())
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Block":
@@ -642,7 +640,7 @@ class ChainNode:
             data = f.read()
             keep = _intact_length(data)
             blocks, result = _check_blocks(
-                ((Block.from_bytes(frame), hashlib.sha256(frame).digest())
+                ((Block.from_bytes(frame), sha256(frame))
                  for frame in _frames(data[:keep])), False, credentials)
             if not result:
                 raise ChainError(f"verification fails at height {result.height}: "

@@ -160,11 +160,12 @@ def _new_group(group_id: str, admin_id: str, member_ids: List[str],
 def _encode_group_descriptor(group: GroupState) -> bytes:
     """Group id, admin, member list and 32-byte key: the body of a group-key
     frame, and the head of each group in the state bytes."""
-    out = encode_str(group.group_id) + encode_str(group.admin_id)
+    out = bytearray(encode_str(group.group_id) + encode_str(group.admin_id))
     out += encode_u64(len(group.member_ids))
     for member in group.member_ids:
         out += encode_str(member)
-    return out + encode_bytes(group.group_key)
+    out += encode_bytes(group.group_key)
+    return bytes(out)
 
 
 def _read_group_descriptor(r: Reader) -> Tuple[str, str, List[str], bytes]:
@@ -534,12 +535,12 @@ class Client:
     @staticmethod
     def _encode_parked(parked: Dict[int, MessageKey]) -> bytes:
         """Each parked key under its counter, which is its ``index``."""
-        out = encode_u64(len(parked))
+        out = bytearray(encode_u64(len(parked)))
         for counter in sorted(parked):
             mk = parked[counter]
             out += encode_u64(counter) + encode_bytes(mk.cipher_key)
             out += encode_bytes(mk.mac_key) + encode_bytes(mk.iv)
-        return out
+        return bytes(out)
 
     @staticmethod
     def _decode_parked(r: Reader) -> Dict[int, MessageKey]:
@@ -552,8 +553,10 @@ class Client:
         return parked
 
     def to_state_bytes(self) -> bytes:
-        """FORMATS.md §Client state; the certificate holds the user id and public key."""
-        out = encode_str(_STATE_TAG)
+        """FORMATS.md §Client state; the certificate holds the user id and
+        public key. Built in one ``bytearray``, so the cost is linear in the
+        history's length."""
+        out = bytearray(encode_str(_STATE_TAG))
         out += encode_bytes(self.identity.private_key)
         out += encode_bytes(self.certificate.canonical_bytes())
         out += encode_u64(self.inbox_cursor)
@@ -579,7 +582,7 @@ class Client:
             out += encode_str(entry.direction) + encode_str(entry.peer_id)
             out += encode_str(entry.group_id) + encode_u64(entry.counter)
             out += encode_str(entry.text) + encode_u64(entry.at)
-        return out
+        return bytes(out)
 
     @classmethod
     def from_state_bytes(cls, data: bytes) -> "Client":

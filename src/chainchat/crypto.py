@@ -25,23 +25,31 @@ the 32 private bytes is a full scalar multiplication, as costly as the
 agreement it serves. ``generate_identity_keypair`` keeps the key object it
 makes to get the public key; a pair rebuilt from bytes builds it on first use.
 
+Every primitive comes from ``cryptography``, and this module is the one
+that binds them; the chain, the proof of possession and the bench call the
+functions here. SHA-256 is ``hashes.Hash``, HMAC-SHA256 ``hmac.HMAC``, the
+backup key ``PBKDF2HMAC``, beside ``HKDF``, ``X25519`` and ``AES``. Every MAC
+check is the library's constant-time ``HMAC.verify``. No chainchat module
+imports the stdlib ``hashlib`` or ``hmac``: those link the system OpenSSL, a
+second copy in memory beside the one built into ``cryptography``.
+
 Every seal and unseal builds a cipher context, so the cipher classes are
 bound by name once, at import. ``cryptography`` serves its ``algorithms`` and
 ``modes`` modules through a deprecation proxy, on which each attribute read
 first fails the normal lookup and is then forwarded, a few microseconds per
-read; the SHA-256 descriptor that HKDF takes is likewise built once.
+read; the SHA-256 descriptor that HKDF and HMAC take is likewise built once,
+and each digest copies one empty hash context, which skips the algorithm
+lookup that a new context makes.
 """
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Tuple
 
-from cryptography.hazmat.primitives import hashes
+from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
@@ -49,7 +57,10 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.ciphers import Cipher
 from cryptography.hazmat.primitives.ciphers.algorithms import AES
 from cryptography.hazmat.primitives.ciphers.modes import CBC
+from cryptography.hazmat.primitives.hashes import SHA256, Hash
+from cryptography.hazmat.primitives.hmac import HMAC
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
+from cryptography.hazmat.primitives.kdf.pbkdf2 import PBKDF2HMAC
 
 from .errors import (
     AuthenticationError,
@@ -66,7 +77,8 @@ BACKUP_ITERATIONS = 210_000  # the PBKDF2 count of every backup export
 _MSG_KEY_INFO = b"msg"
 _BACKUP_KEY_INFO = b"backup"
 _MSG_KEY_LEN = 80  # 32 cipher + 32 mac + 16 iv
-_SHA256 = hashes.SHA256()  # stateless descriptor, shared by every HKDF call
+_SHA256 = SHA256()  # stateless descriptor, shared by every HKDF, HMAC and PBKDF2 call
+_SHA256_EMPTY = Hash(_SHA256)  # never updated: each digest starts from a copy
 
 Rng = Callable[[int], bytes]
 
@@ -133,8 +145,30 @@ def hkdf_sha256(ikm: bytes, salt: bytes, info: bytes, length: int) -> bytes:
     return HKDF(_SHA256, length, salt, info).derive(ikm)
 
 
-def _hmac256(key: bytes, data: bytes) -> bytes:
-    return hmac.new(key, data, hashlib.sha256).digest()
+def sha256(data: bytes) -> bytes:
+    """SHA-256 of ``data``."""
+    digest = _SHA256_EMPTY.copy()
+    digest.update(data)
+    return digest.finalize()
+
+
+def hmac_sha256(key: bytes, data: bytes) -> bytes:
+    """RFC 2104 HMAC-SHA256 of ``data`` under ``key``."""
+    mac = HMAC(key, _SHA256)
+    mac.update(data)
+    return mac.finalize()
+
+
+def hmac_sha256_verify(key: bytes, data: bytes, tag: bytes) -> bool:
+    """True iff ``tag`` is ``hmac_sha256(key, data)``, by the library's
+    constant-time compare."""
+    mac = HMAC(key, _SHA256)
+    mac.update(data)
+    try:
+        mac.verify(tag)
+    except InvalidSignature:
+        return False
+    return True
 
 
 def clamp_scalar(raw: bytes) -> bytes:
@@ -212,8 +246,8 @@ def ratchet_forward(ck: ChainKey) -> Tuple[MessageKey, ChainKey]:
     The step is one-way: the next chain key is an HMAC image of the current
     one, so holding state at index i+1 gives no path back to the keys at i.
     """
-    mk = _message_key(_hmac256(ck.key, b"\x01"), _MSG_KEY_INFO, ck.index)
-    return mk, ChainKey(key=_hmac256(ck.key, b"\x02"), index=ck.index + 1)
+    mk = _message_key(hmac_sha256(ck.key, b"\x01"), _MSG_KEY_INFO, ck.index)
+    return mk, ChainKey(key=hmac_sha256(ck.key, b"\x02"), index=ck.index + 1)
 
 
 def _message_key(secret: bytes, info: bytes, index: int) -> MessageKey:
@@ -230,13 +264,12 @@ def cbc_encrypt(mk: MessageKey, plaintext: bytes) -> bytes:
 
 def mac_tag(mk: MessageKey, associated_data: bytes, ciphertext: bytes) -> bytes:
     """The MAC step of ``seal``: HMAC-SHA256 over AD || ciphertext."""
-    return _hmac256(mk.mac_key, associated_data + ciphertext)
+    return hmac_sha256(mk.mac_key, associated_data + ciphertext)
 
 
 def mac_verify(mk: MessageKey, payload: SealedPayload, associated_data: bytes) -> None:
     """The MAC step of ``unseal``: constant-time check of the tag."""
-    if not hmac.compare_digest(mac_tag(mk, associated_data, payload.ciphertext),
-                               payload.mac):
+    if not hmac_sha256_verify(mk.mac_key, associated_data + payload.ciphertext, payload.mac):
         raise AuthenticationError("mac mismatch")
 
 
@@ -280,7 +313,7 @@ def derive_backup_key(secret: str, salt: bytes, iterations: int = BACKUP_ITERATI
         raise ValueError("backup secret must be non-empty")
     if len(salt) != 16:
         raise ValueError("backup salt must be 16 bytes")
-    key = hashlib.pbkdf2_hmac("sha256", secret.encode("utf-8"), salt, iterations, 32)
+    key = PBKDF2HMAC(_SHA256, 32, salt, iterations).derive(secret.encode("utf-8"))
     return BackupKey(key=key, salt=salt, iterations=iterations)
 
 

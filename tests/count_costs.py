@@ -8,7 +8,7 @@ Each count is taken where chainchat calls its libraries:
   ed25519_verifies   verify on a key from Ed25519PublicKey.from_public_bytes
   ratchet_forward    crypto.ratchet_forward, the name the client calls
   hkdf               HKDF contexts built by crypto
-  hmac               hmac.new
+  hmac               HMAC contexts built by crypto
   cipher_contexts    AES-CBC contexts built by crypto
   fsync              os.fsync
 
@@ -28,6 +28,27 @@ on port 0 and a ``RelayClient``, and counts per operation:
 Both byte counts are taken on the client's (main) thread, so the server's
 own encodes on a connection's thread are not counted twice; the last three
 are counted on every thread, the server's connection threads included.
+
+Each pass then runs once more, every operation now warmed up by the first
+run (a process's first ``install`` also pays one-time set-up), and adds two
+counts of Python-level work per operation, taken with a profile hook:
+
+  py_calls           calls into functions defined in the chainchat package
+  c_calls            calls into C (builtins, ``struct``, the library's Rust
+                     objects) made from those functions; the profiler sees
+                     builtin functions and methods, not a class called, so
+                     building ``HMAC(...)`` counts as neither
+
+Counting only calls into or out of chainchat's own frames keeps both counts
+apart from the Python wrappers inside ``cryptography``. In the wire pass a
+server's connection thread counts too (``threading.setprofile``), from the
+moment a request's length prefix has been read until its reply goes to
+``sendall``: that span falls inside the client's round trip, so the count
+does not depend on which thread runs first. CPython can change what one
+statement calls, so the file records the Python version, and the call
+counts are compared only under that version. A call count is not a cost:
+one HKDF outweighs many ``len`` calls, which the library counts weigh.
+
 ``tests/test_costs.py`` compares a run with ``BENCH_counts.json``. A change
 that moves a count rewrites the file with this script, run from the
 repository root:
@@ -37,16 +58,18 @@ repository root:
 
 from __future__ import annotations
 
-import hmac
 import json
 import os
+import platform
+import sys
 import tempfile
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict, Iterator, TypeVar
+from types import CodeType
+from typing import Callable, ContextManager, Dict, Iterator, TypeVar
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
@@ -63,12 +86,30 @@ COUNTERS = ("x25519_loads", "x25519_agreements", "ed25519_signs", "ed25519_verif
             "ratchet_forward", "hkdf", "hmac", "cipher_contexts", "fsync")
 WIRE_COUNTERS = ("round_trips", "request_bytes", "reply_bytes", "status_objects",
                  "fetch_latest", "envelope_encodes")
+CALL_COUNTERS = ("py_calls", "c_calls")
+PYTHON = f"{platform.python_implementation()} {sys.version_info[0]}.{sys.version_info[1]}"
+PACKAGE_DIR = os.path.dirname(os.path.abspath(crypto.__file__)) + os.sep
 GROUP_SIZE = 8          # the admin and 7 members
 FORGED = 200            # forged envelopes in front of one real one
 FORGED_COUNTER = 999
 OPEN_HEIGHTS = (100, 1_000)
 
 T = TypeVar("T")
+Counts = Dict[str, Dict[str, int]]
+Measure = Callable[[str, Callable[[], T]], T]
+
+
+def measurer(counters: tuple, counts: Dict[str, int], out: Counts,
+             around: Callable[[], ContextManager] = nullcontext) -> Measure:
+    """A ``measure(op, step)`` that runs ``step`` inside ``around()`` and
+    records in ``out[op]`` what each of ``counters`` in ``counts`` gained."""
+    def measure(op: str, step: Callable[[], T]) -> T:
+        before = dict(counts)
+        with around():
+            result = step()
+        out[op] = {counter: counts[counter] - before[counter] for counter in counters}
+        return result
+    return measure
 
 
 class _CountedKey:
@@ -111,8 +152,8 @@ def counting(counts: Dict[str, int]) -> Iterator[None]:
     saved = [(X25519PrivateKey, "from_private_bytes", load_x25519),
              (Ed25519PublicKey, "from_public_bytes", load_ed25519),
              (crypto, "ratchet_forward", crypto.ratchet_forward),
-             (crypto, "HKDF", crypto.HKDF), (crypto, "Cipher", crypto.Cipher),
-             (hmac, "new", hmac.new), (os, "fsync", os.fsync)]
+             (crypto, "HKDF", crypto.HKDF), (crypto, "HMAC", crypto.HMAC),
+             (crypto, "Cipher", crypto.Cipher), (os, "fsync", os.fsync)]
     loaded = counted("x25519_loads", load_x25519.__func__)
     X25519PrivateKey.from_private_bytes = classmethod(lambda cls, data: _CountedKey(
         loaded(cls, data), "exchange", "x25519_agreements", counts))
@@ -120,8 +161,8 @@ def counting(counts: Dict[str, int]) -> Iterator[None]:
         load_ed25519.__func__(cls, data), "verify", "ed25519_verifies", counts))
     crypto.ratchet_forward = counted("ratchet_forward", crypto.ratchet_forward)
     crypto.HKDF = counted("hkdf", crypto.HKDF)
+    crypto.HMAC = counted("hmac", crypto.HMAC)
     crypto.Cipher = counted("cipher_contexts", crypto.Cipher)
-    hmac.new = counted("hmac", hmac.new)
     os.fsync = counted("fsync", os.fsync)
     try:
         yield
@@ -130,9 +171,10 @@ def counting(counts: Dict[str, int]) -> Iterator[None]:
             setattr(owner, name, value)
 
 
-def _chain_file(path: str, height: int, counts: Dict[str, int]) -> WriterCredential:
+def _chain_file(path: str, height: int,
+                credential: Callable[[WriterCredential], WriterCredential]) -> WriterCredential:
     """A chain file of ``height`` one-certificate blocks; returns its writer."""
-    writer = counting_credential(WriterCredential.generate("mno-1"), counts)
+    writer = credential(WriterCredential.generate("mno-1"))
     state = chain.genesis([(writer.writer_id, writer.verification_key)])
     now = int(time.time())
     for i in range(height):
@@ -143,22 +185,14 @@ def _chain_file(path: str, height: int, counts: Dict[str, int]) -> WriterCredent
     return writer
 
 
-def run_scenario() -> Dict[str, Dict[str, int]]:
-    """Operation name -> the count of each of ``COUNTERS`` it made."""
-    counts = dict.fromkeys(COUNTERS, 0)
-    out: Dict[str, Dict[str, int]] = {}
-
-    def measure(op: str, step: Callable[[], T]) -> T:
-        before = dict(counts)
-        result = step()
-        out[op] = {counter: counts[counter] - before[counter] for counter in COUNTERS}
-        return result
-
-    with tempfile.TemporaryDirectory() as tmp, counting(counts):
-        credential = counting_credential(WriterCredential.generate("mno-1"), counts)
-        node = ChainNode.create([(credential.writer_id, credential.verification_key)],
+def _scenario(measure: Measure,
+              credential: Callable[[WriterCredential], WriterCredential]) -> None:
+    """The in-process steps; ``credential`` gives each writer its signing key."""
+    with tempfile.TemporaryDirectory() as tmp:
+        writer = credential(WriterCredential.generate("mno-1"))
+        node = ChainNode.create([(writer.writer_id, writer.verification_key)],
                                 path=os.path.join(tmp, "chain.dat"))
-        mno = MnoCertificateAuthority(credential, node)
+        mno = MnoCertificateAuthority(writer, node)
         relay = Relay(node)
 
         # one-to-one: install, open a session, send, submit, pull
@@ -199,12 +233,21 @@ def run_scenario() -> Dict[str, Dict[str, int]]:
         # start-up: open a chain file holding the writer's seed, and holding none
         for height in OPEN_HEIGHTS:
             path = os.path.join(tmp, f"chain-{height}.dat")
-            writer = _chain_file(path, height, counts)
-            held = counting_credential(
-                WriterCredential.from_seed(writer.writer_id, writer.seed), counts)
+            writer = _chain_file(path, height, credential)
+            held = credential(WriterCredential.from_seed(writer.writer_id, writer.seed))
             measure(f"open_{height}_held", lambda: ChainNode.open(path, [held]))
             measure(f"open_{height}", lambda: ChainNode.open(path))
-    return out
+
+
+def run_scenario() -> Counts:
+    """Operation name -> the count of each of ``COUNTERS`` and
+    ``CALL_COUNTERS`` it made."""
+    counts = dict.fromkeys(COUNTERS, 0)
+    library: Counts = {}
+    with counting(counts):
+        _scenario(measurer(COUNTERS, counts, library),
+                  lambda credential: counting_credential(credential, counts))
+    return with_calls(library, lambda measure: _scenario(measure, lambda c: c))
 
 
 @contextmanager
@@ -252,24 +295,15 @@ def counting_wire(counts: Dict[str, int]) -> Iterator[None]:
             setattr(owner, name, fn)
 
 
-def run_wire_scenario() -> Dict[str, Dict[str, int]]:
-    """Operation name -> its ``WIRE_COUNTERS``, with every client talking to
-    the stack over one connection."""
-    counts = dict.fromkeys(WIRE_COUNTERS, 0)
-    out: Dict[str, Dict[str, int]] = {}
-
-    def measure(op: str, step: Callable[[], T]) -> T:
-        before = dict(counts)
-        result = step()
-        out[op] = {counter: counts[counter] - before[counter] for counter in WIRE_COUNTERS}
-        return result
-
+def _wire_scenario(measure: Measure) -> None:
+    """The one-to-one and group steps, with every client talking to the
+    stack over one connection."""
     with tempfile.TemporaryDirectory() as tmp:
         credential = WriterCredential.generate("mno-1")
         node = ChainNode.create([(credential.writer_id, credential.verification_key)],
                                 path=os.path.join(tmp, "chain.dat"))
         server = wire.WireServer(Relay(node), MnoCertificateAuthority(credential, node))
-        with server, wire.RelayClient(server.host, server.port) as rc, counting_wire(counts):
+        with server, wire.RelayClient(server.host, server.port) as rc:
             alice = measure("install", lambda: Client.install("alice", rc, rc))
             bob = Client.install("bob", rc, rc)
             measure("start_session", lambda: alice.start_session("bob"))
@@ -292,13 +326,87 @@ def run_wire_scenario() -> Dict[str, Dict[str, int]]:
             measure("broadcast_group", lambda: rc.broadcast_group("club", group_envelope))
             measure("group_pulls", lambda: [m.pull_messages() for m in members])
             measure("revoke", lambda: rc.revoke_user("bob"))
-    return out
 
 
-def render(operations: Dict[str, Dict[str, int]], wire_ops: Dict[str, Dict[str, int]]) -> str:
+def run_wire_scenario() -> Counts:
+    """Operation name -> its ``WIRE_COUNTERS`` and ``CALL_COUNTERS``."""
+    counts = dict.fromkeys(WIRE_COUNTERS, 0)
+    wire_counts: Counts = {}
+    with counting_wire(counts):
+        _wire_scenario(measurer(WIRE_COUNTERS, counts, wire_counts))
+    return with_calls(wire_counts, _wire_scenario)
+
+
+_READ_FRAME = wire._read_frame.__code__
+_SERVE = wire.WireServer._serve.__code__
+
+
+class CallCounter:
+    """Counts ``CALL_COUNTERS`` into ``counts``: on the main thread while
+    ``counting()`` is entered, and on each server connection thread started
+    while ``serving()`` is, during a request that arrives while ``on``."""
+
+    def __init__(self, counts: Dict[str, int]):
+        self.counts, self.on = counts, False
+        self._ours: Dict[CodeType, bool] = {}
+        self._thread = threading.local()  # .in_request: between a prefix read and sendall
+
+    def _count(self, frame, event: str, arg) -> None:
+        if event == "call" or event == "c_call":
+            code = frame.f_code  # the callee's for "call", the caller's for "c_call"
+            ours = self._ours.get(code)
+            if ours is None:
+                ours = self._ours[code] = code.co_filename.startswith(PACKAGE_DIR)
+            if ours:
+                self.counts["py_calls" if event == "call" else "c_calls"] += 1
+
+    def _count_served(self, frame, event: str, arg) -> None:
+        code = frame.f_code
+        if not getattr(self._thread, "in_request", False):
+            # the first read of _read_frame returning is the length prefix
+            self._thread.in_request = event == "c_return" and code is _READ_FRAME
+            return
+        if self.on:
+            self._count(frame, event, arg)
+        if event == "c_call" and code is _SERVE and arg.__name__ == "sendall":
+            self._thread.in_request = False
+
+    @contextmanager
+    def counting(self) -> Iterator[None]:
+        self.on = True
+        sys.setprofile(self._count)
+        try:
+            yield
+        finally:
+            sys.setprofile(None)
+            self.on = False
+
+    @contextmanager
+    def serving(self) -> Iterator[None]:
+        threading.setprofile(self._count_served)
+        try:
+            yield
+        finally:
+            threading.setprofile(None)
+
+
+def with_calls(counted: Counts, scenario: Callable[[Measure], None]) -> Counts:
+    """``counted``, each operation's counts joined by the ``CALL_COUNTERS``
+    of a second run of ``scenario``, made after the first run warmed up
+    every operation."""
+    counts = dict.fromkeys(CALL_COUNTERS, 0)
+    calls: Counts = {}
+    counter = CallCounter(counts)
+    with counter.serving():
+        scenario(measurer(CALL_COUNTERS, counts, calls, counter.counting))
+    return {op: {**counted[op], **calls[op]} for op in counted}
+
+
+def render(operations: Counts, wire_ops: Counts) -> str:
     """The text of ``BENCH_counts.json``."""
     return json.dumps({
         "regenerate": "PYTHONPATH=src python3 tests/count_costs.py",
+        "python": PYTHON,
         "operations": operations,
         "wire": wire_ops,
     }, indent=2) + "\n"

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import chainchat
 from chainchat import cli
 
@@ -20,20 +22,34 @@ def test_readme_library_use_block_runs(capsys):
     assert capsys.readouterr().out == "hello\n"
 
 
-def test_the_server_loads_no_client_code():
-    """Importing the stack, as the server process does, loads none of the
-    client, the CLI or the bench: the package root imports nothing."""
+def _modules_loaded_by(module):
+    """The names in ``sys.modules`` after a new interpreter imports ``module``."""
     package_root = Path(chainchat.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(package_root))
     script = ("import sys\n"
-              "import chainchat.stack\n"
-              "print(' '.join(sorted(m for m in sys.modules if m.startswith('chainchat'))))\n")
+              f"import {module}\n"
+              "print(' '.join(sorted(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    return set(proc.stdout.split())
+
+
+def test_the_server_loads_no_client_code():
+    """Importing the stack, as the server process does, loads none of the
+    client, the CLI or the bench: the package root imports nothing."""
+    loaded = _modules_loaded_by("chainchat.stack")
     assert {"chainchat.stack", "chainchat.relay", "chainchat.wire"} <= loaded
     assert not loaded & {"chainchat.client", "chainchat.cli", "chainchat.bench"}
+
+
+@pytest.mark.parametrize("module", ["chainchat.stack", "chainchat.cli"])
+def test_one_crypto_provider(module):
+    """Every hash, MAC and KDF comes from ``cryptography``: neither the
+    server nor the CLI loads the stdlib ``hashlib`` or ``hmac``, whose
+    ``_hashlib`` maps a second OpenSSL into the process."""
+    assert not _modules_loaded_by(module) & {
+        "_hashlib", "hashlib", "hmac", "cryptography.hazmat.primitives.constant_time"}
 
 
 def test_readme_cli_tour_parses():
