@@ -33,13 +33,16 @@ persists the client saves it after ``send_text`` (or
 
 Receive-side ordering, the same for one-to-one and group messages: an
 envelope's counter against the receive chain index (the session's receive
-chain, or the group chain) decides the path. Equal: ratchet once and advance.
+chain, or the group chain) decides the path. Equal, the usual case: the
+in-order step, one ratchet step and one unseal, and the chain advances.
 Ahead: ratchet through the gap, parking the skipped message keys (bounded).
 Behind: consume the parked key, or fail as a replay. Consumed keys are always
 deleted, which is what makes replayed ciphertexts undecryptable. State only
 advances when the MAC checks out. The steps derived for an envelope whose MAC
-fails are kept in memory, outside the state, until the chain moves, so more
-forged envelopes in that gap cost one MAC check each.
+fails, the in-order step's one step included, are kept in memory as the
+lookahead, outside the state, until the chain moves, so more forged envelopes
+in that gap cost one MAC check each, and the real envelope derives nothing
+again.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from .errors import (
     WireProtocolError,
 )
 from .mno import EnrollmentRequest, possession_payload
-from .relay import Envelope
+from .relay import Envelope, header_bytes
 
 MAX_SKIPPED = 1_000  # parked message keys per receive chain, as Signal's MAX_SKIP
 BACKUP_MAGIC = b"BEEB1"
@@ -315,17 +318,13 @@ class Client:
     def _build_envelope(self, recipient_id: str, group_id: Optional[str],
                         mk: MessageKey, body: bytes,
                         recipient_cert_fingerprint: bytes = b"") -> Envelope:
-        header = Envelope(
-            sender_id=self.user_id,
-            recipient_id=recipient_id,
-            counter=mk.index,
-            sender_cert_fingerprint=self.cert_fingerprint,
-            group_id=group_id,
-            payload=SealedPayload(ciphertext=b"", mac=b""),
-            sent_at=int(time.time()),
-            recipient_cert_fingerprint=recipient_cert_fingerprint,
-        )
-        return replace(header, payload=crypto.seal(mk, body, header.associated_data()))
+        """``body`` sealed under ``mk``: the header is encoded once, as the
+        seal's associated data, and the envelope built once, around the seal."""
+        sent_at = int(time.time())
+        ad = header_bytes(self.user_id, recipient_id, mk.index, self.cert_fingerprint,
+                          group_id, sent_at)
+        return Envelope(self.user_id, recipient_id, mk.index, self.cert_fingerprint, group_id,
+                        crypto.seal(mk, body, ad), sent_at, recipient_cert_fingerprint)
 
     def _seal_to(self, session: SessionState, body: bytes) -> Envelope:
         """One envelope on the session's send chain, noting its pinned peer."""

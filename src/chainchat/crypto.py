@@ -245,15 +245,17 @@ def ratchet_forward(ck: ChainKey) -> Tuple[MessageKey, ChainKey]:
 
     The step is one-way: the next chain key is an HMAC image of the current
     one, so holding state at index i+1 gives no path back to the keys at i.
+    Every envelope takes a step, so it calls the library with no helper between
+    and writes out the cipher 32 | mac 32 | iv 16 split, which the cold
+    ``backup_message_key`` writes once more.
     """
-    mk = _message_key(hmac_sha256(ck.key, b"\x01"), _MSG_KEY_INFO, ck.index)
-    return mk, ChainKey(key=hmac_sha256(ck.key, b"\x02"), index=ck.index + 1)
-
-
-def _message_key(secret: bytes, info: bytes, index: int) -> MessageKey:
-    """Expand a secret into sealing material: cipher(32) | mac(32) | iv(16)."""
-    okm = hkdf_sha256(secret, ZERO_SALT, info, _MSG_KEY_LEN)
-    return MessageKey(cipher_key=okm[:32], mac_key=okm[32:64], iv=okm[64:80], index=index)
+    mac = HMAC(ck.key, _SHA256)
+    mac.update(b"\x01")
+    okm = HKDF(_SHA256, _MSG_KEY_LEN, ZERO_SALT, _MSG_KEY_INFO).derive(mac.finalize())
+    mac = HMAC(ck.key, _SHA256)
+    mac.update(b"\x02")
+    return (MessageKey(okm[:32], okm[32:64], okm[64:80], ck.index),
+            ChainKey(mac.finalize(), ck.index + 1))
 
 
 def cbc_encrypt(mk: MessageKey, plaintext: bytes) -> bytes:
@@ -313,6 +315,8 @@ def derive_backup_key(secret: str, salt: bytes, iterations: int = BACKUP_ITERATI
         raise ValueError("backup secret must be non-empty")
     if len(salt) != 16:
         raise ValueError("backup salt must be 16 bytes")
+    if not 0 < iterations < (1 << 31):  # past 2^31 - 1 the library panics, not raises
+        raise ValueError(f"iteration count {iterations} outside 1 to 2^31 - 1")
     key = PBKDF2HMAC(_SHA256, 32, salt, iterations).derive(secret.encode("utf-8"))
     return BackupKey(key=key, salt=salt, iterations=iterations)
 
@@ -321,5 +325,6 @@ def backup_message_key(secret: str, salt: bytes, iterations: int) -> MessageKey:
     """The sealing material of a backup archive: the password key of
     ``derive_backup_key``, expanded into the cipher/mac/iv layout of a
     ratchet message key, at index 0."""
-    key = derive_backup_key(secret, salt, iterations)
-    return _message_key(key.key, _BACKUP_KEY_INFO, 0)
+    okm = hkdf_sha256(derive_backup_key(secret, salt, iterations).key, ZERO_SALT,
+                      _BACKUP_KEY_INFO, _MSG_KEY_LEN)
+    return MessageKey(cipher_key=okm[:32], mac_key=okm[32:64], iv=okm[64:80], index=0)

@@ -41,14 +41,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import chain
 from .chain import VALID, CertStatus, ChainNode, ChainState, fetch_latest, status_of
 from .crypto import SealedPayload
-from .encoding import LENGTH_PREFIX, U64_FIELD, U64_MAX, Reader, encode_bytes
+from .encoding import LENGTH_PREFIX, U64_FIELD, U64_MAX, encode_bytes
 from .errors import (
+    ChainFormatError,
     FingerprintMismatchError,
     GroupPermissionError,
     MailboxFullError,
     RegistrationRefusedError,
     RoutingError,
     SessionRefusedError,
+    TruncatedDataError,
     WireProtocolError,
 )
 
@@ -60,6 +62,27 @@ GROUP_CAP = 1_024  # members per group; each fan-out looks every member up
 # ---------------------------------------------------------------------------
 # envelope
 # ---------------------------------------------------------------------------
+
+def header_bytes(sender_id: str, recipient_id: str, counter: int,
+                 sender_cert_fingerprint: bytes, group_id: Optional[str],
+                 sent_at: int) -> bytes:
+    """An envelope's six header fields, ``encode_str`` / ``encode_u64`` /
+    ``encode_bytes`` each, concatenated in one join: the associated data its
+    MAC covers and the head of its canonical bytes."""
+    if counter < 0 or sent_at < 0:
+        raise ValueError("cannot encode a negative counter or sent_at")
+    sender = sender_id.encode("utf-8")
+    recipient = recipient_id.encode("utf-8")
+    group = (group_id or "").encode("utf-8")
+    return b"".join((
+        LENGTH_PREFIX.pack(len(sender)), sender,
+        LENGTH_PREFIX.pack(len(recipient)), recipient,
+        U64_FIELD.pack(8, counter),
+        LENGTH_PREFIX.pack(len(sender_cert_fingerprint)), sender_cert_fingerprint,
+        LENGTH_PREFIX.pack(len(group)), group,
+        U64_FIELD.pack(8, sent_at),
+    ))
+
 
 @dataclass(frozen=True)
 class Envelope:
@@ -82,28 +105,15 @@ class Envelope:
     recipient_cert_fingerprint: bytes = field(default=b"", compare=False)
 
     def associated_data(self) -> bytes:
-        """``encode_str`` / ``encode_u64`` / ``encode_bytes`` of the six header
-        fields, concatenated, built in one join: every seal and unseal
+        """``header_bytes`` of the six header fields: every seal and unseal
         calls this. For an envelope with kept canonical bytes (``wire_bytes``)
         it is their prefix, less the ciphertext and mac fields."""
         data = self.__dict__.get("_wire_bytes")
         if data is not None:
             payload = self.payload
             return data[:len(data) - 8 - len(payload.ciphertext) - len(payload.mac)]
-        if self.counter < 0 or self.sent_at < 0:
-            raise ValueError("cannot encode a negative counter or sent_at")
-        sender = self.sender_id.encode("utf-8")
-        recipient = self.recipient_id.encode("utf-8")
-        group = (self.group_id or "").encode("utf-8")
-        fingerprint = self.sender_cert_fingerprint
-        return b"".join((
-            LENGTH_PREFIX.pack(len(sender)), sender,
-            LENGTH_PREFIX.pack(len(recipient)), recipient,
-            U64_FIELD.pack(8, self.counter),
-            LENGTH_PREFIX.pack(len(fingerprint)), fingerprint,
-            LENGTH_PREFIX.pack(len(group)), group,
-            U64_FIELD.pack(8, self.sent_at),
-        ))
+        return header_bytes(self.sender_id, self.recipient_id, self.counter,
+                            self.sender_cert_fingerprint, self.group_id, self.sent_at)
 
     def canonical_bytes(self) -> bytes:
         return (
@@ -114,23 +124,32 @@ class Envelope:
 
     @classmethod
     def from_bytes(cls, data: bytes, recipient_cert_fingerprint: bytes = b"") -> "Envelope":
-        """The strict inverse of ``canonical_bytes``; an empty ``group_id``
-        decodes as ``None``, which ``associated_data`` encodes alike. The
-        envelope keeps ``data``, which the strict parse makes its canonical
-        bytes, as its ``wire_bytes``. The relay's note is not in the bytes:
-        a submit body carries it beside."""
-        r = Reader(data, what="envelope")
-        envelope = cls(
-            sender_id=r.read_str(),
-            recipient_id=r.read_str(),
-            counter=r.read_u64(),
-            sender_cert_fingerprint=r.read_bytes(),
-            group_id=r.read_str() or None,
-            sent_at=r.read_u64(),
-            payload=SealedPayload(ciphertext=r.read_bytes(), mac=r.read_bytes()),
-            recipient_cert_fingerprint=recipient_cert_fingerprint,
-        )
-        r.require_exhausted()
+        """The strict inverse of ``canonical_bytes``, in one pass: the eight
+        length prefixes split ``data``, ending where it ends, and each field is
+        converted once. Bytes that end inside a field are ``TruncatedDataError``;
+        trailing bytes, a u64 field not 8 bytes long and a string not UTF-8 are
+        ``ChainFormatError``. An empty ``group_id`` decodes as ``None``. The
+        envelope keeps ``data``, its canonical bytes by the strict parse, as
+        its ``wire_bytes``; the relay's note is not in them."""
+        fields, end, size = [], 0, len(data)
+        for _ in range(8):
+            start = end + 4
+            if start > size:  # a field that runs past the end fails at the next, or below
+                raise TruncatedDataError(f"truncated envelope at offset {end}")
+            end = start + LENGTH_PREFIX.unpack_from(data, end)[0]
+            fields.append(data[start:end])
+        if end != size:
+            raise (TruncatedDataError("truncated envelope") if end > size
+                   else ChainFormatError("trailing bytes in envelope"))
+        sender, recipient, counter, fingerprint, group, sent_at, ciphertext, mac = fields
+        if len(counter) != 8 or len(sent_at) != 8:
+            raise ChainFormatError("bad integer width in envelope")
+        try:
+            envelope = cls(sender.decode(), recipient.decode(), int.from_bytes(counter, "big"),
+                           fingerprint, group.decode() or None, SealedPayload(ciphertext, mac),
+                           int.from_bytes(sent_at, "big"), recipient_cert_fingerprint)
+        except UnicodeDecodeError as e:
+            raise ChainFormatError("invalid utf-8 in envelope") from e
         envelope.__dict__["_wire_bytes"] = data  # frozen: fields only
         return envelope
 

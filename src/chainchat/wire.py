@@ -108,6 +108,15 @@ def _read_list(body: Reader, read_item: Callable[[Reader], T]) -> List[T]:
     return [read_item(body) for _ in range(body.read_u64())]
 
 
+def _read_fetch_entries(body: Reader) -> List[Tuple[int, Envelope]]:
+    """A fetch ack, ``u64 n | (u64 seq | bytes envelope)×n``, in one loop."""
+    entries = []
+    for _ in range(body.read_u64()):
+        seq = body.read_u64()
+        entries.append((seq, Envelope.from_bytes(body.read_bytes())))
+    return entries
+
+
 def _encode_list(items: List[bytes]) -> bytes:
     return encode_u64(len(items)) + b"".join(items)
 
@@ -379,15 +388,14 @@ class RelayClient:
         return _read(self.request("fetch_cert", encode_str(user_id)), _read_status)
 
     def submit_envelope(self, envelope: Envelope) -> str:
-        return _read(self.request("submit", encode_bytes(envelope.canonical_bytes())
+        return _read(self.request("submit", encode_bytes(envelope.wire_bytes())
                                   + encode_bytes(envelope.recipient_cert_fingerprint)),
                      Reader.read_str)
 
     def fetch_envelopes(self, recipient_id: str,
                         after_seq: int) -> List[Tuple[int, Envelope]]:
         reply = self.request("fetch", encode_str(recipient_id) + encode_u64(after_seq))
-        return _read(reply, lambda r: _read_list(
-            r, lambda e: (e.read_u64(), Envelope.from_bytes(e.read_bytes()))))
+        return _read(reply, _read_fetch_entries)
 
     def create_group(self, group_id: str, admin_id: str,
                      member_ids: List[str]) -> None:
@@ -397,7 +405,7 @@ class RelayClient:
 
     def broadcast_group(self, group_id: str, envelope: Envelope) -> List[Tuple[str, str]]:
         reply = self.request("group_send", encode_str(group_id)
-                             + encode_bytes(envelope.canonical_bytes()))
+                             + encode_bytes(envelope.wire_bytes()))
         return _read(reply, lambda r: _read_list(r, lambda a: (a.read_str(), a.read_str())))
 
     # -- health -----------------------------------------------------------------------

@@ -336,6 +336,25 @@ class TestForgedEnvelopes:
         assert len(ratchet_calls) <= client_mod.MAX_SKIPPED + 200
         assert bob.sessions["alice"].lookahead is None  # the chain moved
 
+    def test_forgery_at_the_chains_own_counter_keeps_its_one_step(self, connected_pair,
+                                                                  ratchet_calls):
+        """A forged envelope at the receive chain's own counter, then the
+        real one: the in-order step is derived once, kept as the lookahead
+        across the refusal, and spent by the real envelope."""
+        alice, bob = connected_pair
+        real = alice.send_text("bob", "in order")
+        before = bob.to_state_bytes()
+        ratchet_calls.clear()
+        with pytest.raises(AuthenticationError):
+            bob.receive_envelope(self.forge(real, real.counter))
+        assert bob.to_state_bytes() == before
+        assert bob.receive_envelope(real) == "in order"
+        assert ratchet_calls == [real.counter]
+        assert bob.sessions["alice"].lookahead is None
+        with pytest.raises(ReplayError) as err:
+            bob.receive_envelope(real)
+        assert err.value.category == "replay-detected"
+
     def test_forged_envelopes_leave_the_state_bytes_alone(self, connected_pair):
         alice, bob = connected_pair
         real = [alice.send_text("bob", f"m{i}") for i in range(3)]

@@ -320,6 +320,30 @@ class TestBackupKey:
         with pytest.raises(ValueError):
             derive_backup_key("s", b"\x00" * 8, 10_000)
 
+    @pytest.mark.parametrize("iterations, taken", [
+        (0, False), (-1, False), (2**31, False), (2**32, False),
+        (1, True), (2**31 - 1, True)])
+    def test_count_outside_the_librarys_range_refused(self, monkeypatch, iterations, taken):
+        """A count the library cannot take is a ``ValueError`` before PBKDF2
+        is built. Past 2^31 - 1 the library panics, with an exception that
+        ``except Exception`` does not catch."""
+        built = []
+
+        class Recording:
+            def __init__(self, *args):
+                built.append(args)
+
+            def derive(self, data):
+                return bytes(32)
+
+        monkeypatch.setattr(crypto, "PBKDF2HMAC", Recording)
+        if taken:
+            derive_backup_key("pw", b"\x00" * 16, iterations)
+        else:
+            with pytest.raises(ValueError):
+                derive_backup_key("pw", b"\x00" * 16, iterations)
+        assert len(built) == taken
+
     def test_matches_oracle(self):
         salt = b"\x5a" * 16
         bk = derive_backup_key("pass phrase", salt, 10_000)

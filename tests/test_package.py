@@ -52,6 +52,15 @@ def test_one_crypto_provider(module):
         "_hashlib", "hashlib", "hmac", "cryptography.hazmat.primitives.constant_time"}
 
 
+def test_no_module_reaches_into_the_librarys_bindings():
+    """Every module calls ``cryptography``'s public API: none imports or
+    names ``cryptography.hazmat.bindings``, the library's private layer."""
+    private = re.compile(r"hazmat(\.|\s+import\s+)bindings")
+    package = Path(chainchat.__file__).resolve().parent
+    assert [path.name for path in sorted(package.glob("*.py"))
+            if private.search(path.read_text(encoding="utf-8"))] == []
+
+
 def test_readme_cli_tour_parses():
     """Every ``chainchat`` line of the README's *CLI quick tour*, its comment
     stripped, parses and names the handler ``main`` would run."""

@@ -14,13 +14,16 @@ from chainchat import relay as relay_mod
 from chainchat.chain import REVOKED, VALID
 from chainchat.client import Client
 from chainchat.crypto import SealedPayload
+from chainchat.encoding import encode_bytes
 from chainchat.errors import (
+    ChainFormatError,
     FingerprintMismatchError,
     GroupPermissionError,
     MailboxFullError,
     RegistrationRefusedError,
     RoutingError,
     SessionRefusedError,
+    TruncatedDataError,
     WireProtocolError,
 )
 from chainchat.crypto import derive_master_secret, generate_identity_keypair
@@ -100,6 +103,37 @@ class TestEnvelopeBytes:
         rebuilt = replace(parsed)
         assert parsed.wire_bytes() == rebuilt.canonical_bytes() == data
         assert parsed.associated_data() == rebuilt.associated_data() == bytes.fromhex(ad_hex)
+
+    @pytest.mark.parametrize("fields, ad_hex, tail_hex", _PINNED_HEADERS,
+                             ids=["null-group", "empty-group", "non-ascii-quote-nul-u64-max",
+                                  "astral-no-recipient"])
+    def test_parse_refuses_every_malformed_variant(self, fields, ad_hex, tail_hex):
+        """Every proper prefix is truncated; one more byte, a u64 field of 7
+        or 9 bytes, and a string field that is not UTF-8 are each refused."""
+        data = bytes.fromhex(ad_hex + tail_hex)
+        sender, recipient, counter, fingerprint, group, sent_at, ciphertext, mac = fields
+
+        def build(**raw):
+            parts = {"sender": sender.encode(), "recipient": recipient.encode(),
+                     "counter": counter.to_bytes(8, "big"), "group": (group or "").encode(),
+                     "sent_at": sent_at.to_bytes(8, "big"), **raw}
+            return b"".join(encode_bytes(part) for part in (
+                parts["sender"], parts["recipient"], parts["counter"], fingerprint,
+                parts["group"], parts["sent_at"], ciphertext, mac))
+
+        assert build() == data
+        for cut in range(len(data)):
+            with pytest.raises(TruncatedDataError):
+                Envelope.from_bytes(data[:cut])
+        with pytest.raises(ChainFormatError, match="trailing bytes"):
+            Envelope.from_bytes(data + b"\x00")
+        for name, value in (("counter", counter), ("sent_at", sent_at)):
+            for width in (7, 9):
+                with pytest.raises(ChainFormatError, match="integer width"):
+                    Envelope.from_bytes(build(**{name: value.to_bytes(9, "big")[-width:]}))
+        for name in ("sender", "recipient", "group"):
+            with pytest.raises(ChainFormatError, match="utf-8"):
+                Envelope.from_bytes(build(**{name: b"\xff"}))
 
     @pytest.mark.parametrize("change", [
         {"counter": 6}, {"recipient_id": "c"}, {"group_id": None},
