@@ -319,12 +319,13 @@ class Client:
                         mk: MessageKey, body: bytes,
                         recipient_cert_fingerprint: bytes = b"") -> Envelope:
         """``body`` sealed under ``mk``: the header is encoded once, as the
-        seal's associated data, and the envelope built once, around the seal."""
+        seal's associated data and the head of the envelope's bytes."""
         sent_at = int(time.time())
         ad = header_bytes(self.user_id, recipient_id, mk.index, self.cert_fingerprint,
                           group_id, sent_at)
-        return Envelope(self.user_id, recipient_id, mk.index, self.cert_fingerprint, group_id,
-                        crypto.seal(mk, body, ad), sent_at, recipient_cert_fingerprint)
+        return Envelope.sealed(ad, self.user_id, recipient_id, mk.index, self.cert_fingerprint,
+                               group_id, crypto.seal(mk, body, ad), sent_at,
+                               recipient_cert_fingerprint)
 
     def _seal_to(self, session: SessionState, body: bytes) -> Envelope:
         """One envelope on the session's send chain, noting its pinned peer."""
@@ -353,10 +354,10 @@ class Client:
         """
         if not envelope.shape_ok():  # e.g. a counter past u64 has no associated data
             raise WireProtocolError("malformed envelope")
+        # a group envelope names no recipient, a one-to-one one this client
+        if envelope.recipient_id != ("" if envelope.group_id else self.user_id):
+            raise WireProtocolError(f"envelope addressed to {envelope.recipient_id!r}")
         if envelope.group_id:
-            if envelope.recipient_id:
-                raise WireProtocolError(
-                    f"group envelope names recipient {envelope.recipient_id!r}")
             group = self._group_of(envelope.group_id, envelope.sender_id)
             plaintext, group.group_chain = self._open(group, group.group_chain, envelope)
         else:

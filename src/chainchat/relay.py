@@ -7,13 +7,11 @@ list, without repeats, that ``create_group`` stored. Every request reads the
 chain node's current snapshot, so a revocation takes effect on the next
 lookup; a submit or a fan-out reads one snapshot at one time for all of its
 checks. ``RelayClient`` offers the same methods over the wire. The relay
-never inspects plaintext and never holds keys. An envelope crosses the wire
-as its canonical bytes (``canonical_bytes``, read back by ``from_bytes``); a
-parsed envelope keeps the bytes it was parsed from, so the relay serves
-each envelope as the bytes it received, however many mailboxes hold it, and
-a recipient's associated data is their prefix. Every field it routes on and
-serves is bound into the sender's MAC, so any tampering in transit surfaces
-as an authentication failure at the recipient.
+never inspects plaintext and never holds keys. An envelope holds one byte
+form, made once (``Envelope``), which is its wire form: the relay serves
+each envelope as the bytes it received, however many mailboxes hold it.
+Every field it routes on and serves is bound into the sender's MAC, so any
+tampering in transit surfaces as an authentication failure at the recipient.
 
 A mailbox holds at most ``MAILBOX_CAP`` unacknowledged envelopes; past that
 a submit is refused and a fan-out skips the member, both ``mailbox-full``.
@@ -36,6 +34,7 @@ import base64
 import json
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import chain
@@ -88,10 +87,15 @@ def header_bytes(sender_id: str, recipient_id: str, counter: int,
 class Envelope:
     """The wire unit. Header fields are exactly the MAC'd associated data.
 
-    ``recipient_cert_fingerprint`` is not a header field: it is a note to
-    the relay, the recipient fingerprint the sender's session pinned, which
-    ``submit_envelope`` checks. It stays out of the associated data and the
-    canonical bytes, which are also the wire form, and envelopes fetched
+    It holds one byte form, its canonical bytes (FORMATS.md): the bytes
+    ``from_bytes`` split, the header ``sealed`` sealed over plus the payload's
+    two fields, or, built field by field (``replace`` too), encoded on first
+    use and never at construction, so ``shape_ok`` refuses a counter past u64
+    before anything encodes it. Their prefix is the associated data.
+
+    ``recipient_cert_fingerprint`` is no header field but a note to the
+    relay, the recipient fingerprint the sender's session pinned, which
+    ``submit_envelope`` checks. It is in no byte form, so envelopes fetched
     over the wire carry it empty.
     """
 
@@ -104,23 +108,30 @@ class Envelope:
     sent_at: int
     recipient_cert_fingerprint: bytes = field(default=b"", compare=False)
 
-    def associated_data(self) -> bytes:
-        """``header_bytes`` of the six header fields: every seal and unseal
-        calls this. For an envelope with kept canonical bytes (``wire_bytes``)
-        it is their prefix, less the ciphertext and mac fields."""
-        data = self.__dict__.get("_wire_bytes")
-        if data is not None:
-            payload = self.payload
-            return data[:len(data) - 8 - len(payload.ciphertext) - len(payload.mac)]
-        return header_bytes(self.sender_id, self.recipient_id, self.counter,
-                            self.sender_cert_fingerprint, self.group_id, self.sent_at)
+    @cached_property
+    def _canonical(self) -> bytes:
+        """For an envelope built field by field."""
+        payload = self.payload
+        return (header_bytes(self.sender_id, self.recipient_id, self.counter,
+                             self.sender_cert_fingerprint, self.group_id, self.sent_at)
+                + encode_bytes(payload.ciphertext) + encode_bytes(payload.mac))
 
     def canonical_bytes(self) -> bytes:
-        return (
-            self.associated_data()
-            + encode_bytes(self.payload.ciphertext)
-            + encode_bytes(self.payload.mac)
-        )
+        return self._canonical
+
+    def associated_data(self) -> bytes:
+        """The held bytes less the ciphertext and mac fields: ``header_bytes``."""
+        data, payload = self._canonical, self.payload
+        return data[:len(data) - 8 - len(payload.ciphertext) - len(payload.mac)]
+
+    @classmethod
+    def sealed(cls, header: bytes, *fields) -> "Envelope":
+        """The envelope of ``fields``, sealed over ``header``, their ``header_bytes``."""
+        envelope = cls(*fields)
+        payload = envelope.payload
+        envelope.__dict__["_canonical"] = (header + encode_bytes(payload.ciphertext)
+                                           + encode_bytes(payload.mac))
+        return envelope
 
     @classmethod
     def from_bytes(cls, data: bytes, recipient_cert_fingerprint: bytes = b"") -> "Envelope":
@@ -129,8 +140,8 @@ class Envelope:
         converted once. Bytes that end inside a field are ``TruncatedDataError``;
         trailing bytes, a u64 field not 8 bytes long and a string not UTF-8 are
         ``ChainFormatError``. An empty ``group_id`` decodes as ``None``. The
-        envelope keeps ``data``, its canonical bytes by the strict parse, as
-        its ``wire_bytes``; the relay's note is not in them."""
+        envelope holds ``data``, its canonical bytes by the strict parse;
+        the relay's note is not in them."""
         fields, end, size = [], 0, len(data)
         for _ in range(8):
             start = end + 4
@@ -150,7 +161,7 @@ class Envelope:
                            int.from_bytes(sent_at, "big"), recipient_cert_fingerprint)
         except UnicodeDecodeError as e:
             raise ChainFormatError("invalid utf-8 in envelope") from e
-        envelope.__dict__["_wire_bytes"] = data  # frozen: fields only
+        envelope.__dict__["_canonical"] = data
         return envelope
 
     def shape_ok(self) -> bool:
@@ -166,18 +177,6 @@ class Envelope:
             and len(self.payload.ciphertext) > 0
             and len(self.payload.ciphertext) % 16 == 0
         )
-
-    def wire_bytes(self) -> bytes:
-        """``canonical_bytes()``: the bytes a parsed envelope was parsed
-        from, or built on first use and kept on the instance, so a
-        fanned-out envelope is encoded at most once for every mailbox and
-        fetch reply that holds it. Two threads may both build it; they
-        store equal bytes. ``dataclasses.replace`` makes a new instance,
-        which keeps nothing."""
-        data = self.__dict__.get("_wire_bytes")
-        if data is None:
-            data = self.__dict__["_wire_bytes"] = self.canonical_bytes()
-        return data
 
 
 @dataclass
@@ -346,7 +345,7 @@ class Relay:
                         "next_seq": mailbox.next_seq,
                         "queue": [
                             {"seq": seq,
-                             "envelope": base64.b64encode(env.wire_bytes()).decode("ascii")}
+                             "envelope": base64.b64encode(env.canonical_bytes()).decode("ascii")}
                             for seq, env in mailbox.queue
                         ],
                     }

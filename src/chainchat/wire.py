@@ -138,16 +138,15 @@ def _list_ack(n: int, parts: List[bytes]) -> bytes:
 
 
 def _fetch_reply(entries: List[Tuple[int, Envelope]]) -> bytes:
-    """The ack of a fetch, ``u64 n | (u64 seq | bytes envelope)×n``, from
-    each envelope's kept canonical bytes: a parsed envelope's are the bytes
-    the server received, so no envelope is encoded to be served.
+    """The ack of a fetch, ``u64 n | (u64 seq | bytes envelope)×n``, of the
+    bytes each envelope holds, those the server received: none is encoded.
 
     The reply carries the longest prefix of ``entries`` whose fields fit in
     half a frame, and always the first entry, which ``_MAX_ENVELOPE`` keeps
     within a frame; the rest stays queued for the next fetch."""
     parts, budget = [b""], _MAX_FRAME // 2
     for seq, env in entries:
-        data = env.wire_bytes()
+        data = env.canonical_bytes()
         budget -= _FETCH_ENTRY_HEAD.size + len(data)
         if budget < 0 and len(parts) > 1:
             break
@@ -348,13 +347,13 @@ class RelayClient:
             with self._lock:
                 self._sock.sendall(encode_message(msg_type, body))
                 frame = _read_frame(self._file)
-        except OSError as e:  # reset, timeout: the reply is lost either way
-            raise WireProtocolError(f"connection to the server failed: {e}") from e
-        except WireProtocolError:
+            if not frame:
+                raise WireProtocolError("connection closed by server")
+        except (OSError, WireProtocolError) as e:
+            # reset, timeout, a cut or oversized frame: the server may still act on
+            # this request, so no later one is sent on this connection
             self.close()
-            raise
-        if not frame:
-            raise WireProtocolError("connection closed by server")
+            raise WireProtocolError(f"connection to the server failed: {e}") from e
         reply_type, reply = decode_message(frame)
         if reply_type == "error":
             raise WireRemoteError(*_read(reply, lambda r: (r.read_str(), r.read_str())))
@@ -388,7 +387,7 @@ class RelayClient:
         return _read(self.request("fetch_cert", encode_str(user_id)), _read_status)
 
     def submit_envelope(self, envelope: Envelope) -> str:
-        return _read(self.request("submit", encode_bytes(envelope.wire_bytes())
+        return _read(self.request("submit", encode_bytes(envelope.canonical_bytes())
                                   + encode_bytes(envelope.recipient_cert_fingerprint)),
                      Reader.read_str)
 
@@ -405,7 +404,7 @@ class RelayClient:
 
     def broadcast_group(self, group_id: str, envelope: Envelope) -> List[Tuple[str, str]]:
         reply = self.request("group_send", encode_str(group_id)
-                             + encode_bytes(envelope.wire_bytes()))
+                             + encode_bytes(envelope.canonical_bytes()))
         return _read(reply, lambda r: _read_list(r, lambda a: (a.read_str(), a.read_str())))
 
     # -- health -----------------------------------------------------------------------

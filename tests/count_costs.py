@@ -23,7 +23,8 @@ on port 0 and a ``RelayClient``, and counts per operation:
   reply_bytes        bytes of the frames the client decodes
   status_objects     CertStatus instances built
   fetch_latest       calls of fetch_latest, the name the relay looks up
-  envelope_encodes   Envelope.canonical_bytes calls
+  envelope_encodes   relay.header_bytes calls, the one envelope header
+                     encoder (also under the name the client imports)
 
 Both byte counts are taken on the client's (main) thread, so the server's
 own encodes on a connection's thread are not counted twice; the last three
@@ -75,11 +76,12 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from chainchat import chain, crypto, relay, wire
+from chainchat import client as client_mod
 from chainchat.chain import KIND_CERTIFICATE, CertStatus, ChainNode, WriterCredential
 from chainchat.client import Client
 from chainchat.crypto import SealedPayload
 from chainchat.mno import MnoCertificateAuthority
-from chainchat.relay import Envelope, Relay
+from chainchat.relay import Relay
 
 COUNTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_counts.json"
 COUNTERS = ("x25519_loads", "x25519_agreements", "ed25519_signs", "ed25519_verifies",
@@ -258,7 +260,8 @@ def counting_wire(counts: Dict[str, int]) -> Iterator[None]:
                                wire.decode_message)
     counted_calls = [(CertStatus, "__init__", "status_objects"),
                      (relay, "fetch_latest", "fetch_latest"),
-                     (Envelope, "canonical_bytes", "envelope_encodes")]
+                     (relay, "header_bytes", "envelope_encodes"),
+                     (client_mod, "header_bytes", "envelope_encodes")]
     saved = [(owner, name, vars(owner)[name]) for owner, name, _ in counted_calls]
 
     def counted(counter: str, fn: Callable) -> Callable:

@@ -439,16 +439,18 @@ class TestPullMessages:
 
     def test_self_addressed_envelope_does_not_block_the_mailbox(self, relay,
                                                                 connected_pair):
-        """An envelope from bob to bob, queued past the relay's shape check,
-        is one protocol-error delivery, and the next text still arrives."""
+        """An envelope from bob to bob, and one from bob to carol, queued in
+        bob's mailbox past the relay's checks, are one protocol-error delivery
+        each; no session with bob opens, and the next text still arrives."""
         alice, bob = connected_pair
-        relay._mailboxes["bob"].put(replace(alice.send_text("bob", "sealed by alice"),
-                                            sender_id="bob",
-                                            sender_cert_fingerprint=bob.cert_fingerprint))
+        sealed = alice.send_text("bob", "sealed by alice")
+        for recipient in ("bob", "carol"):
+            relay._mailboxes["bob"].put(replace(sealed, sender_id="bob", recipient_id=recipient,
+                                                sender_cert_fingerprint=bob.cert_fingerprint))
         relay.submit_envelope(alice.send_text("bob", "after"))
         deliveries = bob.pull_messages()
-        assert [(d.text, d.error) for d in deliveries] == [(None, "protocol-error"),
-                                                           ("after", None)]
+        assert [(d.text, d.error) for d in deliveries] == [(None, "protocol-error")] * 2 + [
+            ("after", None)]
         assert "bob" not in bob.sessions
         assert bob.pull_messages() == []
 

@@ -101,7 +101,7 @@ class TestEnvelopeBytes:
         data = bytes.fromhex(ad_hex + tail_hex)
         parsed = Envelope.from_bytes(data)
         rebuilt = replace(parsed)
-        assert parsed.wire_bytes() == rebuilt.canonical_bytes() == data
+        assert parsed.canonical_bytes() == rebuilt.canonical_bytes() == data
         assert parsed.associated_data() == rebuilt.associated_data() == bytes.fromhex(ad_hex)
 
     @pytest.mark.parametrize("fields, ad_hex, tail_hex", _PINNED_HEADERS,
@@ -144,7 +144,7 @@ class TestEnvelopeBytes:
         parsed = Envelope.from_bytes(original.canonical_bytes())
         changed, expected = replace(parsed, **change), replace(original, **change)
         assert changed.associated_data() == expected.associated_data()
-        assert changed.wire_bytes() == expected.canonical_bytes() != parsed.wire_bytes()
+        assert changed.canonical_bytes() == expected.canonical_bytes() != parsed.canonical_bytes()
 
     def test_null_and_empty_group_give_the_same_bytes(self):
         assert (plain_envelope("a", "b", group_id=None).associated_data()

@@ -8,11 +8,13 @@ import struct
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import oracles
+from chainchat import client as client_mod
 from chainchat import identity_sig, wire
 from chainchat import mno as mno_mod
 from chainchat import relay as relay_mod
@@ -188,8 +190,8 @@ class TestCodecs:
     def test_envelope_bytes_roundtrip(self, connected_pair):
         alice, bob = connected_pair
         envelope = alice.send_text("bob", "over the wire")
-        assert envelope.wire_bytes() == envelope.canonical_bytes()
-        decoded = Envelope.from_bytes(envelope.wire_bytes())
+        assert envelope.canonical_bytes() == replace(envelope).canonical_bytes()
+        decoded = Envelope.from_bytes(envelope.canonical_bytes())
         assert decoded == envelope
         assert bob.receive_envelope(decoded) == "over the wire"
 
@@ -398,6 +400,29 @@ class TestServer:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
         assert done.wait(timeout=5)
         assert outcomes == [None]
+
+    def test_a_timed_out_round_trip_closes_the_connection(self, server, monkeypatch):
+        """A request whose reply does not come in time closes the client's
+        connection: the server lets go of it, and a second request fails
+        before it is sent, so no handler acts on it."""
+        dispatch, handled = WireServer._dispatch, []
+
+        def slow(self, msg_type, body):
+            handled.append(msg_type)
+            time.sleep(0.5)
+            return dispatch(self, msg_type, body)
+
+        monkeypatch.setattr(WireServer, "_dispatch", slow)
+        with RelayClient(server.host, server.port, timeout=0.2) as client:
+            with pytest.raises(WireProtocolError, match="timed out"):
+                client.fetch_certificate("nobody")
+            deadline = time.monotonic() + 5
+            while server._connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server._connections == {}
+            with pytest.raises(WireProtocolError):
+                client.fetch_certificate("nobody")
+        assert handled == ["fetch_cert"]
 
     def test_pipelined_requests_one_connection(self, rc):
         for _ in range(10):
@@ -965,10 +990,31 @@ class TestRoundTrips:
                 assert [d.text for d in bob.pull_messages()] == [text]
                 assert issued == ["submit", "fetch"]
 
+    def test_a_sent_envelope_is_encoded_once(self, tmp_path, monkeypatch):
+        """One ``send_text`` and its wire submit encode the header once, as the
+        client seals: the submit sends the bytes the envelope holds, and the
+        server and the recipient keep the bytes they parsed."""
+        with run_stack(StackConfig(state_dir=str(tmp_path / "state"),
+                                   relay_port=0)) as stack, \
+                RelayClient(stack.host, stack.port) as rc:
+            alice, bob = (Client.install(user, rc, rc) for user in ("alice", "bob"))
+            alice.start_session("bob")
+            encodes, header_bytes = [], relay_mod.header_bytes
+
+            def counting(*fields):
+                encodes.append(fields)
+                return header_bytes(*fields)
+
+            monkeypatch.setattr(relay_mod, "header_bytes", counting)
+            monkeypatch.setattr(client_mod, "header_bytes", counting)
+            assert rc.submit_envelope(alice.send_text("bob", "once")) == ACK_QUEUED
+            assert [d.text for d in bob.pull_messages()] == ["once"]
+            assert len(encodes) == 1
+
     def test_group_envelope_is_encoded_once(self, tmp_path, monkeypatch):
         """A group message in three mailboxes is encoded once, by its sender:
-        the server encodes it for no fetch reply, and each reply carries the
-        exact bytes the group_send carried."""
+        the server encodes no envelope header, and each fetch reply carries
+        the exact bytes the group_send carried."""
         with run_stack(StackConfig(state_dir=str(tmp_path / "state"),
                                    relay_port=0)) as stack, \
                 RelayClient(stack.host, stack.port) as rc:
@@ -982,13 +1028,12 @@ class TestRoundTrips:
                 user.pull_messages()
             envelope = admin.send_group_message("four", "to all three")
             server_encodes = []
-            canonical_bytes = Envelope.canonical_bytes
+            header_bytes = relay_mod.header_bytes
 
-            def counting(self):
-                data = canonical_bytes(self)
+            def counting(*fields):
+                data = header_bytes(*fields)
                 # the server answers on a connection's thread; this one is the client
-                if (self.payload == envelope.payload
-                        and threading.current_thread() is not threading.main_thread()):
+                if threading.current_thread() is not threading.main_thread():
                     server_encodes.append(data)
                 return data
 
@@ -999,7 +1044,7 @@ class TestRoundTrips:
                     replies.append(frame)
                 return decode(frame)
 
-            monkeypatch.setattr(Envelope, "canonical_bytes", counting)
+            monkeypatch.setattr(relay_mod, "header_bytes", counting)
             monkeypatch.setattr(wire, "decode_message", recording)
             sent = envelope.canonical_bytes()
             acks = rc.broadcast_group("four", envelope)
