@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import os
 import struct
+import sys
 import threading
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import (
+    BinaryIO, Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple)
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -37,7 +39,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 from .crypto import sha256
-from .encoding import Reader, encode_bytes, encode_str, encode_u64
+from .encoding import LENGTH_PREFIX, Reader, encode_bytes, encode_str, encode_u64
 from .errors import (
     ChainError,
     ChainFormatError,
@@ -111,13 +113,14 @@ class CertificateRecord:
     @classmethod
     def from_bytes(cls, data: bytes) -> "CertificateRecord":
         r = Reader(data, what="certificate record")
+        # a chain repeats a few issuer ids and two kinds: each is held once
         rec = cls(
             user_id=r.read_str(),
             subject_public_key=r.read_bytes(),
-            issuer_id=r.read_str(),
+            issuer_id=sys.intern(r.read_str()),
             issued_at=r.read_u64(),
             expires_at=r.read_u64(),
-            kind=r.read_str(),
+            kind=sys.intern(r.read_str()),
             issuer_signature=r.read_bytes(),
         )
         r.require_exhausted()
@@ -248,7 +251,7 @@ class Block:
             CertificateRecord.from_bytes(r.read_bytes()) for _ in range(r.read_u64())
         )
         timestamp = r.read_u64()
-        writer_id = r.read_str()
+        writer_id = sys.intern(r.read_str())
         writer_signature = r.read_bytes()
         declarations = tuple(
             (r.read_str(), r.read_bytes()) for _ in range(r.read_u64())
@@ -551,35 +554,40 @@ def save_chain(state: ChainState, path: str) -> None:
 
 
 def load_chain(path: str) -> ChainState:
-    """The chain in the file at ``path``, read as ``ChainNode.open`` reads
-    it: a torn final frame is left out, but not cut from the file."""
+    """The chain in the file at ``path``, read one frame at a time as
+    ``ChainNode.open`` reads it: a torn final frame is left out, but not
+    cut from the file."""
     with open(path, "rb") as f:
-        data = f.read()
-    return chain_from_bytes(data[:_intact_length(data)])
+        return ChainState(blocks=tuple(Block.from_bytes(frame) for frame in _file_frames(f)))
 
 
-def _intact_length(data: bytes) -> int:
-    """Length of the chain file's bytes ``data`` without a final frame that
-    an interrupted append left shorter than its length prefix.
+def _file_frames(f: BinaryIO) -> Iterator[bytes]:
+    """The block encodings framed in the chain file open as ``f``, read one
+    frame at a time, so the file's bytes are never held whole.
 
-    What there is of such a frame is the start of a block encoding, so its
-    parse runs out of data. A final frame whose body is a whole block, or a
-    block followed by more bytes, is a corrupted length instead; it is kept,
-    and the strict parse refuses it. The walk reads only the frame headers.
+    A final frame that an interrupted append left shorter than its length
+    prefix (or a partial prefix) is the start of a block encoding, so its
+    parse runs out of data: it is left out, and ``f`` is left at its start.
+    A final frame whose body is a whole block, or a block followed by more
+    bytes, is a corrupted length instead, and it refuses the file.
     """
-    pos, end = 0, len(data)
-    while end - pos >= 4:
-        (length,) = struct.unpack_from(">I", data, pos)
-        if pos + 4 + length > end:
+    size, end = os.fstat(f.fileno()).st_size, 0  # end: of the last whole frame
+    while head := f.read(4):
+        # a partial prefix is a frame longer than the file; ``read(n)`` sets
+        # n bytes aside first, so a corrupted length reads at most the file
+        length = LENGTH_PREFIX.unpack(head)[0] if len(head) == 4 else size
+        frame = f.read(min(length, size))
+        if len(frame) < length:
             try:
-                Block.from_bytes(data[pos + 4:])
+                Block.from_bytes(frame)
             except TruncatedDataError:
-                return pos
-            except ChainFormatError:
-                pass
-            return end
-        pos += 4 + length
-    return pos
+                f.seek(end)
+                break
+            raise ChainFormatError(f"truncated chain file at offset {end + 4}")
+        end += 4 + length
+        yield frame
+    if not end:
+        raise ChainFormatError("empty chain data")
 
 
 def _append_frame(path: str, block: Block) -> None:
@@ -622,8 +630,9 @@ class ChainNode:
     def open(cls, path: str, credentials: Iterable[WriterCredential] = ()) -> "ChainNode":
         """The one opener of a chain file, the stack's start-up check.
 
-        Reads the file once and, in one pass, parses it and makes every
-        check of ``verify_chain``, every record signature included since
+        Reads the file once, one frame at a time (``_file_frames``), and in
+        the same pass parses and hashes each frame and makes every check of
+        ``verify_chain``, every record signature included since
         ``fetch_cert`` serves records as stored, but checks only the head's
         writer signature: that covers the head's ``prev_hash``, the SHA-256
         of the previous frame's bytes, which covers every earlier byte. The
@@ -637,16 +646,14 @@ class ChainNode:
         final frame, if any.
         """
         with open(path, "r+b") as f:
-            data = f.read()
-            keep = _intact_length(data)
             blocks, result = _check_blocks(
-                ((Block.from_bytes(frame), sha256(frame))
-                 for frame in _frames(data[:keep])), False, credentials)
+                ((Block.from_bytes(frame), sha256(frame)) for frame in _file_frames(f)),
+                False, credentials)
             if not result:
                 raise ChainError(f"verification fails at height {result.height}: "
                                  f"{result.reason}")
-            if keep < len(data):
-                f.truncate(keep)
+            if f.tell() < os.fstat(f.fileno()).st_size:  # left at a torn final frame
+                f.truncate()
                 os.fsync(f.fileno())
         return cls(ChainState(blocks=blocks), path=path)
 

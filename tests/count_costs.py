@@ -11,6 +11,8 @@ Each count is taken where chainchat calls its libraries:
   hmac               HMAC contexts built by crypto
   cipher_contexts    AES-CBC contexts built by crypto
   fsync              os.fsync
+  record_encodes     CertificateRecord.signed_payload calls, the record
+                     encoding that each record signature covers
 
 The scenario runs in one process, with no threads and no wire, so the counts
 depend on neither timing nor the host, and two runs give identical files.
@@ -25,9 +27,10 @@ on port 0 and a ``RelayClient``, and counts per operation:
   fetch_latest       calls of fetch_latest, the name the relay looks up
   envelope_encodes   relay.header_bytes calls, the one envelope header
                      encoder (also under the name the client imports)
+  record_encodes     CertificateRecord.signed_payload calls
 
 Both byte counts are taken on the client's (main) thread, so the server's
-own encodes on a connection's thread are not counted twice; the last three
+own encodes on a connection's thread are not counted twice; the last four
 are counted on every thread, the server's connection threads included.
 
 Each pass then runs once more, every operation now warmed up by the first
@@ -77,7 +80,8 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from chainchat import chain, crypto, relay, wire
 from chainchat import client as client_mod
-from chainchat.chain import KIND_CERTIFICATE, CertStatus, ChainNode, WriterCredential
+from chainchat.chain import (KIND_CERTIFICATE, CertificateRecord, CertStatus, ChainNode,
+                             WriterCredential)
 from chainchat.client import Client
 from chainchat.crypto import SealedPayload
 from chainchat.mno import MnoCertificateAuthority
@@ -85,9 +89,9 @@ from chainchat.relay import Relay
 
 COUNTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_counts.json"
 COUNTERS = ("x25519_loads", "x25519_agreements", "ed25519_signs", "ed25519_verifies",
-            "ratchet_forward", "hkdf", "hmac", "cipher_contexts", "fsync")
+            "ratchet_forward", "hkdf", "hmac", "cipher_contexts", "fsync", "record_encodes")
 WIRE_COUNTERS = ("round_trips", "request_bytes", "reply_bytes", "status_objects",
-                 "fetch_latest", "envelope_encodes")
+                 "fetch_latest", "envelope_encodes", "record_encodes")
 CALL_COUNTERS = ("py_calls", "c_calls")
 PYTHON = f"{platform.python_implementation()} {sys.version_info[0]}.{sys.version_info[1]}"
 PACKAGE_DIR = os.path.dirname(os.path.abspath(crypto.__file__)) + os.sep
@@ -151,11 +155,13 @@ def counting(counts: Dict[str, int]) -> Iterator[None]:
 
     load_x25519 = vars(X25519PrivateKey)["from_private_bytes"]
     load_ed25519 = vars(Ed25519PublicKey)["from_public_bytes"]
+    signed_payload = vars(CertificateRecord)["signed_payload"]
     saved = [(X25519PrivateKey, "from_private_bytes", load_x25519),
              (Ed25519PublicKey, "from_public_bytes", load_ed25519),
              (crypto, "ratchet_forward", crypto.ratchet_forward),
              (crypto, "HKDF", crypto.HKDF), (crypto, "HMAC", crypto.HMAC),
-             (crypto, "Cipher", crypto.Cipher), (os, "fsync", os.fsync)]
+             (crypto, "Cipher", crypto.Cipher), (os, "fsync", os.fsync),
+             (CertificateRecord, "signed_payload", signed_payload)]
     loaded = counted("x25519_loads", load_x25519.__func__)
     X25519PrivateKey.from_private_bytes = classmethod(lambda cls, data: _CountedKey(
         loaded(cls, data), "exchange", "x25519_agreements", counts))
@@ -166,6 +172,7 @@ def counting(counts: Dict[str, int]) -> Iterator[None]:
     crypto.HMAC = counted("hmac", crypto.HMAC)
     crypto.Cipher = counted("cipher_contexts", crypto.Cipher)
     os.fsync = counted("fsync", os.fsync)
+    CertificateRecord.signed_payload = counted("record_encodes", signed_payload)
     try:
         yield
     finally:
@@ -232,13 +239,16 @@ def _scenario(measure: Measure,
         deliveries = measure("pull_forged", target.pull_messages)
         assert [d.error for d in deliveries] == ["auth-failed"] * FORGED + [None]
 
-        # start-up: open a chain file holding the writer's seed, and holding none
+        # start-up: open a chain file holding the writer's seed, and holding
+        # none; then ``chainchat chain verify``, which checks every signature
         for height in OPEN_HEIGHTS:
             path = os.path.join(tmp, f"chain-{height}.dat")
             writer = _chain_file(path, height, credential)
             held = credential(WriterCredential.from_seed(writer.writer_id, writer.seed))
             measure(f"open_{height}_held", lambda: ChainNode.open(path, [held]))
             measure(f"open_{height}", lambda: ChainNode.open(path))
+            assert measure(f"verify_{height}",
+                           lambda: chain.verify_chain(chain.load_chain(path)))
 
 
 def run_scenario() -> Counts:
@@ -261,7 +271,8 @@ def counting_wire(counts: Dict[str, int]) -> Iterator[None]:
     counted_calls = [(CertStatus, "__init__", "status_objects"),
                      (relay, "fetch_latest", "fetch_latest"),
                      (relay, "header_bytes", "envelope_encodes"),
-                     (client_mod, "header_bytes", "envelope_encodes")]
+                     (client_mod, "header_bytes", "envelope_encodes"),
+                     (CertificateRecord, "signed_payload", "record_encodes")]
     saved = [(owner, name, vars(owner)[name]) for owner, name, _ in counted_calls]
 
     def counted(counter: str, fn: Callable) -> Callable:

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import os
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -473,6 +475,53 @@ class TestAppendOnlyFile:
         node.append(mno, [cert_for(mno, "after")], timestamp=T0 + 11)
         assert chain_to_bytes(ChainNode.open(str(path)).snapshot()) == \
             chain_to_bytes(node.snapshot())
+
+
+OPEN_HEIGHT = 1_000
+FRAME_SLACK = 64 * 1024  # a few frames, the file buffer and the block list
+
+
+@pytest.fixture(scope="module")
+def long_chain(tmp_path_factory):
+    """A chain file of ``OPEN_HEIGHT`` one-certificate blocks, and its writer."""
+    writer = WriterCredential.generate("mno-1")
+    state = genesis([(writer.writer_id, writer.verification_key)], timestamp=T0)
+    for i in range(OPEN_HEIGHT):
+        state = append_block(state, writer, [cert_for(writer, f"user{i:04d}")],
+                             timestamp=T0 + i)
+    path = tmp_path_factory.mktemp("long") / "chain.dat"
+    save_chain(state, str(path))
+    return str(path), writer
+
+
+class TestOneFrameAtATime:
+    @pytest.mark.parametrize("read", [
+        lambda path, writer: ChainNode.open(path, [writer]).snapshot(),
+        lambda path, writer: load_chain(path),
+    ], ids=["open", "load_chain"])
+    def test_a_read_peaks_at_what_it_returns_plus_a_few_frames(self, long_chain, read):
+        """The file's bytes are never held beside the blocks parsed from
+        them: a read's traced peak is what it returns, plus a bound far
+        below the file's size."""
+        path, writer = long_chain
+        assert os.path.getsize(path) > 4 * FRAME_SLACK
+        tracemalloc.start()
+        try:
+            state = read(path, writer)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state.height == OPEN_HEIGHT
+        assert peak - held <= FRAME_SLACK
+
+    def test_parsed_names_are_held_once(self, long_chain):
+        """Each issuer id, kind and writer id a chain repeats is one string."""
+        blocks = load_chain(long_chain[0]).blocks
+        first, second = blocks[1].records[0], blocks[-1].records[0]
+        assert first.issuer_id is second.issuer_id
+        assert first.kind is second.kind
+        assert blocks[1].writer_id is first.issuer_id
+        assert blocks[-1].writer_id is first.issuer_id
 
 
 class TestLatestMap:

@@ -409,6 +409,26 @@ class TestStackHandle:
         with pytest.raises(StackStartupError, match="bad record signature"):
             run_stack(cfg)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP D16: the relay numbers each "
+                       "mailbox from 1 again after a restart, so a stored cursor "
+                       "acknowledges new envelopes unseen")
+    def test_a_stored_inbox_cursor_takes_envelopes_sent_after_a_restart(self, cfg):
+        """Bob pulls three texts, so his cursor is 3; after a restart and a
+        fresh registration, a text alice sends reaches him."""
+        with run_stack(cfg) as first, RelayStackClient(first) as rc:
+            alice = Client.install("alice", rc, rc)
+            bob = Client.install("bob", rc, rc)
+            for i in range(3):
+                rc.submit_envelope(alice.send_text("bob", f"before restart {i}"))
+            assert len(bob.pull_messages()) == 3
+        with run_stack(cfg) as second, RelayStackClient(second) as rc:
+            for client in (alice, bob):
+                client.directory = client.transport = rc
+                rc.register_user(client.user_id, client.cert_fingerprint)
+            rc.submit_envelope(alice.send_text("bob", "after restart"))
+            assert [d.text for d in bob.pull_messages()] == ["after restart"]
+
 
 class SimulatedClock:
     """Stands in for ``cli.time``: ``sleep`` only moves the clock on, and

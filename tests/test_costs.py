@@ -72,6 +72,14 @@ def test_the_costliest_steps_run_once_per_value(ops):
         client_mod.MAX_SKIPPED + count_costs.FORGED
 
 
+def test_chain_verify_checks_every_signature(ops):
+    """``chainchat chain verify`` holds no key, so it verifies each block's
+    record signature and writer signature: two per block of one record."""
+    for height in count_costs.OPEN_HEIGHTS:
+        assert (ops[f"verify_{height}"]["ed25519_signs"],
+                ops[f"verify_{height}"]["ed25519_verifies"]) == (0, 2 * height)
+
+
 def test_a_fan_out_builds_no_status_object_and_no_fetch_encodes(wire_ops):
     """The relay asks the latest-wins rule directly, and serves each envelope
     as the bytes it received; a client encodes an envelope's header once, as
