@@ -104,17 +104,26 @@ def _connect(cfg: StackConfig) -> RelayClient:
         ) from e
 
 
+# C0 controls (newline included), DEL and C1, each shown as its \x escape, so
+# that what a peer sends cannot move the cursor, clear or retitle the terminal
+_CONTROL_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7f, 0xa0))}
+
+
+def _shown(peer_text: str) -> str:
+    return peer_text.translate(_CONTROL_ESCAPES)
+
+
 def _print_delivery(delivery: Delivery) -> None:
     env = delivery.envelope
+    sender = _shown(env.sender_id)
     if delivery.error is not None:
-        print(f"error[{delivery.error}] on message from {env.sender_id}",
-              file=sys.stderr)
+        print(f"error[{delivery.error}] on message from {sender}", file=sys.stderr)
     elif delivery.text is None:
-        print(f"control message from {env.sender_id} accepted")
+        print(f"control message from {sender} accepted")
     elif env.group_id:
-        print(f"[{env.group_id}] from {env.sender_id}: {delivery.text}")
+        print(f"[{_shown(env.group_id)}] from {sender}: {_shown(delivery.text)}")
     else:
-        print(f"from {env.sender_id}: {delivery.text}")
+        print(f"from {sender}: {_shown(delivery.text)}")
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,8 @@ class GroupState:
     lookahead: Optional[Lookahead] = field(default=None, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+# plain, as built per message (see ``crypto``), and never assigned after construction
+@dataclass
 class HistoryEntry:
     direction: str  # SENT or RECEIVED
     peer_id: str    # counterpart user, or sender for group messages
@@ -143,7 +144,7 @@ class GroupCreation:
     member_ids: List[str]
 
 
-@dataclass(frozen=True)
+@dataclass  # plain, as HistoryEntry
 class Delivery:
     envelope: Envelope
     text: Optional[str]
@@ -174,7 +175,7 @@ def _encode_group_descriptor(group: GroupState) -> bytes:
 def _read_group_descriptor(r: Reader) -> Tuple[str, str, List[str], bytes]:
     """The fields ``_encode_group_descriptor`` writes, in ``GroupState`` order."""
     group_id, admin_id = r.read_str(), r.read_str()
-    return group_id, admin_id, [r.read_str() for _ in range(r.read_u64())], r.expect_bytes(32)
+    return group_id, admin_id, r.read_strs(r.read_u64()), r.expect_bytes(32)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
 """Cryptographic core: identity keys, key agreement, ratchet, sealing.
 
 All operations here are pure functions of their inputs (the only exception is
-key generation, which consumes entropy). Values are immutable after
-construction; advancing ratchet state is the caller's job.
+key generation, which consumes entropy); advancing ratchet state is the
+caller's job. The types built once per key or session (``IdentityKeyPair``,
+``MasterSecret``, ``BackupKey``) are frozen. The three built for every
+message (``ChainKey``, ``MessageKey``, ``SealedPayload``) are plain
+dataclasses, since a frozen one sets each field through
+``object.__setattr__``, several times the cost of a plain build. All follow
+one rule: no field is assigned after construction; a changed copy is made
+with ``dataclasses.replace``.
 
 Key schedule, fixed for interoperability:
 
@@ -109,13 +115,13 @@ class MasterSecret:
     bytes_: bytes  # 32-byte shared secret, symmetric between the two parties
 
 
-@dataclass(frozen=True)
+@dataclass
 class ChainKey:
     key: bytes
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class MessageKey:
     cipher_key: bytes  # AES-256
     mac_key: bytes     # HMAC-SHA256
@@ -123,7 +129,7 @@ class MessageKey:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class SealedPayload:
     ciphertext: bytes  # PKCS#7-padded CBC output, positive multiple of 16
     mac: bytes         # HMAC-SHA256 over associated_data || ciphertext

@@ -9,11 +9,14 @@ hold everywhere.
 
 Wire messages use the same encoding: a frame is one bytes field holding the
 message type and the type's fields (PROTOCOL.md), read with one ``Reader``.
+A run of fields, an envelope's or a list's, is split in one pass
+(``split_fields``).
 """
 
 from __future__ import annotations
 
 import struct
+from typing import List, Tuple
 
 from .errors import ChainFormatError, TruncatedDataError
 
@@ -37,6 +40,25 @@ def encode_u64(value: int) -> bytes:
     if value < 0:
         raise ValueError(f"cannot encode negative integer {value}")
     return U64_FIELD.pack(8, value)
+
+
+def split_fields(data: bytes, count: int, pos: int = 0,
+                 what: str = "data") -> Tuple[List[bytes], int]:
+    """``count`` fields of ``data`` from ``pos``, split in one pass, and the
+    offset where the last one ends. Bytes that end inside a field are
+    ``TruncatedDataError``. Each field takes at least its 4-byte prefix, so a
+    count past what ``data`` holds fails at the first field that is not
+    there: nothing is sized by ``count``."""
+    fields, end, size = [], pos, len(data)
+    for _ in range(count):
+        start = end + 4
+        if start > size:  # a field that runs past the end fails at the next, or below
+            raise TruncatedDataError(f"truncated {what} at offset {end}")
+        end = start + LENGTH_PREFIX.unpack_from(data, end)[0]
+        fields.append(data[start:end])
+    if end > size:
+        raise TruncatedDataError(f"truncated {what}")
+    return fields, end
 
 
 class Reader:
@@ -77,6 +99,18 @@ class Reader:
                 return value
         self.read_bytes()
         raise ChainFormatError(f"bad integer width in {self._what}")
+
+    def read_fields(self, count: int) -> List[bytes]:
+        """``count`` bytes fields, by ``split_fields``."""
+        fields, self._pos = split_fields(self._data, count, self._pos, self._what)
+        return fields
+
+    def read_strs(self, count: int) -> List[str]:
+        """``count`` string fields, each strict UTF-8."""
+        try:
+            return [field.decode() for field in self.read_fields(count)]
+        except UnicodeDecodeError as e:
+            raise ChainFormatError(f"invalid utf-8 in {self._what}") from e
 
     def expect_bytes(self, n: int) -> bytes:
         raw = self.read_bytes()

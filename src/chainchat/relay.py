@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import chain
 from .chain import VALID, CertStatus, ChainNode, ChainState, fetch_latest, status_of
 from .crypto import SealedPayload
-from .encoding import LENGTH_PREFIX, U64_FIELD, U64_MAX, encode_bytes
+from .encoding import LENGTH_PREFIX, U64_FIELD, U64_MAX, encode_bytes, split_fields
 from .errors import (
     ChainFormatError,
     FingerprintMismatchError,
@@ -49,7 +49,6 @@ from .errors import (
     RegistrationRefusedError,
     RoutingError,
     SessionRefusedError,
-    TruncatedDataError,
     WireProtocolError,
 )
 
@@ -83,7 +82,7 @@ def header_bytes(sender_id: str, recipient_id: str, counter: int,
     ))
 
 
-@dataclass(frozen=True)
+@dataclass
 class Envelope:
     """The wire unit. Header fields are exactly the MAC'd associated data.
 
@@ -92,6 +91,11 @@ class Envelope:
     two fields, or, built field by field (``replace`` too), encoded on first
     use and never at construction, so ``shape_ok`` refuses a counter past u64
     before anything encodes it. Their prefix is the associated data.
+
+    Plain, not frozen, as one is built per envelope sent or received (see
+    ``crypto``). No field is assigned after construction, or the held bytes
+    would not be its own: ``dataclasses.replace`` makes a changed copy, and
+    the copy encodes its bytes anew.
 
     ``recipient_cert_fingerprint`` is no header field but a note to the
     relay, the recipient fingerprint the sender's session pinned, which
@@ -135,23 +139,16 @@ class Envelope:
 
     @classmethod
     def from_bytes(cls, data: bytes, recipient_cert_fingerprint: bytes = b"") -> "Envelope":
-        """The strict inverse of ``canonical_bytes``, in one pass: the eight
-        length prefixes split ``data``, ending where it ends, and each field is
-        converted once. Bytes that end inside a field are ``TruncatedDataError``;
+        """The strict inverse of ``canonical_bytes``, in one pass: eight
+        fields by ``split_fields``, ending where ``data`` ends, each converted
+        once. Bytes that end inside a field are ``TruncatedDataError``;
         trailing bytes, a u64 field not 8 bytes long and a string not UTF-8 are
         ``ChainFormatError``. An empty ``group_id`` decodes as ``None``. The
         envelope holds ``data``, its canonical bytes by the strict parse;
         the relay's note is not in them."""
-        fields, end, size = [], 0, len(data)
-        for _ in range(8):
-            start = end + 4
-            if start > size:  # a field that runs past the end fails at the next, or below
-                raise TruncatedDataError(f"truncated envelope at offset {end}")
-            end = start + LENGTH_PREFIX.unpack_from(data, end)[0]
-            fields.append(data[start:end])
-        if end != size:
-            raise (TruncatedDataError("truncated envelope") if end > size
-                   else ChainFormatError("trailing bytes in envelope"))
+        fields, end = split_fields(data, 8, what="envelope")
+        if end != len(data):
+            raise ChainFormatError("trailing bytes in envelope")
         sender, recipient, counter, fingerprint, group, sent_at, ciphertext, mac = fields
         if len(counter) != 8 or len(sent_at) != 8:
             raise ChainFormatError("bad integer width in envelope")

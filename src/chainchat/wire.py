@@ -102,18 +102,16 @@ def _read(body: Reader, read: Callable[[Reader], T]) -> T:
     return value
 
 
-def _read_list(body: Reader, read_item: Callable[[Reader], T]) -> List[T]:
-    """``u64 n`` then ``n`` items; a count past the body's end fails at the
-    first item that is not there."""
-    return [read_item(body) for _ in range(body.read_u64())]
-
-
 def _read_fetch_entries(body: Reader) -> List[Tuple[int, Envelope]]:
-    """A fetch ack, ``u64 n | (u64 seq | bytes envelope)×n``, in one loop."""
+    """A fetch ack, ``u64 n | (u64 seq | bytes envelope)×n``, its ``2n``
+    fields split in one pass; a count past the body's end fails at the first
+    field that is not there."""
+    fields = iter(body.read_fields(2 * body.read_u64()))
     entries = []
-    for _ in range(body.read_u64()):
-        seq = body.read_u64()
-        entries.append((seq, Envelope.from_bytes(body.read_bytes())))
+    for seq, data in zip(fields, fields):
+        if len(seq) != 8:
+            raise ChainFormatError("bad integer width in fetch reply")
+        entries.append((int.from_bytes(seq, "big"), Envelope.from_bytes(data)))
     return entries
 
 
@@ -286,7 +284,7 @@ class WireServer:
             return _fetch_reply(self.relay.fetch_envelopes(recipient_id, after_seq))
         if msg_type == "group_create":
             group_id, admin_id, members = _read(body, lambda r: (
-                r.read_str(), r.read_str(), _read_list(r, Reader.read_str)))
+                r.read_str(), r.read_str(), r.read_strs(r.read_u64())))
             self.relay.create_group(group_id, admin_id, members)
             return _ack(encode_str("created"))
         if msg_type == "group_send":
@@ -405,7 +403,8 @@ class RelayClient:
     def broadcast_group(self, group_id: str, envelope: Envelope) -> List[Tuple[str, str]]:
         reply = self.request("group_send", encode_str(group_id)
                              + encode_bytes(envelope.canonical_bytes()))
-        return _read(reply, lambda r: _read_list(r, lambda a: (a.read_str(), a.read_str())))
+        results = iter(_read(reply, lambda r: r.read_strs(2 * r.read_u64())))
+        return list(zip(results, results))  # (member, result) pairs
 
     # -- health -----------------------------------------------------------------------
 

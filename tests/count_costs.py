@@ -42,6 +42,11 @@ counts of Python-level work per operation, taken with a profile hook:
                      objects) made from those functions; the profiler sees
                      builtin functions and methods, not a class called, so
                      building ``HMAC(...)`` counts as neither
+  frozen_inits       calls of the generated ``__init__`` of a frozen
+                     dataclass defined in chainchat, which sets each field
+                     through ``object.__setattr__``; that ``__init__`` is
+                     compiled from ``<string>``, so neither count above
+                     sees it
 
 Counting only calls into or out of chainchat's own frames keeps both counts
 apart from the Python wrappers inside ``cryptography``. In the wire pass a
@@ -62,6 +67,7 @@ repository root:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import platform
@@ -92,7 +98,7 @@ COUNTERS = ("x25519_loads", "x25519_agreements", "ed25519_signs", "ed25519_verif
             "ratchet_forward", "hkdf", "hmac", "cipher_contexts", "fsync", "record_encodes")
 WIRE_COUNTERS = ("round_trips", "request_bytes", "reply_bytes", "status_objects",
                  "fetch_latest", "envelope_encodes", "record_encodes")
-CALL_COUNTERS = ("py_calls", "c_calls")
+CALL_COUNTERS = ("py_calls", "c_calls", "frozen_inits")
 PYTHON = f"{platform.python_implementation()} {sys.version_info[0]}.{sys.version_info[1]}"
 PACKAGE_DIR = os.path.dirname(os.path.abspath(crypto.__file__)) + os.sep
 GROUP_SIZE = 8          # the admin and 7 members
@@ -355,6 +361,17 @@ _READ_FRAME = wire._read_frame.__code__
 _SERVE = wire.WireServer._serve.__code__
 
 
+def frozen_inits() -> frozenset:
+    """The code of each frozen dataclass's ``__init__`` in the chainchat
+    modules imported so far."""
+    return frozenset(
+        cls.__init__.__code__
+        for name, module in list(sys.modules.items()) if name.startswith("chainchat.")
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == name
+        and dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen)
+
+
 class CallCounter:
     """Counts ``CALL_COUNTERS`` into ``counts``: on the main thread while
     ``counting()`` is entered, and on each server connection thread started
@@ -363,6 +380,7 @@ class CallCounter:
     def __init__(self, counts: Dict[str, int]):
         self.counts, self.on = counts, False
         self._ours: Dict[CodeType, bool] = {}
+        self._frozen_inits = frozen_inits()
         self._thread = threading.local()  # .in_request: between a prefix read and sendall
 
     def _count(self, frame, event: str, arg) -> None:
@@ -373,6 +391,8 @@ class CallCounter:
                 ours = self._ours[code] = code.co_filename.startswith(PACKAGE_DIR)
             if ours:
                 self.counts["py_calls" if event == "call" else "c_calls"] += 1
+            elif event == "call" and code in self._frozen_inits:
+                self.counts["frozen_inits"] += 1
 
     def _count_served(self, frame, event: str, arg) -> None:
         code = frame.f_code

@@ -897,6 +897,26 @@ class TestBasicCommands:
         out = capsys.readouterr().out
         assert "from alice: hello bob" in out
 
+    def test_recv_shows_a_peers_control_characters_escaped(self, run, capsys):
+        """A peer's text, its id and its group id reach the terminal with
+        every C0 control, DEL and C1 escaped, so they cannot clear, retitle
+        or rewrite the recipient's screen."""
+        sender, group = "m\x1b[8m", "t\x1b]0;x\x07"
+        for user in (sender, "bob"):
+            assert run("enroll", user) == 0
+        assert run("send", sender, "bob", "\x1b[2J\rover\nnext\x7f\x9b\x85 é") == 0
+        assert run("group", "create", group, sender, "bob") == 0
+        capsys.readouterr()
+        assert run("recv", "bob") == 0
+        assert capsys.readouterr().out == (
+            "from m\\x1b[8m: \\x1b[2J\\x0dover\\x0anext\\x7f\\x9b\\x85 é\n"
+            "control message from m\\x1b[8m accepted\n")
+        assert run("group", "send", group, sender, "\x1bc") == 0
+        capsys.readouterr()
+        assert run("recv", "bob") == 0
+        assert capsys.readouterr().out == \
+            "[t\\x1b]0;x\\x07] from m\\x1b[8m: \\x1bc\n"
+
     def test_second_enroll_keeps_history_inbox_and_groups(self, run, cfg, capsys):
         """A new key for an enrolled user; what exists nowhere else stays,
         and the sessions derived from the old key go."""

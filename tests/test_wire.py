@@ -703,6 +703,9 @@ _MALFORMED_BODIES = {
         encode_str("a"), encode_str("b"), encode_str("b"))),
     "group_create-lone-surrogate-member": ("group_create",
                                            _group_create(encode_str("a"), _SURROGATE)),
+    # a list count is not checked ahead: 2^63 members, one of them present
+    "group_create-huge-count": ("group_create", encode_str("g") + encode_str("a")
+                                + encode_u64(1 << 63) + encode_str("a")),
     "group_send-no-group": ("group_send", encode_bytes(_envelope_bytes(group_id="g"))),
     "group_send-truncated-envelope": ("group_send", encode_str("g") + encode_bytes(
         _BROKEN["truncated"](_envelope_bytes(group_id="g")))),
@@ -796,8 +799,8 @@ _CALLS = {
 }
 
 
-def _entry(seq=encode_u64(1), envelope=_envelope_bytes()):
-    return encode_u64(1) + seq + encode_bytes(envelope)
+def _entry(seq=encode_u64(1), envelope=_envelope_bytes(), count=1):
+    return encode_u64(count) + seq + encode_bytes(envelope)
 
 
 # Reply bodies, each valid but for one fault; the ids name the faults of the
@@ -824,6 +827,10 @@ _MALFORMED_REPLIES = {
     **{f"envelope-{how}": ("fetch", "ack", _entry(envelope=broken(_envelope_bytes())))
        for how, broken in _BROKEN.items()},
     "ack-no-result": ("group_send", "ack", encode_u64(1) + encode_str("bob")),
+    # a list count is not checked ahead: 2^63 items, one of them present
+    "envelopes-huge-count": ("fetch", "ack", _entry(count=1 << 63)),
+    "acks-huge-count": ("group_send", "ack",
+                        encode_u64(1 << 63) + encode_str("bob") + encode_str("queued")),
     "error-no-category": ("fetch_cert", "error", encode_str("no category")),
     "request-type-reply": ("register", "submit", encode_str("registered")),
 }
