@@ -21,7 +21,7 @@ persistence for concurrent use: each append adds one frame to the chain file.
 
 from __future__ import annotations
 
-import os
+import io
 import struct
 import sys
 import threading
@@ -29,8 +29,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import (
-    BinaryIO, Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple)
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -39,15 +38,15 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 from .crypto import sha256
-from .encoding import LENGTH_PREFIX, Reader, encode_bytes, encode_str, encode_u64
+from .encoding import Reader, encode_bytes, encode_str, encode_u64
 from .errors import (
     ChainError,
-    ChainFormatError,
     RecordValidationError,
     RevocationError,
     TruncatedDataError,
     WriterNotAuthorizedError,
 )
+from .store import append_frame, cut_torn_tail, read_frames, write_atomic
 
 KIND_CERTIFICATE = "certificate"
 KIND_REVOCATION = "revocation"
@@ -511,41 +510,13 @@ def chain_to_bytes(state: ChainState) -> bytes:
     return b"".join(encode_bytes(block.canonical_bytes()) for block in state.blocks)
 
 
-def _frames(data: bytes) -> Iterator[bytes]:
-    """The block encodings framed in a chain file's bytes, in order."""
-    if not data:
-        raise ChainFormatError("empty chain data")
-    r = Reader(data, what="chain file")
-    while not r.exhausted:
-        yield r.read_bytes()
-
-
 def chain_from_bytes(data: bytes) -> ChainState:
-    return ChainState(blocks=tuple(Block.from_bytes(frame) for frame in _frames(data)))
-
-
-def write_atomic(path: str | os.PathLike, data: bytes) -> None:
-    """Replace the file at ``path`` with ``data``: write a temporary file,
-    fsync it, rename it over, fsync the directory. A crash leaves the old
-    file or the new one, never a mix; a write that fails before the rename
-    leaves the old one. The rename is durable only once the directory entry
-    is (fsync(2)), so a returned call is not undone by a power loss."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(data)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
-    try:
-        os.fsync(directory)
-    finally:
-        os.close(directory)
+    """The chain in ``data``, which holds no torn final frame."""
+    f = io.BytesIO(data)
+    state = ChainState(blocks=tuple(read_frames(f, Block.from_bytes)))
+    if f.tell() < len(data):
+        raise TruncatedDataError(f"torn final frame at offset {f.tell()}")
+    return state
 
 
 def save_chain(state: ChainState, path: str) -> None:
@@ -558,50 +529,7 @@ def load_chain(path: str) -> ChainState:
     ``ChainNode.open`` reads it: a torn final frame is left out, but not
     cut from the file."""
     with open(path, "rb") as f:
-        return ChainState(blocks=tuple(Block.from_bytes(frame) for frame in _file_frames(f)))
-
-
-def _file_frames(f: BinaryIO) -> Iterator[bytes]:
-    """The block encodings framed in the chain file open as ``f``, read one
-    frame at a time, so the file's bytes are never held whole.
-
-    A final frame that an interrupted append left shorter than its length
-    prefix (or a partial prefix) is the start of a block encoding, so its
-    parse runs out of data: it is left out, and ``f`` is left at its start.
-    A final frame whose body is a whole block, or a block followed by more
-    bytes, is a corrupted length instead, and it refuses the file.
-    """
-    size, end = os.fstat(f.fileno()).st_size, 0  # end: of the last whole frame
-    while head := f.read(4):
-        # a partial prefix is a frame longer than the file; ``read(n)`` sets
-        # n bytes aside first, so a corrupted length reads at most the file
-        length = LENGTH_PREFIX.unpack(head)[0] if len(head) == 4 else size
-        frame = f.read(min(length, size))
-        if len(frame) < length:
-            try:
-                Block.from_bytes(frame)
-            except TruncatedDataError:
-                f.seek(end)
-                break
-            raise ChainFormatError(f"truncated chain file at offset {end + 4}")
-        end += 4 + length
-        yield frame
-    if not end:
-        raise ChainFormatError("empty chain data")
-
-
-def _append_frame(path: str, block: Block) -> None:
-    """Append one block frame and fsync; on failure cut the file back."""
-    frame = encode_bytes(block.canonical_bytes())
-    with open(path, "ab", buffering=0) as f:
-        size = os.fstat(f.fileno()).st_size
-        try:
-            if f.write(frame) != len(frame):
-                raise OSError(f"short write to {path}")
-            os.fsync(f.fileno())
-        except BaseException:
-            os.ftruncate(f.fileno(), size)
-            raise
+        return ChainState(blocks=tuple(read_frames(f, Block.from_bytes)))
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +558,7 @@ class ChainNode:
     def open(cls, path: str, credentials: Iterable[WriterCredential] = ()) -> "ChainNode":
         """The one opener of a chain file, the stack's start-up check.
 
-        Reads the file once, one frame at a time (``_file_frames``), and in
+        Reads the file once, one frame at a time (``store.read_frames``), and in
         the same pass parses and hashes each frame and makes every check of
         ``verify_chain``, every record signature included since
         ``fetch_cert`` serves records as stored, but checks only the head's
@@ -647,14 +575,12 @@ class ChainNode:
         """
         with open(path, "r+b") as f:
             blocks, result = _check_blocks(
-                ((Block.from_bytes(frame), sha256(frame)) for frame in _file_frames(f)),
+                read_frames(f, lambda frame: (Block.from_bytes(frame), sha256(frame))),
                 False, credentials)
             if not result:
                 raise ChainError(f"verification fails at height {result.height}: "
                                  f"{result.reason}")
-            if f.tell() < os.fstat(f.fileno()).st_size:  # left at a torn final frame
-                f.truncate()
-                os.fsync(f.fileno())
+            cut_torn_tail(f)
         return cls(ChainState(blocks=blocks), path=path)
 
     def snapshot(self) -> ChainState:
@@ -675,6 +601,6 @@ class ChainNode:
         with self._lock:
             new_state = extend(self._state)
             if self._path is not None:
-                _append_frame(self._path, new_state.blocks[-1])
+                append_frame(self._path, new_state.blocks[-1].canonical_bytes())
             self._state = new_state
             return new_state

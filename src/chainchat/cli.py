@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import fcntl
 import os
 import signal
 import subprocess
@@ -36,11 +35,12 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
 from .bench import bench_decrypt, bench_encrypt, render_csv, write_csv
-from .chain import load_chain, verify_chain, write_atomic
+from .chain import load_chain, verify_chain
 from .client import Client, Delivery
 from .config import StackConfig
 from .errors import ChainChatError, StackStartupError
-from .stack import lock_state_dir, make_state_dir, run_stack
+from .stack import run_stack
+from .store import lock_file, lock_state_dir, make_state_dir, write_atomic
 from .wire import RelayClient
 
 
@@ -73,21 +73,12 @@ def _load_client(cfg: StackConfig, user_id: str) -> Client:
 
 
 @contextlib.contextmanager
-def _user_lock(cfg: StackConfig, user_id: str) -> Iterator[None]:
-    path = _user_file(cfg.state_dir, user_id, ".lock")
-    make_state_dir(cfg.state_dir)
-    with open(path, "ab") as lock:
-        fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
-        yield
-
-
-@contextlib.contextmanager
 def _user_state(cfg: StackConfig, user_id: str) -> Iterator[Tuple[Client, RelayClient]]:
     """The user's client, loaded under the user's lock, and a connection
     opened after it, which is the client's directory and transport and has
     registered it. It saves nothing: a command that changes the client
     saves it once, before it submits what it sealed."""
-    with _user_lock(cfg, user_id), _connect(cfg) as rc:
+    with lock_file(_user_file(cfg.state_dir, user_id, ".lock")), _connect(cfg) as rc:
         client = _load_client(cfg, user_id)
         client.directory = client.transport = rc
         rc.register_user(client.user_id, client.cert_fingerprint)
@@ -105,19 +96,20 @@ def _connect(cfg: StackConfig) -> RelayClient:
 
 
 # C0 controls (newline included), DEL and C1, each shown as its \x escape, so
-# that what a peer sends cannot move the cursor, clear or retitle the terminal
+# that what a peer sends, the server answers or the chain file holds cannot
+# move the cursor, clear or retitle the terminal
 _CONTROL_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7f, 0xa0))}
 
 
-def _shown(peer_text: str) -> str:
-    return peer_text.translate(_CONTROL_ESCAPES)
+def _shown(text: str) -> str:
+    return text.translate(_CONTROL_ESCAPES)
 
 
 def _print_delivery(delivery: Delivery) -> None:
     env = delivery.envelope
     sender = _shown(env.sender_id)
     if delivery.error is not None:
-        print(f"error[{delivery.error}] on message from {sender}", file=sys.stderr)
+        print(f"error[{_shown(delivery.error)}] on message from {sender}", file=sys.stderr)
     elif delivery.text is None:
         print(f"control message from {sender} accepted")
     elif env.group_id:
@@ -209,8 +201,9 @@ def _cmd_stack_down(cfg: StackConfig, args: argparse.Namespace) -> int:
     deadline = time.time() + 10
     while _running_pid(cfg) == pid:  # until the server lets go of the lock
         if time.time() >= deadline:
-            print(f"error[stack-still-running]: pid {pid} still holds {cfg.state_dir} 10s "
-                  f"after SIGTERM; {cfg.pid_file} kept", file=sys.stderr)
+            print("error[stack-still-running]: " + _shown(
+                f"pid {pid} still holds {cfg.state_dir} 10s after SIGTERM; "
+                f"{cfg.pid_file} kept"), file=sys.stderr)
             return 1
         time.sleep(0.05)
     cfg.pid_file.unlink(missing_ok=True)
@@ -225,7 +218,7 @@ def _cmd_stack_down(cfg: StackConfig, args: argparse.Namespace) -> int:
 def _cmd_enroll(cfg: StackConfig, args: argparse.Namespace) -> int:
     """Enroll a new key. An enrolled user keeps its history, inbox cursor
     and groups; its sessions, derived from the old key, go."""
-    with _user_lock(cfg, args.user), _connect(cfg) as rc:
+    with lock_file(_user_file(cfg.state_dir, args.user, ".lock")), _connect(cfg) as rc:
         old = _load_client(cfg, args.user) if _state_path(cfg, args.user).exists() else None
         client = Client.install(args.user, mno=rc, relay=rc)
         if old is not None:
@@ -233,7 +226,7 @@ def _cmd_enroll(cfg: StackConfig, args: argparse.Namespace) -> int:
                 old.history, old.inbox_cursor, old.groups
         _save_client(cfg, client)
     record = client.certificate
-    print(f"enrolled {args.user} (issuer {record.issuer_id}, "
+    print(f"enrolled {args.user} (issuer {_shown(record.issuer_id)}, "
           f"expires_at {record.expires_at})")
     if old is not None:
         print(f"kept {len(old.history)} history entries, the inbox cursor and "
@@ -245,7 +238,7 @@ def _cmd_register(cfg: StackConfig, args: argparse.Namespace) -> int:
     client = _load_client(cfg, args.user)
     with _connect(cfg) as rc:
         result = rc.register_user(client.user_id, client.cert_fingerprint)
-    print(f"{args.user}: {result}")
+    print(f"{args.user}: {_shown(result)}")
     return 0
 
 
@@ -254,7 +247,7 @@ def _cmd_send(cfg: StackConfig, args: argparse.Namespace) -> int:
         envelope = client.send_text(args.recipient, " ".join(args.text))
         _save_client(cfg, client)
         ack = rc.submit_envelope(envelope)
-    print(f"{args.sender} -> {args.recipient}: {ack} (counter {envelope.counter})")
+    print(f"{args.sender} -> {args.recipient}: {_shown(ack)} (counter {envelope.counter})")
     return 0
 
 
@@ -300,9 +293,9 @@ def _cmd_group_create(cfg: StackConfig, args: argparse.Namespace) -> int:
         for envelope in creation.envelopes:
             rc.submit_envelope(envelope)
     print(f"group {args.group} created with members: "
-          f"{', '.join(creation.member_ids)}")
+          f"{_shown(', '.join(creation.member_ids))}")
     for member, category in creation.excluded.items():
-        print(f"excluded {member}: {category}", file=sys.stderr)
+        print(f"excluded {_shown(member)}: {_shown(category)}", file=sys.stderr)
     return 0
 
 
@@ -312,7 +305,7 @@ def _cmd_group_send(cfg: StackConfig, args: argparse.Namespace) -> int:
         _save_client(cfg, client)
         acks = rc.broadcast_group(args.group, envelope)
     for member, result in acks:
-        print(f"{member}: {result}")
+        print(f"{_shown(member)}: {_shown(result)}")
     return 0
 
 
@@ -333,7 +326,7 @@ def _cmd_chain_verify(cfg: StackConfig, args: argparse.Namespace) -> int:
     if result:
         print(f"chain ok: {len(state.blocks)} blocks, height {state.height}")
         return 0
-    print(f"error[chain-invalid]: height {result.height}: {result.reason}",
+    print(f"error[chain-invalid]: height {result.height}: {_shown(result.reason)}",
           file=sys.stderr)
     return 1
 
@@ -342,12 +335,13 @@ def _cmd_chain_show(cfg: StackConfig, args: argparse.Namespace) -> int:
     state = load_chain(cfg.resolved_chain_file())
     for block in state.blocks:
         if block.height == 0:
-            writers = ", ".join(w for w, _ in block.writer_declarations)
+            writers = _shown(", ".join(w for w, _ in block.writer_declarations))
             print(f"block 0 genesis writers=[{writers}] ts={block.timestamp}")
             continue
-        print(f"block {block.height} writer={block.writer_id} ts={block.timestamp}")
+        print(f"block {block.height} writer={_shown(block.writer_id)} ts={block.timestamp}")
         for rec in block.records:
-            print(f"  {rec.kind:<11} user={rec.user_id} issuer={rec.issuer_id} "
+            print(f"  {_shown(rec.kind):<11} user={_shown(rec.user_id)} "
+                  f"issuer={_shown(rec.issuer_id)} "
                   f"issued={rec.issued_at} expires={rec.expires_at}")
     return 0
 
@@ -365,7 +359,7 @@ def _cmd_backup_export(cfg: StackConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_backup_restore(cfg: StackConfig, args: argparse.Namespace) -> int:
-    with _user_lock(cfg, args.user):
+    with lock_file(_user_file(cfg.state_dir, args.user, ".lock")):
         data = Path(getattr(args, "in")).read_bytes()
         client = Client.restore_backup(data, args.secret)
         if client.user_id != args.user:
@@ -495,16 +489,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.run(cfg, args)
     except ChainChatError as e:
-        print(f"error[{e.category}]: {e}", file=sys.stderr)
+        print(f"error[{_shown(e.category)}]: {_shown(str(e))}", file=sys.stderr)
         return 1
     except ValueError as e:
-        print(f"error[bad-argument]: {e}", file=sys.stderr)
+        print(f"error[bad-argument]: {_shown(str(e))}", file=sys.stderr)
         return 1
     except FileNotFoundError as e:
-        print(f"error[missing-file]: {e}", file=sys.stderr)
+        print(f"error[missing-file]: {_shown(str(e))}", file=sys.stderr)
         return 1
     except OSError as e:
-        print(f"error[os-error]: {e}", file=sys.stderr)
+        print(f"error[os-error]: {_shown(str(e))}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         return 130

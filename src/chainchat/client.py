@@ -51,6 +51,7 @@ import os
 import struct
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import crypto, identity_sig
@@ -124,6 +125,11 @@ class GroupState:
     group_chain: ChainKey
     skipped_keys: Dict[int, MessageKey] = field(default_factory=dict)
     lookahead: Optional[Lookahead] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def members(self) -> frozenset[str]:
+        """``member_ids`` as a set, for the check on each group envelope."""
+        return frozenset(self.member_ids)
 
 
 # plain, as built per message (see ``crypto``), and never assigned after construction
@@ -403,7 +409,8 @@ class Client:
         try:
             plaintext = crypto.unseal(mk, envelope.payload, ad)
         except ChainChatError:
-            receiver.lookahead = Lookahead(start=chain, steps=steps)
+            if ahead is None or ahead.steps is not steps:  # else it holds these steps
+                receiver.lookahead = Lookahead(start=chain, steps=steps)
             raise
         for skipped, _ in steps[:gap]:
             parked[skipped.index] = skipped
@@ -487,7 +494,7 @@ class Client:
         group = self.groups.get(group_id)
         if group is None:
             raise UnknownGroupError(f"no group state for {group_id!r}")
-        if member_id not in group.member_ids:
+        if member_id not in group.members:
             raise GroupPermissionError(f"{member_id!r} is not a member of {group_id!r}")
         return group
 

@@ -12,17 +12,17 @@ only after its last connection has ended (``WireServer.close``).
 from __future__ import annotations
 
 import base64
-import fcntl
 import json
 import os
 from pathlib import Path
 
-from .chain import ChainNode, WriterCredential, write_atomic
+from .chain import ChainNode, WriterCredential
 from .chain import load_chain, verify_chain  # noqa: F401  (perfbench/tracing.py wraps them here)
 from .config import StackConfig
 from .errors import ChainError, StackStartupError
 from .mno import MnoCertificateAuthority
 from .relay import Relay
+from .store import lock_state_dir, make_state_dir, write_atomic
 from .wire import WireServer
 
 MNO_WRITER_ID = "mno-1"
@@ -45,28 +45,6 @@ def _read_credentials(path: Path) -> dict[str, WriterCredential]:
     if MNO_WRITER_ID not in credentials:
         raise StackStartupError(f"unreadable writer credentials: no {MNO_WRITER_ID!r} entry")
     return credentials
-
-
-def make_state_dir(path: str | Path) -> None:
-    """Create the state directory, or a directory under it; a path that
-    cannot be one, such as a regular file, is refused."""
-    try:
-        Path(path).mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise StackStartupError(f"cannot use {path} as a state directory: {e}") from e
-
-
-def lock_state_dir(state_dir: str) -> int:
-    """A descriptor of the directory ``state_dir`` holding its exclusive
-    lock; a directory another server holds is refused."""
-    fd = os.open(state_dir, os.O_RDONLY | os.O_DIRECTORY)
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-    except BlockingIOError as e:
-        os.close(fd)
-        raise StackStartupError(
-            f"state directory {state_dir} is held by another running server") from e
-    return fd
 
 
 def _open_state(cfg: StackConfig) -> tuple[dict[str, WriterCredential], ChainNode]:

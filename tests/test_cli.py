@@ -917,6 +917,24 @@ class TestBasicCommands:
         assert capsys.readouterr().out == \
             "[t\\x1b]0;x\\x07] from m\\x1b[8m: \\x1bc\n"
 
+    def test_chain_show_and_group_acks_show_outside_ids_escaped(self, run, capsys):
+        """Any wire client can enroll any id, so the ids that ``chain show``
+        reads from the chain and the ids in the relay's ``group send`` acks
+        reach the terminal escaped."""
+        evil = "ev\x1b[2Jil"
+        for user in (evil, "bob"):
+            assert run("enroll", user) == 0
+        capsys.readouterr()
+        assert run("chain", "show") == 0
+        out = capsys.readouterr().out
+        assert "\x1b" not in out
+        assert " user=ev\\x1b[2Jil issuer=mno-1 " in out
+        assert run("group", "create", "g", "bob", evil) == 0
+        capsys.readouterr()
+        assert run("group", "send", "g", "bob", "hi") == 0
+        out = capsys.readouterr().out
+        assert "\x1b" not in out and "ev\\x1b[2Jil: " in out
+
     def test_second_enroll_keeps_history_inbox_and_groups(self, run, cfg, capsys):
         """A new key for an enrolled user; what exists nowhere else stays,
         and the sessions derived from the old key go."""

@@ -61,6 +61,15 @@ def test_no_module_reaches_into_the_librarys_bindings():
             if private.search(path.read_text(encoding="utf-8"))] == []
 
 
+def test_only_store_writes_durably_or_locks():
+    """``store`` is the one module that fsyncs, renames over, truncates or
+    takes a lock: every other module writes a file durably through it."""
+    durable = re.compile(r"\bfcntl\b|\bos\.(fsync|replace|ftruncate)\b|\.truncate\(")
+    package = Path(chainchat.__file__).resolve().parent
+    assert [path.name for path in sorted(package.glob("*.py"))
+            if durable.search(path.read_text(encoding="utf-8"))] == ["store.py"]
+
+
 def test_readme_cli_tour_parses():
     """Every ``chainchat`` line of the README's *CLI quick tour*, its comment
     stripped, parses and names the handler ``main`` would run."""
