@@ -11,12 +11,14 @@ user: a revocation marker there means revoked, an expired certificate means
 expired, otherwise valid. There is no revocation list to propagate; a
 revocation is visible to every reader the moment its block lands.
 
-States are immutable snapshots. Each carries a map from user id to that
-user's newest record, so the lookup is one dict read whatever the height;
-an append copies its predecessor's map and overwrites the users in the new
-block. Status is still decided at lookup time from the record's kind and
-expiry. ``ChainNode`` wraps a snapshot with a write lock and optional file
-persistence for concurrent use: each append adds one frame to the chain file.
+``ChainState`` is the chain as a pure value, every block, which files,
+tests and the benchmark's inputs build and read. ``ChainNode`` is the running
+chain: it holds the head block, the head's hash and one map from user id to
+that user's newest record, not the blocks, and each append adds one frame to
+the chain file before readers see it. A reader takes a ``ChainView``, the
+head and height that one commit published; a later append never changes what
+the view reads (multiversion concurrency control). Status is decided at
+lookup time from the record's kind and expiry.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -273,19 +275,49 @@ class Block:
 
 @dataclass(frozen=True)
 class ChainState:
-    blocks: Tuple[Block, ...]
-    # user id -> that user's newest record; built from ``blocks`` when omitted
-    latest: Optional[Mapping[str, CertificateRecord]] = field(
-        default=None, compare=False, repr=False)
+    """A whole chain as a pure value: what ``genesis``, ``append_block``,
+    ``load_chain`` and ``chain_from_bytes`` return and what ``verify_chain``
+    and the file writers take."""
 
-    def __post_init__(self) -> None:
-        if self.latest is None:
-            latest = {rec.user_id: rec for block in self.blocks for rec in block.records}
-            object.__setattr__(self, "latest", MappingProxyType(latest))
+    blocks: Tuple[Block, ...]
+
+    @cached_property
+    def latest(self) -> Mapping[str, CertificateRecord]:
+        """User id -> that user's newest record."""
+        return MappingProxyType(
+            {rec.user_id: rec for block in self.blocks for rec in block.records})
 
     @property
     def height(self) -> int:
         return self.blocks[-1].height
+
+    def newest(self, user_id: str) -> Optional[CertificateRecord]:
+        return self.latest.get(user_id)
+
+
+class ChainView:
+    """The chain as one ``ChainNode`` commit published it: its ``head`` block,
+    its ``height``, and each user's newest record at or below that height.
+
+    The node's map, which every view shares, holds a bare record for each
+    user whose newest record the node started with, since every view sees
+    it, and ``(height, record, older)`` for a record appended since, where
+    ``older`` is the entry it replaced (None for a new user). A lookup steps
+    back past entries above the view's height.
+    """
+
+    __slots__ = ("head", "height", "_latest")
+
+    def __init__(self, head: Block, latest: Mapping[str, object]):
+        self.head, self.height, self._latest = head, head.height, latest
+
+    def newest(self, user_id: str) -> Optional[CertificateRecord]:
+        entry = self._latest.get(user_id)
+        while type(entry) is tuple:
+            height, record, entry = entry
+            if height <= self.height:
+                return record
+        return entry
 
 
 @dataclass(frozen=True)
@@ -330,11 +362,23 @@ def append_block(state: ChainState, credential: WriterCredential,
                  timestamp: Optional[int] = None) -> ChainState:
     """Append one signed block; rejects unauthorized writers and bad records
     by the block rule that ``verify_chain`` and ``ChainNode.open`` apply."""
-    checks = _writer_checks(state.blocks[0].writer_declarations, (credential,))
-    prev = state.blocks[-1]
+    head = state.blocks[-1]
+    signed = _next_block(state.blocks[0].writer_declarations, head, head.block_hash(),
+                         credential, records, timestamp)
+    return ChainState(blocks=state.blocks + (signed,))
+
+
+def _next_block(declarations: Iterable[Tuple[str, bytes]], head: Block, head_hash: bytes,
+                credential: WriterCredential, records: Sequence[CertificateRecord],
+                timestamp: Optional[int]) -> Block:
+    """The block of ``records`` that ``credential`` signs to follow ``head``,
+    whose hash is ``head_hash``, in a chain whose genesis makes
+    ``declarations``; raises ``RecordValidationError`` if the block rule
+    refuses it."""
+    checks = _writer_checks(declarations, (credential,))
     block = Block(
-        height=prev.height + 1,
-        prev_hash=prev.block_hash(),
+        height=head.height + 1,
+        prev_hash=head_hash,
         records=tuple(records),
         timestamp=_now() if timestamp is None else timestamp,
         writer_id=credential.writer_id,
@@ -342,16 +386,13 @@ def append_block(state: ChainState, credential: WriterCredential,
     )
     if not (result := _check_block(block, block.height, block.prev_hash, checks, False)):
         raise RecordValidationError(result.reason)
-    signed = replace(block, writer_signature=credential.sign(block.signature_payload()))
-    latest = state.latest.copy()
-    latest.update((rec.user_id, rec) for rec in signed.records)
-    return ChainState(blocks=state.blocks + (signed,), latest=MappingProxyType(latest))
+    return replace(block, writer_signature=credential.sign(block.signature_payload()))
 
 
 def status_of(rec: Optional[CertificateRecord], now: int) -> str:
     """The latest-wins rule: the state at ``now`` of a user whose newest
     record is ``rec`` (None for a user with no record). A hot caller asks
-    it of ``ChainState.latest`` directly and builds no ``CertStatus``."""
+    it of a view's ``newest`` directly and builds no ``CertStatus``."""
     if rec is None:
         return NOT_FOUND
     if rec.kind == KIND_REVOCATION:
@@ -361,10 +402,11 @@ def status_of(rec: Optional[CertificateRecord], now: int) -> str:
     return VALID
 
 
-def fetch_latest(state: ChainState, user_id: str, now: Optional[int] = None) -> CertStatus:
+def fetch_latest(state: Union[ChainState, ChainView], user_id: str,
+                 now: Optional[int] = None) -> CertStatus:
     """Latest-wins lookup: the newest record for the user decides the status
     (``status_of``); the record rides along unless it is a revocation."""
-    rec = state.latest.get(user_id)
+    rec = state.newest(user_id)
     status = status_of(rec, _now() if now is None else now)
     return CertStatus(state=status, record=None if status == REVOKED else rec)
 
@@ -452,13 +494,14 @@ def _check_block(blk: Block, height: int, prev_hash: bytes,
 
 def _check_blocks(hashed: Iterable[Tuple[Block, bytes]], every_writer_signature: bool,
                   held: Iterable[WriterCredential],
-                  ) -> Tuple[Tuple[Block, ...], VerifyResult]:
-    """Every block of ``hashed`` (each with its own hash), and the first
-    failed check. Each writer signature is checked, or only the head's;
-    a signature under a ``held`` credential's key is checked by re-signing."""
+                  ) -> Tuple[Block, Block, bytes, VerifyResult]:
+    """The genesis block of ``hashed`` (each block with its own hash), its
+    last block and that block's hash, and the first failed check. Each
+    writer signature is checked, or only the head's; a signature under a
+    ``held`` credential's key is checked by re-signing."""
     hashed = iter(hashed)
     gen, prev_hash = next(hashed)
-    blocks, result = [gen], _check_genesis(gen)
+    head, result = gen, _check_genesis(gen)
     try:
         checks = _writer_checks(gen.writer_declarations, held)
     except WriterNotAuthorizedError as e:
@@ -468,14 +511,13 @@ def _check_blocks(hashed: Iterable[Tuple[Block, bytes]], every_writer_signature:
     # the next block's dangling prev_hash is ever consulted
     for blk, block_hash in hashed:
         if result:
-            result = _check_block(blk, len(blocks), prev_hash, checks, every_writer_signature)
-        prev_hash = block_hash
-        blocks.append(blk)
-    head = blocks[-1]
-    if (result and len(blocks) > 1 and not every_writer_signature
+            result = _check_block(blk, head.height + 1, prev_hash, checks,
+                                  every_writer_signature)
+        head, prev_hash = blk, block_hash
+    if (result and head is not gen and not every_writer_signature
             and not checks[head.writer_id](head.signature_payload(), head.writer_signature)):
         result = VerifyResult(ok=False, height=head.height, reason="bad writer signature")
-    return tuple(blocks), result
+    return gen, head, prev_hash, result
 
 
 def verify_chain(state: ChainState) -> VerifyResult:
@@ -483,23 +525,30 @@ def verify_chain(state: ChainState) -> VerifyResult:
     ``chainchat chain verify`` runs. Start-up runs ``ChainNode.open``."""
     if not state.blocks:
         return VerifyResult(ok=False, reason="chain has no blocks")
-    return _check_blocks(((blk, blk.block_hash()) for blk in state.blocks), True, ())[1]
+    return _check_blocks(((blk, blk.block_hash()) for blk in state.blocks), True, ())[3]
 
 
 def revoke(state: ChainState, credential: WriterCredential, user_id: str,
            timestamp: Optional[int] = None) -> ChainState:
     """Append a revocation marker ("dummy certificate") for the user."""
     ts = _now() if timestamp is None else timestamp
+    return append_block(state, credential, [_marker(state, credential, user_id, ts)],
+                        timestamp=ts)
+
+
+def _marker(state: Union[ChainState, ChainView], credential: WriterCredential,
+            user_id: str, ts: int) -> CertificateRecord:
+    """The revocation marker of ``user_id`` at ``ts``; raises
+    ``RevocationError`` if ``state`` holds no record for the user."""
     if fetch_latest(state, user_id, now=ts).state == NOT_FOUND:
         raise RevocationError(f"no certificate on chain for {user_id!r}")
-    marker = credential.make_record(
+    return credential.make_record(
         user_id=user_id,
         subject_public_key=ZERO_KEY,
         issued_at=ts,
         expires_at=ts,
         kind=KIND_REVOCATION,
     )
-    return append_block(state, credential, [marker], timestamp=ts)
 
 
 # ---------------------------------------------------------------------------
@@ -533,16 +582,31 @@ def load_chain(path: str) -> ChainState:
 
 
 # ---------------------------------------------------------------------------
-# node: serialized appends over immutable snapshots
+# node: serialized appends, lock-free reads of published views
 # ---------------------------------------------------------------------------
 
 class ChainNode:
-    """Single-writer-gate wrapper: reads are lock-free snapshot reads,
-    mutations are serialized and (optionally) appended to the chain file
-    before the new snapshot is published."""
+    """The running chain: the genesis writer declarations, the head block and
+    its hash, and one map from user id to that user's newest entry (see
+    ``ChainView``), but no block list. Reads are lock-free: ``snapshot()``
+    returns the view the last commit published. Appends are serialized;
+    each checks its block against the head by the block rule, writes it as
+    one frame of the chain file (when the node has one), and only then
+    writes its records into the map and publishes a new view, so a failed
+    append leaves the map and the view as they were. An append costs
+    O(records in the block), whatever the height."""
 
     def __init__(self, state: ChainState, path: Optional[str] = None):
-        self._state = state
+        head = state.blocks[-1]
+        self._start(state.blocks[0].writer_declarations, head, head.block_hash(),
+                    dict(state.latest), path)
+
+    def _start(self, declarations: Tuple[Tuple[str, bytes], ...], head: Block,
+               head_hash: bytes, latest: Dict[str, object], path: Optional[str]) -> None:
+        self._declarations = declarations
+        self._head_hash = head_hash
+        self._latest = latest
+        self._view = ChainView(head, latest)
         self._path = path
         self._lock = threading.Lock()
 
@@ -559,7 +623,7 @@ class ChainNode:
         """The one opener of a chain file, the stack's start-up check.
 
         Reads the file once, one frame at a time (``store.read_frames``), and in
-        the same pass parses and hashes each frame and makes every check of
+        the same pass parses and hashes each frame, makes every check of
         ``verify_chain``, every record signature included since
         ``fetch_cert`` serves records as stored, but checks only the head's
         writer signature: that covers the head's ``prev_hash``, the SHA-256
@@ -571,36 +635,56 @@ class ChainNode:
         under its key is checked by re-signing. Raises ``ChainFormatError``
         if the file does not parse and ``ChainError`` if a check fails,
         leaving the file as it was; only a file that passes loses its torn
-        final frame, if any.
+        final frame, if any. Of each block, only its records, in the map,
+        and the head outlive the pass.
         """
+        latest: Dict[str, object] = {}
+
+        def parse(frame: bytes) -> Tuple[Block, bytes]:
+            blk = Block.from_bytes(frame)
+            for rec in blk.records:
+                latest[rec.user_id] = rec
+            return blk, sha256(frame)
+
         with open(path, "r+b") as f:
-            blocks, result = _check_blocks(
-                read_frames(f, lambda frame: (Block.from_bytes(frame), sha256(frame))),
-                False, credentials)
+            gen, head, head_hash, result = _check_blocks(
+                read_frames(f, parse), False, credentials)
             if not result:
                 raise ChainError(f"verification fails at height {result.height}: "
                                  f"{result.reason}")
             cut_torn_tail(f)
-        return cls(ChainState(blocks=blocks), path=path)
+        node = cls.__new__(cls)
+        node._start(gen.writer_declarations, head, head_hash, latest, path)
+        return node
 
-    def snapshot(self) -> ChainState:
-        return self._state
+    def snapshot(self) -> ChainView:
+        """The view the last commit published: the same object until the next."""
+        return self._view
 
     def append(self, credential: WriterCredential,
                records: Sequence[CertificateRecord],
-               timestamp: Optional[int] = None) -> ChainState:
-        return self._commit(
-            lambda state: append_block(state, credential, records, timestamp=timestamp))
+               timestamp: Optional[int] = None) -> ChainView:
+        return self._commit(credential, lambda view: records, timestamp)
 
     def revoke(self, credential: WriterCredential, user_id: str,
-               timestamp: Optional[int] = None) -> ChainState:
+               timestamp: Optional[int] = None) -> ChainView:
+        ts = _now() if timestamp is None else timestamp
         return self._commit(
-            lambda state: revoke(state, credential, user_id, timestamp=timestamp))
+            credential, lambda view: [_marker(view, credential, user_id, ts)], ts)
 
-    def _commit(self, extend: Callable[[ChainState], ChainState]) -> ChainState:
+    def _commit(self, credential: WriterCredential,
+                records_of: Callable[[ChainView], Sequence[CertificateRecord]],
+                timestamp: Optional[int]) -> ChainView:
         with self._lock:
-            new_state = extend(self._state)
+            view = self._view
+            block = _next_block(self._declarations, view.head, self._head_hash,
+                                credential, records_of(view), timestamp)
+            frame = block.canonical_bytes()
             if self._path is not None:
-                append_frame(self._path, new_state.blocks[-1].canonical_bytes())
-            self._state = new_state
-            return new_state
+                append_frame(self._path, frame)
+            self._head_hash = sha256(frame)
+            latest = self._latest
+            for rec in block.records:
+                latest[rec.user_id] = (block.height, rec, latest.get(rec.user_id))
+            self._view = ChainView(block, latest)
+            return self._view

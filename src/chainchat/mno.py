@@ -36,6 +36,9 @@ VALIDITY_SECONDS = 30 * 24 * 3600  # the MNO, not the subscriber, sets the lifet
 # pending enrollment challenges kept; past it the oldest is dropped, since
 # refusing new requests would let any wire client block every enrollment
 CHALLENGE_CAP = 10_000
+# the longest user id the MNO enrols, in UTF-8 bytes; the chain keeps every
+# id it certifies for good, and the node holds each one in memory
+MAX_USER_ID_BYTES = 255
 
 SubscriberCheck = Callable[[str], bool]
 
@@ -50,6 +53,12 @@ class EnrollmentRequest:
 def possession_payload(user_id: str, subject_public_key: bytes, challenge: bytes) -> bytes:
     """The exact bytes the proof of possession covers."""
     return user_id.encode("utf-8") + subject_public_key + challenge
+
+
+def _check_user_id(user_id: str) -> None:
+    # "surrogatepass": an in-process caller's id need not be UTF-8
+    if len(user_id.encode("utf-8", "surrogatepass")) > MAX_USER_ID_BYTES:
+        raise EnrollmentError(f"user id is over {MAX_USER_ID_BYTES} UTF-8 bytes")
 
 
 class MnoCertificateAuthority:
@@ -67,6 +76,7 @@ class MnoCertificateAuthority:
         """The public half of a fresh X25519 pair, whose private half is kept
         until the proof arrives; replaces any outstanding challenge and
         becomes the newest of at most ``CHALLENGE_CAP`` pending ones."""
+        _check_user_id(user_id)
         challenge = crypto.generate_identity_keypair()
         with self._lock:
             self._challenges.pop(user_id, None)
@@ -77,6 +87,7 @@ class MnoCertificateAuthority:
 
     def issue_certificate(self, request: EnrollmentRequest) -> CertificateRecord:
         issued_at = int(time.time())
+        _check_user_id(request.user_id)
         if len(request.subject_public_key) != 32:
             raise EnrollmentError("subject public key must be 32 bytes")
         with self._lock:

@@ -38,7 +38,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import chain
-from .chain import VALID, CertStatus, ChainNode, ChainState, fetch_latest, status_of
+from .chain import VALID, CertStatus, ChainNode, ChainView, fetch_latest, status_of
 from .crypto import SealedPayload
 from .encoding import LENGTH_PREFIX, U64_FIELD, U64_MAX, encode_bytes, split_fields
 from .errors import (
@@ -210,12 +210,12 @@ class Relay:
         return fetch_latest(self._chain_node.snapshot(), user_id)
 
     @staticmethod
-    def _require_sender(sender: str, registered: bool, state: ChainState, now: int) -> None:
+    def _require_sender(sender: str, registered: bool, state: ChainView, now: int) -> None:
         """The sender rule of submit and fan-out: registered, and its latest
         record a valid certificate."""
         if not registered:
             raise RoutingError(f"sender {sender!r} is not registered")
-        status = status_of(state.latest.get(sender), now)
+        status = status_of(state.newest(sender), now)
         if status != VALID:
             raise RoutingError(f"sender {sender!r} certificate is {status}")
 
@@ -252,7 +252,7 @@ class Relay:
         if sender_known and mailbox is None:
             raise RoutingError(f"recipient {recipient!r} is not registered")
         self._require_sender(sender, sender_known, state, now)
-        record = state.latest.get(recipient)
+        record = state.newest(recipient)
         status = status_of(record, now)
         if status != VALID:
             raise SessionRefusedError(status, f"recipient {recipient!r} certificate is {status}")
@@ -314,10 +314,10 @@ class Relay:
         if sender not in members:
             raise GroupPermissionError(f"sender {sender!r} is not a member of {group_id!r}")
         self._require_sender(sender, sender_known, state, now)
-        latest = state.latest
+        newest = state.newest
         acks: List[Tuple[str, str]] = []
         for member, mailbox in targets:
-            if mailbox is None or status_of(latest.get(member), now) != VALID:
+            if mailbox is None or status_of(newest(member), now) != VALID:
                 acks.append((member, f"error:{RoutingError.category}"))
                 continue
             try:

@@ -34,7 +34,6 @@ from chainchat.chain import (
     WriterCredential,
     append_block,
     chain_from_bytes,
-    chain_to_bytes,
     fetch_latest,
     genesis,
     revoke,
@@ -267,10 +266,12 @@ def test_06_chain_tamper_evidence(tmp_path):
 
 # -- 7 -------------------------------------------------------------------------
 
-def test_07_zero_knowledge_relay_and_mno():
+def test_07_zero_knowledge_relay_and_mno(tmp_path):
     with criterion(7, "no secret bytes in relay/MNO/chain state (50 messages)"):
         mno_cred = WriterCredential.generate("mno-1")
-        node = ChainNode.create([(mno_cred.writer_id, mno_cred.verification_key)])
+        chain_path = tmp_path / "chain.dat"
+        node = ChainNode.create([(mno_cred.writer_id, mno_cred.verification_key)],
+                                path=str(chain_path))
         mno = MnoCertificateAuthority(mno_cred, node)
         relay = Relay(node)
         alice, bob = build_pair(mno, relay)
@@ -293,8 +294,7 @@ def test_07_zero_knowledge_relay_and_mno():
             else:
                 relay.submit_envelope(bob.send_text("alice", text))
 
-        corpus = (relay.dump_state() + mno.dump_state()
-                  + chain_to_bytes(node.snapshot()))
+        corpus = relay.dump_state() + mno.dump_state() + chain_path.read_bytes()
         for secret in secrets:
             assert secret not in corpus
             assert secret.hex().encode() not in corpus

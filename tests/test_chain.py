@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import os
 import random
@@ -33,6 +34,7 @@ from chainchat.chain import (
     verify_chain,
     verify_record,
 )
+from chainchat.encoding import encode_bytes
 from chainchat.errors import (
     ChainError,
     ChainFormatError,
@@ -365,7 +367,7 @@ class TestPersistence:
         node.append(mno, [cert_for(mno, "alice")], timestamp=T0)
         reopened = ChainNode.open(str(path))
         assert reopened.snapshot().height == 1
-        assert verify_chain(reopened.snapshot())
+        assert verify_chain(load_chain(str(path)))
 
 
 def _node_with_blocks(mno, im_server, path, n):
@@ -404,7 +406,8 @@ class TestAppendOnlyFile:
         node.revoke(mno, "user1", timestamp=T0 + 10)
         after = path.read_bytes()
         assert after[:len(before)] == before
-        assert after == chain_to_bytes(node.snapshot())
+        assert after == before + encode_bytes(node.snapshot().head.canonical_bytes())
+        assert verify_chain(load_chain(str(path)))
 
     def test_torn_final_frame_cut_at_every_offset(self, mno, im_server, tmp_path):
         path = tmp_path / "chain.dat"
@@ -417,12 +420,12 @@ class TestAppendOnlyFile:
             torn.write_bytes(full[:cut])
             reopened = ChainNode.open(str(torn))
             assert reopened.snapshot().height == 4, f"cut at {cut}"
-            assert verify_chain(reopened.snapshot())
+            assert verify_chain(load_chain(str(torn)))
             assert torn.read_bytes() == intact
             reopened.append(mno, [cert_for(mno, "next")], timestamp=T0 + 11)
             again = ChainNode.open(str(torn))
             assert again.snapshot().height == 5
-            assert verify_chain(again.snapshot())
+            assert verify_chain(load_chain(str(torn)))
 
     def test_load_leaves_out_a_torn_tail_and_keeps_the_file(self, mno, im_server,
                                                            tmp_path):
@@ -461,7 +464,7 @@ class TestAppendOnlyFile:
                                                    monkeypatch):
         path = tmp_path / "chain.dat"
         node = _node_with_blocks(mno, im_server, path, 3)
-        size, snapshot = path.stat().st_size, node.snapshot()
+        intact, snapshot = path.read_bytes(), node.snapshot()
 
         def failing_fsync(fd):
             raise OSError("disk gone")
@@ -470,11 +473,12 @@ class TestAppendOnlyFile:
             patched.setattr("os.fsync", failing_fsync)
             with pytest.raises(OSError):
                 node.append(mno, [cert_for(mno, "doomed")], timestamp=T0 + 10)
-        assert path.stat().st_size == size
+        assert path.read_bytes() == intact
         assert node.snapshot() is snapshot
         node.append(mno, [cert_for(mno, "after")], timestamp=T0 + 11)
-        assert chain_to_bytes(ChainNode.open(str(path)).snapshot()) == \
-            chain_to_bytes(node.snapshot())
+        reopened, running = ChainNode.open(str(path)).snapshot(), node.snapshot()
+        assert (reopened.height, reopened.head) == (running.height, running.head)
+        assert path.read_bytes() == intact + encode_bytes(running.head.canonical_bytes())
 
 
 OPEN_HEIGHT = 1_000
@@ -524,6 +528,99 @@ class TestOneFrameAtATime:
         assert blocks[-1].writer_id is first.issuer_id
 
 
+class TestNodeViews:
+    @pytest.mark.parametrize("opened", [False, True], ids=["appended", "opened"])
+    def test_a_view_reads_the_chain_its_commit_published(self, mno, im_server, tmp_path,
+                                                         monkeypatch, opened):
+        """A later commit, or a failed one, changes nothing a view reads;
+        users whose records the node read at open are covered too."""
+        path = tmp_path / "chain.dat"
+        node = _node_with_blocks(mno, im_server, path, 3)
+        if opened:
+            node = ChainNode.open(str(path))
+        before = node.snapshot()
+        assert node.snapshot() is before
+        node.revoke(mno, "user1", timestamp=T0 + 10)
+        revoked = node.snapshot()
+        node.append(mno, [cert_for(mno, "newcomer")], timestamp=T0 + 11)
+        after = node.snapshot()
+        assert node.snapshot() is after
+        now = T0 + 20
+        views = (before, revoked, after)
+        assert [v.height for v in views] == [3, 4, 5]
+        assert [fetch_latest(v, "user1", now=now).state for v in views] == \
+            [VALID, REVOKED, REVOKED]
+        assert [fetch_latest(v, "newcomer", now=now).state for v in views] == \
+            [NOT_FOUND, NOT_FOUND, VALID]
+        assert fetch_latest(before, "user1", now=now).record.subject_public_key == \
+            bytes([2]) * 32
+
+        def lost_disk(path, frame):
+            raise OSError("disk gone")
+
+        with monkeypatch.context() as patched:
+            patched.setattr("chainchat.chain.append_frame", lost_disk)
+            with pytest.raises(OSError):
+                node.append(mno, [cert_for(mno, "doomed")], timestamp=T0 + 12)
+            with pytest.raises(OSError):
+                node.revoke(mno, "user2", timestamp=T0 + 12)
+        assert node.snapshot() is after
+        node.append(mno, [cert_for(mno, "later")], timestamp=T0 + 13)
+        latest = node.snapshot()
+        assert latest.height == after.height + 1
+        assert [fetch_latest(latest, user, now=now).state
+                for user in ("doomed", "user2", "later")] == [NOT_FOUND, VALID, VALID]
+
+
+def _wide_chain(writer, users, per_block=100):
+    """A chain of ``users`` unsigned certificates, ``per_block`` to a block;
+    ``ChainNode(state)`` takes it unchecked."""
+    blocks = [genesis([(writer.writer_id, writer.verification_key)], timestamp=T0).blocks[0]]
+    for h in range(1, users // per_block + 1):
+        records = tuple(
+            CertificateRecord(f"user{h}-{i}", b"\x11" * 32, writer.writer_id, T0,
+                              T0 + 3600, KIND_CERTIFICATE, b"\x00" * 64)
+            for i in range(per_block))
+        blocks.append(Block(h, b"\x00" * 32, records, T0, writer.writer_id, b"\x00" * 64))
+    return ChainState(blocks=tuple(blocks))
+
+
+class TestNodeCosts:
+    def test_an_opened_node_holds_far_less_than_its_blocks(self, long_chain):
+        """The node keeps each user's newest record and the head, not the
+        blocks that ``load_chain`` returns. A full collection first empties
+        the interpreter's free lists, which a parse fills with the argument
+        tuples of its calls."""
+        path, writer = long_chain
+
+        def held_by(read):
+            tracemalloc.start()
+            try:
+                kept = read()
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0], kept
+            finally:
+                tracemalloc.stop()
+
+        node_held, node = held_by(lambda: ChainNode.open(path, [writer]))
+        chain_held, chain = held_by(lambda: load_chain(path))
+        assert node.snapshot().height == chain.height == OPEN_HEIGHT
+        assert node_held <= 0.6 * chain_held
+
+    def test_an_append_allocates_as_much_at_5000_users_as_at_500(self, mno):
+        def peak_of_one_append(users):
+            node = ChainNode(_wide_chain(mno, users))
+            record = cert_for(mno, "newcomer")
+            tracemalloc.start()
+            try:
+                node.append(mno, [record], timestamp=T0 + 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_of_one_append(5_000) <= peak_of_one_append(500) + 2048
+
+
 class TestLatestMap:
     def test_older_snapshots_and_branches_match_oracle(self, chain, mno):
         rng = random.Random(7)
@@ -560,16 +657,6 @@ class TestLatestMap:
 
     def test_absent_user_lookup_is_flat_in_height(self, mno):
         """Cost of a miss must not grow with the chain (a scan is ~40x here)."""
-        def chain_of(height):
-            blocks = [genesis([(mno.writer_id, mno.verification_key)],
-                              timestamp=T0).blocks[0]]
-            for h in range(1, height + 1):
-                rec = CertificateRecord(f"user{h}", b"\x11" * 32, mno.writer_id, T0,
-                                        T0 + 10, KIND_CERTIFICATE, b"\x00" * 64)
-                blocks.append(Block(h, b"\x00" * 32, (rec,), T0, mno.writer_id,
-                                    b"\x00" * 64))
-            return ChainState(blocks=tuple(blocks))
-
         def best_per_call(state):
             best = float("inf")
             for _ in range(30):
@@ -579,7 +666,7 @@ class TestLatestMap:
                 best = min(best, (time.perf_counter() - start) / 100)
             return best
 
-        small, large = chain_of(100), chain_of(4_000)
+        small, large = _wide_chain(mno, 100, per_block=1), _wide_chain(mno, 4_000, per_block=1)
         assert best_per_call(large) / best_per_call(small) < 5
 
 

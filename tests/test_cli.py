@@ -126,7 +126,7 @@ class TestStackHandle:
         try:
             assert second.mno.chain_node.snapshot().height == height
             from chainchat.chain import verify_chain
-            assert verify_chain(second.mno.chain_node.snapshot())
+            assert verify_chain(chain_mod.load_chain(cfg.resolved_chain_file()))
         finally:
             second.close()
 
@@ -486,7 +486,10 @@ class TestStartupCheck:
         path = Path(cfg.resolved_chain_file())
         original = path.read_bytes()
         _, opened = stack_mod._open_state(cfg)
-        assert opened.snapshot() == chain_mod.load_chain(str(path))
+        loaded = chain_mod.load_chain(str(path))
+        assert (opened.snapshot().height, opened.snapshot().head) == \
+            (loaded.height, loaded.blocks[-1])
+        assert chain_mod.verify_chain(loaded)
         for offset, mutated in _single_byte_flips(original):
             path.write_bytes(mutated)
             try:
@@ -1332,10 +1335,11 @@ class TestDroppedConnection:
 WALKTHROUGH_OPS = {
     crypto_mod: ["generate_identity_keypair", "derive_master_secret", "init_chains",
                  "ratchet_forward", "seal", "unseal", "derive_backup_key"],
-    chain_mod: ["genesis", "append_block", "fetch_latest", "verify_chain", "revoke"],
+    chain_mod: ["genesis", "fetch_latest", "verify_chain"],
 }
 
 WALKTHROUGH_METHODS = {
+    chain_mod.ChainNode: ["append", "revoke"],
     MnoCertificateAuthority: ["issue_certificate"],
     Relay: ["register_user", "fetch_certificate", "submit_envelope",
             "fetch_envelopes", "broadcast_group"],

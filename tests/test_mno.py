@@ -23,11 +23,13 @@ from chainchat.chain import (
     ChainNode,
     WriterCredential,
     fetch_latest,
+    load_chain,
     verify_record,
 )
 from chainchat.crypto import generate_identity_keypair
 from chainchat.errors import EnrollmentError
 from chainchat.mno import (
+    MAX_USER_ID_BYTES,
     VALIDITY_SECONDS,
     EnrollmentRequest,
     MnoCertificateAuthority,
@@ -49,11 +51,11 @@ def enroll(mno, user_id, pair=None):
 
 def refused(mno, chain_node, request):
     """The request is refused as ``enrollment-refused`` and nothing lands."""
-    height = len(chain_node.snapshot().blocks)
+    height = chain_node.snapshot().height
     with pytest.raises(EnrollmentError) as err:
         mno.issue_certificate(request)
     assert err.value.category == "enrollment-refused"
-    assert len(chain_node.snapshot().blocks) == height
+    assert chain_node.snapshot().height == height
     return err.value
 
 
@@ -135,12 +137,12 @@ class TestEnrollment:
         pair = generate_identity_keypair()
         request = EnrollmentRequest("alice", pair.public_key,
                                     prove(pair, "alice", mno.new_challenge("alice")))
-        height = len(chain_node.snapshot().blocks)
+        height = chain_node.snapshot().height
         with pytest.raises(TypeError):
             mno.issue_certificate(request, 60)
         with pytest.raises(TypeError):
             mno.issue_certificate(request, now=1_000)
-        assert len(chain_node.snapshot().blocks) == height
+        assert chain_node.snapshot().height == height
         record = mno.issue_certificate(request)
         assert record.expires_at - record.issued_at == VALIDITY_SECONDS
 
@@ -183,6 +185,27 @@ class TestEnrollment:
                     payload = possession_payload("mallory", key, mno.new_challenge("mallory"))
                     refused(mno, chain_node, EnrollmentRequest("mallory", key, forge(payload)))
 
+    def test_a_user_id_over_the_cap_is_refused(self, mno, chain_node):
+        """The cap counts UTF-8 bytes: 127 two-byte characters and one more
+        byte fit, 128 two-byte characters do not."""
+        longest = "\u00e9" * (MAX_USER_ID_BYTES // 2) + "a"
+        assert len(longest.encode("utf-8")) == MAX_USER_ID_BYTES
+        assert enroll(mno, longest)[1].user_id == longest
+        over = "\u00e9" * (MAX_USER_ID_BYTES // 2 + 1)
+        with pytest.raises(EnrollmentError) as err:
+            mno.new_challenge(over)
+        assert err.value.category == "enrollment-refused"
+        assert json.loads(mno.dump_state())["pending_challenges"] == {}
+
+    def test_a_submit_over_the_cap_is_refused_with_a_challenge_pending(
+            self, mno, chain_node, monkeypatch):
+        over = "u" * (MAX_USER_ID_BYTES + 1)
+        pair = generate_identity_keypair()
+        with monkeypatch.context() as patched:
+            patched.setattr(mno_mod, "MAX_USER_ID_BYTES", len(over))
+            proof = prove(pair, over, mno.new_challenge(over))
+        refused(mno, chain_node, EnrollmentRequest(over, pair.public_key, proof))
+
 
 class TestVerifyCertificate:
     def test_fresh_record_verifies(self, mno):
@@ -197,7 +220,7 @@ class TestVerifyCertificate:
     def test_revocation_records_verify(self, mno, chain_node):
         enroll(mno, "alice")
         mno.revoke("alice")
-        marker = chain_node.snapshot().blocks[-1].records[0]
+        marker = chain_node.snapshot().head.records[0]
         assert marker.kind == KIND_REVOCATION
         assert mno.verify_certificate(marker)
 
@@ -267,7 +290,8 @@ class TestSignatureChecksUnderHeldKeys:
         counts["ed25519_signs"] = 0
         held = [counting_credential(WriterCredential.from_seed(c.writer_id, c.seed), counts)
                 for c in credentials]
-        assert ChainNode.open(path, held).snapshot() == node.snapshot()
+        opened, running = ChainNode.open(path, held).snapshot(), node.snapshot()
+        assert (opened.height, opened.head) == (running.height, running.head)
         # each record and the head's writer signature is re-signed
         assert (counts["ed25519_signs"], len(verifies)) == (records + 1, 0)
         counts["ed25519_signs"] = 0
@@ -308,5 +332,7 @@ class TestSignatureChecksUnderHeldKeys:
         records = [record for n in range(writers) for record in made[n]]
         assert len(records) == 50 * writers
         assert all(verify_record(r, mno_credential.verification_key) for r in records)
-        opened = ChainNode.open(path).snapshot()
-        assert sorted(opened.latest) == sorted(r.user_id for r in records)
+        running, opened = node.snapshot(), ChainNode.open(path).snapshot()
+        assert running.height == opened.height == len(records)
+        assert all(running.newest(r.user_id) == opened.newest(r.user_id) == r for r in records)
+        assert sorted(load_chain(path).latest) == sorted(r.user_id for r in records)

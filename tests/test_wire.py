@@ -1,6 +1,7 @@
 import contextlib
 import inspect
 import json
+import os
 import random
 import re
 import socket
@@ -298,6 +299,23 @@ class TestServer:
         assert rc.submit_envelope(envelope) == ACK_QUEUED
         deliveries = bob.pull_messages()
         assert [d.text for d in deliveries] == ["via socket"]
+
+    def test_a_mebibyte_user_id_is_refused_and_the_chain_keeps_its_size(self, tmp_path):
+        """Nothing bounded an id's length, so a 1 MiB id went into the
+        permanent chain over the wire."""
+        cfg = StackConfig(state_dir=str(tmp_path / "state"), relay_port=0)
+        huge = "u" * 2**20
+        with run_stack(cfg) as stack, RelayClient(stack.host, stack.port) as rc:
+            size = os.path.getsize(cfg.resolved_chain_file())
+            with pytest.raises(InstallError) as err:
+                Client.install(huge, rc, rc)
+            assert err.value.__cause__.category == "enrollment-refused"
+            pair = generate_identity_keypair()
+            with pytest.raises(WireRemoteError) as err:
+                rc.issue_certificate(EnrollmentRequest(huge, pair.public_key, b"\x00" * 32))
+            assert err.value.category == "enrollment-refused"
+            assert json.loads(stack.mno.dump_state())["pending_challenges"] == {}
+        assert os.path.getsize(cfg.resolved_chain_file()) == size
 
     def test_submit_checks_the_pinned_recipient(self, rc):
         alice = Client.install("alice", rc, rc)
