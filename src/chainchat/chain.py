@@ -14,11 +14,10 @@ revocation is visible to every reader the moment its block lands.
 ``ChainState`` is the chain as a pure value, every block, which files,
 tests and the benchmark's inputs build and read. ``ChainNode`` is the running
 chain: it holds the head block, the head's hash and one map from user id to
-that user's newest record, not the blocks, and each append adds one frame to
-the chain file before readers see it. A reader takes a ``ChainView``, the
-head and height that one commit published; a later append never changes what
-the view reads (multiversion concurrency control). Status is decided at
-lookup time from the record's kind and expiry.
+that user's newest record, and nothing older, and each append adds one frame
+to the chain file before readers see it. A request reads the users it needs
+in one step between two commits (``ChainNode.newest_of``). Status is decided
+at lookup time from the record's kind and expiry.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -295,31 +294,6 @@ class ChainState:
         return self.latest.get(user_id)
 
 
-class ChainView:
-    """The chain as one ``ChainNode`` commit published it: its ``head`` block,
-    its ``height``, and each user's newest record at or below that height.
-
-    The node's map, which every view shares, holds a bare record for each
-    user whose newest record the node started with, since every view sees
-    it, and ``(height, record, older)`` for a record appended since, where
-    ``older`` is the entry it replaced (None for a new user). A lookup steps
-    back past entries above the view's height.
-    """
-
-    __slots__ = ("head", "height", "_latest")
-
-    def __init__(self, head: Block, latest: Mapping[str, object]):
-        self.head, self.height, self._latest = head, head.height, latest
-
-    def newest(self, user_id: str) -> Optional[CertificateRecord]:
-        entry = self._latest.get(user_id)
-        while type(entry) is tuple:
-            height, record, entry = entry
-            if height <= self.height:
-                return record
-        return entry
-
-
 @dataclass(frozen=True)
 class CertStatus:
     state: str  # VALID, REVOKED, NOT_FOUND or EXPIRED
@@ -392,7 +366,7 @@ def _next_block(declarations: Iterable[Tuple[str, bytes]], head: Block, head_has
 def status_of(rec: Optional[CertificateRecord], now: int) -> str:
     """The latest-wins rule: the state at ``now`` of a user whose newest
     record is ``rec`` (None for a user with no record). A hot caller asks
-    it of a view's ``newest`` directly and builds no ``CertStatus``."""
+    it of the node's records directly and builds no ``CertStatus``."""
     if rec is None:
         return NOT_FOUND
     if rec.kind == KIND_REVOCATION:
@@ -402,7 +376,7 @@ def status_of(rec: Optional[CertificateRecord], now: int) -> str:
     return VALID
 
 
-def fetch_latest(state: Union[ChainState, ChainView], user_id: str,
+def fetch_latest(state: Union[ChainState, ChainNode], user_id: str,
                  now: Optional[int] = None) -> CertStatus:
     """Latest-wins lookup: the newest record for the user decides the status
     (``status_of``); the record rides along unless it is a revocation."""
@@ -536,7 +510,7 @@ def revoke(state: ChainState, credential: WriterCredential, user_id: str,
                         timestamp=ts)
 
 
-def _marker(state: Union[ChainState, ChainView], credential: WriterCredential,
+def _marker(state: Union[ChainState, ChainNode], credential: WriterCredential,
             user_id: str, ts: int) -> CertificateRecord:
     """The revocation marker of ``user_id`` at ``ts``; raises
     ``RevocationError`` if ``state`` holds no record for the user."""
@@ -582,19 +556,22 @@ def load_chain(path: str) -> ChainState:
 
 
 # ---------------------------------------------------------------------------
-# node: serialized appends, lock-free reads of published views
+# node: serialized appends, each published in one short step
 # ---------------------------------------------------------------------------
 
 class ChainNode:
     """The running chain: the genesis writer declarations, the head block and
-    its hash, and one map from user id to that user's newest entry (see
-    ``ChainView``), but no block list. Reads are lock-free: ``snapshot()``
-    returns the view the last commit published. Appends are serialized;
-    each checks its block against the head by the block rule, writes it as
-    one frame of the chain file (when the node has one), and only then
-    writes its records into the map and publishes a new view, so a failed
-    append leaves the map and the view as they were. An append costs
-    O(records in the block), whatever the height."""
+    its hash, and one map from user id to that user's newest record, but no
+    block list and no older record, so it holds one record per user.
+
+    ``newest`` is one dict read. ``newest_of`` reads several users under the
+    publish lock, so no commit lands inside it. Appends are serialized under
+    the append lock; each checks its block against the head by the block
+    rule and writes it as one frame of the chain file (when the node has
+    one), and only then, under the publish lock, moves the head and writes
+    the block's records into the map. So a failed append leaves the node as
+    it was, and an append costs O(records in the block), whatever the
+    height."""
 
     def __init__(self, state: ChainState, path: Optional[str] = None):
         head = state.blocks[-1]
@@ -602,13 +579,14 @@ class ChainNode:
                     dict(state.latest), path)
 
     def _start(self, declarations: Tuple[Tuple[str, bytes], ...], head: Block,
-               head_hash: bytes, latest: Dict[str, object], path: Optional[str]) -> None:
+               head_hash: bytes, latest: Dict[str, CertificateRecord],
+               path: Optional[str]) -> None:
         self._declarations = declarations
-        self._head_hash = head_hash
+        self.head, self._head_hash = head, head_hash
         self._latest = latest
-        self._view = ChainView(head, latest)
         self._path = path
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # held by a commit from start to publish
+        self._publish_lock = threading.Lock()  # held to publish, and by newest_of
 
     @classmethod
     def create(cls, writer_set: Sequence[Tuple[str, bytes]],
@@ -638,7 +616,7 @@ class ChainNode:
         final frame, if any. Of each block, only its records, in the map,
         and the head outlive the pass.
         """
-        latest: Dict[str, object] = {}
+        latest: Dict[str, CertificateRecord] = {}
 
         def parse(frame: bytes) -> Tuple[Block, bytes]:
             blk = Block.from_bytes(frame)
@@ -657,34 +635,41 @@ class ChainNode:
         node._start(gen.writer_declarations, head, head_hash, latest, path)
         return node
 
-    def snapshot(self) -> ChainView:
-        """The view the last commit published: the same object until the next."""
-        return self._view
+    @property
+    def height(self) -> int:
+        return self.head.height
+
+    def newest(self, user_id: str) -> Optional[CertificateRecord]:
+        return self._latest.get(user_id)
+
+    def newest_of(self, *user_ids: str) -> List[Optional[CertificateRecord]]:
+        """Each user's newest record, read in one step between two commits."""
+        latest = self._latest
+        with self._publish_lock:
+            return [latest.get(user_id) for user_id in user_ids]
 
     def append(self, credential: WriterCredential,
                records: Sequence[CertificateRecord],
-               timestamp: Optional[int] = None) -> ChainView:
-        return self._commit(credential, lambda view: records, timestamp)
+               timestamp: Optional[int] = None) -> Block:
+        return self._commit(credential, records, timestamp)
 
     def revoke(self, credential: WriterCredential, user_id: str,
-               timestamp: Optional[int] = None) -> ChainView:
+               timestamp: Optional[int] = None) -> Block:
+        # a user the map holds stays in it, so the marker needs no lock
         ts = _now() if timestamp is None else timestamp
-        return self._commit(
-            credential, lambda view: [_marker(view, credential, user_id, ts)], ts)
+        return self._commit(credential, [_marker(self, credential, user_id, ts)], ts)
 
     def _commit(self, credential: WriterCredential,
-                records_of: Callable[[ChainView], Sequence[CertificateRecord]],
-                timestamp: Optional[int]) -> ChainView:
+                records: Sequence[CertificateRecord], timestamp: Optional[int]) -> Block:
         with self._lock:
-            view = self._view
-            block = _next_block(self._declarations, view.head, self._head_hash,
-                                credential, records_of(view), timestamp)
+            block = _next_block(self._declarations, self.head, self._head_hash,
+                                credential, records, timestamp)
             frame = block.canonical_bytes()
             if self._path is not None:
                 append_frame(self._path, frame)
-            self._head_hash = sha256(frame)
-            latest = self._latest
-            for rec in block.records:
-                latest[rec.user_id] = (block.height, rec, latest.get(rec.user_id))
-            self._view = ChainView(block, latest)
-            return self._view
+            head_hash = sha256(frame)
+            with self._publish_lock:
+                self.head, self._head_hash = block, head_hash
+                for rec in block.records:
+                    self._latest[rec.user_id] = rec
+            return block

@@ -36,8 +36,9 @@ VALIDITY_SECONDS = 30 * 24 * 3600  # the MNO, not the subscriber, sets the lifet
 # pending enrollment challenges kept; past it the oldest is dropped, since
 # refusing new requests would let any wire client block every enrollment
 CHALLENGE_CAP = 10_000
-# the longest user id the MNO enrols, in UTF-8 bytes; the chain keeps every
-# id it certifies for good, and the node holds each one in memory
+# the longest id, in UTF-8 bytes, that the MNO enrols and the relay stores
+# as a group or member id; the chain keeps every id it certifies for good,
+# and the node holds each one in memory
 MAX_USER_ID_BYTES = 255
 
 SubscriberCheck = Callable[[str], bool]
@@ -55,9 +56,14 @@ def possession_payload(user_id: str, subject_public_key: bytes, challenge: bytes
     return user_id.encode("utf-8") + subject_public_key + challenge
 
 
-def _check_user_id(user_id: str) -> None:
+def id_too_long(value: str) -> bool:
+    """Whether ``value`` is over ``MAX_USER_ID_BYTES`` UTF-8 bytes."""
     # "surrogatepass": an in-process caller's id need not be UTF-8
-    if len(user_id.encode("utf-8", "surrogatepass")) > MAX_USER_ID_BYTES:
+    return len(value.encode("utf-8", "surrogatepass")) > MAX_USER_ID_BYTES
+
+
+def _check_user_id(user_id: str) -> None:
+    if id_too_long(user_id):
         raise EnrollmentError(f"user id is over {MAX_USER_ID_BYTES} UTF-8 bytes")
 
 

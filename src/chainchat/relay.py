@@ -4,14 +4,15 @@ The relay gives each user whose certificate checks out against the chain a
 mailbox (so a user with a mailbox is registered), queues sealed envelopes in
 the recipients' mailboxes, and fans a group broadcast out to the member
 list, without repeats, that ``create_group`` stored. Every request reads the
-chain node's current snapshot, so a revocation takes effect on the next
-lookup; a submit or a fan-out reads one snapshot at one time for all of its
-checks. ``RelayClient`` offers the same methods over the wire. The relay
-never inspects plaintext and never holds keys. An envelope holds one byte
-form, made once (``Envelope``), which is its wire form: the relay serves
-each envelope as the bytes it received, however many mailboxes hold it.
-Every field it routes on and serves is bound into the sender's MAC, so any
-tampering in transit surfaces as an authentication failure at the recipient.
+chain node as it stands, so a revocation takes effect on the next lookup; a
+submit or a fan-out reads the records of all its parties in one step between
+two commits (``ChainNode.newest_of``), at one time. ``RelayClient`` offers
+the same methods over the wire. The relay never inspects plaintext and
+never holds keys. An envelope holds one byte form, made once (``Envelope``),
+which is its wire form: the relay serves each envelope as the bytes it
+received, however many mailboxes hold it. Every field it routes on and
+serves is bound into the sender's MAC, so any tampering in transit surfaces
+as an authentication failure at the recipient.
 
 A mailbox holds at most ``MAILBOX_CAP`` unacknowledged envelopes; past that
 a submit is refused and a fan-out skips the member, both ``mailbox-full``.
@@ -20,8 +21,8 @@ A group holds at most ``GROUP_CAP`` members; a longer list is refused.
 A one-to-one submit is refused unless the recipient's latest record is the
 valid certificate the sender's session pinned, so a revocation or re-issue
 stops the next send without a certificate fetch. Submit and fan-out ask the
-chain's latest-wins rule (``chain.status_of``) of the snapshot's newest
-records directly, so a fan-out builds no status object per member.
+chain's latest-wins rule (``chain.status_of``) of those records directly, so
+a fan-out builds no status object per member.
 
 Delivery is pull-based with a sequence cursor: ``fetch_envelopes(user, n)``
 returns everything after ``n`` and acknowledges (drops) everything up to and
@@ -38,7 +39,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import chain
-from .chain import VALID, CertStatus, ChainNode, ChainView, fetch_latest, status_of
+from .chain import VALID, CertificateRecord, CertStatus, ChainNode, fetch_latest, status_of
 from .crypto import SealedPayload
 from .encoding import LENGTH_PREFIX, U64_FIELD, U64_MAX, encode_bytes, split_fields
 from .errors import (
@@ -51,6 +52,7 @@ from .errors import (
     SessionRefusedError,
     WireProtocolError,
 )
+from .mno import MAX_USER_ID_BYTES, id_too_long
 
 ACK_QUEUED = "queued"
 MAILBOX_CAP = 10_000  # unacknowledged envelopes per mailbox
@@ -207,15 +209,16 @@ class Relay:
 
     def fetch_certificate(self, user_id: str) -> CertStatus:
         """Pure proxy of the chain's latest-wins lookup; adds nothing."""
-        return fetch_latest(self._chain_node.snapshot(), user_id)
+        return fetch_latest(self._chain_node, user_id)
 
     @staticmethod
-    def _require_sender(sender: str, registered: bool, state: ChainView, now: int) -> None:
+    def _require_sender(sender: str, registered: bool,
+                        record: Optional[CertificateRecord], now: int) -> None:
         """The sender rule of submit and fan-out: registered, and its latest
-        record a valid certificate."""
+        record, ``record``, a valid certificate."""
         if not registered:
             raise RoutingError(f"sender {sender!r} is not registered")
-        status = status_of(state.newest(sender), now)
+        status = status_of(record, now)
         if status != VALID:
             raise RoutingError(f"sender {sender!r} certificate is {status}")
 
@@ -238,21 +241,21 @@ class Relay:
     # -- message flow ----------------------------------------------------------
 
     def submit_envelope(self, envelope: Envelope) -> str:
-        """Queue a one-to-one envelope; both statuses come from one snapshot at one ``now``."""
+        """Queue a one-to-one envelope; both records are read in one step, at one ``now``."""
         if not envelope.shape_ok():
             raise WireProtocolError("malformed envelope")
         sender, recipient = envelope.sender_id, envelope.recipient_id
         if not recipient:
             raise WireProtocolError("one-to-one envelope without recipient")
-        state, now = self._chain_node.snapshot(), chain._now()
         with self._state_lock:
             sender_known = sender in self._mailboxes
             mailbox = self._mailboxes.get(recipient)
         # PROTOCOL.md order: sender registered, recipient registered, sender valid
         if sender_known and mailbox is None:
             raise RoutingError(f"recipient {recipient!r} is not registered")
-        self._require_sender(sender, sender_known, state, now)
-        record = state.newest(recipient)
+        sender_record, record = self._chain_node.newest_of(sender, recipient)
+        now = chain._now()
+        self._require_sender(sender, sender_known, sender_record, now)
         status = status_of(record, now)
         if status != VALID:
             raise SessionRefusedError(status, f"recipient {recipient!r} certificate is {status}")
@@ -278,6 +281,9 @@ class Relay:
         if len(member_ids) > GROUP_CAP:
             raise WireProtocolError(
                 f"member list of {group_id!r} is over the cap of {GROUP_CAP}")
+        if id_too_long(group_id) or any(map(id_too_long, member_ids)):
+            raise WireProtocolError(
+                f"a group or member id is over {MAX_USER_ID_BYTES} UTF-8 bytes")
         if len(set(member_ids)) != len(member_ids):
             raise WireProtocolError(f"member list of {group_id!r} repeats an id")
         if admin_id not in member_ids:
@@ -289,21 +295,20 @@ class Relay:
         """Fan-out to the group's stored members: one copy per member except
         the sender; per-member results.
 
-        Every status is read from one chain snapshot at one ``now``, and the
-        group and the registry once, so a revocation lands between two
-        fan-outs, never inside one. An envelope not tagged with ``group_id``
-        (a one-to-one envelope, or another group's), or one that names a
-        recipient, is refused whole.
+        The group and the registry are read once, then every member's record
+        and the sender's in one step between two commits, and every status at
+        one ``now``, so a revocation lands between two fan-outs, never inside
+        one. An envelope not tagged with ``group_id`` (a one-to-one envelope,
+        or another group's), or one that names a recipient, is refused whole.
         """
         sender = envelope.sender_id
-        state, now = self._chain_node.snapshot(), chain._now()
         with self._state_lock:
             if group_id not in self._groups:
                 raise RoutingError(f"unknown group {group_id!r}")
             _, members = self._groups[group_id]
             sender_known = sender in self._mailboxes
-            targets = [(member, self._mailboxes.get(member))
-                       for member in members if member != sender]
+            targets = [member for member in members if member != sender]
+            mailboxes = [self._mailboxes.get(member) for member in targets]
         if not envelope.shape_ok():
             raise WireProtocolError("malformed envelope")
         if envelope.group_id != group_id:  # members open it by its own group_id
@@ -313,11 +318,12 @@ class Relay:
             raise WireProtocolError(f"group envelope names recipient {envelope.recipient_id!r}")
         if sender not in members:
             raise GroupPermissionError(f"sender {sender!r} is not a member of {group_id!r}")
-        self._require_sender(sender, sender_known, state, now)
-        newest = state.newest
+        sender_record, *records = self._chain_node.newest_of(sender, *targets)
+        now = chain._now()
+        self._require_sender(sender, sender_known, sender_record, now)
         acks: List[Tuple[str, str]] = []
-        for member, mailbox in targets:
-            if mailbox is None or status_of(newest(member), now) != VALID:
+        for member, mailbox, record in zip(targets, mailboxes, records):
+            if mailbox is None or status_of(record, now) != VALID:
                 acks.append((member, f"error:{RoutingError.category}"))
                 continue
             try:

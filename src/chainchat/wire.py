@@ -12,7 +12,9 @@ The server fronts all three desk-scale roles on one listener: the relay
 endpoints directly, the chain via ``fetch_cert``, and the MNO via the
 ``enroll`` family (challenge / submit / revoke phases). An accept thread
 starts a thread per connection, kept in a registry until it ends; ``close``
-ends them all before it lets go of the state-directory lock.
+ends them all before it lets go of the state-directory lock. At most
+``MAX_CONNECTIONS`` are served at once, and one that sends nothing for
+``IDLE_TIMEOUT`` seconds is closed.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import threading
 from typing import BinaryIO, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from .chain import EXPIRED, NOT_FOUND, REVOKED, VALID, CertificateRecord, CertStatus
+from .crypto import MAX_PLAINTEXT
 from .encoding import LENGTH_PREFIX, Reader, encode_bytes, encode_str, encode_u64
 from .errors import (
     ChainChatError,
@@ -34,8 +37,8 @@ from .errors import (
     WireProtocolError,
     WireRemoteError,
 )
-from .mno import EnrollmentRequest, MnoCertificateAuthority
-from .relay import Envelope, Relay
+from .mno import MAX_USER_ID_BYTES, EnrollmentRequest, MnoCertificateAuthority
+from .relay import Envelope, Relay, header_bytes
 
 REQUEST_TYPES = ("enroll", "register", "fetch_cert", "submit", "fetch",
                  "group_create", "group_send")
@@ -44,11 +47,19 @@ _MESSAGE_TYPES = frozenset(REQUEST_TYPES + REPLY_TYPES)
 CERT_STATES = (VALID, REVOKED, EXPIRED, NOT_FOUND)
 
 _MAX_FRAME = 1 << 24  # bytes of body, after the length prefix
-_MAX_ENVELOPE = _MAX_FRAME - 35  # what a fetch reply's one entry can carry (PROTOCOL.md)
+# the longest envelope a client can seal (PROTOCOL.md §Envelope): its header
+# with the three ids at the cap, then two bytes fields, the ciphertext of the
+# longest sealable plaintext (PKCS#7 pads it by a whole block) and the MAC
+_MAX_ENVELOPE = (len(header_bytes("", "", 0, bytes(32), None, 0)) + 3 * MAX_USER_ID_BYTES
+                 + 2 * LENGTH_PREFIX.size + MAX_PLAINTEXT + 16 + 32)
 # an ack holding a list: the frame's length, string "ack" and u64 n
 _LIST_ACK_HEAD = struct.Struct(">II3sIQ")
 # a fetch entry's u64 seq and its envelope's length prefix
 _FETCH_ENTRY_HEAD = struct.Struct(">IQI")
+# connections served at once, one thread each; one more gets "server-busy"
+MAX_CONNECTIONS = 256
+# seconds a connection may wait for its next bytes before it is closed
+IDLE_TIMEOUT = 300.0
 
 T = TypeVar("T")
 
@@ -166,7 +177,7 @@ def _group_send_reply(acks: List[Tuple[str, str]]) -> bytes:
 
 
 def _envelope(data: bytes, recipient_cert_fingerprint: bytes = b"") -> Envelope:
-    """The envelope of a request; one no fetch reply could carry is refused."""
+    """The envelope of a request; one longer than any client can seal is refused."""
     if len(data) > _MAX_ENVELOPE:
         raise MessageTooLargeError(f"envelope of {len(data)} bytes exceeds {_MAX_ENVELOPE}")
     return Envelope.from_bytes(data, recipient_cert_fingerprint)
@@ -237,9 +248,17 @@ class WireServer:
                 conn, _ = self._listener.accept()
             except OSError:  # shut down by close(), or a connection lost before it was accepted
                 continue
+            conn.settimeout(IDLE_TIMEOUT)  # _serve ends on the timeout, an OSError
             with self._lock:
-                thread = self._connections[conn] = threading.Thread(
-                    target=self._serve, args=(conn,), name="chainchat-wire-conn", daemon=True)
+                busy = len(self._connections) >= MAX_CONNECTIONS
+                if not busy:
+                    thread = self._connections[conn] = threading.Thread(
+                        target=self._serve, args=(conn,), name="chainchat-wire-conn",
+                        daemon=True)
+            if busy:  # one short frame, which the socket's send buffer takes at once
+                with contextlib.suppress(OSError), conn:
+                    conn.sendall(_error("server-busy", f"{MAX_CONNECTIONS} connections are open"))
+                continue
             thread.start()
 
     def _serve(self, conn: socket.socket) -> None:

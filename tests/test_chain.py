@@ -3,6 +3,7 @@ import gc
 import hashlib
 import os
 import random
+import threading
 import time
 import tracemalloc
 
@@ -366,7 +367,7 @@ class TestPersistence:
         )
         node.append(mno, [cert_for(mno, "alice")], timestamp=T0)
         reopened = ChainNode.open(str(path))
-        assert reopened.snapshot().height == 1
+        assert reopened.height == 1
         assert verify_chain(load_chain(str(path)))
 
 
@@ -406,7 +407,7 @@ class TestAppendOnlyFile:
         node.revoke(mno, "user1", timestamp=T0 + 10)
         after = path.read_bytes()
         assert after[:len(before)] == before
-        assert after == before + encode_bytes(node.snapshot().head.canonical_bytes())
+        assert after == before + encode_bytes(node.head.canonical_bytes())
         assert verify_chain(load_chain(str(path)))
 
     def test_torn_final_frame_cut_at_every_offset(self, mno, im_server, tmp_path):
@@ -419,12 +420,12 @@ class TestAppendOnlyFile:
         for cut in range(len(intact) + 1, len(full)):
             torn.write_bytes(full[:cut])
             reopened = ChainNode.open(str(torn))
-            assert reopened.snapshot().height == 4, f"cut at {cut}"
+            assert reopened.height == 4, f"cut at {cut}"
             assert verify_chain(load_chain(str(torn)))
             assert torn.read_bytes() == intact
             reopened.append(mno, [cert_for(mno, "next")], timestamp=T0 + 11)
             again = ChainNode.open(str(torn))
-            assert again.snapshot().height == 5
+            assert again.height == 5
             assert verify_chain(load_chain(str(torn)))
 
     def test_load_leaves_out_a_torn_tail_and_keeps_the_file(self, mno, im_server,
@@ -464,7 +465,7 @@ class TestAppendOnlyFile:
                                                    monkeypatch):
         path = tmp_path / "chain.dat"
         node = _node_with_blocks(mno, im_server, path, 3)
-        intact, snapshot = path.read_bytes(), node.snapshot()
+        intact, head = path.read_bytes(), node.head
 
         def failing_fsync(fd):
             raise OSError("disk gone")
@@ -474,11 +475,11 @@ class TestAppendOnlyFile:
             with pytest.raises(OSError):
                 node.append(mno, [cert_for(mno, "doomed")], timestamp=T0 + 10)
         assert path.read_bytes() == intact
-        assert node.snapshot() is snapshot
+        assert node.head is head and node.newest("doomed") is None
         node.append(mno, [cert_for(mno, "after")], timestamp=T0 + 11)
-        reopened, running = ChainNode.open(str(path)).snapshot(), node.snapshot()
-        assert (reopened.height, reopened.head) == (running.height, running.head)
-        assert path.read_bytes() == intact + encode_bytes(running.head.canonical_bytes())
+        reopened = ChainNode.open(str(path))
+        assert (reopened.height, reopened.head) == (node.height, node.head)
+        assert path.read_bytes() == intact + encode_bytes(node.head.canonical_bytes())
 
 
 OPEN_HEIGHT = 1_000
@@ -500,7 +501,7 @@ def long_chain(tmp_path_factory):
 
 class TestOneFrameAtATime:
     @pytest.mark.parametrize("read", [
-        lambda path, writer: ChainNode.open(path, [writer]).snapshot(),
+        lambda path, writer: ChainNode.open(path, [writer]),
         lambda path, writer: load_chain(path),
     ], ids=["open", "load_chain"])
     def test_a_read_peaks_at_what_it_returns_plus_a_few_frames(self, long_chain, read):
@@ -528,32 +529,56 @@ class TestOneFrameAtATime:
         assert blocks[-1].writer_id is first.issuer_id
 
 
-class TestNodeViews:
+class _PausedMap(dict):
+    """A node's map whose ``get`` of ``user``, from ``reader`` alone, waits
+    for ``resume`` once it has set ``reading``."""
+
+    def __init__(self, latest, user):
+        super().__init__(latest)
+        self.user, self.reader = user, None
+        self.reading, self.resume = threading.Event(), threading.Event()
+
+    def get(self, user_id, default=None):
+        if user_id == self.user and threading.current_thread() is self.reader:
+            self.reading.set()
+            self.resume.wait(timeout=10)
+        return super().get(user_id, default)
+
+
+class _WatchedLock:
+    """A lock that counts each time a thread asks for it."""
+
+    def __init__(self):
+        self._lock, self.asked = threading.Lock(), threading.Semaphore(0)
+
+    def __enter__(self):
+        self.asked.release()
+        self._lock.acquire()
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+class TestNodeReads:
     @pytest.mark.parametrize("opened", [False, True], ids=["appended", "opened"])
-    def test_a_view_reads_the_chain_its_commit_published(self, mno, im_server, tmp_path,
-                                                         monkeypatch, opened):
-        """A later commit, or a failed one, changes nothing a view reads;
-        users whose records the node read at open are covered too."""
+    def test_a_failed_commit_leaves_the_node_as_it_was(self, mno, im_server, tmp_path,
+                                                       monkeypatch, opened):
+        """A commit moves the head and the map; a failed one, of an append
+        or a revoke, moves neither. Users whose records the node read at
+        open are covered too."""
         path = tmp_path / "chain.dat"
         node = _node_with_blocks(mno, im_server, path, 3)
         if opened:
             node = ChainNode.open(str(path))
-        before = node.snapshot()
-        assert node.snapshot() is before
-        node.revoke(mno, "user1", timestamp=T0 + 10)
-        revoked = node.snapshot()
-        node.append(mno, [cert_for(mno, "newcomer")], timestamp=T0 + 11)
-        after = node.snapshot()
-        assert node.snapshot() is after
         now = T0 + 20
-        views = (before, revoked, after)
-        assert [v.height for v in views] == [3, 4, 5]
-        assert [fetch_latest(v, "user1", now=now).state for v in views] == \
-            [VALID, REVOKED, REVOKED]
-        assert [fetch_latest(v, "newcomer", now=now).state for v in views] == \
-            [NOT_FOUND, NOT_FOUND, VALID]
-        assert fetch_latest(before, "user1", now=now).record.subject_public_key == \
+        assert fetch_latest(node, "user1", now=now).record.subject_public_key == \
             bytes([2]) * 32
+        node.revoke(mno, "user1", timestamp=T0 + 10)
+        node.append(mno, [cert_for(mno, "newcomer")], timestamp=T0 + 11)
+        assert node.height == 5
+        assert [fetch_latest(node, user, now=now).state for user in ("user1", "newcomer")] \
+            == [REVOKED, VALID]
+        head, latest = node.head, dict(node._latest)
 
         def lost_disk(path, frame):
             raise OSError("disk gone")
@@ -564,12 +589,42 @@ class TestNodeViews:
                 node.append(mno, [cert_for(mno, "doomed")], timestamp=T0 + 12)
             with pytest.raises(OSError):
                 node.revoke(mno, "user2", timestamp=T0 + 12)
-        assert node.snapshot() is after
+        assert (node.head, node.height, node._latest) == (head, 5, latest)
         node.append(mno, [cert_for(mno, "later")], timestamp=T0 + 13)
-        latest = node.snapshot()
-        assert latest.height == after.height + 1
-        assert [fetch_latest(latest, user, now=now).state
+        assert node.height == 6
+        assert [fetch_latest(node, user, now=now).state
                 for user in ("doomed", "user2", "later")] == [NOT_FOUND, VALID, VALID]
+
+    def test_a_commit_waits_for_a_read_in_progress(self, mno, im_server, tmp_path):
+        """A revoke that lands while a two-user read is half done writes its
+        frame, then waits to publish until the read has ended; the read
+        returns both records as they stood before the revoke."""
+        path = tmp_path / "chain.dat"
+        node = _node_with_blocks(mno, im_server, path, 3)
+        before = node.newest_of("user1", "user2")
+        intact, head = path.read_bytes(), node.head
+        node._latest = paused = _PausedMap(node._latest, "user2")
+        node._publish_lock = watched = _WatchedLock()
+        read = []
+        paused.reader = threading.Thread(
+            target=lambda: read.append(node.newest_of("user1", "user2")))
+        committer = threading.Thread(
+            target=lambda: node.revoke(mno, "user1", timestamp=T0 + 10))
+        paused.reader.start()
+        try:
+            assert paused.reading.wait(timeout=10)  # user1 read, user2 not yet
+            assert watched.asked.acquire(timeout=10)  # the reader's ask
+            committer.start()
+            assert watched.asked.acquire(timeout=10)  # the commit asks to publish
+            assert len(path.read_bytes()) > len(intact)  # its frame is written
+            assert node.head is head and node.newest("user1") is before[0]
+        finally:
+            paused.resume.set()
+            paused.reader.join(timeout=10)
+            committer.join(timeout=10)
+        assert read == [before]
+        assert node.height == head.height + 1
+        assert fetch_latest(node, "user1", now=T0 + 20).state == REVOKED
 
 
 def _wide_chain(writer, users, per_block=100):
@@ -604,7 +659,7 @@ class TestNodeCosts:
 
         node_held, node = held_by(lambda: ChainNode.open(path, [writer]))
         chain_held, chain = held_by(lambda: load_chain(path))
-        assert node.snapshot().height == chain.height == OPEN_HEIGHT
+        assert node.height == chain.height == OPEN_HEIGHT
         assert node_held <= 0.6 * chain_held
 
     def test_an_append_allocates_as_much_at_5000_users_as_at_500(self, mno):
@@ -619,6 +674,23 @@ class TestNodeCosts:
                 tracemalloc.stop()
 
         assert peak_of_one_append(5_000) <= peak_of_one_append(500) + 2048
+
+    def test_a_user_re_enrolled_1000_times_holds_one_record(self, mno):
+        """The node keeps each user's newest record and nothing older."""
+        def held_after(enrolments):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                node = ChainNode.create([(mno.writer_id, mno.verification_key)])
+                for i in range(enrolments):
+                    node.append(mno, [cert_for(mno, "alice", key=i.to_bytes(32, "big"))],
+                                timestamp=T0 + i)
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        assert held_after(1_000) <= held_after(1) + 4096
 
 
 class TestLatestMap:

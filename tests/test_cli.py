@@ -120,11 +120,11 @@ class TestStackHandle:
         first = run_stack(cfg)
         with RelayStackClient(first) as rc:
             Client.install("alice", rc, rc)
-        height = first.mno.chain_node.snapshot().height
+        height = first.mno.chain_node.height
         first.close()
         second = run_stack(cfg)
         try:
-            assert second.mno.chain_node.snapshot().height == height
+            assert second.mno.chain_node.height == height
             from chainchat.chain import verify_chain
             assert verify_chain(chain_mod.load_chain(cfg.resolved_chain_file()))
         finally:
@@ -156,7 +156,7 @@ class TestStackHandle:
         with run_stack(cfg) as second, RelayStackClient(second) as rc:
             Client.install("bob", rc, rc)
         with run_stack(cfg) as third:  # the chain holds both, and verifies
-            assert third.mno.chain_node.snapshot().height == 2
+            assert third.mno.chain_node.height == 2
 
     @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["term", "int"])
     def test_serve_stops_on_a_signal_without_polling(self, tmp_path, signum):
@@ -372,14 +372,14 @@ class TestStackHandle:
         first = run_stack(cfg)
         with RelayStackClient(first) as rc:
             Client.install("alice", rc, rc)
-            intact, height = path.read_bytes(), first.mno.chain_node.snapshot().height
+            intact, height = path.read_bytes(), first.mno.chain_node.height
             Client.install("bob", rc, rc)
         first.close()
         # an append interrupted halfway through its frame
         path.write_bytes(path.read_bytes()[:len(intact) + 40])
         second = run_stack(cfg)
         try:
-            assert second.mno.chain_node.snapshot().height == height
+            assert second.mno.chain_node.height == height
             assert path.read_bytes() == intact
         finally:
             second.close()
@@ -487,7 +487,7 @@ class TestStartupCheck:
         original = path.read_bytes()
         _, opened = stack_mod._open_state(cfg)
         loaded = chain_mod.load_chain(str(path))
-        assert (opened.snapshot().height, opened.snapshot().head) == \
+        assert (opened.height, opened.head) == \
             (loaded.height, loaded.blocks[-1])
         assert chain_mod.verify_chain(loaded)
         for offset, mutated in _single_byte_flips(original):
@@ -571,7 +571,7 @@ class TestStartupCheck:
         assert f"height {target}: bad writer signature" in capsys.readouterr().err
         # start-up defends against corruption; whoever holds the seeds can
         # re-sign the head, so this file starts
-        assert chain_mod.ChainNode.open(path).snapshot().height == len(blocks) - 1
+        assert chain_mod.ChainNode.open(path).height == len(blocks) - 1
 
 
 class TestWriterCredentialsFile:

@@ -51,11 +51,11 @@ def enroll(mno, user_id, pair=None):
 
 def refused(mno, chain_node, request):
     """The request is refused as ``enrollment-refused`` and nothing lands."""
-    height = chain_node.snapshot().height
+    height = chain_node.height
     with pytest.raises(EnrollmentError) as err:
         mno.issue_certificate(request)
     assert err.value.category == "enrollment-refused"
-    assert chain_node.snapshot().height == height
+    assert chain_node.height == height
     return err.value
 
 
@@ -63,7 +63,7 @@ class TestEnrollment:
     def test_issue_and_fetch(self, mno, chain_node):
         _, record = enroll(mno, "alice")
         assert record.issuer_id == mno.credential.writer_id
-        status = fetch_latest(chain_node.snapshot(), "alice")
+        status = fetch_latest(chain_node, "alice")
         assert status.state == VALID
         assert status.record == record
 
@@ -124,9 +124,9 @@ class TestEnrollment:
     def test_reenrollment_after_revocation(self, mno, chain_node):
         enroll(mno, "alice")
         mno.revoke("alice")
-        assert fetch_latest(chain_node.snapshot(), "alice").state == REVOKED
+        assert fetch_latest(chain_node, "alice").state == REVOKED
         new_pair, new_record = enroll(mno, "alice")
-        status = fetch_latest(chain_node.snapshot(), "alice")
+        status = fetch_latest(chain_node, "alice")
         assert status.state == VALID
         assert status.record.subject_public_key == new_pair.public_key
         assert status.record == new_record
@@ -137,12 +137,12 @@ class TestEnrollment:
         pair = generate_identity_keypair()
         request = EnrollmentRequest("alice", pair.public_key,
                                     prove(pair, "alice", mno.new_challenge("alice")))
-        height = chain_node.snapshot().height
+        height = chain_node.height
         with pytest.raises(TypeError):
             mno.issue_certificate(request, 60)
         with pytest.raises(TypeError):
             mno.issue_certificate(request, now=1_000)
-        assert chain_node.snapshot().height == height
+        assert chain_node.height == height
         record = mno.issue_certificate(request)
         assert record.expires_at - record.issued_at == VALIDITY_SECONDS
 
@@ -220,7 +220,7 @@ class TestVerifyCertificate:
     def test_revocation_records_verify(self, mno, chain_node):
         enroll(mno, "alice")
         mno.revoke("alice")
-        marker = chain_node.snapshot().head.records[0]
+        marker = chain_node.head.records[0]
         assert marker.kind == KIND_REVOCATION
         assert mno.verify_certificate(marker)
 
@@ -290,7 +290,7 @@ class TestSignatureChecksUnderHeldKeys:
         counts["ed25519_signs"] = 0
         held = [counting_credential(WriterCredential.from_seed(c.writer_id, c.seed), counts)
                 for c in credentials]
-        opened, running = ChainNode.open(path, held).snapshot(), node.snapshot()
+        opened, running = ChainNode.open(path, held), node
         assert (opened.height, opened.head) == (running.height, running.head)
         # each record and the head's writer signature is re-signed
         assert (counts["ed25519_signs"], len(verifies)) == (records + 1, 0)
@@ -332,7 +332,7 @@ class TestSignatureChecksUnderHeldKeys:
         records = [record for n in range(writers) for record in made[n]]
         assert len(records) == 50 * writers
         assert all(verify_record(r, mno_credential.verification_key) for r in records)
-        running, opened = node.snapshot(), ChainNode.open(path).snapshot()
+        running, opened = node, ChainNode.open(path)
         assert running.height == opened.height == len(records)
         assert all(running.newest(r.user_id) == opened.newest(r.user_id) == r for r in records)
         assert sorted(load_chain(path).latest) == sorted(r.user_id for r in records)

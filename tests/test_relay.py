@@ -289,13 +289,14 @@ class TestStoreAndForward:
                                                    connected_pair, monkeypatch):
         alice, _ = connected_pair
         envelope = alice.send_text("bob", "one look")
-        snapshots, clock_reads = [], []
-        snapshot, now = chain_node.snapshot, chain_mod._now
-        monkeypatch.setattr(chain_node, "snapshot",
-                            lambda: snapshots.append(1) or snapshot())
+        reads, clock_reads = [], []
+        newest_of, now = chain_node.newest_of, chain_mod._now
+        monkeypatch.setattr(chain_node, "newest_of",
+                            lambda *users: reads.append(users) or newest_of(*users))
+        monkeypatch.setattr(chain_node, "newest", None)  # no read outside newest_of
         monkeypatch.setattr(chain_mod, "_now", lambda: clock_reads.append(1) or now())
         assert relay.submit_envelope(envelope) == ACK_QUEUED
-        assert (len(snapshots), len(clock_reads)) == (1, 1)
+        assert (reads, len(clock_reads)) == ([("alice", "bob")], 1)
 
 
 class TestFetchSemantics:
@@ -421,14 +422,15 @@ class TestGroupFanOut:
     def test_fan_out_reads_one_snapshot_at_one_time(self, mno, relay, chain_node,
                                                     monkeypatch):
         members, ids = self.make_group(mno, relay, 4)
-        snapshots, clock_reads = [], []
-        snapshot, now = chain_node.snapshot, chain_mod._now
-        monkeypatch.setattr(chain_node, "snapshot",
-                            lambda: snapshots.append(1) or snapshot())
+        reads, clock_reads = [], []
+        newest_of, now = chain_node.newest_of, chain_mod._now
+        monkeypatch.setattr(chain_node, "newest_of",
+                            lambda *users: reads.append(users) or newest_of(*users))
+        monkeypatch.setattr(chain_node, "newest", None)  # no read outside newest_of
         monkeypatch.setattr(chain_mod, "_now", lambda: clock_reads.append(1) or now())
         acks = relay.broadcast_group("room", plain_envelope(ids[0], "", group_id="room"))
         assert acks == [(member, ACK_QUEUED) for member in ids[1:]]
-        assert (len(snapshots), len(clock_reads)) == (1, 1)
+        assert (reads, len(clock_reads)) == ([tuple(ids)], 1)
 
     def test_expired_member_gets_routing_error(self, mno, relay, monkeypatch):
         t0 = int(time.time())
@@ -470,6 +472,22 @@ class TestGroupFanOut:
             relay.create_group("room", ids[0], ids)
         assert refused.value.category == "protocol-error"
         assert json.loads(relay.dump_state())["groups"]["room"]["members"] == ids[:3]
+
+    def test_an_id_over_the_cap_is_refused(self, relay):
+        """A group id and each member id are capped as the MNO caps a user
+        id, in UTF-8 bytes: 127 two-byte characters and one more byte fit,
+        one byte more does not, and a refused list stores nothing."""
+        longest = "\u00e9" * (mno_mod.MAX_USER_ID_BYTES // 2) + "a"
+        over = longest + "a"
+        relay.create_group(longest, "admin", ["admin", longest])
+        surrogates = "\ud800" * (mno_mod.MAX_USER_ID_BYTES // 3 + 1)  # 3 bytes each
+        for group_id, members in ((over, ["admin"]), ("room", ["admin", over]),
+                                  ("room", [surrogates, "admin"])):
+            with pytest.raises(WireProtocolError) as refused:
+                relay.create_group(group_id, "admin", members)
+            assert refused.value.category == "protocol-error"
+        assert json.loads(relay.dump_state())["groups"] == {
+            longest: {"admin": "admin", "members": ["admin", longest]}}
 
     def test_one_to_one_envelope_refused(self, mno, relay):
         members, ids = self.make_group(mno, relay, 3)

@@ -16,6 +16,7 @@ import pytest
 
 import oracles
 from chainchat import client as client_mod
+from chainchat import crypto
 from chainchat import identity_sig, wire
 from chainchat import mno as mno_mod
 from chainchat import relay as relay_mod
@@ -462,12 +463,12 @@ class TestServer:
 
 
     def test_an_envelope_no_fetch_reply_can_carry_is_refused(self, rc):
-        """A fetch reply carries its first envelope whatever its size, in a
-        frame 35 bytes longer. A group_send with a one-letter group id fits
-        an envelope 12 bytes longer than that in its frame; queued, it would
-        fail every fetch of every member's mailbox for good. Such an
-        envelope is refused whole, at submit too, and the longest one that
-        fits is delivered."""
+        """No client seals more than ``crypto.MAX_PLAINTEXT`` bytes, so no
+        envelope it sends is longer than its header with three ids at the
+        cap, the ciphertext of that plaintext (PKCS#7 adds a whole block)
+        and the MAC, each field with its 4-byte prefix. A fetch reply
+        carries any such envelope. A longer one is refused whole, at submit
+        too, and the longest one is delivered."""
         def envelope(size):
             """A group envelope of exactly ``size`` canonical bytes from a
             new member, whose id takes what the ciphertext's 16-byte steps
@@ -486,7 +487,8 @@ class TestServer:
             return result
 
         Client.install("bob", rc, rc)
-        largest = wire._MAX_FRAME - 35
+        header = 3 * (4 + mno_mod.MAX_USER_ID_BYTES) + 2 * (4 + 8) + (4 + 32)
+        largest = header + (4 + crypto.MAX_PLAINTEXT + 16) + (4 + 32)
         too_long, fits = envelope(largest + 1), envelope(largest)
         rc.create_group("g", "bob", ["bob", too_long.sender_id, fits.sender_id])
         for send in (lambda: rc.broadcast_group("g", too_long),
@@ -500,6 +502,53 @@ class TestServer:
         [(seq, delivered)] = rc.fetch_envelopes("bob", 0)
         assert delivered == fits
         assert rc.fetch_envelopes("bob", seq) == []
+
+
+class TestConnectionBounds:
+    """The cap and the timeout are patched small; no test here opens more
+    than three connections."""
+
+    @staticmethod
+    def _wait_for_registry(server, size):
+        deadline = time.monotonic() + 10
+        while len(server._connections) > size and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(server._connections) <= size
+
+    def test_a_connection_over_the_cap_is_refused_then_closed(self, server, monkeypatch):
+        monkeypatch.setattr(wire, "MAX_CONNECTIONS", 2)
+        held = [RelayClient(server.host, server.port) for _ in range(2)]
+        try:
+            assert all(client.health() for client in held)  # both are registered
+            with socket.create_connection((server.host, server.port), timeout=10) as sock, \
+                    sock.makefile("rb") as stream:
+                reply_type, body = decode_message(_read_frame(stream))
+                assert (reply_type, body.read_str()) == ("error", "server-busy")
+                assert stream.read() == b""
+            assert all(client.health() for client in held)
+        finally:
+            for client in held:
+                client.close()
+        self._wait_for_registry(server, 1)
+        with RelayClient(server.host, server.port) as fresh:
+            assert fresh.health()
+
+    @pytest.mark.parametrize("sent, replies", [
+        (b"", 0),
+        (encode_message("fetch_cert", encode_str("nobody")), 1),
+        (struct.pack(">I", 100) + b"x" * 10, 0),
+    ], ids=["nothing", "one-request", "part-of-a-frame"])
+    def test_an_idle_connection_is_closed(self, server, monkeypatch, sent, replies):
+        monkeypatch.setattr(wire, "IDLE_TIMEOUT", 0.2)
+        with socket.create_connection((server.host, server.port), timeout=10) as sock, \
+                sock.makefile("rb") as stream:
+            sock.sendall(sent)
+            for _ in range(replies):
+                assert decode_message(_read_frame(stream))[0] == "ack"
+            assert stream.read() == b""  # closed by the server, not by the 10 s timeout
+        self._wait_for_registry(server, 0)
+        with RelayClient(server.host, server.port) as fresh:
+            assert fresh.health()
 
 
 class TestClose:
@@ -524,7 +573,7 @@ class TestClose:
         state = load_chain(path)
         assert verify_chain(state).ok and state.height == height + 1
         with run_stack(cfg) as third:
-            assert third.mno.chain_node.snapshot().height == height + 1
+            assert third.mno.chain_node.height == height + 1
 
     def test_close_ends_idle_connections_and_a_second_close_does_nothing(self, server):
         clients = [RelayClient(server.host, server.port) for _ in range(3)]
