@@ -14,9 +14,11 @@ received, however many mailboxes hold it. Every field it routes on and
 serves is bound into the sender's MAC, so any tampering in transit surfaces
 as an authentication failure at the recipient.
 
-A mailbox holds at most ``MAILBOX_CAP`` unacknowledged envelopes; past that
-a submit is refused and a fan-out skips the member, both ``mailbox-full``.
-A group holds at most ``GROUP_CAP`` members; a longer list is refused.
+Envelopes are admitted by one rule, in process and on the wire: their
+shape, then at most ``MAX_ENVELOPE`` bytes. A mailbox holds at most
+``MAILBOX_CAP`` unacknowledged envelopes and ``MAILBOX_BYTES`` of them; past
+either a submit is refused and a fan-out skips the member, both
+``mailbox-full``. A group holds at most ``GROUP_CAP`` members.
 
 A one-to-one submit is refused unless the recipient's latest record is the
 valid certificate the sender's session pinned, so a revocation or re-issue
@@ -26,7 +28,10 @@ a fan-out builds no status object per member.
 
 Delivery is pull-based with a sequence cursor: ``fetch_envelopes(user, n)``
 returns everything after ``n`` and acknowledges (drops) everything up to and
-including ``n``. Repeating the same fetch returns the same envelopes.
+including ``n``. Repeating the same fetch returns the same envelopes. One
+counter numbers every mailbox's envelopes, from ``time.time_ns()``, so
+numbers rise across restarts too. One lock, never held across a chain read,
+guards the registry, the groups, the mailboxes and the counter.
 """
 
 from __future__ import annotations
@@ -34,19 +39,21 @@ from __future__ import annotations
 import base64
 import json
 import threading
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import chain
 from .chain import VALID, CertificateRecord, CertStatus, ChainNode, fetch_latest, status_of
-from .crypto import SealedPayload
+from .crypto import MAX_PLAINTEXT, SealedPayload
 from .encoding import LENGTH_PREFIX, U64_FIELD, U64_MAX, encode_bytes, split_fields
 from .errors import (
     ChainFormatError,
     FingerprintMismatchError,
     GroupPermissionError,
     MailboxFullError,
+    MessageTooLargeError,
     RegistrationRefusedError,
     RoutingError,
     SessionRefusedError,
@@ -56,6 +63,7 @@ from .mno import MAX_USER_ID_BYTES, id_too_long
 
 ACK_QUEUED = "queued"
 MAILBOX_CAP = 10_000  # unacknowledged envelopes per mailbox
+MAILBOX_BYTES = 64 << 20  # bytes of unacknowledged envelopes per mailbox
 GROUP_CAP = 1_024  # members per group; each fan-out looks every member up
 
 
@@ -82,6 +90,13 @@ def header_bytes(sender_id: str, recipient_id: str, counter: int,
         LENGTH_PREFIX.pack(len(group)), group,
         U64_FIELD.pack(8, sent_at),
     ))
+
+
+# the longest envelope a client can seal (PROTOCOL.md §Envelope): its header
+# with the three ids at the cap, then two bytes fields, the ciphertext of the
+# longest sealable plaintext (PKCS#7 pads it by a whole block) and the MAC
+MAX_ENVELOPE = (len(header_bytes("", "", 0, bytes(32), None, 0)) + 3 * MAX_USER_ID_BYTES
+                + 2 * LENGTH_PREFIX.size + MAX_PLAINTEXT + 16 + 32)
 
 
 @dataclass
@@ -181,17 +196,7 @@ class Envelope:
 @dataclass
 class Mailbox:
     queue: List[Tuple[int, Envelope]] = field(default_factory=list)
-    next_seq: int = 1
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def put(self, envelope: Envelope) -> str:
-        with self.lock:
-            if len(self.queue) >= MAILBOX_CAP:
-                raise MailboxFullError(
-                    f"mailbox holds {MAILBOX_CAP} unacknowledged envelopes")
-            self.queue.append((self.next_seq, envelope))
-            self.next_seq += 1
-        return ACK_QUEUED
+    size: int = 0  # bytes of the queued envelopes
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +208,8 @@ class Relay:
         self._chain_node = chain_node
         self._mailboxes: Dict[str, Mailbox] = {}  # one per registered user
         self._groups: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
-        self._state_lock = threading.Lock()
+        self._next_seq = time.time_ns()  # rises across restarts (PROTOCOL.md §fetch)
+        self._lock = threading.Lock()  # guards all four
 
     # -- certificate status ---------------------------------------------------
 
@@ -222,6 +228,16 @@ class Relay:
         if status != VALID:
             raise RoutingError(f"sender {sender!r} certificate is {status}")
 
+    def _put(self, mailbox: Mailbox, envelope: Envelope, size: int) -> str:
+        """Queue ``envelope`` of ``size`` bytes under the next number; hold ``_lock``."""
+        if len(mailbox.queue) >= MAILBOX_CAP or mailbox.size + size > MAILBOX_BYTES:
+            raise MailboxFullError(
+                f"mailbox full: its caps are {MAILBOX_CAP} envelopes and {MAILBOX_BYTES} bytes")
+        mailbox.queue.append((self._next_seq, envelope))
+        mailbox.size += size
+        self._next_seq += 1
+        return ACK_QUEUED
+
     # -- registration ---------------------------------------------------------
 
     def register_user(self, user_id: str, cert_fingerprint: bytes) -> str:
@@ -234,7 +250,7 @@ class Relay:
             raise RegistrationRefusedError(
                 f"fingerprint does not match the latest certificate for {user_id!r}"
             )
-        with self._state_lock:
+        with self._lock:
             self._mailboxes.setdefault(user_id, Mailbox())
         return "registered"
 
@@ -244,10 +260,13 @@ class Relay:
         """Queue a one-to-one envelope; both records are read in one step, at one ``now``."""
         if not envelope.shape_ok():
             raise WireProtocolError("malformed envelope")
+        size = len(envelope.canonical_bytes())  # after the shape: a counter past u64 has none
+        if size > MAX_ENVELOPE:
+            raise MessageTooLargeError(f"envelope of {size} bytes exceeds {MAX_ENVELOPE}")
         sender, recipient = envelope.sender_id, envelope.recipient_id
         if not recipient:
             raise WireProtocolError("one-to-one envelope without recipient")
-        with self._state_lock:
+        with self._lock:
             sender_known = sender in self._mailboxes
             mailbox = self._mailboxes.get(recipient)
         # PROTOCOL.md order: sender registered, recipient registered, sender valid
@@ -262,17 +281,23 @@ class Relay:
         if record.fingerprint != envelope.recipient_cert_fingerprint:
             raise FingerprintMismatchError(
                 f"recipient {recipient!r} re-issued its certificate; restart the session")
-        return mailbox.put(envelope)
+        with self._lock:
+            return self._put(mailbox, envelope, size)
 
     def fetch_envelopes(self, recipient_id: str, after_seq: int) -> List[Tuple[int, Envelope]]:
-        with self._state_lock:
+        with self._lock:
             mailbox = self._mailboxes.get(recipient_id)
-        if mailbox is None:
-            raise RoutingError(f"recipient {recipient_id!r} is not registered")
-        with mailbox.lock:
+            if mailbox is None:
+                raise RoutingError(f"recipient {recipient_id!r} is not registered")
             # fetching past a sequence number acknowledges everything up to it
-            mailbox.queue = [(seq, env) for seq, env in mailbox.queue if seq > after_seq]
-            return list(mailbox.queue)
+            queue, acked = mailbox.queue, 0
+            for seq, envelope in queue:
+                if seq > after_seq:
+                    break
+                mailbox.size -= len(envelope.canonical_bytes())
+                acked += 1
+            del queue[:acked]
+            return list(queue)
 
     # -- groups -----------------------------------------------------------------
 
@@ -288,7 +313,7 @@ class Relay:
             raise WireProtocolError(f"member list of {group_id!r} repeats an id")
         if admin_id not in member_ids:
             raise GroupPermissionError(f"admin {admin_id!r} is not in the member list")
-        with self._state_lock:
+        with self._lock:
             self._groups[group_id] = (admin_id, tuple(member_ids))
 
     def broadcast_group(self, group_id: str, envelope: Envelope) -> List[Tuple[str, str]]:
@@ -302,7 +327,7 @@ class Relay:
         or another group's), or one that names a recipient, is refused whole.
         """
         sender = envelope.sender_id
-        with self._state_lock:
+        with self._lock:
             if group_id not in self._groups:
                 raise RoutingError(f"unknown group {group_id!r}")
             _, members = self._groups[group_id]
@@ -311,6 +336,9 @@ class Relay:
             mailboxes = [self._mailboxes.get(member) for member in targets]
         if not envelope.shape_ok():
             raise WireProtocolError("malformed envelope")
+        size = len(envelope.canonical_bytes())
+        if size > MAX_ENVELOPE:
+            raise MessageTooLargeError(f"envelope of {size} bytes exceeds {MAX_ENVELOPE}")
         if envelope.group_id != group_id:  # members open it by its own group_id
             raise WireProtocolError(
                 f"envelope tagged for group {envelope.group_id!r}, sent to {group_id!r}")
@@ -322,14 +350,15 @@ class Relay:
         now = chain._now()
         self._require_sender(sender, sender_known, sender_record, now)
         acks: List[Tuple[str, str]] = []
-        for member, mailbox, record in zip(targets, mailboxes, records):
-            if mailbox is None or status_of(record, now) != VALID:
-                acks.append((member, f"error:{RoutingError.category}"))
-                continue
-            try:
-                acks.append((member, mailbox.put(envelope)))
-            except MailboxFullError as e:
-                acks.append((member, f"error:{e.category}"))
+        with self._lock:
+            for member, mailbox, record in zip(targets, mailboxes, records):
+                if mailbox is None or status_of(record, now) != VALID:
+                    acks.append((member, f"error:{RoutingError.category}"))
+                    continue
+                try:
+                    acks.append((member, self._put(mailbox, envelope, size)))
+                except MailboxFullError as e:
+                    acks.append((member, f"error:{e.category}"))
         return acks
 
     # -- inspection ---------------------------------------------------------------
@@ -337,22 +366,14 @@ class Relay:
     def dump_state(self) -> bytes:
         """Everything the relay knows, serialized. Used to prove it knows
         nothing worth stealing."""
-        with self._state_lock:
-            registry = sorted(self._mailboxes)
-            groups = {g: {"admin": a, "members": list(m)}
-                      for g, (a, m) in self._groups.items()}
-            mailboxes = {}
-            for user, mailbox in self._mailboxes.items():
-                with mailbox.lock:
-                    mailboxes[user] = {
-                        "next_seq": mailbox.next_seq,
-                        "queue": [
-                            {"seq": seq,
-                             "envelope": base64.b64encode(env.canonical_bytes()).decode("ascii")}
-                            for seq, env in mailbox.queue
-                        ],
-                    }
-        return json.dumps(
-            {"registry": registry, "groups": groups, "mailboxes": mailboxes},
-            sort_keys=True,
-        ).encode("utf-8")
+        with self._lock:
+            state = {
+                "registry": sorted(self._mailboxes),
+                "groups": {g: {"admin": a, "members": list(m)}
+                           for g, (a, m) in self._groups.items()},
+                "mailboxes": {user: [(seq, base64.b64encode(env.canonical_bytes()).decode("ascii"))
+                                     for seq, env in mailbox.queue]
+                              for user, mailbox in self._mailboxes.items()},
+                "next_seq": self._next_seq,
+            }
+        return json.dumps(state, sort_keys=True).encode("utf-8")

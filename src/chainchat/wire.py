@@ -14,7 +14,8 @@ endpoints directly, the chain via ``fetch_cert``, and the MNO via the
 starts a thread per connection, kept in a registry until it ends; ``close``
 ends them all before it lets go of the state-directory lock. At most
 ``MAX_CONNECTIONS`` are served at once, and one that sends nothing for
-``IDLE_TIMEOUT`` seconds is closed.
+``IDLE_TIMEOUT`` seconds is closed, by the kernel's receive timeout. The
+relay alone decides which envelopes it admits; the server parses them.
 """
 
 from __future__ import annotations
@@ -27,18 +28,16 @@ import threading
 from typing import BinaryIO, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from .chain import EXPIRED, NOT_FOUND, REVOKED, VALID, CertificateRecord, CertStatus
-from .crypto import MAX_PLAINTEXT
 from .encoding import LENGTH_PREFIX, Reader, encode_bytes, encode_str, encode_u64
 from .errors import (
     ChainChatError,
     ChainFormatError,
-    MessageTooLargeError,
     StackStartupError,
     WireProtocolError,
     WireRemoteError,
 )
-from .mno import MAX_USER_ID_BYTES, EnrollmentRequest, MnoCertificateAuthority
-from .relay import Envelope, Relay, header_bytes
+from .mno import EnrollmentRequest, MnoCertificateAuthority
+from .relay import Envelope, Relay
 
 REQUEST_TYPES = ("enroll", "register", "fetch_cert", "submit", "fetch",
                  "group_create", "group_send")
@@ -47,11 +46,6 @@ _MESSAGE_TYPES = frozenset(REQUEST_TYPES + REPLY_TYPES)
 CERT_STATES = (VALID, REVOKED, EXPIRED, NOT_FOUND)
 
 _MAX_FRAME = 1 << 24  # bytes of body, after the length prefix
-# the longest envelope a client can seal (PROTOCOL.md §Envelope): its header
-# with the three ids at the cap, then two bytes fields, the ciphertext of the
-# longest sealable plaintext (PKCS#7 pads it by a whole block) and the MAC
-_MAX_ENVELOPE = (len(header_bytes("", "", 0, bytes(32), None, 0)) + 3 * MAX_USER_ID_BYTES
-                 + 2 * LENGTH_PREFIX.size + MAX_PLAINTEXT + 16 + 32)
 # an ack holding a list: the frame's length, string "ack" and u64 n
 _LIST_ACK_HEAD = struct.Struct(">II3sIQ")
 # a fetch entry's u64 seq and its envelope's length prefix
@@ -90,15 +84,16 @@ def decode_message(frame: bytes) -> Tuple[str, Reader]:
 
 def _read_frame(stream: BinaryIO) -> bytes:
     """The next frame on ``stream``, length prefix included, or ``b""`` when
-    the stream ends before a whole frame. A length over the cap raises: the
-    bytes after it cannot be told apart from the next frame."""
-    head = stream.read(4)
+    the stream ends before a whole frame, or a kernel receive timeout expires
+    first (the read gives ``None``, or what had arrived). A length over the
+    cap raises: the bytes after it cannot be told apart from the next frame."""
+    head = stream.read(4) or b""
     if len(head) < 4:
         return b""
     size = LENGTH_PREFIX.unpack(head)[0]
     if size > _MAX_FRAME:
         raise WireProtocolError(f"frame of {size} bytes exceeds {_MAX_FRAME} bytes")
-    body = stream.read(size)
+    body = stream.read(size) or b""
     return head + body if len(body) == size else b""
 
 
@@ -151,7 +146,7 @@ def _fetch_reply(entries: List[Tuple[int, Envelope]]) -> bytes:
     bytes each envelope holds, those the server received: none is encoded.
 
     The reply carries the longest prefix of ``entries`` whose fields fit in
-    half a frame, and always the first entry, which ``_MAX_ENVELOPE`` keeps
+    half a frame, and always the first entry, which ``relay.MAX_ENVELOPE`` keeps
     within a frame; the rest stays queued for the next fetch."""
     parts, budget = [b""], _MAX_FRAME // 2
     for seq, env in entries:
@@ -174,13 +169,6 @@ def _group_send_reply(acks: List[Tuple[str, str]]) -> bytes:
             field = results[result] = encode_str(result)
         parts += (encode_str(member), field)
     return _list_ack(len(acks), parts)
-
-
-def _envelope(data: bytes, recipient_cert_fingerprint: bytes = b"") -> Envelope:
-    """The envelope of a request; one longer than any client can seal is refused."""
-    if len(data) > _MAX_ENVELOPE:
-        raise MessageTooLargeError(f"envelope of {len(data)} bytes exceeds {_MAX_ENVELOPE}")
-    return Envelope.from_bytes(data, recipient_cert_fingerprint)
 
 
 def _read_status(body: Reader) -> CertStatus:
@@ -248,7 +236,11 @@ class WireServer:
                 conn, _ = self._listener.accept()
             except OSError:  # shut down by close(), or a connection lost before it was accepted
                 continue
-            conn.settimeout(IDLE_TIMEOUT)  # _serve ends on the timeout, an OSError
+            # in the kernel, not settimeout, which polls before each recv and send;
+            # _serve ends on it: a read gives no frame, a send raises an OSError
+            idle = struct.pack("ll", int(IDLE_TIMEOUT), int(IDLE_TIMEOUT % 1 * 1_000_000))
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, idle)
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, idle)
             with self._lock:
                 busy = len(self._connections) >= MAX_CONNECTIONS
                 if not busy:
@@ -296,7 +288,7 @@ class WireServer:
             record = status.record.canonical_bytes() if status.record else b""
             return _ack(encode_str(status.state) + encode_bytes(record))
         if msg_type == "submit":  # arguments are read left to right: the envelope first
-            envelope = _read(body, lambda r: _envelope(r.read_bytes(), r.read_bytes()))
+            envelope = _read(body, lambda r: Envelope.from_bytes(r.read_bytes(), r.read_bytes()))
             return _ack(encode_str(self.relay.submit_envelope(envelope)))
         if msg_type == "fetch":
             recipient_id, after_seq = _read(body, lambda r: (r.read_str(), r.read_u64()))
@@ -308,7 +300,7 @@ class WireServer:
             return _ack(encode_str("created"))
         if msg_type == "group_send":
             group_id, envelope = _read(body, lambda r: (
-                r.read_str(), _envelope(r.read_bytes())))
+                r.read_str(), Envelope.from_bytes(r.read_bytes())))
             return _group_send_reply(self.relay.broadcast_group(group_id, envelope))
         raise WireProtocolError(f"unhandled request type {msg_type!r}")
 

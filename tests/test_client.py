@@ -445,8 +445,10 @@ class TestPullMessages:
         alice, bob = connected_pair
         sealed = alice.send_text("bob", "sealed by alice")
         for recipient in ("bob", "carol"):
-            relay._mailboxes["bob"].put(replace(sealed, sender_id="bob", recipient_id=recipient,
-                                                sender_cert_fingerprint=bob.cert_fingerprint))
+            forged = replace(sealed, sender_id="bob", recipient_id=recipient,
+                             sender_cert_fingerprint=bob.cert_fingerprint)
+            with relay._lock:
+                relay._put(relay._mailboxes["bob"], forged, len(forged.canonical_bytes()))
         relay.submit_envelope(alice.send_text("bob", "after"))
         deliveries = bob.pull_messages()
         assert [(d.text, d.error) for d in deliveries] == [(None, "protocol-error")] * 2 + [

@@ -1,6 +1,9 @@
+import functools
 import json
 import random
 import struct
+import sys
+import threading
 import time
 from dataclasses import replace
 from types import SimpleNamespace
@@ -16,10 +19,12 @@ from chainchat.client import Client
 from chainchat.crypto import SealedPayload
 from chainchat.encoding import encode_bytes
 from chainchat.errors import (
+    ChainChatError,
     ChainFormatError,
     FingerprintMismatchError,
     GroupPermissionError,
     MailboxFullError,
+    MessageTooLargeError,
     RegistrationRefusedError,
     RoutingError,
     SessionRefusedError,
@@ -237,6 +242,41 @@ class TestStoreAndForward:
         assert relay.fetch_envelopes("bob", 0) == []
         assert relay.submit_envelope(replace(envelope, **{field: 2**64 - 1})) == ACK_QUEUED
 
+    @pytest.mark.parametrize("group_id", [None, "g"], ids=["submit", "group_send"])
+    def test_an_envelope_over_the_bound_is_refused_in_process(self, mno, relay, bob,
+                                                               group_id):
+        """``MAX_ENVELOPE`` is the relay's own rule, not only the wire's: one
+        byte more is refused with message-too-large and nothing is queued,
+        and the longest envelope is queued."""
+        recipient = "" if group_id else "bob"
+
+        def envelope(size):
+            """An envelope of exactly ``size`` bytes from a new sender, whose
+            id takes what the ciphertext's 16-byte steps leave over."""
+            empty = plain_envelope("", recipient, group_id=group_id, blob=b"")
+            bare = len(empty.canonical_bytes())
+            ciphertext = (size - bare - 1) // 16 * 16
+            sender = Client.install("s" * (size - bare - ciphertext), mno, relay)
+            result = replace(plain_envelope(sender.user_id, recipient, group_id=group_id,
+                                            blob=b"\x10" * ciphertext),
+                             recipient_cert_fingerprint=bob.cert_fingerprint)
+            assert len(result.canonical_bytes()) == size
+            return result
+
+        too_long, fits = envelope(relay_mod.MAX_ENVELOPE + 1), envelope(relay_mod.MAX_ENVELOPE)
+        if group_id:
+            relay.create_group(group_id, "bob", ["bob", too_long.sender_id, fits.sender_id])
+            send = functools.partial(relay.broadcast_group, group_id)
+        else:
+            send = relay.submit_envelope
+        with pytest.raises(MessageTooLargeError) as refused:
+            send(too_long)
+        assert refused.value.category == "message-too-large"
+        assert relay.fetch_envelopes("bob", 0) == []
+        send(fits)
+        [(_, queued)] = relay.fetch_envelopes("bob", 0)
+        assert queued == fits
+
     def test_revoked_recipient_routing_error(self, relay, mno, connected_pair):
         # the recipient's status is the sender's concern: peer-*, not routing-error
         alice, bob = connected_pair
@@ -307,8 +347,9 @@ class TestFetchSemantics:
         alice, bob = connected_pair
         for text in ("one", "two", "three"):
             relay.submit_envelope(alice.send_text("bob", text))
-        entries = relay.fetch_envelopes("bob", 1)
-        assert [seq for seq, _ in entries] == [2, 3]
+        first = relay.fetch_envelopes("bob", 0)[0][0]
+        entries = relay.fetch_envelopes("bob", first)
+        assert [seq for seq, _ in entries] == [first + 1, first + 2]
 
     def test_fetch_is_idempotent(self, relay, connected_pair):
         alice, bob = connected_pair
@@ -322,9 +363,10 @@ class TestFetchSemantics:
         alice, bob = connected_pair
         for text in ("one", "two", "three"):
             relay.submit_envelope(alice.send_text("bob", text))
-        relay.fetch_envelopes("bob", 2)
-        # seq 1 and 2 acknowledged and gone; 3 still retained
-        assert [seq for seq, _ in relay.fetch_envelopes("bob", 0)] == [3]
+        first = relay.fetch_envelopes("bob", 0)[0][0]
+        relay.fetch_envelopes("bob", first + 1)
+        # the first two acknowledged and gone; the third still retained
+        assert [seq for seq, _ in relay.fetch_envelopes("bob", 0)] == [first + 2]
 
     def test_unknown_recipient(self, relay):
         with pytest.raises(RoutingError):
@@ -525,11 +567,12 @@ class TestMailboxCap:
         with pytest.raises(MailboxFullError) as refused:
             relay.submit_envelope(alice.send_text("bob", "three"))
         assert refused.value.category == "mailbox-full"
-        assert [seq for seq, _ in relay.fetch_envelopes("bob", 0)] == [1, 2]
+        first = relay.fetch_envelopes("bob", 0)[0][0]
+        assert [seq for seq, _ in relay.fetch_envelopes("bob", 0)] == [first, first + 1]
         # acknowledging makes room again, and sequence numbers carry on
-        assert relay.fetch_envelopes("bob", 2) == []
+        assert relay.fetch_envelopes("bob", first + 1) == []
         assert relay.submit_envelope(alice.send_text("bob", "four")) == ACK_QUEUED
-        assert [seq for seq, _ in relay.fetch_envelopes("bob", 2)] == [3]
+        assert [seq for seq, _ in relay.fetch_envelopes("bob", first + 1)] == [first + 2]
 
     def test_fan_out_skips_a_full_mailbox(self, mno, relay):
         ids = [Client.install(f"g{i}", mno, relay).user_id for i in range(3)]
@@ -537,10 +580,67 @@ class TestMailboxCap:
         envelope = plain_envelope(ids[0], "", group_id="room")
         for _ in range(2):
             relay.broadcast_group("room", envelope)
-        relay.fetch_envelopes(ids[1], 2)  # g1 acknowledges; g2 does not
+        last = relay.fetch_envelopes(ids[1], 0)[-1][0]
+        relay.fetch_envelopes(ids[1], last)  # g1 acknowledges; g2 does not
         acks = relay.broadcast_group("room", envelope)
         assert acks == [(ids[1], ACK_QUEUED), (ids[2], "error:mailbox-full")]
         assert len(relay.fetch_envelopes(ids[2], 0)) == 2
+
+
+class TestMailboxBytes:
+    def test_a_mailbox_over_its_byte_budget_is_full(self, mno, relay, monkeypatch):
+        """A fan-out charges each mailbox the envelope's length, a submit
+        past the budget is refused, and acknowledging releases the bytes."""
+        members = [Client.install(f"g{i}", mno, relay) for i in range(3)]
+        ids = [member.user_id for member in members]
+        relay.create_group("room", ids[0], ids)
+        envelope = plain_envelope(ids[0], "", group_id="room")
+        monkeypatch.setattr(relay_mod, "MAILBOX_BYTES", 2 * len(envelope.canonical_bytes()))
+        for _ in range(2):
+            assert relay.broadcast_group("room", envelope) == [(member, ACK_QUEUED)
+                                                               for member in ids[1:]]
+        last = relay.fetch_envelopes(ids[1], 0)[-1][0]
+        relay.fetch_envelopes(ids[1], last)  # g1 acknowledges; g2 does not
+        acks = relay.broadcast_group("room", envelope)
+        assert acks == [(ids[1], ACK_QUEUED), (ids[2], "error:mailbox-full")]
+        with pytest.raises(MailboxFullError) as refused:
+            relay.submit_envelope(replace(plain_envelope(ids[0], ids[2]),
+                                          recipient_cert_fingerprint=members[2].cert_fingerprint))
+        assert refused.value.category == "mailbox-full"
+        assert len(relay.fetch_envelopes(ids[2], 0)) == 2
+
+
+_LONG_ID = "x" * (1 << 20)
+
+
+class TestIdsOverTheCap:
+    @pytest.mark.parametrize("send, category", [
+        (lambda relay, bob: relay.register_user(_LONG_ID, bytes(32)), "registration-refused"),
+        (lambda relay, bob: relay.submit_envelope(replace(
+            plain_envelope(_LONG_ID, "bob"), recipient_cert_fingerprint=bob.cert_fingerprint)),
+         "routing-error"),
+        (lambda relay, bob: relay.submit_envelope(plain_envelope("alice", _LONG_ID)),
+         "routing-error"),
+        (lambda relay, bob: relay.fetch_envelopes(_LONG_ID, 0), "routing-error"),
+        (lambda relay, bob: relay.broadcast_group(
+            _LONG_ID, plain_envelope("alice", "", group_id=_LONG_ID)), "routing-error"),
+        (lambda relay, bob: relay.broadcast_group(
+            "room", plain_envelope(_LONG_ID, "", group_id="room")), "not-a-group-member"),
+    ], ids=["register", "submit-sender", "submit-recipient", "fetch", "group_send-group",
+            "group_send-sender"])
+    def test_an_id_of_1_mib_is_refused_and_kept_nowhere(self, relay, connected_pair,
+                                                          send, category):
+        """Every id a request names is looked up in a map whose keys were
+        capped before they were kept, by the MNO or by ``create_group``; so
+        an id of 1 MiB finds nothing, is refused, and the relay keeps none
+        of it."""
+        _, bob = connected_pair
+        relay.create_group("room", "alice", ["alice", "bob"])
+        before = relay.dump_state()
+        with pytest.raises(ChainChatError) as refused:
+            send(relay, bob)
+        assert refused.value.category == category
+        assert relay.dump_state() == before
 
 
 class TestConcurrentMailboxes:
@@ -570,6 +670,45 @@ class TestConcurrentMailboxes:
         for sink in sinks:
             entries = relay.fetch_envelopes(sink.user_id, 0)
             assert [env.counter for _, env in entries] == list(range(50))
+
+
+    def test_no_fetch_sees_part_of_a_fan_out(self, mno, relay):
+        """Three threads fan out to 15 members while a fourth reads the
+        first member's mailbox, then the last's: the last never holds fewer
+        envelopes than the first just did, since each fan-out queues to all
+        under one lock, and every envelope gets a number of its own."""
+        ids = [Client.install(f"g{i}", mno, relay).user_id for i in range(16)]
+        relay.create_group("room", ids[0], ids)
+        envelope = plain_envelope(ids[0], "", group_id="room")
+        reads, done = [], threading.Event()
+
+        def fan_out():
+            for _ in range(100):
+                relay.broadcast_group("room", envelope)
+
+        def read():
+            while not done.is_set():
+                reads.append((len(relay.fetch_envelopes(ids[1], 0)),
+                              len(relay.fetch_envelopes(ids[-1], 0))))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reader = threading.Thread(target=read)
+            senders = [threading.Thread(target=fan_out) for _ in range(3)]
+            for thread in [reader] + senders:
+                thread.start()
+            for thread in senders:
+                thread.join(timeout=30)
+            done.set()
+            reader.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in [reader] + senders)
+        assert reads and all(first <= second for first, second in reads)
+        seqs = [[seq for seq, _ in relay.fetch_envelopes(member, 0)] for member in ids[1:]]
+        assert all(len(numbers) == 300 and numbers == sorted(numbers) for numbers in seqs)
+        assert len({seq for numbers in seqs for seq in numbers}) == 15 * 300
 
 
 class TestZeroKnowledgeRelay:
