@@ -13,11 +13,16 @@ revocation is visible to every reader the moment its block lands.
 
 ``ChainState`` is the chain as a pure value, every block, which files,
 tests and the benchmark's inputs build and read. ``ChainNode`` is the running
-chain: it holds the head block, the head's hash and one map from user id to
-that user's newest record, and nothing older, and each append adds one frame
-to the chain file before readers see it. A request reads the users it needs
-in one step between two commits (``ChainNode.newest_of``). Status is decided
-at lookup time from the record's kind and expiry.
+chain: it holds its table of writer checks, the head block, the head's hash
+and one map from user id to that user's newest record, and nothing older,
+and each append adds one frame to the chain file, which the node keeps
+open, before readers see it. A request reads the users it needs in one step
+between two commits (``ChainNode.newest_of``). Status is decided at lookup
+time from the record's kind and expiry.
+
+An append encodes each record once (``_record_payload``) for its issuer
+check, the records hash and the frame (``Block.canonical_bytes``); records
+keep no encoded bytes, so a node holds only their fields.
 """
 
 from __future__ import annotations
@@ -27,10 +32,10 @@ import struct
 import sys
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -61,8 +66,6 @@ ZERO_HASH = b"\x00" * 32
 ZERO_KEY = b"\x00" * 32
 ZERO_SIGNATURE = b"\x00" * 64
 
-SignatureCheck = Callable[[bytes, bytes], bool]  # (payload, signature) -> valid
-
 
 def _now() -> int:
     return int(time.time())
@@ -83,14 +86,8 @@ class CertificateRecord:
     issuer_signature: bytes  # Ed25519 over signed_payload()
 
     def signed_payload(self) -> bytes:
-        return (
-            encode_str(self.user_id)
-            + encode_bytes(self.subject_public_key)
-            + encode_str(self.issuer_id)
-            + encode_u64(self.issued_at)
-            + encode_u64(self.expires_at)
-            + encode_str(self.kind)
-        )
+        return _record_payload(self.user_id, self.subject_public_key, self.issuer_id,
+                               self.issued_at, self.expires_at, self.kind)
 
     def canonical_bytes(self) -> bytes:
         return self.signed_payload() + encode_bytes(self.issuer_signature)
@@ -125,6 +122,20 @@ class CertificateRecord:
         )
         r.require_exhausted()
         return rec
+
+
+def _record_payload(user_id: str, subject_public_key: bytes, issuer_id: str,
+                    issued_at: int, expires_at: int, kind: str) -> bytes:
+    """The one record encoder: the bytes a record's issuer signature covers,
+    which its canonical bytes extend with the signature."""
+    return (
+        encode_str(user_id)
+        + encode_bytes(subject_public_key)
+        + encode_str(issuer_id)
+        + encode_u64(issued_at)
+        + encode_u64(expires_at)
+        + encode_str(kind)
+    )
 
 
 def verify_edwards(edwards_pub: bytes, message: bytes, signature: bytes) -> bool:
@@ -188,16 +199,9 @@ class WriterCredential:
 
     def make_record(self, user_id: str, subject_public_key: bytes,
                     issued_at: int, expires_at: int, kind: str) -> CertificateRecord:
-        unsigned = CertificateRecord(
-            user_id=user_id,
-            subject_public_key=subject_public_key,
-            issuer_id=self.writer_id,
-            issued_at=issued_at,
-            expires_at=expires_at,
-            kind=kind,
-            issuer_signature=ZERO_SIGNATURE,
-        )
-        return replace(unsigned, issuer_signature=self.sign(unsigned.signed_payload()))
+        """The record of these fields, signed: its payload encoded once."""
+        fields = (user_id, subject_public_key, self.writer_id, issued_at, expires_at, kind)
+        return CertificateRecord(*fields, self.sign(_record_payload(*fields)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,22 +219,27 @@ class Block:
     # Present only at genesis: the permissioned writer set, (id, verify key).
     writer_declarations: Tuple[Tuple[str, bytes], ...] = ()
 
-    def records_hash(self) -> bytes:
-        return sha256(b"".join(encode_bytes(rec.canonical_bytes()) for rec in self.records))
+    def records_hash(self, record_bytes: Optional[Sequence[bytes]] = None) -> bytes:
+        if record_bytes is None:
+            record_bytes = [rec.canonical_bytes() for rec in self.records]
+        return sha256(b"".join(map(encode_bytes, record_bytes)))
 
-    def signature_payload(self) -> bytes:
+    def signature_payload(self, record_bytes: Optional[Sequence[bytes]] = None) -> bytes:
         return (
             struct.pack(">Q", self.height)
             + self.prev_hash
-            + self.records_hash()
+            + self.records_hash(record_bytes)
             + struct.pack(">Q", self.timestamp)
         )
 
-    def canonical_bytes(self) -> bytes:
+    def canonical_bytes(self, record_bytes: Optional[Sequence[bytes]] = None) -> bytes:
+        """The one block encoder."""
+        if record_bytes is None:
+            record_bytes = [rec.canonical_bytes() for rec in self.records]
         out = encode_u64(self.height) + encode_bytes(self.prev_hash)
-        out += encode_u64(len(self.records))
-        for rec in self.records:
-            out += encode_bytes(rec.canonical_bytes())
+        out += encode_u64(len(record_bytes))
+        for data in record_bytes:
+            out += encode_bytes(data)
         out += encode_u64(self.timestamp)
         out += encode_str(self.writer_id)
         out += encode_bytes(self.writer_signature)
@@ -337,30 +346,32 @@ def append_block(state: ChainState, credential: WriterCredential,
     """Append one signed block; rejects unauthorized writers and bad records
     by the block rule that ``verify_chain`` and ``ChainNode.open`` apply."""
     head = state.blocks[-1]
-    signed = _next_block(state.blocks[0].writer_declarations, head, head.block_hash(),
-                         credential, records, timestamp)
+    signed, _ = _next_block(_writer_checks(state.blocks[0].writer_declarations, (credential,)),
+                            head, head.block_hash(), credential, records, timestamp)
     return ChainState(blocks=state.blocks + (signed,))
 
 
-def _next_block(declarations: Iterable[Tuple[str, bytes]], head: Block, head_hash: bytes,
+def _next_block(checks: Mapping[str, _WriterCheck], head: Block, head_hash: bytes,
                 credential: WriterCredential, records: Sequence[CertificateRecord],
-                timestamp: Optional[int]) -> Block:
-    """The block of ``records`` that ``credential`` signs to follow ``head``,
-    whose hash is ``head_hash``, in a chain whose genesis makes
-    ``declarations``; raises ``RecordValidationError`` if the block rule
-    refuses it."""
-    checks = _writer_checks(declarations, (credential,))
-    block = Block(
-        height=head.height + 1,
-        prev_hash=head_hash,
-        records=tuple(records),
-        timestamp=_now() if timestamp is None else timestamp,
-        writer_id=credential.writer_id,
-        writer_signature=ZERO_SIGNATURE,
-    )
-    if not (result := _check_block(block, block.height, block.prev_hash, checks, False)):
+                timestamp: Optional[int]) -> Tuple[Block, bytes]:
+    """The block of ``records`` that ``credential``, held in ``checks``,
+    signs to follow ``head``, whose hash is ``head_hash``, and the block's
+    canonical bytes; raises ``RecordValidationError`` if the block rule
+    refuses it. Each record is encoded once: its signed payload serves the
+    issuer check, and with the signature appended the records hash and the
+    block's bytes."""
+    records = tuple(records)
+    payloads = [rec.signed_payload() for rec in records]
+    fields = (head.height + 1, head_hash, records,
+              _now() if timestamp is None else timestamp, credential.writer_id)
+    unsigned = Block(*fields, ZERO_SIGNATURE)
+    if not (result := _check_block(unsigned, unsigned.height, head_hash, checks, False,
+                                   payloads)):
         raise RecordValidationError(result.reason)
-    return replace(block, writer_signature=credential.sign(block.signature_payload()))
+    record_bytes = [payload + encode_bytes(rec.issuer_signature)
+                    for rec, payload in zip(records, payloads)]
+    block = Block(*fields, credential.sign(unsigned.signature_payload(record_bytes)))
+    return block, block.canonical_bytes(record_bytes)
 
 
 def status_of(rec: Optional[CertificateRecord], now: int) -> str:
@@ -408,42 +419,58 @@ def _check_genesis(gen: Block) -> VerifyResult:
     return VerifyResult(ok=True)
 
 
+@dataclass(frozen=True)
+class _WriterCheck:
+    """``check(payload, signature)``: whether ``signature`` is an Ed25519
+    signature of ``payload`` under a declared writer's ``key``.
+
+    With the writer's credential ``held`` by this process, a signature equal
+    to a fresh one is valid, since Ed25519 signing is deterministic (RFC
+    8032, 5.1.6) and a sign costs about a third of a verify; for the payload
+    the credential signed last, as when an append checks the record
+    ``make_record`` just made, the fresh signature is the kept one
+    (``WriterCredential.sign``) and the check is a bytes comparison. Any
+    other signature (made with another nonce, or bad) is verified, so the
+    decision is the one ``verify_edwards`` makes."""
+
+    key: bytes
+    held: Optional[WriterCredential] = None
+
+    def __call__(self, payload: bytes, signature: bytes) -> bool:
+        held = self.held
+        return ((held is not None and signature == held.sign(payload))
+                or verify_edwards(self.key, payload, signature))
+
+
 def _writer_checks(declarations: Iterable[Tuple[str, bytes]],
-                   held: Iterable[WriterCredential]) -> Dict[str, SignatureCheck]:
-    """Declared writer id -> ``check(payload, signature)``, whether
-    ``signature`` is an Ed25519 signature of ``payload`` under that writer's
-    declared key. For a writer whose credential is ``held`` by this process,
-    a signature equal to a fresh one is valid, since Ed25519 signing is
-    deterministic (RFC 8032, 5.1.6) and a sign costs about a third of a
-    verify; for the payload the credential signed last, as when
-    ``append_block`` checks the record ``make_record`` just made, the fresh
-    signature is the kept one (``WriterCredential.sign``) and the check is a
-    bytes comparison. Any other signature (made with another nonce, or bad)
-    is verified, so the decision is the one ``verify_edwards`` makes. Raises
-    ``WriterNotAuthorizedError`` for a held credential whose key is not the
-    one declared for its id."""
-    declared = dict(declarations)
-    held_by_id = {}
+                   held: Iterable[WriterCredential]) -> Dict[str, _WriterCheck]:
+    """Declared writer id -> its ``_WriterCheck``, each of the ``held``
+    credentials held (``_hold``)."""
+    checks = {writer_id: _WriterCheck(key) for writer_id, key in declarations}
     for credential in held:
-        if declared.get(credential.writer_id) != credential.verification_key:
-            raise WriterNotAuthorizedError(f"writer {credential.writer_id!r} does not "
-                                           "match the chain's genesis declaration")
-        held_by_id[credential.writer_id] = credential
-
-    def check(key: bytes, credential: Optional[WriterCredential]) -> SignatureCheck:
-        if credential is None:
-            return lambda payload, signature: verify_edwards(key, payload, signature)
-        return lambda payload, signature: (
-            signature == credential.sign(payload) or verify_edwards(key, payload, signature))
-
-    return {writer_id: check(key, held_by_id.get(writer_id))
-            for writer_id, key in declared.items()}
+        _hold(checks, credential)
+    return checks
 
 
-def _check_block(blk: Block, height: int, prev_hash: bytes,
-                 checks: Mapping[str, SignatureCheck], writer_signature: bool) -> VerifyResult:
+def _hold(checks: Dict[str, _WriterCheck], credential: WriterCredential) -> None:
+    """Make the check of ``credential``'s writer in ``checks`` re-sign with
+    ``credential``, unless it does already, deriving the credential's key
+    once. Raises ``WriterNotAuthorizedError`` for a credential whose key is
+    not the one declared for its id."""
+    check = checks.get(credential.writer_id)
+    if check is not None and check.held is credential:
+        return
+    if check is None or check.key != credential.verification_key:
+        raise WriterNotAuthorizedError(f"writer {credential.writer_id!r} does not "
+                                       "match the chain's genesis declaration")
+    checks[credential.writer_id] = _WriterCheck(check.key, credential)
+
+
+def _check_block(blk: Block, height: int, prev_hash: bytes, checks: Mapping[str, _WriterCheck],
+                 writer_signature: bool, payloads: Sequence[bytes]) -> VerifyResult:
     """The block rule: whether ``blk`` may follow a block at ``height - 1``
-    whose hash is ``prev_hash``, its writer signature checked or not."""
+    whose hash is ``prev_hash``, its writer signature checked or not;
+    ``payloads`` are its records' signed payloads."""
     if blk.height != height:
         return VerifyResult(ok=False, height=blk.height, reason="height out of sequence")
     if blk.writer_declarations:
@@ -456,10 +483,9 @@ def _check_block(blk: Block, height: int, prev_hash: bytes,
         )
     if writer_signature and not check(blk.signature_payload(), blk.writer_signature):
         return VerifyResult(ok=False, height=height, reason="bad writer signature")
-    for rec in blk.records:
+    for rec, payload in zip(blk.records, payloads):
         issuer = checks.get(rec.issuer_id)
-        if issuer is None or not (
-                rec.shape_ok() and issuer(rec.signed_payload(), rec.issuer_signature)):
+        if issuer is None or not (rec.shape_ok() and issuer(payload, rec.issuer_signature)):
             return VerifyResult(
                 ok=False, height=height, reason=f"bad record signature for {rec.user_id!r}"
             )
@@ -468,30 +494,30 @@ def _check_block(blk: Block, height: int, prev_hash: bytes,
 
 def _check_blocks(hashed: Iterable[Tuple[Block, bytes]], every_writer_signature: bool,
                   held: Iterable[WriterCredential],
-                  ) -> Tuple[Block, Block, bytes, VerifyResult]:
-    """The genesis block of ``hashed`` (each block with its own hash), its
-    last block and that block's hash, and the first failed check. Each
-    writer signature is checked, or only the head's; a signature under a
-    ``held`` credential's key is checked by re-signing."""
+                  ) -> Tuple[Dict[str, _WriterCheck], Block, bytes, VerifyResult]:
+    """The writer checks of the genesis block of ``hashed`` (each block with
+    its own hash), the last block and its hash, and the first failed check.
+    Each writer signature is checked, or only the head's; a signature under
+    a ``held`` credential's key is checked by re-signing."""
     hashed = iter(hashed)
     gen, prev_hash = next(hashed)
     head, result = gen, _check_genesis(gen)
     try:
         checks = _writer_checks(gen.writer_declarations, held)
     except WriterNotAuthorizedError as e:
-        result = result and VerifyResult(ok=False, height=0, reason=str(e))
+        checks, result = {}, result and VerifyResult(ok=False, height=0, reason=str(e))
     # walk block by block so a mutated block is attributed to its own height:
     # its writer signature (covering the records hash) breaks there, before
     # the next block's dangling prev_hash is ever consulted
     for blk, block_hash in hashed:
         if result:
-            result = _check_block(blk, head.height + 1, prev_hash, checks,
-                                  every_writer_signature)
+            result = _check_block(blk, head.height + 1, prev_hash, checks, every_writer_signature,
+                                  [rec.signed_payload() for rec in blk.records])
         head, prev_hash = blk, block_hash
     if (result and head is not gen and not every_writer_signature
             and not checks[head.writer_id](head.signature_payload(), head.writer_signature)):
         result = VerifyResult(ok=False, height=head.height, reason="bad writer signature")
-    return gen, head, prev_hash, result
+    return checks, head, prev_hash, result
 
 
 def verify_chain(state: ChainState) -> VerifyResult:
@@ -514,7 +540,7 @@ def _marker(state: Union[ChainState, ChainNode], credential: WriterCredential,
             user_id: str, ts: int) -> CertificateRecord:
     """The revocation marker of ``user_id`` at ``ts``; raises
     ``RevocationError`` if ``state`` holds no record for the user."""
-    if fetch_latest(state, user_id, now=ts).state == NOT_FOUND:
+    if state.newest(user_id) is None:
         raise RevocationError(f"no certificate on chain for {user_id!r}")
     return credential.make_record(
         user_id=user_id,
@@ -560,9 +586,10 @@ def load_chain(path: str) -> ChainState:
 # ---------------------------------------------------------------------------
 
 class ChainNode:
-    """The running chain: the genesis writer declarations, the head block and
-    its hash, and one map from user id to that user's newest record, but no
-    block list and no older record, so it holds one record per user.
+    """The running chain: the table of writer checks its genesis declares,
+    the head block and its hash, one map from user id to that user's newest
+    record, and its chain file, open; no block list and no older record, so
+    it holds one record per user.
 
     ``newest`` is one dict read. ``newest_of`` reads several users under the
     publish lock, so no commit lands inside it. Appends are serialized under
@@ -571,20 +598,21 @@ class ChainNode:
     one), and only then, under the publish lock, moves the head and writes
     the block's records into the map. So a failed append leaves the node as
     it was, and an append costs O(records in the block), whatever the
-    height."""
+    height. The first append with a credential makes that writer's check
+    re-sign with it (``_hold``); later ones reuse the check. ``close``
+    closes the file."""
 
     def __init__(self, state: ChainState, path: Optional[str] = None):
         head = state.blocks[-1]
-        self._start(state.blocks[0].writer_declarations, head, head.block_hash(),
-                    dict(state.latest), path)
+        self._start(_writer_checks(state.blocks[0].writer_declarations, ()), head,
+                    head.block_hash(), dict(state.latest), path)
 
-    def _start(self, declarations: Tuple[Tuple[str, bytes], ...], head: Block,
-               head_hash: bytes, latest: Dict[str, CertificateRecord],
-               path: Optional[str]) -> None:
-        self._declarations = declarations
+    def _start(self, checks: Dict[str, _WriterCheck], head: Block, head_hash: bytes,
+               latest: Dict[str, CertificateRecord], path: Optional[str]) -> None:
+        self._checks = checks  # the writer set: written under _lock
         self.head, self._head_hash = head, head_hash
         self._latest = latest
-        self._path = path
+        self._file = None if path is None else open(path, "ab", buffering=0)
         self._lock = threading.Lock()  # held by a commit from start to publish
         self._publish_lock = threading.Lock()  # held to publish, and by newest_of
 
@@ -614,7 +642,8 @@ class ChainNode:
         if the file does not parse and ``ChainError`` if a check fails,
         leaving the file as it was; only a file that passes loses its torn
         final frame, if any. Of each block, only its records, in the map,
-        and the head outlive the pass.
+        and the head outlive the pass, and the node keeps the pass's writer
+        checks.
         """
         latest: Dict[str, CertificateRecord] = {}
 
@@ -625,15 +654,22 @@ class ChainNode:
             return blk, sha256(frame)
 
         with open(path, "r+b") as f:
-            gen, head, head_hash, result = _check_blocks(
+            checks, head, head_hash, result = _check_blocks(
                 read_frames(f, parse), False, credentials)
             if not result:
                 raise ChainError(f"verification fails at height {result.height}: "
                                  f"{result.reason}")
             cut_torn_tail(f)
         node = cls.__new__(cls)
-        node._start(gen.writer_declarations, head, head_hash, latest, path)
+        node._start(checks, head, head_hash, latest, path)
         return node
+
+    def close(self) -> None:
+        """Close the chain file; an append after it raises. A second call
+        does nothing."""
+        with self._lock:
+            if self._file is not None:
+                self._file.close()
 
     @property
     def height(self) -> int:
@@ -651,25 +687,34 @@ class ChainNode:
     def append(self, credential: WriterCredential,
                records: Sequence[CertificateRecord],
                timestamp: Optional[int] = None) -> Block:
-        return self._commit(credential, records, timestamp)
+        with self._lock:
+            return self._commit(credential, records, timestamp)
 
     def revoke(self, credential: WriterCredential, user_id: str,
                timestamp: Optional[int] = None) -> Block:
-        # a user the map holds stays in it, so the marker needs no lock
+        """Append a revocation marker for the user. Unlike ``chain.revoke``,
+        a user whose newest record is a marker already is refused
+        (``RevocationError``): another would change no state, only grow the
+        chain. Checked under the append lock, so of two revokes of one user
+        the second sees the first's marker."""
         ts = _now() if timestamp is None else timestamp
-        return self._commit(credential, [_marker(self, credential, user_id, ts)], ts)
+        with self._lock:
+            rec = self.newest(user_id)
+            if rec is not None and rec.kind == KIND_REVOCATION:
+                raise RevocationError(f"{user_id!r} is already revoked")
+            return self._commit(credential, [_marker(self, credential, user_id, ts)], ts)
 
     def _commit(self, credential: WriterCredential,
                 records: Sequence[CertificateRecord], timestamp: Optional[int]) -> Block:
-        with self._lock:
-            block = _next_block(self._declarations, self.head, self._head_hash,
-                                credential, records, timestamp)
-            frame = block.canonical_bytes()
-            if self._path is not None:
-                append_frame(self._path, frame)
-            head_hash = sha256(frame)
-            with self._publish_lock:
-                self.head, self._head_hash = block, head_hash
-                for rec in block.records:
-                    self._latest[rec.user_id] = rec
-            return block
+        """Append the block of ``records``; the caller holds ``_lock``."""
+        _hold(self._checks, credential)
+        block, frame = _next_block(self._checks, self.head, self._head_hash,
+                                   credential, records, timestamp)
+        if self._file is not None:
+            append_frame(self._file, frame)
+        head_hash = sha256(frame)
+        with self._publish_lock:
+            self.head, self._head_hash = block, head_hash
+            for rec in block.records:
+                self._latest[rec.user_id] = rec
+        return block

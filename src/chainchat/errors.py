@@ -74,7 +74,9 @@ class RecordValidationError(ChainError):
 
 
 class RevocationError(ChainError):
-    category = "revoke-unknown-user"
+    """A revoke of a user with no record, or one already revoked."""
+
+    category = "revocation-error"
 
 
 # -- enrollment / MNO --------------------------------------------------------

@@ -241,17 +241,17 @@ class Relay:
     # -- registration ---------------------------------------------------------
 
     def register_user(self, user_id: str, cert_fingerprint: bytes) -> str:
-        status = self.fetch_certificate(user_id)
-        if not status.is_valid:
-            raise RegistrationRefusedError(
-                f"certificate for {user_id!r} is {status.state}"
-            )
-        if status.record.fingerprint != cert_fingerprint:
+        record = self._chain_node.newest(user_id)
+        status = status_of(record, chain._now())
+        if status != VALID:
+            raise RegistrationRefusedError(f"certificate for {user_id!r} is {status}")
+        if record.fingerprint != cert_fingerprint:
             raise RegistrationRefusedError(
                 f"fingerprint does not match the latest certificate for {user_id!r}"
             )
         with self._lock:
-            self._mailboxes.setdefault(user_id, Mailbox())
+            if user_id not in self._mailboxes:
+                self._mailboxes[user_id] = Mailbox()
         return "registered"
 
     # -- message flow ----------------------------------------------------------

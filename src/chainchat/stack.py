@@ -82,11 +82,14 @@ def run_stack(config: StackConfig) -> WireServer:
     until it closes."""
     make_state_dir(config.state_dir)
     lock = lock_state_dir(config.state_dir)
+    chain_node = None
     try:
         credentials, chain_node = _open_state(config)
         mno = MnoCertificateAuthority(credentials[MNO_WRITER_ID], chain_node)
         return WireServer(Relay(chain_node), mno, host=config.relay_host,
                           port=config.relay_port, state_lock=lock)
     except BaseException:
+        if chain_node is not None:
+            chain_node.close()
         os.close(lock)
         raise

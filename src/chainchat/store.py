@@ -1,4 +1,7 @@
-"""Every durable write and lock: replace, framed append, torn-tail read and cut."""
+"""Every durable write and lock: replace, framed append, torn-tail read and cut.
+
+A framed append writes to a file its caller opened once and keeps open, as
+the chain node keeps its chain file."""
 
 from __future__ import annotations
 
@@ -36,19 +39,20 @@ def write_atomic(path: str | os.PathLike, data: bytes) -> None:
         os.close(directory)
 
 
-def append_frame(path: str, body: bytes) -> None:
-    """Append ``body`` as one length-prefixed frame and fsync; on failure
-    cut the file back."""
+def append_frame(f: BinaryIO, body: bytes) -> None:
+    """Append ``body`` as one length-prefixed frame to the file open,
+    unbuffered, as ``f`` (mode ``"ab"``), and fsync; on failure cut the
+    file back to where it ended."""
     frame = encode_bytes(body)
-    with open(path, "ab", buffering=0) as f:
-        size = os.fstat(f.fileno()).st_size
-        try:
-            if f.write(frame) != len(frame):
-                raise OSError(f"short write to {path}")
-            os.fsync(f.fileno())
-        except BaseException:
-            os.ftruncate(f.fileno(), size)
-            raise
+    size = f.tell()
+    try:
+        if f.write(frame) != len(frame):
+            raise OSError(f"short write to {f.name}")
+        os.fsync(f.fileno())
+    except BaseException:
+        os.ftruncate(f.fileno(), size)
+        f.seek(size)  # the next append's start, which the cut moved
+        raise
 
 
 def read_frames(f: BinaryIO, parse: Callable[[bytes], Any]) -> Iterator[Any]:

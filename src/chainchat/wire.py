@@ -205,8 +205,9 @@ class WireServer:
         self._accept_thread.start()
 
     def close(self) -> None:
-        """End the accept loop, then every connection, and only then let go
-        of the state-directory lock; a second call does nothing."""
+        """End the accept loop, then every connection, then close the chain
+        node, and only then let go of the state-directory lock; a second call
+        does nothing."""
         with self._lock:
             if self._closed:
                 return
@@ -221,6 +222,7 @@ class WireServer:
                     conn.shutdown(socket.SHUT_RDWR)  # wakes its thread's read
         for thread in threads:
             thread.join()
+        self.mno.chain_node.close()
         if self._state_lock is not None:
             os.close(self._state_lock)
 

@@ -11,8 +11,8 @@ Each count is taken where chainchat calls its libraries:
   hmac               HMAC contexts built by crypto
   cipher_contexts    AES-CBC contexts built by crypto
   fsync              os.fsync
-  record_encodes     CertificateRecord.signed_payload calls, the record
-                     encoding that each record signature covers
+  record_encodes     calls of the one record encoder (chain._record_payload),
+                     the bytes each record signature covers
 
 The scenario runs in one process, with no threads and no wire, so the counts
 depend on neither timing nor the host, and two runs give identical files.
@@ -27,7 +27,7 @@ on port 0 and a ``RelayClient``, and counts per operation:
   fetch_latest       calls of fetch_latest, the name the relay looks up
   envelope_encodes   relay.header_bytes calls, the one envelope header
                      encoder (also under the name the client imports)
-  record_encodes     CertificateRecord.signed_payload calls
+  record_encodes     calls of the one record encoder
 
 Both byte counts are taken on the client's (main) thread, so the server's
 own encodes on a connection's thread are not counted twice; the last four
@@ -63,6 +63,9 @@ that moves a count rewrites the file with this script, run from the
 repository root:
 
     PYTHONPATH=src python3 tests/count_costs.py
+
+It prints each count that changed as ``section op counter: old → new``
+(``-`` for a count one side lacks), and nothing when none did.
 """
 
 from __future__ import annotations
@@ -79,15 +82,14 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
 from types import CodeType
-from typing import Callable, ContextManager, Dict, Iterator, TypeVar
+from typing import Callable, ContextManager, Dict, Iterator, List, TypeVar
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from chainchat import chain, crypto, relay, wire
 from chainchat import client as client_mod
-from chainchat.chain import (KIND_CERTIFICATE, CertificateRecord, CertStatus, ChainNode,
-                             WriterCredential)
+from chainchat.chain import KIND_CERTIFICATE, CertStatus, ChainNode, WriterCredential
 from chainchat.client import Client
 from chainchat.crypto import SealedPayload
 from chainchat.mno import MnoCertificateAuthority
@@ -161,13 +163,12 @@ def counting(counts: Dict[str, int]) -> Iterator[None]:
 
     load_x25519 = vars(X25519PrivateKey)["from_private_bytes"]
     load_ed25519 = vars(Ed25519PublicKey)["from_public_bytes"]
-    signed_payload = vars(CertificateRecord)["signed_payload"]
     saved = [(X25519PrivateKey, "from_private_bytes", load_x25519),
              (Ed25519PublicKey, "from_public_bytes", load_ed25519),
              (crypto, "ratchet_forward", crypto.ratchet_forward),
              (crypto, "HKDF", crypto.HKDF), (crypto, "HMAC", crypto.HMAC),
              (crypto, "Cipher", crypto.Cipher), (os, "fsync", os.fsync),
-             (CertificateRecord, "signed_payload", signed_payload)]
+             (chain, "_record_payload", chain._record_payload)]
     loaded = counted("x25519_loads", load_x25519.__func__)
     X25519PrivateKey.from_private_bytes = classmethod(lambda cls, data: _CountedKey(
         loaded(cls, data), "exchange", "x25519_agreements", counts))
@@ -178,7 +179,7 @@ def counting(counts: Dict[str, int]) -> Iterator[None]:
     crypto.HMAC = counted("hmac", crypto.HMAC)
     crypto.Cipher = counted("cipher_contexts", crypto.Cipher)
     os.fsync = counted("fsync", os.fsync)
-    CertificateRecord.signed_payload = counted("record_encodes", signed_payload)
+    chain._record_payload = counted("record_encodes", chain._record_payload)
     try:
         yield
     finally:
@@ -244,6 +245,7 @@ def _scenario(measure: Measure,
         relay.submit_envelope(real)
         deliveries = measure("pull_forged", target.pull_messages)
         assert [d.error for d in deliveries] == ["auth-failed"] * FORGED + [None]
+        node.close()
 
         # start-up: open a chain file holding the writer's seed, and holding
         # none; then ``chainchat chain verify``, which checks every signature
@@ -251,8 +253,8 @@ def _scenario(measure: Measure,
             path = os.path.join(tmp, f"chain-{height}.dat")
             writer = _chain_file(path, height, credential)
             held = credential(WriterCredential.from_seed(writer.writer_id, writer.seed))
-            measure(f"open_{height}_held", lambda: ChainNode.open(path, [held]))
-            measure(f"open_{height}", lambda: ChainNode.open(path))
+            measure(f"open_{height}_held", lambda: ChainNode.open(path, [held])).close()
+            measure(f"open_{height}", lambda: ChainNode.open(path)).close()
             assert measure(f"verify_{height}",
                            lambda: chain.verify_chain(chain.load_chain(path)))
 
@@ -278,7 +280,7 @@ def counting_wire(counts: Dict[str, int]) -> Iterator[None]:
                      (relay, "fetch_latest", "fetch_latest"),
                      (relay, "header_bytes", "envelope_encodes"),
                      (client_mod, "header_bytes", "envelope_encodes"),
-                     (CertificateRecord, "signed_payload", "record_encodes")]
+                     (chain, "_record_payload", "record_encodes")]
     saved = [(owner, name, vars(owner)[name]) for owner, name, _ in counted_calls]
 
     def counted(counter: str, fn: Callable) -> Callable:
@@ -446,6 +448,22 @@ def render(operations: Counts, wire_ops: Counts) -> str:
     }, indent=2) + "\n"
 
 
+def changed_counts(old: dict, new: dict) -> List[str]:
+    """A line ``section op counter: old → new`` for each count that differs
+    between two parsed counts files."""
+    lines = []
+    for section in ("operations", "wire"):
+        old_ops, new_ops = old.get(section, {}), new.get(section, {})
+        for op in {**old_ops, **new_ops}:
+            was, now = old_ops.get(op, {}), new_ops.get(op, {})
+            lines += [f"{section} {op} {c}: {was.get(c, '-')} → {now.get(c, '-')}"
+                      for c in {**was, **now} if was.get(c) != now.get(c)]
+    return lines
+
+
 if __name__ == "__main__":
-    COUNTS_PATH.write_text(render(run_scenario(), run_wire_scenario()), encoding="utf-8")
-    print(f"wrote {COUNTS_PATH}")
+    old = json.loads(COUNTS_PATH.read_text(encoding="utf-8")) if COUNTS_PATH.exists() else {}
+    text = render(run_scenario(), run_wire_scenario())
+    COUNTS_PATH.write_text(text, encoding="utf-8")
+    for line in changed_counts(old, json.loads(text)):
+        print(line)

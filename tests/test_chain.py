@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import gc
 import hashlib
@@ -9,7 +10,9 @@ import tracemalloc
 
 import pytest
 
+import count_costs
 import oracles
+from chainchat import chain as chain_mod
 from chainchat.chain import (
     EXPIRED,
     KIND_CERTIFICATE,
@@ -366,7 +369,9 @@ class TestPersistence:
             path=str(path),
         )
         node.append(mno, [cert_for(mno, "alice")], timestamp=T0)
+        node.close()
         reopened = ChainNode.open(str(path))
+        reopened.close()
         assert reopened.height == 1
         assert verify_chain(load_chain(str(path)))
 
@@ -400,11 +405,35 @@ def _mutations(original):
 
 
 class TestAppendOnlyFile:
+    def test_a_chain_of_fixed_inputs_has_pinned_bytes(self, tmp_path):
+        """Two writers from fixed seeds (Ed25519 signs deterministically)
+        append two-record blocks and revocations at fixed times: the file's
+        SHA-256 is pinned, so no change to the append path changes a byte."""
+        mno = WriterCredential.from_seed("mno-1", bytes(range(32)))
+        other = WriterCredential.from_seed("relay-1", bytes(range(1, 33)))
+        path = tmp_path / "chain.dat"
+        save_chain(genesis([(w.writer_id, w.verification_key) for w in (mno, other)],
+                           timestamp=1), str(path))
+        node = ChainNode.open(str(path), [mno])
+        for i in range(50):
+            records = [mno.make_record(f"u{i}", bytes([i + 1]) * 32, 100 + i, 200 + i,
+                                       KIND_CERTIFICATE),
+                       other.make_record(f"v{i}", bytes([i + 2]) * 32, 100 + i, 300 + i,
+                                         KIND_CERTIFICATE)]
+            node.append(mno if i % 3 else other, records, timestamp=1000 + i)
+            if i % 7 == 0:
+                node.revoke(mno, f"u{i}", timestamp=1000 + i)
+        node.close()
+        data = path.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (
+            27530, "c11257469941ba5080dbbcfbd2fe3498294afda0ca975ad87c1ffcf76673c03e")
+
     def test_append_adds_exactly_one_frame(self, mno, im_server, tmp_path):
         path = tmp_path / "chain.dat"
         node = _node_with_blocks(mno, im_server, path, 3)
         before = path.read_bytes()
         node.revoke(mno, "user1", timestamp=T0 + 10)
+        node.close()
         after = path.read_bytes()
         assert after[:len(before)] == before
         assert after == before + encode_bytes(node.head.canonical_bytes())
@@ -415,6 +444,7 @@ class TestAppendOnlyFile:
         node = _node_with_blocks(mno, im_server, path, 4)
         intact = path.read_bytes()
         node.append(mno, [cert_for(mno, "last")], timestamp=T0 + 10)
+        node.close()
         full = path.read_bytes()
         torn = tmp_path / "torn.dat"
         for cut in range(len(intact) + 1, len(full)):
@@ -424,7 +454,9 @@ class TestAppendOnlyFile:
             assert verify_chain(load_chain(str(torn)))
             assert torn.read_bytes() == intact
             reopened.append(mno, [cert_for(mno, "next")], timestamp=T0 + 11)
+            reopened.close()
             again = ChainNode.open(str(torn))
+            again.close()
             assert again.height == 5
             assert verify_chain(load_chain(str(torn)))
 
@@ -436,6 +468,7 @@ class TestAppendOnlyFile:
         node = _node_with_blocks(mno, im_server, path, 4)
         intact = path.read_bytes()
         node.append(mno, [cert_for(mno, "last")], timestamp=T0 + 10)
+        node.close()
         full = path.read_bytes()
         for cut in range(len(intact), len(full)):
             path.write_bytes(full[:cut])
@@ -454,7 +487,7 @@ class TestAppendOnlyFile:
         frame, through ChainNode.open: each one is refused, leaving the file
         as it was."""
         path = tmp_path / "chain.dat"
-        _node_with_blocks(mno, im_server, path, 10)
+        _node_with_blocks(mno, im_server, path, 10).close()
         for offset, mutated in _mutations(path.read_bytes()):
             path.write_bytes(mutated)
             with pytest.raises(ChainError):
@@ -477,7 +510,9 @@ class TestAppendOnlyFile:
         assert path.read_bytes() == intact
         assert node.head is head and node.newest("doomed") is None
         node.append(mno, [cert_for(mno, "after")], timestamp=T0 + 11)
+        node.close()
         reopened = ChainNode.open(str(path))
+        reopened.close()
         assert (reopened.height, reopened.head) == (node.height, node.head)
         assert path.read_bytes() == intact + encode_bytes(node.head.canonical_bytes())
 
@@ -516,6 +551,8 @@ class TestOneFrameAtATime:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        if isinstance(state, ChainNode):
+            state.close()
         assert state.height == OPEN_HEIGHT
         assert peak - held <= FRAME_SLACK
 
@@ -569,6 +606,7 @@ class TestNodeReads:
         path = tmp_path / "chain.dat"
         node = _node_with_blocks(mno, im_server, path, 3)
         if opened:
+            node.close()
             node = ChainNode.open(str(path))
         now = T0 + 20
         assert fetch_latest(node, "user1", now=now).record.subject_public_key == \
@@ -580,7 +618,7 @@ class TestNodeReads:
             == [REVOKED, VALID]
         head, latest = node.head, dict(node._latest)
 
-        def lost_disk(path, frame):
+        def lost_disk(f, frame):
             raise OSError("disk gone")
 
         with monkeypatch.context() as patched:
@@ -591,6 +629,7 @@ class TestNodeReads:
                 node.revoke(mno, "user2", timestamp=T0 + 12)
         assert (node.head, node.height, node._latest) == (head, 5, latest)
         node.append(mno, [cert_for(mno, "later")], timestamp=T0 + 13)
+        node.close()
         assert node.height == 6
         assert [fetch_latest(node, user, now=now).state
                 for user in ("doomed", "user2", "later")] == [NOT_FOUND, VALID, VALID]
@@ -622,9 +661,69 @@ class TestNodeReads:
             paused.resume.set()
             paused.reader.join(timeout=10)
             committer.join(timeout=10)
+        node.close()
         assert read == [before]
         assert node.height == head.height + 1
         assert fetch_latest(node, "user1", now=T0 + 20).state == REVOKED
+
+
+class TestRevokeOnce:
+    def test_a_second_revoke_is_refused_and_appends_nothing(self, mno, im_server, tmp_path):
+        """A marker after a marker would change no state, only grow the chain."""
+        path = tmp_path / "chain.dat"
+        node = _node_with_blocks(mno, im_server, path, 3)
+        node.revoke(mno, "user1", timestamp=T0 + 10)
+        height, size = node.height, path.stat().st_size
+        with pytest.raises(RevocationError, match="already revoked") as err:
+            node.revoke(mno, "user1", timestamp=T0 + 11)
+        node.close()
+        assert err.value.category == "revocation-error"
+        assert (node.height, path.stat().st_size) == (height, size)
+        assert fetch_latest(node, "user1", now=T0 + 20).state == REVOKED
+
+    def test_two_revokes_of_one_user_at_once_append_one_marker(self, mno, im_server, tmp_path,
+                                                              monkeypatch):
+        """The second revoke asks for the append lock while the first is
+        writing its frame; once it has the lock it sees the first's marker."""
+        path = tmp_path / "chain.dat"
+        node = _node_with_blocks(mno, im_server, path, 3)
+        height = node.height
+        node._lock = watched = _WatchedLock()
+        writing, resume = threading.Event(), threading.Event()
+        append_frame = chain_mod.append_frame
+
+        def paused_append(f, frame):
+            writing.set()
+            resume.wait(timeout=10)
+            append_frame(f, frame)
+
+        monkeypatch.setattr(chain_mod, "append_frame", paused_append)
+        outcomes = []
+
+        def revoke_user1():
+            try:
+                node.revoke(mno, "user1", timestamp=T0 + 10)
+                outcomes.append("revoked")
+            except RevocationError:
+                outcomes.append("refused")
+
+        first, second = (threading.Thread(target=revoke_user1) for _ in range(2))
+        first.start()
+        try:
+            assert writing.wait(timeout=10)  # the first holds the lock
+            assert watched.asked.acquire(timeout=10)  # the first's ask
+            second.start()
+            assert watched.asked.acquire(timeout=10)  # the second waits for the lock
+        finally:
+            resume.set()
+            first.join(timeout=10)
+            second.join(timeout=10)
+        assert not first.is_alive() and not second.is_alive()
+        assert sorted(outcomes) == ["refused", "revoked"]
+        assert node.height == height + 1
+        assert [rec.kind for blk in load_chain(str(path)).blocks for rec in blk.records
+                if rec.user_id == "user1"] == [KIND_CERTIFICATE, KIND_REVOCATION]
+        node.close()
 
 
 def _wide_chain(writer, users, per_block=100):
@@ -641,6 +740,55 @@ def _wide_chain(writer, users, per_block=100):
 
 
 class TestNodeCosts:
+    def test_an_append_encodes_its_record_once(self, mno):
+        """``make_record`` encodes the signed payload to sign it, and the
+        append encodes it once for the issuer check, the records hash and
+        the frame."""
+        node = ChainNode.create([(mno.writer_id, mno.verification_key)])
+        counts = dict.fromkeys(count_costs.COUNTERS, 0)
+        with count_costs.counting(counts):
+            node.append(mno, [cert_for(mno, "alice")], timestamp=T0)
+        assert counts["record_encodes"] == 2
+
+    def test_appends_build_the_writer_checks_once(self, mno, im_server, monkeypatch):
+        """The node builds its table of writer checks when it starts, and
+        derives an appending credential's key on its first append only."""
+        declarations = [(mno.writer_id, mno.verification_key),
+                        (im_server.writer_id, im_server.verification_key)]
+        builds, derived = [], []
+        writer_checks, key = chain_mod._writer_checks, WriterCredential.verification_key
+
+        def counted_writer_checks(*args):
+            builds.append(args)
+            return writer_checks(*args)
+
+        monkeypatch.setattr(chain_mod, "_writer_checks", counted_writer_checks)
+        monkeypatch.setattr(WriterCredential, "verification_key",
+                            property(lambda c: derived.append(c) or key.fget(c)))
+        node = ChainNode.create(declarations)
+        for i in range(5):
+            node.append(mno, [cert_for(mno, f"user{i}")], timestamp=T0 + i)
+        assert (len(builds), len(derived), node.height) == (1, 1, 5)
+
+    def test_appends_open_the_chain_file_once(self, mno, tmp_path, monkeypatch):
+        path = str(tmp_path / "chain.dat")
+        opened = []
+        real_open = builtins.open
+
+        def counted_open(file, *args, **kwargs):
+            if os.fspath(file) == path:
+                opened.append(args)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counted_open)
+        node = ChainNode.create([(mno.writer_id, mno.verification_key)], path=path)
+        for i in range(5):
+            node.append(mno, [cert_for(mno, f"user{i}")], timestamp=T0 + i)
+        assert len(opened) == 1
+        node.close()
+        monkeypatch.undo()
+        assert load_chain(path).height == 5
+
     def test_an_opened_node_holds_far_less_than_its_blocks(self, long_chain):
         """The node keeps each user's newest record and the head, not the
         blocks that ``load_chain`` returns. A full collection first empties
@@ -658,6 +806,7 @@ class TestNodeCosts:
                 tracemalloc.stop()
 
         node_held, node = held_by(lambda: ChainNode.open(path, [writer]))
+        node.close()
         chain_held, chain = held_by(lambda: load_chain(path))
         assert node.height == chain.height == OPEN_HEIGHT
         assert node_held <= 0.6 * chain_held
@@ -851,7 +1000,7 @@ class TestHeldKeyChecks:
         expected = bool(verify_chain(load_chain(path)))
         assert expected == (case in VALID_CASES)
         try:
-            ChainNode.open(path, [mno, im_server])
+            ChainNode.open(path, [mno, im_server]).close()
             accepted = True
         except ChainError as e:
             assert "bad record signature" in str(e)
@@ -872,7 +1021,7 @@ class TestHeldKeyChecks:
         expected = bool(verify_chain(load_chain(path)))
         assert expected == (case == "random-nonce")
         try:
-            ChainNode.open(path, [mno, im_server])
+            ChainNode.open(path, [mno, im_server]).close()
             accepted = True
         except ChainError as e:
             assert "bad writer signature" in str(e)

@@ -461,6 +461,7 @@ def small_chain(tmp_path):
         record = mno.make_record(f"user{i}", bytes([i + 1]) * 32, 1_700_000_000,
                                  1_700_003_600, chain_mod.KIND_CERTIFICATE)
         node.append(writers[i % 2], [record], timestamp=1_700_000_000 + i)
+    node.close()
     return cfg, credentials
 
 
@@ -482,6 +483,7 @@ class TestStartupCheck:
         path = Path(cfg.resolved_chain_file())
         original = path.read_bytes()
         _, opened = stack_mod._open_state(cfg)
+        opened.close()
         loaded = chain_mod.load_chain(str(path))
         assert (opened.height, opened.head) == \
             (loaded.height, loaded.blocks[-1])
@@ -567,7 +569,9 @@ class TestStartupCheck:
         assert f"height {target}: bad writer signature" in capsys.readouterr().err
         # start-up defends against corruption; whoever holds the seeds can
         # re-sign the head, so this file starts
-        assert chain_mod.ChainNode.open(path).height == len(blocks) - 1
+        opened = chain_mod.ChainNode.open(path)
+        opened.close()
+        assert opened.height == len(blocks) - 1
 
 
 class TestWriterCredentialsFile:
@@ -656,8 +660,11 @@ class TestCrashSafeWrites:
             with pytest.raises(OSError, match="simulated"):
                 stack_mod._open_state(cfg)
         assert list(Path(cfg.state_dir).iterdir()) == []
-        seeds, _ = stack_mod._open_state(cfg)
-        assert stack_mod._open_state(cfg)[0].keys() == seeds.keys() == {"mno-1"}
+        seeds, node = stack_mod._open_state(cfg)
+        node.close()
+        again, node = stack_mod._open_state(cfg)
+        node.close()
+        assert again.keys() == seeds.keys() == {"mno-1"}
 
     @staticmethod
     def trace_renames_and_fsyncs(monkeypatch):

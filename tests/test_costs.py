@@ -89,3 +89,16 @@ def test_a_fan_out_builds_no_status_object_and_no_fetch_encodes(wire_ops):
     for op in ("submit_envelope", "pull_messages", "create_group", "group_key_pulls",
                "broadcast_group", "group_pulls"):
         assert wire_ops[op]["envelope_encodes"] == 0
+
+
+def test_a_rewrite_names_each_changed_count():
+    old = {"python": "CPython 3.11", "operations": {"install": {"hmac": 1, "fsync": 1}},
+           "wire": {"revoke": {"round_trips": 1}}}
+    new = {"python": "CPython 3.12", "operations": {"install": {"hmac": 2, "fsync": 1},
+                                                    "revoke": {"fsync": 1}}, "wire": {}}
+    assert count_costs.changed_counts(old, new) == [
+        "operations install hmac: 1 → 2",
+        "operations revoke fsync: - → 1",
+        "wire revoke round_trips: 1 → -",
+    ]
+    assert count_costs.changed_counts(new, new) == []

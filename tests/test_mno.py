@@ -1,11 +1,13 @@
 import base64
 import dataclasses
+import gc
 import hashlib
 import hmac
 import json
 import os
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -285,18 +287,20 @@ class TestSignatureChecksUnderHeldKeys:
             enroll(mno, f"user{i}")
             assert (counts["ed25519_signs"], len(verifies)) == (2 * (i + 1), 0)
         mno.revoke("user0")
+        node.close()
         assert (counts["ed25519_signs"], len(verifies)) == (10, 0)
         records = 5
         counts["ed25519_signs"] = 0
         held = [counting_credential(WriterCredential.from_seed(c.writer_id, c.seed), counts)
                 for c in credentials]
         opened, running = ChainNode.open(path, held), node
+        opened.close()
         assert (opened.height, opened.head) == (running.height, running.head)
         # each record and the head's writer signature is re-signed
         assert (counts["ed25519_signs"], len(verifies)) == (records + 1, 0)
         counts["ed25519_signs"] = 0
         # holding no key, each record and the head's writer signature is verified
-        ChainNode.open(path)
+        ChainNode.open(path).close()
         assert (counts["ed25519_signs"], len(verifies)) == (0, records + 1)
 
     def test_concurrent_appends_under_one_credential(self, mno_credential, tmp_path):
@@ -329,10 +333,37 @@ class TestSignatureChecksUnderHeldKeys:
         finally:
             sys.setswitchinterval(switch)
         assert not any(thread.is_alive() for thread in threads)
+        node.close()
         records = [record for n in range(writers) for record in made[n]]
         assert len(records) == 50 * writers
         assert all(verify_record(r, mno_credential.verification_key) for r in records)
         running, opened = node, ChainNode.open(path)
+        opened.close()
         assert running.height == opened.height == len(records)
         assert all(running.newest(r.user_id) == opened.newest(r.user_id) == r for r in records)
         assert sorted(load_chain(path).latest) == sorted(r.user_id for r in records)
+
+
+class TestHeldMemory:
+    USERS = 1_000
+    # a node holding each record's fields and no bytes held 449,540 B for
+    # these users (CPython 3.11), about 450 B a user; one whose records
+    # also kept their canonical bytes held about 720 B a user
+    BOUND_PER_USER = 450 + 32
+
+    def test_enrolled_records_keep_no_bytes(self, mno):
+        """Users enrolled through the MNO on an in-memory node hold what
+        their records' fields hold, after a full collection. One enrolment
+        first loads what a process's first one loads."""
+        enroll(mno, "warm-up")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for i in range(self.USERS):
+                enroll(mno, f"user{i:04d}")
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert mno.chain_node.height == self.USERS + 1
+        assert held <= self.USERS * self.BOUND_PER_USER

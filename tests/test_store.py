@@ -26,10 +26,11 @@ def pair_body(pair):
 def pair_file(tmp_path):
     """A file of one frame per pair, and the offset of its last frame."""
     path = tmp_path / "pairs.dat"
-    for pair in PAIRS[:-1]:
-        append_frame(str(path), pair_body(pair))
-    last = path.stat().st_size
-    append_frame(str(path), pair_body(PAIRS[-1]))
+    with open(path, "ab", buffering=0) as f:
+        for pair in PAIRS[:-1]:
+            append_frame(f, pair_body(pair))
+        last = path.stat().st_size
+        append_frame(f, pair_body(PAIRS[-1]))
     return path, last
 
 

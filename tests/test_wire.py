@@ -342,6 +342,13 @@ class TestServer:
         rc.revoke_user("alice")
         assert rc.fetch_certificate("alice").state == "revoked"
 
+    def test_a_repeated_revoke_is_refused(self, rc):
+        Client.install("alice", rc, rc)
+        rc.revoke_user("alice")
+        with pytest.raises(WireRemoteError, match="already revoked") as err:
+            rc.revoke_user("alice")
+        assert err.value.category == "revocation-error"
+
     def test_group_flow_over_wire(self, rc):
         users = [Client.install(f"w{i}", rc, rc) for i in range(3)]
         admin = users[0]
